@@ -98,58 +98,77 @@ def _prefactor(p, consts):
 # ---------------------------------------------------------------------------
 # closed-form Gaussian pair kernels (point lattices; also the oracles)
 
-def _pair_sum(positions, masses, rC, term, signs=None, chunk=512):
-    """Sum term(i-block, j) over all pairs, chunked to bound memory."""
-    n = len(masses)
-    m = masses if signs is None else masses * np.asarray(signs, dtype=float)
+_TILE = 512
+
+
+def _pair_sum(positions, masses, kernel):
+    """sum_ij m_i m_j kernel_ij over all ordered pairs of points.
+
+    The sum runs over square tiles of at most _TILE x _TILE pairs.
+    Every kernel is symmetric under i <-> j, so only tiles on or above
+    the block diagonal are evaluated and those off the diagonal count
+    twice: N^2/2 kernel evaluations, with memory fixed by the tile size
+    whatever N is.  kernel(i, j, dx, dy, dz) receives the row and column
+    slices of the tile and the 2D coordinate differences x_i - x_j etc.,
+    and returns the tile's kernel matrix.  Each tile is reduced by
+    einsum, which uses no BLAS, so the value does not depend on the BLAS
+    thread count.
+    """
+    x, y, z = positions.T
+    n = masses.size
     total = 0.0
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        total += term(sl, m)
+    for i0 in range(0, n, _TILE):
+        i = slice(i0, i0 + _TILE)
+        for j0 in range(i0, n, _TILE):
+            j = slice(j0, j0 + _TILE)
+            dx = x[i, None] - x[None, j]
+            dy = y[i, None] - y[None, j]
+            dz = z[i, None] - z[None, j]
+            s = float(np.einsum("i,j,ij->", masses[i], masses[j],
+                                kernel(i, j, dx, dy, dz)))
+            total += s if j0 == i0 else 2.0 * s
     return total
 
 
-def force_pair_kernel_sum(positions, masses, rC, signs=None):
+def _as_lattice(positions, masses):
+    return (np.atleast_2d(np.asarray(positions, dtype=float)),
+            np.atleast_1d(np.asarray(masses, dtype=float)))
+
+
+def force_pair_kernel_sum(positions, masses, rC):
     """sum_ij m_i m_j (1 - d_x^2/2rC^2) e^{-d^2/4rC^2} / (2 rC^2).
 
     This is the k-space integral of the force spectrum carried out
     analytically for point masses; multiply by hbar^2 lam / m0^2 to get
-    S_FF.  Optional signs give the differential (two-body) combination.
+    S_FF.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
+    positions, masses = _as_lattice(positions, masses)
     inv2rc2 = 1.0 / (2.0 * rC * rC)
 
-    def term(sl, m):
-        d = positions[sl, None, :] - positions[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", d, d)
-        dx2 = d[..., 0] ** 2
-        kern = inv2rc2 * (1.0 - dx2 * inv2rc2) * np.exp(-d2 * inv2rc2 / 2.0)
-        return float(np.einsum("i,j,ij->", m[sl], m, kern))
+    def kernel(i, j, dx, dy, dz):
+        dx2 = dx * dx
+        d2 = dx2 + dy * dy + dz * dz
+        return inv2rc2 * (1.0 - dx2 * inv2rc2) * np.exp(-d2 * inv2rc2 / 2.0)
 
-    return _pair_sum(positions, masses, rC, term, signs)
+    return _pair_sum(positions, masses, kernel)
 
 
 def two_body_pair_kernel_sum(positions, masses, rC, a):
     """Differential-pair kernel for two identical units separated by a
     along x: K(d) - [K(d + a x) + K(d - a x)] / 2 summed over unit pairs."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
+    positions, masses = _as_lattice(positions, masses)
     inv2rc2 = 1.0 / (2.0 * rC * rC)
 
-    def kern(d):
-        d2 = np.einsum("ijk,ijk->ij", d, d)
-        dx2 = d[..., 0] ** 2
-        return inv2rc2 * (1.0 - dx2 * inv2rc2) * np.exp(-d2 * inv2rc2 / 2.0)
+    def k(dx, rho2):
+        dx2 = dx * dx
+        return inv2rc2 * (1.0 - dx2 * inv2rc2) \
+            * np.exp(-(dx2 + rho2) * inv2rc2 / 2.0)
 
-    shift = np.array([a, 0.0, 0.0])
+    def kernel(i, j, dx, dy, dz):
+        rho2 = dy * dy + dz * dz
+        return k(dx, rho2) - 0.5 * (k(dx + a, rho2) + k(dx - a, rho2))
 
-    def term(sl, m):
-        d = positions[sl, None, :] - positions[None, :, :]
-        k = kern(d) - 0.5 * (kern(d + shift) + kern(d - shift))
-        return float(np.einsum("i,j,ij->", m[sl], m, k))
-
-    return _pair_sum(positions, masses, rC, term)
+    return _pair_sum(positions, masses, kernel)
 
 
 def torque_pair_kernel_sum(positions, masses, rC):
@@ -158,30 +177,23 @@ def torque_pair_kernel_sum(positions, masses, rC):
     Equals the k-space torque integral for point masses; multiply by
     hbar^2 lam / m0^2 to get the torque spectral density.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    masses = np.atleast_1d(np.asarray(masses, dtype=float))
+    positions, masses = _as_lattice(positions, masses)
     a = rC * rC
     half_a = 1.0 / (2.0 * a)
     quarter_a2 = 1.0 / (4.0 * a * a)
     y = positions[:, 1]
     z = positions[:, 2]
 
-    def term(sl, m):
-        d = positions[sl, None, :] - positions[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", d, d)
-        dy = d[..., 1]
-        dz = d[..., 2]
+    def kernel(i, j, dx, dy, dz):
+        d2 = dx * dx + dy * dy + dz * dz
         gauss = np.exp(-d2 / (4.0 * a))
-        zi = z[sl, None]
-        yi = y[sl, None]
-        zj = z[None, :]
-        yj = y[None, :]
-        kern = gauss * (zi * zj * (half_a - dy * dy * quarter_a2)
+        yi, zi = y[i, None], z[i, None]
+        yj, zj = y[None, j], z[None, j]
+        return gauss * (zi * zj * (half_a - dy * dy * quarter_a2)
                         + yi * yj * (half_a - dz * dz * quarter_a2)
                         + (zi * yj + yi * zj) * dy * dz * quarter_a2)
-        return float(np.einsum("i,j,ij->", m[sl], m, kern))
 
-    return _pair_sum(positions, masses, rC, term)
+    return _pair_sum(positions, masses, kernel)
 
 
 # ---------------------------------------------------------------------------

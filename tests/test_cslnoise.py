@@ -2,10 +2,15 @@
 scaling laws."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cslbounds
 from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        ColoredNoiseModel, Cuboid, Cylinder, Multilayer,
                        Point, PointLattice, QuadratureSpec, Sphere, TwoBody,
@@ -45,7 +50,7 @@ def test_pair_kernel_reproduces_single_point():
     m = np.array([CONSTANTS.m0])
     ksum = force_pair_kernel_sum(pos, m, GRW_RC)
     val = CONSTANTS.hbar ** 2 * GRW_LAMBDA / CONSTANTS.m0 ** 2 * ksum
-    assert val == pytest.approx(5.560608586053407e-71, rel=1e-14)
+    assert val == pytest.approx(5.560608586053407e-71, rel=1e-14, abs=0.0)
 
 
 def test_pair_kernel_two_points_hand_formula():
@@ -59,23 +64,24 @@ def test_pair_kernel_two_points_hand_formula():
     diag = 2.0 * m * m / (2.0 * rC ** 2)
     cross = 2.0 * m * m * (1.0 / (2.0 * rC ** 2)) \
         * (1.0 - d * d / (2.0 * rC ** 2)) * math.exp(-d * d / (4.0 * rC ** 2))
-    assert got == pytest.approx(diag + cross, rel=1e-13)
+    assert got == pytest.approx(diag + cross, rel=1e-13, abs=0.0)
 
 
 def test_torque_kernel_two_points_hand_formula():
-    # two points offset along y at heights +-z0: kernel terms
-    # z_i z_j (1/2rC^2 - d_y^2/4rC^4) for d_z = 0
+    # two points offset along y at height z0: kernel terms
+    # z_i z_j (1/2rC^2 - d_y^2/4rC^4) for d_z = 0; each point alone
+    # contributes (y^2 + z^2) / 2rC^2, its squared distance from the axis
     rC = 1e-7
     m = 1e-20
     z0 = 5e-8
     dy = 8e-8
     pos = np.array([[0.0, 0.0, z0], [0.0, dy, z0]])
     got = torque_pair_kernel_sum(pos, np.array([m, m]), rC)
-    diag = 2.0 * m * m * z0 * z0 * (1.0 / (2.0 * rC ** 2))
+    diag = m * m * (2.0 * z0 * z0 + dy * dy) * (1.0 / (2.0 * rC ** 2))
     cross = 2.0 * m * m * z0 * z0 \
         * (1.0 / (2.0 * rC ** 2) - dy * dy / (4.0 * rC ** 4)) \
         * math.exp(-dy * dy / (4.0 * rC ** 2))
-    assert got == pytest.approx(diag + cross, rel=1e-13)
+    assert got == pytest.approx(diag + cross, rel=1e-13, abs=0.0)
 
 
 def test_sphere_coherent_limit():
@@ -183,7 +189,7 @@ def test_two_body_point_kernel_hand_value():
     x = a * a / (GRW_RC * GRW_RC)
     want = CONSTANTS.hbar ** 2 * GRW_LAMBDA / (2.0 * GRW_RC ** 2) \
         * (1.0 - (1.0 - x / 2.0) * math.exp(-x / 4.0))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_two_body_cuboid_matches_quadrature_route():
@@ -195,7 +201,7 @@ def test_two_body_cuboid_matches_quadrature_route():
         lat = cuboid_lattice(unit, 14)
         ksum = two_body_pair_kernel_sum(lat.positions, lat.masses, p.rC, a)
         oracle = CONSTANTS.hbar ** 2 * p.lam / CONSTANTS.m0 ** 2 * ksum
-        assert closed == pytest.approx(oracle, rel=2e-2)
+        assert closed == pytest.approx(oracle, rel=2e-2, abs=0.0)
 
 
 def test_torque_exact_zeros():
@@ -281,3 +287,104 @@ def test_spectral_value_carries_error():
     assert float(s) > 0
     assert s.error >= 0
     assert s.error < 1e-4 * float(s)
+
+
+# ---------------------------------------------------------------------------
+# pair sums against the full-row broadcast formulas
+
+def broadcast_pair_sum(pos, m, kernel):
+    """Reference pair sum: (512, N, 3) difference blocks over full rows,
+    every ordered pair evaluated once."""
+    total = 0.0
+    for start in range(0, len(m), 512):
+        sl = slice(start, start + 512)
+        d = pos[sl, None, :] - pos[None, :, :]
+        total += float(np.einsum("i,j,ij->", m[sl], m, kernel(sl, d)))
+    return total
+
+
+def broadcast_force_kernel(d, rC):
+    c = 1.0 / (2.0 * rC * rC)
+    d2 = np.einsum("ijk,ijk->ij", d, d)
+    return c * (1.0 - d[..., 0] ** 2 * c) * np.exp(-d2 * c / 2.0)
+
+
+def broadcast_sums(pos, m, rC, a):
+    """(force, torque, two-body) sums by the broadcast formulas."""
+    shift = np.array([a, 0.0, 0.0])
+    y, z = pos[:, 1], pos[:, 2]
+    q = 1.0 / (4.0 * rC ** 4)
+
+    def torque(sl, d):
+        yi, zi = y[sl, None], z[sl, None]
+        gauss = np.exp(-np.einsum("ijk,ijk->ij", d, d) / (4.0 * rC * rC))
+        dy, dz = d[..., 1], d[..., 2]
+        return gauss * (zi * z * (0.5 / rC ** 2 - dy * dy * q)
+                        + yi * y * (0.5 / rC ** 2 - dz * dz * q)
+                        + (zi * y + yi * z) * dy * dz * q)
+
+    def two_body(sl, d):
+        return broadcast_force_kernel(d, rC) - 0.5 * (
+            broadcast_force_kernel(d + shift, rC)
+            + broadcast_force_kernel(d - shift, rC))
+
+    return (broadcast_pair_sum(pos, m, lambda sl, d:
+                               broadcast_force_kernel(d, rC)),
+            broadcast_pair_sum(pos, m, torque),
+            broadcast_pair_sum(pos, m, two_body))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1500])
+def test_pair_sums_match_broadcast_formulas(n, offset):
+    """Upper-triangle tiles agree with the full broadcast on random
+    lattices; the offset matters for the torque, which is not
+    translation-invariant."""
+    rng = np.random.default_rng([n, int(offset * 1e3)])
+    rC = 10.0 ** rng.uniform(-9.0, -5.0)
+    extent = rC * 10.0 ** rng.uniform(-0.5, 1.0)
+    a = rC * 10.0 ** rng.uniform(-0.5, 0.5)
+    pos = rng.uniform(-extent / 2.0, extent / 2.0, (n, 3)) \
+        + offset * np.array([1.0, -0.6, 0.8])
+    m = 1e-20 * rng.uniform(0.5, 1.5, n)
+    want_f, want_t, want_tb = broadcast_sums(pos, m, rC, a)
+    # abs=0: the sums lie far below approx's default abs of 1e-12
+    assert force_pair_kernel_sum(pos, m, rC) == pytest.approx(
+        want_f, rel=1e-12, abs=0.0)
+    assert torque_pair_kernel_sum(pos, m, rC) == pytest.approx(
+        want_t, rel=1e-12, abs=0.0)
+    assert two_body_pair_kernel_sum(pos, m, rC, a) == pytest.approx(
+        want_tb, rel=1e-10, abs=0.0)
+
+
+def test_two_body_point_matches_broadcast_formula():
+    rC, a = 1e-7, 1.7e-7
+    got = float(csl_force_spectrum_two_body(TwoBody(Point(CONSTANTS.m0), a),
+                                            CollapseParams(GRW_LAMBDA, rC)))
+    ksum = broadcast_sums(np.zeros((1, 3)), np.array([CONSTANTS.m0]),
+                          rC, a)[2]
+    want = CONSTANTS.hbar ** 2 * GRW_LAMBDA / CONSTANTS.m0 ** 2 * ksum
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_pair_sum_independent_of_blas_threads():
+    """A 2000-point force sum is bit-identical with one and two BLAS
+    threads."""
+    code = ("import numpy as np\n"
+            "from cslbounds.cslnoise import force_pair_kernel_sum\n"
+            "rng = np.random.default_rng(11)\n"
+            "pos = rng.uniform(-5e-7, 5e-7, (2000, 3))\n"
+            "m = 1e-20 * rng.uniform(0.5, 1.5, 2000)\n"
+            "print(repr(force_pair_kernel_sum(pos, m, 1e-7)))\n")
+    src = str(Path(cslbounds.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+    assert float(out[0]) > 0.0

@@ -162,3 +162,15 @@ def test_invalid_inputs():
         form_factor(Point(1.0), np.zeros(4))
     with pytest.raises(ValueError):
         form_factor(Point(1.0), np.array([np.inf, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("pos, m", [
+    ([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [1.0, 1.0]),
+    ([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]], [1.0, 1.0]),
+    ([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0]], [1.0, np.nan]),
+    ([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0]], [1.0, np.inf]),
+], ids=["nan_position", "inf_position", "nan_mass", "inf_mass"])
+def test_point_lattice_rejects_non_finite(pos, m):
+    # a non-finite lattice would otherwise give a NaN or inf spectrum
+    with pytest.raises(ValueError, match="finite"):
+        PointLattice(np.array(pos), np.array(m))
