@@ -253,6 +253,11 @@ def _parse_simulation(sec):
     mode = sec.word("mode", choices={"oscillator", "free_particle"},
                     required=False, default="oscillator")
     nperseg = sec.integer("nperseg", required=False)
+    if nperseg is not None:
+        try:
+            sim.validate_nperseg(nperseg)
+        except ValueError as exc:
+            raise ConfigError(f"[simulation] {exc}") from exc
     return sim, mode, nperseg
 
 

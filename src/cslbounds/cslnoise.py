@@ -75,10 +75,11 @@ class CollapseParams:
     colored: Optional[ColoredNoiseModel] = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if not self.rC > 0:
-            raise ValueError("rC must be positive")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative, "
+                             f"got {self.lam}")
+        if not 0 < self.rC < np.inf:
+            raise ValueError(f"rC must be finite and positive, got {self.rC}")
 
 
 class SpectralValue(float):

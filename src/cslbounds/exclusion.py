@@ -61,8 +61,8 @@ class ExperimentRecord:
     def __post_init__(self):
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        if not self.budget > 0:
-            raise ValueError("budget must be positive")
+        if not 0 < self.budget < np.inf:
+            raise ValueError("budget must be finite and positive")
         lo, hi = self.band
         if not (0 <= lo <= hi):
             raise ValueError("band must satisfy 0 <= lo <= hi")

@@ -49,8 +49,9 @@ def _unit(v):
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be strictly positive, got {value}")
+        if not 0 < value < np.inf:
+            raise ValueError(
+                f"{name} must be strictly positive and finite, got {value}")
 
 
 class MassGeometry:

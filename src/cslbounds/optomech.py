@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import welch
 
 from .constants import CONSTANTS
 from .cslnoise import apply_colored_filter, csl_force_spectrum, \
@@ -109,6 +108,11 @@ class SimConfig:
     def validate_resolution(self, omega_m):
         if self.dt * omega_m >= 0.1:
             raise ValueError("dt * omega_m must stay below 0.1")
+
+    def validate_nperseg(self, nperseg):
+        if not 2 <= nperseg <= self.steps:
+            raise ValueError(f"nperseg must lie in [2, steps = {self.steps}]"
+                             f", got {nperseg}")
 
 
 def _ucothu(u):
@@ -235,7 +239,28 @@ class SimulationResult:
     force_psd_total: float
 
 
-def _trajectory_noise(sim, n_forces=1):
+def welch(x, fs, nperseg):
+    """One-sided Welch (1967) power spectral density of each row of x.
+
+    Periodic Hann window, 50 % overlap, no detrend, density scaling
+    (per Hz) and the mean over segments: the estimate of
+    scipy.signal.welch(x, fs, "hann", nperseg, detrend=False).  A
+    trailing partial segment is dropped.  Returns (freqs, psd).
+    """
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    step = nperseg - nperseg // 2
+    segments = np.lib.stride_tricks.sliding_window_view(
+        x, nperseg, axis=-1)[..., ::step, :]
+    spec = np.fft.rfft(segments * win, axis=-1)
+    psd = np.mean(spec.real ** 2 + spec.imag ** 2, axis=-2) \
+        / (fs * np.sum(win ** 2))
+    # fold negative frequencies: double all bins but DC and (even
+    # nperseg) Nyquist
+    psd[..., 1:(nperseg + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
+def _trajectory_noise(sim):
     """Unit-variance normal increments, one counter-based Philox stream
     per (seed, trajectory index)."""
     draws = np.empty((sim.trajectories, sim.steps))
@@ -260,6 +285,9 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
     """
     if p.colored is not None and p.colored.family != "white":
         raise ValueError("the Monte Carlo validator supports white CSL only")
+    if nperseg is None:
+        nperseg = min(sim.steps, 4096)
+    sim.validate_nperseg(nperseg)
     if not free_particle:
         sim.validate_resolution(cfg.omega_m)
 
@@ -304,11 +332,7 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
 
     spectrum = None
     if estimate_spectrum:
-        fs = 1.0 / dt
-        if nperseg is None:
-            nperseg = min(sim.steps, 4096)
-        freqs, psd = welch(xs, fs=fs, window="hann", nperseg=nperseg,
-                           detrend=False, scaling="density", axis=-1)
+        freqs, psd = welch(xs, 1.0 / dt, nperseg)
         psd = psd.mean(axis=0)
         # one-sided per-Hz -> double-sided per (rad/s via dw/2pi measure)
         omegas = 2.0 * np.pi * freqs[1:]

@@ -1,125 +1,24 @@
 """Special functions needed by the form factors.
 
-bessel_j1 follows the classic Cephes construction (Moshier 1989): a
-rational approximation on [0, 5] and the asymptotic trigonometric
-representation with 5/5-degree rational corrections on (5, inf).  The
-crossover sits at |x| = 5; absolute error is below ~3e-16 on [0, 30] and
-stays under 1e-10 out to |x| = 1e4, where the asymptotic form is already
-deep in its domain of validity.
+J0 and J1 come from scipy.special (Cephes-based ufuncs); bessel_j1 is a
+thin wrapper that keeps the scalar-in / scalar-out behavior of the rest
+of this module.
 
 sinc-style helpers carry series fallbacks near zero to avoid cancellation.
 """
 
 import numpy as np
 from scipy.special import j0 as _j0
-
-_SQ2OPI = 7.9788456080286535588e-1   # sqrt(2/pi)
-_THPIO4 = 2.35619449019234492885     # 3*pi/4
-
-_RP1 = np.array([
-    -8.99971225705559398224e8,
-    4.52228297998194034323e11,
-    -7.27494245221818276015e13,
-    3.68295732863852883286e15,
-])
-_RQ1 = np.array([   # leading coefficient 1 implied
-    6.20836478118054335476e2,
-    2.56987256757748830383e5,
-    8.35146791431949253037e7,
-    2.21511595479792499675e10,
-    4.74914122079991414898e12,
-    7.84369607876235854894e14,
-    8.95222336184627338078e16,
-    5.32278620332680085395e18,
-])
-_PP1 = np.array([
-    7.62125616208173112003e-4,
-    7.31397056940917570436e-2,
-    1.12719608129684925192e0,
-    5.11207951146807644818e0,
-    8.42404590141772420927e0,
-    5.21451598682361504063e0,
-    1.00000000000000000254e0,
-])
-_PQ1 = np.array([
-    5.71323128072548699714e-4,
-    6.88455908754495404082e-2,
-    1.10514232634061696926e0,
-    5.07386386128601488557e0,
-    8.39985554327604159757e0,
-    5.20982848682361821619e0,
-    9.99999999999999997461e-1,
-])
-_QP1 = np.array([
-    5.10862594750176621635e-2,
-    4.98213872951233449420e0,
-    7.58238284132545283818e1,
-    3.66779609360150777800e2,
-    7.10856304998926107277e2,
-    5.97489612400613639965e2,
-    2.11688757100572135698e2,
-    2.52070205858023719784e1,
-])
-_QQ1 = np.array([   # leading coefficient 1 implied
-    7.42373277035675149943e1,
-    1.05644886038262816351e3,
-    4.98641058337653607651e3,
-    9.56231892404756170795e3,
-    7.99704160447350683650e3,
-    2.82619278517639096600e3,
-    3.36093607810698293419e2,
-])
-_Z1 = 1.46819706421238932572e1
-_Z2 = 4.92184563216946036703e1
-
-
-def _polevl(x, coef):
-    ans = np.full_like(x, coef[0], dtype=float)
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
+from scipy.special import j1 as _j1
 
 
 def bessel_j1(x):
     """Bessel function of the first kind, order one.
 
-    Accepts scalars or arrays; returns the same shape.
+    Accepts scalars or arrays; returns the same shape (a numpy float for
+    a scalar).
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    sign = np.sign(x)
-    sign[sign == 0] = 1.0
-    ax = np.abs(x)
-
-    out = np.empty_like(ax)
-
-    small = ax <= 5.0
-    if np.any(small):
-        xx = ax[small]
-        z = xx * xx
-        w = _polevl(z, _RP1) / _p1evl(z, _RQ1)
-        out[small] = w * xx * (z - _Z1) * (z - _Z2)
-
-    if np.any(~small):
-        xx = ax[~small]
-        w = 5.0 / xx
-        z = w * w
-        p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-        q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
-        xn = xx - _THPIO4
-        p = p * np.cos(xn) - w * q * np.sin(xn)
-        out[~small] = _SQ2OPI * p / np.sqrt(xx)
-
-    out *= sign
-    return out[0] if scalar else out
+    return _j1(np.asarray(x, dtype=float))
 
 
 def sinc(x):

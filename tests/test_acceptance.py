@@ -78,7 +78,7 @@ def test_01_point_mass_closed_form():
     closed = CONSTANTS.hbar ** 2 * GRW_LAMBDA / (2.0 * GRW_RC ** 2)
     rel = abs(quad - closed) / closed
     ok = rel < 1e-6 and elapsed < 1.0 and closed == pytest.approx(
-        5.57e-71, rel=1e-2)
+        5.57e-71, rel=1e-2, abs=0.0)
     report(1, ok, f"point-mass quadrature vs closed form rel {rel:.2e}, "
            f"{elapsed:.2f} s (closed {closed:.4e} N^2 s)")
 
@@ -110,7 +110,7 @@ def test_03_free_expansion_and_monte_carlo():
     got = free_expansion_spread(GRW, 1.0)
     formula = GRW_LAMBDA * CONSTANTS.hbar ** 2 \
         / (2.0 * CONSTANTS.m0 ** 2 * GRW_RC ** 2)
-    exact_ok = got == pytest.approx(formula, rel=1e-12)
+    exact_ok = got == pytest.approx(formula, rel=1e-12, abs=0.0)
     # the reference value is quoted to three significant figures, so the
     # comparison admits half an ulp of that rounding (2.5e-3); the exact
     # formula value 1.98759e-17 rounds to it

@@ -170,3 +170,11 @@ rel_tol = 1e-7
 def test_config_hash_is_text_stable():
     assert config_hash(BASIC) == config_hash(BASIC)
     assert config_hash(BASIC) != config_hash(BASIC + "\n# comment\n")
+
+
+def test_nperseg_out_of_range_is_a_config_error():
+    text = BASIC + "\n[simulation]\ndt_us = 1.5\nsteps = 4096\n"
+    assert parse_inputs(text + "nperseg = 4096\n").sim_nperseg == 4096
+    for bad in (0, 1, 4097):
+        with pytest.raises(ConfigError, match=r"\[simulation\] nperseg"):
+            parse_inputs(text + f"nperseg = {bad}\n")

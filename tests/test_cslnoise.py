@@ -39,10 +39,10 @@ def cuboid_lattice(g, n):
 
 def test_point_mass_closed_form():
     s = csl_force_spectrum(Point(CONSTANTS.m0), GRW)
-    assert float(s) == pytest.approx(5.560608586053407e-71, rel=1e-14)
+    assert float(s) == pytest.approx(5.560608586053407e-71, rel=1e-14, abs=0.0)
     # and the quadrature route reproduces it
     q = csl_force_spectrum(Point(CONSTANTS.m0), GRW, method="quadrature")
-    assert float(q) == pytest.approx(float(s), rel=1e-6)
+    assert float(q) == pytest.approx(float(s), rel=1e-6, abs=0.0)
 
 
 def test_pair_kernel_reproduces_single_point():
@@ -100,14 +100,14 @@ def test_mass_squared_scaling():
     base = float(csl_force_spectrum(Sphere(1e-13, 5e-7), p))
     for factor in (2.0, 10.0, 100.0):
         s = float(csl_force_spectrum(Sphere(factor * 1e-13, 5e-7), p))
-        assert s == pytest.approx(factor ** 2 * base, rel=2e-6)
+        assert s == pytest.approx(factor ** 2 * base, rel=2e-6, abs=0.0)
 
 
 def test_lambda_linearity():
     g = Cuboid(1e-12, 1e-6, 2e-6, 0.5e-6)
     s1 = float(csl_force_spectrum(g, CollapseParams(1e-16, 1e-7)))
     s9 = float(csl_force_spectrum(g, CollapseParams(9e-16, 1e-7)))
-    assert s9 == pytest.approx(9.0 * s1, rel=1e-12)
+    assert s9 == pytest.approx(9.0 * s1, rel=1e-12, abs=0.0)
     assert float(csl_force_spectrum(g, CollapseParams(0.0, 1e-7))) == 0.0
 
 
@@ -174,7 +174,7 @@ def test_two_body_limits():
     s_single = float(csl_force_spectrum(unit, p))
     assert float(csl_force_spectrum_two_body(TwoBody(unit, 0.0), p)) == 0.0
     far = float(csl_force_spectrum_two_body(TwoBody(unit, 1e-3), p))
-    assert far == pytest.approx(s_single, rel=1e-9)
+    assert far == pytest.approx(s_single, rel=1e-9, abs=0.0)
     near = float(csl_force_spectrum_two_body(TwoBody(unit, 1e-9), p))
     assert near < 1e-3 * s_single
 
@@ -388,3 +388,12 @@ def test_pair_sum_independent_of_blas_threads():
         out.append(proc.stdout)
     assert out[0] == out[1]
     assert float(out[0]) > 0.0
+
+
+@pytest.mark.parametrize("lam, rC", [
+    (np.nan, 1e-7), (np.inf, 1e-7), (1e-16, np.nan), (1e-16, np.inf),
+], ids=["nan_lam", "inf_lam", "nan_rC", "inf_rC"])
+def test_collapse_params_reject_non_finite(lam, rC):
+    # a NaN lambda would otherwise give a NaN spectrum
+    with pytest.raises(ValueError, match="finite"):
+        CollapseParams(lam, rC)

@@ -25,7 +25,7 @@ def test_bound_inverts_the_spectrum():
     assert 0 <= rel_err < 1e-4
     # saturation: at lambda = lam the model exactly spends the budget
     s_at = float(csl_force_spectrum(rec.geometry, CollapseParams(lam, rC)))
-    assert s_at == pytest.approx(rec.budget, rel=1e-6)
+    assert s_at == pytest.approx(rec.budget, rel=1e-6, abs=0.0)
 
 
 def test_bound_linear_in_budget():
@@ -152,3 +152,8 @@ def test_scan_grid_validation():
         exclusion_scan(rec, np.array([1e-7]))
     with pytest.raises(ValueError):
         exclusion_scan(rec, np.array([1e-7, 1e-8]))
+
+
+def test_record_rejects_infinite_budget():
+    with pytest.raises(ValueError, match="finite"):
+        sphere_record(budget=np.inf)

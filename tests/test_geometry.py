@@ -23,7 +23,7 @@ ALL_SHAPES = [
 @pytest.mark.parametrize("g", ALL_SHAPES)
 def test_zero_wavevector_gives_total_mass(g):
     val = form_factor(g, np.zeros(3))
-    assert val == pytest.approx(g.total_mass, rel=1e-12)
+    assert val == pytest.approx(g.total_mass, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("g", ALL_SHAPES)
@@ -89,7 +89,7 @@ def test_multilayer_mass_identity_and_limit():
     ds = [1e-7 if i % 2 == 0 else 2e-7 for i in range(6)]
     rhos = [19300.0 if i % 2 == 0 else 2000.0 for i in range(6)]
     want = sum(d * r for d, r in zip(ds, rhos)) * 1e-6 * 1.5e-6
-    assert g.total_mass == pytest.approx(want, rel=1e-14)
+    assert g.total_mass == pytest.approx(want, rel=1e-14, abs=0.0)
 
     # equal densities degenerate to a cuboid of the same dimensions
     eq = Multilayer(6, 1e-7, 2e-7, 5000.0, 5000.0, 1e-6, 1.5e-6)
@@ -174,3 +174,13 @@ def test_point_lattice_rejects_non_finite(pos, m):
     # a non-finite lattice would otherwise give a NaN or inf spectrum
     with pytest.raises(ValueError, match="finite"):
         PointLattice(np.array(pos), np.array(m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Sphere(np.inf, 1e-7),
+    lambda: Sphere(1e-12, np.nan),
+    lambda: Cuboid(1e-12, np.inf, 1e-6, 1e-6),
+], ids=["sphere_inf_mass", "sphere_nan_radius", "cuboid_inf_lx"])
+def test_shapes_reject_non_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

@@ -8,7 +8,7 @@ from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        Sphere, UnstableStep, displacement_dns,
                        high_temperature_limit_check, read_trajectories,
                        simulate_langevin, write_trajectories)
-from cslbounds.optomech import thermal_force_term
+from cslbounds.optomech import thermal_force_term, welch
 
 GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
 SPHERE = Sphere(1e-12, 5e-7)
@@ -189,3 +189,37 @@ def test_trajectory_roundtrip(tmp_path):
     bad.write_bytes(b"\x00" * 100)
     with pytest.raises(ValueError):
         read_trajectories(bad)
+
+
+@pytest.mark.parametrize("trajectories, steps, nperseg", [
+    (1, 4096, 512),
+    (3, 4096, 511),
+    (2, 1000, 1000),
+    (1, 999, 999),
+    (4, 5000, 1024),
+    (3, 1001, 2),
+], ids=["even", "odd", "one_segment_even", "one_segment_odd",
+        "partial_last_segment", "smallest_nperseg"])
+def test_welch_matches_scipy(trajectories, steps, nperseg):
+    """The numpy Welch estimate reproduces scipy.signal.welch with the
+    settings simulate_langevin used it with; scipy.signal is imported
+    here only, as the oracle."""
+    from scipy.signal import welch as scipy_welch
+    rng = np.random.default_rng(steps + nperseg)
+    x = 1e-9 * rng.standard_normal((trajectories, steps))
+    fs = 1.0 / 1.5e-6
+    freqs, psd = welch(x, fs, nperseg)
+    want_freqs, want = scipy_welch(x, fs=fs, window="hann", nperseg=nperseg,
+                                   detrend=False, scaling="density",
+                                   axis=-1)
+    assert np.array_equal(freqs, want_freqs)
+    assert psd.shape == want.shape
+    np.testing.assert_allclose(psd, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("nperseg", [-1, 0, 1, 4097])
+def test_nperseg_out_of_range_rejected(nperseg):
+    sim = SimConfig(dt=1.5e-6, steps=4096, trajectories=1, seed=1)
+    with pytest.raises(ValueError, match="nperseg"):
+        simulate_langevin(lorentzian_cfg(), GRW, SPHERE, sim,
+                          nperseg=nperseg)
