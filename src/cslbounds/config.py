@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cslnoise import CollapseParams, ColoredNoiseModel
-from .exclusion import ExperimentRecord
+from .exclusion import ExperimentRecord, default_rc_grid
 from .geometry import (Cuboid, Cylinder, MassGeometry, Multilayer, Point,
                        Sphere, TwoBody)
 from .optomech import OptomechConfig, SimConfig
@@ -235,8 +235,6 @@ def _parse_experiment(sec, name):
     rc_max = sec.quantity("rc_max", _LENGTH, required=False, default=1e-3)
     n = sec.integer("rc_points", required=False)
     if n is None:
-        grid = None
-        from .exclusion import default_rc_grid
         grid = default_rc_grid(rc_min, rc_max)
     else:
         grid = np.logspace(np.log10(rc_min), np.log10(rc_max), n)
@@ -254,10 +252,7 @@ def _parse_simulation(sec):
                     required=False, default="oscillator")
     nperseg = sec.integer("nperseg", required=False)
     if nperseg is not None:
-        try:
-            sim.validate_nperseg(nperseg)
-        except ValueError as exc:
-            raise ConfigError(f"[simulation] {exc}") from exc
+        sim.validate_nperseg(nperseg)
     return sim, mode, nperseg
 
 
@@ -304,32 +299,32 @@ def parse_inputs(text):
 
     inputs = RunInputs()
     conv = inputs.conversions
-    for name in cp.sections():
-        sec = _Section(name, cp[name], conv)
-        if name == "geometry":
-            inputs.geometry = _parse_geometry(sec)
-        elif name == "collapse":
-            inputs.collapse = _parse_collapse(sec)
-        elif name == "optomech":
-            inputs.optomech = _parse_optomech(sec)
-        elif name == "grid":
-            inputs.omega_grid = _parse_grid(sec)
-        elif name == "experiment" or name.startswith("experiment:"):
-            inputs.experiments.append(_parse_experiment(sec, name))
-        elif name == "simulation":
-            inputs.simulation, inputs.sim_mode, inputs.sim_nperseg = \
-                _parse_simulation(sec)
-        elif name == "quadrature":
-            inputs.quadrature = _parse_quadrature(sec)
-        else:
-            raise ConfigError(f"unknown section [{name}]")
-        sec.reject_unknown()
     try:
-        _validate_cross(inputs)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+        for name in cp.sections():
+            sec = _Section(name, cp[name], conv)
+            if name == "geometry":
+                inputs.geometry = _parse_geometry(sec)
+            elif name == "collapse":
+                inputs.collapse = _parse_collapse(sec)
+            elif name == "optomech":
+                inputs.optomech = _parse_optomech(sec)
+            elif name == "grid":
+                inputs.omega_grid = _parse_grid(sec)
+            elif name == "experiment" or name.startswith("experiment:"):
+                inputs.experiments.append(_parse_experiment(sec, name))
+            elif name == "simulation":
+                inputs.simulation, inputs.sim_mode, inputs.sim_nperseg = \
+                    _parse_simulation(sec)
+            elif name == "quadrature":
+                inputs.quadrature = _parse_quadrature(sec)
+            else:
+                raise ConfigError(f"unknown section [{name}]")
+            sec.reject_unknown()
+    except ConfigError:
+        raise
+    except ValueError as exc:   # a constructor rejected a value
+        raise ConfigError(f"[{name}] {exc}") from exc
+    _validate_cross(inputs)
     return inputs
 
 

@@ -8,24 +8,27 @@ The white collapse-force spectrum along x is
 and every other quantity here (two-body variant, torque spectrum,
 temperature shift, free-expansion spread, heating rate) derives from it.
 The k-space integral is reduced as far as each geometry allows: fully
-closed-form Gaussian pair kernels for point lattices, separable 1D
-integrals for Cartesian and cylindrical bodies, a single radial integral
-for spheres, and the generic 3D quadrature otherwise.
+closed-form Gaussian pair kernels for point lattices; for Cuboid and
+Multilayer (any stacking axis) a product of Gaussian moments of their
+three 1D axis profiles, in force, two-body and torque alike; radial x
+axial 1D integrals for cylinders; a single radial integral for spheres;
+and the generic 3D quadrature otherwise (tilted cylinders, and torque
+under method="quadrature").  README.md tabulates the route of each
+geometry and channel.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
-from .geometry import (Cuboid, Cylinder, MassGeometry, Multilayer, Point,
-                       PointLattice, Sphere, TwoBody, form_factor,
-                       form_factor_angular_derivative,
-                       multilayer_stack_transform)
+from .constants import CONSTANTS
+from .geometry import (AxisProfile, Cylinder, Point, PointLattice, Sphere,
+                       TwoBody, form_factor, form_factor_angular_derivative,
+                       separable_profiles)
 from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
-from .special import jinc, jinc_prime, sinc, sinc_prime, sphere_kernel
+from .special import jinc, jinc_prime, sinc, sphere_kernel
 
 __all__ = [
     "CollapseParams", "ColoredNoiseModel", "SpectralValue",
@@ -201,7 +204,8 @@ def torque_pair_kernel_sum(positions, masses, rC):
 # separable 1D building blocks
 
 def _gauss_1d(f, rC, spec, length_scale=None, weight_power=0):
-    """2 * integral_0^K k^weight_power f(k) e^{-k^2 rC^2} dk."""
+    """2 * integral_0^K k^weight_power f(k) e^{-k^2 rC^2} dk: the whole k
+    line for an even integrand, twice a radial integral."""
     kmax = spec.cutoff_factor / rC
     width = np.pi / length_scale if length_scale else None
 
@@ -216,24 +220,32 @@ def _gauss_1d(f, rC, spec, length_scale=None, weight_power=0):
     return 2.0 * val, 2.0 * err
 
 
+# (-1)^{n+1} / (n! (2n - 1)) for n = 18 .. 1: the series in x^2 of
+# sqrt(pi) x erf(x) + e^{-x^2} - 1, to double precision for x < 1
+_M0_SERIES = tuple((-1) ** (n + 1) / (math.factorial(n) * (2 * n - 1))
+                   for n in range(18, 0, -1))
+
+
 def _sinc_sq_gauss(L, rC, weight_power=0):
     """Closed form of 2 int_0^inf k^w sinc^2(kL/2) e^{-k^2 rC^2} dk.
 
     Writing sinc^2(kL/2) = 2 (1 - cos kL) / (k L)^2 reduces both moments
-    (w = 0, 2) to Gaussian cosine integrals; series expansions take over
-    when L << rC to avoid cancellation.  Returns (value, error).
+    (w = 0, 2) to Gaussian cosine integrals.  With x = L / 2rC the w = 2
+    core is 1 - e^{-x^2} and the w = 0 core sqrt(pi) x erf(x) + e^{-x^2}
+    - 1, which below x = 1 is summed as its alternating series
+    (_M0_SERIES) to avoid cancellation.
+    Returns (value, error).
     """
     x = L / (2.0 * rC)
     sqrt_pi = math.sqrt(math.pi)
     if weight_power == 2:
-        if x < 1e-2:
-            core = x * x * (1.0 - x * x / 2.0 + x ** 4 / 6.0)
-        else:
-            core = 1.0 - math.exp(-x * x)
-        val = (4.0 / L ** 2) * (sqrt_pi / (2.0 * rC)) * core
+        val = (4.0 / L ** 2) * (sqrt_pi / (2.0 * rC)) * -math.expm1(-x * x)
     elif weight_power == 0:
-        if x < 1e-2:
-            core = x * x * (1.0 - x * x / 6.0 + x ** 4 / 30.0)
+        if x < 1.0:
+            core = 0.0
+            for c in _M0_SERIES:
+                core = core * x * x + c
+            core *= x * x
         else:
             core = sqrt_pi * x * math.erf(x) + math.exp(-x * x) - 1.0
         val = (4.0 / L ** 2) * (math.pi / 2.0) * (2.0 * rC / sqrt_pi) * core
@@ -245,34 +257,16 @@ def _sinc_sq_gauss(L, rC, weight_power=0):
 def _two_body_x_gauss(L, a, rC):
     """Closed form of 2 int_0^inf k^2 sinc^2(kL/2) (1 - cos ak)
     e^{-k^2 rC^2} dk, the along-separation factor of a differential
-    cuboid pair.  Expanding the cosine product gives pure Gaussian
-    cosine integrals."""
-
-    def E(c):
-        return math.exp(-(c / (2.0 * rC)) ** 2)
-
-    b2 = rC * rC
-    if a < 2e-4 * rC:
-        # leading order in a, avoids cancellation of the O(1) terms
-        bracket = (a * a / (4.0 * b2)) \
-            * (1.0 - (1.0 - L * L / (2.0 * b2)) * E(L))
-    else:
-        bracket = 1.0 - E(L) - E(a) + 0.5 * E(L + a) + 0.5 * E(abs(L - a))
+    cuboid pair.  Expanding the cosine product gives Gaussian cosine
+    integrals; with u = L / 2rC and v = a / 2rC their sum is
+    (1 - e^{-u^2}) (1 - e^{-v^2}) + e^{-(u - v)^2} (1 - e^{-2uv})^2 / 2,
+    two nonnegative terms, so no regime suffers cancellation."""
+    u = L / (2.0 * rC)
+    v = a / (2.0 * rC)
+    bracket = math.expm1(-u * u) * math.expm1(-v * v) \
+        + 0.5 * math.exp(-(u - v) ** 2) * math.expm1(-2.0 * u * v) ** 2
     val = (4.0 / L ** 2) * (math.sqrt(math.pi) / (2.0 * rC)) * bracket
-    return val, abs(val) * 1e-12
-
-
-def _radial_1d(f, rC, spec, length_scale=None, radial_power=1):
-    """integral_0^K k^radial_power f(k) e^{-k^2 rC^2} dk (no factor 2)."""
-    kmax = spec.cutoff_factor / rC
-    width = np.pi / length_scale if length_scale else None
-
-    def integrand(k):
-        return np.asarray(f(k), dtype=float) * k ** radial_power \
-            * np.exp(-(k * rC) ** 2)
-
-    return integrate_1d(integrand, 0.0, kmax, spec.rel_tol, spec.abs_tol,
-                        spec.max_evals, max_panel_width=width)
+    return val, abs(val) * 1e-14
 
 
 def _combine_product(factors):
@@ -287,26 +281,97 @@ def _combine_product(factors):
     return value, abs(value) * rel_err
 
 
-def _multilayer_axis_factors(g):
-    """Per-axis 1D |transform|^2 factors of a Multilayer, matching the
-    axis mapping used in geometry.form_factor."""
-    n = g.stacking_axis
-    others = [axis for axis in "xyz" if axis != n]
-    lengths = {others[0]: g.Lx, others[1]: g.Ly}
-    cross = g.Lx * g.Ly
+def _profile_moment(prof, kind, rC, spec, closed_form=True, a=0.0):
+    """Gaussian moment of a 1D axis profile P over the whole k line.
 
-    factors = {}
-    scales = {}
-    for axis in "xyz":
-        if axis == n:
-            factors[axis] = lambda k, g=g, cross=cross: \
-                np.abs(multilayer_stack_transform(g, k) * cross) ** 2
-            scales[axis] = g.stack_thickness
-        else:
-            L = lengths[axis]
-            factors[axis] = lambda k, L=L: sinc(k * L / 2.0) ** 2
-            scales[axis] = L
-    return factors, scales
+    kind: "M0" int |P|^2, "M2" int k^2 |P|^2, "D0" int |P'|^2,
+    "C1" int k Re(P P'*), "T" int k^2 |P|^2 (1 - cos ak) for a
+    separation a, each weighted by e^{-k^2 rC^2}.  The density is real,
+    so every integrand is even and the imaginary part of P P'*
+    integrates to zero.  A slab's M0, M2 and T have closed forms, used
+    when closed_form is set; every other moment is a 1D quadrature.
+    Returns (value, error).
+    """
+    if prof.layers is None and closed_form:
+        if kind == "T":
+            return _two_body_x_gauss(prof.length, a, rC)
+        if kind in ("M0", "M2"):
+            return _sinc_sq_gauss(prof.length, rC,
+                                  weight_power=2 if kind == "M2" else 0)
+    length = prof.length
+    if kind == "D0":
+        def f(k):
+            return np.abs(prof.derivative(k)) ** 2
+    elif kind == "C1":
+        def f(k):
+            return np.real(k * prof.transform(k)
+                           * np.conj(prof.derivative(k)))
+    elif kind == "T":
+        length = max(length, a)
+
+        def f(k):
+            return np.abs(prof.transform(k)) ** 2 * (1.0 - np.cos(a * k))
+    else:
+        def f(k):
+            return np.abs(prof.transform(k)) ** 2
+    return _gauss_1d(f, rC, spec, length,
+                     weight_power=2 if kind in ("M2", "T") else 0)
+
+
+def _torque_combination(terms, spec):
+    """a1 b1 + a2 b2 - 2 a3 b3, the three-term torque integral of a body
+    separable across the rotation axis, with first-order error
+    propagation.  terms(spec) returns the six (value, error) pairs
+    (a1, b1, a2, b2, a3, b3) at the 1D tolerance of spec.
+
+    The products cancel at leading order in (size / rC)^2 when rC is
+    large.  When that leaves an error above spec.rel_tol of the result,
+    the terms are evaluated once more with every 1D tolerance tightened
+    by the cancellation, provided that asks for no less than 1e-11.
+    """
+    def combine(pairs):
+        (a1, e1), (b1, f1), (a2, e2), (b2, f2), (a3, e3), (b3, f3) = pairs
+        return (a1 * b1 + a2 * b2 - 2.0 * a3 * b3,
+                abs(e1 * b1) + abs(a1 * f1) + abs(e2 * b2) + abs(a2 * f2)
+                + 2.0 * (abs(e3 * b3) + abs(a3 * f3)),
+                abs(a1 * b1) + abs(a2 * b2) + 2.0 * abs(a3 * b3))
+
+    value, err, size = combine(terms(spec))
+    if err <= spec.rel_tol * abs(value):
+        return value, err
+    tight = spec.rel_tol * abs(value) / size if size else 0.0
+    if tight < 1e-11:
+        return value, err
+    return combine(terms(replace(spec, rel_tol=tight)))[:2]
+
+
+def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
+                        a=0.0):
+    """Spectrum of a body with mu_tilde = scale Px Py Pz (see
+    geometry.separable_profiles) as a product of 1D profile moments:
+
+        force     M2_x M0_y M0_z
+        two_body  T_x M0_y M0_z
+        torque    M0_x (M2_y D0_z + D0_y M2_z - 2 C1_y C1_z)
+    """
+    scale, (px, py, pz) = sep
+
+    def moments(s, *wanted):
+        return [_profile_moment(prof, kind, p.rC, s, closed_form, a)
+                for prof, kind in wanted]
+
+    if channel == "torque":
+        yz = _torque_combination(lambda s: moments(
+            s, (py, "M2"), (pz, "D0"), (py, "D0"), (pz, "M2"), (py, "C1"),
+            (pz, "C1")), spec)
+        factors = moments(spec, (px, "M0")) + [yz]
+    else:
+        factors = moments(spec, (px, "T" if channel == "two_body" else "M2"),
+                          (py, "M0"), (pz, "M0"))
+    val, err = _combine_product(factors)
+    pref = _prefactor(p, consts)
+    return SpectralValue(pref * scale * scale * val,
+                         pref * scale * scale * err)
 
 
 # ---------------------------------------------------------------------------
@@ -366,38 +431,10 @@ def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
                                 oscillation_scale=g.largest_dimension or None)
         return SpectralValue(pref * val, pref * err)
 
-    if isinstance(g, Cuboid):
-        m = g.m
-        if method == "auto":
-            fx, ex = _sinc_sq_gauss(g.Lx, rC, weight_power=2)
-            fy, ey = _sinc_sq_gauss(g.Ly, rC)
-            fz, ez = _sinc_sq_gauss(g.Lz, rC)
-        else:
-            fx, ex = _gauss_1d(lambda k: sinc(k * g.Lx / 2.0) ** 2, rC, spec,
-                               g.Lx, weight_power=2)
-            fy, ey = _gauss_1d(lambda k: sinc(k * g.Ly / 2.0) ** 2, rC, spec,
-                               g.Ly)
-            fz, ez = _gauss_1d(lambda k: sinc(k * g.Lz / 2.0) ** 2, rC, spec,
-                               g.Lz)
-        val, err = _combine_product([(fx, ex), (fy, ey), (fz, ez)])
-        return SpectralValue(pref * m * m * val, pref * m * m * err)
-
-    if isinstance(g, Multilayer):
-        factors, scales = _multilayer_axis_factors(g)
-        n = g.stacking_axis
-        others = [axis for axis in "xyz" if axis != n]
-        lengths = {others[0]: g.Lx, others[1]: g.Ly}
-        parts = []
-        for axis in "xyz":
-            wp = 2 if axis == "x" else 0
-            if axis != n and method == "auto":
-                parts.append(_sinc_sq_gauss(lengths[axis], rC,
-                                            weight_power=wp))
-            else:
-                parts.append(_gauss_1d(factors[axis], rC, spec, scales[axis],
-                                       weight_power=wp))
-        val, err = _combine_product(parts)
-        return SpectralValue(pref * val, pref * err)
+    sep = separable_profiles(g)
+    if sep is not None:
+        return _separable_spectrum(sep, "force", p, spec, consts,
+                                   closed_form=method == "auto")
 
     if isinstance(g, Cylinder):
         # decompose k_x^2 = kpar^2 cos^2(alpha) + kperp^2 sin^2(alpha)/2
@@ -406,30 +443,22 @@ def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
         cos_a = float(np.dot(g.axis_vector, [1.0, 0.0, 0.0]))
         cos2, sin2 = cos_a * cos_a, 1.0 - cos_a * cos_a
 
-        def par2(k):
-            return sinc(k * g.L / 2.0) ** 2
+        slab = AxisProfile(g.L)
+        auto = method == "auto"
 
-        def perp2(k):
-            return 2.0 * np.pi * k * jinc(k * g.R) ** 2
+        def perp(power):
+            # int_0^K k^power 2 pi jinc^2 e^{-k^2 rC^2} dk
+            return _gauss_1d(lambda k: np.pi * jinc(k * g.R) ** 2, rC, spec,
+                             2.0 * g.R, weight_power=power)
 
         terms = []
         if cos2 > 0:
-            if method == "auto":
-                ipar, epar = _sinc_sq_gauss(g.L, rC, weight_power=2)
-            else:
-                ipar, epar = _gauss_1d(par2, rC, spec, g.L, weight_power=2)
-            iperp, eperp = _radial_1d(lambda k: 2.0 * np.pi * jinc(k * g.R) ** 2,
-                                      rC, spec, 2.0 * g.R, radial_power=1)
-            v, e = _combine_product([(ipar, epar), (iperp, eperp)])
+            v, e = _combine_product(
+                [_profile_moment(slab, "M2", rC, spec, auto), perp(1)])
             terms.append((cos2 * v, cos2 * e))
         if sin2 > 0:
-            if method == "auto":
-                ipar, epar = _sinc_sq_gauss(g.L, rC)
-            else:
-                ipar, epar = _gauss_1d(par2, rC, spec, g.L)
-            iperp, eperp = _radial_1d(lambda k: 2.0 * np.pi * jinc(k * g.R) ** 2,
-                                      rC, spec, 2.0 * g.R, radial_power=3)
-            v, e = _combine_product([(ipar, epar), (iperp, eperp)])
+            v, e = _combine_product(
+                [_profile_moment(slab, "M0", rC, spec, auto), perp(3)])
             terms.append((0.5 * sin2 * v, 0.5 * sin2 * e))
         val = sum(t[0] for t in terms)
         err = sum(t[1] for t in terms)
@@ -475,45 +504,9 @@ def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
     if a > 1e7 * max(rC, unit.largest_dimension):
         return csl_force_spectrum(unit, p, spec=spec, consts=consts)
 
-    if isinstance(unit, (Cuboid, Multilayer)):
-        if isinstance(unit, Cuboid):
-            sep_len = unit.Lx
-            trans = [_sinc_sq_gauss(unit.Ly, rC), _sinc_sq_gauss(unit.Lz, rC)]
-            msq = unit.m ** 2
-        elif unit.stacking_axis != "x":
-            # stack axis transverse to the separation; the x factor is a
-            # plain slab profile
-            factors, scales = _multilayer_axis_factors(unit)
-            n = unit.stacking_axis
-            others = [axis for axis in "xyz" if axis != n]
-            lengths = {others[0]: unit.Lx, others[1]: unit.Ly}
-            sep_len = lengths["x"]
-            trans = []
-            for axis in "yz":
-                if axis == n:
-                    trans.append(_gauss_1d(factors[axis], rC, spec,
-                                           scales[axis]))
-                else:
-                    trans.append(_sinc_sq_gauss(lengths[axis], rC))
-            msq = 1.0
-        else:
-            # stack along the separation: quadrature on the oscillatory
-            # product of the stack transform and 1 - cos(a k)
-            factors, scales = _multilayer_axis_factors(unit)
-
-            def fx(k):
-                return factors["x"](k) * (1.0 - np.cos(a * k))
-
-            sx = max(scales["x"], a)
-            ix, exx = _gauss_1d(fx, rC, spec, sx, weight_power=2)
-            iy, ey = _sinc_sq_gauss(unit.Lx, rC)
-            iz, ez = _sinc_sq_gauss(unit.Ly, rC)
-            val, err = _combine_product([(ix, exx), (iy, ey), (iz, ez)])
-            return SpectralValue(pref * val, pref * err)
-
-        ix, exx = _two_body_x_gauss(sep_len, a, rC)
-        val, err = _combine_product([(ix, exx)] + trans)
-        return SpectralValue(pref * msq * val, pref * msq * err)
+    sep = separable_profiles(unit)
+    if sep is not None:
+        return _separable_spectrum(sep, "two_body", p, spec, consts, a=a)
 
     if isinstance(unit, Sphere) or (
             isinstance(unit, Cylinder)
@@ -587,8 +580,9 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
         if cos_a < 1e-12:
             return _cylinder_torque_transverse(g, p, spec, consts)
 
-    if isinstance(g, Cuboid) and method == "auto":
-        return _cuboid_torque(g, p, spec, consts)
+    sep = separable_profiles(g)
+    if sep is not None and method == "auto":
+        return _separable_spectrum(sep, "torque", p, spec, consts)
 
     def f3(kx, ky, kz):
         k = np.stack([kx, ky, kz], axis=-1)
@@ -604,12 +598,15 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
 def _cylinder_torque_transverse(g, p, spec, consts):
     """Cylinder with symmetry axis perpendicular to the rotation (x) axis.
 
-    With f = jinc(kperp R), gz = sinc(kz L/2) the phi-averaged squared
-    angular derivative separates into three 1D x 1D products.
+    With f = jinc(kperp R) and the slab profile g = sinc(kz L/2), the
+    phi-averaged squared angular derivative is the three-term torque
+    combination of radial moments of f with the slab's D0, M2 and C1:
+    kperp^3 f^2 x D0 + kperp f'^2 x M2 - 2 kperp^2 f f' x C1.
     """
     pref = _prefactor(p, consts)
     rC = p.rC
-    m, R, L = g.m, g.R, g.L
+    m, R = g.m, g.R
+    slab = AxisProfile(g.L)
 
     def f(k):
         return jinc(k * R)
@@ -617,58 +614,19 @@ def _cylinder_torque_transverse(g, p, spec, consts):
     def fp(k):
         return R * jinc_prime(k * R)
 
-    def gz(k):
-        return sinc(k * L / 2.0)
+    def terms(s):
+        # the radial integrals int_0^K are half of _gauss_1d's
+        return (
+            _gauss_1d(lambda k: 0.5 * f(k) ** 2, rC, s, 2 * R, 3),
+            _profile_moment(slab, "D0", rC, s),
+            _gauss_1d(lambda k: 0.5 * fp(k) ** 2, rC, s, 2 * R, 1),
+            _profile_moment(slab, "M2", rC, s, closed_form=False),
+            _gauss_1d(lambda k: 0.5 * f(k) * fp(k), rC, s, 2 * R, 2),
+            _profile_moment(slab, "C1", rC, s))
 
-    def gp(k):
-        return (L / 2.0) * sinc_prime(k * L / 2.0)
-
-    # T1: kperp^3 f^2 x gp^2 ; T2: kperp f'^2 x kz^2 g^2 ;
-    # T3: -2 kperp^2 f f' x kz g g'
-    p1a, e1a = _radial_1d(lambda k: f(k) ** 2, rC, spec, 2 * R, radial_power=3)
-    p1b, e1b = _gauss_1d(lambda k: gp(k) ** 2, rC, spec, L)
-    p2a, e2a = _radial_1d(lambda k: fp(k) ** 2, rC, spec, 2 * R, radial_power=1)
-    p2b, e2b = _gauss_1d(lambda k: gz(k) ** 2, rC, spec, L, weight_power=2)
-    p3a, e3a = _radial_1d(lambda k: f(k) * fp(k), rC, spec, 2 * R,
-                          radial_power=2)
-    p3b, e3b = _gauss_1d(lambda k: k * gz(k) * gp(k), rC, spec, L)
-
-    total = p1a * p1b + p2a * p2b - 2.0 * p3a * p3b
-    err = (abs(e1a * p1b) + abs(p1a * e1b) + abs(e2a * p2b) + abs(p2a * e2b)
-           + 2.0 * (abs(e3a * p3b) + abs(p3a * e3b)))
+    total, err = _torque_combination(terms, spec)
     val = pref * m * m * np.pi * total
     return SpectralValue(val, pref * m * m * np.pi * err)
-
-
-def _cuboid_torque(g, p, spec, consts):
-    """Separable torque integral for an axis-aligned cuboid."""
-    pref = _prefactor(p, consts)
-    rC = p.rC
-    m = g.m
-
-    def s(L):
-        return lambda k: sinc(k * L / 2.0)
-
-    def ds(L):
-        return lambda k: (L / 2.0) * sinc_prime(k * L / 2.0)
-
-    sx, sy, sz = s(g.Lx), s(g.Ly), s(g.Lz)
-    dy, dz = ds(g.Ly), ds(g.Lz)
-
-    x0, ex0 = _gauss_1d(lambda k: sx(k) ** 2, rC, spec, g.Lx)
-    t1y, e1y = _gauss_1d(lambda k: sy(k) ** 2, rC, spec, g.Ly, weight_power=2)
-    t1z, e1z = _gauss_1d(lambda k: dz(k) ** 2, rC, spec, g.Lz)
-    t2y, e2y = _gauss_1d(lambda k: dy(k) ** 2, rC, spec, g.Ly)
-    t2z, e2z = _gauss_1d(lambda k: sz(k) ** 2, rC, spec, g.Lz, weight_power=2)
-    t3y, e3y = _gauss_1d(lambda k: k * sy(k) * dy(k), rC, spec, g.Ly)
-    t3z, e3z = _gauss_1d(lambda k: k * sz(k) * dz(k), rC, spec, g.Lz)
-
-    inner = t1y * t1z + t2y * t2z - 2.0 * t3y * t3z
-    err_inner = (abs(e1y * t1z) + abs(t1y * e1z) + abs(e2y * t2z)
-                 + abs(t2y * e2z) + 2.0 * (abs(e3y * t3z) + abs(t3y * e3z)))
-    val = pref * m * m * x0 * inner
-    err = pref * m * m * (abs(ex0 * inner) + abs(x0) * err_inner)
-    return SpectralValue(val, err)
 
 
 # ---------------------------------------------------------------------------

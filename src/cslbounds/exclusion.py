@@ -64,8 +64,9 @@ class ExperimentRecord:
         if not 0 < self.budget < np.inf:
             raise ValueError("budget must be finite and positive")
         lo, hi = self.band
-        if not (0 <= lo <= hi):
-            raise ValueError("band must satisfy 0 <= lo <= hi")
+        if not 0 <= lo <= hi < np.inf:
+            raise ValueError(f"band must satisfy 0 <= lo <= hi < inf, got "
+                             f"{self.band}")
         two_body = isinstance(self.geometry, TwoBody)
         if two_body != (self.channel == "force_two_body"):
             raise ValueError("TwoBody geometry and the force_two_body "
@@ -76,6 +77,10 @@ class ExperimentRecord:
             if rotational == mechanical:
                 raise ValueError("temperature_shift budgets need either "
                                  "(m, gamma) or d_phi, not both")
+            if not all(0 < v < np.inf for v in (self.m, self.gamma, self.d_phi)
+                       if v is not None):
+                raise ValueError("m, gamma and d_phi must be finite and "
+                                 "positive")
 
     @property
     def band_midpoint(self):

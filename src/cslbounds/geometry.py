@@ -8,11 +8,13 @@ so that mu_tilde(0) equals the total mass.  The angular-derivative
 combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
 rotational noise about the x axis, is available analytically for the
 shapes with closed-form transforms and by central differences otherwise.
+Cuboid and Multilayer are separable: their transform is a product of
+three 1D axis profiles (separable_profiles).
 
 All evaluators are pure and accept vectorized k components.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +25,6 @@ __all__ = [
     "PointLattice", "TwoBody", "TwoBodyFormFactorError",
     "form_factor", "form_factor_angular_derivative",
 ]
-
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
 
 
 class TwoBodyFormFactorError(TypeError):
@@ -169,7 +165,7 @@ class Multilayer(MassGeometry):
             raise ValueError("layer_count must be >= 1")
         _check_positive(d1=self.d1, d2=self.d2, rho1=self.rho1,
                         rho2=self.rho2, Lx=self.Lx, Ly=self.Ly)
-        if self.stacking_axis not in _AXES:
+        if self.stacking_axis not in ("x", "y", "z"):
             raise ValueError("stacking_axis must be one of 'x', 'y', 'z'")
 
     def layers(self):
@@ -241,8 +237,9 @@ class TwoBody(MassGeometry):
     def __post_init__(self):
         if isinstance(self.unit, TwoBody):
             raise ValueError("TwoBody cannot nest another TwoBody")
-        if self.a < 0:
-            raise ValueError("separation a must be nonnegative")
+        if not 0 <= self.a < np.inf:
+            raise ValueError(
+                f"separation a must be finite and nonnegative, got {self.a}")
 
     @property
     def total_mass(self):
@@ -262,15 +259,56 @@ def _cylinder_components(g, kx, ky, kz):
     return kpar, kperp
 
 
-def multilayer_stack_transform(g, ks):
-    """Complex 1D transform of the stack profile along the stacking axis,
-    per unit cross-section area: sum_l rho_l d_l sinc(k d_l/2) e^{i k c_l}."""
-    ks = np.asarray(ks, dtype=float)
-    ds, rhos, centers = g.layers()
-    out = np.zeros(ks.shape, dtype=complex)
-    for d, rho, c in zip(ds, rhos, centers):
-        out += rho * d * sinc(ks * d / 2.0) * np.exp(1j * ks * c)
-    return out
+@dataclass(frozen=True)
+class AxisProfile:
+    """1D transform P(k) of one axis of a separable mass density.
+
+    A slab (layers None) of length L has P(k) = sinc(kL/2), so P(0) = 1.
+    A layer stack has P(k) = sum_l rho_l d_l sinc(k d_l/2) e^{i k c_l},
+    the mass per unit cross-section at k = 0.  length is the extent along
+    the axis, the scale on which P oscillates.
+    """
+
+    length: float
+    layers: tuple = None   # (thicknesses, densities, centers) of a stack
+
+    def transform(self, k):
+        if self.layers is None:
+            return sinc(k * self.length / 2.0)
+        out = np.zeros(np.shape(k), dtype=complex)
+        for d, rho, c in zip(*self.layers):
+            out += rho * d * sinc(k * d / 2.0) * np.exp(1j * k * c)
+        return out
+
+    def derivative(self, k):
+        """dP/dk."""
+        if self.layers is None:
+            return (self.length / 2.0) * sinc_prime(k * self.length / 2.0)
+        out = np.zeros(np.shape(k), dtype=complex)
+        for d, rho, c in zip(*self.layers):
+            out += rho * d * ((d / 2.0) * sinc_prime(k * d / 2.0)
+                              + 1j * c * sinc(k * d / 2.0)) \
+                * np.exp(1j * k * c)
+        return out
+
+
+def separable_profiles(g):
+    """(scale, (Px, Py, Pz)) with mu_tilde(k) = scale Px(kx) Py(ky) Pz(kz)
+    for a Cuboid or Multilayer; None for any other shape.
+
+    This is the one place that maps a Multilayer's stacking axis and its
+    cross-section Lx x Ly onto x, y and z: Lx and Ly go, in that order,
+    to the two axes other than the stacking axis.
+    """
+    if isinstance(g, Cuboid):
+        return g.m, (AxisProfile(g.Lx), AxisProfile(g.Ly), AxisProfile(g.Lz))
+    if isinstance(g, Multilayer):
+        cross = iter((g.Lx, g.Ly))
+        return g.Lx * g.Ly, tuple(
+            AxisProfile(g.stack_thickness, g.layers())
+            if axis == g.stacking_axis else AxisProfile(next(cross))
+            for axis in "xyz")
+    return None
 
 
 def form_factor(g, k):
@@ -291,25 +329,15 @@ def form_factor(g, k):
     if isinstance(g, Sphere):
         u = g.R * np.sqrt(kx * kx + ky * ky + kz * kz)
         return (g.m * sphere_kernel(u)).astype(complex)
-    if isinstance(g, Cuboid):
-        val = g.m * sinc(kx * g.Lx / 2.0) * sinc(ky * g.Ly / 2.0) \
-            * sinc(kz * g.Lz / 2.0)
+    sep = separable_profiles(g)
+    if sep is not None:
+        scale, (px, py, pz) = sep
+        val = scale * px.transform(kx) * py.transform(ky) * pz.transform(kz)
         return val.astype(complex)
     if isinstance(g, Cylinder):
         kpar, kperp = _cylinder_components(g, kx, ky, kz)
         val = g.m * jinc(kperp * g.R) * sinc(kpar * g.L / 2.0)
         return val.astype(complex)
-    if isinstance(g, Multilayer):
-        n = g.stacking_axis
-        comp = {"x": kx, "y": ky, "z": kz}
-        ks = comp[n]
-        others = [a for a in "xyz" if a != n]
-        lengths = {others[0]: g.Lx, others[1]: g.Ly}
-        cross = g.Lx * g.Ly
-        val = multilayer_stack_transform(g, ks) * cross
-        for a in others:
-            val = val * sinc(comp[a] * lengths[a] / 2.0)
-        return val
     if isinstance(g, PointLattice):
         phase = (kx[..., None] * g.positions[:, 0]
                  + ky[..., None] * g.positions[:, 1]
@@ -326,13 +354,13 @@ def _angular_derivative_analytic(g, kx, ky, kz):
     if isinstance(g, (Point, Sphere)):
         # mu_tilde depends on |k| only; the angular derivative vanishes
         return np.zeros(np.broadcast(kx, ky, kz).shape, dtype=complex)
-    if isinstance(g, Cuboid):
-        sx = sinc(kx * g.Lx / 2.0)
-        sy = sinc(ky * g.Ly / 2.0)
-        sz = sinc(kz * g.Lz / 2.0)
-        dsy = (g.Ly / 2.0) * sinc_prime(ky * g.Ly / 2.0)
-        dsz = (g.Lz / 2.0) * sinc_prime(kz * g.Lz / 2.0)
-        return (g.m * sx * (ky * sy * dsz - kz * dsy * sz)).astype(complex)
+    sep = separable_profiles(g)
+    if sep is not None:
+        scale, (px, py, pz) = sep
+        val = scale * px.transform(kx) * (
+            ky * py.transform(ky) * pz.derivative(kz)
+            - kz * py.derivative(ky) * pz.transform(kz))
+        return val.astype(complex)
     if isinstance(g, Cylinder):
         n = g.axis_vector
         if not np.allclose(np.abs(n), [0.0, 0.0, 1.0]):
@@ -360,8 +388,9 @@ def _angular_derivative_analytic(g, kx, ky, kz):
 def form_factor_angular_derivative(g, k, rc_hint=None):
     """k_y d/dk_z mu_tilde - k_z d/dk_y mu_tilde, for rotation about x.
 
-    Analytic for Sphere, Cuboid, z-aligned Cylinder and PointLattice;
-    otherwise central finite differences with step
+    Analytic for Sphere, Cuboid, Multilayer, z-aligned Cylinder and
+    PointLattice; otherwise (cylinders not along z) central finite
+    differences with step
     h = 1e-6 * max(|k|, 1/rc_hint).
     """
     k = np.asarray(k, dtype=float)

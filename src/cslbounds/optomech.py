@@ -19,7 +19,7 @@ double-sided convention: <x^2> = integral S_x(w) dw / 2pi.
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,6 +63,8 @@ class OptomechConfig:
     alpha_sq: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"optomech parameters must be finite: {self}")
         if not (self.m > 0 and self.omega_m > 0 and self.kappa > 0):
             raise ValueError("m, omega_m, kappa must be positive")
         if self.gamma_m < 0 or self.T < 0 or self.alpha_sq < 0:
@@ -100,8 +102,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.steps < 2 or self.trajectories < 1:
             raise ValueError("need steps >= 2 and trajectories >= 1")
 

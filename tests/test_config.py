@@ -178,3 +178,39 @@ def test_nperseg_out_of_range_is_a_config_error():
     for bad in (0, 1, 4097):
         with pytest.raises(ConfigError, match=r"\[simulation\] nperseg"):
             parse_inputs(text + f"nperseg = {bad}\n")
+
+
+EXPERIMENT = """
+[experiment]
+channel = {channel}
+{budget}
+band_lo_khz = 1
+band_hi_khz = {band_hi}
+geometry_type = sphere
+geometry_mass_kg = 1e-12
+geometry_radius_um = 0.5
+{extra}
+"""
+
+
+@pytest.mark.parametrize("text, section", [
+    ("[optomech]\nmass_kg = inf\nomega_m_khz = 3\ngamma_m_hz = 10\n"
+     "temperature_mk = 100\n", "optomech"),
+    ("[optomech]\nmass_kg = 1e-12\nomega_m_khz = 3\ngamma_m_hz = nan\n"
+     "temperature_mk = 100\n", "optomech"),
+    ("[simulation]\ndt_us = nan\nsteps = 4096\n", "simulation"),
+    ("[simulation]\ndt_us = inf\nsteps = 4096\n", "simulation"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="inf", extra=""), "experiment"),
+    (EXPERIMENT.format(channel="temperature_shift", budget="budget_mk = 1",
+                       band_hi="2", extra="mass_kg = 1e-12\n"
+                       "gamma_per_s = nan"), "experiment"),
+    (EXPERIMENT.format(channel="temperature_shift", budget="budget_mk = 1",
+                       band_hi="2", extra="d_phi_per_s = -1e-3"),
+     "experiment"),
+], ids=["optomech_inf_mass", "optomech_nan_gamma", "simulation_nan_dt",
+        "simulation_inf_dt", "experiment_inf_band",
+        "experiment_nan_gamma", "experiment_negative_d_phi"])
+def test_rejected_value_is_a_config_error_naming_the_section(text, section):
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
+        parse_inputs(BASIC + text)

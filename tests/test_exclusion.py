@@ -157,3 +157,23 @@ def test_scan_grid_validation():
 def test_record_rejects_infinite_budget():
     with pytest.raises(ValueError, match="finite"):
         sphere_record(budget=np.inf)
+
+
+@pytest.mark.parametrize("band", [(1e3, np.inf), (np.nan, 1e4),
+                                  (1e3, np.nan)],
+                         ids=["inf_hi", "nan_lo", "nan_hi"])
+def test_record_rejects_non_finite_band(band):
+    with pytest.raises(ValueError, match="band"):
+        sphere_record(band=band)
+
+
+@pytest.mark.parametrize("readout", [
+    dict(m=np.nan, gamma=0.1), dict(m=1e-12, gamma=np.inf),
+    dict(m=-1e-12, gamma=0.1), dict(m=1e-12, gamma=0.0),
+    dict(d_phi=np.nan), dict(d_phi=np.inf), dict(d_phi=0.0),
+], ids=["nan_m", "inf_gamma", "negative_m", "zero_gamma", "nan_d_phi",
+        "inf_d_phi", "zero_d_phi"])
+def test_temperature_shift_record_rejects_bad_readout(readout):
+    # these would otherwise give a NaN, infinite or negative bound
+    with pytest.raises(ValueError, match="finite and positive"):
+        sphere_record(channel="temperature_shift", **readout)

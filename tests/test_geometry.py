@@ -5,7 +5,8 @@ import pytest
 
 from cslbounds.geometry import (Cuboid, Cylinder, Multilayer, Point,
                                 PointLattice, Sphere, TwoBody,
-                                TwoBodyFormFactorError, form_factor,
+                                TwoBodyFormFactorError,
+                                _angular_derivative_analytic, form_factor,
                                 form_factor_angular_derivative)
 
 ALL_SHAPES = [
@@ -184,3 +185,37 @@ def test_point_lattice_rejects_non_finite(pos, m):
 def test_shapes_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf], ids=["nan_a", "inf_a"])
+def test_two_body_rejects_non_finite_separation(a):
+    # a NaN or infinite separation would otherwise give a NaN spectrum
+    with pytest.raises(ValueError, match="finite"):
+        TwoBody(Point(1.0), a)
+
+
+@pytest.mark.parametrize("shape", ["cuboid", "x", "y", "z"])
+def test_separable_angular_derivative_matches_central_differences(shape):
+    """Cuboid and Multilayer (each stacking axis) have an analytic angular
+    derivative; central differences of form_factor check it."""
+    rng = np.random.default_rng(["cuboid", "x", "y", "z"].index(shape))
+    if shape == "cuboid":
+        g = Cuboid(1e-12, *10.0 ** rng.uniform(-6.7, -5.7, 3))
+    else:
+        d1, d2 = 10.0 ** rng.uniform(-7.3, -6.7, 2)
+        g = Multilayer(int(rng.integers(2, 7)), d1, d2,
+                       rng.uniform(1e4, 2e4), rng.uniform(1e3, 5e3),
+                       *10.0 ** rng.uniform(-6.5, -5.7, 2), shape)
+    ks = rng.normal(scale=3e6, size=(200, 3))
+    analytic = form_factor_angular_derivative(g, ks)
+    assert _angular_derivative_analytic(g, *ks.T) is not None
+
+    h = 1e-6 * np.linalg.norm(ks, axis=-1)
+
+    def mu(dy, dz):
+        return form_factor(g, ks + np.stack([0.0 * h, dy, dz], axis=-1))
+
+    fd = (ks[:, 1] * (mu(0.0 * h, h) - mu(0.0 * h, -h)) / (2.0 * h)
+          - ks[:, 2] * (mu(h, 0.0 * h) - mu(-h, 0.0 * h)) / (2.0 * h))
+    scale = np.max(np.abs(analytic)) + g.total_mass * 1e-7
+    assert np.max(np.abs(analytic - fd)) / scale < 1e-5

@@ -172,6 +172,21 @@ def test_resolution_validation():
                           SimConfig(dt=1e-3, steps=100, trajectories=1))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", np.inf), ("gamma_m", np.nan), ("T", np.inf), ("kappa", np.inf),
+    ("Delta", np.nan), ("chi", -np.inf), ("alpha_sq", np.inf),
+])
+def test_optomech_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        lorentzian_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf], ids=["nan_dt", "inf_dt"])
+def test_sim_config_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(dt=dt, steps=100)
+
+
 def test_trajectory_roundtrip(tmp_path):
     cfg = lorentzian_cfg()
     sim = SimConfig(dt=1.5e-6, steps=2048, trajectories=2, seed=5)

@@ -1,0 +1,178 @@
+"""Seeded randomized differential tests of the separable route: Cuboid
+and Multilayer force, two-body and torque spectra as products of 1D
+profile moments, checked against independent routes."""
+
+import numpy as np
+import pytest
+
+from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Multilayer,
+                       PointLattice, QuadratureSpec, TwoBody,
+                       csl_force_spectrum, csl_force_spectrum_two_body,
+                       csl_torque_spectrum, form_factor)
+from cslbounds import cslnoise
+from cslbounds.cslnoise import torque_pair_kernel_sum
+from cslbounds.quadrature import integrate_k3
+
+SHAPES = ["cuboid", "x", "y", "z"]
+SPEC = QuadratureSpec()
+
+
+def random_body(shape, rng):
+    """A random Cuboid, or a two-material Multilayer stacked along shape;
+    every size lies between 0.2 and 2 um."""
+    if shape == "cuboid":
+        return Cuboid(10.0 ** rng.uniform(-14, -11),
+                      *10.0 ** rng.uniform(-6.7, -5.7, 3))
+    d1, d2 = 10.0 ** rng.uniform(-7.3, -6.7, 2)
+    return Multilayer(int(rng.integers(2, 7)), d1, d2,
+                      rng.uniform(1e4, 2e4), rng.uniform(1e3, 5e3),
+                      *10.0 ** rng.uniform(-6.5, -5.7, 2), shape)
+
+
+def sides(g):
+    """Extents along x, y and z: a Multilayer's cross-section Lx x Ly
+    lies, in that order, on the two axes other than its stacking axis."""
+    if isinstance(g, Cuboid):
+        return g.Lx, g.Ly, g.Lz
+    cross = iter((g.Lx, g.Ly))
+    return tuple(g.stack_thickness if axis == g.stacking_axis
+                 else next(cross) for axis in "xyz")
+
+
+def assert_agree(got, want, rel_tol):
+    """|got - want| within rel_tol plus both reported errors."""
+    bound = rel_tol * abs(float(want)) + got.error + want.error
+    assert abs(float(got) - float(want)) <= bound, (float(got), float(want))
+
+
+def generic_two_body(g, p, a):
+    """The k-space two-body integral over the full 3D ball with the
+    body's form factor, the route of bodies that have no reduction."""
+    def f3(kx, ky, kz):
+        k = np.stack([kx, ky, kz], axis=-1)
+        k2 = kx * kx + ky * ky + kz * kz
+        return np.abs(form_factor(g, k)) ** 2 * np.exp(-k2 * p.rC ** 2) \
+            * kx * kx * (1.0 - np.cos(a * kx))
+
+    val, err = integrate_k3(f3, p.rC, SPEC, symmetry="none",
+                            oscillation_scale=max(g.largest_dimension, a))
+    pref = CONSTANTS.hbar ** 2 * p.lam * p.rC ** 3 / (
+        np.pi ** 1.5 * CONSTANTS.m0 ** 2)
+    return cslnoise.SpectralValue(pref * val, pref * err)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_force_matches_quadrature_route(shape):
+    """Closed-form slab moments against 1D quadrature of every moment."""
+    rng = np.random.default_rng([21, SHAPES.index(shape)])
+    for _ in range(4):
+        g = random_body(shape, rng)
+        p = CollapseParams(1.0, 10.0 ** rng.uniform(-9, -4))
+        assert_agree(csl_force_spectrum(g, p),
+                     csl_force_spectrum(g, p, method="quadrature"),
+                     SPEC.rel_tol)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_torque_matches_generic_3d_route(shape):
+    rng = np.random.default_rng([22, SHAPES.index(shape)])
+    g = random_body(shape, rng)
+    p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
+    assert_agree(csl_torque_spectrum(g, p),
+                 csl_torque_spectrum(g, p, method="quadrature"), SPEC.rel_tol)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_two_body_matches_generic_3d_integral(shape):
+    rng = np.random.default_rng([23, SHAPES.index(shape)])
+    g = random_body(shape, rng)
+    p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
+    a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
+    assert_agree(csl_force_spectrum_two_body(TwoBody(g, a), p),
+                 generic_two_body(g, p, a), SPEC.rel_tol)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_equal_density_multilayer_equals_cuboid(axis):
+    """An equal-density stack is a homogeneous block: its quadrature
+    moments must reproduce the slab's closed forms.
+
+    While rC stays below the body's size the three channels agree to
+    1e-12.  Above it the three torque products cancel to (size / rC)^2
+    of their size, which magnifies rounding differences between the
+    stack and slab transforms (2.5e-12 seen at rC = 7 x size); there the
+    torque must agree within the reported errors.
+    """
+    rng = np.random.default_rng([24, "xyz".index(axis)])
+    spec = QuadratureSpec(rel_tol=1e-10)
+    for _ in range(20):
+        rho = rng.uniform(1e3, 2e4)
+        d1, d2 = 10.0 ** rng.uniform(-7.5, -6.5, 2)
+        ml = Multilayer(int(rng.integers(1, 9)), d1, d2, rho, rho,
+                        *10.0 ** rng.uniform(-7, -5.5, 2), axis)
+        cub = Cuboid(ml.total_mass, *sides(ml))
+        p = CollapseParams(1.0, 10.0 ** rng.uniform(-8.5, -5))
+        a = 10.0 ** rng.uniform(-8, -5)
+        for spectrum in (
+                lambda g: csl_force_spectrum(g, p, spec),
+                lambda g: csl_force_spectrum_two_body(TwoBody(g, a), p,
+                                                      spec)):
+            assert float(spectrum(ml)) == pytest.approx(
+                float(spectrum(cub)), rel=1e-12, abs=0.0)
+        t_ml = csl_torque_spectrum(ml, p, spec)
+        t_cub = csl_torque_spectrum(cub, p, spec)
+        if p.rC <= ml.largest_dimension:
+            assert float(t_ml) == pytest.approx(float(t_cub), rel=1e-12,
+                                                abs=0.0)
+        else:
+            assert_agree(t_ml, t_cub, 1e-12)
+
+
+def multilayer_lattice(g, n, per_layer):
+    """Midpoint point lattice of a Multilayer: n x n cells across the
+    cross-section and per_layer cells through each layer, each point
+    carrying its cell's mass."""
+    ds, rhos, centers = g.layers()
+    # per axis: cell centers and the cell's mass weight along that axis
+    cells = {g.stacking_axis: np.array([
+        (c + d * ((j + 0.5) / per_layer - 0.5), rho * d / per_layer)
+        for d, rho, c in zip(ds, rhos, centers)
+        for j in range(per_layer)]).T}
+    others = [axis for axis in "xyz" if axis != g.stacking_axis]
+    for axis, L in zip(others, (g.Lx, g.Ly)):
+        cells[axis] = ((np.arange(n) + 0.5) / n * L - L / 2.0,
+                       np.full(n, L / n))
+    (xs, wx), (ys, wy), (zs, wz) = (cells[axis] for axis in "xyz")
+    grids = np.meshgrid(xs, ys, zs, indexing="ij")
+    masses = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
+    return PointLattice(np.stack([c.ravel() for c in grids], axis=-1),
+                        masses.ravel())
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_multilayer_torque_matches_lattice_oracle(axis):
+    rng = np.random.default_rng([25, "xyz".index(axis)])
+    d1, d2 = 10.0 ** rng.uniform(-6.8, -6.5, 2)
+    g = Multilayer(4, d1, d2, 19300.0, rng.uniform(1e3, 5e3),
+                   *10.0 ** rng.uniform(-6.2, -5.9, 2), axis)
+    lat = multilayer_lattice(g, 16, 4)
+    assert lat.total_mass == pytest.approx(g.total_mass, rel=1e-12)
+    p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(2e-7), -6.3))
+    want = float(csl_torque_spectrum(g, p))
+    ksum = torque_pair_kernel_sum(lat.positions, lat.masses, p.rC)
+    got = CONSTANTS.hbar ** 2 * p.lam / CONSTANTS.m0 ** 2 * ksum
+    assert abs(got - want) / want < 2e-2
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_multilayer_torque_avoids_generic_3d(axis, monkeypatch):
+    """Every stacking axis takes the separable route, down to rC = 1e-7,
+    where the generic 3D route ran out of memory."""
+    def no_3d(*args, **kwargs):
+        raise AssertionError("generic 3D route taken")
+
+    monkeypatch.setattr(cslnoise, "integrate_k3", no_3d)
+    g = Multilayer(4, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1e-6, axis)
+    for rC in (1e-7, 3e-7, 1e-6, 3e-6):
+        s = csl_torque_spectrum(g, CollapseParams(1.0, rC))
+        assert np.isfinite(float(s)) and float(s) > 0.0
