@@ -10,11 +10,11 @@ temperature shift, free-expansion spread, heating rate) derives from it.
 The k-space integral is reduced as far as each geometry allows: fully
 closed-form Gaussian pair kernels for point lattices; for Cuboid and
 Multilayer (any stacking axis) a product of Gaussian moments of their
-three 1D axis profiles, in force, two-body and torque alike; radial x
-axial 1D integrals for cylinders; a single radial integral for spheres;
-and the generic 3D quadrature otherwise (tilted cylinders, and torque
-under method="quadrature").  README.md tabulates the route of each
-geometry and channel.
+three 1D axis profiles, in force, two-body and torque alike; sums of
+products of axial and radial 1D moments for cylinders at any tilt; one
+radial integral for spheres.  The generic 3D quadrature serves only
+point lattices and torque under method="quadrature".  README.md
+tabulates the route of each geometry and channel.
 """
 
 import math
@@ -28,7 +28,9 @@ from .geometry import (AxisProfile, Cylinder, Point, PointLattice, Sphere,
                        TwoBody, form_factor, form_factor_angular_derivative,
                        separable_profiles)
 from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
-from .special import jinc, jinc_prime, sinc, sphere_kernel
+from .special import (bessel_j1, jinc, jinc_prime, one_minus_j0,
+                      ring_cos2_kernel, shell_cos2_kernel, sinc,
+                      sphere_kernel)
 
 __all__ = [
     "CollapseParams", "ColoredNoiseModel", "SpectralValue",
@@ -405,15 +407,11 @@ def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
             return SpectralValue(val)
 
     if isinstance(g, (Point, Sphere)):
-        m = g.total_mass
         R = g.R if isinstance(g, Sphere) else 0.0
 
-        def iso(k):
-            mu = m * sphere_kernel(k * R) if R else np.full_like(k, m)
-            return mu * mu * k * k / 3.0
-
         def f3(k):
-            return iso(k) * np.exp(-(k * rC) ** 2)
+            mu = g.m * sphere_kernel(k * R) if R else np.full_like(k, g.m)
+            return mu * mu * k * k / 3.0 * np.exp(-(k * rC) ** 2)
 
         val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
                                 oscillation_scale=2.0 * R or None)
@@ -437,32 +435,7 @@ def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
                                    closed_form=method == "auto")
 
     if isinstance(g, Cylinder):
-        # decompose k_x^2 = kpar^2 cos^2(alpha) + kperp^2 sin^2(alpha)/2
-        # after the phi average, alpha the angle between axis and x
-        m = g.m
-        cos_a = float(np.dot(g.axis_vector, [1.0, 0.0, 0.0]))
-        cos2, sin2 = cos_a * cos_a, 1.0 - cos_a * cos_a
-
-        slab = AxisProfile(g.L)
-        auto = method == "auto"
-
-        def perp(power):
-            # int_0^K k^power 2 pi jinc^2 e^{-k^2 rC^2} dk
-            return _gauss_1d(lambda k: np.pi * jinc(k * g.R) ** 2, rC, spec,
-                             2.0 * g.R, weight_power=power)
-
-        terms = []
-        if cos2 > 0:
-            v, e = _combine_product(
-                [_profile_moment(slab, "M2", rC, spec, auto), perp(1)])
-            terms.append((cos2 * v, cos2 * e))
-        if sin2 > 0:
-            v, e = _combine_product(
-                [_profile_moment(slab, "M0", rC, spec, auto), perp(3)])
-            terms.append((0.5 * sin2 * v, 0.5 * sin2 * e))
-        val = sum(t[0] for t in terms)
-        err = sum(t[1] for t in terms)
-        return SpectralValue(pref * m * m * val, pref * m * m * err)
+        return _cylinder_spectrum(g, p, spec, consts, None, method == "auto")
 
     raise TypeError(f"unsupported geometry {type(g).__name__}")
 
@@ -489,11 +462,8 @@ def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
 
     if isinstance(unit, (Point, PointLattice)):
         if isinstance(unit, Point):
-            positions = np.zeros((1, 3))
-            masses = np.array([unit.m])
-        else:
-            positions, masses = unit.positions, unit.masses
-        ksum = two_body_pair_kernel_sum(positions, masses, rC, a)
+            unit = PointLattice(np.zeros((1, 3)), np.array([unit.m]))
+        ksum = two_body_pair_kernel_sum(unit.positions, unit.masses, rC, a)
         val = consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum
         return SpectralValue(val)
 
@@ -508,42 +478,77 @@ def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
     if sep is not None:
         return _separable_spectrum(sep, "two_body", p, spec, consts, a=a)
 
-    if isinstance(unit, Sphere) or (
-            isinstance(unit, Cylinder)
-            and abs(np.dot(unit.axis_vector, [1.0, 0.0, 0.0])) > 1.0 - 1e-12):
-        # axisymmetric about x: integrate in (kperp, kpar=x) coordinates
-        m = unit.total_mass
+    if isinstance(unit, Cylinder):
+        return _cylinder_spectrum(unit, p, spec, consts, a)
+    if not isinstance(unit, Sphere):
+        raise TypeError(f"unsupported geometry {type(unit).__name__}")
+    # <k_x^2 (1 - cos a k_x)> over directions is k^2 (1 - j0(ak) +
+    # 2 j2(ak)) / 3, which leaves one radial integral
+    val, err = _gauss_1d(lambda k: 2.0 * np.pi / 3.0 * shell_cos2_kernel(
+        a * k) * sphere_kernel(k * unit.R) ** 2, rC, spec,
+        max(2.0 * unit.R, a), weight_power=4)
+    scale = pref * unit.m * unit.m
+    return SpectralValue(scale * val, scale * err)
 
-        def mu_sq(kperp, kpar):
-            if isinstance(unit, Sphere):
-                kk = np.sqrt(kperp * kperp + kpar * kpar)
-                mu = m * sphere_kernel(kk * unit.R)
-            else:
-                mu = m * jinc(kperp * unit.R) * sinc(kpar * unit.L / 2.0)
-            return mu * mu
 
-        def f(kperp, kpar):
-            k2 = kperp * kperp + kpar * kpar
-            return mu_sq(kperp, kpar) * np.exp(-k2 * rC * rC) \
-                * kpar * kpar * (1.0 - np.cos(a * kpar))
+def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
+    """Spectrum of a cylinder at any tilt, F = jinc(k_perp R) sinc(k_par
+    L/2): force (a None) or two-body (separation a), each a sum of
+    products of moments along the axis (whole k_par line, weight sinc^2
+    e^{..}) and across it (int 2 pi k_perp dk_perp, weight jinc^2 e^{..}).
+    With c, s the cosine and sine of the tilt to x, A = a c k_par and
+    B = a s k_perp, the phi average (README.md) gives c^2 M2 Q1 + s^2 M0
+    Q3 / 2 (Qn = int k^n) for the force and c^2 [T Q1 + (M2 - T) Q1m] +
+    s^2 [P0m Q3 / 2 + (M0 - P0m) Q3h] + 2 c s P1s Q2J1 for the two-body,
+    with T, P0m, P1s = int (k^2 (1 - cos A), 1 - cos A, k sin A) and Q1m,
+    Q3h, Q2J1 = int (k (1 - J0(B)), k^3 (1/2 - J0 + J1/B), k^2 J1).  P1s
+    and Q2J1 alone change sign; bounded by Cauchy-Schwarz (sin^2 A <=
+    2 (1 - cos A), J1^2 <= 1 - J0), they get an absolute target set by
+    the other terms.
+    """
+    rC = p.rC
+    c, s = abs(g.axis[0]), math.hypot(g.axis[1], g.axis[2])
+    ac, as_ = (a or 0.0) * c, (a or 0.0) * s
+    slab = AxisProfile(g.L)
+    m0, m2 = (_profile_moment(slab, kind, rC, spec, closed_form)
+              for kind in ("M0", "M2"))
 
-        osc = max(unit.largest_dimension, a)
-        val, err = integrate_k3(f, rC, spec, symmetry="axial",
-                                oscillation_scale=osc)
-        return SpectralValue(pref * val, pref * err)
+    def axial(f, abs_tol):
+        return _gauss_1d(lambda k: sinc(k * g.L / 2.0) ** 2 * f(k), rC,
+                         replace(spec, abs_tol=max(spec.abs_tol, abs_tol)),
+                         max(g.L, ac))
 
-    # generic 3D fallback
-    def f3(kx, ky, kz):
-        k = np.stack([kx, ky, kz], axis=-1)
-        mu = form_factor(unit, k)
-        k2 = kx * kx + ky * ky + kz * kz
-        return np.abs(mu) ** 2 * np.exp(-k2 * rC * rC) * kx * kx \
-            * (1.0 - np.cos(a * kx))
+    def radial(power, f=None, abs_tol=0.0):
+        # int_0^K k^power 2 pi jinc^2 f e^{-k^2 rC^2} dk
+        def h(k):
+            v = np.pi * jinc(k * g.R) ** 2
+            return v if f is None else v * f(as_ * k)
+        return _gauss_1d(h, rC, replace(spec, abs_tol=max(spec.abs_tol,
+                                                          abs_tol)),
+                         max(2.0 * g.R, as_), weight_power=power)
 
-    osc = max(unit.largest_dimension, a)
-    val, err = integrate_k3(f3, rC, spec, symmetry="none",
-                            oscillation_scale=osc)
-    return SpectralValue(pref * val, pref * err)
+    q1, q3 = radial(1), radial(3)
+    if a is None:
+        terms = [(c * c, m2, q1), (s * s / 2.0, m0, q3)]
+    else:
+        t = _two_body_x_gauss(g.L, ac, rC)
+        p0m = axial(lambda k: 2.0 * np.sin(ac * k / 2.0) ** 2, 0.0)
+        q1m, q3h = radial(1, one_minus_j0), radial(3, ring_cos2_kernel)
+        terms = [(c * c, t, q1), (c * c, (m2[0] - t[0], m2[1] + t[1]), q1m),
+                 (s * s / 2.0, p0m, q3),
+                 (s * s, (m0[0] - p0m[0], m0[1] + p0m[1]), q3h)]
+        if c * s > 0.0:
+            nonneg = max(sum(w * x[0] * y[0] for w, x, y in terms), 0.0)
+            target = spec.rel_tol * nonneg / (8.0 * c * s)
+            p1s = axial(lambda k: k * np.sin(ac * k),
+                        target / math.sqrt(q3[0] * q1m[0]))
+            q2j1 = radial(2, bessel_j1,
+                          target / math.sqrt(2.0 * m2[0] * p0m[0]))
+            terms.append((2.0 * c * s, p1s, q2j1))
+    products = [(w, _combine_product([x, y])) for w, x, y in terms]
+    scale = _prefactor(p, consts) * g.m * g.m
+    return SpectralValue(scale * sum(w * v for w, (v, _) in products),
+                         scale * sum(w * e for w, (_, e) in products))
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +579,11 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
         return SpectralValue(val)
 
     if isinstance(g, Cylinder) and method == "auto":
-        cos_a = abs(float(np.dot(g.axis_vector, [1.0, 0.0, 0.0])))
-        if cos_a > 1.0 - 1e-12:
-            return SpectralValue(0.0)   # spinning about the symmetry axis
-        if cos_a < 1e-12:
-            return _cylinder_torque_transverse(g, p, spec, consts)
+        # |(x^ x k) . grad mu| = |k . (n x x^)| |F_par - k_par F_perp /
+        # k_perp|: sin^2 of the tilt times the value for an axis normal to x
+        sin2 = g.axis[1] ** 2 + g.axis[2] ** 2   # 0 spinning about the axis
+        s = _cylinder_torque_transverse(g, p, spec, consts)
+        return SpectralValue(sin2 * s, sin2 * s.error)
 
     sep = separable_profiles(g)
     if sep is not None and method == "auto":
@@ -586,7 +591,7 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
 
     def f3(kx, ky, kz):
         k = np.stack([kx, ky, kz], axis=-1)
-        deriv = form_factor_angular_derivative(g, k, rc_hint=rC)
+        deriv = form_factor_angular_derivative(g, k)
         k2 = kx * kx + ky * ky + kz * kz
         return np.abs(deriv) ** 2 * np.exp(-k2 * rC * rC)
 
@@ -596,7 +601,7 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
 
 
 def _cylinder_torque_transverse(g, p, spec, consts):
-    """Cylinder with symmetry axis perpendicular to the rotation (x) axis.
+    """Cylinder torque as if its axis were normal to the rotation (x) axis.
 
     With f = jinc(kperp R) and the slab profile g = sinc(kz L/2), the
     phi-averaged squared angular derivative is the three-term torque
@@ -604,24 +609,19 @@ def _cylinder_torque_transverse(g, p, spec, consts):
     kperp^3 f^2 x D0 + kperp f'^2 x M2 - 2 kperp^2 f f' x C1.
     """
     pref = _prefactor(p, consts)
-    rC = p.rC
-    m, R = g.m, g.R
+    rC, m, R = p.rC, g.m, g.R
     slab = AxisProfile(g.L)
-
-    def f(k):
-        return jinc(k * R)
-
-    def fp(k):
-        return R * jinc_prime(k * R)
 
     def terms(s):
         # the radial integrals int_0^K are half of _gauss_1d's
         return (
-            _gauss_1d(lambda k: 0.5 * f(k) ** 2, rC, s, 2 * R, 3),
+            _gauss_1d(lambda k: 0.5 * jinc(k * R) ** 2, rC, s, 2 * R, 3),
             _profile_moment(slab, "D0", rC, s),
-            _gauss_1d(lambda k: 0.5 * fp(k) ** 2, rC, s, 2 * R, 1),
+            _gauss_1d(lambda k: 0.5 * (R * jinc_prime(k * R)) ** 2, rC, s,
+                      2 * R, 1),
             _profile_moment(slab, "M2", rC, s, closed_form=False),
-            _gauss_1d(lambda k: 0.5 * f(k) * fp(k), rC, s, 2 * R, 2),
+            _gauss_1d(lambda k: 0.5 * jinc(k * R) * (R * jinc_prime(k * R)),
+                      rC, s, 2 * R, 2),
             _profile_moment(slab, "C1", rC, s))
 
     total, err = _torque_combination(terms, spec)

@@ -6,8 +6,7 @@ Every geometry is centered at its center of mass and evaluates
 
 so that mu_tilde(0) equals the total mass.  The angular-derivative
 combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
-rotational noise about the x axis, is available analytically for the
-shapes with closed-form transforms and by central differences otherwise.
+rotational noise about the x axis, is analytic for every shape.
 Cuboid and Multilayer are separable: their transform is a product of
 three 1D axis profiles (separable_profiles).
 
@@ -362,18 +361,17 @@ def _angular_derivative_analytic(g, kx, ky, kz):
             - kz * py.derivative(ky) * pz.transform(kz))
         return val.astype(complex)
     if isinstance(g, Cylinder):
-        n = g.axis_vector
-        if not np.allclose(np.abs(n), [0.0, 0.0, 1.0]):
-            return None   # analytic form assumes principal-axis alignment
-        kperp = np.sqrt(kx * kx + ky * ky)
-        f = jinc(kperp * g.R)
-        fp = g.R * jinc_prime(kperp * g.R)
-        gz = sinc(kz * g.L / 2.0)
-        gp = (g.L / 2.0) * sinc_prime(kz * g.L / 2.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(kperp > 0, ky / np.where(kperp > 0, kperp, 1.0), 0.0)
-        # ky f g' - kz (ky/kperp) f' g ; the second term -> 0 as kperp -> 0
-        val = g.m * (ky * f * gp - kz * ratio * fp * gz)
+        # m (k . w)(F_par - (k_par / k_perp) F_perp) with w = n x x^, for
+        # F = jinc(k_perp R) sinc(k_par L/2); R jinc'(k_perp R) / k_perp
+        # tends to -R^2/4 as k_perp -> 0
+        kpar, kperp = _cylinder_components(g, kx, ky, kz)
+        kw = ky * g.axis[2] - kz * g.axis[1]
+        safe = np.where(kperp > 0, kperp, 1.0)
+        fp_over_kperp = np.where(kperp > 0, g.R * jinc_prime(kperp * g.R)
+                                 / safe, -g.R * g.R / 4.0)
+        val = g.m * kw * (jinc(kperp * g.R) * (g.L / 2.0)
+                          * sinc_prime(kpar * g.L / 2.0)
+                          - kpar * fp_over_kperp * sinc(kpar * g.L / 2.0))
         return val.astype(complex)
     if isinstance(g, PointLattice):
         y = g.positions[:, 1]
@@ -382,35 +380,12 @@ def _angular_derivative_analytic(g, kx, ky, kz):
                  + ky[..., None] * y + kz[..., None] * z)
         lever = ky[..., None] * z - kz[..., None] * y
         return np.sum(g.masses * 1j * lever * np.exp(1j * phase), axis=-1)
-    return None
+    raise TypeError(f"unsupported geometry {type(g).__name__}")
 
 
-def form_factor_angular_derivative(g, k, rc_hint=None):
-    """k_y d/dk_z mu_tilde - k_z d/dk_y mu_tilde, for rotation about x.
-
-    Analytic for Sphere, Cuboid, Multilayer, z-aligned Cylinder and
-    PointLattice; otherwise (cylinders not along z) central finite
-    differences with step
-    h = 1e-6 * max(|k|, 1/rc_hint).
-    """
+def form_factor_angular_derivative(g, k):
+    """k_y d/dk_z mu_tilde - k_z d/dk_y mu_tilde, for rotation about x."""
     k = np.asarray(k, dtype=float)
     if k.shape[-1] != 3:
         raise ValueError("k must have shape (..., 3)")
-    kx, ky, kz = k[..., 0], k[..., 1], k[..., 2]
-
-    analytic = _angular_derivative_analytic(g, kx, ky, kz)
-    if analytic is not None:
-        return analytic
-
-    kmag = np.sqrt(kx * kx + ky * ky + kz * kz)
-    floor = 1.0 / rc_hint if rc_hint else 0.0
-    h = 1e-6 * np.maximum(kmag, floor)
-    h = np.where(h > 0, h, 1e-6)
-
-    def shifted(dy, dz):
-        kk = np.stack([kx, ky + dy, kz + dz], axis=-1)
-        return form_factor(g, kk)
-
-    dmu_dz = (shifted(0.0, h) - shifted(0.0, -h)) / (2.0 * h)
-    dmu_dy = (shifted(h, 0.0) - shifted(-h, 0.0)) / (2.0 * h)
-    return ky * dmu_dz - kz * dmu_dy
+    return _angular_derivative_analytic(g, k[..., 0], k[..., 1], k[..., 2])

@@ -7,8 +7,6 @@ angular part is handled according to the symmetry the caller declares:
 
   * "isotropic"  -- integrand depends on |k| only; caller passes the
                     angular average f(k); 1D radial integral.
-  * "axial"      -- integrand is phi-independent about the z axis; caller
-                    passes the phi-averaged f(kperp, kz); 2D nested.
   * "none"       -- full f(kx, ky, kz); angular averages are computed with
                     a Gauss-Legendre x periodic-trapezoid product rule
                     whose order is doubled until converged.
@@ -169,24 +167,33 @@ def _angular_average(f, r, rel_tol):
     """Mean of f over the sphere at each radius in r, by order doubling.
 
     Gauss-Legendre in cos(theta) crossed with a uniform (hence spectrally
-    accurate, periodic) grid in phi.
+    accurate, periodic) grid in phi, evaluated over chunks of radii.
+    Raises NonConvergence, carrying the averages, if order 512 has not
+    converged.
     """
     r = np.asarray(r, dtype=float)
     prev = None
     n = 16
     while True:
         ct, wt = np.polynomial.legendre.leggauss(n)
-        st = np.sqrt(1.0 - ct * ct)
+        st = np.sqrt(1.0 - ct * ct)[:, None]
         phi = np.arange(n) * (2.0 * np.pi / n)
-        kx = r[:, None, None] * st[None, :, None] * np.cos(phi)[None, None, :]
-        ky = r[:, None, None] * st[None, :, None] * np.sin(phi)[None, None, :]
-        kz = r[:, None, None] * ct[None, :, None] * np.ones_like(phi)[None, None, :]
-        vals = f(kx, ky, kz)
-        avg = np.einsum("ijk,j->i", vals, wt) / (2.0 * n)
+        ux, uy = st * np.cos(phi), st * np.sin(phi)
+        uz = np.broadcast_to(ct[:, None], ux.shape)
+        avg = np.empty_like(r)
+        step = max(1, (1 << 18) // (n * n))   # 2 MiB per float array
+        for i in range(0, r.size, step):
+            rr = r[i:i + step, None, None]
+            vals = f(rr * ux, rr * uy, rr * uz)
+            avg[i:i + step] = np.einsum("ijk,j->i", vals, wt) / (2.0 * n)
         if prev is not None:
-            scale = np.max(np.abs(avg)) or 1.0
-            if np.max(np.abs(avg - prev)) <= 0.3 * rel_tol * scale or n >= 512:
+            change = np.max(np.abs(avg - prev))
+            target = 0.3 * rel_tol * (np.max(np.abs(avg)) or 1.0)
+            if change <= target:
                 return avg
+            if n >= 512:
+                raise NonConvergence(f"angular average unconverged at "
+                                     f"order {n}", avg, change)
         prev = avg
         n *= 2
 
@@ -196,7 +203,6 @@ def integrate_k3(f, rC, spec=None, symmetry="none", oscillation_scale=None):
 
     The integrand signature depends on the declared symmetry:
       symmetry="none":      f(kx, ky, kz)
-      symmetry="axial":     f(kperp, kz), already averaged over phi
       symmetry="isotropic": f(k), the full angular average at radius k
 
     oscillation_scale: largest body dimension L; radial panels are then
@@ -217,25 +223,6 @@ def integrate_k3(f, rC, spec=None, symmetry="none", oscillation_scale=None):
         def radial(k):
             return 4.0 * np.pi * k * k * np.asarray(f(k), dtype=float)
         return integrate_1d(radial, 0.0, kmax, spec.rel_tol, spec.abs_tol,
-                            spec.max_evals, max_panel_width=width)
-
-    if symmetry == "axial":
-        inner_tol = spec.rel_tol / 5.0
-        budget = [spec.max_evals]
-
-        def outer(kperp):
-            kperp = np.atleast_1d(kperp)
-            out = np.empty_like(kperp)
-            for i, kp in enumerate(kperp):
-                def inner(kz, kp=kp):
-                    return np.asarray(f(np.full_like(kz, kp), kz), dtype=float)
-                val, _ = integrate_1d(inner, -kmax, kmax, inner_tol,
-                                      spec.abs_tol, budget[0],
-                                      max_panel_width=width)
-                out[i] = 2.0 * np.pi * kp * val
-            return out
-
-        return integrate_1d(outer, 0.0, kmax, spec.rel_tol, spec.abs_tol,
                             spec.max_evals, max_panel_width=width)
 
     if symmetry != "none":

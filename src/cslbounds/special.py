@@ -4,12 +4,16 @@ J0 and J1 come from scipy.special (Cephes-based ufuncs); bessel_j1 is a
 thin wrapper that keeps the scalar-in / scalar-out behavior of the rest
 of this module.
 
-sinc-style helpers carry series fallbacks near zero to avoid cancellation.
+sinc-style helpers and the two-body averages of 1 - cos carry series
+fallbacks near zero to avoid cancellation.
 """
+
+from math import factorial
 
 import numpy as np
 from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
+from scipy.special import spherical_jn as _spherical_jn
 
 
 def bessel_j1(x):
@@ -83,3 +87,37 @@ def sphere_kernel(u):
     series = 1.0 - u2 / 10.0 + u2 * u2 / 280.0
     full = 3.0 * (np.sin(us) - us * np.cos(us)) / us ** 3
     return np.where(small, series, full)
+
+
+def _series_below_1(x, coef, t_scale, full):
+    """sum_{k=1}^{10} coef(k) (t_scale x^2)^k below |x| < 1, full(x) above."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1.0
+    t = t_scale * x * x
+    series = np.zeros_like(t)
+    for k in range(10, 0, -1):
+        series = (series + coef(k)) * t
+    return np.where(small, series, full(np.where(small, 1.0, x)))
+
+
+def one_minus_j0(x):
+    """1 - J0(x) = <1 - cos(x cos phi)> over phi in [0, 2 pi)."""
+    return _series_below_1(x, lambda k: (-1) ** (k + 1) / factorial(k) ** 2,
+                           0.25, lambda xs: 1.0 - _j0(xs))
+
+
+def ring_cos2_kernel(x):
+    """1/2 - J0(x) + J1(x)/x = <cos^2 phi (1 - cos(x cos phi))>."""
+    return _series_below_1(
+        x, lambda k: (-1) ** (k + 1) * (k + 0.5)
+        / (factorial(k) * factorial(k + 1)), 0.25,
+        lambda xs: 0.5 - _j0(xs) + _j1(xs) / xs)
+
+
+def shell_cos2_kernel(x):
+    """1 - j0(x) + 2 j2(x) = 3 <u^2 (1 - cos(x u))> over the unit sphere,
+    u the cosine to a fixed axis; 3 x^2 / 10 - x^4 / 56 + ... ."""
+    return _series_below_1(
+        x, lambda k: (-1) ** (k + 1) * 6 * (k + 1) * (2 * k + 1)
+        / factorial(2 * k + 3), 1.0,
+        lambda xs: 1.0 - _spherical_jn(0, xs) + 2.0 * _spherical_jn(2, xs))

@@ -102,7 +102,7 @@ def test_spectrum_outputs(tmp_path):
     assert all(float(r["backaction"]) == 0.0 for r in rows)
     for r in rows:
         total = float(r["thermal"]) + float(r["csl"]) + float(r["backaction"])
-        assert float(r["total"]) == pytest.approx(total, rel=1e-12)
+        assert float(r["total"]) == pytest.approx(total, rel=1e-12, abs=0.0)
     svg = (out / "spectrum.svg").read_text()
     assert svg.startswith("<svg")
     manifest = json.loads((out / "manifest.json").read_text())
@@ -119,7 +119,7 @@ def test_spectrum_one_sided_doubles(tmp_path):
     ra, rb = read_rows(a / "spectrum.csv"), read_rows(b / "spectrum.csv")
     for x, y in zip(ra, rb):
         assert float(y["total"]) == pytest.approx(2.0 * float(x["total"]),
-                                                  rel=1e-12)
+                                                  rel=1e-12, abs=0.0)
 
 
 def test_spectrum_deterministic_bytes(tmp_path):
@@ -173,7 +173,7 @@ def test_exclusion_combined_curve(tmp_path):
               if r["experiment"] == "demo"]
     for c, s in zip(combined, strong):
         assert float(c["lambda_ub_per_s"]) == pytest.approx(
-            float(s["lambda_ub_per_s"]), rel=1e-12)
+            float(s["lambda_ub_per_s"]), rel=1e-12, abs=0.0)
 
 
 def test_simulate_outputs(tmp_path):

@@ -24,7 +24,7 @@ rc_m = 1e-7
 def test_unit_suffix_conversion():
     inputs = parse_inputs(BASIC)
     assert isinstance(inputs.geometry, Sphere)
-    assert inputs.geometry.R == pytest.approx(5e-7)
+    assert inputs.geometry.R == pytest.approx(5e-7, abs=0.0)
     assert inputs.collapse.lam == 1e-16
     assert any("radius_um" in c for c in inputs.conversions)
 

@@ -235,7 +235,7 @@ def test_colored_filter_properties():
 
     lor = ColoredNoiseModel("lorentzian_cutoff", omega_c=1e4)
     assert lor.filter(0.0) == 1.0
-    assert lor.filter(1e4) == pytest.approx(0.5, rel=1e-14)
+    assert lor.filter(1e4) == pytest.approx(0.5, rel=1e-14, abs=0.0)
     assert lor.filter(1e8) < 1e-7
     # monotone decreasing in |omega|
     ws = np.logspace(0, 9, 50)
@@ -257,13 +257,13 @@ def test_temperature_shift_value_and_validation():
     s = 1.7554433359650133e-43   # sphere m = 1e-12 kg, R = 0.5 um at GRW
     got = csl_temperature_shift(s, 1e-12, 0.1)
     assert got == pytest.approx(s / (2.0 * 1e-12 * 0.1 * CONSTANTS.kB),
-                                rel=1e-14)
-    assert got == pytest.approx(6.357312162486675e-08, rel=1e-12)
+                                rel=1e-14, abs=0.0)
+    assert got == pytest.approx(6.357312162486675e-08, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         csl_temperature_shift(s, 1e-12, 0.0)
     rot = csl_temperature_shift_rot(1e-50, 1e-3)
     assert rot == pytest.approx(1e-50 / (2.0 * CONSTANTS.kB * 1e-3),
-                                rel=1e-14)
+                                rel=1e-14, abs=0.0)
 
 
 def test_free_expansion_spread():
@@ -271,15 +271,15 @@ def test_free_expansion_spread():
     got = free_expansion_spread(GRW, 1.0, qm_term=qm)
     extra = GRW_LAMBDA * CONSTANTS.hbar ** 2 \
         / (2.0 * CONSTANTS.m0 ** 2 * GRW_RC ** 2)
-    assert got == pytest.approx(qm + extra, rel=1e-14)
+    assert got == pytest.approx(qm + extra, rel=1e-14, abs=0.0)
     # cubic in time
     r = free_expansion_spread(GRW, 2.0) / free_expansion_spread(GRW, 1.0)
-    assert r == pytest.approx(8.0, rel=1e-14)
+    assert r == pytest.approx(8.0, rel=1e-14, abs=0.0)
 
 
 def test_heating_rate_hydrogen_scale():
     rate = heating_rate(Point(CONSTANTS.m0), GRW)
-    assert rate == pytest.approx(7.598812437525786e-14, rel=1e-10)
+    assert rate == pytest.approx(7.598812437525786e-14, rel=1e-10, abs=0.0)
 
 
 def test_spectral_value_carries_error():

@@ -21,7 +21,7 @@ def test_bound_inverts_the_spectrum():
     rC = 2e-7
     lam, rel_err = lambda_upper_bound(rec, rC)
     s_unit = float(csl_force_spectrum(rec.geometry, CollapseParams(1.0, rC)))
-    assert lam == pytest.approx(rec.budget / s_unit, rel=1e-10)
+    assert lam == pytest.approx(rec.budget / s_unit, rel=1e-10, abs=0.0)
     assert 0 <= rel_err < 1e-4
     # saturation: at lambda = lam the model exactly spends the budget
     s_at = float(csl_force_spectrum(rec.geometry, CollapseParams(lam, rC)))
@@ -32,7 +32,7 @@ def test_bound_linear_in_budget():
     rC = 1e-7
     l1, _ = lambda_upper_bound(sphere_record(budget=1e-37), rC)
     l5, _ = lambda_upper_bound(sphere_record(budget=5e-37), rC)
-    assert l5 == pytest.approx(5.0 * l1, rel=1e-12)
+    assert l5 == pytest.approx(5.0 * l1, rel=1e-12, abs=0.0)
 
 
 def test_point_bound_scales_as_rc_squared():
@@ -40,7 +40,7 @@ def test_point_bound_scales_as_rc_squared():
                            budget=1e-40, band=(1.0, 10.0))
     l1, _ = lambda_upper_bound(rec, 1e-7)
     l2, _ = lambda_upper_bound(rec, 2e-7)
-    assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
+    assert l2 == pytest.approx(4.0 * l1, rel=1e-12, abs=0.0)
 
 
 def test_degenerate_torque_on_sphere():

@@ -39,7 +39,7 @@ def test_linearity_in_mass():
     k = np.array([3e6, -1e6, 2e6])
     a = form_factor(Sphere(1e-12, 5e-7), k)
     b = form_factor(Sphere(5e-12, 5e-7), k)
-    assert b == pytest.approx(5.0 * a, rel=1e-14)
+    assert b == pytest.approx(5.0 * a, rel=1e-14, abs=0.0)
 
 
 def test_cuboid_sinc_zero():
@@ -106,6 +106,11 @@ def test_multilayer_mass_identity_and_limit():
     Cylinder(1e-13, 2e-7, 1e-6),
     PointLattice(np.array([[0.0, 1e-7, 0.0], [2e-7, -1e-7, 3e-7]]),
                  np.array([1e-18, 2e-18])),
+    # tilted cylinders: the analytic derivative holds along any axis
+    Cylinder(1e-13, 2e-7, 1e-6, axis=(1.0, 1.0, 0.0)),
+    Cylinder(1e-13, 3e-7, 5e-7, axis=(0.3, 0.4, 0.866)),
+    Cylinder(1e-13, 1e-7, 2e-6,
+             axis=tuple(np.random.default_rng(12).normal(size=3))),
 ])
 def test_angular_derivative_matches_finite_difference(g):
     rng = np.random.default_rng(11)
@@ -133,11 +138,20 @@ def test_angular_derivative_vanishes_for_spheres():
     assert np.all(form_factor_angular_derivative(g, ks) == 0.0)
 
 
-def test_tilted_cylinder_falls_back_to_finite_differences():
+def test_tilted_cylinder_angular_derivative_on_and_off_axis():
+    """The analytic derivative of a tilted cylinder stays finite where
+    k_perp = 0 (k along the axis, and k = 0), where it vanishes because
+    k . (n x x^) = 0 there; and it vanishes everywhere for a cylinder
+    along x, which spins about its own symmetry axis."""
     g = Cylinder(1e-13, 2e-7, 1e-6, axis=(1.0, 1.0, 0.0))
-    k = np.array([[2e6, 1e6, -3e6]])
-    val = form_factor_angular_derivative(g, k, rc_hint=1e-7)
+    n = g.axis_vector
+    k = np.array([3e6 * n, np.zeros(3), [2e6, 1e6, -3e6]])
+    val = form_factor_angular_derivative(g, k)
     assert np.all(np.isfinite(val))
+    assert np.all(val[:2] == 0.0) and val[2] != 0.0
+    rod = Cylinder(1e-13, 2e-7, 1e-6, axis=(1.0, 0.0, 0.0))
+    ks = np.random.default_rng(13).normal(scale=3e6, size=(50, 3))
+    assert np.all(form_factor_angular_derivative(rod, ks) == 0.0)
 
 
 def test_two_body_form_factor_is_a_type_error():

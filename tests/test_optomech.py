@@ -83,7 +83,7 @@ def test_high_temperature_limit():
     cfg = lorentzian_cfg(T=10.0)
     omega = 2.0 * np.pi * 3e3
     exact, limit = high_temperature_limit_check(cfg, GRW, SPHERE, omega)
-    assert exact == pytest.approx(limit, rel=1e-5)
+    assert exact == pytest.approx(limit, rel=1e-5, abs=0.0)
     with pytest.raises(ValueError):
         high_temperature_limit_check(lorentzian_cfg(T=1e-6), GRW, SPHERE,
                                      2.0 * np.pi * 1e9)
@@ -107,7 +107,7 @@ def test_equipartition():
     got = np.mean(tail ** 2)
     want = CONSTANTS.kB * cfg.T / (cfg.m * cfg.omega_m ** 2)
     # ~tens of correlation times per trajectory, 24 trajectories
-    assert got == pytest.approx(want, rel=0.1)
+    assert got == pytest.approx(want, rel=0.1, abs=0.0)
 
 
 def test_monte_carlo_matches_analytic_spectrum():
@@ -142,7 +142,7 @@ def test_spectrum_variance_normalization():
     # double-sided: <x^2> = 2 * int_0^inf S dw / 2pi
     var_f = 2.0 * np.trapezoid(res.spectrum.values,
                                res.spectrum.omegas) / (2.0 * np.pi)
-    assert var_f == pytest.approx(var_t, rel=0.05)
+    assert var_f == pytest.approx(var_t, rel=0.05, abs=0.0)
 
 
 def test_determinism_and_trajectory_streams():

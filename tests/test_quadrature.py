@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from cslbounds.quadrature import (NonConvergence, QuadratureSpec,
-                                  integrate_1d, integrate_k3)
+                                  _angular_average, integrate_1d,
+                                  integrate_k3)
 
 
 def test_polynomial_is_exact():
     val, err = integrate_1d(lambda x: 3.0 * x ** 2, 0.0, 2.0)
-    assert val == pytest.approx(8.0, rel=1e-14)
+    assert val == pytest.approx(8.0, rel=1e-14, abs=0.0)
     assert err <= 1e-12
 
 
@@ -69,16 +70,15 @@ def test_k3_isotropic_gaussian_moment():
 
 
 def test_k3_symmetry_routes_agree():
-    # same integrand through the axial and general 3D routes
+    # the same integrand through the isotropic and generic 3D routes
     rC = 1.0
     want = math.pi ** 1.5 / (2.0 * rC ** 5)
 
-    def f_axial(kperp, kpar):
-        k2 = kperp * kperp + kpar * kpar
-        return np.exp(-k2 * rC * rC) * kpar * kpar
+    def f_iso(k):
+        return np.exp(-(k * rC) ** 2) * k * k / 3.0
 
-    val_ax, _ = integrate_k3(f_axial, rC, symmetry="axial")
-    assert val_ax == pytest.approx(want, rel=1e-6)
+    val_iso, _ = integrate_k3(f_iso, rC, symmetry="isotropic")
+    assert val_iso == pytest.approx(want, rel=1e-6)
 
     def f3(kx, ky, kz):
         k2 = kx * kx + ky * ky + kz * kz
@@ -86,6 +86,41 @@ def test_k3_symmetry_routes_agree():
 
     val_3d, _ = integrate_k3(f3, rC, symmetry="none")
     assert val_3d == pytest.approx(want, rel=1e-5)
+
+
+def test_axial_symmetry_tag_is_gone():
+    with pytest.raises(ValueError, match="symmetry"):
+        integrate_k3(lambda kperp, kz: kz * 0.0, 1.0, symmetry="axial")
+
+
+def test_angular_average_chunks_match_one_radius_at_a_time():
+    """Enough radii to span several chunks at every order: each average
+    equals the one computed alone, and the exact mean r^2 / 3 of kx^2."""
+    rng = np.random.default_rng(31)
+    r = rng.uniform(0.1, 5.0, 3000)
+
+    def f(kx, ky, kz):
+        return kx * kx * (1.0 + 0.1 * np.cos(kz))
+
+    avg = _angular_average(lambda kx, ky, kz: kx * kx, r, 1e-8)
+    assert np.allclose(avg, r * r / 3.0, rtol=1e-12, atol=0.0)
+    together = _angular_average(f, r, 1e-8)
+    alone = [_angular_average(f, r[i:i + 1], 1e-8)[0]
+             for i in (0, 1000, 2999)]
+    assert together[[0, 1000, 2999]] == pytest.approx(alone, rel=1e-12,
+                                                       abs=0.0)
+
+
+def test_rough_angular_integrand_raises_nonconvergence():
+    """An angular structure finer than order 512 resolves must raise,
+    carrying the last averages and their change, not return them."""
+    def rough(kx, ky, kz):
+        return 1.0 + np.cos(3000.0 * kx)
+
+    with pytest.raises(NonConvergence) as exc:
+        _angular_average(rough, np.array([1.0, 2.0]), 1e-6)
+    assert np.all(np.isfinite(exc.value.estimate))
+    assert exc.value.error > 0
 
 
 def test_k3_cutoff_insensitivity():

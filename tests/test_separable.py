@@ -1,12 +1,15 @@
-"""Seeded randomized differential tests of the separable route: Cuboid
+"""Seeded randomized differential tests of the reduced routes: Cuboid
 and Multilayer force, two-body and torque spectra as products of 1D
-profile moments, checked against independent routes."""
+profile moments, cylinder two-body and torque at any tilt as sums of
+products of 1D moments, and the sphere two-body spectrum as one radial
+integral, each checked against an independent route."""
 
 import numpy as np
 import pytest
 
-from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Multilayer,
-                       PointLattice, QuadratureSpec, TwoBody,
+from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
+                       Multilayer, PointLattice, QuadratureSpec, Sphere,
+                       TwoBody,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum, form_factor)
 from cslbounds import cslnoise
@@ -14,15 +17,26 @@ from cslbounds.cslnoise import torque_pair_kernel_sum
 from cslbounds.quadrature import integrate_k3
 
 SHAPES = ["cuboid", "x", "y", "z"]
+# cylinders along x, along y and along two random axes
+CYLINDERS = ["cyl_x", "cyl_y", "cyl_tilt", "cyl_tilt2"]
 SPEC = QuadratureSpec()
 
 
 def random_body(shape, rng):
-    """A random Cuboid, or a two-material Multilayer stacked along shape;
-    every size lies between 0.2 and 2 um."""
+    """A random Cuboid, Sphere or Cylinder, or a two-material Multilayer
+    stacked along shape; every size lies between 0.2 and 2 um."""
     if shape == "cuboid":
         return Cuboid(10.0 ** rng.uniform(-14, -11),
                       *10.0 ** rng.uniform(-6.7, -5.7, 3))
+    if shape == "sphere":
+        return Sphere(10.0 ** rng.uniform(-14, -11),
+                      10.0 ** rng.uniform(-7, -6))
+    if shape in CYLINDERS:
+        axis = {"cyl_x": (1.0, 0.0, 0.0), "cyl_y": (0.0, 1.0, 0.0)}.get(
+            shape, tuple(rng.normal(size=3)))
+        return Cylinder(10.0 ** rng.uniform(-14, -11),
+                        10.0 ** rng.uniform(-7, -6),
+                        10.0 ** rng.uniform(-6.7, -5.7), axis)
     d1, d2 = 10.0 ** rng.uniform(-7.3, -6.7, 2)
     return Multilayer(int(rng.integers(2, 7)), d1, d2,
                       rng.uniform(1e4, 2e4), rng.uniform(1e3, 5e3),
@@ -73,18 +87,21 @@ def test_force_matches_quadrature_route(shape):
                      SPEC.rel_tol)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SHAPES + CYLINDERS)
 def test_torque_matches_generic_3d_route(shape):
-    rng = np.random.default_rng([22, SHAPES.index(shape)])
+    """Products of 1D moments, and for a cylinder sin^2 of its tilt times
+    the transverse value, against the generic 3D route."""
+    rng = np.random.default_rng([22, (SHAPES + CYLINDERS).index(shape)])
     g = random_body(shape, rng)
     p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
     assert_agree(csl_torque_spectrum(g, p),
                  csl_torque_spectrum(g, p, method="quadrature"), SPEC.rel_tol)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", SHAPES + ["sphere"] + CYLINDERS)
 def test_two_body_matches_generic_3d_integral(shape):
-    rng = np.random.default_rng([23, SHAPES.index(shape)])
+    rng = np.random.default_rng([23, (SHAPES + ["sphere"]
+                                      + CYLINDERS).index(shape)])
     g = random_body(shape, rng)
     p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
     a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
@@ -156,7 +173,7 @@ def test_multilayer_torque_matches_lattice_oracle(axis):
     g = Multilayer(4, d1, d2, 19300.0, rng.uniform(1e3, 5e3),
                    *10.0 ** rng.uniform(-6.2, -5.9, 2), axis)
     lat = multilayer_lattice(g, 16, 4)
-    assert lat.total_mass == pytest.approx(g.total_mass, rel=1e-12)
+    assert lat.total_mass == pytest.approx(g.total_mass, rel=1e-12, abs=0.0)
     p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(2e-7), -6.3))
     want = float(csl_torque_spectrum(g, p))
     ksum = torque_pair_kernel_sum(lat.positions, lat.masses, p.rC)
@@ -176,3 +193,52 @@ def test_multilayer_torque_avoids_generic_3d(axis, monkeypatch):
     for rC in (1e-7, 3e-7, 1e-6, 3e-6):
         s = csl_torque_spectrum(g, CollapseParams(1.0, rC))
         assert np.isfinite(float(s)) and float(s) > 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tilted_cylinder_torque_matches_quadrature_over_random_tilts(seed):
+    """Random axes, sizes and rC: the auto torque (sin^2 of the tilt
+    times the transverse product) against method="quadrature"."""
+    rng = np.random.default_rng([26, seed])
+    for _ in range(2):
+        g = random_body("cyl_tilt", rng)
+        p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
+        auto = csl_torque_spectrum(g, p)
+        assert float(auto) > 0.0
+        assert_agree(auto, csl_torque_spectrum(g, p, method="quadrature"),
+                     SPEC.rel_tol)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tilted_cylinder_two_body_over_random_tilts(seed):
+    """Random axes, sizes, separations and rC down to 2e-7: the sum of
+    products of 1D moments against the generic 3D integral."""
+    rng = np.random.default_rng([27, seed])
+    for _ in range(2):
+        g = random_body("cyl_tilt", rng)
+        p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(2e-7), -5.5))
+        a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
+        assert_agree(csl_force_spectrum_two_body(TwoBody(g, a), p),
+                     generic_two_body(g, p, a), SPEC.rel_tol)
+
+
+def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
+    """Sphere and cylinder two-body spectra at any axis, and cylinder
+    torque at any tilt, never reach integrate_k3, down to rC = 1e-8,
+    where the generic 3D route ran out of memory."""
+    def no_k3(*args, **kwargs):
+        raise AssertionError("integrate_k3 called")
+
+    monkeypatch.setattr(cslnoise, "integrate_k3", no_k3)
+    cylinders = [Cylinder(1e-14, 1e-7, 1e-6, axis)
+                 for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                              (0.3, 0.4, 0.866), (0.0, 0.6, 0.8))]
+    for rC in (1e-8, 1e-7, 1e-6, 1e-5):
+        p = CollapseParams(1.0, rC)
+        for unit in [Sphere(1e-12, 5e-7)] + cylinders:
+            s = csl_force_spectrum_two_body(TwoBody(unit, 3e-6), p)
+            assert np.isfinite(float(s)) and float(s) > 0.0
+        for g in cylinders[1:]:
+            s = csl_torque_spectrum(g, p)
+            assert np.isfinite(float(s)) and float(s) > 0.0
+        assert float(csl_torque_spectrum(cylinders[0], p)) == 0.0
