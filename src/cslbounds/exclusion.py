@@ -198,11 +198,14 @@ def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):
         spec = QuadratureSpec()
 
     jobs = [(rec, rC, spec, consts) for rC in rCs]
+    # the first point runs here, so the forked workers inherit whatever
+    # it imported (scipy.special) instead of each importing it again
+    results = [_scan_point(jobs[0])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_point, jobs, chunksize=4))
+            results += pool.map(_scan_point, jobs[1:], chunksize=4)
     else:
-        results = [_scan_point(job) for job in jobs]
+        results += [_scan_point(job) for job in jobs[1:]]
 
     lam = np.array([r[0] for r in results])
     err = np.array([r[1] for r in results])

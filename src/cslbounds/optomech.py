@@ -12,12 +12,14 @@ linearized-optomechanics result, which reduces exactly to (omega_m,
 gamma_m) when chi or |alpha|^2 vanishes.
 
 The Monte Carlo integrates the mechanical-only Langevin equations
-(cavity adiabatically eliminated) with Euler-Maruyama and estimates the
-displacement spectrum with a Welch periodogram normalized to the same
-double-sided convention: <x^2> = integral S_x(w) dw / 2pi.
+(cavity adiabatically eliminated) with semi-implicit Euler steps,
+propagated in blocks, and estimates the displacement spectrum with a
+Welch periodogram normalized to the same double-sided convention:
+<x^2> = integral S_x(w) dw / 2pi.
 """
 
 import hashlib
+import operator
 import struct
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -104,6 +106,15 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        for name in ("steps", "trajectories", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{value!r}") from None
+        if not 0 <= self.seed < 2 ** 63:
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.steps < 2 or self.trajectories < 1:
             raise ValueError("need steps >= 2 and trajectories >= 1")
 
@@ -268,14 +279,82 @@ def _trajectory_noise(sim):
     draws = np.empty((sim.trajectories, sim.steps))
     for i in range(sim.trajectories):
         gen = np.random.Generator(np.random.Philox(key=[sim.seed, i]))
-        draws[i] = gen.standard_normal(sim.steps)
+        gen.standard_normal(out=draws[i])
     return draws
+
+
+# steps per block of the propagated recursion (see _propagate)
+BLOCK = 128
+
+
+def _unit_responses(m, k_spring, gamma, dt, steps):
+    """The per-step recursion run from the unit starts (x, p) = (1, 0)
+    and (0, 1): h[j] is the 2 x 2 map A^j of j steps, j = 0..steps,
+    rows (x, p), columns the start."""
+    h = np.empty((steps + 1, 2, 2))
+    h[0] = np.eye(2)
+    x = np.array([1.0, 0.0])
+    pm = np.array([0.0, 1.0])
+    for j in range(1, steps + 1):
+        x = x + pm / m * dt
+        pm = pm + (-k_spring * x - gamma * pm) * dt
+        h[j] = x, pm
+    return h
+
+
+def _propagate(noise, m, k_spring, gamma, dt):
+    """Semi-implicit Euler from rest, propagated BLOCK steps at a time.
+
+    The step x += p/m dt, p += (-k x - gamma p) dt + noise is the linear
+    map s -> A s + e_p noise, so inside a block the state is its start
+    state through A^j plus the noise through the kick response A^d e_p.
+    The kick responses of all blocks are one product with the
+    triangular Toeplitz matrix of A^d e_p, written straight into the
+    (trajectories, steps) outputs; a loop over blocks then carries the
+    block-end states.  Equal to the per-step recursion up to
+    rounding.  Overwrites noise.  Returns (xs, ps).
+    """
+    xs = np.empty_like(noise)
+    ps = np.empty_like(noise)
+    n_traj, steps = noise.shape
+    h = _unit_responses(m, k_spring, gamma, dt, min(steps, BLOCK))
+    # kick[i, j] = A^(j-i) e_p: response at block step j to noise at i
+    lag = np.arange(h.shape[0] - 1)
+    lag = lag[None, :] - lag[:, None]
+    kick = np.where(lag[..., None] >= 0, h[np.maximum(lag, 0), :, 1], 0.0)
+
+    # (trajectories, blocks, block length) views: the whole blocks, then
+    # a shorter last block
+    full = steps - steps % BLOCK
+    pieces = [tuple(a[:, :full].reshape(n_traj, -1, BLOCK)
+                    for a in (noise, xs, ps))] if full else []
+    if full < steps:
+        pieces.append(tuple(a[:, None, full:] for a in (noise, xs, ps)))
+    start = np.zeros((n_traj, 2))
+    for noise3, xs3, ps3 in pieces:
+        n_blocks, length = noise3.shape[1:]
+        np.matmul(noise3, kick[:length, :length, 0], out=xs3)
+        np.matmul(noise3, kick[:length, :length, 1], out=ps3)
+        # each block starts where the last one ended: its forced end
+        # plus its own start carried through A^length
+        forced_ends = np.stack([xs3[:, :, -1], ps3[:, :, -1]], axis=-1)
+        starts = np.empty_like(forced_ends)
+        for b in range(n_blocks):
+            starts[:, b] = start
+            start = forced_ends[:, b] + start @ h[length].T
+        # noise is spent: reuse it for the homogeneous part
+        np.matmul(starts, h[1:length + 1, 0, :].T, out=noise3)
+        xs3 += noise3
+        np.matmul(starts, h[1:length + 1, 1, :].T, out=noise3)
+        ps3 += noise3
+    return xs, ps
 
 
 def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
                       free_particle=False, estimate_spectrum=True,
                       nperseg=None):
-    """Euler-Maruyama integration of the mechanical-only Langevin system.
+    """Semi-implicit Euler integration of the mechanical-only Langevin
+    system, from rest.
 
     dx = (p/m) dt
     dp = (-m w_m^2 x - g_m p) dt + dW,   S_W = 2 m g_m kB T + S_FF (white)
@@ -303,32 +382,24 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
     s_total = 2.0 * m * gamma * consts.kB * T + s_csl
 
     dt = sim.dt
-    sqrt_s_dt = np.sqrt(s_total * dt)
-    noise = _trajectory_noise(sim) * sqrt_s_dt
-
-    x = np.zeros(sim.trajectories)
-    pm = np.zeros(sim.trajectories)
-    xs = np.empty((sim.trajectories, sim.steps))
-    ps = np.empty((sim.trajectories, sim.steps))
+    noise = _trajectory_noise(sim)
+    noise *= np.sqrt(s_total * dt)
 
     guard = None
     if omega_m > 0 and s_total > 0 and gamma > 0:
         t_eff = T + s_csl / (2.0 * m * gamma * consts.kB)
         guard = 1e6 * np.sqrt(consts.kB * t_eff / (m * omega_m ** 2))
 
-    k_spring = m * omega_m ** 2
-    for n in range(sim.steps):
-        x = x + pm / m * dt
-        pm = pm + (-k_spring * x - gamma * pm) * dt + noise[:, n]
-        xs[:, n] = x
-        ps[:, n] = pm
-        if n % 256 == 0:
-            if not np.all(np.isfinite(pm)):
-                raise UnstableStep("trajectory diverged; reduce dt")
-            if guard is not None and np.any(np.abs(x) > guard):
-                raise UnstableStep(
-                    "displacement exceeded 1e6 x equilibrium spread; "
-                    "reduce dt")
+    # a divergent run overflows; it is reported as UnstableStep below
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ps = _propagate(noise, m, m * omega_m ** 2, gamma, dt)
+        del noise   # spent; freed before the Welch estimate
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
+            raise UnstableStep("trajectory diverged; reduce dt")
+        if guard is not None and max(xs.max(), -xs.min()) > guard:
+            raise UnstableStep(
+                "displacement exceeded 1e6 x equilibrium spread; "
+                "reduce dt")
 
     times = np.arange(sim.steps) * dt
 

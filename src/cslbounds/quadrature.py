@@ -16,6 +16,7 @@ results are combined with math.fsum, so the accumulated value does not
 depend on evaluation order.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,6 +164,16 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
         lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Read-only Gauss-Legendre nodes and weights of order n on [-1, 1]
+    (a dense eigenvalue solve, so computed once per order)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _angular_average(f, r, rel_tol):
     """Mean of f over the sphere at each radius in r, by order doubling.
 
@@ -175,7 +186,7 @@ def _angular_average(f, r, rel_tol):
     prev = None
     n = 16
     while True:
-        ct, wt = np.polynomial.legendre.leggauss(n)
+        ct, wt = _gauss_legendre(n)
         st = np.sqrt(1.0 - ct * ct)[:, None]
         phi = np.arange(n) * (2.0 * np.pi / n)
         ux, uy = st * np.cos(phi), st * np.sin(phi)

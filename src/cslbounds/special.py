@@ -2,7 +2,9 @@
 
 J0 and J1 come from scipy.special (Cephes-based ufuncs); bessel_j1 is a
 thin wrapper that keeps the scalar-in / scalar-out behavior of the rest
-of this module.
+of this module.  scipy.special is imported by the Bessel helpers on
+their first call, not here: it takes longer to import than the rest of
+the package, and commands that evaluate no Bessel function never load it.
 
 sinc-style helpers and the two-body averages of 1 - cos carry series
 fallbacks near zero to avoid cancellation.
@@ -11,9 +13,6 @@ fallbacks near zero to avoid cancellation.
 from math import factorial
 
 import numpy as np
-from scipy.special import j0 as _j0
-from scipy.special import j1 as _j1
-from scipy.special import spherical_jn as _spherical_jn
 
 
 def bessel_j1(x):
@@ -22,7 +21,8 @@ def bessel_j1(x):
     Accepts scalars or arrays; returns the same shape (a numpy float for
     a scalar).
     """
-    return _j1(np.asarray(x, dtype=float))
+    import scipy.special
+    return scipy.special.j1(np.asarray(x, dtype=float))
 
 
 def sinc(x):
@@ -67,11 +67,12 @@ def jinc_prime(x):
 
     Uses J1' = J0 - J1/x; series below |x| < 1e-4: -x/4 + x^3/48.
     """
+    import scipy.special
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)
     series = -x / 4.0 + x ** 3 / 48.0
-    full = 2.0 * (xs * _j0(xs) - 2.0 * bessel_j1(xs)) / (xs * xs)
+    full = 2.0 * (xs * scipy.special.j0(xs) - 2.0 * bessel_j1(xs)) / (xs * xs)
     return np.where(small, series, full)
 
 
@@ -102,22 +103,26 @@ def _series_below_1(x, coef, t_scale, full):
 
 def one_minus_j0(x):
     """1 - J0(x) = <1 - cos(x cos phi)> over phi in [0, 2 pi)."""
+    import scipy.special
     return _series_below_1(x, lambda k: (-1) ** (k + 1) / factorial(k) ** 2,
-                           0.25, lambda xs: 1.0 - _j0(xs))
+                           0.25, lambda xs: 1.0 - scipy.special.j0(xs))
 
 
 def ring_cos2_kernel(x):
     """1/2 - J0(x) + J1(x)/x = <cos^2 phi (1 - cos(x cos phi))>."""
+    import scipy.special
     return _series_below_1(
         x, lambda k: (-1) ** (k + 1) * (k + 0.5)
         / (factorial(k) * factorial(k + 1)), 0.25,
-        lambda xs: 0.5 - _j0(xs) + _j1(xs) / xs)
+        lambda xs: 0.5 - scipy.special.j0(xs) + scipy.special.j1(xs) / xs)
 
 
 def shell_cos2_kernel(x):
     """1 - j0(x) + 2 j2(x) = 3 <u^2 (1 - cos(x u))> over the unit sphere,
     u the cosine to a fixed axis; 3 x^2 / 10 - x^4 / 56 + ... ."""
+    import scipy.special
     return _series_below_1(
         x, lambda k: (-1) ** (k + 1) * 6 * (k + 1) * (2 * k + 1)
         / factorial(2 * k + 3), 1.0,
-        lambda xs: 1.0 - _spherical_jn(0, xs) + 2.0 * _spherical_jn(2, xs))
+        lambda xs: 1.0 - scipy.special.spherical_jn(0, xs)
+        + 2.0 * scipy.special.spherical_jn(2, xs))

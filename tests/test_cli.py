@@ -222,17 +222,42 @@ def test_console_script_installed():
     assert "PASS" in proc.stdout
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
-    """The runtime needs numpy and scipy.special only; scipy.signal and
-    the scipy.stats it pulls in would add about 0.6 s to every command."""
+def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    """The runtime needs numpy only until a Bessel function is evaluated:
+    scipy.signal and the scipy.stats it pulls in would add about 0.6 s to
+    every command, and scipy.special about 0.3 s.  The spectrum and
+    simulate commands on the shipped cantilever config evaluate none; the
+    first jinc call loads scipy.special."""
+    config = Path(cslbounds.__file__).resolve().parents[2] / "configs" \
+        / "cantilever_sphere.ini"
     code = ("import sys\n"
             "import cslbounds.cli\n"
-            "print(sorted(name for name in ('scipy.signal', 'scipy.stats')\n"
-            "             if name in sys.modules))\n")
+            "def loaded():\n"
+            "    names = ('scipy.signal', 'scipy.stats', 'scipy.special')\n"
+            "    return sorted(n for n in names if n in sys.modules)\n"
+            "print(loaded())\n"
+            "for cmd in ('spectrum', 'simulate'):\n"
+            "    assert cslbounds.cli.main([cmd, '--config', sys.argv[1],\n"
+            "                               '--out', sys.argv[2]]) == 0\n"
+            "print(loaded())\n"
+            "cslbounds.special.jinc(1.0)\n"
+            "print(loaded())\n")
     src = str(Path(cslbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code, str(config),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split("\n") == ["[]", "[]", "['scipy.special']", ""]
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2 ** 64)])
+def test_bad_simulation_seed_is_a_config_error(tmp_path, capsys, seed):
+    """A seed outside [0, 2^63) is rejected before anything is simulated
+    or written."""
+    conf = write(tmp_path, "c.ini", SIM_CONF.replace("seed = 11",
+                                                      f"seed = {seed}"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 2
+    assert "[simulation] seed" in capsys.readouterr().err
+    assert not (out / "trajectories.bin").exists()

@@ -200,6 +200,9 @@ geometry_radius_um = 0.5
      "temperature_mk = 100\n", "optomech"),
     ("[simulation]\ndt_us = nan\nsteps = 4096\n", "simulation"),
     ("[simulation]\ndt_us = inf\nsteps = 4096\n", "simulation"),
+    ("[simulation]\ndt_us = 1.5\nsteps = 4096\nseed = -3\n", "simulation"),
+    ("[simulation]\ndt_us = 1.5\nsteps = 4096\nseed = 18446744073709551616\n",
+     "simulation"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
                        band_hi="inf", extra=""), "experiment"),
     (EXPERIMENT.format(channel="temperature_shift", budget="budget_mk = 1",
@@ -209,7 +212,8 @@ geometry_radius_um = 0.5
                        band_hi="2", extra="d_phi_per_s = -1e-3"),
      "experiment"),
 ], ids=["optomech_inf_mass", "optomech_nan_gamma", "simulation_nan_dt",
-        "simulation_inf_dt", "experiment_inf_band",
+        "simulation_inf_dt", "simulation_negative_seed",
+        "simulation_seed_2_64", "experiment_inf_band",
         "experiment_nan_gamma", "experiment_negative_d_phi"])
 def test_rejected_value_is_a_config_error_naming_the_section(text, section):
     with pytest.raises(ConfigError, match=rf"^\[{section}\] "):

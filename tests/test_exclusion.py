@@ -1,8 +1,14 @@
 """Budget inversion, degenerate sentinels and the scan machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cslbounds
 from cslbounds import (CollapseParams, ColoredNoiseModel, Cylinder,
                        DegenerateBound, ExperimentRecord, Point, Sphere,
                        TwoBody, combine_exclusions, csl_force_spectrum,
@@ -116,6 +122,28 @@ def test_scan_deterministic_across_workers():
     assert np.array_equal(one.lambda_ub, four.lambda_ub)
     assert np.array_equal(one.errors, four.errors)
     assert one.status == four.status
+
+
+def test_parallel_scan_evaluates_first_point_in_caller():
+    """A parallel scan computes its first point before starting the pool,
+    so the workers inherit scipy.special (loaded by the cylinder's first
+    Bessel call) instead of each importing it."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from cslbounds import Cylinder, ExperimentRecord, "
+            "exclusion_scan\n"
+            "rec = ExperimentRecord(name='cyl', channel='torque',\n"
+            "                       geometry=Cylinder(1e-13, 2e-7, 1e-6),\n"
+            "                       budget=1e-54, band=(1e3, 1e4))\n"
+            "curve = exclusion_scan(rec, np.logspace(-8, -5, 4), workers=2)\n"
+            "print(curve.status, 'scipy.special' in sys.modules)\n")
+    src = str(Path(cslbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.strip() == "('ok', 'ok', 'ok', 'ok') True"
 
 
 def test_default_grid_brackets_conventional_value():

@@ -1,14 +1,23 @@
 """Analytic displacement spectrum limits and the Langevin Monte Carlo."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cslbounds
 
 from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        NonPositiveDamping, OptomechConfig, Point, SimConfig,
                        Sphere, UnstableStep, displacement_dns,
                        high_temperature_limit_check, read_trajectories,
                        simulate_langevin, write_trajectories)
-from cslbounds.optomech import thermal_force_term, welch
+from cslbounds.optomech import (BLOCK, _trajectory_noise, thermal_force_term,
+                                welch)
 
 GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
 SPHERE = Sphere(1e-12, 5e-7)
@@ -155,6 +164,105 @@ def test_determinism_and_trajectory_streams():
     assert not np.array_equal(a.xs[0], a.xs[1])
 
 
+def per_step_oracle(noise, m, k_spring, gamma, dt):
+    """The semi-implicit Euler recursion one step at a time, from rest:
+    the integrator simulate_langevin propagates in blocks."""
+    x = np.zeros(noise.shape[0])
+    pm = np.zeros(noise.shape[0])
+    xs = np.empty_like(noise)
+    ps = np.empty_like(noise)
+    for n in range(noise.shape[1]):
+        x = x + pm / m * dt
+        pm = pm + (-k_spring * x - gamma * pm) * dt + noise[:, n]
+        xs[:, n] = x
+        ps[:, n] = pm
+    return xs, ps
+
+
+@pytest.mark.parametrize("regime, zeta, trajectories, steps", [
+    ("underdamped", (1e-4, 1e-1), 24, 1000),
+    ("underdamped", (1e-4, 1e-1), 1, 3 * BLOCK),
+    ("near_critical", (0.7, 1.4), 1, 4 * BLOCK + 77),
+    ("overdamped", (3.0, 30.0), 24, BLOCK - 28),
+    ("overdamped", (3.0, 30.0), 3, 2),
+    ("free_particle", None, 24, 2 * BLOCK + 1),
+    ("free_particle", None, 1, 50),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_integrator_matches_per_step_recursion(regime, zeta,
+                                                     trajectories, steps,
+                                                     seed):
+    """Seeded random (m, omega_m, gamma_m, T, dt) in each damping regime,
+    step counts below, at and off multiples of the block length: the
+    trajectories equal the per-step recursion to 1e-12 x their RMS."""
+    rng = np.random.default_rng([seed, steps, trajectories])
+    m = 10.0 ** rng.uniform(-15.0, -9.0)
+    omega_m = 2.0 * np.pi * 10.0 ** rng.uniform(2.0, 5.0)
+    dt = 10.0 ** rng.uniform(-3.0, -1.0) / omega_m
+    free = zeta is None
+    gamma = 0.0 if free else 2.0 * omega_m * rng.uniform(*zeta)
+    # explicit damping update stays stable: gamma dt < 2
+    gamma = min(gamma, 1.0 / dt)
+    cfg = OptomechConfig(m=m, omega_m=omega_m, gamma_m=gamma,
+                         T=10.0 ** rng.uniform(-3.0, 2.0))
+    sim = SimConfig(dt=dt, steps=steps, trajectories=trajectories,
+                    seed=int(rng.integers(2 ** 63)))
+    p = GRW if free else CollapseParams(0.0, GRW_RC)
+    res = simulate_langevin(cfg, p, SPHERE, sim, free_particle=free,
+                            estimate_spectrum=False)
+    noise = _trajectory_noise(sim) * np.sqrt(res.force_psd_total * dt)
+    k_spring = 0.0 if free else m * omega_m ** 2
+    want = per_step_oracle(noise, m, k_spring, gamma, dt)
+    for got, ref in zip((res.xs, res.ps), want):
+        rms = np.sqrt(np.mean(ref ** 2))
+        assert rms > 0
+        assert np.max(np.abs(got - ref)) <= 1e-12 * rms
+
+
+def test_simulation_memory_stays_near_outputs():
+    """Peak traced memory of a 24 x 131072 run stays within 4.2 x one
+    trajectory-sized array: the noise and the two outputs, plus little."""
+    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=24, seed=42)
+    tracemalloc.start()
+    try:
+        simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
+                          SPHERE, sim, estimate_spectrum=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * sim.trajectories * sim.steps * 8
+
+
+def test_trajectories_independent_of_blas_threads():
+    """trajectories.bin of the shipped cantilever simulation is
+    bit-identical with one and two BLAS threads."""
+    root = Path(cslbounds.__file__).resolve().parents[2]
+    code = ("import hashlib, sys, tempfile, os\n"
+            "from cslbounds import simulate_langevin, write_trajectories\n"
+            "from cslbounds.config import load_config\n"
+            "text, inp = load_config(sys.argv[1])\n"
+            "res = simulate_langevin(inp.optomech, inp.collapse,\n"
+            "                        inp.geometry, inp.simulation,\n"
+            "                        spec=inp.quadrature)\n"
+            "path = os.path.join(tempfile.mkdtemp(), 'traj.bin')\n"
+            "write_trajectories(path, res, config_text=text)\n"
+            "print(hashlib.sha256(open(path, 'rb').read()).hexdigest())\n")
+    src = str(Path(cslbounds.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             str(root / "configs" / "cantilever_sphere.ini")],
+            env=env, capture_output=True, text=True, timeout=120,
+            check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+    assert len(out[0].strip()) == 64
+
+
 def test_unstable_step_raises():
     # gamma dt > 2 makes the explicit damping update divergent while the
     # oscillation itself stays resolved
@@ -185,6 +293,23 @@ def test_optomech_config_rejects_non_finite(field, value):
 def test_sim_config_rejects_non_finite_dt(dt):
     with pytest.raises(ValueError, match="finite"):
         SimConfig(dt=dt, steps=100)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("seed", -3, "seed"), ("seed", 2 ** 63, "seed"), ("seed", 2 ** 64, "seed"),
+    ("seed", 1.0, "integer"), ("steps", 100.5, "integer"),
+    ("trajectories", 2.0, "integer"), ("steps", "100", "integer"),
+])
+def test_sim_config_rejects_bad_seeds_and_counts(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{"dt": 1e-6, "steps": 100, field: value})
+
+
+def test_sim_config_accepts_numpy_integers():
+    sim = SimConfig(dt=1e-6, steps=np.int64(100), trajectories=np.int32(2),
+                    seed=np.uint64(2 ** 63 - 1))
+    assert (sim.steps, sim.trajectories, sim.seed) == (100, 2, 2 ** 63 - 1)
+    assert type(sim.seed) is int
 
 
 def test_trajectory_roundtrip(tmp_path):
