@@ -201,8 +201,8 @@ def _parse_grid(sec):
     n = sec.integer("points")
     spacing = sec.word("spacing", choices={"log", "linear"}, required=False,
                        default="log")
-    if not (0 <= lo < hi) or n < 2:
-        raise ConfigError("[grid] need 0 <= omega_min < omega_max and "
+    if not (0 <= lo < hi < np.inf) or n < 2:
+        raise ConfigError("[grid] need 0 <= omega_min < omega_max < inf and "
                           "points >= 2")
     if spacing == "log":
         if lo <= 0:
@@ -234,6 +234,11 @@ def _parse_experiment(sec, name):
     rc_min = sec.quantity("rc_min", _LENGTH, required=False, default=1e-9)
     rc_max = sec.quantity("rc_max", _LENGTH, required=False, default=1e-3)
     n = sec.integer("rc_points", required=False)
+    if not 0 < rc_min < rc_max < np.inf:
+        sec._fail("rc_min", "need 0 < rc_min < rc_max < inf, got "
+                  f"{rc_min!r} and {rc_max!r}")
+    if n is not None and n < 2:
+        sec._fail("rc_points", f"need at least 2 points, got {n}")
     if n is None:
         grid = default_rc_grid(rc_min, rc_max)
     else:
@@ -324,14 +329,7 @@ def parse_inputs(text):
         raise
     except ValueError as exc:   # a constructor rejected a value
         raise ConfigError(f"[{name}] {exc}") from exc
-    _validate_cross(inputs)
     return inputs
-
-
-def _validate_cross(inputs):
-    for rec, grid in inputs.experiments:
-        if grid is not None and np.any(np.diff(grid) <= 0):
-            raise ConfigError("experiment rc grid must be increasing")
 
 
 def config_hash(text):

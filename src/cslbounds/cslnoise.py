@@ -11,8 +11,9 @@ The k-space integral is reduced as far as each geometry allows: fully
 closed-form Gaussian pair kernels for point lattices; for Cuboid and
 Multilayer (any stacking axis) a product of Gaussian moments of their
 three 1D axis profiles, in force, two-body and torque alike; sums of
-products of axial and radial 1D moments for cylinders at any tilt; one
-radial integral for spheres.  The generic 3D quadrature serves only
+products of the moments of a slab and a disc profile for cylinders at
+any tilt (all profile moments come from _profile_moment); one radial
+integral for spheres.  The generic 3D quadrature serves only
 point lattices and torque under method="quadrature".  README.md
 tabulates the route of each geometry and channel.
 """
@@ -24,13 +25,13 @@ from typing import Optional
 import numpy as np
 
 from .constants import CONSTANTS
-from .geometry import (AxisProfile, Cylinder, Point, PointLattice, Sphere,
-                       TwoBody, form_factor, form_factor_angular_derivative,
-                       separable_profiles)
+from .geometry import (AxisProfile, Cylinder, DiscProfile, Point,
+                       PointLattice, Sphere, TwoBody, form_factor,
+                       form_factor_angular_derivative, separable_profiles)
 from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
-from .special import (bessel_j1, jinc, jinc_prime, one_minus_j0,
-                      ring_cos2_kernel, shell_cos2_kernel, sinc,
-                      sphere_kernel)
+from .special import (bessel_j1, one_minus_j0, ring_cos2_kernel,
+                      shell_cos2_kernel, sphere_kernel)
+from .special import sinc  # noqa: F401  perfbench's tracer test wraps it here
 
 __all__ = [
     "CollapseParams", "ColoredNoiseModel", "SpectralValue",
@@ -59,8 +60,9 @@ class ColoredNoiseModel:
         if self.family not in ("white", "lorentzian_cutoff"):
             raise ValueError(f"unknown colored-noise family {self.family!r}")
         if self.family == "lorentzian_cutoff":
-            if self.omega_c is None or not self.omega_c > 0:
-                raise ValueError("lorentzian_cutoff requires omega_c > 0")
+            if self.omega_c is None or not 0 < self.omega_c < np.inf:
+                raise ValueError("lorentzian_cutoff requires a finite "
+                                 "omega_c > 0")
 
     def filter(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -283,68 +285,78 @@ def _combine_product(factors):
     return value, abs(value) * rel_err
 
 
-def _profile_moment(prof, kind, rC, spec, closed_form=True, a=0.0):
-    """Gaussian moment of a 1D axis profile P over the whole k line.
+def _one_minus_cos(x):
+    """1 - cos x, written 2 sin^2(x/2) to keep its precision near 0."""
+    return 2.0 * np.sin(x / 2.0) ** 2
 
-    kind: "M0" int |P|^2, "M2" int k^2 |P|^2, "D0" int |P'|^2,
-    "C1" int k Re(P P'*), "T" int k^2 |P|^2 (1 - cos ak) for a
-    separation a, each weighted by e^{-k^2 rC^2}.  The density is real,
-    so every integrand is even and the imaginary part of P P'*
-    integrates to zero.  A slab's M0, M2 and T have closed forms, used
-    when closed_form is set; every other moment is a 1D quadrature.
-    Returns (value, error).
+
+def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
+                    abs_tol=0.0):
+    """Gaussian moment of a profile P, optionally times a separation
+    kernel h(s k).
+
+    kind: "M0", "M1", "M2" int k^n |P|^2, "D0" int |P'|^2 and "C1"
+    int k Re(P P'*), each weighted by e^{-k^2 rC^2}.  An AxisProfile is
+    integrated over the whole k line, a DiscProfile over its k plane
+    (int 2 pi k dk, returned without the factor pi, so its weight gains
+    one power of k).  The density is real, so every integrand is even
+    and the imaginary part of P P'* integrates to zero.  A slab's M0 and
+    M2, and its M2 with h = 1 - cos (the two-body factor along the
+    separation), have closed forms, used when closed_form is set; every
+    other moment is one 1D quadrature, with an absolute target of at
+    least abs_tol for moments that change sign.  Returns (value, error).
     """
-    if prof.layers is None and closed_form:
-        if kind == "T":
-            return _two_body_x_gauss(prof.length, a, rC)
-        if kind in ("M0", "M2"):
+    if closed_form and isinstance(prof, AxisProfile) and prof.layers is None:
+        if kind == "M2" and h is _one_minus_cos:
+            return _two_body_x_gauss(prof.length, s, rC)
+        if kind in ("M0", "M2") and h is None:
             return _sinc_sq_gauss(prof.length, rC,
                                   weight_power=2 if kind == "M2" else 0)
-    length = prof.length
-    if kind == "D0":
-        def f(k):
+    plane = isinstance(prof, DiscProfile)
+    power = {"M1": 1, "M2": 2, "C1": plane}.get(kind, 0) + plane
+
+    def f(k):
+        if kind == "D0":
             return np.abs(prof.derivative(k)) ** 2
-    elif kind == "C1":
-        def f(k):
-            return np.real(k * prof.transform(k)
+        if kind == "C1":   # on a line the k multiplies inside the product
+            return np.real((1.0 if plane else k) * prof.transform(k)
                            * np.conj(prof.derivative(k)))
-    elif kind == "T":
-        length = max(length, a)
+        return np.abs(prof.transform(k)) ** 2
 
-        def f(k):
-            return np.abs(prof.transform(k)) ** 2 * (1.0 - np.cos(a * k))
-    else:
-        def f(k):
-            return np.abs(prof.transform(k)) ** 2
-    return _gauss_1d(f, rC, spec, length,
-                     weight_power=2 if kind in ("M2", "T") else 0)
+    if abs_tol > spec.abs_tol:
+        spec = replace(spec, abs_tol=abs_tol)
+    return _gauss_1d(f if h is None else lambda k: f(k) * h(s * k), rC, spec,
+                     max(prof.length, s), power)
 
 
-def _torque_combination(terms, spec):
-    """a1 b1 + a2 b2 - 2 a3 b3, the three-term torque integral of a body
-    separable across the rotation axis, with first-order error
-    propagation.  terms(spec) returns the six (value, error) pairs
-    (a1, b1, a2, b2, a3, b3) at the 1D tolerance of spec.
+def _torque_bracket(py, pz, rC, spec, closed_form=True):
+    """M2_y D0_z + D0_y M2_z - 2 C1_y C1_z: the torque integral across
+    the rotation (x) axis of a body whose transform there is the product
+    of the profiles py and pz, with first-order error propagation.
 
     The products cancel at leading order in (size / rC)^2 when rC is
     large.  When that leaves an error above spec.rel_tol of the result,
-    the terms are evaluated once more with every 1D tolerance tightened
-    by the cancellation, provided that asks for no less than 1e-11.
+    the moments are evaluated once more with every 1D tolerance
+    tightened by the cancellation, provided that asks for no less than
+    1e-11.  Returns (value, error).
     """
-    def combine(pairs):
-        (a1, e1), (b1, f1), (a2, e2), (b2, f2), (a3, e3), (b3, f3) = pairs
+    def bracket(s):
+        (a1, e1), (b1, f1), (a2, e2), (b2, f2), (a3, e3), (b3, f3) = (
+            _profile_moment(prof, kind, rC, s, closed_form)
+            for prof, kind in ((py, "M2"), (pz, "D0"), (py, "D0"),
+                               (pz, "M2"), (py, "C1"), (pz, "C1")))
         return (a1 * b1 + a2 * b2 - 2.0 * a3 * b3,
                 abs(e1 * b1) + abs(a1 * f1) + abs(e2 * b2) + abs(a2 * f2)
                 + 2.0 * (abs(e3 * b3) + abs(a3 * f3)),
                 abs(a1 * b1) + abs(a2 * b2) + 2.0 * abs(a3 * b3))
 
-    value, err, size = combine(terms(spec))
+    value, err, size = bracket(spec)
     if err <= spec.rel_tol * abs(value):
         return value, err
     tight = spec.rel_tol * abs(value) / size if size else 0.0
     if tight < 1e-11:
         return value, err
-    return combine(terms(replace(spec, rel_tol=tight)))[:2]
+    return bracket(replace(spec, rel_tol=tight))[:2]
 
 
 def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
@@ -353,23 +365,19 @@ def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
     geometry.separable_profiles) as a product of 1D profile moments:
 
         force     M2_x M0_y M0_z
-        two_body  T_x M0_y M0_z
+        two_body  T_x M0_y M0_z, T = M2 with h = 1 - cos(a k)
         torque    M0_x (M2_y D0_z + D0_y M2_z - 2 C1_y C1_z)
     """
     scale, (px, py, pz) = sep
-
-    def moments(s, *wanted):
-        return [_profile_moment(prof, kind, p.rC, s, closed_form, a)
-                for prof, kind in wanted]
-
+    rC = p.rC
     if channel == "torque":
-        yz = _torque_combination(lambda s: moments(
-            s, (py, "M2"), (pz, "D0"), (py, "D0"), (pz, "M2"), (py, "C1"),
-            (pz, "C1")), spec)
-        factors = moments(spec, (px, "M0")) + [yz]
+        factors = [_profile_moment(px, "M0", rC, spec, closed_form),
+                   _torque_bracket(py, pz, rC, spec, closed_form)]
     else:
-        factors = moments(spec, (px, "T" if channel == "two_body" else "M2"),
-                          (py, "M0"), (pz, "M0"))
+        h = _one_minus_cos if channel == "two_body" else None
+        factors = [_profile_moment(px, "M2", rC, spec, closed_form, h, a)] \
+            + [_profile_moment(prof, "M0", rC, spec, closed_form)
+               for prof in (py, pz)]
     val, err = _combine_product(factors)
     pref = _prefactor(p, consts)
     return SpectralValue(pref * scale * scale * val,
@@ -467,11 +475,8 @@ def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
         val = consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum
         return SpectralValue(val)
 
-    # far-separated regime: cos(a k_x) oscillates much faster than any
-    # structure of the envelope, so its integral is negligible (relative
-    # size ~ max(rC, L) / a) and the differential spectrum saturates at
-    # the single-unit value
-    if a > 1e7 * max(rC, unit.largest_dimension):
+    saturated = a >= _saturation_separation(unit, rC)
+    if saturated and not isinstance(unit, Sphere):
         return csl_force_spectrum(unit, p, spec=spec, consts=consts)
 
     sep = separable_profiles(unit)
@@ -480,73 +485,100 @@ def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
 
     if isinstance(unit, Cylinder):
         return _cylinder_spectrum(unit, p, spec, consts, a)
-    if not isinstance(unit, Sphere):
-        raise TypeError(f"unsupported geometry {type(unit).__name__}")
     # <k_x^2 (1 - cos a k_x)> over directions is k^2 (1 - j0(ak) +
-    # 2 j2(ak)) / 3, which leaves one radial integral
-    val, err = _gauss_1d(lambda k: 2.0 * np.pi / 3.0 * shell_cos2_kernel(
-        a * k) * sphere_kernel(k * unit.R) ** 2, rC, spec,
-        max(2.0 * unit.R, a), weight_power=4)
+    # 2 j2(ak)) / 3, which leaves one radial integral; saturated, the
+    # bracket is 1 and the integral the single-sphere force
+    shell, s = (np.ones_like, 0.0) if saturated else (shell_cos2_kernel, a)
+    val, err = _gauss_1d(lambda k: 2.0 * np.pi / 3.0 * shell(s * k)
+                         * sphere_kernel(k * unit.R) ** 2, rC, spec,
+                         max(2.0 * unit.R, s), weight_power=4)
     scale = pref * unit.m * unit.m
     return SpectralValue(scale * val, scale * err)
+
+
+def _saturation_separation(unit, rC):
+    """Separation from which a two-body spectrum equals the single-unit
+    force spectrum to 1e-12 of its value: X + c rC, with X the unit's
+    extent along x and c = sqrt(8 ln(6 sqrt(pi) m^3 / 1e-12)),
+    m = max(1, 2 X / (pi rC)); c = 15.5 up to X = pi rC / 2, then
+    growing like sqrt(24 ln m) (c = 20 at X = 1200 rC).
+
+    Derivation.  The dropped cross term is the single-unit integrand
+    times cos(a k_x).  With g the Gaussian of variance rC^2 per axis,
+    e^{-k^2 rC^2} = |g~|^2, so by Parseval both are sums over the lines
+    (y, z) along x of the autocorrelation of f = q * g1' (g1 the x factor
+    of g) at lag a and at lag 0, where q >= 0 is the density smoothed
+    over y and z by g, supported on an interval of length X; it suffices
+    to bound each line's ratio.  With Q = int q, the cross term is
+    int int q(u) q(v) C(a + u - v) du dv, C = -G'' the autocorrelation of
+    g1', G(t) = e^{-t^2/4rC^2} / (2 rC sqrt(pi)); for d = a - X >= sqrt(6)
+    rC, |C(t)| <= G(d) d^2 / 4rC^4 for every t >= d.  The lag-0 term is
+    int |q~|^2 k^2 e^{-k^2 rC^2} dk / 2 pi with |q~(k)| >= Q cos(kX/2);
+    over |k| <= K = min(pi / 2X, 1 / rC), where cos^2 >= 1/2 and the
+    Gaussian >= 1/e, it is at least Q^2 K^3 / (6 pi e).  The ratio is
+    then at most 3 e sqrt(pi) m^3 y e^{-y} <= 6 sqrt(pi) m^3 e^{-y/2},
+    y = d^2 / 4rC^2, which is below 1e-12 once d >= c rC.
+    """
+    if isinstance(unit, Sphere):
+        extent = 2.0 * unit.R
+    elif isinstance(unit, Cylinder):
+        extent = abs(unit.axis[0]) * unit.L \
+            + 2.0 * unit.R * math.hypot(unit.axis[1], unit.axis[2])
+    else:
+        sep = separable_profiles(unit)
+        if sep is None:
+            raise TypeError(f"unsupported geometry {type(unit).__name__}")
+        extent = sep[1][0].length
+    log_m = math.log(max(1.0, 2.0 * extent / (math.pi * rC)))
+    return extent + rC * math.sqrt(
+        8.0 * (math.log(6.0 * math.sqrt(math.pi) / 1e-12) + 3.0 * log_m))
 
 
 def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
     """Spectrum of a cylinder at any tilt, F = jinc(k_perp R) sinc(k_par
     L/2): force (a None) or two-body (separation a), each a sum of
-    products of moments along the axis (whole k_par line, weight sinc^2
-    e^{..}) and across it (int 2 pi k_perp dk_perp, weight jinc^2 e^{..}).
-    With c, s the cosine and sine of the tilt to x, A = a c k_par and
-    B = a s k_perp, the phi average (README.md) gives c^2 M2 Q1 + s^2 M0
-    Q3 / 2 (Qn = int k^n) for the force and c^2 [T Q1 + (M2 - T) Q1m] +
-    s^2 [P0m Q3 / 2 + (M0 - P0m) Q3h] + 2 c s P1s Q2J1 for the two-body,
-    with T, P0m, P1s = int (k^2 (1 - cos A), 1 - cos A, k sin A) and Q1m,
-    Q3h, Q2J1 = int (k (1 - J0(B)), k^3 (1/2 - J0 + J1/B), k^2 J1).  P1s
-    and Q2J1 alone change sign; bounded by Cauchy-Schwarz (sin^2 A <=
-    2 (1 - cos A), J1^2 <= 1 - J0), they get an absolute target set by
-    the other terms.
+    products of moments Mn of its slab profile and Qn of its disc
+    profile (_profile_moment).  With c, s the cosine and sine of the
+    tilt to x, the phi average (README.md) gives c^2 M2 Q0 + s^2 M0 Q2 / 2
+    for the force and c^2 [T Q0 + (M2 - T) Q0m] + s^2 [P0m Q2 / 2 +
+    (M0 - P0m) Q2h] + 2 c s P1s Q1J1 for the two-body, where T, P0m, P1s
+    are M2, M0 times 1 - cos(a c k) and M1 times sin(a c k), and Q0m,
+    Q2h, Q1J1 are Q0 times 1 - J0(a s k), Q2 times the ring kernel
+    1/2 - J0 + J1/x and Q1 times J1(a s k).  P1s and Q1J1 alone change
+    sign; bounded by Cauchy-Schwarz (sin^2 <= 2 (1 - cos), J1^2 <=
+    1 - J0), they get an absolute target set by the other terms.
     """
     rC = p.rC
     c, s = abs(g.axis[0]), math.hypot(g.axis[1], g.axis[2])
     ac, as_ = (a or 0.0) * c, (a or 0.0) * s
-    slab = AxisProfile(g.L)
-    m0, m2 = (_profile_moment(slab, kind, rC, spec, closed_form)
-              for kind in ("M0", "M2"))
+    slab, disc = AxisProfile(g.L), DiscProfile(g.R)
 
-    def axial(f, abs_tol):
-        return _gauss_1d(lambda k: sinc(k * g.L / 2.0) ** 2 * f(k), rC,
-                         replace(spec, abs_tol=max(spec.abs_tol, abs_tol)),
-                         max(g.L, ac))
+    def moment(prof, kind, h=None, abs_tol=0.0):
+        return _profile_moment(prof, kind, rC, spec, closed_form, h,
+                               ac if prof is slab else as_, abs_tol)
 
-    def radial(power, f=None, abs_tol=0.0):
-        # int_0^K k^power 2 pi jinc^2 f e^{-k^2 rC^2} dk
-        def h(k):
-            v = np.pi * jinc(k * g.R) ** 2
-            return v if f is None else v * f(as_ * k)
-        return _gauss_1d(h, rC, replace(spec, abs_tol=max(spec.abs_tol,
-                                                          abs_tol)),
-                         max(2.0 * g.R, as_), weight_power=power)
-
-    q1, q3 = radial(1), radial(3)
+    m0, m2, q0, q2 = (moment(slab, "M0"), moment(slab, "M2"),
+                      moment(disc, "M0"), moment(disc, "M2"))
     if a is None:
-        terms = [(c * c, m2, q1), (s * s / 2.0, m0, q3)]
+        terms = [(c * c, m2, q0), (s * s / 2.0, m0, q2)]
     else:
-        t = _two_body_x_gauss(g.L, ac, rC)
-        p0m = axial(lambda k: 2.0 * np.sin(ac * k / 2.0) ** 2, 0.0)
-        q1m, q3h = radial(1, one_minus_j0), radial(3, ring_cos2_kernel)
-        terms = [(c * c, t, q1), (c * c, (m2[0] - t[0], m2[1] + t[1]), q1m),
-                 (s * s / 2.0, p0m, q3),
-                 (s * s, (m0[0] - p0m[0], m0[1] + p0m[1]), q3h)]
+        t, p0m = moment(slab, "M2", _one_minus_cos), \
+            moment(slab, "M0", _one_minus_cos)
+        q0m, q2h = moment(disc, "M0", one_minus_j0), \
+            moment(disc, "M2", ring_cos2_kernel)
+        terms = [(c * c, t, q0), (c * c, (m2[0] - t[0], m2[1] + t[1]), q0m),
+                 (s * s / 2.0, p0m, q2),
+                 (s * s, (m0[0] - p0m[0], m0[1] + p0m[1]), q2h)]
         if c * s > 0.0:
             nonneg = max(sum(w * x[0] * y[0] for w, x, y in terms), 0.0)
             target = spec.rel_tol * nonneg / (8.0 * c * s)
-            p1s = axial(lambda k: k * np.sin(ac * k),
-                        target / math.sqrt(q3[0] * q1m[0]))
-            q2j1 = radial(2, bessel_j1,
+            p1s = moment(slab, "M1", np.sin,
+                         target / math.sqrt(q2[0] * q0m[0]))
+            q1j1 = moment(disc, "M1", bessel_j1,
                           target / math.sqrt(2.0 * m2[0] * p0m[0]))
-            terms.append((2.0 * c * s, p1s, q2j1))
+            terms.append((2.0 * c * s, p1s, q1j1))
     products = [(w, _combine_product([x, y])) for w, x, y in terms]
-    scale = _prefactor(p, consts) * g.m * g.m
+    scale = _prefactor(p, consts) * g.m * g.m * np.pi
     return SpectralValue(scale * sum(w * v for w, (v, _) in products),
                          scale * sum(w * e for w, (_, e) in products))
 
@@ -580,10 +612,15 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
 
     if isinstance(g, Cylinder) and method == "auto":
         # |(x^ x k) . grad mu| = |k . (n x x^)| |F_par - k_par F_perp /
-        # k_perp|: sin^2 of the tilt times the value for an axis normal to x
+        # k_perp|: sin^2 of the tilt times the value for an axis normal to
+        # x, the torque bracket of the disc and slab profiles halved by
+        # the phi average; the slab's M2 is integrated like its D0 and C1
         sin2 = g.axis[1] ** 2 + g.axis[2] ** 2   # 0 spinning about the axis
-        s = _cylinder_torque_transverse(g, p, spec, consts)
-        return SpectralValue(sin2 * s, sin2 * s.error)
+        total, err = _torque_bracket(DiscProfile(g.R), AxisProfile(g.L), rC,
+                                     spec, closed_form=False)
+        scale = pref * g.m * g.m * np.pi
+        return SpectralValue(sin2 * (scale * (0.5 * total)),
+                             sin2 * (scale * (0.5 * err)))
 
     sep = separable_profiles(g)
     if sep is not None and method == "auto":
@@ -598,35 +635,6 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
     val, err = integrate_k3(f3, rC, spec, symmetry="none",
                             oscillation_scale=g.largest_dimension or None)
     return SpectralValue(pref * val, pref * err)
-
-
-def _cylinder_torque_transverse(g, p, spec, consts):
-    """Cylinder torque as if its axis were normal to the rotation (x) axis.
-
-    With f = jinc(kperp R) and the slab profile g = sinc(kz L/2), the
-    phi-averaged squared angular derivative is the three-term torque
-    combination of radial moments of f with the slab's D0, M2 and C1:
-    kperp^3 f^2 x D0 + kperp f'^2 x M2 - 2 kperp^2 f f' x C1.
-    """
-    pref = _prefactor(p, consts)
-    rC, m, R = p.rC, g.m, g.R
-    slab = AxisProfile(g.L)
-
-    def terms(s):
-        # the radial integrals int_0^K are half of _gauss_1d's
-        return (
-            _gauss_1d(lambda k: 0.5 * jinc(k * R) ** 2, rC, s, 2 * R, 3),
-            _profile_moment(slab, "D0", rC, s),
-            _gauss_1d(lambda k: 0.5 * (R * jinc_prime(k * R)) ** 2, rC, s,
-                      2 * R, 1),
-            _profile_moment(slab, "M2", rC, s, closed_form=False),
-            _gauss_1d(lambda k: 0.5 * jinc(k * R) * (R * jinc_prime(k * R)),
-                      rC, s, 2 * R, 2),
-            _profile_moment(slab, "C1", rC, s))
-
-    total, err = _torque_combination(terms, spec)
-    val = pref * m * m * np.pi * total
-    return SpectralValue(val, pref * m * m * np.pi * err)
 
 
 # ---------------------------------------------------------------------------

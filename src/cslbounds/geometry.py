@@ -8,7 +8,8 @@ so that mu_tilde(0) equals the total mass.  The angular-derivative
 combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
 rotational noise about the x axis, is analytic for every shape.
 Cuboid and Multilayer are separable: their transform is a product of
-three 1D axis profiles (separable_profiles).
+three 1D axis profiles (separable_profiles).  A cylinder's is the
+product of a slab profile along its axis and a disc profile across it.
 
 All evaluators are pure and accept vectorized k components.
 """
@@ -289,6 +290,25 @@ class AxisProfile:
                               + 1j * c * sinc(k * d / 2.0)) \
                 * np.exp(1j * k * c)
         return out
+
+
+@dataclass(frozen=True)
+class DiscProfile:
+    """Transform P(k) = jinc(kR) of a cylinder of radius R across its
+    axis, integrated over that k plane; length is the diameter."""
+
+    R: float
+
+    @property
+    def length(self):
+        return 2.0 * self.R
+
+    def transform(self, k):
+        return jinc(k * self.R)
+
+    def derivative(self, k):
+        """dP/dk."""
+        return self.R * jinc_prime(k * self.R)
 
 
 def separable_profiles(g):

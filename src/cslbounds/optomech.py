@@ -171,15 +171,15 @@ def default_effective_model(cfg, omega, consts=CONSTANTS):
     return omega_eff_sq, gamma_eff
 
 
-def susceptibility_denominator(cfg, omega, effective_model=None,
-                               consts=CONSTANTS):
-    """|d(w)|^2 = (w_eff^2 - w^2)^2 + g_eff^2 w^2.
+def susceptibility_denominator(cfg, omega, consts=CONSTANTS):
+    """|d(w)|^2 = (w_eff^2 - w^2)^2 + g_eff^2 w^2, with (w_eff, g_eff)
+    from default_effective_model.
 
     Raises NonPositiveDamping if the effective damping is nonpositive
     anywhere on the grid.
     """
-    model = effective_model or default_effective_model
-    omega_eff_sq, gamma_eff = model(cfg, omega, consts=consts)
+    omega_eff_sq, gamma_eff = default_effective_model(cfg, omega,
+                                                      consts=consts)
     if np.any(gamma_eff <= 0):
         raise NonPositiveDamping(
             "effective damping nonpositive on the grid; the configuration "
@@ -188,8 +188,8 @@ def susceptibility_denominator(cfg, omega, effective_model=None,
     return (omega_eff_sq - omega ** 2) ** 2 + gamma_eff ** 2 * omega ** 2
 
 
-def displacement_dns(cfg, p, g, omegas, spec=None, effective_model=None,
-                     consts=CONSTANTS, components=False):
+def displacement_dns(cfg, p, g, omegas, spec=None, consts=CONSTANTS,
+                     components=False):
     """Analytic displacement noise spectrum on the given grid (m^2 s).
 
     The CSL force spectrum is evaluated once for (g, p) and reused across
@@ -198,7 +198,7 @@ def displacement_dns(cfg, p, g, omegas, spec=None, effective_model=None,
     "csl"} additive parts.
     """
     omegas = np.asarray(omegas, dtype=float)
-    d2 = susceptibility_denominator(cfg, omegas, effective_model, consts)
+    d2 = susceptibility_denominator(cfg, omegas, consts)
     m2 = cfg.m ** 2
 
     backaction = np.zeros_like(omegas)
@@ -405,8 +405,13 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
 
     spectrum = None
     if estimate_spectrum:
-        freqs, psd = welch(xs, 1.0 / dt, nperseg)
-        psd = psd.mean(axis=0)
+        # one trajectory at a time, so the windowed segments and their
+        # transforms never exist for all trajectories at once
+        psd = 0.0
+        for x in xs:
+            freqs, one = welch(x, 1.0 / dt, nperseg)
+            psd = psd + one
+        psd /= len(xs)
         # one-sided per-Hz -> double-sided per (rad/s via dw/2pi measure)
         omegas = 2.0 * np.pi * freqs[1:]
         spectrum = NoiseSpectrum(omegas, psd[1:] / 2.0, "displacement")

@@ -44,13 +44,18 @@ class QuadratureSpec:
     cutoff_factor: float = 8.0
 
     def __post_init__(self):
+        if not all(0 <= t < math.inf for t in (self.rel_tol, self.abs_tol)):
+            raise ValueError("rel_tol and abs_tol must be finite and "
+                             "nonnegative")
         if not (self.rel_tol > 0 or self.abs_tol > 0):
             raise ValueError("need rel_tol > 0 or abs_tol > 0")
-        if self.cutoff_factor < 5:
-            raise ValueError("cutoff_factor below 5 truncates the Gaussian "
-                             "tail too aggressively")
-        if self.max_evals < 15:
-            raise ValueError("max_evals too small for a single panel")
+        if not 5 <= self.cutoff_factor < math.inf:
+            raise ValueError("cutoff_factor must be finite and at least 5; "
+                             "below 5 truncates the Gaussian tail too "
+                             "aggressively")
+        if not 15 <= self.max_evals < math.inf:
+            raise ValueError("max_evals must be finite and at least 15, "
+                             "one panel")
 
 
 class NonConvergence(RuntimeError):

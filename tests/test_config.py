@@ -211,10 +211,35 @@ geometry_radius_um = 0.5
     (EXPERIMENT.format(channel="temperature_shift", budget="budget_mk = 1",
                        band_hi="2", extra="d_phi_per_s = -1e-3"),
      "experiment"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="rc_min_m = 0"), "experiment"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="rc_max_m = inf"), "experiment"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="rc_min_m = -1e-9"), "experiment"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="rc_min_m = 1e-6\nrc_max_m = 1e-7"),
+     "experiment"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="rc_points = 0"), "experiment"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="rc_points = 1"), "experiment"),
+    ("[grid]\nomega_min_rad_s = 1\nomega_max_rad_s = inf\npoints = 2\n",
+     "grid"),
+    ("[quadrature]\ncutoff_factor = inf\n", "quadrature"),
+    ("[quadrature]\nabs_tol = -1\n", "quadrature"),
+    (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
+                       band_hi="2", extra="colored = lorentzian_cutoff\n"
+                       "omega_c_rad_s = inf"), "experiment"),
 ], ids=["optomech_inf_mass", "optomech_nan_gamma", "simulation_nan_dt",
         "simulation_inf_dt", "simulation_negative_seed",
         "simulation_seed_2_64", "experiment_inf_band",
-        "experiment_nan_gamma", "experiment_negative_d_phi"])
+        "experiment_nan_gamma", "experiment_negative_d_phi",
+        "experiment_zero_rc_min", "experiment_inf_rc_max",
+        "experiment_negative_rc_min", "experiment_rc_min_above_rc_max",
+        "experiment_zero_rc_points", "experiment_one_rc_point",
+        "grid_inf_omega_max", "quadrature_inf_cutoff",
+        "quadrature_negative_abs_tol", "experiment_inf_omega_c"])
 def test_rejected_value_is_a_config_error_naming_the_section(text, section):
     with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
         parse_inputs(BASIC + text)

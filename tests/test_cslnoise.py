@@ -251,6 +251,9 @@ def test_colored_filter_properties():
         ColoredNoiseModel("pink")
     with pytest.raises(ValueError):
         ColoredNoiseModel("lorentzian_cutoff")
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite omega_c"):
+            ColoredNoiseModel("lorentzian_cutoff", omega_c=bad)
 
 
 def test_temperature_shift_value_and_validation():

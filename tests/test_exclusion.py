@@ -152,6 +152,13 @@ def test_default_grid_brackets_conventional_value():
     assert np.all(np.diff(np.log(grid)) > 0)
 
 
+@pytest.mark.parametrize("rc_min, rc_max", [
+    (0.0, 1e-3), (1e-9, np.inf), (-1e-9, 1e-3), (1e-3, 1e-9), (np.nan, 1e-3)])
+def test_default_grid_rejects_bad_bounds(rc_min, rc_max):
+    with pytest.raises(ValueError, match="rc_min < rc_max"):
+        default_rc_grid(rc_min, rc_max)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         sphere_record(budget=-1.0)

@@ -233,6 +233,33 @@ def test_simulation_memory_stays_near_outputs():
     assert peak <= 4.2 * sim.trajectories * sim.steps * 8
 
 
+def test_spectrum_estimate_memory_is_per_trajectory():
+    """With the Welch estimate, the peak stays within 3.5 x one
+    trajectory-sized array: the estimate works one trajectory at a
+    time, so it adds little to the integrator's noise and outputs."""
+    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=24, seed=42)
+    tracemalloc.start()
+    try:
+        res = simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
+                                SPHERE, sim, nperseg=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.spectrum is not None
+    assert peak <= 3.5 * sim.trajectories * sim.steps * 8
+
+
+def test_spectrum_estimate_is_the_mean_of_per_trajectory_welch():
+    sim = SimConfig(dt=1.5e-6, steps=8192, trajectories=3, seed=7)
+    res = simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
+                            SPHERE, sim, nperseg=1024)
+    freqs, psd = welch(res.xs, 1.0 / sim.dt, 1024)
+    np.testing.assert_allclose(res.spectrum.values,
+                               psd.mean(axis=0)[1:] / 2.0, rtol=1e-12)
+    np.testing.assert_allclose(res.spectrum.omegas, 2.0 * np.pi * freqs[1:],
+                               rtol=0.0)
+
+
 def test_trajectories_independent_of_blas_threads():
     """trajectories.bin of the shipped cantilever simulation is
     bit-identical with one and two BLAS threads."""

@@ -60,6 +60,16 @@ def test_spec_validation():
         QuadratureSpec(cutoff_factor=2.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"cutoff_factor": math.inf}, {"cutoff_factor": math.nan},
+    {"abs_tol": -1.0}, {"abs_tol": math.inf}, {"rel_tol": math.inf},
+    {"rel_tol": math.nan}, {"max_evals": math.inf}, {"max_evals": math.nan},
+    {"max_evals": 14}])
+def test_spec_rejects_non_finite_or_negative(kwargs):
+    with pytest.raises(ValueError):
+        QuadratureSpec(**kwargs)
+
+
 def test_k3_isotropic_gaussian_moment():
     # int d^3k e^{-k^2 rC^2} k_x^2 with angular average k^2/3:
     # = (1/3) * 4pi int k^4 e^{-k^2 rC^2} dk = pi^{3/2} / (2 rC^5)

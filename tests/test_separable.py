@@ -4,6 +4,9 @@ profile moments, cylinder two-body and torque at any tilt as sums of
 products of 1D moments, and the sphere two-body spectrum as one radial
 integral, each checked against an independent route."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -242,3 +245,121 @@ def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
             s = csl_torque_spectrum(g, p)
             assert np.isfinite(float(s)) and float(s) > 0.0
         assert float(csl_torque_spectrum(cylinders[0], p)) == 0.0
+
+
+def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
+    """Every 1D integral of the force, two-body and torque spectra of a
+    Cuboid, a Multilayer and a Cylinder (along x, along y, tilted) is a
+    profile moment: integrate_1d is only ever called from inside
+    _profile_moment."""
+    from cslbounds import quadrature
+    calls = []
+
+    def checked(orig):
+        def integrate_1d(*args, **kwargs):
+            frame, callers = sys._getframe(1), []
+            while frame is not None:
+                callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            assert "_profile_moment" in callers, callers
+            calls.append(callers[0])
+            return orig(*args, **kwargs)
+        return integrate_1d
+
+    monkeypatch.setattr(cslnoise, "integrate_1d",
+                        checked(cslnoise.integrate_1d))
+    monkeypatch.setattr(quadrature, "integrate_1d",
+                        checked(quadrature.integrate_1d))
+    bodies = [Cuboid(1e-12, 1e-6, 2e-6, 3e-6),
+              Multilayer(4, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 2e-6, "x"),
+              Multilayer(4, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 2e-6, "z")]
+    bodies += [Cylinder(1e-14, 1e-7, 1e-6, axis)
+               for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                            (0.3, 0.4, 0.866))]
+    for rC in (1e-7, 1e-6):
+        p = CollapseParams(1.0, rC)
+        for g in bodies:
+            csl_force_spectrum(g, p)
+            csl_force_spectrum(g, p, method="quadrature")
+            csl_force_spectrum_two_body(TwoBody(g, 3e-6), p)
+            csl_torque_spectrum(g, p)
+    assert len(calls) > 100
+
+
+FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
+
+
+def test_far_two_body_multilayer_saturates():
+    """A 1 m baseline at rC = 1e-9 is the single-unit force: the bound is
+    ok, not NonConvergence after 1e8 evaluations of 1 - cos(a k)."""
+    from cslbounds import ExperimentRecord, lambda_upper_bound
+    p = CollapseParams(1.0, 1e-9)
+    got = csl_force_spectrum_two_body(TwoBody(FAR_UNIT, 1.0), p)
+    want = csl_force_spectrum(FAR_UNIT, p)
+    assert abs(float(got) - float(want)) <= SPEC.rel_tol * float(want)
+    rec = ExperimentRecord("far", TwoBody(FAR_UNIT, 1.0),
+                           "force_two_body", 1e-30, (1.0, 2.0))
+    lam, rel_err = lambda_upper_bound(rec, 1e-9)
+    assert lam > 0.0 and rel_err <= SPEC.rel_tol
+
+
+@pytest.mark.parametrize("unit", [
+    FAR_UNIT, Sphere(1e-12, 5e-7),
+    Cylinder(1e-14, 1e-7, 1e-6, (0.3, 0.5, 0.66 ** 0.5))],
+    ids=["multilayer_x", "sphere", "tilted_cylinder"])
+@pytest.mark.parametrize("rC", [1e-8, 1e-7, 1e-6])
+def test_two_body_saturation_threshold(unit, rC, monkeypatch):
+    """Just past the saturation separation, the two-body route (forced by
+    an infinite threshold) agrees with the saturated single-unit value to
+    its 1e-12 bound plus the reported quadrature errors."""
+    spec = QuadratureSpec(rel_tol=1e-10)
+    p = CollapseParams(1.0, rC)
+    a = cslnoise._saturation_separation(unit, rC) * (1.0 + 1e-4)
+    saturated = csl_force_spectrum_two_body(TwoBody(unit, a), p, spec)
+    single = csl_force_spectrum(unit, p, spec)
+    assert abs(float(saturated) - float(single)) <= \
+        1e-12 * float(single) + saturated.error + single.error
+    monkeypatch.setattr(cslnoise, "_saturation_separation",
+                        lambda unit, rC: np.inf)
+    full = csl_force_spectrum_two_body(TwoBody(unit, a), p, spec)
+    assert abs(float(full) - float(saturated)) <= \
+        1e-12 * float(saturated) + full.error + saturated.error
+
+
+def test_saturation_separation_extents():
+    """X + c rC with X the extent along x, c at least 15.5."""
+    rC = 1e-6
+    c_min = np.sqrt(8.0 * np.log(6.0 * np.sqrt(np.pi) / 1e-12))
+    assert c_min == pytest.approx(15.49, abs=0.01)
+    cases = [(Cuboid(1.0, 1e-7, 2.0, 3.0), 1e-7),
+             (Multilayer(3, 1e-7, 2e-7, 1.0, 2.0, 5.0, 6.0, "x"), 4e-7),
+             (Multilayer(3, 1e-7, 2e-7, 1.0, 2.0, 1e-7, 6.0, "y"), 1e-7),
+             (Sphere(1.0, 1e-7), 2e-7),
+             (Cylinder(1.0, 1e-7, 3e-7, (1.0, 0.0, 0.0)), 3e-7),
+             (Cylinder(1.0, 1e-7, 3.0, (0.0, 1.0, 0.0)), 2e-7),
+             (Cylinder(1.0, 1e-7, 3e-7, (0.6, 0.8, 0.0)),
+              0.6 * 3e-7 + 0.8 * 2e-7)]
+    for unit, extent in cases:
+        got = cslnoise._saturation_separation(unit, rC)
+        assert got == pytest.approx(extent + c_min * rC, rel=1e-12)
+
+
+def test_space_two_body_config_saturates(monkeypatch):
+    """The shipped space_two_body scan is the single-unit force at every
+    rC, so its exclusion.csv does not depend on the two-body routes."""
+    from cslbounds.config import load_config
+    from cslbounds.exclusion import exclusion_scan
+
+    separable = cslnoise._separable_spectrum
+
+    def force_only(sep, channel, *args, **kwargs):
+        assert channel == "force", "two-body route taken"
+        return separable(sep, channel, *args, **kwargs)
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    _, inputs = load_config(os.path.join(root, "configs",
+                                         "space_two_body.ini"))
+    (rec, grid), = inputs.experiments
+    monkeypatch.setattr(cslnoise, "_separable_spectrum", force_only)
+    curve = exclusion_scan(rec, grid[::10], inputs.quadrature)
+    assert set(curve.status) == {"ok"}
