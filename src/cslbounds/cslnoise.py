@@ -26,8 +26,9 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .geometry import (AxisProfile, Cylinder, DiscProfile, Point,
-                       PointLattice, Sphere, TwoBody, form_factor,
-                       form_factor_angular_derivative, separable_profiles)
+                       PointLattice, Sphere, TwoBody, _check_positive,
+                       form_factor, form_factor_angular_derivative,
+                       separable_profiles)
 from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
 from .special import (bessel_j1, one_minus_j0, ring_cos2_kernel,
                       shell_cos2_kernel, sphere_kernel)
@@ -105,42 +106,97 @@ def _prefactor(p, consts):
 
 # ---------------------------------------------------------------------------
 # closed-form Gaussian pair kernels (point lattices; also the oracles)
+#
+# With c = 1/(2 rC^2), every pair kernel is c times a polynomial in the
+# coordinate differences times G = e^{-c d^2/2}: (1 - c dx^2) G for the
+# force, the same at dx and dx -+ a for the two-body pair, and
+# (y_i y_j + z_i z_j - c (z_i dy - y_i dz)^2) G for the torque.  The
+# factor c is applied once to the finished sum.
 
-_TILE = 512
+_TILE = 128
+_EXP_FLOOR = -700.0
 
 
-def _pair_sum(positions, masses, kernel):
-    """sum_ij m_i m_j kernel_ij over all ordered pairs of points.
+def _gaussian(d2, scale, keep):
+    """e^{-scale d2}, written over d2; keep is a boolean scratch array.
 
-    The sum runs over square tiles of at most _TILE x _TILE pairs.
-    Every kernel is symmetric under i <-> j, so only tiles on or above
-    the block diagonal are evaluated and those off the diagonal count
-    twice: N^2/2 kernel evaluations, with memory fixed by the tile size
-    whatever N is.  kernel(i, j, dx, dy, dz) receives the row and column
-    slices of the tile and the 2D coordinate differences x_i - x_j etc.,
-    and returns the tile's kernel matrix.  Each tile is reduced by
-    einsum, which uses no BLAS, so the value does not depend on the BLAS
-    thread count.
+    Exponents below _EXP_FLOOR give exactly 0: they are clamped to it, so
+    that no exp returns a subnormal (about 100x slower than a normal
+    result), and the clamped entries are multiplied by 0.  With x the
+    exponent's magnitude, a dropped force or two-body term is at most
+    2x e^{-x} times c, and a dropped torque term at most (2x + 1) e^{-x}
+    times c r_i r_j (r the distance from the x axis), so below 1.4e-301
+    of the scale of a diagonal term for x > 700.  Clamping without the
+    zeroing would leave e^{-700} times a polynomial with no bound.
     """
-    x, y, z = positions.T
+    np.multiply(d2, -scale, out=d2)
+    np.greater_equal(d2, _EXP_FLOOR, out=keep)
+    np.maximum(d2, _EXP_FLOOR, out=d2)
+    np.exp(d2, out=d2)
+    np.multiply(d2, keep, out=d2)
+    return d2
+
+
+def _pair_sum(lat, kernel):
+    """sum_ij m_i m_j K_ij over all ordered pairs of points of lat.
+
+    The sum runs over square tiles of at most _TILE x _TILE pairs, in
+    tile order.  Every kernel is symmetric under i <-> j, so only tiles
+    on or above the block diagonal are evaluated and those off the
+    diagonal count twice: N^2/2 kernel evaluations in a fixed workspace
+    of seven tile-sized arrays, whatever N is.  Each tile's differences
+    x_i - x_j etc. are taken in physical coordinates, exact for nearby
+    points however far the lattice sits from the origin, and
+    rho2 = dy^2 + dz^2 is formed once.  kernel(i, j, tile, keep) receives
+    the row and column slices, tile = (dx, dy, dz, rho2, w0, w1, w2) (the
+    last three scratch; dy and dz may be overwritten once read) and a
+    boolean scratch array, and returns the tile's kernel matrix.  Each
+    tile is reduced by two einsum matrix-vector products, which use no
+    BLAS, so the value does not depend on the BLAS thread count.
+    """
+    x, y, z = (np.ascontiguousarray(c) for c in lat.positions.T)
+    masses = lat.masses
     n = masses.size
+    work = np.empty((7, _TILE, _TILE))
+    keep = np.empty((_TILE, _TILE), dtype=bool)
     total = 0.0
     for i0 in range(0, n, _TILE):
         i = slice(i0, i0 + _TILE)
+        ni = min(_TILE, n - i0)
         for j0 in range(i0, n, _TILE):
             j = slice(j0, j0 + _TILE)
-            dx = x[i, None] - x[None, j]
-            dy = y[i, None] - y[None, j]
-            dz = z[i, None] - z[None, j]
-            s = float(np.einsum("i,j,ij->", masses[i], masses[j],
-                                kernel(i, j, dx, dy, dz)))
+            nj = min(_TILE, n - j0)
+            tile = work[:, :ni, :nj]
+            dx, dy, dz, rho2, w0 = tile[:5]
+            np.subtract(x[i, None], x[None, j], out=dx)
+            np.subtract(y[i, None], y[None, j], out=dy)
+            np.subtract(z[i, None], z[None, j], out=dz)
+            np.square(dy, out=rho2)
+            np.square(dz, out=w0)
+            rho2 += w0
+            k = kernel(i, j, tile, keep[:ni, :nj])
+            s = float(np.einsum("i,i->", masses[i],
+                                np.einsum("ij,j->i", k, masses[j])))
             total += s if j0 == i0 else 2.0 * s
     return total
 
 
-def _as_lattice(positions, masses):
-    return (np.atleast_2d(np.asarray(positions, dtype=float)),
-            np.atleast_1d(np.asarray(masses, dtype=float)))
+def _force_kernel(dx, rho2, c, keep, out, u):
+    """(1 - c dx^2) e^{-c (dx^2 + rho2) / 2} into out; u is scratch."""
+    np.square(dx, out=u)
+    np.add(u, rho2, out=out)
+    _gaussian(out, 0.5 * c, keep)
+    np.multiply(u, -c, out=u)
+    u += 1.0
+    out *= u
+    return out
+
+
+def _as_lattice(positions, masses, rC):
+    """The points as a PointLattice, which checks them, after checking
+    rC."""
+    _check_positive(rC=rC)
+    return PointLattice(positions, masses)
 
 
 def force_pair_kernel_sum(positions, masses, rC):
@@ -148,60 +204,80 @@ def force_pair_kernel_sum(positions, masses, rC):
 
     This is the k-space integral of the force spectrum carried out
     analytically for point masses; multiply by hbar^2 lam / m0^2 to get
-    S_FF.
+    S_FF.  Raises ValueError for a non-positive or non-finite rC and for
+    positions and masses PointLattice would reject.
     """
-    positions, masses = _as_lattice(positions, masses)
-    inv2rc2 = 1.0 / (2.0 * rC * rC)
+    lat = _as_lattice(positions, masses, rC)
+    c = 1.0 / (2.0 * rC * rC)
 
-    def kernel(i, j, dx, dy, dz):
-        dx2 = dx * dx
-        d2 = dx2 + dy * dy + dz * dz
-        return inv2rc2 * (1.0 - dx2 * inv2rc2) * np.exp(-d2 * inv2rc2 / 2.0)
+    def kernel(i, j, tile, keep):
+        dx, _, _, rho2, w0, w1, _ = tile
+        return _force_kernel(dx, rho2, c, keep, w0, w1)
 
-    return _pair_sum(positions, masses, kernel)
+    return c * _pair_sum(lat, kernel)
 
 
 def two_body_pair_kernel_sum(positions, masses, rC, a):
     """Differential-pair kernel for two identical units separated by a
-    along x: K(d) - [K(d + a x) + K(d - a x)] / 2 summed over unit pairs."""
-    positions, masses = _as_lattice(positions, masses)
-    inv2rc2 = 1.0 / (2.0 * rC * rC)
+    along x: K(d) - [K(d + a x) + K(d - a x)] / 2 summed over unit pairs.
 
-    def k(dx, rho2):
-        dx2 = dx * dx
-        return inv2rc2 * (1.0 - dx2 * inv2rc2) \
-            * np.exp(-(dx2 + rho2) * inv2rc2 / 2.0)
+    Raises ValueError as force_pair_kernel_sum does, and for a separation
+    TwoBody would reject.
+    """
+    lat = _as_lattice(positions, masses, rC)
+    TwoBody(lat, a)   # checks the separation
+    c = 1.0 / (2.0 * rC * rC)
 
-    def kernel(i, j, dx, dy, dz):
-        rho2 = dy * dy + dz * dz
-        return k(dx, rho2) - 0.5 * (k(dx + a, rho2) + k(dx - a, rho2))
+    def kernel(i, j, tile, keep):
+        # dy and dz are free once rho2 is formed: they hold dx +- a
+        dx, dy, dz, rho2, k0, kpm, u = tile
+        _force_kernel(dx, rho2, c, keep, k0, u)
+        np.add(dx, a, out=dy)
+        _force_kernel(dy, rho2, c, keep, kpm, u)
+        np.subtract(dx, a, out=dz)
+        kpm += _force_kernel(dz, rho2, c, keep, dy, u)
+        kpm *= 0.5
+        k0 -= kpm
+        return k0
 
-    return _pair_sum(positions, masses, kernel)
+    return c * _pair_sum(lat, kernel)
 
 
 def torque_pair_kernel_sum(positions, masses, rC):
     """Analytic pair sum for the rotational (about x) spectrum.
 
     Equals the k-space torque integral for point masses; multiply by
-    hbar^2 lam / m0^2 to get the torque spectral density.
+    hbar^2 lam / m0^2 to get the torque spectral density.  The kernel
+    z_i z_j (h - q dy^2) + y_i y_j (h - q dz^2) + (z_i y_j + y_i z_j) q dy dz
+    with h = 1/2rC^2 and q = 1/4rC^4 is evaluated as
+    h (y_i y_j + z_i z_j) - q (z_i dy - y_i dz)^2, whose last term uses the
+    exact differences and so does not cancel at large offsets as
+    y_i z_j - z_i y_j would.  Raises ValueError as force_pair_kernel_sum
+    does.
     """
-    positions, masses = _as_lattice(positions, masses)
-    a = rC * rC
-    half_a = 1.0 / (2.0 * a)
-    quarter_a2 = 1.0 / (4.0 * a * a)
-    y = positions[:, 1]
-    z = positions[:, 2]
+    lat = _as_lattice(positions, masses, rC)
+    c = 1.0 / (2.0 * rC * rC)
+    y = np.ascontiguousarray(lat.positions[:, 1])
+    z = np.ascontiguousarray(lat.positions[:, 2])
 
-    def kernel(i, j, dx, dy, dz):
-        d2 = dx * dx + dy * dy + dz * dz
-        gauss = np.exp(-d2 / (4.0 * a))
-        yi, zi = y[i, None], z[i, None]
-        yj, zj = y[None, j], z[None, j]
-        return gauss * (zi * zj * (half_a - dy * dy * quarter_a2)
-                        + yi * yj * (half_a - dz * dz * quarter_a2)
-                        + (zi * yj + yi * zj) * dy * dz * quarter_a2)
+    def kernel(i, j, tile, keep):
+        dx, dy, dz, rho2, g, w, p = tile
+        np.square(dx, out=g)
+        g += rho2
+        _gaussian(g, 0.5 * c, keep)
+        np.multiply(dy, z[i, None], out=w)
+        np.multiply(dz, y[i, None], out=p)
+        w -= p
+        w *= w
+        w *= c
+        np.multiply(y[i, None], y[None, j], out=p)
+        np.multiply(z[i, None], z[None, j], out=dy)
+        p += dy
+        p -= w
+        p *= g
+        return p
 
-    return _pair_sum(positions, masses, kernel)
+    return c * _pair_sum(lat, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -338,11 +338,11 @@ def broadcast_sums(pos, m, rC, a):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0])
-@pytest.mark.parametrize("n", [1, 511, 512, 513, 1500])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 511, 512, 513, 1500])
 def test_pair_sums_match_broadcast_formulas(n, offset):
     """Upper-triangle tiles agree with the full broadcast on random
-    lattices; the offset matters for the torque, which is not
-    translation-invariant."""
+    lattices on both sides of the 128-point tile; the offset matters for
+    the torque, which is not translation-invariant."""
     rng = np.random.default_rng([n, int(offset * 1e3)])
     rC = 10.0 ** rng.uniform(-9.0, -5.0)
     extent = rC * 10.0 ** rng.uniform(-0.5, 1.0)
@@ -360,6 +360,60 @@ def test_pair_sums_match_broadcast_formulas(n, offset):
         want_tb, rel=1e-10, abs=0.0)
 
 
+def test_pair_sums_match_broadcast_formulas_past_the_underflow():
+    """A lattice 100 rC wide with a = 80 rC: the exponents of far pairs,
+    and of the shifted two-body terms, fall below -700, where the tiles
+    set the Gaussian to exactly 0 instead of a subnormal."""
+    rng = np.random.default_rng(97)
+    rC, n = 1e-7, 400
+    a = 80.0 * rC
+    pos = rng.uniform(-50.0 * rC, 50.0 * rC, (n, 3))
+    m = 1e-20 * rng.uniform(0.5, 1.5, n)
+    d = pos[:, None, :] - pos[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", d, d)
+    assert np.any(d2 / (4.0 * rC * rC) > 700.0)
+    assert np.any(((d[..., 0] + a) ** 2 + d2 - d[..., 0] ** 2)
+                  / (4.0 * rC * rC) > 700.0)
+    want_f, want_t, want_tb = broadcast_sums(pos, m, rC, a)
+    assert force_pair_kernel_sum(pos, m, rC) == pytest.approx(
+        want_f, rel=1e-12, abs=0.0)
+    assert torque_pair_kernel_sum(pos, m, rC) == pytest.approx(
+        want_t, rel=1e-12, abs=0.0)
+    assert two_body_pair_kernel_sum(pos, m, rC, a) == pytest.approx(
+        want_tb, rel=1e-10, abs=0.0)
+
+
+PAIR_SUMS = {
+    "force": lambda pos, m, rC, a: force_pair_kernel_sum(pos, m, rC),
+    "torque": lambda pos, m, rC, a: torque_pair_kernel_sum(pos, m, rC),
+    "two_body": two_body_pair_kernel_sum,
+}
+
+
+@pytest.mark.parametrize("which", sorted(PAIR_SUMS))
+@pytest.mark.parametrize("rC", [0.0, -1e-7, np.nan, np.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_pair_sums_reject_bad_rC(which, rC):
+    # were: ZeroDivisionError, a positive sum, nan and 0.0
+    pos = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="rC"):
+        PAIR_SUMS[which](pos, np.ones(2), rC, 1e-7)
+
+
+@pytest.mark.parametrize("which", sorted(PAIR_SUMS))
+def test_pair_sums_reject_mismatched_lattice(which):
+    # was a broadcast error from inside einsum
+    with pytest.raises(ValueError, match="positions"):
+        PAIR_SUMS[which](np.zeros((3, 3)), np.ones(2), 1e-7, 1e-7)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -1e-7])
+def test_two_body_pair_sum_rejects_bad_separation(a):
+    # a NaN separation returned nan
+    with pytest.raises(ValueError, match="separation a"):
+        two_body_pair_kernel_sum(np.zeros((2, 3)), np.ones(2), 1e-7, a)
+
+
 def test_two_body_point_matches_broadcast_formula():
     rC, a = 1e-7, 1.7e-7
     got = float(csl_force_spectrum_two_body(TwoBody(Point(CONSTANTS.m0), a),
@@ -371,14 +425,17 @@ def test_two_body_point_matches_broadcast_formula():
 
 
 def test_pair_sum_independent_of_blas_threads():
-    """A 2000-point force sum is bit-identical with one and two BLAS
-    threads."""
+    """2000-point force, torque and two-body sums are bit-identical with
+    one and two BLAS threads."""
     code = ("import numpy as np\n"
-            "from cslbounds.cslnoise import force_pair_kernel_sum\n"
+            "from cslbounds.cslnoise import (force_pair_kernel_sum,\n"
+            "    torque_pair_kernel_sum, two_body_pair_kernel_sum)\n"
             "rng = np.random.default_rng(11)\n"
             "pos = rng.uniform(-5e-7, 5e-7, (2000, 3))\n"
             "m = 1e-20 * rng.uniform(0.5, 1.5, 2000)\n"
-            "print(repr(force_pair_kernel_sum(pos, m, 1e-7)))\n")
+            "print(repr(force_pair_kernel_sum(pos, m, 1e-7)))\n"
+            "print(repr(torque_pair_kernel_sum(pos, m, 1e-7)))\n"
+            "print(repr(two_body_pair_kernel_sum(pos, m, 1e-7, 3e-7)))\n")
     src = str(Path(cslbounds.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
@@ -390,7 +447,7 @@ def test_pair_sum_independent_of_blas_threads():
                               check=True)
         out.append(proc.stdout)
     assert out[0] == out[1]
-    assert float(out[0]) > 0.0
+    assert all(float(v) > 0.0 for v in out[0].split())
 
 
 @pytest.mark.parametrize("lam, rC", [
