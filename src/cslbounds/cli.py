@@ -39,6 +39,8 @@ def _fmt(x):
 
 def _resolve_threads(args):
     if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         return args.threads
     env = os.environ.get("CSLBOUNDS_THREADS")
     if env:
@@ -317,7 +319,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--svg", action="store_true", help="also write an SVG")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker processes (default: CSLBOUNDS_THREADS "
+                    help="worker threads (default: CSLBOUNDS_THREADS "
                          "or 1)")
 
     sp = sub.add_parser("simulate", help="Langevin Monte Carlo")

@@ -293,7 +293,12 @@ def _gauss_1d(f, rC, spec, length_scale=None, weight_power=0):
         val = np.asarray(f(k), dtype=float)
         if weight_power:
             val = val * k ** weight_power
-        return val * np.exp(-(k * rC) ** 2)
+        weight = np.multiply(k, rC)   # e^{-(k rC)^2}, built in place
+        np.square(weight, out=weight)
+        np.negative(weight, out=weight)
+        np.exp(weight, out=weight)
+        weight *= val
+        return weight
 
     val, err = integrate_1d(integrand, 0.0, kmax, spec.rel_tol, spec.abs_tol,
                             spec.max_evals, max_panel_width=width)
@@ -366,6 +371,14 @@ def _one_minus_cos(x):
     return 2.0 * np.sin(x / 2.0) ** 2
 
 
+def _abs_sq(p):
+    """|p|^2 of a freshly computed transform, squared in place when it is
+    real (a slab or a disc); a layer stack's complex one takes np.abs."""
+    if np.iscomplexobj(p):
+        p = np.abs(p)
+    return np.square(p, out=p)
+
+
 def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
                     abs_tol=0.0):
     """Gaussian moment of a profile P, optionally times a separation
@@ -393,11 +406,11 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
 
     def f(k):
         if kind == "D0":
-            return np.abs(prof.derivative(k)) ** 2
+            return _abs_sq(prof.derivative(k))
         if kind == "C1":   # on a line the k multiplies inside the product
             return np.real((1.0 if plane else k) * prof.transform(k)
                            * np.conj(prof.derivative(k)))
-        return np.abs(prof.transform(k)) ** 2
+        return _abs_sq(prof.transform(k))
 
     if abs_tol > spec.abs_tol:
         spec = replace(spec, abs_tol=abs_tol)

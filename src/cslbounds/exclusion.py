@@ -10,7 +10,7 @@ budgets.  Scanning rC on a log grid yields the exclusion curve; the
 pointwise minimum over experiments is the combined bound.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -187,9 +187,12 @@ def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):
 
     Per-point failures are recorded in the curve status and the scan
     continues; partial curves are valid outputs.  workers > 1 evaluates
-    grid points in parallel processes; results are merged by index, so
-    the output does not depend on the worker count.
+    grid points in a pool of at most that many threads (numpy and scipy
+    release the GIL in their array kernels); results are merged in grid
+    order, so the output does not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if rCs is None:
         rCs = default_rc_grid()
     rCs = np.asarray(rCs, dtype=float)
@@ -201,14 +204,11 @@ def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):
         spec = QuadratureSpec()
 
     jobs = [(rec, rC, spec, consts) for rC in rCs]
-    # the first point runs here, so the forked workers inherit whatever
-    # it imported (scipy.special) instead of each importing it again
-    results = [_scan_point(jobs[0])]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results += pool.map(_scan_point, jobs[1:], chunksize=4)
+        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            results = list(pool.map(_scan_point, jobs))
     else:
-        results += [_scan_point(job) for job in jobs[1:]]
+        results = [_scan_point(job) for job in jobs]
 
     lam = np.array([r[0] for r in results])
     err = np.array([r[1] for r in results])

@@ -275,20 +275,26 @@ class AxisProfile:
     def transform(self, k):
         if self.layers is None:
             return sinc(k * self.length / 2.0)
+        sincs = {}   # a stack alternates two thicknesses
         out = np.zeros(np.shape(k), dtype=complex)
         for d, rho, c in zip(*self.layers):
-            out += rho * d * sinc(k * d / 2.0) * np.exp(1j * k * c)
+            if d not in sincs:
+                sincs[d] = sinc(k * d / 2.0)
+            out += rho * d * sincs[d] * np.exp(1j * k * c)
         return out
 
     def derivative(self, k):
         """dP/dk."""
         if self.layers is None:
             return (self.length / 2.0) * sinc_prime(k * self.length / 2.0)
+        parts = {}   # (d/2) sinc'(k d/2) and sinc(k d/2) per thickness
         out = np.zeros(np.shape(k), dtype=complex)
         for d, rho, c in zip(*self.layers):
-            out += rho * d * ((d / 2.0) * sinc_prime(k * d / 2.0)
-                              + 1j * c * sinc(k * d / 2.0)) \
-                * np.exp(1j * k * c)
+            if d not in parts:
+                parts[d] = ((d / 2.0) * sinc_prime(k * d / 2.0),
+                            sinc(k * d / 2.0))
+            slope, value = parts[d]
+            out += rho * d * (slope + 1j * c * value) * np.exp(1j * k * c)
         return out
 
 

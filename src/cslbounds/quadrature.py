@@ -127,18 +127,19 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     span = b - a
     if max_panel_width is not None and max_panel_width < span:
         n0 = min(int(np.ceil(span / max_panel_width)), 4096)
+        edges = np.linspace(a, b, n0 + 1)
+        lo = edges[:-1]
+        hi = edges[1:]
     else:
-        n0 = 1
-    edges = np.linspace(a, b, n0 + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
+        lo = np.array([a], dtype=float)
+        hi = np.array([b], dtype=float)
 
     vals, errs, nev = _panel_rule(f, lo, hi)
     evals = nev
 
     while True:
-        total = math.fsum(vals)
-        tot_err = math.fsum(errs)
+        total = math.fsum(vals.tolist())
+        tot_err = math.fsum(errs.tolist())
         target = max(abs_tol, rel_tol * abs(total))
         if tot_err <= target or target == 0.0 and tot_err == 0.0:
             return total, tot_err

@@ -7,7 +7,9 @@ their first call, not here: it takes longer to import than the rest of
 the package, and commands that evaluate no Bessel function never load it.
 
 sinc-style helpers and the two-body averages of 1 - cos carry series
-fallbacks near zero to avoid cancellation.
+fallbacks near zero to avoid cancellation.  Each computes its generic
+formula over the whole array in place, then overwrites the small
+arguments with the series (_patch).
 """
 
 from math import factorial
@@ -25,28 +27,57 @@ def bessel_j1(x):
     return scipy.special.j1(np.asarray(x, dtype=float))
 
 
+def _patch(out, x, limit, series):
+    """Overwrite the entries of out where |x| < limit by series(x) there.
+
+    The generic formulas below are evaluated over the whole array, in
+    place into out, with their 0/0 at x = 0 silenced; each element then
+    gets the same operations as in a masked np.where evaluation, so the
+    results are bit-identical to it.
+    """
+    small = np.abs(x) < limit
+    if small.any():
+        out[small] = series(x[small])
+    return out
+
+
+def _sinc_series(x):
+    x2 = x * x
+    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+
+
 def sinc(x):
     """sin(x)/x with the removable singularity handled by a series.
 
     Below |x| < 1e-4 the 3-term Taylor series is exact to double precision
-    and avoids the 0/0 evaluation.
+    and replaces the 0/0 at x = 0.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)   # dummy to keep the division finite
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return np.where(small, series, np.sin(xs) / xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(x, out=np.empty_like(x))
+        out /= x
+    return _patch(out, x, 1e-4, _sinc_series)
+
+
+def _sinc_prime_series(x):
+    return -x / 3.0 + x * (x * x) / 30.0
 
 
 def sinc_prime(x):
     """d/dx [sin(x)/x] = (cos(x) - sinc(x))/x, series below |x| < 1e-4."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.cos(x, out=np.empty_like(x))
+        tmp = np.sin(x, out=np.empty_like(x))
+        tmp /= x
+        out -= tmp
+        out /= x
+    return _patch(out, x, 1e-4, _sinc_prime_series)
+
+
+def _jinc_series(x):
     x2 = x * x
-    series = -x / 3.0 + x * x2 / 30.0
-    return np.where(small, series, (np.cos(xs) - np.sin(xs) / xs) / xs)
+    return 1.0 - x2 / 8.0 + x2 * x2 / 192.0
 
 
 def jinc(x):
@@ -55,11 +86,15 @@ def jinc(x):
     Series below |x| < 1e-4: 1 - x^2/8 + x^4/192.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    series = 1.0 - x2 / 8.0 + x2 * x2 / 192.0
-    return np.where(small, series, 2.0 * bessel_j1(xs) / xs)
+    out = np.asarray(bessel_j1(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out *= 2.0
+        out /= x
+    return _patch(out, x, 1e-4, _jinc_series)
+
+
+def _jinc_prime_series(x):
+    return -x / 4.0 + x ** 3 / 48.0
 
 
 def jinc_prime(x):
@@ -69,11 +104,20 @@ def jinc_prime(x):
     """
     import scipy.special
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    series = -x / 4.0 + x ** 3 / 48.0
-    full = 2.0 * (xs * scipy.special.j0(xs) - 2.0 * bessel_j1(xs)) / (xs * xs)
-    return np.where(small, series, full)
+    out = scipy.special.j0(x, out=np.empty_like(x))
+    out *= x
+    tmp = np.asarray(bessel_j1(x))
+    tmp *= 2.0
+    out -= tmp
+    out *= 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= np.multiply(x, x, out=tmp)
+    return _patch(out, x, 1e-4, _jinc_prime_series)
+
+
+def _sphere_series(u):
+    u2 = u * u
+    return 1.0 - u2 / 10.0 + u2 * u2 / 280.0
 
 
 def sphere_kernel(u):
@@ -82,23 +126,31 @@ def sphere_kernel(u):
     Series below |u| < 1e-3: 1 - u^2/10 + u^4/280.
     """
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-3
-    us = np.where(small, 1.0, u)
-    u2 = u * u
-    series = 1.0 - u2 / 10.0 + u2 * u2 / 280.0
-    full = 3.0 * (np.sin(us) - us * np.cos(us)) / us ** 3
-    return np.where(small, series, full)
+    out = np.cos(u, out=np.empty_like(u))
+    out *= u
+    tmp = np.sin(u, out=np.empty_like(u))
+    np.subtract(tmp, out, out=out)
+    out *= 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= np.power(u, 3, out=tmp)
+    return _patch(out, u, 1e-3, _sphere_series)
 
 
 def _series_below_1(x, coef, t_scale, full):
     """sum_{k=1}^{10} coef(k) (t_scale x^2)^k below |x| < 1, full(x) above."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1.0
-    t = t_scale * x * x
-    series = np.zeros_like(t)
-    for k in range(10, 0, -1):
-        series = (series + coef(k)) * t
-    return np.where(small, series, full(np.where(small, 1.0, x)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(full(x))
+
+    def series(xs):
+        t = t_scale * xs * xs
+        total = np.zeros_like(t)
+        for k in range(10, 0, -1):
+            total += coef(k)
+            total *= t
+        return total
+
+    return _patch(out, x, 1.0, series)
 
 
 def one_minus_j0(x):

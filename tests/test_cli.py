@@ -130,6 +130,16 @@ def test_spectrum_deterministic_bytes(tmp_path):
     assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_exclusion_rejects_threads_below_one(tmp_path, capsys, threads):
+    conf = write(tmp_path, "c.ini", EXCLUSION_CONF)
+    out = tmp_path / "out"
+    assert main(["exclusion", "--config", conf, "--threads", threads,
+                 "--out", str(out)]) == 2
+    assert not (out / "exclusion.csv").exists()
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
 def test_exclusion_outputs_and_thread_independence(tmp_path, monkeypatch):
     conf = write(tmp_path, "c.ini", EXCLUSION_CONF)
     one, four, env = tmp_path / "t1", tmp_path / "t4", tmp_path / "env"

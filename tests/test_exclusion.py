@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cslbounds
+from cslbounds import exclusion
 from cslbounds import (CollapseParams, ColoredNoiseModel, Cylinder,
                        DegenerateBound, ExperimentRecord, Point, Sphere,
                        TwoBody, combine_exclusions, csl_force_spectrum,
@@ -124,10 +125,33 @@ def test_scan_deterministic_across_workers():
     assert one.status == four.status
 
 
-def test_parallel_scan_evaluates_first_point_in_caller():
-    """A parallel scan computes its first point before starting the pool,
-    so the workers inherit scipy.special (loaded by the cylinder's first
-    Bessel call) instead of each importing it."""
+def test_threaded_scan_under_frequent_switching():
+    """More threads than this machine's cores, switching every
+    microsecond, and points on every route a cylinder scan takes: each
+    point still equals the serial scan's bit for bit, so the workers
+    share no temporary."""
+    rec = ExperimentRecord(name="cyl", channel="torque",
+                           geometry=Cylinder(1e-13, 2e-7, 1e-6,
+                                             axis=(0.3, 0.4, 0.866)),
+                           budget=1e-54, band=(1e3, 1e4))
+    grid = np.logspace(-8, -5, 12)
+    serial = exclusion_scan(rec, grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = exclusion_scan(rec, grid, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial.lambda_ub, threaded.lambda_ub)
+    assert np.array_equal(serial.errors, threaded.errors)
+    assert serial.status == threaded.status
+
+
+def test_parallel_scan_imports_into_the_caller():
+    """A parallel scan runs its points in threads of the calling process,
+    so what they import (scipy.special, loaded by the cylinder's first
+    Bessel call) is loaded once, in the caller; multiprocessing is never
+    loaded."""
     code = ("import sys\n"
             "import numpy as np\n"
             "from cslbounds import Cylinder, ExperimentRecord, "
@@ -136,14 +160,50 @@ def test_parallel_scan_evaluates_first_point_in_caller():
             "                       geometry=Cylinder(1e-13, 2e-7, 1e-6),\n"
             "                       budget=1e-54, band=(1e3, 1e4))\n"
             "curve = exclusion_scan(rec, np.logspace(-8, -5, 4), workers=2)\n"
-            "print(curve.status, 'scipy.special' in sys.modules)\n")
+            "print(curve.status, 'scipy.special' in sys.modules,\n"
+            "      'multiprocessing' in sys.modules)\n")
     src = str(Path(cslbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    assert proc.stdout.strip() == "('ok', 'ok', 'ok', 'ok') True"
+    assert proc.stdout.strip() == "('ok', 'ok', 'ok', 'ok') True False"
+
+
+@pytest.mark.parametrize("workers, points", [(2, 5), (3, 2), (64, 3)])
+def test_thread_pool_capped_at_the_grid(monkeypatch, workers, points):
+    """The pool never has more threads than grid points; a recording
+    stand-in for the executor runs the points in the calling thread."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(exclusion, "ThreadPoolExecutor", Recorder)
+    rec = sphere_record()
+    grid = np.logspace(-8, -6, points)
+    curve = exclusion_scan(rec, grid, workers=workers)
+    assert sizes == [min(workers, points)]
+    assert np.array_equal(curve.lambda_ub,
+                          exclusion_scan(rec, grid).lambda_ub)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_scan_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        exclusion_scan(sphere_record(), np.logspace(-8, -6, 3),
+                       workers=workers)
 
 
 def test_default_grid_brackets_conventional_value():

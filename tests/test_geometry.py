@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cslbounds.geometry import (Cuboid, Cylinder, Multilayer, Point,
-                                PointLattice, Sphere, TwoBody,
+from cslbounds.geometry import (AxisProfile, Cuboid, Cylinder, Multilayer,
+                                Point, PointLattice, Sphere, TwoBody,
                                 TwoBodyFormFactorError,
                                 _angular_derivative_analytic, form_factor,
                                 form_factor_angular_derivative)
+from cslbounds.special import sinc, sinc_prime
 
 ALL_SHAPES = [
     Point(1e-15),
@@ -233,3 +234,37 @@ def test_separable_angular_derivative_matches_central_differences(shape):
           - ks[:, 2] * (mu(h, 0.0 * h) - mu(-h, 0.0 * h)) / (2.0 * h))
     scale = np.max(np.abs(analytic)) + g.total_mass * 1e-7
     assert np.max(np.abs(analytic - fd)) / scale < 1e-5
+
+
+def per_layer_transform(layers, k):
+    """A layer stack's P(k), one sinc per layer."""
+    out = np.zeros(np.shape(k), dtype=complex)
+    for d, rho, c in zip(*layers):
+        out += rho * d * sinc(k * d / 2.0) * np.exp(1j * k * c)
+    return out
+
+
+def per_layer_derivative(layers, k):
+    """A layer stack's dP/dk, one sinc and one sinc' per layer."""
+    out = np.zeros(np.shape(k), dtype=complex)
+    for d, rho, c in zip(*layers):
+        out += rho * d * ((d / 2.0) * sinc_prime(k * d / 2.0)
+                          + 1j * c * sinc(k * d / 2.0)) * np.exp(1j * k * c)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+@pytest.mark.parametrize("d2", [1e-7, 2.3e-7])
+def test_layer_stack_transform_matches_per_layer_loop(n, d2):
+    """One sinc and sinc' per distinct thickness gives the per-layer sums
+    bit for bit, with equal (d1 = d2) and alternating thicknesses."""
+    g = Multilayer(n, 1e-7, d2, 19300.0, 2330.0, 1e-6, 1e-6, "x")
+    prof = AxisProfile(g.stack_thickness, g.layers())
+    k = np.concatenate([[0.0, 1e-3], np.linspace(-8e8, 8e8, 1001)])
+    for kk in (k, k[:1000].reshape(40, 25)):
+        for got, want in ((prof.transform(kk),
+                           per_layer_transform(g.layers(), kk)),
+                          (prof.derivative(kk),
+                           per_layer_derivative(g.layers(), kk))):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -1,5 +1,6 @@
 """Property tests (Hypothesis) of the closed-form pair kernels: the laws
-each sum must obey whatever the lattice.
+each sum must obey whatever the lattice; and of the special-function
+kernels, which must equal their masked np.where form bit for bit.
 
 Each comparison is made against the sum's own scale, c (sum m)^2 for the
 force and two-body sums and c (sum m r)^2 for the torque (r the distance
@@ -13,7 +14,10 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import masked_special as masked
+from cslbounds import special
 from cslbounds.cslnoise import (force_pair_kernel_sum, torque_pair_kernel_sum,
                                 two_body_pair_kernel_sum)
 
@@ -86,3 +90,27 @@ def test_pair_sums_scale_as_mass_squared(lattice, s):
             (two_body_pair_kernel_sum(pos, s * m, rC, a),
              two_body_pair_kernel_sum(pos, m, rC, a), f)):
         assert abs(got - s * s * base) <= 1e-13 * s * s * scale
+
+
+@st.composite
+def kernel_arguments(draw):
+    """Arrays of 0 to 2 dimensions whose entries are zeros, the series
+    switches (1e-4, 1e-3, 1) and their neighbours, or log-uniform
+    magnitudes from 1e-9 to 1e6, each with either sign."""
+    switch = st.sampled_from((1e-4, 1e-3, 1.0)).flatmap(
+        lambda t: st.sampled_from((t, math.nextafter(t, 0.0),
+                                   math.nextafter(t, 2.0 * t))))
+    magnitude = st.one_of(st.just(0.0), switch,
+                          st.floats(-9.0, 6.0).map(lambda e: 10.0 ** e))
+    value = st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(
+        lambda sm: sm[0] * sm[1])
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=12))
+    return draw(hnp.arrays(np.float64, shape, elements=value))
+
+
+@PROPERTY
+@given(st.sampled_from(masked.KERNELS), kernel_arguments())
+def test_special_kernels_match_masked_form_bit_for_bit(name, x):
+    with np.errstate(over="ignore"):
+        want = getattr(masked, name)(x)
+    assert masked.same_bits(getattr(special, name)(x), want)

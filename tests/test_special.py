@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+import masked_special as masked
+from cslbounds import special
 from cslbounds.special import (bessel_j1, jinc, jinc_prime, one_minus_j0,
                                ring_cos2_kernel, shell_cos2_kernel, sinc,
                                sinc_prime, sphere_kernel)
@@ -139,3 +141,63 @@ def test_small_argument_kernels_match_mpmath(name):
         assert abs(g - want) <= 1e-14 * abs(want), (x, g, want)
     assert np.array_equal(kernel(-xs), got)
     assert kernel(0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against their masked np.where form (masked_special.py)
+
+def _probe_arguments(seed):
+    """Exact zeros, both sides of every series switch (1e-4, 1e-3, 1),
+    generic and large arguments, all with both signs."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for t in (1e-4, 1e-3, 1.0):
+        edges += [t, np.nextafter(t, 0.0), np.nextafter(t, 2.0 * t)]
+        edges += list(t * (1.0 + rng.uniform(-1e-3, 1e-3, 8)))
+    x = np.concatenate([
+        [0.0, 5e-324, 1e-300], edges, rng.uniform(0.0, 12.0, 200),
+        10.0 ** rng.uniform(-9.0, 2.0, 200),
+        10.0 ** rng.uniform(2.0, 12.0, 40), [1e15, 1e30, 1e90]])
+    x = np.concatenate([x, -x])
+    return x[rng.permutation(x.size)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", masked.KERNELS)
+def test_kernels_bit_identical_to_masked_form(name):
+    new, masked_form = getattr(special, name), getattr(masked, name)
+
+    def old(x):
+        # the masked form also sums its series at large x, where x^4
+        # overflows; the in-place kernels warn about nothing here
+        with np.errstate(over="ignore"):
+            return masked_form(x)
+
+    x = _probe_arguments(masked.KERNELS.index(name))
+    assert masked.same_bits(new(x), old(x))
+    grid = x[:600].reshape(20, 30)
+    assert masked.same_bits(new(grid), old(grid))
+    assert masked.same_bits(new(grid.T), old(grid.T))   # strided
+    for v in (0.0, -0.0, 1e-4, np.nextafter(1e-4, 0.0), 1e-3, 1.0, -2.5,
+              1e6):
+        assert masked.same_bits(new(v), old(v)), v
+        assert masked.same_bits(new(np.float64(v)), old(np.float64(v))), v
+        assert masked.same_bits(new(np.array(v)), old(np.array(v))), v
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", masked.KERNELS)
+def test_kernels_warn_nothing_at_zero(name):
+    """The generic formulas divide 0 by 0 at x = 0 before the series
+    replaces them; that stays silent even when warnings are errors."""
+    kernel = getattr(special, name)
+    for x in (0.0, -0.0, np.zeros(4), np.array([[0.0, 2.0], [-0.0, 1e-5]])):
+        assert np.all(np.isfinite(kernel(x)))
+
+
+def test_kernels_leave_their_argument_alone():
+    x = _probe_arguments(99)
+    before = x.copy()
+    for name in masked.KERNELS:
+        getattr(special, name)(x)
+    assert masked.same_bits(x, before)
