@@ -24,7 +24,7 @@ from .config import ConfigError, config_hash, load_config
 from .constants import CONSTANTS, GRW_LAMBDA, GRW_RC
 from .cslnoise import (CollapseParams, csl_force_spectrum,
                        free_expansion_spread, heating_rate)
-from .exclusion import combine_exclusions, exclusion_scan
+from .exclusion import GridMismatch, combine_exclusions, exclusion_scan
 from .geometry import Point
 from .optomech import (UnstableStep, displacement_dns, simulate_langevin,
                        write_trajectories)
@@ -141,11 +141,11 @@ def _cmd_exclusion(args, text, inputs):
 
     combined = None
     if len(curves) > 1:
-        same_grid = all(c.rCs.shape == curves[0].rCs.shape
-                        and np.allclose(c.rCs, curves[0].rCs)
-                        for c in curves[1:])
-        if same_grid:
+        try:
             combined = combine_exclusions(curves)
+        except GridMismatch:
+            pass   # no combined curve across different grids
+        else:
             with open(os.path.join(args.out, "exclusion_combined.csv"),
                       "w", encoding="utf-8") as fh:
                 fh.write("rc_m,lambda_ub_per_s,error_est,status\n")

@@ -13,7 +13,11 @@ Multilayer (any stacking axis) a product of Gaussian moments of their
 three 1D axis profiles, in force, two-body and torque alike; sums of
 products of the moments of a slab and a disc profile for cylinders at
 any tilt (all profile moments come from _profile_moment); one radial
-integral for spheres.  The generic 3D quadrature serves only
+integral for spheres.  Every moment of a slab or layer stack, and a
+disc's M0 and M2, is a closed form (erf/exp sums over pairs of layer
+edges, or their series in 1/rC^2; e^{-x} I_n(x) for the disc); the
+cylinder torque, the disc kernels of a two-body cylinder and the
+sphere stay 1D quadratures.  The generic 3D quadrature serves only
 point lattices and torque under method="quadrature".  README.md
 tabulates the route of each geometry and channel.
 """
@@ -311,6 +315,12 @@ _M0_SERIES = tuple((-1) ** (n + 1) / (math.factorial(n) * (2 * n - 1))
                    for n in range(18, 0, -1))
 
 
+# The two one-slab closed forms below predate the general layer-edge
+# sums (_axis_moment), which subsume them; they stay, bit for bit with
+# their fixed 1e-14 error estimate, because the shipped space_two_body
+# exclusion reports their values and errors and the benchmark's cli gate
+# compares those at 1e-6 relative (ROADMAP item 1).
+
 def _sinc_sq_gauss(L, rC, weight_power=0):
     """Closed form of 2 int_0^inf k^w sinc^2(kL/2) e^{-k^2 rC^2} dk.
 
@@ -354,6 +364,359 @@ def _two_body_x_gauss(L, a, rC):
     return val, abs(val) * 1e-14
 
 
+# ---------------------------------------------------------------------------
+# closed-form Gaussian moments of piecewise-constant profiles
+#
+# A slab or layer stack has a density rho(x) that is constant on each
+# layer, so every moment is a real-space pair integral
+# int int rho(x) rho(x') K(x, x') with a Gaussian-type kernel: for
+# G(u) = (sqrt(pi)/rC) e^{-u^2/4rC^2}, M0 has K = G(x - x'), M2 -G'',
+# C1 -(x - x')^2 G / 4rC^2, D0 x x' G and M0, M2, M1 times a separation
+# kernel the same kernels shifted by -+s.  Integrating twice by parts
+# turns each into a sum over pairs of layer edges of erf/exp terms in
+# z = |e_i - e_j| / 2rC, weighted by the density steps at the edges (an
+# edge per layer side, +rho at the lower and -rho at the upper, so the
+# steps sum to exactly 0 and constants drop out).  When the whole
+# profile is short beside rC those terms cancel at leading order, and
+# the moment is summed instead as its Taylor series in 1/rC^2, whose
+# coefficients are products of central moments of rho.  Each value comes
+# with _ROUNDING times the sum of the magnitudes of the terms it adds,
+# plus the series truncation bound.
+
+_ROUNDING = 16.0 * np.finfo(float).eps
+_SERIES_ORDER = 13          # terms n = 0..13 of the 1/rC^2 series at most
+_N = np.arange(_SERIES_ORDER + 4)   # the summed terms and three of the tail
+_SIGNED_INV_FACT = np.array([(-1.0) ** n / math.factorial(n) for n in _N])
+_INV_FACT_2N = np.array([1.0 / math.factorial(2 * n) for n in _N])
+_FACT_2N = 1.0 / _INV_FACT_2N
+# H_k(0) of the physicists' Hermite polynomials, k = 0 .. 2N + 8
+_HERMITE_0 = [(-1) ** (k // 2) * math.factorial(k) / math.factorial(k // 2)
+              if k % 2 == 0 else 0.0 for k in range(2 * _SERIES_ORDER + 9)]
+
+
+def _layers_of(prof):
+    """(thickness, density, centre) arrays of an AxisProfile; a slab is
+    one layer of density 1/L at 0, so that P(0) = 1."""
+    if prof.layers is None:
+        return (np.array([prof.length]), np.array([1.0 / prof.length]),
+                np.zeros(1))
+    return tuple(np.asarray(a, dtype=float) for a in prof.layers)
+
+
+def _hermite_shifted(v, kmax):
+    """e^{-v^2} (H_k(v) - H_k(0)) for k = 0..kmax (physicists' Hermite
+    polynomials; H_k(0) = 0 for odd k), by the three-term recurrence
+    with the constants H_k(0) carried separately, so that no entry
+    cancels at small v; also the same recurrence over absolute values,
+    which bounds the rounding of each entry, and the H_k(0)."""
+    g = math.exp(-v * v)
+    h0 = _HERMITE_0
+    t, size = [0.0, 2.0 * v * g], [0.0, 2.0 * v * g]
+    for k in range(1, kmax):
+        t.append(2.0 * v * (t[k] + h0[k] * g) - 2.0 * k * t[k - 1])
+        size.append(2.0 * v * (size[k] + abs(h0[k]) * g)
+                    + 2.0 * k * size[k - 1])
+    return np.array(t), np.array(size) * np.arange(1, kmax + 2), \
+        np.array(h0[:kmax + 1])
+
+
+def _series_coefficients(kind, h, v, rC):
+    """(scale, c_n, |rounding| size of c_n) of a moment's 1/rC^2 series
+    sum_n c_n A_n.  A separation kernel shifts G to G(u -+ s): its
+    Taylor coefficients in u are G's derivatives at s, Hermite
+    polynomials at v = s / 2rC times e^{-v^2}, and the difference from
+    those at 0 is taken with e^{-v^2} - 1 and _hermite_shifted."""
+    scale = math.sqrt(math.pi) / rC
+    n = _N
+    if h is None:
+        coef = _SIGNED_INV_FACT
+        exact = np.zeros(n.size)
+        if kind == "M2":
+            return scale / (4.0 * rC * rC), coef * 2.0 * (2 * n + 1), exact
+        if kind == "C1":
+            return scale, np.concatenate([[0.0], -coef[:-1]]), exact
+        return scale, coef, exact
+    t, size, h0 = _hermite_shifted(v, 2 * n[-1] + 2)
+    e = math.expm1(-v * v)
+    if kind == "M1":   # K(u) = -G'(u + s); odd powers of u drop out
+        return (scale / (2.0 * rC), t[2 * n + 1] * _INV_FACT_2N,
+                size[2 * n + 1] * _INV_FACT_2N)
+    if kind == "M0":   # K(u) = G(u) - [G(u + s) + G(u - s)] / 2
+        return (scale, -(e * _SIGNED_INV_FACT + t[2 * n] * _INV_FACT_2N),
+                size[2 * n] * _INV_FACT_2N)
+    # M2: K(u) = -G''(u) + [G''(u + s) + G''(u - s)] / 2
+    k = 2 * n + 2
+    return (scale / (4.0 * rC * rC), (t[k] + h0[k] * e) * _INV_FACT_2N,
+            size[k] * _INV_FACT_2N)
+
+
+def _egf_moments(half, rho, gamma, sr, count):
+    """nu_p / p! and its rounding size for p < count: the central
+    moments int rho xi^p scaled by (2rC)^-p, divided by p! so that each
+    pair sum below is one convolution.  Per layer, int_{g-h}^{g+h}
+    xi^p / p! = sum_{q even} g^{p-q} / (p-q)! * 2 h^{q+1} / (q+1)!, a
+    convolution of two sequences whose terms share one sign, so no term
+    cancels within a layer."""
+    steps = np.arange(1, count)
+    ones = np.ones((rho.size, 1))
+    g_egf = np.cumprod(np.hstack([ones, (gamma / sr)[:, None] / steps]),
+                       axis=1)
+    h_egf = 2.0 * np.cumprod((half / sr)[:, None] / np.arange(1, count + 1),
+                             axis=1)
+    h_egf[:, 1::2] = 0.0
+    if not gamma.any():   # layers centred on cbar, a slab among them
+        return sr * (rho @ h_egf), sr * (np.abs(rho) @ h_egf)
+    per_layer = np.array([np.convolve(a, b)[:count]
+                          for a, b in zip(g_egf, h_egf)])
+    size = np.array([np.convolve(np.abs(a), b)[:count]
+                     for a, b in zip(g_egf, h_egf)])
+    return sr * (rho @ per_layer), sr * (np.abs(rho) @ size)
+
+
+def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
+    """A moment of an AxisProfile as its series in 1/rC^2 (extent <= rC).
+
+    With nu_p the central moments of rho scaled by (2rC)^-p and
+    A_n = int int rho rho' u^{2n} / (2rC)^{2n} (u = x - x'), the series
+    of e^{-u^2/4rC^2} gives M0 = (sqrt(pi)/rC) sum (-1)^n A_n / n!,
+    M2 = (sqrt(pi)/4rC^3) sum (-1)^n 2 (2n + 1) A_n / n! and
+    C1 = (sqrt(pi)/rC) sum_{n>=1} (-1)^n A_n / (n - 1)!; a separation
+    kernel changes only the coefficients (_series_coefficients).  D0,
+    whose kernel x x' G is not translation invariant, is the M0 series
+    over x x' u^{2n} = (cbar + xi)(cbar + xi') u^{2n}, which adds pair
+    sums over xi u^{2n} and xi xi' u^{2n}.  The series stops at the
+    first n whose bound on the omitted tail is below 1e-17 of the
+    leading term's scale, at most _SERIES_ORDER.
+    """
+    sr = 2.0 * rC
+    zmax = extent / sr
+    z2 = zmax * zmax
+    m = 1   # terms n < m; term n is at most 2 (2n + 1) z^2n / (n - 1)!
+    while m <= _SERIES_ORDER and 2.0 * (2 * m + 1) * z2 ** (m - 1) \
+            / math.factorial(m - 1) > 1e-17:
+        m += 1
+    egf, egf_size = _egf_moments(half, rho, gamma, sr, 2 * m + 2)
+    sign = (-1.0) ** np.arange(egf.size)
+    lift = np.arange(1, egf.size)   # (k + 1) nu_{k+1} / (k + 1)!
+
+    def pair_sums(left, right, left_size, right_size):
+        """sum_k binom(2n, k) (-1)^k L_k R_{2n-k} for n < m, as (2n)!
+        times one convolution, and its first-order rounding size."""
+        val = np.convolve(sign[:left.size] * left, right)[:2 * m:2]
+        err = np.convolve(np.abs(left), right_size)[:2 * m:2] \
+            + np.convolve(left_size, np.abs(right))[:2 * m:2]
+        return val * _FACT_2N[:m], err * _FACT_2N[:m]
+
+    scale, coef, coef_err = _series_coefficients(kind, h, s / sr, rC)
+    bound = 1.0
+    if kind == "D0":
+        c = cbar / sr
+        up, up_size = lift * egf[1:], lift * egf_size[1:]
+        sums = ((c * c, pair_sums(egf, egf, egf_size, egf_size)),
+                (2.0 * c, pair_sums(up, egf, up_size, egf_size)),
+                (1.0, pair_sums(up, up, up_size, up_size)))
+        val = sum(w * v for w, (v, _) in sums)
+        mag = sum(abs(w) * e for w, (_, e) in sums)
+        scale *= sr * sr
+        bound = (abs(c) + zmax) ** 2   # |x x'| / (2rC)^2 over the profile
+    else:
+        val, mag = pair_sums(egf, egf, egf_size, egf_size)
+    # every |u| / 2rC is at most zmax <= 1/2, so |A_n| <= mass^2 zmax^2n:
+    # the tail is bounded by three more terms, doubled
+    tail = 2.0 * mass * mass * bound * float(
+        np.abs(coef[m:m + 3]) @ z2 ** _N[m:m + 3])
+    value = scale * float(coef[:m] @ val)
+    err = abs(scale) * (_ROUNDING * float(
+        np.abs(coef[:m]) @ mag + coef_err[:m] @ np.abs(val)) + tail)
+    return value, err
+
+
+def _phi0(z):
+    """sqrt(pi) z erf z + e^{-z^2} - 1 (the M0 edge term) and the
+    magnitude of its two parts."""
+    from scipy.special import erf
+    a = math.sqrt(math.pi) * z * erf(z)
+    b = np.expm1(-z * z)
+    return a + b, a - b
+
+
+def _edge_pairs(half, rho, gamma, rC):
+    """The layer edges xi relative to the centre of mass, the products
+    W = w_i w_j of the density steps w there (+rho at a layer's lower
+    edge, -rho at its upper) and (xi_i - xi_j) / 2rC, over all ordered
+    pairs of edges."""
+    xi = np.concatenate([gamma - half, gamma + half])
+    w = np.concatenate([rho, -rho])
+    return xi, w[:, None] * w[None, :], (xi[:, None] - xi[None, :]) / (
+        2.0 * rC)
+
+
+def _edge_sum(W, parts, const=0.0):
+    """const + sum over parts (c, t, m) of c sum W t, with _ROUNDING
+    times the same sum over the term magnitudes m as its error."""
+    value = const + sum(c * float(np.sum(W * t)) for c, t, _ in parts)
+    mag = abs(const) + sum(abs(c) * float(np.sum(np.abs(W) * m))
+                           for c, _, m in parts)
+    return value, _ROUNDING * mag
+
+
+def _axis_edges(kind, half, rho, gamma, cbar, mass, rC, h=None, s=0.0):
+    """kind of an AxisProfile as its sum over pairs of layer edges.
+
+    Edge positions xi relative to the centre of mass cbar, steps w, and
+    W = w_i w_j, z = |xi_i - xi_j| / 2rC over all ordered pairs:
+      M0 = -2 sqrt(pi) rC sum W phi0(z),  phi0 = sqrt(pi) z erf z
+           + e^{-z^2} - 1;
+      M2 = (sqrt(pi)/rC) sum W (e^{-z^2} - 1);
+      C1 = sqrt(pi) rC sum W (2 (e^{-z^2} - 1) + sqrt(pi) z erf z);
+      D0 = cbar^2 M0 + 2 cbar N + W0 with N = -2 sqrt(pi) rC
+           sum W (xi_i + xi_j)/2 phi0 and W0 = (4 sqrt(pi) rC^3/3)
+           sum W (e^{-z^2} (1 - 2z^2) - 1 - 2 sqrt(pi) z^3 erf z)
+           - 2 sqrt(pi) rC (sum W xi_i xi_j phi0 + mass^2);
+    and, with v = s/2rC, the separation kernels
+      M2 (1 - cos sk) = -(sqrt(pi)/rC) sum W tau,  tau = (e^{-v^2} - 1)
+           (e^{-z^2} - 1) + e^{-(z - v)^2} (1 - e^{-2zv})^2 / 2 >= 0;
+      M0 (1 - cos sk) = -2 sqrt(pi) rC sum W (phi0(z) - [phi0(|z + v|)
+           + phi0(|z - v|)] / 2);
+      M1 sin sk = pi sum W (erf(v + z) - erf v) over signed z, taken as
+           a difference of erfc when both arguments have one sign.
+    """
+    from scipy.special import erf, erfc
+    sqrt_pi = math.sqrt(math.pi)
+    xi, W, u = _edge_pairs(half, rho, gamma, rC)
+    z = np.abs(u)
+    const = 0.0
+    if h is _one_minus_cos and kind == "M2":
+        v = s / (2.0 * rC)
+        near = 0.5 * np.exp(-(z - v) ** 2) * np.expm1(-2.0 * z * v) ** 2
+        t = np.expm1(-v * v) * np.expm1(-z * z) + near
+        # e^{-(z - v)^2} inherits the rounding of z - v times 2 |z - v|
+        parts = [(-sqrt_pi / rC, t,
+                  t + near * 2.0 * np.abs(z - v) * (z + v))]
+    elif h is _one_minus_cos:   # M0
+        v = s / (2.0 * rC)
+        (f0, m0), (fp, mp), (fm, mm) = (_phi0(z), _phi0(np.abs(z + v)),
+                                        _phi0(np.abs(z - v)))
+        parts = [(-2.0 * sqrt_pi * rC, f0 - 0.5 * (fp + fm),
+                  m0 + 0.5 * (mp + mm))]
+    elif h is np.sin:   # M1
+        v = s / (2.0 * rC)
+        a, b = v + u, np.full_like(u, v)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        pos, neg = lo > 0.0, hi < 0.0
+        d = np.where(pos, erfc(b) - erfc(a),
+                     np.where(neg, erfc(-a) - erfc(-b), erf(a) - erf(b)))
+        mag = np.where(pos, erfc(b) + erfc(a),
+                       np.where(neg, erfc(-a) + erfc(-b),
+                                np.abs(erf(a)) + np.abs(erf(b))))
+        # erf(a) moves by 2 e^{-a^2} / sqrt(pi) times the rounding of a,
+        # which is that of v and of the edge positions
+        spread = v + (np.abs(xi[:, None]) + np.abs(xi[None, :])) / (2.0 * rC)
+        mag += 2.0 / sqrt_pi * (np.exp(-a * a) + np.exp(-b * b)) * spread
+        parts = [(math.pi, d, mag)]
+    elif kind == "M2":
+        e = np.expm1(-z * z)
+        parts = [(sqrt_pi / rC, e, np.abs(e))]
+    elif kind == "C1":
+        e = np.expm1(-z * z)
+        a = sqrt_pi * z * erf(z)
+        parts = [(sqrt_pi * rC, 2.0 * e + a, 2.0 * np.abs(e) + a)]
+    else:
+        f, m = _phi0(z)
+        parts = [(-2.0 * sqrt_pi * rC, f, m)]
+        if kind == "D0":
+            e = np.exp(-z * z)
+            cube = 2.0 * sqrt_pi * z ** 3 * erf(z)
+            hz = np.expm1(-z * z) - 2.0 * z * z * e - cube
+            hm = np.abs(np.expm1(-z * z)) + 2.0 * z * z * e + cube
+            mid = 0.5 * (xi[:, None] + xi[None, :])
+            prod = xi[:, None] * xi[None, :]
+            parts = [(-2.0 * sqrt_pi * rC * cbar * cbar, f, m),
+                     (-4.0 * sqrt_pi * rC * cbar, mid * f, np.abs(mid) * m),
+                     (4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
+                     (-2.0 * sqrt_pi * rC, prod * f, np.abs(prod) * m)]
+            const = -2.0 * sqrt_pi * rC * mass * mass
+    return _edge_sum(W, parts, const)
+
+
+def _shifted_part(kind, half, rho, gamma, rC, v):
+    """The separation-shifted part S of M0 or M2 times 1 - cos, for a
+    profile whose |e_i - e_j| / 2rC = z stay below v: M0 (1 - cos sk) =
+    M0 - S with S = -2 pi rC sum W [ierfc(v + z) + ierfc(v - z)] / 2
+    (the erf/exp edge term minus its part linear in v +- z, which sums
+    to zero), M2 (1 - cos sk) = M2 - S with S = (sqrt(pi)/rC) sum W
+    [e^{-(v + z)^2} + e^{-(v - z)^2}] / 2.  Returns (S, error)."""
+    from scipy.special import erfc
+    _, W, u = _edge_pairs(half, rho, gamma, rC)
+    val = mag = 0.0
+    for x in (v + np.abs(u), v - np.abs(u)):
+        g = np.exp(-x * x)
+        if kind == "M0":
+            g /= math.sqrt(math.pi)
+            val, mag = val + g - x * erfc(x), mag + g + x * erfc(x)
+        else:
+            val, mag = val + g, mag + g * (1.0 + 2.0 * x * x)
+    scale = -math.pi * rC if kind == "M0" else 0.5 * math.sqrt(math.pi) / rC
+    return _edge_sum(W, [(scale, val, mag)])
+
+
+def _axis_moment(prof, kind, rC, h=None, s=0.0):
+    """Closed form of an AxisProfile moment.  Returns (value, error).
+
+    A profile no longer than rC takes the 1/rC^2 series, which with a
+    separation kernel converges fast only while s times the extent is
+    at most rC^2; past that the kernel's shifted part is summed over
+    edge pairs, where it no longer cancels, and subtracted from the
+    series of the plain moment (M1 times sin has no plain part and is
+    all edge sum).  A longer profile takes the edge-pair sum.
+    """
+    d, rho, centre = _layers_of(prof)
+    half = 0.5 * d
+    mass = float(rho @ d)
+    cbar = float((rho * d) @ centre) / mass
+    gamma = centre - cbar
+    extent = float(np.max(gamma + half) - np.min(gamma - half))
+    args = (half, rho, gamma, cbar, mass)
+    if extent <= rC:
+        if h is None or s * extent <= rC * rC:
+            return _axis_series(kind, h, s, *args, extent, rC)
+        if kind != "M1":
+            plain, e1 = _axis_series(kind, None, 0.0, *args, extent, rC)
+            shifted, e2 = _shifted_part(kind, half, rho, gamma, rC,
+                                        s / (2.0 * rC))
+            return plain - shifted, e1 + e2
+    return _axis_edges(kind, *args, rC, h, s)
+
+
+# (-1)^n (3/2)_n 2^n / ((3)_n n! (n + 1)) / 2 for n = 0..24: the series of
+# 1 - e^{-x} (I0(x) + I1(x)) = int_0^x e^{-t} I1(t) / t dt in x^{n+1}
+_DISC_SERIES = tuple(
+    0.5 * (-2.0) ** n * math.prod((1.5 + i) / ((3 + i) * (i + 1))
+                                  for i in range(n)) / (n + 1)
+    for n in range(25))
+
+
+def _disc_moment(R, kind, rC):
+    """Closed forms of a disc's Q0 and Q2 (the k-plane moments of
+    jinc(kR), without the factor pi): with x = R^2 / 2rC^2,
+    Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
+    (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
+    terms fall by at least 5x each.  Returns (value, error)."""
+    from scipy.special import ive
+    x = R * R / (2.0 * rC * rC)
+    if kind == "M2":
+        val = 4.0 / (R * R * rC * rC) * float(ive(1, x))
+        return val, _ROUNDING * abs(val)
+    if x < 0.1:
+        terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
+        core = math.fsum(terms)
+        mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
+    else:
+        i0, i1 = float(ive(0, x)), float(ive(1, x))
+        core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
+    return 4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag
+
+
 def _combine_product(factors):
     """Multiply (value, error) pairs, first-order error propagation."""
     value = 1.0
@@ -389,18 +752,33 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
     integrated over the whole k line, a DiscProfile over its k plane
     (int 2 pi k dk, returned without the factor pi, so its weight gains
     one power of k).  The density is real, so every integrand is even
-    and the imaginary part of P P'* integrates to zero.  A slab's M0 and
-    M2, and its M2 with h = 1 - cos (the two-body factor along the
-    separation), have closed forms, used when closed_form is set; every
-    other moment is one 1D quadrature, with an absolute target of at
-    least abs_tol for moments that change sign.  Returns (value, error).
+    and the imaginary part of P P'* integrates to zero.
+
+    When closed_form is set these moments are closed forms: every M0,
+    M2, D0 and C1 of a slab or layer stack, its M0 and M2 times
+    h = 1 - cos and its M1 times h = sin (_axis_moment), and a disc's M0
+    and M2 (_disc_moment).  A slab's plain M0 and M2 and its M2 times
+    1 - cos keep their older one-slab formulas (_sinc_sq_gauss,
+    _two_body_x_gauss), whose values and error estimates the shipped
+    space_two_body exclusion reports bit for bit.  Every other moment,
+    and every moment when closed_form is unset (the oracle route), is
+    one 1D quadrature, with an absolute target of at least abs_tol for
+    moments that change sign.  Returns (value, error).
     """
-    if closed_form and isinstance(prof, AxisProfile) and prof.layers is None:
-        if kind == "M2" and h is _one_minus_cos:
-            return _two_body_x_gauss(prof.length, s, rC)
-        if kind in ("M0", "M2") and h is None:
-            return _sinc_sq_gauss(prof.length, rC,
-                                  weight_power=2 if kind == "M2" else 0)
+    if closed_form and isinstance(prof, AxisProfile):
+        if prof.layers is None and kind in ("M0", "M2"):
+            if h is None:
+                return _sinc_sq_gauss(prof.length, rC,
+                                      weight_power=2 if kind == "M2" else 0)
+            if kind == "M2" and h is _one_minus_cos:
+                return _two_body_x_gauss(prof.length, s, rC)
+        if (h is None and kind != "M1") or (h, kind) in (
+                (_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
+                (np.sin, "M1")):
+            return _axis_moment(prof, kind, rC, h, s)
+    if closed_form and isinstance(prof, DiscProfile) and h is None \
+            and kind in ("M0", "M2"):
+        return _disc_moment(prof.R, kind, rC)
     plane = isinstance(prof, DiscProfile)
     power = {"M1": 1, "M2": 2, "C1": plane}.get(kind, 0) + plane
 
@@ -427,7 +805,8 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     large.  When that leaves an error above spec.rel_tol of the result,
     the moments are evaluated once more with every 1D tolerance
     tightened by the cancellation, provided that asks for no less than
-    1e-11.  Returns (value, error).
+    1e-11; closed-form moments of two axis profiles do not depend on the
+    tolerance and are not evaluated again.  Returns (value, error).
     """
     def bracket(s):
         (a1, e1), (b1, f1), (a2, e2), (b2, f2), (a3, e3), (b3, f3) = (
@@ -440,7 +819,9 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
                 abs(a1 * b1) + abs(a2 * b2) + 2.0 * abs(a3 * b3))
 
     value, err, size = bracket(spec)
-    if err <= spec.rel_tol * abs(value):
+    exact = closed_form and isinstance(py, AxisProfile) \
+        and isinstance(pz, AxisProfile)
+    if exact or err <= spec.rel_tol * abs(value):
         return value, err
     tight = spec.rel_tol * abs(value) / size if size else 0.0
     if tight < 1e-11:
@@ -633,9 +1014,11 @@ def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
     (M0 - P0m) Q2h] + 2 c s P1s Q1J1 for the two-body, where T, P0m, P1s
     are M2, M0 times 1 - cos(a c k) and M1 times sin(a c k), and Q0m,
     Q2h, Q1J1 are Q0 times 1 - J0(a s k), Q2 times the ring kernel
-    1/2 - J0 + J1/x and Q1 times J1(a s k).  P1s and Q1J1 alone change
-    sign; bounded by Cauchy-Schwarz (sin^2 <= 2 (1 - cos), J1^2 <=
-    1 - J0), they get an absolute target set by the other terms.
+    1/2 - J0 + J1/x and Q1 times J1(a s k).  With closed_form the slab
+    moments and Q0, Q2 are closed forms and Q0m, Q2h, Q1J1 are 1D
+    quadratures.  P1s and Q1J1 alone change sign; bounded by
+    Cauchy-Schwarz (sin^2 <= 2 (1 - cos), J1^2 <= 1 - J0), each gets an
+    absolute target set by the other terms where it is integrated.
     """
     rC = p.rC
     c, s = abs(g.axis[0]), math.hypot(g.axis[1], g.axis[2])
@@ -703,7 +1086,9 @@ def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
         # |(x^ x k) . grad mu| = |k . (n x x^)| |F_par - k_par F_perp /
         # k_perp|: sin^2 of the tilt times the value for an axis normal to
         # x, the torque bracket of the disc and slab profiles halved by
-        # the phi average; the slab's M2 is integrated like its D0 and C1
+        # the phi average; the slab's M2 is integrated like its D0 and C1.
+        # closed_form stays False: the shipped cylinder_rotational
+        # exclusion reports this quadrature's error estimate bit for bit
         sin2 = g.axis[1] ** 2 + g.axis[2] ** 2   # 0 spinning about the axis
         total, err = _torque_bracket(DiscProfile(g.R), AxisProfile(g.L), rC,
                                      spec, closed_form=False)

@@ -26,7 +26,7 @@ from .quadrature import NonConvergence, QuadratureSpec
 __all__ = [
     "ExperimentRecord", "ExclusionCurve", "DegenerateBound",
     "lambda_upper_bound", "exclusion_scan", "combine_exclusions",
-    "default_rc_grid",
+    "GridMismatch", "default_rc_grid",
 ]
 
 CHANNELS = ("force", "force_two_body", "torque", "temperature_shift")
@@ -216,23 +216,42 @@ def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):
     return ExclusionCurve(rCs, lam, err, status, rec.name)
 
 
+class GridMismatch(ValueError):
+    """Curves passed to combine_exclusions do not share one rC grid."""
+
+
+# rC grids match when every point agrees to this relative tolerance (and
+# no absolute one: rC itself is often below 1e-8 m)
+_GRID_RTOL = 1e-12
+
+
 def combine_exclusions(curves):
-    """Pointwise minimum bound over experiments sharing an rC grid."""
+    """Pointwise minimum bound over experiments sharing an rC grid.
+
+    Raises GridMismatch when the grids differ in length or in any point
+    by more than _GRID_RTOL relative.  A point is "ok" when any curve is
+    ok there, else "nonconvergent" when any curve is, else "degenerate";
+    its bound and error are those of the smallest ok bound.
+    """
     if not curves:
         raise ValueError("need at least one curve")
     base = curves[0]
     for c in curves[1:]:
-        if c.rCs.shape != base.rCs.shape or not np.allclose(c.rCs, base.rCs):
-            raise ValueError("curves must share the rC grid")
+        if c.rCs.shape != base.rCs.shape or not np.allclose(
+                c.rCs, base.rCs, rtol=_GRID_RTOL, atol=0.0):
+            raise GridMismatch("curves must share the rC grid")
     stacked = np.vstack([c.lambda_ub for c in curves])
     errs = np.vstack([c.errors for c in curves])
-    with np.errstate(invalid="ignore"):
-        all_nan = np.all(np.isnan(stacked), axis=0)
-        lam = np.where(all_nan, np.nan, np.nanmin(stacked, axis=0))
-        idx = np.where(all_nan, 0, np.nanargmin(
-            np.where(np.isnan(stacked), np.inf, stacked), axis=0))
-    err = errs[idx, np.arange(base.rCs.size)]
-    status = tuple("degenerate" if bad else "ok" for bad in all_nan)
-    err = np.where(all_nan, np.nan, err)
+    ok = np.array([[s == "ok" for s in c.status] for c in curves])
+    bounds = np.where(ok, stacked, np.inf)
+    idx = np.argmin(bounds, axis=0)
+    cols = np.arange(base.rCs.size)
+    any_ok = ok.any(axis=0)
+    lam = np.where(any_ok, stacked[idx, cols], np.nan)
+    err = np.where(any_ok, errs[idx, cols], np.nan)
+    nonconvergent = np.array([[s == "nonconvergent" for s in c.status]
+                              for c in curves]).any(axis=0)
+    status = tuple("ok" if good else "nonconvergent" if nc else "degenerate"
+                   for good, nc in zip(any_ok, nonconvergent))
     name = "min(" + ", ".join(c.experiment for c in curves) + ")"
     return ExclusionCurve(base.rCs, lam, err, status, name)

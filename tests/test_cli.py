@@ -186,6 +186,21 @@ def test_exclusion_combined_curve(tmp_path):
             float(s["lambda_ub_per_s"]), rel=1e-12, abs=0.0)
 
 
+def test_exclusion_no_combined_curve_across_grids(tmp_path):
+    """Two experiments whose rC grids differ by a few percent at
+    rC <= 1e-5 m (well inside np.allclose's default atol) write their
+    own rows but no combined curve."""
+    two = EXCLUSION_CONF.replace("[experiment]", "[experiment:a]") + \
+        EXCLUSION_CONF.replace("[experiment]", "[experiment:b]").replace(
+            "rc_min_m = 1e-8", "rc_min_m = 1.05e-8").replace(
+            "name = demo", "name = demo2")
+    conf = write(tmp_path, "c.ini", two)
+    out = tmp_path / "out"
+    assert main(["exclusion", "--config", conf, "--out", str(out)]) == 0
+    assert len(read_rows(out / "exclusion.csv")) == 24
+    assert not (out / "exclusion_combined.csv").exists()
+
+
 def test_simulate_outputs(tmp_path):
     conf = write(tmp_path, "c.ini", SIM_CONF)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -90,6 +90,54 @@ def test_combine_with_degenerate_curve():
     assert np.allclose(combined.lambda_ub, force.lambda_ub)
 
 
+def _curve(rCs, lam, status, name="c"):
+    lam = np.asarray(lam, dtype=float)
+    err = np.where(np.isnan(lam), np.nan, 1e-12)
+    return exclusion.ExclusionCurve(np.asarray(rCs, dtype=float), lam, err,
+                                    status, name)
+
+
+def test_combine_rejects_grids_below_the_default_atol():
+    """Grids that differ by half their spacing at rC ~ 1e-9 m are
+    different grids, although np.allclose's default atol of 1e-8 would
+    accept them."""
+    a = _curve([1e-9, 1e-8], [1.0, 2.0], ("ok", "ok"))
+    b = _curve([5e-9, 1.5e-8], [1.0, 2.0], ("ok", "ok"))
+    with pytest.raises(exclusion.GridMismatch):
+        combine_exclusions([a, b])
+    with pytest.raises(ValueError):   # GridMismatch is a ValueError
+        combine_exclusions([a, _curve([1e-9, 1e-8, 1e-7], [1.0] * 3,
+                                      ("ok",) * 3)])
+
+
+def test_combine_accepts_grids_equal_to_rounding():
+    grid = np.logspace(-9, -5, 5)
+    a = _curve(grid, [3.0] * 5, ("ok",) * 5)
+    b = _curve(grid * (1.0 + 1e-15), [1.0] * 5, ("ok",) * 5)
+    assert np.array_equal(combine_exclusions([a, b]).lambda_ub, np.ones(5))
+    with pytest.raises(exclusion.GridMismatch):
+        combine_exclusions([a, _curve(grid * (1.0 + 1e-9), [1.0] * 5,
+                                      ("ok",) * 5)])
+
+
+def test_combine_all_nan_point_is_silent_and_keeps_its_reason():
+    """Where no curve is ok the point reads nonconvergent if any curve
+    is, else degenerate, without numpy's All-NaN RuntimeWarning."""
+    import warnings
+    grid = [1e-9, 1e-8, 1e-7]
+    a = _curve(grid, [np.nan, np.nan, 2.0],
+               ("degenerate", "nonconvergent", "ok"))
+    b = _curve(grid, [np.nan, np.nan, 1.0],
+               ("degenerate", "degenerate", "ok"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        combined = combine_exclusions([a, b])
+    assert combined.status == ("degenerate", "nonconvergent", "ok")
+    assert np.isnan(combined.lambda_ub[:2]).all()
+    assert np.isnan(combined.errors[:2]).all()
+    assert combined.lambda_ub[2] == 1.0 and combined.errors[2] == 1e-12
+
+
 def test_colored_filter_weakens_bound():
     # band far above the cutoff: the filtered response is tiny, so the
     # allowed collapse rate is much larger

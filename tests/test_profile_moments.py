@@ -1,0 +1,312 @@
+"""Closed-form Gaussian profile moments against 50-digit mpmath and the
+1D quadrature oracle.
+
+Seeded random slabs, layer stacks of 1 to 6 layers (half of them off
+their centre of mass) and discs, with rC from 1e-3 to 1e3 times the
+body, exercise both closed-form regimes (the 1/rC^2 series for bodies
+shorter than rC, the edge-pair sums otherwise) and the separation
+kernels at separations from 1e-2 to 30 times the body.
+
+The mpmath oracle is written independently of the library's formulas:
+it sums over pairs of layers the four corner values of a mixed second
+antiderivative, in 50-digit arithmetic where no cancellation matters,
+takes C1 from the k-space identity C1 = rC^2 M2 - M0 / 2, and the disc
+moments from their Bessel-function forms; the antiderivatives are
+themselves checked by numerical differentiation.
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from cslbounds import (CollapseParams, Cuboid, Cylinder, Multilayer,
+                       QuadratureSpec, TwoBody, csl_force_spectrum,
+                       csl_force_spectrum_two_body, csl_torque_spectrum)
+from cslbounds import cslnoise
+from cslbounds.geometry import AxisProfile, DiscProfile, separable_profiles
+from cslbounds.quadrature import NonConvergence
+
+mp.mp.dps = 50
+KERNELS = [("M0", None), ("M2", None), ("C1", None), ("D0", None),
+           ("M0", cslnoise._one_minus_cos), ("M2", cslnoise._one_minus_cos),
+           ("M1", np.sin)]
+# a result below the smallest normal double, times the moment's scale,
+# may read 0 with error 0
+UNDERFLOW = 1e-290
+
+
+def random_stack(rng, layers, off_centre):
+    d = 10.0 ** rng.uniform(-7.5, -6.5, layers)
+    rho = rng.uniform(1e3, 2e4, layers)
+    edges = np.concatenate([[0.0], np.cumsum(d)])
+    c = 0.5 * (edges[:-1] + edges[1:])
+    c -= np.sum(rho * d * c) / np.sum(rho * d)
+    if off_centre:
+        c += rng.uniform(-2.0, 2.0) * edges[-1]
+    return AxisProfile(float(edges[-1]), (d, rho, c))
+
+
+def random_profiles(seed, count):
+    """count (profile, rC, s) triples cycling over slab, centred stack
+    and off-centre stack."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            prof = AxisProfile(10.0 ** rng.uniform(-7, -5))
+        else:
+            prof = random_stack(rng, int(rng.integers(1, 7)), i % 3 == 2)
+        rC = prof.length * 10.0 ** rng.uniform(-3, 3)
+        s = prof.length * 10.0 ** rng.uniform(-2, 1.5)
+        out.append((prof, rC, s))
+    return out
+
+
+def _kernels(rC, s):
+    """Second antiderivatives K2 (K2'' = K) of the translation-invariant
+    kernels, in mpmath."""
+    sqrt_pi = mp.sqrt(mp.pi)
+
+    def gauss(u):
+        return sqrt_pi / rC * mp.exp(-(u / (2 * rC)) ** 2)
+
+    def m0(u):   # K = G
+        z = u / (2 * rC)
+        return 2 * mp.pi * rC * (z * mp.erf(z) + mp.exp(-z * z) / sqrt_pi)
+
+    def m2(u):   # K = -G''
+        return -gauss(u)
+
+    return {
+        ("M0", None): m0,
+        ("M2", None): m2,
+        ("M0", "cos"): lambda u: m0(u) - (m0(u + s) + m0(u - s)) / 2,
+        ("M2", "cos"): lambda u: m2(u) - (m2(u + s) + m2(u - s)) / 2,
+        # K = -G'(u + s); erfc keeps the digits of a shifted tail
+        ("M1", "sin"): lambda u: mp.pi * mp.erfc((u + s) / (2 * rC)),
+    }, gauss
+
+
+def _d0_potential(rC):
+    """Phi(x, x') with d^2 Phi / dx dx' = x x' G(x - x')."""
+    sqrt_pi = mp.sqrt(mp.pi)
+    m0 = _kernels(rC, 0)[0][("M0", None)]
+
+    def phi(x, y):
+        z = (x - y) / (2 * rC)
+        h = 4 * mp.pi * rC ** 3 / 3 * ((1 - 2 * z * z) * mp.exp(-z * z)
+                                       / sqrt_pi - 2 * z ** 3 * mp.erf(z))
+        return -x * y * m0(x - y) + h
+    return phi
+
+
+def _tag(h):
+    return {None: None, cslnoise._one_minus_cos: "cos", np.sin: "sin"}[h]
+
+
+def oracle(prof, kind, rC, h=None, s=0.0):
+    """The moment as a 50-digit sum over pairs of layers of the four
+    corner values of a mixed second antiderivative of its kernel."""
+    rC, s = mp.mpf(rC), mp.mpf(s)
+    if kind == "C1":
+        return rC ** 2 * oracle(prof, "M2", rC) - oracle(prof, "M0", rC) / 2
+    if kind == "D0":
+        phi = _d0_potential(rC)
+    else:
+        k2 = _kernels(rC, s)[0][(kind, _tag(h))]
+        even = {}   # every K2 but the sine kernel's is even in u
+
+        def phi(x, y):
+            u = x - y
+            if h is np.sin:
+                return -k2(u)
+            if abs(u) not in even:
+                even[abs(u)] = k2(abs(u))
+            return -even[abs(u)]
+    d, rho, c = cslnoise._layers_of(prof)
+    layers = [(mp.mpf(ci) - mp.mpf(di) / 2, mp.mpf(ci) + mp.mpf(di) / 2,
+               mp.mpf(ri)) for di, ri, ci in zip(d, rho, c)]
+    total = mp.mpf(0)
+    for a, b, r in layers:
+        for a2, b2, r2 in layers:
+            total += r * r2 * (phi(b, b2) - phi(b, a2) - phi(a, b2)
+                               + phi(a, a2))
+    return total
+
+
+def disc_oracle(R, kind, rC):
+    R, rC = mp.mpf(R), mp.mpf(rC)
+    x = R * R / (2 * rC * rC)
+    if kind == "M2":
+        return 4 / (R * R * rC * rC) * mp.exp(-x) * mp.besseli(1, x)
+    return 4 / (R * R) * (1 - mp.exp(-x) * (mp.besseli(0, x)
+                                            + mp.besseli(1, x)))
+
+
+def test_oracle_antiderivatives():
+    """The oracle's potentials differentiate back to their kernels."""
+    rC, s = mp.mpf("3e-7"), mp.mpf("5e-7")
+    k2s, gauss = _kernels(rC, s)
+    kernels = {
+        ("M0", None): gauss,
+        ("M2", None): lambda u: -mp.diff(gauss, u, 2),
+        ("M1", "sin"): lambda u: -mp.diff(gauss, u + s),
+    }
+    for key, kernel in kernels.items():
+        for u in (mp.mpf("-4e-7"), mp.mpf("1e-7"), mp.mpf("9e-7")):
+            assert mp.almosteq(mp.diff(k2s[key], u, 2), kernel(u),
+                               rel_eps=mp.mpf(10) ** -30)
+    phi = _d0_potential(rC)
+    for x, y in ((1e-7, -2e-7), (4e-7, 3.5e-7), (-6e-7, 8e-7)):
+        x, y = mp.mpf(x), mp.mpf(y)
+        assert mp.almosteq(mp.diff(phi, (x, y), (1, 1)),
+                           x * y * gauss(x - y), rel_eps=mp.mpf(10) ** -30)
+
+
+def test_disc_oracle_is_the_k_plane_integral():
+    R, rC = mp.mpf("1e-7"), mp.mpf("2e-7")
+    with mp.workdps(30):
+        for kind, p in (("M0", 1), ("M2", 3)):
+            want = 2 * mp.quad(lambda k: k ** p * (
+                2 * mp.besselj(1, k * R) / (k * R)) ** 2
+                * mp.exp(-(k * rC) ** 2), [0, 1 / rC, 4 / rC, 10 / rC])
+            assert mp.almosteq(disc_oracle(R, kind, rC), want,
+                               rel_eps=mp.mpf(10) ** -25)
+
+
+def assert_within(value, error, exact, what):
+    miss = abs(mp.mpf(value) - exact)
+    assert miss <= error + UNDERFLOW, (what, value, error, float(exact))
+    # well conditioned, so the reported error is also tight
+    assert error <= 1e-8 * abs(float(exact)) + UNDERFLOW, \
+        (what, value, error, float(exact))
+
+
+def test_axis_moments_match_mpmath():
+    """150 slabs and stacks, every kind of moment: the closed form lies
+    within its reported error of the 50-digit value."""
+    for prof, rC, s in random_profiles(11, 150):
+        for kind, h in KERNELS:
+            value, error = cslnoise._axis_moment(prof, kind, rC, h, s)
+            assert_within(value, error, oracle(prof, kind, rC, h, s),
+                          (prof, rC, s, kind, _tag(h)))
+
+
+def test_disc_moments_match_mpmath():
+    rng = np.random.default_rng(12)
+    for R in 10.0 ** rng.uniform(-7, -5, 100):
+        rC = R * 10.0 ** rng.uniform(-3, 3)
+        for kind in ("M0", "M2"):
+            value, error = cslnoise._disc_moment(R, kind, rC)
+            assert_within(value, error, disc_oracle(R, kind, rC),
+                          (R, rC, kind))
+
+
+def quadrature(prof, kind, rC, spec, h=None, s=0.0):
+    """The 1D quadrature oracle's value and error; where it stops short
+    of its tolerance (C1 and D0 at rC far above the body, where sinc'
+    rounds, and M1 times sin at separations far beyond rC, where the
+    moment is a tiny remainder) its last estimate and error bound."""
+    try:
+        return cslnoise._profile_moment(prof, kind, rC, spec, False, h, s)
+    except NonConvergence as exc:   # raised over the half line k >= 0
+        return 2.0 * exc.estimate, 2.0 * exc.error
+
+
+def test_closed_forms_match_quadrature():
+    """Every closed form agrees with its 1D quadrature at rel_tol 1e-12
+    within the sum of both reported errors.  Below rC ~ 0.03 times the
+    body the quadrature's own rounding over its many panels keeps it
+    from reaching 1e-12, so these rC start there."""
+    spec = QuadratureSpec(rel_tol=1e-12, max_evals=100_000)
+    rng = np.random.default_rng(13)
+    cases = [(p, p.length * 10.0 ** rng.uniform(-1.5, 3), s)
+             for p, _, s in random_profiles(14, 18)]
+    for prof, rC, s in cases:
+        for kind, h in KERNELS:
+            got = cslnoise._profile_moment(prof, kind, rC, spec, True, h, s)
+            want = quadrature(prof, kind, rC, spec, h, s)
+            assert abs(got[0] - want[0]) <= got[1] + want[1], \
+                (prof, rC, s, kind, _tag(h), got, want)
+    for R in 10.0 ** rng.uniform(-7, -5, 12):
+        rC = R * 10.0 ** rng.uniform(-1.5, 3)
+        for kind in ("M0", "M2"):
+            got = cslnoise._profile_moment(DiscProfile(R), kind, rC, spec)
+            want = quadrature(DiscProfile(R), kind, rC, spec)
+            assert abs(got[0] - want[0]) <= got[1] + want[1], \
+                (R, rC, kind, got, want)
+
+
+def random_bodies(seed, count):
+    rng = np.random.default_rng(seed)
+    bodies = []
+    for i in range(count):
+        if i % 3 == 0:
+            g = Cuboid(1e-12, *10.0 ** rng.uniform(-6.7, -5.7, 3))
+        elif i % 3 == 1:
+            d1, d2 = 10.0 ** rng.uniform(-7.3, -6.7, 2)
+            g = Multilayer(int(rng.integers(1, 7)), d1, d2,
+                           rng.uniform(1e4, 2e4), rng.uniform(1e3, 5e3),
+                           *10.0 ** rng.uniform(-6.5, -5.7, 2),
+                           "xyz"[i % 9 // 3])
+        else:
+            g = Cylinder(1e-14, 10.0 ** rng.uniform(-7, -6),
+                         10.0 ** rng.uniform(-6.7, -5.7),
+                         tuple(rng.normal(size=3)))
+        bodies.append((g, g.largest_dimension * 10.0 ** rng.uniform(-1, 2),
+                       g.largest_dimension * 10.0 ** rng.uniform(-1, 1)))
+    return bodies
+
+
+def test_spectra_match_the_quadrature_route():
+    """Force, two-body and torque spectra of random Cuboids and
+    Multilayers, and force and two-body spectra of random Cylinders,
+    agree with the same products of 1D moments by quadrature within the
+    sum of their reported errors."""
+    spec = QuadratureSpec(rel_tol=1e-10)
+    for g, rC, a in random_bodies(15, 18):
+        p = CollapseParams(1.0, rC)
+        pairs = [(csl_force_spectrum(g, p, spec),
+                  csl_force_spectrum(g, p, spec, method="quadrature"))]
+        sep = separable_profiles(g)
+        if sep is not None:
+            oracle_route = cslnoise._separable_spectrum
+            pairs += [
+                (csl_force_spectrum_two_body(TwoBody(g, a), p, spec),
+                 oracle_route(sep, "two_body", p, spec, cslnoise.CONSTANTS,
+                              False, a)),
+                (csl_torque_spectrum(g, p, spec),
+                 oracle_route(sep, "torque", p, spec, cslnoise.CONSTANTS,
+                              False))]
+        else:
+            pairs.append((
+                csl_force_spectrum_two_body(TwoBody(g, a), p, spec),
+                cslnoise._cylinder_spectrum(g, p, spec, cslnoise.CONSTANTS,
+                                            a, False)))
+        for got, want in pairs:
+            assert abs(float(got) - float(want)) <= got.error + want.error \
+                + 1e-12 * abs(float(want)), (g, rC, a, got, want)
+
+
+@pytest.mark.parametrize("rC", [1e-9, 1e-7, 1e-6, 1e-5, 1e-3])
+def test_auto_routes_make_no_1d_quadrature(rC, monkeypatch):
+    """Under method="auto", the force, two-body and torque spectra of
+    Cuboids and Multilayers stacked along x, y and z, and the force
+    spectrum of a Cylinder at any tilt, are closed forms throughout."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_1d called")
+
+    monkeypatch.setattr(cslnoise, "integrate_1d", forbidden)
+    p = CollapseParams(1.0, rC)
+    separable = [Cuboid(1e-12, 1e-6, 2e-6, 3e-6)] + [
+        Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 2e-6, axis)
+        for axis in "xyz"]
+    for g in separable:
+        for a in (3e-7, 3e-6, 1.0):
+            assert float(csl_force_spectrum_two_body(TwoBody(g, a), p)) > 0
+        assert float(csl_force_spectrum(g, p)) > 0
+        assert float(csl_torque_spectrum(g, p)) > 0
+    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.3, 0.4, 0.866),
+                 (0.0, 0.6, 0.8)):
+        assert float(csl_force_spectrum(Cylinder(1e-14, 1e-7, 1e-6, axis),
+                                        p)) > 0

@@ -276,7 +276,7 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     bodies += [Cylinder(1e-14, 1e-7, 1e-6, axis)
                for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                             (0.3, 0.4, 0.866))]
-    for rC in (1e-7, 1e-6):
+    for rC in (1e-7, 1e-6, 1e-5):
         p = CollapseParams(1.0, rC)
         for g in bodies:
             csl_force_spectrum(g, p)
