@@ -106,12 +106,12 @@ def _cmd_spectrum(args, text, inputs):
                   encoding="utf-8") as fh:
             fh.write(plot.render())
 
-    s_ff = csl_force_spectrum(g, p, spec=spec) if p.lam > 0 else 0.0
+    s_ff = csl_force_spectrum(g, p, spec=spec)
     _write_manifest(args.out, text, {
         "command": "spectrum",
         "one_sided": bool(args.one_sided),
         "csl_force_psd_n2_s": float(s_ff),
-        "csl_force_psd_error": float(getattr(s_ff, "error", 0.0)),
+        "csl_force_psd_error": s_ff.error,
         "conversions": inputs.conversions,
     })
     return 0
@@ -204,12 +204,11 @@ def _cmd_simulate(args, text, inputs):
     write_trajectories(os.path.join(args.out, "trajectories.bin"),
                        result, config_text=text)
 
-    if result.spectrum is not None:
-        with open(os.path.join(args.out, "spectrum_estimate.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("omega_rad_s,s_xx_m2_s\n")
-            for w, s in zip(result.spectrum.omegas, result.spectrum.values):
-                fh.write(f"{_fmt(w)},{_fmt(s)}\n")
+    with open(os.path.join(args.out, "spectrum_estimate.csv"), "w",
+              encoding="utf-8") as fh:
+        fh.write("omega_rad_s,s_xx_m2_s\n")
+        for w, s in zip(result.spectrum.omegas, result.spectrum.values):
+            fh.write(f"{_fmt(w)},{_fmt(s)}\n")
 
     summary = {"command": "simulate", "seed": sim.seed, "mode":
                inputs.sim_mode, "trajectories": sim.trajectories,

@@ -309,6 +309,9 @@ def parse_inputs(text):
             sec = _Section(name, cp[name], conv)
             if name == "geometry":
                 inputs.geometry = _parse_geometry(sec)
+                if isinstance(inputs.geometry, TwoBody):
+                    sec._fail("type", "two_body is valid only as an "
+                              "[experiment] geometry_type")
             elif name == "collapse":
                 inputs.collapse = _parse_collapse(sec)
             elif name == "optomech":

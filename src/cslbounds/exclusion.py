@@ -91,8 +91,8 @@ class ExperimentRecord:
 class ExclusionCurve:
     """lambda upper bound per rC grid point.
 
-    Degenerate points (no bound) carry NaN in lambda_ub; the status list
-    says why ("ok", "degenerate", "nonconvergent").
+    Points without a bound carry NaN in lambda_ub and errors; the status
+    list says why ("ok", "degenerate", "nonconvergent").
     """
 
     rCs: np.ndarray
@@ -137,11 +137,10 @@ def _unit_spectrum(rec, rC, spec, consts):
         s = csl_torque_spectrum(rec.geometry, p, spec, consts)
     else:
         s = csl_force_spectrum(rec.geometry, p, spec, consts)
-    err = getattr(s, "error", 0.0)
     if rec.colored is not None:
         f = float(rec.colored.filter(rec.band_midpoint))
-        return float(s) * f, err * f
-    return float(s), err
+        return float(s) * f, s.error * f
+    return float(s), s.error
 
 
 def lambda_upper_bound(rec, rC, spec=None, consts=CONSTANTS):
@@ -172,14 +171,15 @@ def lambda_upper_bound(rec, rC, spec=None, consts=CONSTANTS):
 
 
 def _scan_point(args):
+    """(lambda_ub, relative error, status); NaN and NaN without a bound."""
     rec, rC, spec, consts = args
     try:
         lam, rel_err = lambda_upper_bound(rec, rC, spec, consts)
         return lam, rel_err, "ok"
     except DegenerateBound:
         return np.nan, np.nan, "degenerate"
-    except NonConvergence as exc:
-        return np.nan, float(exc.error), "nonconvergent"
+    except NonConvergence:
+        return np.nan, np.nan, "nonconvergent"
 
 
 def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):

@@ -9,7 +9,8 @@ combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
 rotational noise about the x axis, is analytic for every shape.
 Cuboid and Multilayer are separable: their transform is a product of
 three 1D axis profiles (separable_profiles).  A cylinder's is the
-product of a slab profile along its axis and a disc profile across it.
+product of a slab profile along its axis and a disc profile across it,
+and a sphere's is its mass times a ball profile of |k|.
 
 All evaluators are pure and accept vectorized k components.
 """
@@ -266,9 +267,10 @@ class AxisProfile:
     A slab (layers None) of length L has P(k) = sinc(kL/2), so P(0) = 1.
     A layer stack has P(k) = sum_l rho_l d_l sinc(k d_l/2) e^{i k c_l},
     the mass per unit cross-section at k = 0.  length is the extent along
-    the axis, the scale on which P oscillates.
+    the axis, the scale on which P oscillates, over the k line (dims = 1).
     """
 
+    dims = 1
     length: float
     layers: tuple = None   # (thicknesses, densities, centers) of a stack
 
@@ -301,8 +303,10 @@ class AxisProfile:
 @dataclass(frozen=True)
 class DiscProfile:
     """Transform P(k) = jinc(kR) of a cylinder of radius R across its
-    axis, integrated over that k plane; length is the diameter."""
+    axis, integrated over that k plane (dims = 2); length is the
+    diameter."""
 
+    dims = 2
     R: float
 
     @property
@@ -315,6 +319,23 @@ class DiscProfile:
     def derivative(self, k):
         """dP/dk."""
         return self.R * jinc_prime(k * self.R)
+
+
+@dataclass(frozen=True)
+class BallProfile:
+    """Transform P(k) = sphere_kernel(kR) of a sphere of radius R over
+    all of k space (dims = 3); length is the diameter.  It has no
+    derivative, as a sphere's torque is zero."""
+
+    dims = 3
+    R: float
+
+    @property
+    def length(self):
+        return 2.0 * self.R
+
+    def transform(self, k):
+        return sphere_kernel(k * self.R)
 
 
 def separable_profiles(g):
@@ -352,8 +373,8 @@ def form_factor(g, k):
     if isinstance(g, Point):
         return np.full(kx.shape, g.m, dtype=complex)
     if isinstance(g, Sphere):
-        u = g.R * np.sqrt(kx * kx + ky * ky + kz * kz)
-        return (g.m * sphere_kernel(u)).astype(complex)
+        k_abs = np.sqrt(kx * kx + ky * ky + kz * kz)
+        return (g.m * BallProfile(g.R).transform(k_abs)).astype(complex)
     sep = separable_profiles(g)
     if sep is not None:
         scale, (px, py, pz) = sep
@@ -361,7 +382,8 @@ def form_factor(g, k):
         return val.astype(complex)
     if isinstance(g, Cylinder):
         kpar, kperp = _cylinder_components(g, kx, ky, kz)
-        val = g.m * jinc(kperp * g.R) * sinc(kpar * g.L / 2.0)
+        slab, disc = AxisProfile(g.L), DiscProfile(g.R)
+        val = g.m * disc.transform(kperp) * slab.transform(kpar)
         return val.astype(complex)
     if isinstance(g, PointLattice):
         phase = (kx[..., None] * g.positions[:, 0]
@@ -388,16 +410,16 @@ def _angular_derivative_analytic(g, kx, ky, kz):
         return val.astype(complex)
     if isinstance(g, Cylinder):
         # m (k . w)(F_par - (k_par / k_perp) F_perp) with w = n x x^, for
-        # F = jinc(k_perp R) sinc(k_par L/2); R jinc'(k_perp R) / k_perp
+        # F = P_disc(k_perp) P_slab(k_par); P_disc'(k_perp) / k_perp
         # tends to -R^2/4 as k_perp -> 0
         kpar, kperp = _cylinder_components(g, kx, ky, kz)
+        slab, disc = AxisProfile(g.L), DiscProfile(g.R)
         kw = ky * g.axis[2] - kz * g.axis[1]
         safe = np.where(kperp > 0, kperp, 1.0)
-        fp_over_kperp = np.where(kperp > 0, g.R * jinc_prime(kperp * g.R)
-                                 / safe, -g.R * g.R / 4.0)
-        val = g.m * kw * (jinc(kperp * g.R) * (g.L / 2.0)
-                          * sinc_prime(kpar * g.L / 2.0)
-                          - kpar * fp_over_kperp * sinc(kpar * g.L / 2.0))
+        fp_over_kperp = np.where(kperp > 0, disc.derivative(kperp) / safe,
+                                 -g.R * g.R / 4.0)
+        val = g.m * kw * (disc.transform(kperp) * slab.derivative(kpar)
+                          - kpar * fp_over_kperp * slab.transform(kpar))
         return val.astype(complex)
     if isinstance(g, PointLattice):
         y = g.positions[:, 1]

@@ -22,7 +22,6 @@ import hashlib
 import operator
 import struct
 from dataclasses import astuple, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -208,11 +207,9 @@ def displacement_dns(cfg, p, g, omegas, spec=None, consts=CONSTANTS,
                       / (m2 * (cfg.kappa ** 2 + (cfg.Delta - omegas) ** 2)
                          * d2))
 
-    s_ff = np.zeros_like(omegas)
-    if p.lam > 0.0:
-        s_ff = apply_colored_filter(
-            float(csl_force_spectrum(g, p, spec=spec, consts=consts)),
-            p.colored, omegas) * np.ones_like(omegas)
+    s_ff = apply_colored_filter(
+        float(csl_force_spectrum(g, p, spec=spec, consts=consts)),
+        p.colored, omegas) * np.ones_like(omegas)
 
     thermal = thermal_force_term(cfg, omegas, consts) / (m2 * d2)
     csl = s_ff / (m2 * d2)
@@ -233,8 +230,7 @@ def high_temperature_limit_check(cfg, p, g, omega, spec=None,
     u = consts.hbar * omega / (2.0 * consts.kB * cfg.T)
     if not u < 1e-3:
         raise ValueError("outside the high-temperature regime")
-    s_ff = float(csl_force_spectrum(g, p, spec=spec, consts=consts)) \
-        if p.lam > 0 else 0.0
+    s_ff = float(csl_force_spectrum(g, p, spec=spec, consts=consts))
     exact = float(thermal_force_term(cfg, omega, consts)) + s_ff
     dT = csl_temperature_shift(s_ff, cfg.m, cfg.gamma_m, consts) \
         if cfg.gamma_m > 0 else 0.0
@@ -247,7 +243,7 @@ class SimulationResult:
     times: np.ndarray
     xs: np.ndarray    # (trajectories, steps)
     ps: np.ndarray
-    spectrum: Optional[NoiseSpectrum]
+    spectrum: NoiseSpectrum
     seed: int
     force_psd_total: float
 
@@ -351,8 +347,7 @@ def _propagate(noise, m, k_spring, gamma, dt):
 
 
 def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
-                      free_particle=False, estimate_spectrum=True,
-                      nperseg=None):
+                      free_particle=False, nperseg=None):
     """Semi-implicit Euler integration of the mechanical-only Langevin
     system, from rest.
 
@@ -360,9 +355,9 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
     dp = (-m w_m^2 x - g_m p) dt + dW,   S_W = 2 m g_m kB T + S_FF (white)
 
     free_particle=True drops the restoring force and damping (the
-    free-expansion configuration).  Returns trajectories and, optionally,
-    the Welch-averaged displacement spectrum in the double-sided
-    convention of displacement_dns.
+    free-expansion configuration).  Returns trajectories and the
+    Welch-averaged displacement spectrum in the double-sided convention
+    of displacement_dns.
     """
     if p.colored is not None and p.colored.family != "white":
         raise ValueError("the Monte Carlo validator supports white CSL only")
@@ -377,8 +372,7 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
     gamma = 0.0 if free_particle else cfg.gamma_m
     T = 0.0 if free_particle else cfg.T
 
-    s_csl = float(csl_force_spectrum(g, p, spec=spec, consts=consts)) \
-        if p.lam > 0 else 0.0
+    s_csl = float(csl_force_spectrum(g, p, spec=spec, consts=consts))
     s_total = 2.0 * m * gamma * consts.kB * T + s_csl
 
     dt = sim.dt
@@ -403,18 +397,16 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
 
     times = np.arange(sim.steps) * dt
 
-    spectrum = None
-    if estimate_spectrum:
-        # one trajectory at a time, so the windowed segments and their
-        # transforms never exist for all trajectories at once
-        psd = 0.0
-        for x in xs:
-            freqs, one = welch(x, 1.0 / dt, nperseg)
-            psd = psd + one
-        psd /= len(xs)
-        # one-sided per-Hz -> double-sided per (rad/s via dw/2pi measure)
-        omegas = 2.0 * np.pi * freqs[1:]
-        spectrum = NoiseSpectrum(omegas, psd[1:] / 2.0, "displacement")
+    # one trajectory at a time, so the windowed segments and their
+    # transforms never exist for all trajectories at once
+    psd = 0.0
+    for x in xs:
+        freqs, one = welch(x, 1.0 / dt, nperseg)
+        psd = psd + one
+    psd /= len(xs)
+    # one-sided per-Hz -> double-sided per (rad/s via dw/2pi measure)
+    omegas = 2.0 * np.pi * freqs[1:]
+    spectrum = NoiseSpectrum(omegas, psd[1:] / 2.0, "displacement")
 
     return SimulationResult(times, xs, ps, spectrum, sim.seed, s_total)
 

@@ -120,7 +120,7 @@ def test_03_free_expansion_and_monte_carlo():
     cfg = OptomechConfig(m=CONSTANTS.m0, omega_m=1.0, gamma_m=0.0, T=0.0)
     sim = SimConfig(dt=1.0 / 4096, steps=4096, trajectories=1500, seed=42)
     res = simulate_langevin(cfg, GRW, Point(CONSTANTS.m0), sim,
-                            free_particle=True, estimate_spectrum=False)
+                            free_particle=True)
     t = res.times[res.times.size // 2:]
     msd = np.mean(res.xs[:, res.times.size // 2:] ** 2, axis=0)
     coef = float(np.sum(msd * t ** 3) / np.sum(t ** 6))

@@ -286,3 +286,19 @@ def test_bad_simulation_seed_is_a_config_error(tmp_path, capsys, seed):
     assert main(["simulate", "--config", conf, "--out", str(out)]) == 2
     assert "[simulation] seed" in capsys.readouterr().err
     assert not (out / "trajectories.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_two_body_geometry_section_is_a_config_error(tmp_path, capsys,
+                                                     command):
+    """[geometry] holds the one body of spectrum and simulate; a pair
+    there is rejected at parse time (exit 2), naming the section."""
+    text = SIM_CONF.replace(
+        "type = sphere\nmass_kg = 1e-12\nradius_um = 0.5\n",
+        "type = two_body\nseparation_m = 1e-5\nunit_type = sphere\n"
+        "unit_mass_kg = 1e-12\nunit_radius_um = 0.5\n")
+    assert "two_body" in text
+    conf = write(tmp_path, "c.ini", text)
+    assert main([command, "--config", conf, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "[geometry]" in err and "two_body" in err

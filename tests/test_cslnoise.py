@@ -457,3 +457,27 @@ def test_collapse_params_reject_non_finite(lam, rC):
     # a NaN lambda would otherwise give a NaN spectrum
     with pytest.raises(ValueError, match="finite"):
         CollapseParams(lam, rC)
+
+
+@pytest.mark.parametrize("method", ["Auto", "exact", "", None])
+def test_unknown_method_rejected(method):
+    """Only "auto" and "quadrature" name a route; anything else used to
+    fall through to the quadrature oracle."""
+    p = CollapseParams(1.0, 1e-7)
+    g = Cuboid(1e-12, 1e-6, 2e-6, 3e-6)
+    with pytest.raises(ValueError, match="method"):
+        csl_force_spectrum(g, p, method=method)
+    with pytest.raises(ValueError, match="method"):
+        csl_torque_spectrum(g, p, method=method)
+
+
+def test_combine_product_scales_a_zero_factors_error():
+    """A zero factor's error is carried through the other factors."""
+    combine = cslbounds.cslnoise._combine_product
+    assert combine([(0.0, 1e-3), (2.0, 0.0)]) == (0.0, 2e-3)
+    assert combine([(3.0, 0.0), (0.0, 1e-3), (-2.0, 1.0)]) == (0.0, 6e-3)
+    # two zero factors leave no first-order error
+    assert combine([(0.0, 1e-3), (0.0, 1e-3)]) == (0.0, 0.0)
+    value, err = combine([(2.0, 1e-3), (4.0, 2e-3)])
+    assert value == 8.0 and err == pytest.approx(8.0 * (5e-4 + 5e-4))
+

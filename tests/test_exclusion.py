@@ -320,3 +320,16 @@ def test_temperature_shift_record_rejects_bad_readout(readout):
     # these would otherwise give a NaN, infinite or negative bound
     with pytest.raises(ValueError, match="finite and positive"):
         sphere_record(channel="temperature_shift", **readout)
+
+
+def test_nonconvergent_point_has_no_relative_error(monkeypatch):
+    """A point whose quadrature gave up carries NaN, not the absolute
+    error of the failed inner moment, in the relative-error column."""
+    def give_up(*args, **kwargs):
+        raise exclusion.NonConvergence("budget spent", 1e-30, 1e-31)
+
+    monkeypatch.setattr(exclusion, "lambda_upper_bound", give_up)
+    curve = exclusion_scan(sphere_record(), np.array([1e-8, 1e-7]))
+    assert curve.status == ("nonconvergent", "nonconvergent")
+    assert np.all(np.isnan(curve.errors))
+    assert np.all(np.isnan(curve.lambda_ub))

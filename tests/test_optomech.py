@@ -111,7 +111,7 @@ def test_equipartition():
     cfg = lorentzian_cfg(T=0.1)
     p0 = CollapseParams(0.0, GRW_RC)
     sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=24, seed=42)
-    res = simulate_langevin(cfg, p0, SPHERE, sim, estimate_spectrum=False)
+    res = simulate_langevin(cfg, p0, SPHERE, sim)
     tail = res.xs[:, res.xs.shape[1] // 3:]
     got = np.mean(tail ** 2)
     want = CONSTANTS.kB * cfg.T / (cfg.m * cfg.omega_m ** 2)
@@ -157,8 +157,8 @@ def test_spectrum_variance_normalization():
 def test_determinism_and_trajectory_streams():
     cfg = lorentzian_cfg()
     sim = SimConfig(dt=1.5e-6, steps=4096, trajectories=3, seed=99)
-    a = simulate_langevin(cfg, GRW, SPHERE, sim, estimate_spectrum=False)
-    b = simulate_langevin(cfg, GRW, SPHERE, sim, estimate_spectrum=False)
+    a = simulate_langevin(cfg, GRW, SPHERE, sim)
+    b = simulate_langevin(cfg, GRW, SPHERE, sim)
     assert np.array_equal(a.xs, b.xs)
     # distinct per-trajectory streams
     assert not np.array_equal(a.xs[0], a.xs[1])
@@ -208,8 +208,7 @@ def test_block_integrator_matches_per_step_recursion(regime, zeta,
     sim = SimConfig(dt=dt, steps=steps, trajectories=trajectories,
                     seed=int(rng.integers(2 ** 63)))
     p = GRW if free else CollapseParams(0.0, GRW_RC)
-    res = simulate_langevin(cfg, p, SPHERE, sim, free_particle=free,
-                            estimate_spectrum=False)
+    res = simulate_langevin(cfg, p, SPHERE, sim, free_particle=free)
     noise = _trajectory_noise(sim) * np.sqrt(res.force_psd_total * dt)
     k_spring = 0.0 if free else m * omega_m ** 2
     want = per_step_oracle(noise, m, k_spring, gamma, dt)
@@ -226,7 +225,7 @@ def test_simulation_memory_stays_near_outputs():
     tracemalloc.start()
     try:
         simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
-                          SPHERE, sim, estimate_spectrum=False)
+                          SPHERE, sim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,7 +296,7 @@ def test_unstable_step_raises():
     sim = SimConfig(dt=5e-6, steps=20000, trajectories=1, seed=1)
     with pytest.raises(UnstableStep), np.errstate(over="ignore",
                                                   invalid="ignore"):
-        simulate_langevin(cfg, GRW, SPHERE, sim, estimate_spectrum=False)
+        simulate_langevin(cfg, GRW, SPHERE, sim)
 
 
 def test_resolution_validation():
@@ -342,7 +341,7 @@ def test_sim_config_accepts_numpy_integers():
 def test_trajectory_roundtrip(tmp_path):
     cfg = lorentzian_cfg()
     sim = SimConfig(dt=1.5e-6, steps=2048, trajectories=2, seed=5)
-    res = simulate_langevin(cfg, GRW, SPHERE, sim, estimate_spectrum=False)
+    res = simulate_langevin(cfg, GRW, SPHERE, sim)
     path = tmp_path / "traj.bin"
     write_trajectories(path, res, config_text="sample config")
     times, xs, ps, meta = read_trajectories(path)

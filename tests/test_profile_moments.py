@@ -209,8 +209,8 @@ def quadrature(prof, kind, rC, spec, h=None, s=0.0):
     moment is a tiny remainder) its last estimate and error bound."""
     try:
         return cslnoise._profile_moment(prof, kind, rC, spec, False, h, s)
-    except NonConvergence as exc:   # raised over the half line k >= 0
-        return 2.0 * exc.estimate, 2.0 * exc.error
+    except NonConvergence as exc:
+        return exc.estimate, exc.error
 
 
 def test_closed_forms_match_quadrature():
@@ -310,3 +310,18 @@ def test_auto_routes_make_no_1d_quadrature(rC, monkeypatch):
                  (0.0, 0.6, 0.8)):
         assert float(csl_force_spectrum(Cylinder(1e-14, 1e-7, 1e-6, axis),
                                         p)) > 0
+
+
+def test_nonconvergence_carries_the_whole_moment():
+    """A NonConvergence from the quadrature carries the estimate and
+    error of the whole moment, not of its half line k >= 0: a slab C1 far
+    below rC, where sinc' rounds and rel_tol 1e-12 is out of reach, lies
+    within its error of the closed form."""
+    prof, rC = AxisProfile(4.59e-6), 1.13e-3
+    exact, exact_err = cslnoise._axis_moment(prof, "C1", rC)
+    spec = QuadratureSpec(rel_tol=1e-12, max_evals=100_000)
+    with pytest.raises(NonConvergence) as info:
+        cslnoise._profile_moment(prof, "C1", rC, spec, closed_form=False)
+    exc = info.value
+    assert abs(exc.estimate - exact) <= exc.error + exact_err
+    assert exc.error < 1e-9 * abs(exact)

@@ -226,9 +226,9 @@ def test_tilted_cylinder_two_body_over_random_tilts(seed):
 
 
 def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
-    """Sphere and cylinder two-body spectra at any axis, and cylinder
-    torque at any tilt, never reach integrate_k3, down to rC = 1e-8,
-    where the generic 3D route ran out of memory."""
+    """Sphere (saturated too) and cylinder two-body spectra at any axis,
+    and cylinder torque at any tilt, never reach integrate_k3, down to
+    rC = 1e-8, where the generic 3D route ran out of memory."""
     def no_k3(*args, **kwargs):
         raise AssertionError("integrate_k3 called")
 
@@ -241,6 +241,9 @@ def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
         for unit in [Sphere(1e-12, 5e-7)] + cylinders:
             s = csl_force_spectrum_two_body(TwoBody(unit, 3e-6), p)
             assert np.isfinite(float(s)) and float(s) > 0.0
+        saturated = csl_force_spectrum_two_body(
+            TwoBody(Sphere(1e-12, 5e-7), 1.0), p)
+        assert np.isfinite(float(saturated)) and float(saturated) > 0.0
         for g in cylinders[1:]:
             s = csl_torque_spectrum(g, p)
             assert np.isfinite(float(s)) and float(s) > 0.0
@@ -249,8 +252,9 @@ def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
 
 def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     """Every 1D integral of the force, two-body and torque spectra of a
-    Cuboid, a Multilayer and a Cylinder (along x, along y, tilted) is a
-    profile moment: integrate_1d is only ever called from inside
+    Cuboid, a Multilayer and a Cylinder (along x, along y, tilted), and
+    of the sphere two-body spectrum, saturated or not, is a profile
+    moment: integrate_1d is only ever called from inside
     _profile_moment."""
     from cslbounds import quadrature
     calls = []
@@ -283,6 +287,8 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
             csl_force_spectrum(g, p, method="quadrature")
             csl_force_spectrum_two_body(TwoBody(g, 3e-6), p)
             csl_torque_spectrum(g, p)
+        for a in (3e-6, 1.0):
+            csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, 5e-7), a), p)
     assert len(calls) > 100
 
 
