@@ -68,7 +68,7 @@ def _write_manifest(out_dir, text, extra):
         fh.write("\n")
 
 
-def _require(inputs, text, field, section):
+def _require(inputs, field, section):
     value = getattr(inputs, field)
     if value is None:
         raise ConfigError(f"missing required section [{section}]")
@@ -76,10 +76,10 @@ def _require(inputs, text, field, section):
 
 
 def _cmd_spectrum(args, text, inputs):
-    cfg = _require(inputs, text, "optomech", "optomech")
-    p = _require(inputs, text, "collapse", "collapse")
-    g = _require(inputs, text, "geometry", "geometry")
-    omegas = _require(inputs, text, "omega_grid", "grid")
+    cfg = _require(inputs, "optomech", "optomech")
+    p = _require(inputs, "collapse", "collapse")
+    g = _require(inputs, "geometry", "geometry")
+    omegas = _require(inputs, "omega_grid", "grid")
     spec = inputs.quadrature
 
     spectrum, parts = displacement_dns(cfg, p, g, omegas, spec=spec,
@@ -192,10 +192,10 @@ def _cmd_exclusion(args, text, inputs):
 
 
 def _cmd_simulate(args, text, inputs):
-    cfg = _require(inputs, text, "optomech", "optomech")
-    p = _require(inputs, text, "collapse", "collapse")
-    g = _require(inputs, text, "geometry", "geometry")
-    sim = _require(inputs, text, "simulation", "simulation")
+    cfg = _require(inputs, "optomech", "optomech")
+    p = _require(inputs, "collapse", "collapse")
+    g = _require(inputs, "geometry", "geometry")
+    sim = _require(inputs, "simulation", "simulation")
     free = inputs.sim_mode == "free_particle"
 
     result = simulate_langevin(cfg, p, g, sim, spec=inputs.quadrature,

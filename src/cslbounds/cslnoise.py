@@ -700,12 +700,19 @@ def _one_minus_cos(x):
     return 2.0 * np.sin(x / 2.0) ** 2
 
 
-def _abs_sq(p):
-    """|p|^2 of a freshly computed transform, squared in place when it is
-    real (a slab, disc or ball); a layer stack's complex one takes np.abs."""
-    if np.iscomplexobj(p):
-        p = np.abs(p)
-    return np.square(p, out=p)
+def _closed_moment(prof, kind, rC, h, s):
+    """The closed form of one moment (see _profile_moment), or None."""
+    if isinstance(prof, AxisProfile):
+        if prof.layers is None and kind in ("M0", "M2") and h is None:
+            return _sinc_sq_gauss(prof.length, rC,
+                                  weight_power=2 if kind == "M2" else 0)
+        if (h is None and kind != "M1") or (h, kind) in (
+                (_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
+                (np.sin, "M1")):
+            return _axis_moment(prof, kind, rC, h, s)
+    if isinstance(prof, DiscProfile) and h is None and kind in ("M0", "M2"):
+        return _disc_moment(prof.R, kind, rC)
+    return None
 
 
 def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
@@ -714,12 +721,14 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
     kernel h(s k).
 
     kind: "M0", "M1", "M2" int k^n |P|^2, "D0" int |P'|^2 and "C1"
-    int k Re(P P'*), each weighted by e^{-k^2 rC^2}.  An AxisProfile is
-    integrated over the whole k line, a DiscProfile over its k plane
-    (int 2 pi k dk, without the factor pi) and a BallProfile over all
-    of k space (int 4 pi k^2 dk, without the factor 2 pi): the weight
-    gains prof.dims - 1 powers of k.  The density is real, so every
-    integrand is even and the imaginary part of P P'* integrates to 0.
+    int k Re(P P'*), each weighted by e^{-k^2 rC^2}; or a tuple of these
+    kinds, which returns a list of moments, each bit for bit the moment
+    of that kind alone.  An AxisProfile is integrated over the whole k
+    line, a DiscProfile over its k plane (int 2 pi k dk, without the
+    factor pi) and a BallProfile over all of k space (int 4 pi k^2 dk,
+    without the factor 2 pi): the weight gains prof.dims - 1 powers of
+    k.  The density is real, so every integrand is even and the
+    imaginary part of P P'* integrates to 0.
 
     When closed_form is set these moments are closed forms: every M0,
     M2, D0 and C1 of a slab or layer stack, its M0 and M2 times
@@ -728,48 +737,52 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
     one-slab formula (_sinc_sq_gauss), whose values and error estimates
     the shipped space_two_body exclusion reports bit for bit (ROADMAP
     item 1).  Every other moment, and every moment when closed_form is
-    unset (the oracle route), is one 1D quadrature over k >= 0 of twice
+    unset (the oracle route), is a 1D quadrature over k >= 0 of twice
     the integrand, with an absolute target of at least abs_tol for
     moments that change sign; a NonConvergence it raises carries the
-    whole moment's estimate and error.  Returns (value, error).
+    whole moment's estimate and error.  The quadrature moments of one
+    call share one integrate_1d pass: at each node the transform, its
+    derivative, h and the Gaussian weight are evaluated once for all of
+    them.  Returns (value, error), or a list of them for a tuple.
     """
-    if closed_form and isinstance(prof, AxisProfile):
-        if prof.layers is None and kind in ("M0", "M2") and h is None:
-            return _sinc_sq_gauss(prof.length, rC,
-                                  weight_power=2 if kind == "M2" else 0)
-        if (h is None and kind != "M1") or (h, kind) in (
-                (_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
-                (np.sin, "M1")):
-            return _axis_moment(prof, kind, rC, h, s)
-    if closed_form and isinstance(prof, DiscProfile) and h is None \
-            and kind in ("M0", "M2"):
-        return _disc_moment(prof.R, kind, rC)
-    line = prof.dims == 1
-    power = {"M1": 1, "M2": 2, "C1": not line}.get(kind, 0) + prof.dims - 1
+    kinds = (kind,) if isinstance(kind, str) else kind
+    out = []
+    for name in kinds:
+        out.append(_closed_moment(prof, name, rC, h, s) if closed_form
+                   else None)
+    if None in out:
+        rest = [name for name, moment in zip(kinds, out) if moment is None]
+        line = prof.dims == 1
+        powers = [{"M1": 1, "M2": 2, "C1": not line}.get(name, 0)
+                  + prof.dims - 1 for name in rest]
+        slope = "D0" in rest or "C1" in rest
 
-    def integrand(k):
-        if kind == "D0":
-            val = _abs_sq(prof.derivative(k))
-        elif kind == "C1":   # on a line the k multiplies inside the product
-            val = np.real((k if line else 1.0) * prof.transform(k)
-                          * np.conj(prof.derivative(k)))
-        else:
-            val = _abs_sq(prof.transform(k))
-        if h is not None:
-            val = val * h(s * k)
-        if power:
-            val = val * k ** power
-        weight = np.multiply(k, rC)   # 2 e^{-(k rC)^2}, built in place
-        np.square(weight, out=weight)
-        np.negative(weight, out=weight)
-        np.exp(weight, out=weight)
-        weight *= 2.0
-        weight *= val
-        return weight
+        def integrand(k):
+            p, dp = prof.transform_and_derivative(k) if slope \
+                else (prof.transform(k), None)
+            hk = None if h is None else h(s * k)
+            weight = 2.0 * np.exp(-np.square(k * rC))
+            rows = []
+            for name, power in zip(rest, powers):
+                if name == "D0":
+                    val = np.square(np.abs(dp))
+                elif name == "C1":   # on a line k multiplies in the product
+                    val = np.real((k if line else 1.0) * p * np.conj(dp))
+                else:
+                    val = np.square(np.abs(p))
+                if hk is not None:
+                    val = val * hk
+                if power:
+                    val = val * k ** power
+                rows.append(weight * val)
+            return rows
 
-    return integrate_1d(integrand, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
-                        max(spec.abs_tol, abs_tol), spec.max_evals,
-                        max_panel_width=np.pi / max(prof.length, s))
+        rows = iter(integrate_1d(
+            integrand, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
+            max(spec.abs_tol, abs_tol), spec.max_evals,
+            max_panel_width=np.pi / max(prof.length, s)))
+        out = [next(rows) if moment is None else moment for moment in out]
+    return out[0] if isinstance(kind, str) else out
 
 
 def _torque_bracket(py, pz, rC, spec, closed_form=True):
@@ -785,10 +798,10 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     tolerance and are not evaluated again.  Returns (value, error).
     """
     def bracket(s):
-        (a1, e1), (b1, f1), (a2, e2), (b2, f2), (a3, e3), (b3, f3) = (
-            _profile_moment(prof, kind, rC, s, closed_form)
-            for prof, kind in ((py, "M2"), (pz, "D0"), (py, "D0"),
-                               (pz, "M2"), (py, "C1"), (pz, "C1")))
+        (a1, e1), (a2, e2), (a3, e3) = _profile_moment(
+            py, ("M2", "D0", "C1"), rC, s, closed_form)
+        (b1, f1), (b2, f2), (b3, f3) = _profile_moment(
+            pz, ("D0", "M2", "C1"), rC, s, closed_form)
         return (a1 * b1 + a2 * b2 - 2.0 * a3 * b3,
                 abs(e1 * b1) + abs(a1 * f1) + abs(e2 * b2) + abs(a2 * f2)
                 + 2.0 * (abs(e3 * b3) + abs(a3 * f3)),
@@ -1005,13 +1018,12 @@ def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
         return _profile_moment(prof, kind, rC, spec, closed_form, h,
                                ac if prof is slab else as_, abs_tol)
 
-    m0, m2, q0, q2 = (moment(slab, "M0"), moment(slab, "M2"),
-                      moment(disc, "M0"), moment(disc, "M2"))
+    (m0, m2), (q0, q2) = moment(slab, ("M0", "M2")), \
+        moment(disc, ("M0", "M2"))
     if a is None:
         terms = [(c * c, m2, q0), (s * s / 2.0, m0, q2)]
     else:
-        t, p0m = moment(slab, "M2", _one_minus_cos), \
-            moment(slab, "M0", _one_minus_cos)
+        t, p0m = moment(slab, ("M2", "M0"), _one_minus_cos)
         q0m, q2h = moment(disc, "M0", one_minus_j0), \
             moment(disc, "M2", ring_cos2_kernel)
         terms = [(c * c, t, q0), (c * c, (m2[0] - t[0], m2[1] + t[1]), q0m),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import sinc, sinc_prime, jinc, jinc_prime, sphere_kernel
+from .special import jinc, jinc_pair, sinc, sinc_pair, sphere_kernel
 
 __all__ = [
     "MassGeometry", "Point", "Sphere", "Cuboid", "Cylinder", "Multilayer",
@@ -285,19 +285,24 @@ class AxisProfile:
             out += rho * d * sincs[d] * np.exp(1j * k * c)
         return out
 
-    def derivative(self, k):
-        """dP/dk."""
+    def transform_and_derivative(self, k):
+        """(P, dP/dk), sharing each thickness's sin and cos and each
+        layer's phase e^{i k c}."""
         if self.layers is None:
-            return (self.length / 2.0) * sinc_prime(k * self.length / 2.0)
-        parts = {}   # (d/2) sinc'(k d/2) and sinc(k d/2) per thickness
-        out = np.zeros(np.shape(k), dtype=complex)
+            value, slope = sinc_pair(k * self.length / 2.0)
+            return value, (self.length / 2.0) * slope
+        parts = {}   # sinc(k d/2) and (d/2) sinc'(k d/2) per thickness
+        p = np.zeros(np.shape(k), dtype=complex)
+        dp = np.zeros(np.shape(k), dtype=complex)
         for d, rho, c in zip(*self.layers):
             if d not in parts:
-                parts[d] = ((d / 2.0) * sinc_prime(k * d / 2.0),
-                            sinc(k * d / 2.0))
-            slope, value = parts[d]
-            out += rho * d * (slope + 1j * c * value) * np.exp(1j * k * c)
-        return out
+                value, slope = sinc_pair(k * d / 2.0)
+                parts[d] = value, (d / 2.0) * slope
+            value, slope = parts[d]
+            phase = np.exp(1j * k * c)
+            p += rho * d * value * phase
+            dp += rho * d * (slope + 1j * c * value) * phase
+        return p, dp
 
 
 @dataclass(frozen=True)
@@ -316,9 +321,10 @@ class DiscProfile:
     def transform(self, k):
         return jinc(k * self.R)
 
-    def derivative(self, k):
-        """dP/dk."""
-        return self.R * jinc_prime(k * self.R)
+    def transform_and_derivative(self, k):
+        """(P, dP/dk), sharing J1."""
+        value, slope = jinc_pair(k * self.R)
+        return value, self.R * slope
 
 
 @dataclass(frozen=True)
@@ -404,9 +410,9 @@ def _angular_derivative_analytic(g, kx, ky, kz):
     sep = separable_profiles(g)
     if sep is not None:
         scale, (px, py, pz) = sep
-        val = scale * px.transform(kx) * (
-            ky * py.transform(ky) * pz.derivative(kz)
-            - kz * py.derivative(ky) * pz.transform(kz))
+        (vy, dy), (vz, dz) = (py.transform_and_derivative(ky),
+                              pz.transform_and_derivative(kz))
+        val = scale * px.transform(kx) * (ky * vy * dz - kz * dy * vz)
         return val.astype(complex)
     if isinstance(g, Cylinder):
         # m (k . w)(F_par - (k_par / k_perp) F_perp) with w = n x x^, for
@@ -416,10 +422,10 @@ def _angular_derivative_analytic(g, kx, ky, kz):
         slab, disc = AxisProfile(g.L), DiscProfile(g.R)
         kw = ky * g.axis[2] - kz * g.axis[1]
         safe = np.where(kperp > 0, kperp, 1.0)
-        fp_over_kperp = np.where(kperp > 0, disc.derivative(kperp) / safe,
-                                 -g.R * g.R / 4.0)
-        val = g.m * kw * (disc.transform(kperp) * slab.derivative(kpar)
-                          - kpar * fp_over_kperp * slab.transform(kpar))
+        (fd, dfd), (fs, dfs) = (disc.transform_and_derivative(kperp),
+                                slab.transform_and_derivative(kpar))
+        fp_over_kperp = np.where(kperp > 0, dfd / safe, -g.R * g.R / 4.0)
+        val = g.m * kw * (fd * dfs - kpar * fp_over_kperp * fs)
         return val.astype(complex)
     if isinstance(g, PointLattice):
         y = g.positions[:, 1]

@@ -13,7 +13,9 @@ angular part is handled according to the symmetry the caller declares:
 
 All integrands must accept numpy arrays and evaluate elementwise.  Panel
 results are combined with math.fsum, so the accumulated value does not
-depend on evaluation order.
+depend on evaluation order.  A 1D integrand may return a list of rows,
+several integrands that share their work at each node (the moments of
+one profile); each row is integrated bit for bit as if alone.
 """
 
 import functools
@@ -96,19 +98,21 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _panel_rule(f, lo, hi):
-    """Evaluate K15 and the embedded G7 on a batch of panels.
-
-    lo, hi: arrays of panel edges.  Returns (integral, error, nevals).
-    """
+def _panel_values(f, lo, hi):
+    """(half widths, f at the K15 nodes) of a batch of panels [lo, hi]."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return half, f(nodes.ravel())
+
+
+def _panel_rule(row, half):
+    """K15 and the embedded G7 error of one integrand's node values, summed
+    on its own (panels, 15) block: a matmul's bits depend on the layout
+    of its batch, and each row of a stack, its own array, sums as alone."""
+    vals = np.asarray(row, dtype=float).reshape(-1, 15)
     k15 = half * (vals @ _WGK)
-    g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
-    err = np.abs(k15 - g7)
-    return k15, err, vals.size
+    return k15, np.abs(k15 - half * (vals[:, _GAUSS_IDX] @ _WG))
 
 
 def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
@@ -119,55 +123,64 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     oscillation period when the integrand is known to oscillate, so the
     error estimator sees the structure from the start.
 
-    Returns (value, error_estimate).  Raises NonConvergence when the
-    evaluation budget runs out.
+    f maps an array of n nodes to n values, or to a list of such arrays,
+    a stack of integrands sharing their work per node.  The stack is
+    evaluated once on the first panels; each row then refines on its own
+    panels (taking its row of f) and spends max_evals as if alone, bit
+    for bit.  Returns (value, error_estimate), or a list of them for a
+    stack; raises NonConvergence with the estimate and error of the
+    first row that runs out of evaluations.
     """
-    if b <= a:
-        return 0.0, 0.0
     span = b - a
-    if max_panel_width is not None and max_panel_width < span:
+    if span <= 0:   # no panels: every row integrates to 0
+        lo = hi = np.empty(0)
+    elif max_panel_width is not None and max_panel_width < span:
         n0 = min(int(np.ceil(span / max_panel_width)), 4096)
         edges = np.linspace(a, b, n0 + 1)
-        lo = edges[:-1]
-        hi = edges[1:]
+        lo, hi = edges[:-1], edges[1:]
     else:
-        lo = np.array([a], dtype=float)
-        hi = np.array([b], dtype=float)
+        lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
 
-    vals, errs, nev = _panel_rule(f, lo, hi)
-    evals = nev
-
-    while True:
-        total = math.fsum(vals.tolist())
-        tot_err = math.fsum(errs.tolist())
-        target = max(abs_tol, rel_tol * abs(total))
-        if tot_err <= target or target == 0.0 and tot_err == 0.0:
-            return total, tot_err
-        if evals >= max_evals:
-            raise NonConvergence(
-                f"quadrature used {evals} evaluations without reaching "
-                f"tolerance (error {tot_err:.3e}, target {target:.3e})",
-                total, tot_err)
-        # split every panel carrying more than its per-panel error share
-        thresh = 0.5 * target / len(vals)
-        split = errs > thresh
-        if not np.any(split):
-            split = errs == errs.max()
-        s_lo, s_hi = lo[split], hi[split]
-        s_mid = 0.5 * (s_lo + s_hi)
-        new_lo = np.concatenate([lo[~split], s_lo, s_mid])
-        new_hi = np.concatenate([hi[~split], s_mid, s_hi])
-        new_vals, new_errs, nev = _panel_rule(
-            f, np.concatenate([s_lo, s_mid]), np.concatenate([s_mid, s_hi]))
-        evals += nev
-        keep_vals = vals[~split]
-        keep_errs = errs[~split]
-        lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, new_vals])
-        errs = np.concatenate([keep_errs, new_errs])
-        # canonical ordering keeps fsum input deterministic
-        order = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
+    first_half, first = _panel_values(f, lo, hi)
+    results = []
+    stacked = isinstance(first, list)
+    for r, row in enumerate(first if stacked else [first]):
+        lo_r, hi_r = lo, hi
+        vals, errs = _panel_rule(row, first_half)
+        evals = np.size(row)
+        while True:
+            total = math.fsum(vals.tolist())
+            tot_err = math.fsum(errs.tolist())
+            target = max(abs_tol, rel_tol * abs(total))
+            if tot_err <= target or target == 0.0 and tot_err == 0.0:
+                results.append((total, tot_err))
+                break
+            if evals >= max_evals:
+                raise NonConvergence(
+                    f"quadrature used {evals} evaluations without reaching "
+                    f"tolerance (error {tot_err:.3e}, target {target:.3e})",
+                    total, tot_err)
+            # split every panel carrying more than its per-panel error share
+            thresh = 0.5 * target / len(vals)
+            split = errs > thresh
+            if not np.any(split):
+                split = errs == errs.max()
+            s_lo, s_hi = lo_r[split], hi_r[split]
+            s_mid = 0.5 * (s_lo + s_hi)
+            half, new = _panel_values(f, np.concatenate([s_lo, s_mid]),
+                                      np.concatenate([s_mid, s_hi]))
+            new = new[r] if stacked else new
+            new_vals, new_errs = _panel_rule(new, half)
+            evals += np.size(new)
+            lo_r = np.concatenate([lo_r[~split], s_lo, s_mid])
+            hi_r = np.concatenate([hi_r[~split], s_mid, s_hi])
+            vals = np.concatenate([vals[~split], new_vals])
+            errs = np.concatenate([errs[~split], new_errs])
+            # canonical ordering keeps fsum input deterministic
+            order = np.argsort(lo_r, kind="stable")
+            lo_r, hi_r = lo_r[order], hi_r[order]
+            vals, errs = vals[order], errs[order]
+    return results if stacked else results[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -63,16 +63,23 @@ def _sinc_prime_series(x):
     return -x / 3.0 + x * (x * x) / 30.0
 
 
-def sinc_prime(x):
-    """d/dx [sin(x)/x] = (cos(x) - sinc(x))/x, series below |x| < 1e-4."""
+def sinc_pair(x):
+    """(sinc(x), sinc'(x)) with sin(x)/x computed once: sinc' = (cos(x) -
+    sinc(x))/x, series below |x| < 1e-4 for both."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.cos(x, out=np.empty_like(x))
-        tmp = np.sin(x, out=np.empty_like(x))
-        tmp /= x
-        out -= tmp
-        out /= x
-    return _patch(out, x, 1e-4, _sinc_prime_series)
+        value = np.sin(x, out=np.empty_like(x))
+        value /= x
+        slope = np.cos(x, out=np.empty_like(x))
+        slope -= value
+        slope /= x
+    return (_patch(value, x, 1e-4, _sinc_series),
+            _patch(slope, x, 1e-4, _sinc_prime_series))
+
+
+def sinc_prime(x):
+    """d/dx [sin(x)/x] = (cos(x) - sinc(x))/x, series below |x| < 1e-4."""
+    return sinc_pair(x)[1]
 
 
 def _jinc_series(x):
@@ -97,22 +104,28 @@ def _jinc_prime_series(x):
     return -x / 4.0 + x ** 3 / 48.0
 
 
-def jinc_prime(x):
-    """d/dx [2 J1(x)/x] = 2 (x J0(x) - 2 J1(x)) / x^2.
-
-    Uses J1' = J0 - J1/x; series below |x| < 1e-4: -x/4 + x^3/48.
-    """
+def jinc_pair(x):
+    """(jinc(x), jinc'(x)) with J1 computed once: jinc' = d/dx [2 J1(x)/x]
+    = 2 (x J0(x) - 2 J1(x)) / x^2 by J1' = J0 - J1/x; series below
+    |x| < 1e-4 for both (jinc' -x/4 + x^3/48)."""
     import scipy.special
     x = np.asarray(x, dtype=float)
-    out = scipy.special.j0(x, out=np.empty_like(x))
-    out *= x
-    tmp = np.asarray(bessel_j1(x))
-    tmp *= 2.0
-    out -= tmp
-    out *= 2.0
+    value = np.asarray(bessel_j1(x))
+    value *= 2.0
+    slope = scipy.special.j0(x, out=np.empty_like(x))
+    slope *= x
+    slope -= value
+    slope *= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out /= np.multiply(x, x, out=tmp)
-    return _patch(out, x, 1e-4, _jinc_prime_series)
+        slope /= np.multiply(x, x)
+        value /= x
+    return (_patch(value, x, 1e-4, _jinc_series),
+            _patch(slope, x, 1e-4, _jinc_prime_series))
+
+
+def jinc_prime(x):
+    """d/dx [2 J1(x)/x], series below |x| < 1e-4."""
+    return jinc_pair(x)[1]
 
 
 def _sphere_series(u):

@@ -218,20 +218,6 @@ def test_block_integrator_matches_per_step_recursion(regime, zeta,
         assert np.max(np.abs(got - ref)) <= 1e-12 * rms
 
 
-def test_simulation_memory_stays_near_outputs():
-    """Peak traced memory of a 24 x 131072 run stays within 4.2 x one
-    trajectory-sized array: the noise and the two outputs, plus little."""
-    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=24, seed=42)
-    tracemalloc.start()
-    try:
-        simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
-                          SPHERE, sim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.2 * sim.trajectories * sim.steps * 8
-
-
 def test_spectrum_estimate_memory_is_per_trajectory():
     """With the Welch estimate, the peak stays within 3.5 x one
     trajectory-sized array: the estimate works one trajectory at a

@@ -148,3 +148,59 @@ def test_determinism():
     a = integrate_1d(f, 0.0, 30.0, rel_tol=1e-9)
     b = integrate_1d(f, 0.0, 30.0, rel_tol=1e-9)
     assert a == b
+
+
+def counted(f, points):
+    """f, adding the number of nodes of each evaluation to points."""
+    def wrapper(x):
+        points.append(x.size)
+        return f(x)
+    return wrapper
+
+
+STACK = (lambda x: np.sin(50.0 * x) ** 2,
+         lambda x: x * x * np.exp(-x * x),
+         lambda x: np.exp(-x) * np.cos(3.0 * x))
+
+
+def test_stacked_rows_equal_lone_integrals():
+    """Each row of a stacked integrand gives the value and error of its
+    integrand alone, bit for bit, after refinement rounds of different
+    counts; the first panels are evaluated once for the whole stack and
+    every later round for the one row refining."""
+    kwargs = dict(rel_tol=1e-11, max_panel_width=2.0)
+    lone, lone_points = [], []
+    for g in STACK:
+        points = []
+        lone.append(integrate_1d(counted(g, points), 0.0, 6.0, **kwargs))
+        lone_points.append(points)
+    points = []
+    rows = integrate_1d(counted(lambda x: [g(x) for g in STACK], points),
+                        0.0, 6.0, **kwargs)
+    assert rows == lone
+    assert all(len(p) > 1 for p in lone_points)
+    first = lone_points[0][0]
+    assert points == [first] + [n for p in lone_points for n in p[1:]]
+
+
+def test_stacked_row_out_of_budget_raises_its_own_estimate():
+    """A row that runs out of max_evals raises NonConvergence with the
+    estimate and error of its integrand alone; the rows before it
+    converge on the same budget."""
+    smooth = lambda x: np.exp(-x)
+    singular = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-300)
+    kwargs = dict(rel_tol=1e-12, max_evals=500)
+    with pytest.raises(NonConvergence) as alone:
+        integrate_1d(singular, 0.0, 1.0, **kwargs)
+    integrate_1d(smooth, 0.0, 1.0, **kwargs)
+    with pytest.raises(NonConvergence) as stacked:
+        integrate_1d(lambda x: [smooth(x), singular(x)], 0.0, 1.0,
+                     **kwargs)
+    assert stacked.value.estimate == alone.value.estimate
+    assert stacked.value.error == alone.value.error
+
+
+def test_empty_interval_integrates_every_row_to_zero():
+    assert integrate_1d(np.sin, 1.0, 1.0) == (0.0, 0.0)
+    assert integrate_1d(lambda x: [x, x * x], 2.0, 1.0) \
+        == [(0.0, 0.0), (0.0, 0.0)]

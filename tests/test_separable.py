@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        Multilayer, PointLattice, QuadratureSpec, Sphere,
@@ -17,7 +19,9 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        csl_torque_spectrum, form_factor)
 from cslbounds import cslnoise
 from cslbounds.cslnoise import torque_pair_kernel_sum
-from cslbounds.quadrature import integrate_k3
+from cslbounds.geometry import AxisProfile, DiscProfile
+from cslbounds.quadrature import NonConvergence, integrate_k3
+from cslbounds.special import one_minus_j0
 
 SHAPES = ["cuboid", "x", "y", "z"]
 # cylinders along x, along y and along two random axes
@@ -255,9 +259,10 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     Cuboid, a Multilayer and a Cylinder (along x, along y, tilted), and
     of the sphere two-body spectrum, saturated or not, is a profile
     moment: integrate_1d is only ever called from inside
-    _profile_moment."""
+    _profile_moment.  More than 100 moments are integrated, counting each
+    row of a call that integrates several moments of one profile."""
     from cslbounds import quadrature
-    calls = []
+    moments = []
 
     def checked(orig):
         def integrate_1d(*args, **kwargs):
@@ -266,8 +271,10 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
                 callers.append(frame.f_code.co_name)
                 frame = frame.f_back
             assert "_profile_moment" in callers, callers
-            calls.append(callers[0])
-            return orig(*args, **kwargs)
+            result = orig(*args, **kwargs)
+            moments.extend([callers[0]] * (
+                len(result) if isinstance(result, list) else 1))
+            return result
         return integrate_1d
 
     monkeypatch.setattr(cslnoise, "integrate_1d",
@@ -289,7 +296,79 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
             csl_torque_spectrum(g, p)
         for a in (3e-6, 1.0):
             csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, 5e-7), a), p)
-    assert len(calls) > 100
+    assert len(moments) > 100
+
+
+@st.composite
+def grouped_moments(draw):
+    """(profile, kinds, rC, spec, closed_form, h, s): a slab, a layer
+    stack of 1 to 6 layers or a disc, with rC from 1e-3 to 1e3 times the
+    body, rel_tol down to 1e-11 (so that rows refine) and budgets small
+    enough that some rows run out; half carry a separation kernel, and
+    half allow closed forms, which mix with quadrature rows."""
+    shape = draw(st.sampled_from(["slab", "stack", "disc"]))
+    if shape == "slab":
+        prof = AxisProfile(10.0 ** draw(st.floats(-7.0, -5.0)))
+    elif shape == "stack":
+        g = Multilayer(draw(st.integers(1, 6)),
+                       *10.0 ** np.array(draw(st.tuples(
+                           st.floats(-7.5, -6.5), st.floats(-7.5, -6.5)))),
+                       19300.0, 2330.0, 1e-6, 1e-6, "x")
+        prof = AxisProfile(g.stack_thickness, g.layers())
+    else:
+        prof = DiscProfile(10.0 ** draw(st.floats(-7.5, -5.5)))
+    kinds = tuple(draw(st.lists(st.sampled_from(["M0", "M1", "M2", "D0",
+                                                  "C1"]),
+                                min_size=1, max_size=5, unique=True)))
+    rC = prof.length * 10.0 ** draw(st.floats(-3.0, 3.0))
+    spec = QuadratureSpec(rel_tol=10.0 ** draw(st.floats(-11.0, -5.0)),
+                          max_evals=draw(st.sampled_from([3_000, 300_000])))
+    h, s = None, 0.0
+    if draw(st.booleans()):
+        h = cslnoise._one_minus_cos if shape != "disc" else one_minus_j0
+        s = prof.length * 10.0 ** draw(st.floats(-2.0, 1.5))
+    return prof, kinds, rC, spec, draw(st.booleans()), h, s
+
+
+def moment_or_failure(*args, **kwargs):
+    """_profile_moment's result, or the estimate and error of the
+    NonConvergence it raises."""
+    try:
+        return cslnoise._profile_moment(*args, **kwargs)
+    except NonConvergence as exc:
+        return "NonConvergence", exc.estimate, exc.error
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(grouped_moments())
+def test_grouped_moments_equal_lone_moments_bit_for_bit(case):
+    """Every row of a grouped moment, closed form or quadrature, equals
+    the moment of its kind alone, value and error, compared with == on
+    the floats; the group raises the NonConvergence of its first
+    quadrature row that raises one, with that row's estimate and
+    error."""
+    prof, kinds, rC, spec, closed_form, h, s = case
+    lone = [moment_or_failure(prof, kind, rC, spec, closed_form, h, s)
+            for kind in kinds]
+    failed = [row for row in lone if row[0] == "NonConvergence"]
+    grouped = moment_or_failure(prof, kinds, rC, spec, closed_form, h, s)
+    assert grouped == (failed[0] if failed else lone)
+
+
+def test_cylinder_torque_point_makes_two_integrate_1d_calls(monkeypatch):
+    """The torque of a cylinder across x integrates M2, D0 and C1 of its
+    disc in one integrate_1d call and of its slab in another."""
+    calls, original = [], cslnoise.integrate_1d
+
+    def counting(f, *args, **kwargs):
+        rows = original(f, *args, **kwargs)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cslnoise, "integrate_1d", counting)
+    g = Cylinder(1e-14, 1e-7, 1e-6, (0.0, 1.0, 0.0))
+    assert float(csl_torque_spectrum(g, CollapseParams(1.0, 1e-7))) > 0.0
+    assert calls == [3, 3]
 
 
 FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
