@@ -16,6 +16,7 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,6 +67,22 @@ def _write_manifest(out_dir, text, extra):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_curves(path, curves, named):
+    """One CSV row per rC point of each curve, led by the experiment name
+    when named; the bound and its error are empty unless the point is ok."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(("experiment," if named else "")
+                 + "rc_m,lambda_ub_per_s,error_est,status\n")
+        for curve in curves:
+            for i, rc in enumerate(curve.rCs):
+                ok = curve.status[i] == "ok"
+                fh.write(",".join(([curve.experiment] if named else []) + [
+                    _fmt(rc),
+                    _fmt(curve.lambda_ub[i]) if ok else "",
+                    _fmt(curve.errors[i]) if ok else "",
+                    curve.status[i]]) + "\n")
 
 
 def _require(inputs, field, section):
@@ -127,17 +144,8 @@ def _cmd_exclusion(args, text, inputs):
     for rec, grid in inputs.experiments:
         curves.append(exclusion_scan(rec, grid, spec=spec, workers=workers))
 
-    path = os.path.join(args.out, "exclusion.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("experiment,rc_m,lambda_ub_per_s,error_est,status\n")
-        for curve in curves:
-            for i, rc in enumerate(curve.rCs):
-                ok = curve.status[i] == "ok"
-                fh.write(",".join([
-                    curve.experiment, _fmt(rc),
-                    _fmt(curve.lambda_ub[i]) if ok else "",
-                    _fmt(curve.errors[i]) if ok else "",
-                    curve.status[i]]) + "\n")
+    _write_curves(os.path.join(args.out, "exclusion.csv"), curves,
+                  named=True)
 
     combined = None
     if len(curves) > 1:
@@ -146,16 +154,8 @@ def _cmd_exclusion(args, text, inputs):
         except GridMismatch:
             pass   # no combined curve across different grids
         else:
-            with open(os.path.join(args.out, "exclusion_combined.csv"),
-                      "w", encoding="utf-8") as fh:
-                fh.write("rc_m,lambda_ub_per_s,error_est,status\n")
-                for i, rc in enumerate(combined.rCs):
-                    ok = combined.status[i] == "ok"
-                    fh.write(",".join([
-                        _fmt(rc),
-                        _fmt(combined.lambda_ub[i]) if ok else "",
-                        _fmt(combined.errors[i]) if ok else "",
-                        combined.status[i]]) + "\n")
+            _write_curves(os.path.join(args.out, "exclusion_combined.csv"),
+                          [combined], named=False)
 
     if args.svg:
         plot = LogLogPlot(xlabel="rC [m]", ylabel="lambda upper bound [1/s]",
@@ -249,8 +249,12 @@ def _cmd_pointcheck(args, text, inputs):
     if inputs is not None and inputs.collapse is not None:
         p = inputs.collapse
     else:
-        p = CollapseParams(GRW_LAMBDA if args.lam is None else args.lam,
-                           GRW_RC if args.rc is None else args.rc)
+        p = CollapseParams(GRW_LAMBDA, GRW_RC)
+    # a flag given on the command line wins over the config's value
+    if args.lam is not None:
+        p = replace(p, lam=args.lam)
+    if args.rc is not None:
+        p = replace(p, rC=args.rc)
     spec = inputs.quadrature if inputs is not None else None
     consts = CONSTANTS
     checks = []

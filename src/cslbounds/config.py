@@ -15,11 +15,16 @@ Every numeric key carries its unit as a suffix; convenience units (hz,
 mk, um, ...) are converted to SI at parse time and the conversions are
 echoed into the run manifest.  Unknown keys in a known section are
 rejected, which catches most unit typos.
+
+The field tables below, one per section and geometry type, are the one
+declaration of the format: parsing reads their rows, and
+`serialize_inputs` writes the same rows back in canonical SI form.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 from math import pi
+from types import FunctionType
 from typing import Optional
 
 import numpy as np
@@ -39,7 +44,8 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries section and key."""
 
 
-# unit-suffix tables: suffix -> factor to SI
+# unit-suffix tables: suffix -> factor to SI; the factor-1 suffix is the
+# one serialize_inputs writes
 _LENGTH = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _MASS = {"kg": 1.0, "g": 1e-3, "mg": 1e-6}
 _DENSITY = {"kg_m3": 1.0, "g_cm3": 1e3}
@@ -51,6 +57,13 @@ _TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
 _PSD_FORCE = {"n2_s": 1.0}
 _PSD_TORQUE = {"n2m2_s": 1.0}
 _NONE = {"": 1.0}
+
+
+_REQUIRED = object()   # the default of a key that must be given
+
+
+def _key(base, suffix):
+    return f"{base}_{suffix}" if suffix else base
 
 
 class _Section:
@@ -65,16 +78,13 @@ class _Section:
     def _fail(self, key, why):
         raise ConfigError(f"[{self.name}] {key}: {why}")
 
-    def quantity(self, base, units, required=True, default=None):
-        hits = []
-        for suffix, factor in units.items():
-            key = f"{base}_{suffix}" if suffix else base
-            if key in self._map:
-                hits.append((key, factor))
+    def quantity(self, base, units, default=_REQUIRED):
+        hits = [(_key(base, suffix), factor)
+                for suffix, factor in units.items()
+                if _key(base, suffix) in self._map]
         if not hits:
-            if required:
-                unit_list = ", ".join(
-                    (f"{base}_{s}" if s else base) for s in units)
+            if default is _REQUIRED:
+                unit_list = ", ".join(_key(base, s) for s in units)
                 self._fail(base, f"missing; expected one of: {unit_list}")
             return default
         if len(hits) > 1:
@@ -92,9 +102,9 @@ class _Section:
                 f"[{self.name}] {key} = {raw} -> {value * factor!r} (SI)")
         return value * factor
 
-    def integer(self, key, required=True, default=None):
+    def integer(self, key, default=_REQUIRED):
         if key not in self._map:
-            if required:
+            if default is _REQUIRED:
                 self._fail(key, "missing")
             return default
         self._seen.add(key)
@@ -103,9 +113,9 @@ class _Section:
         except ValueError:
             self._fail(key, f"not an integer: {self._map[key]!r}")
 
-    def word(self, key, choices=None, required=True, default=None):
+    def word(self, key, choices=None, default=_REQUIRED):
         if key not in self._map:
-            if required:
+            if default is _REQUIRED:
                 self._fail(key, "missing")
             return default
         self._seen.add(key)
@@ -126,114 +136,239 @@ class _Section:
         return _Section(f"{self.name}:{prefix}*", sub, self._conversions)
 
 
+# ---------------------------------------------------------------------------
+# field tables: one row (attribute, key base, kind[, default]) per key.
+# kind is a unit table (a float quantity), int, or the allowed words (None:
+# any word).  A row without a default is required.  A kind or default
+# that is a function is called with the values read before it; such a
+# default returns _REQUIRED to make its key required.  Rows are parsed and
+# written in table order.
+
+def _read(sec, rows):
+    """Parse the rows' keys from sec; returns {attribute: value}."""
+    values = {}
+    for attr, base, kind, *default in rows:
+        default = default[0] if default else _REQUIRED
+        if isinstance(kind, FunctionType):
+            kind = kind(values)
+        if isinstance(default, FunctionType):
+            default = default(values)
+        if isinstance(kind, dict):
+            values[attr] = sec.quantity(base, kind, default)
+        elif kind is int:
+            values[attr] = sec.integer(base, default)
+        else:
+            values[attr] = sec.word(base, kind, default)
+    return values
+
+
+def _write(rows, values, prefix=""):
+    """Canonical lines of the rows whose value is given and not None."""
+    lines = []
+    for attr, base, kind, *_ in rows:
+        value = values.get(attr)
+        if value is None:
+            continue
+        if isinstance(kind, FunctionType):
+            kind = kind(values)
+        if isinstance(kind, dict):
+            si = next(s for s, factor in kind.items() if factor == 1.0)
+            lines.append(f"{prefix}{_key(base, si)} = {value!r}")
+        else:
+            lines.append(f"{prefix}{base} = {value}")
+    return lines
+
+
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+_MASS_ROW = ("m", "mass", _MASS)
+_RADIUS = ("R", "radius", _LENGTH)
+_LX = ("Lx", "lx", _LENGTH)
+_LY = ("Ly", "ly", _LENGTH)
+# geometry type -> (class, rows); a cylinder's axis word maps through
+# _AXES, and a two_body's unit is a geometry under the _UNIT_PREFIX
+_GEOMETRIES = {
+    "point": (Point, (_MASS_ROW,)),
+    "sphere": (Sphere, (_MASS_ROW, _RADIUS)),
+    "cuboid": (Cuboid, (_MASS_ROW, _LX, _LY, ("Lz", "lz", _LENGTH))),
+    "cylinder": (Cylinder, (_MASS_ROW, _RADIUS,
+                            ("L", "length", _LENGTH),
+                            ("axis", "axis", tuple(_AXES), "z"))),
+    "multilayer": (Multilayer, (("layer_count", "layer_count", int),
+                                ("d1", "d1", _LENGTH),
+                                ("d2", "d2", _LENGTH),
+                                ("rho1", "rho1", _DENSITY),
+                                ("rho2", "rho2", _DENSITY),
+                                _LX, _LY,
+                                ("stacking_axis", "stacking_axis",
+                                 tuple(_AXES), "z"))),
+    "two_body": (TwoBody, (("a", "separation", _LENGTH),)),
+}
+_TYPE = (("type", "type", tuple(_GEOMETRIES)),)
+_UNIT_PREFIX = "unit_"
+
+# an omega_c beside no or a white family is read and dropped
+_COLORED = (("family", "colored", ("white", "lorentzian_cutoff"), None),
+            ("omega_c", "omega_c", _ANGFREQ, lambda v: _REQUIRED
+             if v["family"] == "lorentzian_cutoff" else None))
+_COLLAPSE = (("lam", "lambda", _RATE), ("rC", "rc", _LENGTH)) + _COLORED
+_OPTOMECH = (_MASS_ROW,
+             ("omega_m", "omega_m", _ANGFREQ),
+             ("gamma_m", "gamma_m", _RATE),
+             ("T", "temperature", _TEMP),
+             ("kappa", "kappa", _RATE, 1.0),
+             ("Delta", "detuning", _ANGFREQ, 0.0),
+             ("chi", "chi", {"rad_s_m": 1.0}, 0.0),
+             ("alpha_sq", "intracavity_photons", _NONE, 0.0))
+_GRID = (("lo", "omega_min", _ANGFREQ),
+         ("hi", "omega_max", _ANGFREQ),
+         ("n", "points", int),
+         ("spacing", "spacing", ("log", "linear"), "log"))
+# channel -> the unit table of its budget
+_BUDGET = {"force": _PSD_FORCE, "force_two_body": _PSD_FORCE,
+           "torque": _PSD_TORQUE, "temperature_shift": _TEMP}
+# an experiment's geometry sits under the _GEOMETRY_PREFIX; a missing name
+# defaults to the section name
+_GEOMETRY_PREFIX = "geometry_"
+_EXPERIMENT = ((("name", "name", None, None),
+                ("channel", "channel", tuple(_BUDGET)),
+                ("budget", "budget", lambda v: _BUDGET[v["channel"]]),
+                ("band_lo", "band_lo", _ANGFREQ),
+                ("band_hi", "band_hi", _ANGFREQ))
+               + _COLORED
+               + (("m", "mass", _MASS, None),
+                  ("gamma", "gamma", _RATE, None),
+                  ("d_phi", "d_phi", _RATE, None)))
+_RC_GRID = (("lo", "rc_min", _LENGTH, 1e-9),
+            ("hi", "rc_max", _LENGTH, 1e-3),
+            ("n", "rc_points", int, None))
+_SIMULATION = (("dt", "dt", _TIME),
+               ("steps", "steps", int),
+               ("trajectories", "trajectories", int, 1),
+               ("seed", "seed", int, 0))
+# [simulation] keys that fill RunInputs fields, read after the SimConfig
+_SIM_RUN = (("sim_mode", "mode", ("oscillator", "free_particle"),
+             "oscillator"),
+            ("sim_nperseg", "nperseg", int, None))
+_QUADRATURE = (("rel_tol", "rel_tol", _NONE, 1e-6),
+               ("abs_tol", "abs_tol", _NONE, 0.0),
+               ("max_evals", "max_evals", int, 50_000_000),
+               ("cutoff_factor", "cutoff_factor", _NONE, 8.0))
+
+
+def _colored(values):
+    """values with the _COLORED entries replaced by their model under
+    "colored": None without a family."""
+    family, omega_c = values.pop("family"), values.pop("omega_c")
+    values["colored"] = None if family is None else ColoredNoiseModel(
+        family, None if family == "white" else omega_c)
+    return values
+
+
+def _with_colored(obj):
+    """vars(obj) plus the _COLORED values of its colored model: the
+    inverse of _colored."""
+    colored = {} if obj.colored is None else vars(obj.colored)
+    return dict(vars(obj), **colored)
+
+
+def _span(grid):
+    """The lo, hi and n values of a grid's rows."""
+    return {"lo": float(grid[0]), "hi": float(grid[-1]), "n": grid.size}
+
+
 def _parse_geometry(sec):
-    kind = sec.word("type", choices={"point", "sphere", "cuboid", "cylinder",
-                                     "multilayer", "two_body"})
-    if kind == "point":
-        g = Point(sec.quantity("mass", _MASS))
-    elif kind == "sphere":
-        g = Sphere(sec.quantity("mass", _MASS),
-                   sec.quantity("radius", _LENGTH))
-    elif kind == "cuboid":
-        g = Cuboid(sec.quantity("mass", _MASS),
-                   sec.quantity("lx", _LENGTH),
-                   sec.quantity("ly", _LENGTH),
-                   sec.quantity("lz", _LENGTH))
-    elif kind == "cylinder":
-        axis = sec.word("axis", choices={"x", "y", "z"}, required=False,
-                        default="z")
-        axes = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
-                "z": (0.0, 0.0, 1.0)}
-        g = Cylinder(sec.quantity("mass", _MASS),
-                     sec.quantity("radius", _LENGTH),
-                     sec.quantity("length", _LENGTH), axis=axes[axis])
-    elif kind == "multilayer":
-        g = Multilayer(sec.integer("layer_count"),
-                       sec.quantity("d1", _LENGTH),
-                       sec.quantity("d2", _LENGTH),
-                       sec.quantity("rho1", _DENSITY),
-                       sec.quantity("rho2", _DENSITY),
-                       sec.quantity("lx", _LENGTH),
-                       sec.quantity("ly", _LENGTH),
-                       sec.word("stacking_axis", choices={"x", "y", "z"},
-                                required=False, default="z"))
-    else:
-        a = sec.quantity("separation", _LENGTH)
-        unit = _parse_geometry(sec.subsection("unit_"))
-        g = TwoBody(unit, a)
-    return g
+    cls, rows = _GEOMETRIES[_read(sec, _TYPE)["type"]]
+    values = _read(sec, rows)
+    if cls is Cylinder:
+        values["axis"] = _AXES[values["axis"]]
+    elif cls is TwoBody:
+        values["unit"] = _parse_geometry(sec.subsection(_UNIT_PREFIX))
+    return cls(**values)
 
 
-def _parse_colored(sec):
-    family = sec.word("colored", choices={"white", "lorentzian_cutoff"},
-                      required=False)
-    if family is None or family == "white":
-        # consume an omega_c given alongside an explicit white choice
-        sec.quantity("omega_c", _ANGFREQ, required=False)
-        return None if family is None else ColoredNoiseModel("white")
-    return ColoredNoiseModel(family, sec.quantity("omega_c", _ANGFREQ))
+def _geometry_lines(g, prefix=""):
+    kind = next((kind for kind, (cls, _) in _GEOMETRIES.items()
+                 if isinstance(g, cls)), None)
+    if kind is None:
+        raise ConfigError(f"geometry {type(g).__name__} has no config form")
+    cls, rows = _GEOMETRIES[kind]
+    values = dict(vars(g), type=kind)
+    if cls is Cylinder:
+        values["axis"] = next(
+            (word for word, axis in _AXES.items() if axis == g.axis), None)
+        if values["axis"] is None:
+            raise ConfigError("only principal-axis cylinders serialize")
+    lines = _write(_TYPE + rows, values, prefix)
+    if cls is TwoBody:
+        lines += _geometry_lines(g.unit, prefix + _UNIT_PREFIX)
+    return lines
 
 
-def _parse_collapse(sec):
-    lam = sec.quantity("lambda", _RATE)
-    rc = sec.quantity("rc", _LENGTH)
-    return CollapseParams(lam, rc, _parse_colored(sec))
+# ---------------------------------------------------------------------------
+# sections: a reader fills RunInputs from one _Section; a writer yields
+# (header suffix, lines) for each block the section serializes to
+
+def _read_geometry(sec, inputs):
+    inputs.geometry = _parse_geometry(sec)
+    if isinstance(inputs.geometry, TwoBody):
+        sec._fail("type", "two_body is valid only as an [experiment] "
+                  "geometry_type")
 
 
-def _parse_optomech(sec):
-    return OptomechConfig(
-        m=sec.quantity("mass", _MASS),
-        omega_m=sec.quantity("omega_m", _ANGFREQ),
-        gamma_m=sec.quantity("gamma_m", _RATE),
-        T=sec.quantity("temperature", _TEMP),
-        kappa=sec.quantity("kappa", _RATE, required=False, default=1.0),
-        Delta=sec.quantity("detuning", _ANGFREQ, required=False, default=0.0),
-        chi=sec.quantity("chi", {"rad_s_m": 1.0}, required=False,
-                         default=0.0),
-        alpha_sq=sec.quantity("intracavity_photons", _NONE, required=False,
-                              default=0.0),
-    )
+def _write_geometry(inputs):
+    if inputs.geometry is not None:
+        yield "", _geometry_lines(inputs.geometry)
 
 
-def _parse_grid(sec):
-    lo = sec.quantity("omega_min", _ANGFREQ)
-    hi = sec.quantity("omega_max", _ANGFREQ)
-    n = sec.integer("points")
-    spacing = sec.word("spacing", choices={"log", "linear"}, required=False,
-                       default="log")
+def _read_collapse(sec, inputs):
+    inputs.collapse = CollapseParams(**_colored(_read(sec, _COLLAPSE)))
+
+
+def _write_collapse(inputs):
+    if inputs.collapse is not None:
+        yield "", _write(_COLLAPSE, _with_colored(inputs.collapse))
+
+
+def _read_optomech(sec, inputs):
+    inputs.optomech = OptomechConfig(**_read(sec, _OPTOMECH))
+
+
+def _write_optomech(inputs):
+    if inputs.optomech is not None:
+        yield "", _write(_OPTOMECH, vars(inputs.optomech))
+
+
+def _read_grid(sec, inputs):
+    lo, hi, n, spacing = _read(sec, _GRID).values()
     if not (0 <= lo < hi < np.inf) or n < 2:
         raise ConfigError("[grid] need 0 <= omega_min < omega_max < inf and "
                           "points >= 2")
     if spacing == "log":
         if lo <= 0:
             raise ConfigError("[grid] log spacing needs omega_min > 0")
-        return np.logspace(np.log10(lo), np.log10(hi), n)
-    return np.linspace(lo, hi, n)
-
-
-def _parse_experiment(sec, name):
-    geometry = _parse_geometry(sec.subsection("geometry_"))
-    channel = sec.word("channel", choices={"force", "force_two_body",
-                                           "torque", "temperature_shift"})
-    if channel == "temperature_shift":
-        budget = sec.quantity("budget", _TEMP)
-    elif channel == "torque":
-        budget = sec.quantity("budget", _PSD_TORQUE)
+        inputs.omega_grid = np.logspace(np.log10(lo), np.log10(hi), n)
     else:
-        budget = sec.quantity("budget", _PSD_FORCE)
-    band = (sec.quantity("band_lo", _ANGFREQ),
-            sec.quantity("band_hi", _ANGFREQ))
-    rec = ExperimentRecord(
-        name=sec.word("name", required=False, default=name),
-        geometry=geometry, channel=channel, budget=budget, band=band,
-        colored=_parse_colored(sec),
-        m=sec.quantity("mass", _MASS, required=False),
-        gamma=sec.quantity("gamma", _RATE, required=False),
-        d_phi=sec.quantity("d_phi", _RATE, required=False),
-    )
-    rc_min = sec.quantity("rc_min", _LENGTH, required=False, default=1e-9)
-    rc_max = sec.quantity("rc_max", _LENGTH, required=False, default=1e-3)
-    n = sec.integer("rc_points", required=False)
+        inputs.omega_grid = np.linspace(lo, hi, n)
+
+
+def _write_grid(inputs):
+    om = inputs.omega_grid
+    if om is not None:
+        ratios = np.diff(np.log(om)) if om[0] > 0 else None
+        spacing = "log" if ratios is not None and np.allclose(
+            ratios, ratios[0]) else "linear"
+        yield "", _write(_GRID, dict(_span(om), spacing=spacing))
+
+
+def _read_experiment(sec, inputs):
+    # the geometry comes first, so its conversions are echoed first
+    geometry = _parse_geometry(sec.subsection(_GEOMETRY_PREFIX))
+    values = _colored(_read(sec, _EXPERIMENT))
+    if values["name"] is None:
+        values["name"] = sec.name
+    band = (values.pop("band_lo"), values.pop("band_hi"))
+    rec = ExperimentRecord(geometry=geometry, band=band, **values)
+    rc_min, rc_max, n = _read(sec, _RC_GRID).values()
     if not 0 < rc_min < rc_max < np.inf:
         sec._fail("rc_min", "need 0 < rc_min < rc_max < inf, got "
                   f"{rc_min!r} and {rc_max!r}")
@@ -243,34 +378,52 @@ def _parse_experiment(sec, name):
         grid = default_rc_grid(rc_min, rc_max)
     else:
         grid = np.logspace(np.log10(rc_min), np.log10(rc_max), n)
-    return rec, grid
+    inputs.experiments.append((rec, grid))
 
 
-def _parse_simulation(sec):
-    sim = SimConfig(
-        dt=sec.quantity("dt", _TIME),
-        steps=sec.integer("steps"),
-        trajectories=sec.integer("trajectories", required=False, default=1),
-        seed=sec.integer("seed", required=False, default=0),
-    )
-    mode = sec.word("mode", choices={"oscillator", "free_particle"},
-                    required=False, default="oscillator")
-    nperseg = sec.integer("nperseg", required=False)
-    if nperseg is not None:
-        sim.validate_nperseg(nperseg)
-    return sim, mode, nperseg
+def _write_experiment(inputs):
+    for i, (rec, grid) in enumerate(inputs.experiments):
+        values = _with_colored(rec)
+        values["band_lo"], values["band_hi"] = rec.band
+        lines = (_write(_EXPERIMENT, values)
+                 + _geometry_lines(rec.geometry, _GEOMETRY_PREFIX))
+        if grid is not None:
+            lines += _write(_RC_GRID, _span(grid))
+        yield f":{i}", lines
 
 
-def _parse_quadrature(sec):
-    return QuadratureSpec(
-        rel_tol=sec.quantity("rel_tol", _NONE, required=False,
-                             default=1e-6),
-        abs_tol=sec.quantity("abs_tol", _NONE, required=False, default=0.0),
-        max_evals=sec.integer("max_evals", required=False,
-                              default=50_000_000),
-        cutoff_factor=sec.quantity("cutoff_factor", _NONE, required=False,
-                                   default=8.0),
-    )
+def _read_simulation(sec, inputs):
+    inputs.simulation = SimConfig(**_read(sec, _SIMULATION))
+    vars(inputs).update(_read(sec, _SIM_RUN))
+    if inputs.sim_nperseg is not None:
+        inputs.simulation.validate_nperseg(inputs.sim_nperseg)
+
+
+def _write_simulation(inputs):
+    if inputs.simulation is not None:
+        yield "", (_write(_SIMULATION, vars(inputs.simulation))
+                   + _write(_SIM_RUN, vars(inputs)))
+
+
+def _read_quadrature(sec, inputs):
+    inputs.quadrature = QuadratureSpec(**_read(sec, _QUADRATURE))
+
+
+def _write_quadrature(inputs):
+    yield "", _write(_QUADRATURE, vars(inputs.quadrature))
+
+
+# section name -> (reader, writer), in serialization order; a section
+# named experiment:<tag> is an experiment
+_SECTIONS = {
+    "geometry": (_read_geometry, _write_geometry),
+    "collapse": (_read_collapse, _write_collapse),
+    "optomech": (_read_optomech, _write_optomech),
+    "grid": (_read_grid, _write_grid),
+    "experiment": (_read_experiment, _write_experiment),
+    "simulation": (_read_simulation, _write_simulation),
+    "quadrature": (_read_quadrature, _write_quadrature),
+}
 
 
 @dataclass
@@ -303,30 +456,14 @@ def parse_inputs(text):
         raise ConfigError(f"config syntax error: {exc}") from exc
 
     inputs = RunInputs()
-    conv = inputs.conversions
     try:
         for name in cp.sections():
-            sec = _Section(name, cp[name], conv)
-            if name == "geometry":
-                inputs.geometry = _parse_geometry(sec)
-                if isinstance(inputs.geometry, TwoBody):
-                    sec._fail("type", "two_body is valid only as an "
-                              "[experiment] geometry_type")
-            elif name == "collapse":
-                inputs.collapse = _parse_collapse(sec)
-            elif name == "optomech":
-                inputs.optomech = _parse_optomech(sec)
-            elif name == "grid":
-                inputs.omega_grid = _parse_grid(sec)
-            elif name == "experiment" or name.startswith("experiment:"):
-                inputs.experiments.append(_parse_experiment(sec, name))
-            elif name == "simulation":
-                inputs.simulation, inputs.sim_mode, inputs.sim_nperseg = \
-                    _parse_simulation(sec)
-            elif name == "quadrature":
-                inputs.quadrature = _parse_quadrature(sec)
-            else:
+            sec = _Section(name, cp[name], inputs.conversions)
+            section = ("experiment" if name.startswith("experiment:")
+                       else name)
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]")
+            _SECTIONS[section][0](sec, inputs)
             sec.reject_unknown()
     except ConfigError:
         raise
@@ -339,110 +476,10 @@ def config_hash(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# canonical serialization (SI units, sorted keys): parse -> serialize ->
-# parse is the identity on all fields
-
-def _geometry_lines(g, prefix=""):
-    if isinstance(g, Point):
-        return [f"{prefix}type = point", f"{prefix}mass_kg = {g.m!r}"]
-    if isinstance(g, Sphere):
-        return [f"{prefix}type = sphere", f"{prefix}mass_kg = {g.m!r}",
-                f"{prefix}radius_m = {g.R!r}"]
-    if isinstance(g, Cuboid):
-        return [f"{prefix}type = cuboid", f"{prefix}mass_kg = {g.m!r}",
-                f"{prefix}lx_m = {g.Lx!r}", f"{prefix}ly_m = {g.Ly!r}",
-                f"{prefix}lz_m = {g.Lz!r}"]
-    if isinstance(g, Cylinder):
-        axis = {(1.0, 0.0, 0.0): "x", (0.0, 1.0, 0.0): "y",
-                (0.0, 0.0, 1.0): "z"}.get(g.axis)
-        if axis is None:
-            raise ConfigError("only principal-axis cylinders serialize")
-        return [f"{prefix}type = cylinder", f"{prefix}mass_kg = {g.m!r}",
-                f"{prefix}radius_m = {g.R!r}", f"{prefix}length_m = {g.L!r}",
-                f"{prefix}axis = {axis}"]
-    if isinstance(g, Multilayer):
-        return [f"{prefix}type = multilayer",
-                f"{prefix}layer_count = {g.layer_count}",
-                f"{prefix}d1_m = {g.d1!r}", f"{prefix}d2_m = {g.d2!r}",
-                f"{prefix}rho1_kg_m3 = {g.rho1!r}",
-                f"{prefix}rho2_kg_m3 = {g.rho2!r}",
-                f"{prefix}lx_m = {g.Lx!r}", f"{prefix}ly_m = {g.Ly!r}",
-                f"{prefix}stacking_axis = {g.stacking_axis}"]
-    if isinstance(g, TwoBody):
-        return ([f"{prefix}type = two_body",
-                 f"{prefix}separation_m = {g.a!r}"]
-                + _geometry_lines(g.unit, prefix=f"{prefix}unit_"))
-    raise ConfigError(f"geometry {type(g).__name__} has no config form")
-
-
-def _colored_lines(colored):
-    if colored is None:
-        return []
-    lines = [f"colored = {colored.family}"]
-    if colored.omega_c is not None:
-        lines.append(f"omega_c_rad_s = {colored.omega_c!r}")
-    return lines
-
-
 def serialize_inputs(inputs):
-    blocks = []
-    if inputs.geometry is not None:
-        blocks.append("[geometry]\n" + "\n".join(
-            _geometry_lines(inputs.geometry)))
-    if inputs.collapse is not None:
-        p = inputs.collapse
-        lines = [f"lambda_per_s = {p.lam!r}", f"rc_m = {p.rC!r}"]
-        lines += _colored_lines(p.colored)
-        blocks.append("[collapse]\n" + "\n".join(lines))
-    if inputs.optomech is not None:
-        c = inputs.optomech
-        blocks.append("[optomech]\n" + "\n".join([
-            f"mass_kg = {c.m!r}", f"omega_m_rad_s = {c.omega_m!r}",
-            f"gamma_m_per_s = {c.gamma_m!r}", f"temperature_k = {c.T!r}",
-            f"kappa_per_s = {c.kappa!r}", f"detuning_rad_s = {c.Delta!r}",
-            f"chi_rad_s_m = {c.chi!r}",
-            f"intracavity_photons = {c.alpha_sq!r}"]))
-    if inputs.omega_grid is not None:
-        om = inputs.omega_grid
-        ratios = np.diff(np.log(om)) if om[0] > 0 else None
-        spacing = "log" if ratios is not None and np.allclose(
-            ratios, ratios[0]) else "linear"
-        blocks.append("[grid]\n" + "\n".join([
-            f"omega_min_rad_s = {float(om[0])!r}",
-            f"omega_max_rad_s = {float(om[-1])!r}",
-            f"points = {om.size}", f"spacing = {spacing}"]))
-    for i, (rec, grid) in enumerate(inputs.experiments):
-        lines = [f"name = {rec.name}", f"channel = {rec.channel}"]
-        unit = {"force": "n2_s", "force_two_body": "n2_s",
-                "torque": "n2m2_s", "temperature_shift": "k"}[rec.channel]
-        lines.append(f"budget_{unit} = {rec.budget!r}")
-        lines += [f"band_lo_rad_s = {rec.band[0]!r}",
-                  f"band_hi_rad_s = {rec.band[1]!r}"]
-        lines += _colored_lines(rec.colored)
-        if rec.m is not None:
-            lines.append(f"mass_kg = {rec.m!r}")
-        if rec.gamma is not None:
-            lines.append(f"gamma_per_s = {rec.gamma!r}")
-        if rec.d_phi is not None:
-            lines.append(f"d_phi_per_s = {rec.d_phi!r}")
-        lines += _geometry_lines(rec.geometry, prefix="geometry_")
-        if grid is not None:
-            lines += [f"rc_min_m = {float(grid[0])!r}",
-                      f"rc_max_m = {float(grid[-1])!r}",
-                      f"rc_points = {grid.size}"]
-        blocks.append(f"[experiment:{i}]\n" + "\n".join(lines))
-    if inputs.simulation is not None:
-        s = inputs.simulation
-        lines = [f"dt_s = {s.dt!r}", f"steps = {s.steps}",
-                 f"trajectories = {s.trajectories}", f"seed = {s.seed}",
-                 f"mode = {inputs.sim_mode}"]
-        if inputs.sim_nperseg is not None:
-            lines.append(f"nperseg = {inputs.sim_nperseg}")
-        blocks.append("[simulation]\n" + "\n".join(lines))
-    q = inputs.quadrature
-    blocks.append("[quadrature]\n" + "\n".join([
-        f"rel_tol = {q.rel_tol!r}", f"abs_tol = {q.abs_tol!r}",
-        f"max_evals = {q.max_evals}",
-        f"cutoff_factor = {q.cutoff_factor!r}"]))
-    return "\n\n".join(blocks) + "\n"
+    """Canonical text of inputs: SI units, every section in table order.
+    parse -> serialize -> parse is the identity on all fields."""
+    return "\n\n".join(
+        f"[{name}{suffix}]\n" + "\n".join(lines)
+        for name, (_, write) in _SECTIONS.items()
+        for suffix, lines in write(inputs)) + "\n"

@@ -8,17 +8,17 @@ import time
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        ColoredNoiseModel, Cuboid, Cylinder, ExperimentRecord,
-                       Multilayer, OptomechConfig, Point, PointLattice,
-                       QuadratureSpec, SimConfig, Sphere, csl_force_spectrum,
+                       Multilayer, OptomechConfig, Point, QuadratureSpec,
+                       SimConfig, Sphere, csl_force_spectrum,
                        csl_torque_spectrum, displacement_dns, exclusion_scan,
                        free_expansion_spread, heating_rate,
                        high_temperature_limit_check, lambda_upper_bound,
                        simulate_langevin)
 from cslbounds.optomech import thermal_force_term
+from lattices import cuboid_lattice, cylinder_lattice, sphere_lattice
 
 GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
 
@@ -26,48 +26,6 @@ GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
 def report(number, ok, detail):
     print(f"\nACCEPTANCE {number:2d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-# ---------------------------------------------------------------------------
-# independent lattice discretizations used as oracles
-
-def cuboid_lattice(g, n):
-    cs = []
-    for L in (g.Lx, g.Ly, g.Lz):
-        e = np.linspace(-L / 2.0, L / 2.0, n + 1)
-        cs.append(0.5 * (e[:-1] + e[1:]))
-    X, Y, Z = np.meshgrid(*cs, indexing="ij")
-    pos = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    return PointLattice(pos, np.full(pos.shape[0], g.m / pos.shape[0]))
-
-
-def sphere_lattice(g, n):
-    re = np.linspace(0.0, g.R, n + 1)
-    rmid = 0.5 * (re[:-1] + re[1:])
-    cosn, cosw = leggauss(n)
-    phis = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    Rg, Cg, Pg = np.meshgrid(rmid, cosn, phis, indexing="ij")
-    Wr, Wc, Wp = np.meshgrid(rmid ** 2 * (re[1] - re[0]), cosw,
-                             np.full(n, 2.0 * np.pi / n), indexing="ij")
-    w = (Wr * Wc * Wp).ravel()
-    st = np.sqrt(1.0 - Cg ** 2)
-    pos = np.stack([(Rg * st * np.cos(Pg)).ravel(),
-                    (Rg * st * np.sin(Pg)).ravel(),
-                    (Rg * Cg).ravel()], axis=-1)
-    return PointLattice(pos, g.m * w / np.sum(w))
-
-
-def cylinder_lattice(g, n):
-    re = np.linspace(0.0, g.R, n + 1)
-    rmid = 0.5 * (re[:-1] + re[1:])
-    phis = (np.arange(2 * n) + 0.5) * (2.0 * np.pi / (2 * n))
-    ze = np.linspace(-g.L / 2.0, g.L / 2.0, n + 1)
-    zc = 0.5 * (ze[:-1] + ze[1:])
-    Rg, Pg, Zg = np.meshgrid(rmid, phis, zc, indexing="ij")
-    w = (Rg * (re[1] - re[0]) * (phis[1] - phis[0]) * (ze[1] - ze[0])).ravel()
-    pos = np.stack([(Rg * np.cos(Pg)).ravel(), (Rg * np.sin(Pg)).ravel(),
-                    Zg.ravel()], axis=-1)
-    return PointLattice(pos, g.m * w / np.sum(w))
 
 
 def test_01_point_mass_closed_form():

@@ -89,6 +89,24 @@ def test_pointcheck_zero_lambda(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, lam, rc", [
+    (["--lam", "0", "--rc", "1e-3"], 0.0, 1e-3),
+    (["--rc", "1e-6"], 1e-16, 1e-6),
+    (["--lam", "4e-16"], 4e-16, 1e-7),
+])
+def test_pointcheck_flags_win_over_config(tmp_path, capsys, flags, lam, rc):
+    # the config's [collapse] gives lambda = 1e-16 /s and rC = 1e-7 m; a
+    # flag replaces only its own value
+    conf = write(tmp_path, "c.ini", SPECTRUM_CONF)
+    assert main(["pointcheck", "--config", conf] + flags) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    spread = cslbounds.free_expansion_spread(
+        cslbounds.CollapseParams(lam, rc), 1.0, qm_term=0.0)
+    assert f"({spread:.6e} m^2 at t = 1 s)" in out
+    assert ("both zero at lambda = 0" in out) == (lam == 0.0)
+
+
 def test_spectrum_outputs(tmp_path):
     conf = write(tmp_path, "c.ini", SPECTRUM_CONF)
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Config parsing: unit suffixes, diagnostics and round-tripping."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +145,146 @@ spacing = log
         parse_inputs(text.replace("points = 4", "points = 1"))
 
 
-def test_roundtrip_is_identity():
-    text = BASIC + """
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# every section, every geometry type and every channel
+EVERY_SECTION = """
+[geometry]
+type = cylinder
+mass_kg = 1e-14
+radius_nm = 100
+length_um = 1
+axis = x
+
+[collapse]
+lambda_per_s = 1e-16
+rc_m = 1e-7
+colored = lorentzian_cutoff
+omega_c_khz = 5
+
+[optomech]
+mass_kg = 1e-14
+omega_m_khz = 3.0
+gamma_m_hz = 10
+temperature_uk = 300
+kappa_per_s = 1e6
+detuning_rad_s = -2e5
+chi_rad_s_m = 1e3
+intracavity_photons = 5
+
+[grid]
+omega_min_rad_s = 0
+omega_max_khz = 40
+points = 9
+spacing = linear
+
+[experiment:point]
+name = point_force
+channel = force
+budget_n2_s = 1e-37
+band_lo_hz = 100
+band_hi_hz = 200
+colored = white
+geometry_type = point
+geometry_mass_mg = 1e-6
+
+[experiment:sphere]
+channel = force
+budget_n2_s = 1e-37
+band_lo_khz = 2.9
+band_hi_khz = 3.1
+colored = lorentzian_cutoff
+omega_c_hz = 50
+geometry_type = sphere
+geometry_mass_g = 1e-9
+geometry_radius_um = 0.5
+rc_min_nm = 1
+rc_max_um = 100
+
+[experiment:cuboid]
+name = cuboid_heating
+channel = temperature_shift
+budget_mk = 1
+band_lo_rad_s = 0
+band_hi_rad_s = 1
+mass_kg = 1e-12
+gamma_per_s = 1e-3
+geometry_type = cuboid
+geometry_mass_kg = 1e-12
+geometry_lx_um = 1
+geometry_ly_um = 2
+geometry_lz_nm = 500
+rc_points = 7
+
+[experiment:cylinder]
+name = rotor
+channel = temperature_shift
+budget_uk = 100
+band_lo_khz = 10
+band_hi_khz = 30
+d_phi_hz = 1e-3
+geometry_type = cylinder
+geometry_mass_kg = 1e-14
+geometry_radius_nm = 100
+geometry_length_nm = 1000
+geometry_axis = y
+rc_min_m = 1e-9
+rc_max_m = 1e-5
+rc_points = 12
+
+[experiment:multilayer]
+name = stack_torque
+channel = torque
+budget_n2m2_s = 1e-50
+band_lo_hz = 1
+band_hi_hz = 2
+geometry_type = multilayer
+geometry_layer_count = 5
+geometry_d1_nm = 100
+geometry_d2_nm = 50
+geometry_rho1_g_cm3 = 19.3
+geometry_rho2_kg_m3 = 2200
+geometry_lx_um = 2
+geometry_ly_um = 3
+geometry_stacking_axis = x
+rc_points = 5
+
+[experiment:two_body]
+name = stack_pair
+channel = force_two_body
+budget_n2_s = 1e-29
+band_lo_rad_s = 1e-3
+band_hi_rad_s = 1e-1
+geometry_type = two_body
+geometry_separation_mm = 3
+geometry_unit_type = multilayer
+geometry_unit_layer_count = 2
+geometry_unit_d1_um = 1
+geometry_unit_d2_um = 2
+geometry_unit_rho1_kg_m3 = 8000
+geometry_unit_rho2_kg_m3 = 2000
+geometry_unit_lx_mm = 1
+geometry_unit_ly_mm = 1
+rc_min_m = 1e-8
+rc_max_m = 1e-4
+rc_points = 4
+
+[simulation]
+dt_ms = 0.005
+steps = 4096
+trajectories = 3
+seed = 7
+mode = oscillator
+nperseg = 512
+
+[quadrature]
+rel_tol = 1e-8
+abs_tol = 1e-60
+max_evals = 100000
+cutoff_factor = 9
+"""
+
+FREE_PARTICLE = BASIC + """
 [simulation]
 dt_us = 5
 steps = 1024
@@ -156,15 +295,41 @@ mode = free_particle
 [quadrature]
 rel_tol = 1e-7
 """
+
+
+@pytest.mark.parametrize("text", [
+    FREE_PARTICLE, EVERY_SECTION,
+    *(path.read_text() for path in sorted(CONFIGS.glob("*.ini")))],
+    ids=["free_particle", "every_section",
+         *(path.stem for path in sorted(CONFIGS.glob("*.ini")))])
+def test_roundtrip_is_identity(text):
     inputs = parse_inputs(text)
     canonical = serialize_inputs(inputs)
     again = parse_inputs(canonical)
     assert serialize_inputs(again) == canonical
-    assert again.geometry == inputs.geometry
-    assert again.collapse == inputs.collapse
-    assert again.simulation == inputs.simulation
-    assert again.sim_mode == "free_particle"
-    assert again.quadrature == inputs.quadrature
+    for name in ("geometry", "collapse", "optomech", "simulation",
+                 "sim_mode", "sim_nperseg", "quadrature"):
+        assert getattr(again, name) == getattr(inputs, name), name
+    if inputs.omega_grid is None:
+        assert again.omega_grid is None
+    else:
+        assert np.array_equal(again.omega_grid, inputs.omega_grid)
+    assert len(again.experiments) == len(inputs.experiments)
+    for (rec, grid), (rec0, grid0) in zip(again.experiments,
+                                          inputs.experiments):
+        assert rec == rec0
+        assert np.array_equal(grid, grid0)
+
+
+def test_simulation_mode_is_parsed():
+    assert parse_inputs(FREE_PARTICLE).sim_mode == "free_particle"
+
+
+def test_tilted_cylinder_does_not_serialize():
+    inputs = parse_inputs(BASIC)
+    inputs.geometry = Cylinder(1e-14, 1e-7, 1e-6, axis=(1.0, 1.0, 0.0))
+    with pytest.raises(ConfigError, match="principal-axis"):
+        serialize_inputs(inputs)
 
 
 def test_config_hash_is_text_stable():

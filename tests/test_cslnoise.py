@@ -13,28 +13,16 @@ import pytest
 import cslbounds
 from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        ColoredNoiseModel, Cuboid, Cylinder, Multilayer,
-                       Point, PointLattice, QuadratureSpec, Sphere, TwoBody,
+                       Point, QuadratureSpec, Sphere, TwoBody,
                        apply_colored_filter, csl_force_spectrum,
                        csl_force_spectrum_two_body, csl_temperature_shift,
                        csl_temperature_shift_rot, csl_torque_spectrum,
                        free_expansion_spread, heating_rate)
 from cslbounds.cslnoise import (force_pair_kernel_sum, torque_pair_kernel_sum,
                                 two_body_pair_kernel_sum)
+from lattices import cuboid_lattice, cylinder_lattice
 
 GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
-
-
-def cuboid_lattice(g, n):
-    """Midpoint-rule point lattice filling a cuboid, an independent
-    discretization oracle for the continuum spectra."""
-    cs = []
-    for L in (g.Lx, g.Ly, g.Lz):
-        e = np.linspace(-L / 2.0, L / 2.0, n + 1)
-        cs.append(0.5 * (e[:-1] + e[1:]))
-    X, Y, Z = np.meshgrid(*cs, indexing="ij")
-    pos = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    masses = np.full(pos.shape[0], g.m / pos.shape[0])
-    return PointLattice(pos, masses)
 
 
 def test_point_mass_closed_form():
@@ -126,34 +114,6 @@ def test_continuum_vs_lattice_oracle(g):
         lat = cuboid_lattice(g, 20)
     got = float(csl_force_spectrum(lat, p))
     assert abs(got - want) / want < 1e-2
-
-
-def cylinder_lattice(g, n):
-    """Cylindrical-grid point lattice, mass-weighted by cell volume."""
-    re = np.linspace(0.0, g.R, n + 1)
-    rc_ = 0.5 * (re[:-1] + re[1:])
-    phis = (np.arange(2 * n) + 0.5) * (2.0 * np.pi / (2 * n))
-    ze = np.linspace(-g.L / 2.0, g.L / 2.0, n + 1)
-    zc = 0.5 * (ze[:-1] + ze[1:])
-    Rg, Pg, Zg = np.meshgrid(rc_, phis, zc, indexing="ij")
-    w = (Rg * (re[1] - re[0]) * (phis[1] - phis[0])
-         * (ze[1] - ze[0])).ravel()
-    local = np.stack([(Rg * np.cos(Pg)).ravel(), (Rg * np.sin(Pg)).ravel(),
-                      Zg.ravel()], axis=-1)
-    # rotate local z onto the cylinder axis
-    n_ax = g.axis_vector
-    if np.allclose(n_ax, [0.0, 0.0, 1.0]):
-        pos = local
-    else:
-        v = np.cross([0.0, 0.0, 1.0], n_ax)
-        s = np.linalg.norm(v)
-        c = float(np.dot([0.0, 0.0, 1.0], n_ax))
-        vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
-                       [-v[1], v[0], 0.0]])
-        rot = np.eye(3) + vx + vx @ vx * ((1.0 - c) / s ** 2)
-        pos = local @ rot.T
-    masses = g.m * w / np.sum(w)
-    return PointLattice(pos, masses)
 
 
 def test_lattice_convergence_order():

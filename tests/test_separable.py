@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
-                       Multilayer, PointLattice, QuadratureSpec, Sphere,
+                       Multilayer, QuadratureSpec, Sphere,
                        TwoBody,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum, form_factor)
@@ -22,6 +22,7 @@ from cslbounds.cslnoise import torque_pair_kernel_sum
 from cslbounds.geometry import AxisProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence, integrate_k3
 from cslbounds.special import one_minus_j0
+from lattices import multilayer_lattice
 
 SHAPES = ["cuboid", "x", "y", "z"]
 # cylinders along x, along y and along two random axes
@@ -150,27 +151,6 @@ def test_equal_density_multilayer_equals_cuboid(axis):
                                                 abs=0.0)
         else:
             assert_agree(t_ml, t_cub, 1e-12)
-
-
-def multilayer_lattice(g, n, per_layer):
-    """Midpoint point lattice of a Multilayer: n x n cells across the
-    cross-section and per_layer cells through each layer, each point
-    carrying its cell's mass."""
-    ds, rhos, centers = g.layers()
-    # per axis: cell centers and the cell's mass weight along that axis
-    cells = {g.stacking_axis: np.array([
-        (c + d * ((j + 0.5) / per_layer - 0.5), rho * d / per_layer)
-        for d, rho, c in zip(ds, rhos, centers)
-        for j in range(per_layer)]).T}
-    others = [axis for axis in "xyz" if axis != g.stacking_axis]
-    for axis, L in zip(others, (g.Lx, g.Ly)):
-        cells[axis] = ((np.arange(n) + 0.5) / n * L - L / 2.0,
-                       np.full(n, L / n))
-    (xs, wx), (ys, wy), (zs, wz) = (cells[axis] for axis in "xyz")
-    grids = np.meshgrid(xs, ys, zs, indexing="ij")
-    masses = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
-    return PointLattice(np.stack([c.ravel() for c in grids], axis=-1),
-                        masses.ravel())
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
