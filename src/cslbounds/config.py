@@ -293,9 +293,10 @@ def _geometry_lines(g, prefix=""):
         raise ConfigError(f"geometry {type(g).__name__} has no config form")
     cls, rows = _GEOMETRIES[kind]
     values = dict(vars(g), type=kind)
-    if cls is Cylinder:
+    if cls is Cylinder:   # an axis and its negation are one cylinder
+        axis = tuple(abs(c) for c in g.axis)
         values["axis"] = next(
-            (word for word, axis in _AXES.items() if axis == g.axis), None)
+            (word for word, a in _AXES.items() if a == axis), None)
         if values["axis"] is None:
             raise ConfigError("only principal-axis cylinders serialize")
     lines = _write(_TYPE + rows, values, prefix)

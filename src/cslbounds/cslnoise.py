@@ -7,21 +7,23 @@ The white collapse-force spectrum along x is
 
 and every other quantity here (two-body variant, torque spectrum,
 temperature shift, free-expansion spread, heating rate) derives from it.
-The k-space integral is reduced as far as each geometry allows: fully
-closed-form Gaussian pair kernels for point lattices; for Cuboid and
+Each geometry type and channel has one route, named in _ROUTES, that
+reduces the k-space integral as far as the geometry allows: closed-form
+Gaussian pair kernels for points and point lattices; for Cuboid and
 Multilayer (any stacking axis) a product of Gaussian moments of their
 three 1D axis profiles, in force, two-body and torque alike; sums of
 products of the moments of a slab and a disc profile for cylinders at
-any tilt; one moment of a ball profile for the sphere two-body.  Every
-profile moment comes from _profile_moment.  Every moment of a slab or
-layer stack, and a disc's M0 and M2, is a closed form (erf/exp sums
-over pairs of layer edges, or their series in 1/rC^2; e^{-x} I_n(x)
-for the disc); the cylinder torque, the disc kernels of a two-body
-cylinder and the sphere two-body stay 1D quadratures, and the sphere
-force one radial integral (integrate_k3, symmetry "isotropic").  The
-generic 3D quadrature serves only point lattices and every body under
-method="quadrature".  README.md tabulates the route of each geometry
-and channel.
+any tilt; one moment of a ball profile for the sphere two-body, and one
+radial integral (integrate_k3) for the sphere force.  Every profile
+moment comes from _profile_moment.  Every moment of a slab or layer
+stack, and a disc's M0 and M2, is a closed form (erf/exp sums over
+pairs of layer edges, or their series in 1/rC^2; e^{-x} I_n(x) for the
+disc); the cylinder torque, the disc kernels of a two-body cylinder and
+the sphere two-body stay 1D quadratures.  method="quadrature" runs the
+same route with every moment by 1D quadrature, as a cross-check of the
+closed forms.  No route integrates in more than one dimension; the
+generic 3D quadrature is a test oracle (tests/oracles.py).  README.md
+tabulates the routes.
 """
 
 import math
@@ -31,10 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .constants import CONSTANTS
-from .geometry import (AxisProfile, BallProfile, Cylinder, DiscProfile,
-                       Point, PointLattice, Sphere, TwoBody, _check_positive,
-                       form_factor, form_factor_angular_derivative,
-                       separable_profiles)
+from .geometry import (AxisProfile, BallProfile, Cuboid, Cylinder,
+                       DiscProfile, Multilayer, Point, PointLattice, Sphere,
+                       TwoBody, _check_positive, separable_profiles)
 from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
 from .special import (bessel_j1, one_minus_j0, ring_cos2_kernel,
                       shell_cos2_kernel, sphere_kernel)
@@ -843,118 +844,6 @@ def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
                          pref * scale * scale * err)
 
 
-# ---------------------------------------------------------------------------
-# force spectrum
-
-def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
-    """White CSL force spectral density along x, in N^2 s.
-
-    method: "auto" picks the closed form / most-reduced quadrature per
-    geometry; "quadrature" forces a quadrature evaluation (used to
-    cross-check the closed forms).  Any other method is a ValueError.
-    """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(g, TwoBody):
-        raise TypeError("use csl_force_spectrum_two_body for TwoBody")
-    if spec is None:
-        spec = QuadratureSpec()
-    if p.lam == 0.0:
-        return SpectralValue(0.0)
-
-    pref = _prefactor(p, consts)
-    rC = p.rC
-
-    if method == "auto":
-        if isinstance(g, Point):
-            val = consts.hbar ** 2 * p.lam * g.m ** 2 / (
-                2.0 * consts.m0 ** 2 * rC * rC)
-            return SpectralValue(val)
-        if isinstance(g, PointLattice):
-            ksum = force_pair_kernel_sum(g.positions, g.masses, rC)
-            val = consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum
-            return SpectralValue(val)
-
-    if isinstance(g, (Point, Sphere)):
-        # kept bit for bit: the shipped cantilever_sphere exclusion
-        # reports its error estimate, which the benchmark's cli gate
-        # compares at 1e-6 relative (ROADMAP item 1)
-        R = g.R if isinstance(g, Sphere) else 0.0
-
-        def f3(k):
-            mu = g.m * sphere_kernel(k * R) if R else np.full_like(k, g.m)
-            return mu * mu * k * k / 3.0 * np.exp(-(k * rC) ** 2)
-
-        val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
-                                oscillation_scale=2.0 * R or None)
-        return SpectralValue(pref * val, pref * err)
-
-    if isinstance(g, PointLattice):
-        # quadrature route over the discrete transform, full 3D
-        def f(kx, ky, kz):
-            k = np.stack([kx, ky, kz], axis=-1)
-            mu = form_factor(g, k)
-            k2 = kx * kx + ky * ky + kz * kz
-            return np.abs(mu) ** 2 * np.exp(-k2 * rC * rC) * kx * kx
-
-        val, err = integrate_k3(f, rC, spec, symmetry="none",
-                                oscillation_scale=g.largest_dimension or None)
-        return SpectralValue(pref * val, pref * err)
-
-    sep = separable_profiles(g)
-    if sep is not None:
-        return _separable_spectrum(sep, "force", p, spec, consts,
-                                   closed_form=method == "auto")
-
-    if isinstance(g, Cylinder):
-        return _cylinder_spectrum(g, p, spec, consts, None, method == "auto")
-
-    raise TypeError(f"unsupported geometry {type(g).__name__}")
-
-
-def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
-    """Differential CSL force spectrum of two units separated by a along x.
-
-    Evaluates (hbar^2 lam rC^3 / 2 pi^{3/2} m0^2) *
-    integral |mu_unit|^2 e^{-k^2 rC^2} k_x^2 |1 - e^{i a k_x}|^2 dk; the
-    squared phase factor makes the spectrum vanish at a = 0 and reduce to
-    the single-unit value for a >> rC.
-    """
-    if not isinstance(g, TwoBody):
-        raise TypeError("csl_force_spectrum_two_body needs a TwoBody geometry")
-    if spec is None:
-        spec = QuadratureSpec()
-    if p.lam == 0.0 or g.a == 0.0:
-        return SpectralValue(0.0)
-
-    unit, a, rC = g.unit, g.a, p.rC
-    if isinstance(unit, (Point, PointLattice)):
-        if isinstance(unit, Point):
-            unit = PointLattice(np.zeros((1, 3)), np.array([unit.m]))
-        ksum = two_body_pair_kernel_sum(unit.positions, unit.masses, rC, a)
-        val = consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum
-        return SpectralValue(val)
-
-    saturated = a >= _saturation_separation(unit, rC)
-    if isinstance(unit, Sphere):
-        # <k_x^2 (1 - cos a k_x)> over directions is k^2 (1 - j0(ak) +
-        # 2 j2(ak)) / 3, so the spectrum is one ball moment M2 times that
-        # kernel; saturated, the kernel is 1 and the moment the
-        # single-sphere force
-        h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
-        val, err = _profile_moment(BallProfile(unit.R), "M2", rC, spec,
-                                   h=h, s=s)
-        scale = 2.0 * np.pi / 3.0 * unit.m * unit.m * _prefactor(p, consts)
-        return SpectralValue(scale * val, scale * err)
-    if saturated:
-        return csl_force_spectrum(unit, p, spec=spec, consts=consts)
-
-    sep = separable_profiles(unit)
-    if sep is not None:
-        return _separable_spectrum(sep, "two_body", p, spec, consts, a=a)
-    return _cylinder_spectrum(unit, p, spec, consts, a)
-
-
 def _saturation_separation(unit, rC):
     """Separation from which a two-body spectrum equals the single-unit
     force spectrum to 1e-12 of its value: X + c rC, with X the unit's
@@ -1044,64 +933,208 @@ def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
 
 
 # ---------------------------------------------------------------------------
-# torque spectrum (rotation about x)
+# routes: one per geometry type and channel
+#
+# A route is called as route(body, channel, p, spec, consts, closed_form,
+# a): body is the geometry, or a TwoBody's unit on the two_body channel,
+# and a the separation (0 on the other channels).  closed_form is unset
+# under method="quadrature", which runs the same route with every moment
+# by 1D quadrature.  The first line of each route's docstring is its
+# legend in README.md.  Routes reach the pair sums, integrate_k3 and
+# csl_force_spectrum through this module's globals, never through
+# _ROUTES, so that a wrapper set on those names sees every call.
+
+def _point_force(body, channel, p, spec, consts, closed_form, a):
+    """hbar^2 lam m^2 / 2 m0^2 rC^2; under quadrature the radial
+    integral of a point, which checks it."""
+    if not closed_form:
+        return _radial_force(body, channel, p, spec, consts, closed_form, a)
+    return SpectralValue(consts.hbar ** 2 * p.lam * body.m ** 2 / (
+        2.0 * consts.m0 ** 2 * p.rC * p.rC))
+
+
+def _radial_force(body, channel, p, spec, consts, closed_form, a):
+    """One radial integral of the sphere kernel times k^2 / 3, the
+    angular average of k_x^2 (integrate_k3, symmetry "isotropic").
+
+    Kept bit for bit, although the ball's M2 is the same integral: the
+    shipped cantilever_sphere exclusion reports its error estimate, which
+    the benchmark's cli gate compares at 1e-6 relative (ROADMAP item 1).
+    """
+    R = getattr(body, "R", 0.0)   # a Point has none
+    rC = p.rC
+
+    def f3(k):
+        mu = body.m * sphere_kernel(k * R) if R else np.full_like(k, body.m)
+        return mu * mu * k * k / 3.0 * np.exp(-(k * rC) ** 2)
+
+    val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
+                            oscillation_scale=2.0 * R or None)
+    pref = _prefactor(p, consts)
+    return SpectralValue(pref * val, pref * err)
+
+
+def _pair_kernel(body, channel, p, spec, consts, closed_form, a):
+    """Exact Gaussian pair sums over the points (a Point two-body's unit
+    is one point); no quadrature variant."""
+    if isinstance(body, Point):
+        body = PointLattice(np.zeros((1, 3)), np.array([body.m]))
+    if channel == "force":
+        ksum = force_pair_kernel_sum(body.positions, body.masses, p.rC)
+    elif channel == "torque":
+        ksum = torque_pair_kernel_sum(body.positions, body.masses, p.rC)
+    else:
+        ksum = two_body_pair_kernel_sum(body.positions, body.masses, p.rC,
+                                        a)
+    return SpectralValue(consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum)
+
+
+def _zero(body, channel, p, spec, consts, closed_form, a):
+    """Exactly 0: the transform depends on |k| only, so no torque."""
+    return SpectralValue(0.0)
+
+
+def _ball_moment(body, channel, p, spec, consts, closed_form, a):
+    """(2 pi / 3) m^2 times one ball moment M2 times the direction
+    average of 1 - cos(a k_x), a 1D quadrature.
+
+    <k_x^2 (1 - cos a k_x)> over directions is k^2 (1 - j0(ak) +
+    2 j2(ak)) / 3; saturated, the kernel is 1 and the moment the
+    single-sphere force.
+    """
+    saturated = a >= _saturation_separation(body, p.rC)
+    h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
+    val, err = _profile_moment(BallProfile(body.R), "M2", p.rC, spec,
+                               closed_form, h, s)
+    scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p, consts)
+    return SpectralValue(scale * val, scale * err)
+
+
+def _saturates(body, channel, rC, a):
+    """Whether a two-body pair equals its unit's force spectrum to 1e-12
+    (_saturation_separation)."""
+    return channel == "two_body" and a >= _saturation_separation(body, rC)
+
+
+def _separable(body, channel, p, spec, consts, closed_form, a):
+    """A product of closed-form 1D moments of the three axis profiles
+    (_separable_spectrum); a saturated two-body is the unit's force."""
+    if _saturates(body, channel, p.rC, a):
+        return csl_force_spectrum(body, p, spec=spec, consts=consts)
+    return _separable_spectrum(separable_profiles(body), channel, p, spec,
+                               consts, closed_form, a)
+
+
+def _cylinder(body, channel, p, spec, consts, closed_form, a):
+    """Sums of products of slab and disc moments at any tilt
+    (_cylinder_spectrum): closed forms, but for a two-body's disc kernels;
+    a saturated two-body is the unit's force."""
+    if _saturates(body, channel, p.rC, a):
+        return csl_force_spectrum(body, p, spec=spec, consts=consts)
+    return _cylinder_spectrum(body, p, spec, consts,
+                              a if channel == "two_body" else None,
+                              closed_form)
+
+
+def _cylinder_torque(body, channel, p, spec, consts, closed_form, a):
+    """sin^2 of the tilt times the torque bracket of the disc and slab
+    profiles, 1D quadratures under either method.
+
+    |(x^ x k) . grad mu| = |k . (n x x^)| |F_par - k_par F_perp /
+    k_perp|: sin^2 of the tilt times the value for an axis normal to x,
+    the torque bracket of the disc and slab profiles halved by the phi
+    average; the slab's M2 is integrated like its D0 and C1.
+    closed_form stays False: the shipped cylinder_rotational exclusion
+    reports this quadrature's error estimate bit for bit, and the
+    benchmark's cli gate compares it at 1e-6 relative (ROADMAP item 1).
+    """
+    sin2 = body.axis[1] ** 2 + body.axis[2] ** 2   # 0 spinning about it
+    total, err = _torque_bracket(DiscProfile(body.R), AxisProfile(body.L),
+                                 p.rC, spec, closed_form=False)
+    scale = _prefactor(p, consts) * body.m * body.m * np.pi
+    return SpectralValue(sin2 * (scale * (0.5 * total)),
+                         sin2 * (scale * (0.5 * err)))
+
+
+_CHANNELS = ("force", "two_body", "torque")
+_PAIR = ("pair kernel", _pair_kernel)
+_ZERO = ("zero", _zero)
+_SEPARABLE = ("1D moments", _separable)
+_CYLINDER = ("disc and slab moments", _cylinder)
+# (geometry type, channel) -> (route name, route), written as one row of
+# routes per type, in the order of _CHANNELS
+_ROUTES = {(cls, channel): route for cls, row in {
+    Point: (("closed form", _point_force), _PAIR, _ZERO),
+    PointLattice: (_PAIR, _PAIR, _PAIR),
+    Sphere: (("radial", _radial_force), ("ball moment", _ball_moment), _ZERO),
+    Cuboid: (_SEPARABLE, _SEPARABLE, _SEPARABLE),
+    Multilayer: (_SEPARABLE, _SEPARABLE, _SEPARABLE),
+    Cylinder: (_CYLINDER, _CYLINDER,
+               ("disc and slab torque", _cylinder_torque)),
+}.items() for channel, route in zip(_CHANNELS, row)}
+
+
+def _spectrum(g, channel, p, spec, consts, method):
+    """Check g and method, look up the route of g's type on channel in
+    _ROUTES and call it.
+
+    A TwoBody has only the two_body channel, and is looked up by its
+    unit's type.  Raises ValueError for an unknown method and for
+    method="quadrature" on a pair-kernel route, whose sums are exact, and
+    TypeError for a (type, channel) that _ROUTES does not hold.
+    """
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    pair = isinstance(g, TwoBody)
+    if pair != (channel == "two_body"):
+        raise TypeError("a TwoBody pair has only csl_force_spectrum_two_body"
+                        if pair else "csl_force_spectrum_two_body needs a "
+                        "TwoBody geometry")
+    body, a = (g.unit, g.a) if pair else (g, 0.0)
+    name, route = _ROUTES.get((type(body), channel), (None, None))
+    if route is None:
+        raise TypeError(f"no {channel} route for {type(body).__name__}")
+    if name == "pair kernel" and method == "quadrature":
+        raise ValueError("pair sums are exact: a point lattice has no "
+                         "quadrature route")
+    if p.lam == 0.0 or pair and a == 0.0:
+        return SpectralValue(0.0)
+    return route(body, channel, p, QuadratureSpec() if spec is None else spec,
+                 consts, method == "auto", a)
+
+
+def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
+    """White CSL force spectral density along x, in N^2 s.
+
+    method: "auto" takes the route _ROUTES names for the type of g;
+    "quadrature" runs the same route with every moment by 1D quadrature
+    (a Point's radial integral), to cross-check the closed forms.  A
+    PointLattice, whose pair sums are exact, has no quadrature and raises
+    ValueError, as does any other method.  A TwoBody or a type with no
+    route raises TypeError.
+    """
+    return _spectrum(g, "force", p, spec, consts, method)
+
+
+def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
+    """Differential CSL force spectrum of two units separated by a along x.
+
+    Evaluates (hbar^2 lam rC^3 / 2 pi^{3/2} m0^2) *
+    integral |mu_unit|^2 e^{-k^2 rC^2} k_x^2 |1 - e^{i a k_x}|^2 dk; the
+    squared phase factor makes the spectrum vanish at a = 0 and reduce to
+    the single-unit value for a >> rC.  g must be a TwoBody (TypeError).
+    """
+    return _spectrum(g, "two_body", p, spec, consts, "auto")
+
 
 def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
     """CSL torque spectral density about the x axis, in N^2 m^2 s.
 
     Vanishes identically for spherically symmetric bodies and for
     cylinders spinning about their own symmetry axis.  method is as for
-    csl_force_spectrum.
+    csl_force_spectrum; a Point or Sphere torque is exactly 0 under both.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(g, TwoBody):
-        raise TypeError("torque spectrum of a TwoBody pair is not defined")
-    if spec is None:
-        spec = QuadratureSpec()
-    if p.lam == 0.0:
-        return SpectralValue(0.0)
-
-    pref = _prefactor(p, consts)
-    rC = p.rC
-
-    if isinstance(g, (Point, Sphere)) and method == "auto":
-        return SpectralValue(0.0)
-
-    if isinstance(g, PointLattice) and method == "auto":
-        ksum = torque_pair_kernel_sum(g.positions, g.masses, rC)
-        val = consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum
-        return SpectralValue(val)
-
-    if isinstance(g, Cylinder) and method == "auto":
-        # |(x^ x k) . grad mu| = |k . (n x x^)| |F_par - k_par F_perp /
-        # k_perp|: sin^2 of the tilt times the value for an axis normal to
-        # x, the torque bracket of the disc and slab profiles halved by
-        # the phi average; the slab's M2 is integrated like its D0 and C1.
-        # closed_form stays False: the shipped cylinder_rotational
-        # exclusion reports this quadrature's error estimate bit for bit,
-        # and the benchmark's cli gate compares it at 1e-6 relative
-        # (ROADMAP item 1)
-        sin2 = g.axis[1] ** 2 + g.axis[2] ** 2   # 0 spinning about the axis
-        total, err = _torque_bracket(DiscProfile(g.R), AxisProfile(g.L), rC,
-                                     spec, closed_form=False)
-        scale = pref * g.m * g.m * np.pi
-        return SpectralValue(sin2 * (scale * (0.5 * total)),
-                             sin2 * (scale * (0.5 * err)))
-
-    sep = separable_profiles(g)
-    if sep is not None and method == "auto":
-        return _separable_spectrum(sep, "torque", p, spec, consts)
-
-    def f3(kx, ky, kz):
-        k = np.stack([kx, ky, kz], axis=-1)
-        deriv = form_factor_angular_derivative(g, k)
-        k2 = kx * kx + ky * ky + kz * kz
-        return np.abs(deriv) ** 2 * np.exp(-k2 * rC * rC)
-
-    val, err = integrate_k3(f3, rC, spec, symmetry="none",
-                            oscillation_scale=g.largest_dimension or None)
-    return SpectralValue(pref * val, pref * err)
+    return _spectrum(g, "torque", p, spec, consts, method)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,12 @@
 
 The radial direction is the stiff one (the e^{-k^2 rC^2} damping and any
 sinc-type oscillations both live there), so the scheme is an adaptive
-Gauss-Kronrod (G7/K15) subdivision in |k|, vectorized over panels.  The
-angular part is handled according to the symmetry the caller declares:
-
-  * "isotropic"  -- integrand depends on |k| only; caller passes the
-                    angular average f(k); 1D radial integral.
-  * "none"       -- full f(kx, ky, kz); angular averages are computed with
-                    a Gauss-Legendre x periodic-trapezoid product rule
-                    whose order is doubled until converged.
+Gauss-Kronrod (G7/K15) subdivision in |k|, vectorized over panels.
+integrate_k3 takes an isotropic integrand, the angular average f(k) at
+each radius, and integrates it as one radial integral; every body with
+angular structure is reduced to 1D moments before it gets here (the
+generic 3D quadrature over f(kx, ky, kz) is a test oracle,
+tests/oracles.py).
 
 All integrands must accept numpy arrays and evaluate elementwise.  Panel
 results are combined with math.fsum, so the accumulated value does not
@@ -18,7 +16,6 @@ several integrands that share their work at each node (the moments of
 one profile); each row is integrated bit for bit as if alone.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -183,84 +180,30 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     return results if stacked else results[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    """Read-only Gauss-Legendre nodes and weights of order n on [-1, 1]
-    (a dense eigenvalue solve, so computed once per order)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _angular_average(f, r, rel_tol):
-    """Mean of f over the sphere at each radius in r, by order doubling.
-
-    Gauss-Legendre in cos(theta) crossed with a uniform (hence spectrally
-    accurate, periodic) grid in phi, evaluated over chunks of radii.
-    Raises NonConvergence, carrying the averages, if order 512 has not
-    converged.
-    """
-    r = np.asarray(r, dtype=float)
-    prev = None
-    n = 16
-    while True:
-        ct, wt = _gauss_legendre(n)
-        st = np.sqrt(1.0 - ct * ct)[:, None]
-        phi = np.arange(n) * (2.0 * np.pi / n)
-        ux, uy = st * np.cos(phi), st * np.sin(phi)
-        uz = np.broadcast_to(ct[:, None], ux.shape)
-        avg = np.empty_like(r)
-        step = max(1, (1 << 18) // (n * n))   # 2 MiB per float array
-        for i in range(0, r.size, step):
-            rr = r[i:i + step, None, None]
-            vals = f(rr * ux, rr * uy, rr * uz)
-            avg[i:i + step] = np.einsum("ijk,j->i", vals, wt) / (2.0 * n)
-        if prev is not None:
-            change = np.max(np.abs(avg - prev))
-            target = 0.3 * rel_tol * (np.max(np.abs(avg)) or 1.0)
-            if change <= target:
-                return avg
-            if n >= 512:
-                raise NonConvergence(f"angular average unconverged at "
-                                     f"order {n}", avg, change)
-        prev = avg
-        n *= 2
-
-
-def integrate_k3(f, rC, spec=None, symmetry="none", oscillation_scale=None):
-    """Integrate f over the ball |k| <= cutoff_factor / rC.
-
-    The integrand signature depends on the declared symmetry:
-      symmetry="none":      f(kx, ky, kz)
-      symmetry="isotropic": f(k), the full angular average at radius k
+def integrate_k3(f, rC, spec=None, symmetry="isotropic",
+                 oscillation_scale=None):
+    """Integrate an isotropic integrand over the ball |k| <= cutoff_factor
+    / rC: 4 pi int k^2 f(k) dk, with f(k) its full angular average at
+    radius k.  "isotropic" is the only symmetry; any other tag is a
+    ValueError.
 
     oscillation_scale: largest body dimension L; radial panels are then
     started at half the period of the fastest sin(kL/2)^2 factor.
 
     Returns (value, error_estimate).
     """
+    if symmetry != "isotropic":
+        raise ValueError(f"unknown symmetry tag {symmetry!r}")
     if spec is None:
         spec = QuadratureSpec()
     if rC <= 0:
         raise ValueError("rC must be positive")
-    kmax = spec.cutoff_factor / rC
     width = None
     if oscillation_scale is not None and oscillation_scale > 0:
         width = np.pi / oscillation_scale
 
-    if symmetry == "isotropic":
-        def radial(k):
-            return 4.0 * np.pi * k * k * np.asarray(f(k), dtype=float)
-        return integrate_1d(radial, 0.0, kmax, spec.rel_tol, spec.abs_tol,
-                            spec.max_evals, max_panel_width=width)
-
-    if symmetry != "none":
-        raise ValueError(f"unknown symmetry tag {symmetry!r}")
-
     def radial(k):
-        avg = _angular_average(f, k, spec.rel_tol)
-        return 4.0 * np.pi * k * k * avg
+        return 4.0 * np.pi * k * k * np.asarray(f(k), dtype=float)
 
-    return integrate_1d(radial, 0.0, kmax, spec.rel_tol, spec.abs_tol,
-                        spec.max_evals, max_panel_width=width)
+    return integrate_1d(radial, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
+                        spec.abs_tol, spec.max_evals, max_panel_width=width)

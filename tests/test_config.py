@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cslbounds import Cylinder, Multilayer, Sphere, TwoBody
-from cslbounds.config import (ConfigError, config_hash, parse_inputs,
-                              serialize_inputs)
+from cslbounds import (Cylinder, Multilayer, Sphere, TwoBody,
+                       csl_force_spectrum, csl_torque_spectrum)
+from cslbounds.config import (ConfigError, config_hash, load_config,
+                              parse_inputs, serialize_inputs)
 
 BASIC = """
 [geometry]
@@ -323,6 +324,27 @@ def test_roundtrip_is_identity(text):
 
 def test_simulation_mode_is_parsed():
     assert parse_inputs(FREE_PARTICLE).sim_mode == "free_particle"
+
+
+@pytest.mark.parametrize("axis", [
+    (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)],
+    ids=["x", "-x", "y", "-y", "z", "-z"])
+def test_principal_axis_cylinder_roundtrips(axis, tmp_path):
+    """A cylinder along any of the six +- principal axes serializes as its
+    principal axis; the loaded body has the same force and torque
+    spectra, bit for bit."""
+    inputs = parse_inputs(BASIC)
+    g = Cylinder(1e-14, 1e-7, 1e-6, axis=axis)
+    inputs.geometry = g
+    path = tmp_path / "cylinder.ini"
+    path.write_text(serialize_inputs(inputs))
+    _, loaded = load_config(path)
+    assert loaded.geometry.axis == tuple(abs(c) for c in axis)
+    for spectrum in (csl_force_spectrum, csl_torque_spectrum):
+        got = spectrum(loaded.geometry, loaded.collapse)
+        want = spectrum(g, inputs.collapse)
+        assert (float(got), got.error) == (float(want), want.error)
 
 
 def test_tilted_cylinder_does_not_serialize():

@@ -13,7 +13,7 @@ import pytest
 import cslbounds
 from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        ColoredNoiseModel, Cuboid, Cylinder, Multilayer,
-                       Point, QuadratureSpec, Sphere, TwoBody,
+                       Point, PointLattice, QuadratureSpec, Sphere, TwoBody,
                        apply_colored_filter, csl_force_spectrum,
                        csl_force_spectrum_two_body, csl_temperature_shift,
                        csl_temperature_shift_rot, csl_torque_spectrum,
@@ -21,6 +21,7 @@ from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
 from cslbounds.cslnoise import (force_pair_kernel_sum, torque_pair_kernel_sum,
                                 two_body_pair_kernel_sum)
 from lattices import cuboid_lattice, cylinder_lattice
+import oracles
 
 GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
 
@@ -186,6 +187,26 @@ def test_torque_cuboid_vs_lattice_oracle():
     want = float(csl_torque_spectrum(g, p))
     got = float(csl_torque_spectrum(cuboid_lattice(g, 18), p))
     assert abs(got - want) / want < 2e-2
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pair_sums_match_the_generic_3d_oracle(seed):
+    """A lattice's exact pair sums, which have no quadrature route,
+    against the generic 3D integral of its form factor: force, two-body
+    and torque of a few random points, with rC near their spacing."""
+    rng = np.random.default_rng([41, seed])
+    lat = PointLattice(rng.uniform(-5e-7, 5e-7, (5, 3)),
+                       rng.uniform(1e-15, 2e-15, 5))
+    p = CollapseParams(1.0, 10.0 ** rng.uniform(-6.7, -6.2))
+    a = 10.0 ** rng.uniform(-7, -6)
+    spec = QuadratureSpec()
+    for got, want in (
+            (csl_force_spectrum(lat, p), oracles.force(lat, p)),
+            (csl_force_spectrum_two_body(TwoBody(lat, a), p),
+             oracles.two_body(lat, p, a)),
+            (csl_torque_spectrum(lat, p), oracles.torque(lat, p))):
+        assert abs(float(got) - float(want)) <= \
+            spec.rel_tol * abs(float(want)) + want.error
 
 
 def test_colored_filter_properties():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cslbounds.quadrature import (NonConvergence, QuadratureSpec,
-                                  _angular_average, integrate_1d,
-                                  integrate_k3)
+                                  integrate_1d, integrate_k3)
+from oracles import angular_average, integrate_ball
 
 
 def test_polynomial_is_exact():
@@ -80,7 +80,8 @@ def test_k3_isotropic_gaussian_moment():
 
 
 def test_k3_symmetry_routes_agree():
-    # the same integrand through the isotropic and generic 3D routes
+    # the same integrand through the isotropic route and the generic 3D
+    # oracle
     rC = 1.0
     want = math.pi ** 1.5 / (2.0 * rC ** 5)
 
@@ -94,13 +95,16 @@ def test_k3_symmetry_routes_agree():
         k2 = kx * kx + ky * ky + kz * kz
         return np.exp(-k2 * rC * rC) * kx * kx
 
-    val_3d, _ = integrate_k3(f3, rC, symmetry="none")
+    val_3d, _ = integrate_ball(f3, rC)
     assert val_3d == pytest.approx(want, rel=1e-5)
 
 
 def test_axial_symmetry_tag_is_gone():
-    with pytest.raises(ValueError, match="symmetry"):
-        integrate_k3(lambda kperp, kz: kz * 0.0, 1.0, symmetry="axial")
+    """The only symmetry is "isotropic": the axial and generic 3D tags
+    are rejected."""
+    for tag in ("axial", "none"):
+        with pytest.raises(ValueError, match="symmetry"):
+            integrate_k3(lambda k: k * 0.0, 1.0, symmetry=tag)
 
 
 def test_angular_average_chunks_match_one_radius_at_a_time():
@@ -112,10 +116,10 @@ def test_angular_average_chunks_match_one_radius_at_a_time():
     def f(kx, ky, kz):
         return kx * kx * (1.0 + 0.1 * np.cos(kz))
 
-    avg = _angular_average(lambda kx, ky, kz: kx * kx, r, 1e-8)
+    avg = angular_average(lambda kx, ky, kz: kx * kx, r, 1e-8)
     assert np.allclose(avg, r * r / 3.0, rtol=1e-12, atol=0.0)
-    together = _angular_average(f, r, 1e-8)
-    alone = [_angular_average(f, r[i:i + 1], 1e-8)[0]
+    together = angular_average(f, r, 1e-8)
+    alone = [angular_average(f, r[i:i + 1], 1e-8)[0]
              for i in (0, 1000, 2999)]
     assert together[[0, 1000, 2999]] == pytest.approx(alone, rel=1e-12,
                                                        abs=0.0)
@@ -128,7 +132,7 @@ def test_rough_angular_integrand_raises_nonconvergence():
         return 1.0 + np.cos(3000.0 * kx)
 
     with pytest.raises(NonConvergence) as exc:
-        _angular_average(rough, np.array([1.0, 2.0]), 1e-6)
+        angular_average(rough, np.array([1.0, 2.0]), 1e-6)
     assert np.all(np.isfinite(exc.value.estimate))
     assert exc.value.error > 0
 

@@ -16,13 +16,14 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        Multilayer, QuadratureSpec, Sphere,
                        TwoBody,
                        csl_force_spectrum, csl_force_spectrum_two_body,
-                       csl_torque_spectrum, form_factor)
+                       csl_torque_spectrum)
 from cslbounds import cslnoise
 from cslbounds.cslnoise import torque_pair_kernel_sum
 from cslbounds.geometry import AxisProfile, DiscProfile
-from cslbounds.quadrature import NonConvergence, integrate_k3
+from cslbounds.quadrature import NonConvergence
 from cslbounds.special import one_minus_j0
 from lattices import multilayer_lattice
+from oracles import torque as oracle_torque, two_body as oracle_two_body
 
 SHAPES = ["cuboid", "x", "y", "z"]
 # cylinders along x, along y and along two random axes
@@ -67,22 +68,6 @@ def assert_agree(got, want, rel_tol):
     assert abs(float(got) - float(want)) <= bound, (float(got), float(want))
 
 
-def generic_two_body(g, p, a):
-    """The k-space two-body integral over the full 3D ball with the
-    body's form factor, the route of bodies that have no reduction."""
-    def f3(kx, ky, kz):
-        k = np.stack([kx, ky, kz], axis=-1)
-        k2 = kx * kx + ky * ky + kz * kz
-        return np.abs(form_factor(g, k)) ** 2 * np.exp(-k2 * p.rC ** 2) \
-            * kx * kx * (1.0 - np.cos(a * kx))
-
-    val, err = integrate_k3(f3, p.rC, SPEC, symmetry="none",
-                            oscillation_scale=max(g.largest_dimension, a))
-    pref = CONSTANTS.hbar ** 2 * p.lam * p.rC ** 3 / (
-        np.pi ** 1.5 * CONSTANTS.m0 ** 2)
-    return cslnoise.SpectralValue(pref * val, pref * err)
-
-
 @pytest.mark.parametrize("shape", SHAPES)
 def test_force_matches_quadrature_route(shape):
     """Closed-form slab moments against 1D quadrature of every moment."""
@@ -98,12 +83,11 @@ def test_force_matches_quadrature_route(shape):
 @pytest.mark.parametrize("shape", SHAPES + CYLINDERS)
 def test_torque_matches_generic_3d_route(shape):
     """Products of 1D moments, and for a cylinder sin^2 of its tilt times
-    the transverse value, against the generic 3D route."""
+    the transverse value, against the generic 3D oracle."""
     rng = np.random.default_rng([22, (SHAPES + CYLINDERS).index(shape)])
     g = random_body(shape, rng)
     p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
-    assert_agree(csl_torque_spectrum(g, p),
-                 csl_torque_spectrum(g, p, method="quadrature"), SPEC.rel_tol)
+    assert_agree(csl_torque_spectrum(g, p), oracle_torque(g, p), SPEC.rel_tol)
 
 
 @pytest.mark.parametrize("shape", SHAPES + ["sphere"] + CYLINDERS)
@@ -114,7 +98,7 @@ def test_two_body_matches_generic_3d_integral(shape):
     p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
     a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
     assert_agree(csl_force_spectrum_two_body(TwoBody(g, a), p),
-                 generic_two_body(g, p, a), SPEC.rel_tol)
+                 oracle_two_body(g, p, a), SPEC.rel_tol)
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
@@ -185,15 +169,14 @@ def test_multilayer_torque_avoids_generic_3d(axis, monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_tilted_cylinder_torque_matches_quadrature_over_random_tilts(seed):
     """Random axes, sizes and rC: the auto torque (sin^2 of the tilt
-    times the transverse product) against method="quadrature"."""
+    times the transverse product) against the generic 3D oracle."""
     rng = np.random.default_rng([26, seed])
     for _ in range(2):
         g = random_body("cyl_tilt", rng)
         p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
         auto = csl_torque_spectrum(g, p)
         assert float(auto) > 0.0
-        assert_agree(auto, csl_torque_spectrum(g, p, method="quadrature"),
-                     SPEC.rel_tol)
+        assert_agree(auto, oracle_torque(g, p), SPEC.rel_tol)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -206,7 +189,7 @@ def test_tilted_cylinder_two_body_over_random_tilts(seed):
         p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(2e-7), -5.5))
         a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
         assert_agree(csl_force_spectrum_two_body(TwoBody(g, a), p),
-                     generic_two_body(g, p, a), SPEC.rel_tol)
+                     oracle_two_body(g, p, a), SPEC.rel_tol)
 
 
 def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
