@@ -122,21 +122,35 @@ def _prefactor(p, consts):
 
 _TILE = 128
 _EXP_FLOOR = -700.0
+# A tile pair is skipped when every exponent c d^2 / 2 of its terms is at
+# least _SKIP_EXP.  A skipped term is then at most (1 + 2x) e^{-x} <=
+# 87 e^{-43} = 1.8e-17 times its scale (see _gaussian), and a two-body
+# term, whose three Gaussians weigh 1, 1/2 and 1/2, at most twice that:
+# all the skipped terms together stay below 1e-16 of the sum's scale,
+# c (sum m)^2 for the force and two-body and c R_max^2 (sum m)^2 for the
+# torque.
+_SKIP_EXP = 43.0
+_Z_BITS = 21   # three 21-bit coordinates interleave into one uint64
 
 
 def _gaussian(d2, scale, keep):
-    """e^{-scale d2}, written over d2; keep is a boolean scratch array.
+    """e^{-scale d2}, written over d2; keep is a boolean scratch array, or
+    None where no exponent can fall below _EXP_FLOOR.
 
     Exponents below _EXP_FLOOR give exactly 0: they are clamped to it, so
     that no exp returns a subnormal (about 100x slower than a normal
     result), and the clamped entries are multiplied by 0.  With x the
     exponent's magnitude, a dropped force or two-body term is at most
-    2x e^{-x} times c, and a dropped torque term at most (2x + 1) e^{-x}
-    times c r_i r_j (r the distance from the x axis), so below 1.4e-301
-    of the scale of a diagonal term for x > 700.  Clamping without the
-    zeroing would leave e^{-700} times a polynomial with no bound.
+    (1 + 2x) e^{-x} times c, and a dropped torque term at most
+    (1 + 2x) e^{-x} times c r_i r_j (r the distance from the x axis), so
+    below 1.4e-301 of the scale of a diagonal term for x > 700.  Clamping
+    without the zeroing would leave e^{-700} times a polynomial with no
+    bound.  With keep None the clamp, which would change nothing, is
+    left out.
     """
     np.multiply(d2, -scale, out=d2)
+    if keep is None:
+        return np.exp(d2, out=d2)
     np.greater_equal(d2, _EXP_FLOOR, out=keep)
     np.maximum(d2, _EXP_FLOOR, out=d2)
     np.exp(d2, out=d2)
@@ -144,33 +158,86 @@ def _gaussian(d2, scale, keep):
     return d2
 
 
-def _pair_sum(lat, kernel):
-    """sum_ij m_i m_j K_ij over all ordered pairs of points of lat.
+def _tile_pairs(lat, c, weights, shifts):
+    """Which tile pairs _pair_sum skips, the bound on each one's sum, and
+    which ones may reach the exponent floor.
+
+    The tiles are runs of _TILE points of lat.  Over a tile pair (I, J)
+    each difference x_i - x_j, y_i - y_j, z_i - z_j lies in the range
+    spanned by the two bounding boxes, and with a shift s the x range
+    moves by s.  For each (s, w) in shifts the exponent
+    c ((dx + s)^2 + dy^2 + dz^2) / 2 of every pair is then at least x_s,
+    that of the ranges' nearest point to 0, and at most that of their
+    farthest.  The pair is skipped when every x_s is at least _SKIP_EXP,
+    and its terms then sum to at most W_I W_J sum_s |w| (1 + 2 x_s)
+    e^{-x_s} (before the factor c), W a tile's sum of weights.  Returns
+    (skip, bound, floor), tiles x tiles arrays; floor is True where some
+    exponent may exceed -_EXP_FLOOR.
+    """
+    starts = np.arange(0, lat.masses.size, _TILE)
+    lo = np.minimum.reduceat(lat.positions, starts)
+    hi = np.maximum.reduceat(lat.positions, starts)
+    wsum = np.add.reduceat(weights, starts)
+    dlo = lo[:, None] - hi[None]     # least x_i - x_j etc. over (I, J)
+    dhi = hi[:, None] - lo[None]
+    near_yz = np.maximum(np.maximum(dlo[..., 1:], -dhi[..., 1:]), 0.0)
+    near2_yz = np.sum(near_yz * near_yz, axis=-1)
+    far2_yz = np.sum(np.maximum(dlo[..., 1:] ** 2, dhi[..., 1:] ** 2),
+                     axis=-1)
+    least, most = np.inf, 0.0
+    bound = 0.0
+    for s, w in shifts:
+        lo_x, hi_x = dlo[..., 0] + s, dhi[..., 0] + s
+        near_x = np.maximum(np.maximum(lo_x, -hi_x), 0.0)
+        x = 0.5 * c * (near_x * near_x + near2_yz)
+        least = np.minimum(least, x)
+        most = np.maximum(most, 0.5 * c * (np.maximum(lo_x ** 2, hi_x ** 2)
+                                           + far2_yz))
+        bound = bound + abs(w) * (1.0 + 2.0 * x) * np.exp(-x)
+    return (least >= _SKIP_EXP, bound * wsum[:, None] * wsum[None],
+            most > -_EXP_FLOOR)
+
+
+def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),)):
+    """c sum_ij m_i m_j K_ij over all ordered pairs of points of lat, as a
+    SpectralValue whose error bounds the terms of the skipped tile pairs.
 
     The sum runs over square tiles of at most _TILE x _TILE pairs, in
     tile order.  Every kernel is symmetric under i <-> j, so only tiles
     on or above the block diagonal are evaluated and those off the
-    diagonal count twice: N^2/2 kernel evaluations in a fixed workspace
-    of seven tile-sized arrays, whatever N is.  Each tile's differences
-    x_i - x_j etc. are taken in physical coordinates, exact for nearby
-    points however far the lattice sits from the origin, and
-    rho2 = dy^2 + dz^2 is formed once.  kernel(i, j, tile, keep) receives
-    the row and column slices, tile = (dx, dy, dz, rho2, w0, w1, w2) (the
-    last three scratch; dy and dz may be overwritten once read) and a
-    boolean scratch array, and returns the tile's kernel matrix.  Each
-    tile is reduced by two einsum matrix-vector products, which use no
-    BLAS, so the value does not depend on the BLAS thread count.
+    diagonal count twice: at most N^2/2 kernel evaluations in a fixed
+    workspace of seven tile-sized arrays, whatever N is.  Each tile's
+    differences x_i - x_j etc. are taken in physical coordinates, exact
+    for nearby points however far the lattice sits from the origin, and
+    rho2 = dy^2 + dz^2 is formed once.  Each tile is reduced by two
+    einsum matrix-vector products, which use no BLAS, so the value does
+    not depend on the BLAS thread count.
+
+    _tile_pairs decides from the tiles' bounding boxes, with the
+    kernel's x shifts and their weights (shifts) and the per-point
+    weights that bound its polynomial (the masses, or m r for the
+    torque), which tile pairs are so far apart that every exponent is
+    at least _SKIP_EXP.  Those are skipped and their bounds summed into
+    the error.  kernel(i, j, tile, keep) receives the row and column
+    slices, tile = (dx, dy, dz, rho2, w0, w1, w2) (the last three
+    scratch; dy and dz may be overwritten once read) and keep, a boolean
+    scratch array for _gaussian, or None where no exponent of the tile
+    pair can fall below _EXP_FLOOR; it returns the tile's kernel matrix.
     """
-    x, y, z = (np.ascontiguousarray(c) for c in lat.positions.T)
+    x, y, z = (np.ascontiguousarray(col) for col in lat.positions.T)
     masses = lat.masses
     n = masses.size
+    skip, bound, floor = _tile_pairs(lat, c, weights, shifts)
     work = np.empty((7, _TILE, _TILE))
     keep = np.empty((_TILE, _TILE), dtype=bool)
-    total = 0.0
-    for i0 in range(0, n, _TILE):
+    total = skipped = 0.0
+    for ti, i0 in enumerate(range(0, n, _TILE)):
         i = slice(i0, i0 + _TILE)
         ni = min(_TILE, n - i0)
-        for j0 in range(i0, n, _TILE):
+        for tj, j0 in enumerate(range(i0, n, _TILE), start=ti):
+            if skip[ti, tj]:
+                skipped += 2.0 * bound[ti, tj]
+                continue
             j = slice(j0, j0 + _TILE)
             nj = min(_TILE, n - j0)
             tile = work[:, :ni, :nj]
@@ -181,11 +248,12 @@ def _pair_sum(lat, kernel):
             np.square(dy, out=rho2)
             np.square(dz, out=w0)
             rho2 += w0
-            k = kernel(i, j, tile, keep[:ni, :nj])
+            k = kernel(i, j, tile,
+                       keep[:ni, :nj] if floor[ti, tj] else None)
             s = float(np.einsum("i,i->", masses[i],
                                 np.einsum("ij,j->i", k, masses[j])))
             total += s if j0 == i0 else 2.0 * s
-    return total
+    return SpectralValue(c * total, c * skipped)
 
 
 def _force_kernel(dx, rho2, c, keep, out, u):
@@ -199,11 +267,33 @@ def _force_kernel(dx, rho2, c, keep, out, u):
     return out
 
 
+def _z_order(pos):
+    """The indices that sort pos in Z (Morton) order.
+
+    Each coordinate is quantized to _Z_BITS bits over the points'
+    bounding cube and the bits of the three are interleaved, so that
+    every run of consecutive points, a tile among them, fills a compact
+    block of space, whatever order the points came in.
+    """
+    lo = pos.min(axis=0)
+    span = float(np.max(pos.max(axis=0) - lo))
+    if span == 0.0:
+        return np.arange(len(pos))
+    q = ((pos - lo) / span * (2 ** _Z_BITS - 1)).astype(np.uint64)
+    code = np.zeros(len(pos), dtype=np.uint64)
+    for bit in range(_Z_BITS):
+        for axis in range(3):
+            code |= ((q[:, axis] >> bit) & 1) << (3 * bit + axis)
+    return np.argsort(code, kind="stable")
+
+
 def _as_lattice(positions, masses, rC):
     """The points as a PointLattice, which checks them, after checking
-    rC."""
+    rC, put in Z order (_z_order) for _pair_sum's tiles."""
     _check_positive(rC=rC)
-    return PointLattice(positions, masses)
+    lat = PointLattice(positions, masses)
+    order = _z_order(lat.positions)
+    return PointLattice(lat.positions[order], lat.masses[order])
 
 
 def force_pair_kernel_sum(positions, masses, rC):
@@ -211,8 +301,10 @@ def force_pair_kernel_sum(positions, masses, rC):
 
     This is the k-space integral of the force spectrum carried out
     analytically for point masses; multiply by hbar^2 lam / m0^2 to get
-    S_FF.  Raises ValueError for a non-positive or non-finite rC and for
-    positions and masses PointLattice would reject.
+    S_FF.  Returns a SpectralValue whose error bounds the skipped far
+    tile pairs (_pair_sum), at most 1e-16 of c (sum m)^2.  Raises
+    ValueError for a non-positive or non-finite rC and for positions and
+    masses PointLattice would reject.
     """
     lat = _as_lattice(positions, masses, rC)
     c = 1.0 / (2.0 * rC * rC)
@@ -221,14 +313,16 @@ def force_pair_kernel_sum(positions, masses, rC):
         dx, _, _, rho2, w0, w1, _ = tile
         return _force_kernel(dx, rho2, c, keep, w0, w1)
 
-    return c * _pair_sum(lat, kernel)
+    return _pair_sum(lat, kernel, c, lat.masses)
 
 
 def two_body_pair_kernel_sum(positions, masses, rC, a):
     """Differential-pair kernel for two identical units separated by a
     along x: K(d) - [K(d + a x) + K(d - a x)] / 2 summed over unit pairs.
 
-    Raises ValueError as force_pair_kernel_sum does, and for a separation
+    Returns a SpectralValue as force_pair_kernel_sum does; a tile pair is
+    skipped only when it is far at dx, dx + a and dx - a alike.  Raises
+    ValueError as force_pair_kernel_sum does, and for a separation
     TwoBody would reject.
     """
     lat = _as_lattice(positions, masses, rC)
@@ -247,7 +341,8 @@ def two_body_pair_kernel_sum(positions, masses, rC, a):
         k0 -= kpm
         return k0
 
-    return c * _pair_sum(lat, kernel)
+    return _pair_sum(lat, kernel, c, lat.masses,
+                     ((0.0, 1.0), (a, 0.5), (-a, 0.5)))
 
 
 def torque_pair_kernel_sum(positions, masses, rC):
@@ -259,8 +354,9 @@ def torque_pair_kernel_sum(positions, masses, rC):
     with h = 1/2rC^2 and q = 1/4rC^4 is evaluated as
     h (y_i y_j + z_i z_j) - q (z_i dy - y_i dz)^2, whose last term uses the
     exact differences and so does not cancel at large offsets as
-    y_i z_j - z_i y_j would.  Raises ValueError as force_pair_kernel_sum
-    does.
+    y_i z_j - z_i y_j would.  Returns a SpectralValue whose error bounds
+    the skipped far tile pairs, at most 1e-16 of c R_max^2 (sum m)^2.
+    Raises ValueError as force_pair_kernel_sum does.
     """
     lat = _as_lattice(positions, masses, rC)
     c = 1.0 / (2.0 * rC * rC)
@@ -284,7 +380,7 @@ def torque_pair_kernel_sum(positions, masses, rC):
         p *= g
         return p
 
-    return c * _pair_sum(lat, kernel)
+    return _pair_sum(lat, kernel, c, lat.masses * np.hypot(y, z))
 
 
 # ---------------------------------------------------------------------------
@@ -975,8 +1071,9 @@ def _radial_force(body, channel, p, spec, consts, closed_form, a):
 
 
 def _pair_kernel(body, channel, p, spec, consts, closed_form, a):
-    """Exact Gaussian pair sums over the points (a Point two-body's unit
-    is one point); no quadrature variant."""
+    """Gaussian pair sums over the points (a Point two-body's unit is one
+    point), with far tile pairs skipped and their bound, at most 1e-16 of
+    the sum's scale, as the error; no quadrature variant."""
     if isinstance(body, Point):
         body = PointLattice(np.zeros((1, 3)), np.array([body.m]))
     if channel == "force":
@@ -986,7 +1083,8 @@ def _pair_kernel(body, channel, p, spec, consts, closed_form, a):
     else:
         ksum = two_body_pair_kernel_sum(body.positions, body.masses, p.rC,
                                         a)
-    return SpectralValue(consts.hbar ** 2 * p.lam / consts.m0 ** 2 * ksum)
+    f = consts.hbar ** 2 * p.lam / consts.m0 ** 2
+    return SpectralValue(f * ksum, f * ksum.error)
 
 
 def _zero(body, channel, p, spec, consts, closed_form, a):

@@ -18,6 +18,7 @@ from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        csl_force_spectrum_two_body, csl_temperature_shift,
                        csl_temperature_shift_rot, csl_torque_spectrum,
                        free_expansion_spread, heating_rate)
+from cslbounds import cslnoise
 from cslbounds.cslnoise import (force_pair_kernel_sum, torque_pair_kernel_sum,
                                 two_body_pair_kernel_sum)
 from lattices import cuboid_lattice, cylinder_lattice
@@ -276,48 +277,6 @@ def test_spectral_value_carries_error():
 # ---------------------------------------------------------------------------
 # pair sums against the full-row broadcast formulas
 
-def broadcast_pair_sum(pos, m, kernel):
-    """Reference pair sum: (512, N, 3) difference blocks over full rows,
-    every ordered pair evaluated once."""
-    total = 0.0
-    for start in range(0, len(m), 512):
-        sl = slice(start, start + 512)
-        d = pos[sl, None, :] - pos[None, :, :]
-        total += float(np.einsum("i,j,ij->", m[sl], m, kernel(sl, d)))
-    return total
-
-
-def broadcast_force_kernel(d, rC):
-    c = 1.0 / (2.0 * rC * rC)
-    d2 = np.einsum("ijk,ijk->ij", d, d)
-    return c * (1.0 - d[..., 0] ** 2 * c) * np.exp(-d2 * c / 2.0)
-
-
-def broadcast_sums(pos, m, rC, a):
-    """(force, torque, two-body) sums by the broadcast formulas."""
-    shift = np.array([a, 0.0, 0.0])
-    y, z = pos[:, 1], pos[:, 2]
-    q = 1.0 / (4.0 * rC ** 4)
-
-    def torque(sl, d):
-        yi, zi = y[sl, None], z[sl, None]
-        gauss = np.exp(-np.einsum("ijk,ijk->ij", d, d) / (4.0 * rC * rC))
-        dy, dz = d[..., 1], d[..., 2]
-        return gauss * (zi * z * (0.5 / rC ** 2 - dy * dy * q)
-                        + yi * y * (0.5 / rC ** 2 - dz * dz * q)
-                        + (zi * y + yi * z) * dy * dz * q)
-
-    def two_body(sl, d):
-        return broadcast_force_kernel(d, rC) - 0.5 * (
-            broadcast_force_kernel(d + shift, rC)
-            + broadcast_force_kernel(d - shift, rC))
-
-    return (broadcast_pair_sum(pos, m, lambda sl, d:
-                               broadcast_force_kernel(d, rC)),
-            broadcast_pair_sum(pos, m, torque),
-            broadcast_pair_sum(pos, m, two_body))
-
-
 @pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0])
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 511, 512, 513, 1500])
 def test_pair_sums_match_broadcast_formulas(n, offset):
@@ -331,7 +290,7 @@ def test_pair_sums_match_broadcast_formulas(n, offset):
     pos = rng.uniform(-extent / 2.0, extent / 2.0, (n, 3)) \
         + offset * np.array([1.0, -0.6, 0.8])
     m = 1e-20 * rng.uniform(0.5, 1.5, n)
-    want_f, want_t, want_tb = broadcast_sums(pos, m, rC, a)
+    want_f, want_t, want_tb = oracles.broadcast_sums(pos, m, rC, a)
     # abs=0: the sums lie far below approx's default abs of 1e-12
     assert force_pair_kernel_sum(pos, m, rC) == pytest.approx(
         want_f, rel=1e-12, abs=0.0)
@@ -355,7 +314,7 @@ def test_pair_sums_match_broadcast_formulas_past_the_underflow():
     assert np.any(d2 / (4.0 * rC * rC) > 700.0)
     assert np.any(((d[..., 0] + a) ** 2 + d2 - d[..., 0] ** 2)
                   / (4.0 * rC * rC) > 700.0)
-    want_f, want_t, want_tb = broadcast_sums(pos, m, rC, a)
+    want_f, want_t, want_tb = oracles.broadcast_sums(pos, m, rC, a)
     assert force_pair_kernel_sum(pos, m, rC) == pytest.approx(
         want_f, rel=1e-12, abs=0.0)
     assert torque_pair_kernel_sum(pos, m, rC) == pytest.approx(
@@ -369,6 +328,151 @@ PAIR_SUMS = {
     "torque": lambda pos, m, rC, a: torque_pair_kernel_sum(pos, m, rC),
     "two_body": two_body_pair_kernel_sum,
 }
+
+
+WHICH = ("force", "torque", "two_body")   # the order of broadcast_sums
+GAUSSIANS = {"force": 1, "torque": 1, "two_body": 3}   # per tile pair
+
+
+def jittered_grid(shape, spacing, rng):
+    """A centred grid of points, each moved by a normal jitter of 5 % of
+    the spacing, in raster order."""
+    idx = np.stack(np.meshgrid(*[np.arange(k, dtype=float) for k in shape],
+                               indexing="ij"), axis=-1).reshape(-1, 3)
+    pos = (idx - idx.mean(axis=0)) * spacing
+    return pos + rng.normal(scale=0.05 * spacing, size=pos.shape)
+
+
+def tile_pairs(n):
+    tiles = -(-n // cslnoise._TILE)
+    return tiles * (tiles + 1) // 2
+
+
+def evaluated(monkeypatch, which, pos, m, rC, a):
+    """(the sum, the number of tile pairs whose kernel ran), counted by a
+    spy on the kernels' Gaussians."""
+    calls = []
+    gaussian = cslnoise._gaussian
+
+    def spy(*args):
+        calls.append(1)
+        return gaussian(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cslnoise, "_gaussian", spy)
+        s = PAIR_SUMS[which](pos, m, rC, a)
+    return s, len(calls) // GAUSSIANS[which]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-6])
+def test_skipped_pair_sums_match_broadcast_within_their_error(
+        offset, monkeypatch):
+    """A jittered 4 x 64 x 4 rod along y, 126 rC long, where most tile
+    pairs are far enough apart to be skipped: each sum lies within its
+    error of the unskipped broadcast, up to rounding, and that error
+    stays below 1e-16 of its scale."""
+    rng = np.random.default_rng(23)
+    rC, a = 1e-7, 3e-7
+    pos = jittered_grid((4, 64, 4), 2.0 * rC, rng) + offset
+    m = 1e-20 * rng.uniform(0.5, 1.5, len(pos))
+    scales = oracles.pair_scales(pos, m, rC)
+    for which, want in zip(WHICH, oracles.broadcast_sums(pos, m, rC, a)):
+        got, ran = evaluated(monkeypatch, which, pos, m, rC, a)
+        assert ran < tile_pairs(len(m)) / 2, which
+        assert 0.0 < got.error <= 1e-16 * scales[which], which
+        assert abs(got - want) <= got.error + 1e-13 * scales[which], which
+
+
+def test_two_body_keeps_tile_pairs_near_at_the_separation(monkeypatch):
+    """A jittered 64 x 4 x 4 rod along x, 126 rC long, with a = 40 rC:
+    many pairs of tiles too far apart for K(d) bring K(d -+ a) near its
+    peak.  The two-body sum skips far fewer tile pairs than the force
+    sum and still matches the broadcast.  The shifted terms of the tile
+    pairs that the gap of dx alone would skip come to over 1e6 times the
+    tolerance, so a rule that gapped dx alone would fail."""
+    rng = np.random.default_rng(29)
+    rC, a = 1e-7, 4e-6
+    pos = jittered_grid((64, 4, 4), 2.0 * rC, rng)
+    m = 1e-20 * rng.uniform(0.5, 1.5, len(pos))
+    scale = oracles.pair_scales(pos, m, rC)["two_body"]
+    want = oracles.broadcast_sums(pos, m, rC, a)[2]
+    _, force_ran = evaluated(monkeypatch, "force", pos, m, rC, a)
+    got, ran = evaluated(monkeypatch, "two_body", pos, m, rC, a)
+    assert force_ran < ran < tile_pairs(len(m))
+    assert abs(got - want) <= got.error + 1e-13 * scale
+    lat = cslnoise._as_lattice(pos, m, rC)
+    far = cslnoise._tile_pairs(lat, 0.5 / rC ** 2, lat.masses,
+                               ((0.0, 1.0),))[0]
+    tile = np.arange(len(m)) // cslnoise._TILE
+    far_pairs = far[tile[:, None], tile[None, :]]
+    shift = np.array([a, 0.0, 0.0])
+
+    def far_shifted(sl, d):
+        return far_pairs[sl] * 0.5 * (
+            oracles.broadcast_force_kernel(d + shift, rC)
+            + oracles.broadcast_force_kernel(d - shift, rC))
+
+    missed = oracles.broadcast_pair_sum(lat.positions, lat.masses,
+                                        far_shifted)
+    assert abs(missed) > 1e6 * 1e-13 * scale
+
+
+@pytest.mark.parametrize("margin", [-0.5, 0.5])
+def test_a_tile_pair_is_skipped_from_the_cutoff_exponent_on(margin):
+    """Two clusters of one tile each, whose bounding boxes' gap along y
+    puts the least exponent d^2 / 4rC^2 half a unit below or above
+    _SKIP_EXP: the pair is evaluated below it, with error 0, and skipped
+    above it, with an error that bounds what it dropped.  The cutoff
+    keeps a skipped two-body term, three Gaussians weighing 2 in all,
+    below 1e-16 of its scale."""
+    cutoff = cslnoise._SKIP_EXP
+    assert 2.0 * (1.0 + 2.0 * cutoff) * math.exp(-cutoff) <= 1e-16
+    rng = np.random.default_rng(41)
+    rC = 1e-7
+    cluster = rng.uniform(0.0, 0.1 * rC, (128, 3))
+    gap = 2.0 * rC * math.sqrt(cutoff + margin)
+    far = cluster + [0.0, cluster[:, 1].max() - cluster[:, 1].min() + gap,
+                     0.0]
+    pos = np.concatenate([far, cluster])
+    m = 1e-20 * rng.uniform(0.5, 1.5, 256)
+    got = force_pair_kernel_sum(pos, m, rC)
+    want = oracles.broadcast_sums(pos, m, rC, 0.0)[0]
+    scale = oracles.pair_scales(pos, m, rC)["force"]
+    assert (got.error > 0.0) == (margin > 0.0)
+    assert got.error <= 1e-16 * scale
+    assert abs(got - want) <= got.error + 1e-13 * scale
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_skipped_pair_sums_do_not_depend_on_point_order(which, monkeypatch):
+    """A shuffled copy of a raster-ordered lattice is put in the same Z
+    order: the same tile pairs are skipped and the sums agree to
+    rounding."""
+    rng = np.random.default_rng(31)
+    rC, a = 1e-7, 3e-7
+    pos = jittered_grid((4, 64, 4), 2.0 * rC, rng)
+    m = 1e-20 * rng.uniform(0.5, 1.5, len(pos))
+    perm = rng.permutation(len(m))
+    scale = oracles.pair_scales(pos, m, rC)[which]
+    got, ran = evaluated(monkeypatch, which, pos, m, rC, a)
+    shuffled, shuffled_ran = evaluated(monkeypatch, which, pos[perm], m[perm],
+                                       rC, a)
+    assert shuffled_ran == ran < tile_pairs(len(m))
+    assert abs(shuffled - got) <= 1e-15 * scale
+    assert shuffled.error == pytest.approx(got.error, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_most_tile_pairs_of_a_jittered_lattice_are_skipped(
+        which, monkeypatch):
+    """The 16^3 lattice 100 nm apart at rC = 3e-8 (53 rC wide), in
+    raster order: at least 40 % of its 528 tile pairs are skipped."""
+    rng = np.random.default_rng(37)
+    pos = jittered_grid((16, 16, 16), 1e-7, rng)
+    m = 1e-20 * rng.uniform(0.9, 1.1, len(pos))
+    _, ran = evaluated(monkeypatch, which, pos, m, 3e-8, 5e-7)
+    assert tile_pairs(len(m)) == 528
+    assert ran <= 0.6 * 528
 
 
 @pytest.mark.parametrize("which", sorted(PAIR_SUMS))
@@ -399,8 +503,8 @@ def test_two_body_point_matches_broadcast_formula():
     rC, a = 1e-7, 1.7e-7
     got = float(csl_force_spectrum_two_body(TwoBody(Point(CONSTANTS.m0), a),
                                             CollapseParams(GRW_LAMBDA, rC)))
-    ksum = broadcast_sums(np.zeros((1, 3)), np.array([CONSTANTS.m0]),
-                          rC, a)[2]
+    ksum = oracles.broadcast_sums(np.zeros((1, 3)),
+                                  np.array([CONSTANTS.m0]), rC, a)[2]
     want = CONSTANTS.hbar ** 2 * GRW_LAMBDA / CONSTANTS.m0 ** 2 * ksum
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 

@@ -12,11 +12,12 @@ Examples are derandomized, so every run checks the same lattices.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import masked_special as masked
+import oracles
 from cslbounds import special
 from cslbounds.cslnoise import (force_pair_kernel_sum, torque_pair_kernel_sum,
                                 two_body_pair_kernel_sum)
@@ -90,6 +91,48 @@ def test_pair_sums_scale_as_mass_squared(lattice, s):
             (two_body_pair_kernel_sum(pos, s * m, rC, a),
              two_body_pair_kernel_sum(pos, m, rC, a), f)):
         assert abs(got - s * s * base) <= 1e-13 * s * s * scale
+
+
+@st.composite
+def spread_lattices(draw):
+    """(positions, masses, rC, a): up to 600 points in up to 8 clusters
+    spread over up to 60 rC, so that tiles far enough apart to be
+    skipped meet; a cluster of width 0 holds coincident points.  Half
+    the draws of n take 300 points or more (three tiles or more), and
+    half those of the spread 30 rC or more."""
+    n = draw(st.integers(1, 600) | st.integers(300, 600))
+    rC = 10.0 ** draw(st.floats(-9.0, -5.0))
+    extent = rC * draw(st.floats(0.1, 60.0) | st.floats(30.0, 60.0))
+    width = extent * draw(st.floats(0.0, 0.3))
+    a = rC * draw(st.floats(0.0, 40.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    centres = rng.uniform(-extent / 2.0, extent / 2.0,
+                          (draw(st.integers(1, 8)), 3))
+    pos = centres[rng.integers(0, len(centres), n)] \
+        + rng.uniform(-width / 2.0, width / 2.0, (n, 3))
+    m = 1e-20 * rng.uniform(0.5, 1.5, n)
+    return pos, m, rC, a
+
+
+@PROPERTY
+@given(spread_lattices())
+@example((np.array([[1e-7, -2e-7, 3e-7]]), np.array([1e-20]), 1e-7, 2e-7))
+@example((np.tile([[1e-7, -2e-7, 3e-7]], (300, 1)), np.full(300, 1e-20),
+          1e-7, 2e-7))
+def test_pair_sums_match_broadcast_within_their_error(lattice):
+    """Each tiled sum, whose far tile pairs are skipped, lies within its
+    reported error of the unskipped broadcast, up to rounding, and that
+    error stays below 1e-16 of its scale."""
+    pos, m, rC, a = lattice
+    scales = oracles.pair_scales(pos, m, rC)
+    for got, want, which in zip(
+            (force_pair_kernel_sum(pos, m, rC),
+             torque_pair_kernel_sum(pos, m, rC),
+             two_body_pair_kernel_sum(pos, m, rC, a)),
+            oracles.broadcast_sums(pos, m, rC, a),
+            ("force", "torque", "two_body")):
+        assert got.error <= 1e-16 * scales[which], which
+        assert abs(got - want) <= got.error + 1e-13 * scales[which], which
 
 
 @st.composite
