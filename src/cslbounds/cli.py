@@ -24,7 +24,8 @@ from . import __version__
 from .config import ConfigError, config_hash, load_config
 from .constants import CONSTANTS, GRW_LAMBDA, GRW_RC
 from .cslnoise import (CollapseParams, csl_force_spectrum,
-                       free_expansion_spread, heating_rate)
+                       csl_temperature_shift, free_expansion_spread,
+                       heating_rate)
 from .exclusion import GridMismatch, combine_exclusions, exclusion_scan
 from .geometry import Point
 from .optomech import (UnstableStep, displacement_dns, simulate_langevin,
@@ -228,8 +229,8 @@ def _cmd_simulate(args, text, inputs):
         summary["cubic_coefficient_expected_m2_s3"] = \
             result.force_psd_total / (3.0 * cfg.m ** 2)
     elif cfg.gamma_m > 0 and result.force_psd_total > 0:
-        t_eff = result.force_psd_total / (2.0 * cfg.m * cfg.gamma_m
-                                          * CONSTANTS.kB)
+        t_eff = csl_temperature_shift(result.force_psd_total, cfg.m,
+                                      cfg.gamma_m)
         expected = CONSTANTS.kB * t_eff / (cfg.m * cfg.omega_m ** 2)
         summary["equipartition_expected_m2"] = expected
         summary["equipartition_ratio"] = \

@@ -779,17 +779,24 @@ def _disc_moment(R, kind, rC):
     return 4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag
 
 
-def _combine_product(factors):
-    """Multiply (value, error) pairs with first-order error propagation,
-    sum_i |e_i| prod_{j != i} |v_j|."""
-    values = [v for v, _ in factors]
-    if 0.0 in values:   # only the errors of zero factors can survive
-        return 0.0, sum(abs(e * math.prod(values[:i] + values[i + 1:]))
-                        for i, (_, e) in enumerate(factors))
-    value, rel_err = math.prod(values), 0.0
-    for v, e in factors:
-        rel_err += abs(e / v)
-    return value, abs(value) * rel_err
+def _sum_of_products(terms):
+    """sum w prod_i v_i over terms (w, factors), each factor a (value,
+    error) pair, with first-order error propagation.
+
+    Returns (value, error, size): the sum, sum |w| sum_i |e_i|
+    prod_{j != i} |v_j|, and sum |w prod_i v_i|, the scale against which
+    the terms cancel.
+    """
+    value = err = size = 0.0
+    for w, factors in terms:
+        values = [v for v, _ in factors]
+        term = w * math.prod(values)
+        value += term
+        size += abs(term)
+        err += abs(w) * sum(
+            abs(e) * math.prod(abs(u) for u in values[:i] + values[i + 1:])
+            for i, (_, e) in enumerate(factors))
+    return value, err, size
 
 
 def _one_minus_cos(x):
@@ -895,14 +902,9 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     tolerance and are not evaluated again.  Returns (value, error).
     """
     def bracket(s):
-        (a1, e1), (a2, e2), (a3, e3) = _profile_moment(
-            py, ("M2", "D0", "C1"), rC, s, closed_form)
-        (b1, f1), (b2, f2), (b3, f3) = _profile_moment(
-            pz, ("D0", "M2", "C1"), rC, s, closed_form)
-        return (a1 * b1 + a2 * b2 - 2.0 * a3 * b3,
-                abs(e1 * b1) + abs(a1 * f1) + abs(e2 * b2) + abs(a2 * f2)
-                + 2.0 * (abs(e3 * b3) + abs(a3 * f3)),
-                abs(a1 * b1) + abs(a2 * b2) + 2.0 * abs(a3 * b3))
+        y = _profile_moment(py, ("M2", "D0", "C1"), rC, s, closed_form)
+        z = _profile_moment(pz, ("D0", "M2", "C1"), rC, s, closed_form)
+        return _sum_of_products(zip((1.0, 1.0, -2.0), zip(y, z)))
 
     value, err, size = bracket(spec)
     exact = closed_form and isinstance(py, AxisProfile) \
@@ -934,16 +936,16 @@ def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
         factors = [_profile_moment(px, "M2", rC, spec, closed_form, h, a)] \
             + [_profile_moment(prof, "M0", rC, spec, closed_form)
                for prof in (py, pz)]
-    val, err = _combine_product(factors)
+    val, err, _ = _sum_of_products([(1.0, factors)])
     pref = _prefactor(p, consts)
     return SpectralValue(pref * scale * scale * val,
                          pref * scale * scale * err)
 
 
-def _saturation_separation(unit, rC):
+def _saturation_separation(extent, rC):
     """Separation from which a two-body spectrum equals the single-unit
-    force spectrum to 1e-12 of its value: X + c rC, with X the unit's
-    extent along x and c = sqrt(8 ln(6 sqrt(pi) m^3 / 1e-12)),
+    force spectrum to 1e-12 of its value: X + c rC, with X (extent) the
+    unit's extent along x and c = sqrt(8 ln(6 sqrt(pi) m^3 / 1e-12)),
     m = max(1, 2 X / (pi rC)); c = 15.5 up to X = pi rC / 2, then
     growing like sqrt(24 ln m) (c = 20 at X = 1200 rC).
 
@@ -963,16 +965,6 @@ def _saturation_separation(unit, rC):
     then at most 3 e sqrt(pi) m^3 y e^{-y} <= 6 sqrt(pi) m^3 e^{-y/2},
     y = d^2 / 4rC^2, which is below 1e-12 once d >= c rC.
     """
-    if isinstance(unit, Sphere):
-        extent = 2.0 * unit.R
-    elif isinstance(unit, Cylinder):
-        extent = abs(unit.axis[0]) * unit.L \
-            + 2.0 * unit.R * math.hypot(unit.axis[1], unit.axis[2])
-    else:
-        sep = separable_profiles(unit)
-        if sep is None:
-            raise TypeError(f"unsupported geometry {type(unit).__name__}")
-        extent = sep[1][0].length
     log_m = math.log(max(1.0, 2.0 * extent / (math.pi * rC)))
     return extent + rC * math.sqrt(
         8.0 * (math.log(6.0 * math.sqrt(math.pi) / 1e-12) + 3.0 * log_m))
@@ -1006,26 +998,26 @@ def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
     (m0, m2), (q0, q2) = moment(slab, ("M0", "M2")), \
         moment(disc, ("M0", "M2"))
     if a is None:
-        terms = [(c * c, m2, q0), (s * s / 2.0, m0, q2)]
+        terms = [(c * c, (m2, q0)), (s * s / 2.0, (m0, q2))]
     else:
         t, p0m = moment(slab, ("M2", "M0"), _one_minus_cos)
         q0m, q2h = moment(disc, "M0", one_minus_j0), \
             moment(disc, "M2", ring_cos2_kernel)
-        terms = [(c * c, t, q0), (c * c, (m2[0] - t[0], m2[1] + t[1]), q0m),
-                 (s * s / 2.0, p0m, q2),
-                 (s * s, (m0[0] - p0m[0], m0[1] + p0m[1]), q2h)]
+        terms = [(c * c, (t, q0)),
+                 (c * c, ((m2[0] - t[0], m2[1] + t[1]), q0m)),
+                 (s * s / 2.0, (p0m, q2)),
+                 (s * s, ((m0[0] - p0m[0], m0[1] + p0m[1]), q2h))]
         if c * s > 0.0:
-            nonneg = max(sum(w * x[0] * y[0] for w, x, y in terms), 0.0)
+            nonneg = max(_sum_of_products(terms)[0], 0.0)
             target = spec.rel_tol * nonneg / (8.0 * c * s)
             p1s = moment(slab, "M1", np.sin,
                          target / math.sqrt(q2[0] * q0m[0]))
             q1j1 = moment(disc, "M1", bessel_j1,
                           target / math.sqrt(2.0 * m2[0] * p0m[0]))
-            terms.append((2.0 * c * s, p1s, q1j1))
-    products = [(w, _combine_product([x, y])) for w, x, y in terms]
+            terms.append((2.0 * c * s, (p1s, q1j1)))
+    val, err, _ = _sum_of_products(terms)
     scale = _prefactor(p, consts) * g.m * g.m * np.pi
-    return SpectralValue(scale * sum(w * v for w, (v, _) in products),
-                         scale * sum(w * e for w, (_, e) in products))
+    return SpectralValue(scale * val, scale * err)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,34 +1092,30 @@ def _ball_moment(body, channel, p, spec, consts, closed_form, a):
     2 j2(ak)) / 3; saturated, the kernel is 1 and the moment the
     single-sphere force.
     """
-    saturated = a >= _saturation_separation(body, p.rC)
+    ball = BallProfile(body.R)
+    saturated = a >= _saturation_separation(ball.length, p.rC)
     h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
-    val, err = _profile_moment(BallProfile(body.R), "M2", p.rC, spec,
-                               closed_form, h, s)
+    val, err = _profile_moment(ball, "M2", p.rC, spec, closed_form, h, s)
     scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p, consts)
     return SpectralValue(scale * val, scale * err)
-
-
-def _saturates(body, channel, rC, a):
-    """Whether a two-body pair equals its unit's force spectrum to 1e-12
-    (_saturation_separation)."""
-    return channel == "two_body" and a >= _saturation_separation(body, rC)
 
 
 def _separable(body, channel, p, spec, consts, closed_form, a):
     """A product of closed-form 1D moments of the three axis profiles
     (_separable_spectrum); a saturated two-body is the unit's force."""
-    if _saturates(body, channel, p.rC, a):
+    sep = separable_profiles(body)
+    if a >= _saturation_separation(sep[1][0].length, p.rC):
         return csl_force_spectrum(body, p, spec=spec, consts=consts)
-    return _separable_spectrum(separable_profiles(body), channel, p, spec,
-                               consts, closed_form, a)
+    return _separable_spectrum(sep, channel, p, spec, consts, closed_form, a)
 
 
 def _cylinder(body, channel, p, spec, consts, closed_form, a):
     """Sums of products of slab and disc moments at any tilt
     (_cylinder_spectrum): closed forms, but for a two-body's disc kernels;
     a saturated two-body is the unit's force."""
-    if _saturates(body, channel, p.rC, a):
+    extent = abs(body.axis[0]) * body.L \
+        + 2.0 * body.R * math.hypot(body.axis[1], body.axis[2])
+    if a >= _saturation_separation(extent, p.rC):
         return csl_force_spectrum(body, p, spec=spec, consts=consts)
     return _cylinder_spectrum(body, p, spec, consts,
                               a if channel == "two_body" else None,

@@ -19,6 +19,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .cslnoise import (CollapseParams, ColoredNoiseModel, apply_colored_filter,
                        csl_force_spectrum, csl_force_spectrum_two_body,
+                       csl_temperature_shift, csl_temperature_shift_rot,
                        csl_torque_spectrum)
 from .geometry import MassGeometry, TwoBody
 from .quadrature import NonConvergence, QuadratureSpec
@@ -157,13 +158,13 @@ def lambda_upper_bound(rec, rC, spec=None, consts=CONSTANTS):
         raise DegenerateBound(
             f"{rec.name}: no resolvable CSL response at rC = {rC:g} m")
 
-    if rec.channel == "temperature_shift":
-        if rec.d_phi is not None:
-            lam = rec.budget * 2.0 * consts.kB * rec.d_phi / s_unit
-        else:
-            lam = rec.budget * 2.0 * rec.m * rec.gamma * consts.kB / s_unit
+    if rec.channel != "temperature_shift":
+        response = s_unit
+    elif rec.d_phi is not None:
+        response = csl_temperature_shift_rot(s_unit, rec.d_phi, consts)
     else:
-        lam = rec.budget / s_unit
+        response = csl_temperature_shift(s_unit, rec.m, rec.gamma, consts)
+    lam = rec.budget / response if response > 0 else np.inf
     if not np.isfinite(lam) or lam <= 0:
         raise DegenerateBound(
             f"{rec.name}: bound not finite at rC = {rC:g} m")

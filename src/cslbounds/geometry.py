@@ -15,6 +15,7 @@ and a sphere's is its mass times a ball profile of |k|.
 All evaluators are pure and accept vectorized k components.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,13 @@ class TwoBodyFormFactorError(TypeError):
 
 def _unit(v):
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("axis vector must be nonzero")
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"axis vector must have three finite components, "
+                         f"got {v.tolist()}")
+    with np.errstate(over="ignore"):   # an overflowing norm is rejected
+        n = np.linalg.norm(v)
+    if not 0 < n < np.inf:
+        raise ValueError("axis vector must be nonzero, with a finite norm")
     return v / n
 
 
@@ -58,12 +63,6 @@ class MassGeometry:
     def total_mass(self):
         raise NotImplementedError
 
-    @property
-    def largest_dimension(self):
-        """Largest linear extent; 0 for point-like bodies.  Used to size
-        oscillation-aware quadrature panels."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Point(MassGeometry):
@@ -75,10 +74,6 @@ class Point(MassGeometry):
     @property
     def total_mass(self):
         return self.m
-
-    @property
-    def largest_dimension(self):
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,6 @@ class Sphere(MassGeometry):
     @property
     def total_mass(self):
         return self.m
-
-    @property
-    def largest_dimension(self):
-        return 2.0 * self.R
 
 
 @dataclass(frozen=True)
@@ -112,10 +103,6 @@ class Cuboid(MassGeometry):
     def total_mass(self):
         return self.m
 
-    @property
-    def largest_dimension(self):
-        return max(self.Lx, self.Ly, self.Lz)
-
 
 @dataclass(frozen=True)
 class Cylinder(MassGeometry):
@@ -131,16 +118,8 @@ class Cylinder(MassGeometry):
         object.__setattr__(self, "axis", tuple(_unit(self.axis)))
 
     @property
-    def axis_vector(self):
-        return np.asarray(self.axis)
-
-    @property
     def total_mass(self):
         return self.m
-
-    @property
-    def largest_dimension(self):
-        return max(2.0 * self.R, self.L)
 
 
 @dataclass(frozen=True)
@@ -162,6 +141,12 @@ class Multilayer(MassGeometry):
     stacking_axis: str = "z"
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "layer_count",
+                               operator.index(self.layer_count))
+        except TypeError:
+            raise ValueError(f"layer_count must be an integer, got "
+                             f"{self.layer_count!r}") from None
         if self.layer_count < 1:
             raise ValueError("layer_count must be >= 1")
         _check_positive(d1=self.d1, d2=self.d2, rho1=self.rho1,
@@ -192,10 +177,6 @@ class Multilayer(MassGeometry):
         ds, _, _ = self.layers()
         return float(np.sum(ds))
 
-    @property
-    def largest_dimension(self):
-        return max(self.Lx, self.Ly, self.stack_thickness)
-
 
 @dataclass(frozen=True)
 class PointLattice(MassGeometry):
@@ -220,13 +201,6 @@ class PointLattice(MassGeometry):
     def total_mass(self):
         return float(np.sum(self.masses))
 
-    @property
-    def largest_dimension(self):
-        if len(self.masses) < 2:
-            return 0.0
-        span = self.positions.max(axis=0) - self.positions.min(axis=0)
-        return float(np.max(span))
-
 
 @dataclass(frozen=True)
 class TwoBody(MassGeometry):
@@ -246,14 +220,10 @@ class TwoBody(MassGeometry):
     def total_mass(self):
         return 2.0 * self.unit.total_mass
 
-    @property
-    def largest_dimension(self):
-        return self.unit.largest_dimension + self.a
-
 
 def _cylinder_components(g, kx, ky, kz):
     """(k_parallel, k_perp) of k relative to the cylinder axis."""
-    n = g.axis_vector
+    n = g.axis
     kpar = kx * n[0] + ky * n[1] + kz * n[2]
     k2 = kx * kx + ky * ky + kz * kz
     kperp = np.sqrt(np.maximum(k2 - kpar * kpar, 0.0))

@@ -7,9 +7,9 @@ The analytic spectrum is
            + [hbar m gamma_m w coth(hbar w / 2 kB T) + S_FF f(w)] / (m^2 |d|^2)
 
 with |d(w)|^2 = (w_eff^2(w) - w^2)^2 + gamma_eff^2(w) w^2.  The effective
-frequency/damping come from a pluggable model; the default is the standard
-linearized-optomechanics result, which reduces exactly to (omega_m,
-gamma_m) when chi or |alpha|^2 vanishes.
+frequency and damping are the standard linearized-optomechanics result
+(default_effective_model), which reduces exactly to (omega_m, gamma_m)
+when chi or |alpha|^2 vanishes.
 
 The Monte Carlo integrates the mechanical-only Langevin equations
 (cavity adiabatically eliminated) with semi-implicit Euler steps,
@@ -381,7 +381,7 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
 
     guard = None
     if omega_m > 0 and s_total > 0 and gamma > 0:
-        t_eff = T + s_csl / (2.0 * m * gamma * consts.kB)
+        t_eff = T + csl_temperature_shift(s_csl, m, gamma, consts)
         guard = 1e6 * np.sqrt(consts.kB * t_eff / (m * omega_m ** 2))
 
     # a divergent run overflows; it is reported as UnstableStep below

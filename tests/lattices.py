@@ -52,7 +52,7 @@ def cylinder_lattice(g, n):
     local = np.stack([(Rg * np.cos(Pg)).ravel(), (Rg * np.sin(Pg)).ravel(),
                       Zg.ravel()], axis=-1)
     # rotate local z onto the cylinder axis
-    n_ax = g.axis_vector
+    n_ax = np.asarray(g.axis)
     if np.allclose(n_ax, [0.0, 0.0, 1.0]):
         pos = local
     else:

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from cslbounds import CONSTANTS, QuadratureSpec, cslnoise
+from cslbounds import (CONSTANTS, Cuboid, Cylinder, Multilayer, PointLattice,
+                       QuadratureSpec, Sphere, cslnoise)
 from cslbounds.geometry import form_factor, form_factor_angular_derivative
 from cslbounds.quadrature import NonConvergence, integrate_1d
 
@@ -91,6 +92,24 @@ def integrate_ball(f, rC, spec=None, oscillation_scale=None):
                         spec.abs_tol, spec.max_evals, max_panel_width=width)
 
 
+def size(g):
+    """The largest dimension of g: a sphere's diameter, a box's longest
+    side, the longer of a cylinder's diameter and length, the widest
+    span of a lattice along x, y or z; 0 for a point.  It sizes the
+    oracle's radial panels and the scale tests draw rC and a from."""
+    if isinstance(g, Sphere):
+        return 2.0 * g.R
+    if isinstance(g, Cuboid):
+        return max(g.Lx, g.Ly, g.Lz)
+    if isinstance(g, Cylinder):
+        return max(2.0 * g.R, g.L)
+    if isinstance(g, Multilayer):
+        return max(g.Lx, g.Ly, g.stack_thickness)
+    if isinstance(g, PointLattice) and g.masses.size > 1:
+        return float(np.max(np.ptp(g.positions, axis=0)))
+    return 0.0
+
+
 def _spectrum(f3, p, spec, scale):
     val, err = integrate_ball(f3, p.rC, spec, scale or None)
     pref = cslnoise._prefactor(p, CONSTANTS)
@@ -105,7 +124,7 @@ def force(g, p, spec=None):
         return np.abs(form_factor(g, k)) ** 2 * np.exp(-k2 * p.rC * p.rC) \
             * kx * kx
 
-    return _spectrum(f3, p, spec, g.largest_dimension)
+    return _spectrum(f3, p, spec, size(g))
 
 
 def two_body(g, p, a, spec=None):
@@ -117,7 +136,7 @@ def two_body(g, p, a, spec=None):
         return np.abs(form_factor(g, k)) ** 2 * np.exp(-k2 * p.rC ** 2) \
             * kx * kx * (1.0 - np.cos(a * kx))
 
-    return _spectrum(f3, p, spec, max(g.largest_dimension, a))
+    return _spectrum(f3, p, spec, max(size(g), a))
 
 
 def torque(g, p, spec=None):
@@ -128,7 +147,7 @@ def torque(g, p, spec=None):
         return np.abs(form_factor_angular_derivative(g, k)) ** 2 \
             * np.exp(-k2 * p.rC * p.rC)
 
-    return _spectrum(f3, p, spec, g.largest_dimension)
+    return _spectrum(f3, p, spec, size(g))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
                        simulate_langevin)
 from cslbounds.optomech import thermal_force_term
 from lattices import cuboid_lattice, cylinder_lattice, sphere_lattice
+from oracles import size
 
 GRW = CollapseParams(GRW_LAMBDA, GRW_RC)
 
@@ -53,7 +54,7 @@ def test_02_lattice_oracle_equivalence():
         lat = make(g, n)
         assert lat.masses.size <= 32 ** 3
         for factor in (0.1, 1.0, 10.0):
-            p = CollapseParams(GRW_LAMBDA, factor * g.largest_dimension)
+            p = CollapseParams(GRW_LAMBDA, factor * size(g))
             want = float(csl_force_spectrum(g, p))
             got = float(csl_force_spectrum(lat, p))
             worst = max(worst, abs(got - want) / want)

@@ -556,13 +556,22 @@ def test_unknown_method_rejected(method):
         csl_torque_spectrum(g, p, method=method)
 
 
-def test_combine_product_scales_a_zero_factors_error():
-    """A zero factor's error is carried through the other factors."""
-    combine = cslbounds.cslnoise._combine_product
-    assert combine([(0.0, 1e-3), (2.0, 0.0)]) == (0.0, 2e-3)
-    assert combine([(3.0, 0.0), (0.0, 1e-3), (-2.0, 1.0)]) == (0.0, 6e-3)
-    # two zero factors leave no first-order error
-    assert combine([(0.0, 1e-3), (0.0, 1e-3)]) == (0.0, 0.0)
-    value, err = combine([(2.0, 1e-3), (4.0, 2e-3)])
-    assert value == 8.0 and err == pytest.approx(8.0 * (5e-4 + 5e-4))
+def test_sum_of_products_scales_a_zero_factors_error():
+    """A zero factor's error is carried through the other factors, and a
+    cancelling sum keeps the size of its terms."""
+    def product(factors):
+        return cslbounds.cslnoise._sum_of_products([(1.0, factors)])[:2]
 
+    assert product([(0.0, 1e-3), (2.0, 0.0)]) == (0.0, 2e-3)
+    assert product([(3.0, 0.0), (0.0, 1e-3), (-2.0, 1.0)]) == (0.0, 6e-3)
+    # two zero factors leave no first-order error
+    assert product([(0.0, 1e-3), (0.0, 1e-3)]) == (0.0, 0.0)
+    value, err = product([(2.0, 1e-3), (4.0, 2e-3)])
+    assert value == 8.0 and err == pytest.approx(8.0 * (5e-4 + 5e-4))
+    # 2 * 3 + 1 * 4 - 2 * (1 * 5) cancels to 0; its error is that of
+    # each term weighted by |w|, its size the sum of the terms' magnitudes
+    value, err, size = cslbounds.cslnoise._sum_of_products([
+        (2.0, [(3.0, 1e-3), (1.0, 0.0)]), (1.0, [(4.0, 0.0), (1.0, 1e-3)]),
+        (-2.0, [(1.0, 2e-3), (5.0, 0.0)])])
+    assert value == 0.0 and size == 20.0
+    assert err == pytest.approx(2.0 * 1e-3 + 4.0 * 1e-3 + 2.0 * 5.0 * 2e-3)

@@ -145,7 +145,7 @@ def test_tilted_cylinder_angular_derivative_on_and_off_axis():
     k . (n x x^) = 0 there; and it vanishes everywhere for a cylinder
     along x, which spins about its own symmetry axis."""
     g = Cylinder(1e-13, 2e-7, 1e-6, axis=(1.0, 1.0, 0.0))
-    n = g.axis_vector
+    n = np.asarray(g.axis)
     k = np.array([3e6 * n, np.zeros(3), [2e6, 1e6, -3e6]])
     val = form_factor_angular_derivative(g, k)
     assert np.all(np.isfinite(val))
@@ -200,6 +200,32 @@ def test_point_lattice_rejects_non_finite(pos, m):
 def test_shapes_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("axis", [
+    (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (1e308, 1e308, 0.0), (1.0, 2.0),
+    (1.0, 0.0, 0.0, 0.0),
+], ids=["nan_axis", "inf_axis", "overflowing_norm", "two_components",
+        "four_components"])
+def test_cylinder_rejects_bad_axis(axis):
+    # a NaN, infinite or overflowing axis used to give a NaN or zero axis,
+    # and a short one an IndexError in the first form factor
+    with pytest.raises(ValueError, match="axis"):
+        Cylinder(1e-14, 1e-7, 1e-6, axis)
+
+
+@pytest.mark.parametrize("count", [2.5, np.inf, np.nan, "3"],
+                         ids=["fraction", "inf", "nan", "string"])
+def test_multilayer_rejects_non_integer_layer_count(count):
+    # these used to construct and fail later with a TypeError
+    with pytest.raises(ValueError, match="layer_count"):
+        Multilayer(count, 1e-7, 1e-7, 1.0, 1.0, 1e-6, 1e-6)
+
+
+def test_multilayer_takes_an_integer_of_any_type():
+    g = Multilayer(np.int64(3), 1e-7, 2e-7, 1.0, 2.0, 1e-6, 1e-6)
+    assert type(g.layer_count) is int and g.layer_count == 3
+    assert g.layers()[0].size == 3
 
 
 @pytest.mark.parametrize("a", [np.nan, np.inf], ids=["nan_a", "inf_a"])

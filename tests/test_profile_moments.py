@@ -25,6 +25,7 @@ from cslbounds import (CollapseParams, Cuboid, Cylinder, Multilayer,
 from cslbounds import cslnoise
 from cslbounds.geometry import AxisProfile, DiscProfile, separable_profiles
 from cslbounds.quadrature import NonConvergence
+from oracles import size
 
 mp.mp.dps = 50
 KERNELS = [("M0", None), ("M2", None), ("C1", None), ("D0", None),
@@ -253,8 +254,8 @@ def random_bodies(seed, count):
             g = Cylinder(1e-14, 10.0 ** rng.uniform(-7, -6),
                          10.0 ** rng.uniform(-6.7, -5.7),
                          tuple(rng.normal(size=3)))
-        bodies.append((g, g.largest_dimension * 10.0 ** rng.uniform(-1, 2),
-                       g.largest_dimension * 10.0 ** rng.uniform(-1, 1)))
+        bodies.append((g, size(g) * 10.0 ** rng.uniform(-1, 2),
+                       size(g) * 10.0 ** rng.uniform(-1, 1)))
     return bodies
 
 

@@ -23,7 +23,7 @@ from cslbounds.geometry import AxisProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence
 from cslbounds.special import one_minus_j0
 from lattices import multilayer_lattice
-from oracles import torque as oracle_torque, two_body as oracle_two_body
+from oracles import size, torque as oracle_torque, two_body as oracle_two_body
 
 SHAPES = ["cuboid", "x", "y", "z"]
 # cylinders along x, along y and along two random axes
@@ -96,7 +96,7 @@ def test_two_body_matches_generic_3d_integral(shape):
                                       + CYLINDERS).index(shape)])
     g = random_body(shape, rng)
     p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(3e-7), -5.5))
-    a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
+    a = size(g) * 10.0 ** rng.uniform(-1, 0.5)
     assert_agree(csl_force_spectrum_two_body(TwoBody(g, a), p),
                  oracle_two_body(g, p, a), SPEC.rel_tol)
 
@@ -130,7 +130,7 @@ def test_equal_density_multilayer_equals_cuboid(axis):
                 float(spectrum(cub)), rel=1e-12, abs=0.0)
         t_ml = csl_torque_spectrum(ml, p, spec)
         t_cub = csl_torque_spectrum(cub, p, spec)
-        if p.rC <= ml.largest_dimension:
+        if p.rC <= size(ml):
             assert float(t_ml) == pytest.approx(float(t_cub), rel=1e-12,
                                                 abs=0.0)
         else:
@@ -187,7 +187,7 @@ def test_tilted_cylinder_two_body_over_random_tilts(seed):
     for _ in range(2):
         g = random_body("cyl_tilt", rng)
         p = CollapseParams(1.0, 10.0 ** rng.uniform(np.log10(2e-7), -5.5))
-        a = g.largest_dimension * 10.0 ** rng.uniform(-1, 0.5)
+        a = size(g) * 10.0 ** rng.uniform(-1, 0.5)
         assert_agree(csl_force_spectrum_two_body(TwoBody(g, a), p),
                      oracle_two_body(g, p, a), SPEC.rel_tol)
 
@@ -351,34 +351,47 @@ def test_far_two_body_multilayer_saturates():
     assert lam > 0.0 and rel_err <= SPEC.rel_tol
 
 
-@pytest.mark.parametrize("unit", [
-    FAR_UNIT, Sphere(1e-12, 5e-7),
-    Cylinder(1e-14, 1e-7, 1e-6, (0.3, 0.5, 0.66 ** 0.5))],
-    ids=["multilayer_x", "sphere", "tilted_cylinder"])
+@pytest.mark.parametrize("unit, extent", [
+    (FAR_UNIT, FAR_UNIT.stack_thickness), (Sphere(1e-12, 5e-7), 1e-6),
+    (Cuboid(1e-12, 4e-7, 1e-6, 2e-6), 4e-7),
+    (Cylinder(1e-14, 1e-7, 1e-6, (0.0, 1.0, 0.0)), 2e-7),
+    (Cylinder(1e-14, 1e-7, 1e-6, (0.3, 0.5, 0.66 ** 0.5)),
+     0.3 * 1e-6 + 2e-7 * (1.0 - 0.3 ** 2) ** 0.5)],
+    ids=["multilayer_x", "sphere", "cuboid", "cylinder_y", "tilted_cylinder"])
 @pytest.mark.parametrize("rC", [1e-8, 1e-7, 1e-6])
-def test_two_body_saturation_threshold(unit, rC, monkeypatch):
-    """Just past the saturation separation, the two-body route (forced by
-    an infinite threshold) agrees with the saturated single-unit value to
-    its 1e-12 bound plus the reported quadrature errors."""
+def test_two_body_saturation_threshold(unit, extent, rC, monkeypatch):
+    """Just past the saturation separation of the unit's extent along x,
+    the two-body route (forced by an infinite threshold) agrees with the
+    saturated single-unit value to its 1e-12 bound plus the reported
+    quadrature errors."""
     spec = QuadratureSpec(rel_tol=1e-10)
     p = CollapseParams(1.0, rC)
-    a = cslnoise._saturation_separation(unit, rC) * (1.0 + 1e-4)
+    a = cslnoise._saturation_separation(extent, rC) * (1.0 + 1e-4)
     saturated = csl_force_spectrum_two_body(TwoBody(unit, a), p, spec)
     single = csl_force_spectrum(unit, p, spec)
     assert abs(float(saturated) - float(single)) <= \
         1e-12 * float(single) + saturated.error + single.error
     monkeypatch.setattr(cslnoise, "_saturation_separation",
-                        lambda unit, rC: np.inf)
+                        lambda extent, rC: np.inf)
     full = csl_force_spectrum_two_body(TwoBody(unit, a), p, spec)
     assert abs(float(full) - float(saturated)) <= \
         1e-12 * float(saturated) + full.error + saturated.error
 
 
-def test_saturation_separation_extents():
-    """X + c rC with X the extent along x, c at least 15.5."""
+def test_saturation_separation_extents(monkeypatch):
+    """Each two-body route switches to the single-unit force at X + c rC,
+    X the unit's extent along x and c at least 15.5: just below it some
+    moment carries a separation kernel, just above it none does."""
     rC = 1e-6
     c_min = np.sqrt(8.0 * np.log(6.0 * np.sqrt(np.pi) / 1e-12))
     assert c_min == pytest.approx(15.49, abs=0.01)
+    kernels, moment = [], cslnoise._profile_moment
+
+    def spy(prof, kind, rC, spec, closed_form=True, h=None, *args):
+        kernels.append(h)
+        return moment(prof, kind, rC, spec, closed_form, h, *args)
+
+    monkeypatch.setattr(cslnoise, "_profile_moment", spy)
     cases = [(Cuboid(1.0, 1e-7, 2.0, 3.0), 1e-7),
              (Multilayer(3, 1e-7, 2e-7, 1.0, 2.0, 5.0, 6.0, "x"), 4e-7),
              (Multilayer(3, 1e-7, 2e-7, 1.0, 2.0, 1e-7, 6.0, "y"), 1e-7),
@@ -387,9 +400,14 @@ def test_saturation_separation_extents():
              (Cylinder(1.0, 1e-7, 3.0, (0.0, 1.0, 0.0)), 2e-7),
              (Cylinder(1.0, 1e-7, 3e-7, (0.6, 0.8, 0.0)),
               0.6 * 3e-7 + 0.8 * 2e-7)]
+    p = CollapseParams(1.0, rC)
     for unit, extent in cases:
-        got = cslnoise._saturation_separation(unit, rC)
-        assert got == pytest.approx(extent + c_min * rC, rel=1e-12)
+        threshold = extent + c_min * rC
+        for factor, switched in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            kernels.clear()
+            csl_force_spectrum_two_body(TwoBody(unit, threshold * factor), p)
+            assert kernels and all(h is None for h in kernels) == switched, \
+                (unit, factor)
 
 
 def test_space_two_body_config_saturates(monkeypatch):
