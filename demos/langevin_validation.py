@@ -16,8 +16,9 @@ cfg = OptomechConfig(m=1e-12, omega_m=2.0 * np.pi * 3e3,
 sphere = Sphere(1e-12, 5e-7)
 p = CollapseParams(0.0, GRW_RC)   # thermal drive only for this check
 
-sim = SimConfig(dt=1.5e-6, steps=65536, trajectories=100, seed=21)
-result = simulate_langevin(cfg, p, sphere, sim, nperseg=32768)
+sim = SimConfig(dt=1.5e-6, steps=65536, trajectories=100, seed=21,
+                nperseg=32768)
+result = simulate_langevin(cfg, p, sphere, sim)
 
 analytic = displacement_dns(cfg, p, sphere, result.spectrum.omegas)
 

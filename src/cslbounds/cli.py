@@ -34,11 +34,6 @@ from .quadrature import NonConvergence
 from .svgplot import LogLogPlot
 
 
-def _fmt(x):
-    """Canonical float text for CSV output (repr round-trips exactly)."""
-    return repr(float(x))
-
-
 def _resolve_threads(args):
     if args.threads is not None:
         if args.threads < 1:
@@ -56,34 +51,42 @@ def _resolve_threads(args):
     return 1
 
 
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, text, extra):
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), dict({
         "tool_version": __version__,
         "config_hash": config_hash(text),
         "created_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
-    }
-    manifest.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
+    }, **extra))
+
+
+def _write_csv(path, header, rows):
+    """A header line, then one line per row; a cell that is not a string
+    is a float, written as its repr, which round-trips exactly."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else repr(float(c))
+                              for c in row) + "\n")
 
 
 def _write_curves(path, curves, named):
     """One CSV row per rC point of each curve, led by the experiment name
     when named; the bound and its error are empty unless the point is ok."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(("experiment," if named else "")
-                 + "rc_m,lambda_ub_per_s,error_est,status\n")
-        for curve in curves:
-            for i, rc in enumerate(curve.rCs):
-                ok = curve.status[i] == "ok"
-                fh.write(",".join(([curve.experiment] if named else []) + [
-                    _fmt(rc),
-                    _fmt(curve.lambda_ub[i]) if ok else "",
-                    _fmt(curve.errors[i]) if ok else "",
-                    curve.status[i]]) + "\n")
+    _write_csv(path, ("experiment," if named else "")
+               + "rc_m,lambda_ub_per_s,error_est,status",
+               (([curve.experiment] if named else [])
+                + [rc] + ([lam, err] if status == "ok" else ["", ""])
+                + [status]
+                for curve in curves
+                for rc, lam, err, status in zip(
+                    curve.rCs, curve.lambda_ub, curve.errors, curve.status)))
 
 
 def _require(inputs, field, section):
@@ -104,15 +107,11 @@ def _cmd_spectrum(args, text, inputs):
                                        components=True)
     scale = 2.0 if args.one_sided else 1.0
 
-    path = os.path.join(args.out, "spectrum.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("omega_rad_s,total,backaction,thermal,csl\n")
-        for i, w in enumerate(spectrum.omegas):
-            fh.write(",".join([
-                _fmt(w), _fmt(scale * spectrum.values[i]),
-                _fmt(scale * parts["backaction"][i]),
-                _fmt(scale * parts["thermal"][i]),
-                _fmt(scale * parts["csl"][i])]) + "\n")
+    _write_csv(os.path.join(args.out, "spectrum.csv"),
+               "omega_rad_s,total,backaction,thermal,csl",
+               zip(spectrum.omegas, *(scale * values for values in (
+                   spectrum.values, parts["backaction"], parts["thermal"],
+                   parts["csl"]))))
 
     if args.svg:
         plot = LogLogPlot(xlabel="omega [rad/s]",
@@ -197,29 +196,24 @@ def _cmd_simulate(args, text, inputs):
     p = _require(inputs, "collapse", "collapse")
     g = _require(inputs, "geometry", "geometry")
     sim = _require(inputs, "simulation", "simulation")
-    free = inputs.sim_mode == "free_particle"
 
-    result = simulate_langevin(cfg, p, g, sim, spec=inputs.quadrature,
-                               free_particle=free,
-                               nperseg=inputs.sim_nperseg)
+    result = simulate_langevin(cfg, p, g, sim, spec=inputs.quadrature)
     write_trajectories(os.path.join(args.out, "trajectories.bin"),
                        result, config_text=text)
 
-    with open(os.path.join(args.out, "spectrum_estimate.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("omega_rad_s,s_xx_m2_s\n")
-        for w, s in zip(result.spectrum.omegas, result.spectrum.values):
-            fh.write(f"{_fmt(w)},{_fmt(s)}\n")
+    _write_csv(os.path.join(args.out, "spectrum_estimate.csv"),
+               "omega_rad_s,s_xx_m2_s",
+               zip(result.spectrum.omegas, result.spectrum.values))
 
     summary = {"command": "simulate", "seed": sim.seed, "mode":
-               inputs.sim_mode, "trajectories": sim.trajectories,
+               sim.mode, "trajectories": sim.trajectories,
                "steps": sim.steps, "dt_s": sim.dt,
                "force_psd_total_n2_s": result.force_psd_total,
                "conversions": inputs.conversions}
     # discard the transient before comparing moments
     tail = result.xs[:, result.xs.shape[1] // 2:]
     summary["mean_square_displacement_m2"] = float(np.mean(tail ** 2))
-    if free:
+    if sim.mode == "free_particle":
         # <x^2>(t) = (S/ m^2) t^3 / 3 for a free particle driven by white
         # force noise; fit the cubic coefficient on the second half
         t = result.times[result.times.size // 2:]
@@ -235,10 +229,7 @@ def _cmd_simulate(args, text, inputs):
         summary["equipartition_expected_m2"] = expected
         summary["equipartition_ratio"] = \
             summary["mean_square_displacement_m2"] / expected
-    with open(os.path.join(args.out, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "summary.json"), summary)
 
     _write_manifest(args.out, text, {"command": "simulate",
                                      "seed": sim.seed,

@@ -16,9 +16,9 @@ mk, um, ...) are converted to SI at parse time and the conversions are
 echoed into the run manifest.  Unknown keys in a known section are
 rejected, which catches most unit typos.
 
-The field tables below, one per section and geometry type, are the one
-declaration of the format: parsing reads their rows, and
-`serialize_inputs` writes the same rows back in canonical SI form.
+The field tables below declare the keys, and `_SECTIONS` maps each section
+to its RunInputs field: parsing reads the rows, and `serialize_inputs`
+writes the same rows back in canonical SI form.
 """
 
 import hashlib
@@ -54,10 +54,7 @@ _ANGFREQ = {"rad_s": 1.0, "hz": 2.0 * pi, "khz": 2.0e3 * pi,
 _RATE = {"per_s": 1.0, "hz": 2.0 * pi}
 _TEMP = {"k": 1.0, "mk": 1e-3, "uk": 1e-6}
 _TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
-_PSD_FORCE = {"n2_s": 1.0}
-_PSD_TORQUE = {"n2m2_s": 1.0}
 _NONE = {"": 1.0}
-
 
 _REQUIRED = object()   # the default of a key that must be given
 
@@ -67,7 +64,7 @@ def _key(base, suffix):
 
 
 class _Section:
-    """One config section with typed, unit-suffixed accessors."""
+    """One config section with a typed, unit-suffixed accessor."""
 
     def __init__(self, name, mapping, conversions):
         self.name = name
@@ -78,14 +75,18 @@ class _Section:
     def _fail(self, key, why):
         raise ConfigError(f"[{self.name}] {key}: {why}")
 
-    def quantity(self, base, units, default=_REQUIRED):
+    def value(self, base, kind, default=_REQUIRED):
+        """The value of key base, default when it is absent.  kind is a
+        unit table (a float, in SI), int, or the allowed words (None: any)."""
+        units = kind if isinstance(kind, dict) else _NONE
         hits = [(_key(base, suffix), factor)
                 for suffix, factor in units.items()
                 if _key(base, suffix) in self._map]
         if not hits:
             if default is _REQUIRED:
-                unit_list = ", ".join(_key(base, s) for s in units)
-                self._fail(base, f"missing; expected one of: {unit_list}")
+                self._fail(base, "missing" if units is not kind else
+                           "missing; expected one of: "
+                           + ", ".join(_key(base, s) for s in units))
             return default
         if len(hits) > 1:
             self._fail(base, "given in multiple units: "
@@ -93,36 +94,21 @@ class _Section:
         key, factor = hits[0]
         self._seen.add(key)
         raw = self._map[key]
+        if units is not kind and kind is not int:   # a word
+            if kind and raw.strip() not in kind:
+                self._fail(key, f"must be one of {sorted(kind)}, got "
+                           f"{raw.strip()!r}")
+            return raw.strip()
         try:
-            value = float(raw)
+            value = (int if kind is int else float)(raw)
         except ValueError:
-            self._fail(key, f"not a number: {raw!r}")
-        if factor != 1.0:
-            self._conversions.append(
-                f"[{self.name}] {key} = {raw} -> {value * factor!r} (SI)")
+            self._fail(key, f"not {'an integer' if kind is int else 'a number'}"
+                       f": {raw!r}")
+        if factor == 1.0:
+            return value
+        self._conversions.append(
+            f"[{self.name}] {key} = {raw} -> {value * factor!r} (SI)")
         return value * factor
-
-    def integer(self, key, default=_REQUIRED):
-        if key not in self._map:
-            if default is _REQUIRED:
-                self._fail(key, "missing")
-            return default
-        self._seen.add(key)
-        try:
-            return int(self._map[key])
-        except ValueError:
-            self._fail(key, f"not an integer: {self._map[key]!r}")
-
-    def word(self, key, choices=None, default=_REQUIRED):
-        if key not in self._map:
-            if default is _REQUIRED:
-                self._fail(key, "missing")
-            return default
-        self._seen.add(key)
-        value = self._map[key].strip()
-        if choices and value not in choices:
-            self._fail(key, f"must be one of {sorted(choices)}, got {value!r}")
-        return value
 
     def reject_unknown(self):
         unknown = set(self._map) - self._seen
@@ -153,12 +139,7 @@ def _read(sec, rows):
             kind = kind(values)
         if isinstance(default, FunctionType):
             default = default(values)
-        if isinstance(kind, dict):
-            values[attr] = sec.quantity(base, kind, default)
-        elif kind is int:
-            values[attr] = sec.integer(base, default)
-        else:
-            values[attr] = sec.word(base, kind, default)
+        values[attr] = sec.value(base, kind, default)
     return values
 
 
@@ -224,8 +205,8 @@ _GRID = (("lo", "omega_min", _ANGFREQ),
          ("n", "points", int),
          ("spacing", "spacing", ("log", "linear"), "log"))
 # channel -> the unit table of its budget
-_BUDGET = {"force": _PSD_FORCE, "force_two_body": _PSD_FORCE,
-           "torque": _PSD_TORQUE, "temperature_shift": _TEMP}
+_BUDGET = {"force": {"n2_s": 1.0}, "force_two_body": {"n2_s": 1.0},
+           "torque": {"n2m2_s": 1.0}, "temperature_shift": _TEMP}
 # an experiment's geometry sits under the _GEOMETRY_PREFIX; a missing name
 # defaults to the section name
 _GEOMETRY_PREFIX = "geometry_"
@@ -244,11 +225,10 @@ _RC_GRID = (("lo", "rc_min", _LENGTH, 1e-9),
 _SIMULATION = (("dt", "dt", _TIME),
                ("steps", "steps", int),
                ("trajectories", "trajectories", int, 1),
-               ("seed", "seed", int, 0))
-# [simulation] keys that fill RunInputs fields, read after the SimConfig
-_SIM_RUN = (("sim_mode", "mode", ("oscillator", "free_particle"),
-             "oscillator"),
-            ("sim_nperseg", "nperseg", int, None))
+               ("seed", "seed", int, 0),
+               ("mode", "mode", ("oscillator", "free_particle"),
+                "oscillator"),
+               ("nperseg", "nperseg", int, None))
 _QUADRATURE = (("rel_tol", "rel_tol", _NONE, 1e-6),
                ("abs_tol", "abs_tol", _NONE, 0.0),
                ("max_evals", "max_evals", int, 50_000_000),
@@ -256,19 +236,20 @@ _QUADRATURE = (("rel_tol", "rel_tol", _NONE, 1e-6),
 
 
 def _colored(values):
-    """values with the _COLORED entries replaced by their model under
+    """values with any _COLORED entries replaced by their model under
     "colored": None without a family."""
-    family, omega_c = values.pop("family"), values.pop("omega_c")
-    values["colored"] = None if family is None else ColoredNoiseModel(
-        family, None if family == "white" else omega_c)
+    if "family" in values:
+        family, omega_c = values.pop("family"), values.pop("omega_c")
+        values["colored"] = None if family is None else ColoredNoiseModel(
+            family, None if family == "white" else omega_c)
     return values
 
 
 def _with_colored(obj):
-    """vars(obj) plus the _COLORED values of its colored model: the
+    """vars(obj) plus the _COLORED values of any colored model: the
     inverse of _colored."""
-    colored = {} if obj.colored is None else vars(obj.colored)
-    return dict(vars(obj), **colored)
+    colored = getattr(obj, "colored", None)
+    return dict(vars(obj), **({} if colored is None else vars(colored)))
 
 
 def _span(grid):
@@ -306,62 +287,38 @@ def _geometry_lines(g, prefix=""):
 
 
 # ---------------------------------------------------------------------------
-# sections: a reader fills RunInputs from one _Section; a writer yields
-# (header suffix, lines) for each block the section serializes to
+# sections: read parses one _Section to its RunInputs value; lines gives
+# (header suffix, lines) for each block a RunInputs value serializes to
 
-def _read_geometry(sec, inputs):
-    inputs.geometry = _parse_geometry(sec)
-    if isinstance(inputs.geometry, TwoBody):
+def _read_geometry(sec):
+    g = _parse_geometry(sec)
+    if isinstance(g, TwoBody):
         sec._fail("type", "two_body is valid only as an [experiment] "
                   "geometry_type")
+    return g
 
 
-def _write_geometry(inputs):
-    if inputs.geometry is not None:
-        yield "", _geometry_lines(inputs.geometry)
-
-
-def _read_collapse(sec, inputs):
-    inputs.collapse = CollapseParams(**_colored(_read(sec, _COLLAPSE)))
-
-
-def _write_collapse(inputs):
-    if inputs.collapse is not None:
-        yield "", _write(_COLLAPSE, _with_colored(inputs.collapse))
-
-
-def _read_optomech(sec, inputs):
-    inputs.optomech = OptomechConfig(**_read(sec, _OPTOMECH))
-
-
-def _write_optomech(inputs):
-    if inputs.optomech is not None:
-        yield "", _write(_OPTOMECH, vars(inputs.optomech))
-
-
-def _read_grid(sec, inputs):
+def _read_grid(sec):
     lo, hi, n, spacing = _read(sec, _GRID).values()
     if not (0 <= lo < hi < np.inf) or n < 2:
         raise ConfigError("[grid] need 0 <= omega_min < omega_max < inf and "
                           "points >= 2")
-    if spacing == "log":
-        if lo <= 0:
-            raise ConfigError("[grid] log spacing needs omega_min > 0")
-        inputs.omega_grid = np.logspace(np.log10(lo), np.log10(hi), n)
-    else:
-        inputs.omega_grid = np.linspace(lo, hi, n)
+    if spacing == "linear":
+        return np.linspace(lo, hi, n)
+    if lo <= 0:
+        raise ConfigError("[grid] log spacing needs omega_min > 0")
+    return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-def _write_grid(inputs):
-    om = inputs.omega_grid
-    if om is not None:
-        ratios = np.diff(np.log(om)) if om[0] > 0 else None
-        spacing = "log" if ratios is not None and np.allclose(
-            ratios, ratios[0]) else "linear"
-        yield "", _write(_GRID, dict(_span(om), spacing=spacing))
+def _grid_lines(om):
+    ratios = np.diff(np.log(om)) if om[0] > 0 else None
+    spacing = "log" if ratios is not None and np.allclose(
+        ratios, ratios[0]) else "linear"
+    return [("", _write(_GRID, dict(_span(om), spacing=spacing)))]
 
 
-def _read_experiment(sec, inputs):
+def _read_experiment(sec):
+    """One (record, rC grid)."""
     # the geometry comes first, so its conversions are echoed first
     geometry = _parse_geometry(sec.subsection(_GEOMETRY_PREFIX))
     values = _colored(_read(sec, _EXPERIMENT))
@@ -373,57 +330,38 @@ def _read_experiment(sec, inputs):
     if not 0 < rc_min < rc_max < np.inf:
         sec._fail("rc_min", "need 0 < rc_min < rc_max < inf, got "
                   f"{rc_min!r} and {rc_max!r}")
-    if n is not None and n < 2:
-        sec._fail("rc_points", f"need at least 2 points, got {n}")
     if n is None:
-        grid = default_rc_grid(rc_min, rc_max)
-    else:
-        grid = np.logspace(np.log10(rc_min), np.log10(rc_max), n)
-    inputs.experiments.append((rec, grid))
+        return rec, default_rc_grid(rc_min, rc_max)
+    if n < 2:
+        sec._fail("rc_points", f"need at least 2 points, got {n}")
+    return rec, np.logspace(np.log10(rc_min), np.log10(rc_max), n)
 
 
-def _write_experiment(inputs):
-    for i, (rec, grid) in enumerate(inputs.experiments):
-        values = _with_colored(rec)
-        values["band_lo"], values["band_hi"] = rec.band
-        lines = (_write(_EXPERIMENT, values)
-                 + _geometry_lines(rec.geometry, _GEOMETRY_PREFIX))
-        if grid is not None:
-            lines += _write(_RC_GRID, _span(grid))
-        yield f":{i}", lines
+def _experiment_lines(experiments):
+    return [(f":{i}", _write(_EXPERIMENT, dict(
+        _with_colored(rec), band_lo=rec.band[0], band_hi=rec.band[1]))
+        + _geometry_lines(rec.geometry, _GEOMETRY_PREFIX)
+        + _write(_RC_GRID, {} if grid is None else _span(grid)))
+        for i, (rec, grid) in enumerate(experiments)]
 
 
-def _read_simulation(sec, inputs):
-    inputs.simulation = SimConfig(**_read(sec, _SIMULATION))
-    vars(inputs).update(_read(sec, _SIM_RUN))
-    if inputs.sim_nperseg is not None:
-        inputs.simulation.validate_nperseg(inputs.sim_nperseg)
+def _object(attr, cls, rows):
+    """The _SECTIONS entry of a section that is one cls, in rows."""
+    return (attr, lambda sec: cls(**_colored(_read(sec, rows))),
+            lambda obj: [("", _write(rows, _with_colored(obj)))])
 
 
-def _write_simulation(inputs):
-    if inputs.simulation is not None:
-        yield "", (_write(_SIMULATION, vars(inputs.simulation))
-                   + _write(_SIM_RUN, vars(inputs)))
-
-
-def _read_quadrature(sec, inputs):
-    inputs.quadrature = QuadratureSpec(**_read(sec, _QUADRATURE))
-
-
-def _write_quadrature(inputs):
-    yield "", _write(_QUADRATURE, vars(inputs.quadrature))
-
-
-# section name -> (reader, writer), in serialization order; a section
-# named experiment:<tag> is an experiment
+# section name -> (RunInputs field, read, lines), in serialization order;
+# a section named experiment:<tag> is an experiment, appended to the list
 _SECTIONS = {
-    "geometry": (_read_geometry, _write_geometry),
-    "collapse": (_read_collapse, _write_collapse),
-    "optomech": (_read_optomech, _write_optomech),
-    "grid": (_read_grid, _write_grid),
-    "experiment": (_read_experiment, _write_experiment),
-    "simulation": (_read_simulation, _write_simulation),
-    "quadrature": (_read_quadrature, _write_quadrature),
+    "geometry": ("geometry", _read_geometry,
+                 lambda g: [("", _geometry_lines(g))]),
+    "collapse": _object("collapse", CollapseParams, _COLLAPSE),
+    "optomech": _object("optomech", OptomechConfig, _OPTOMECH),
+    "grid": ("omega_grid", _read_grid, _grid_lines),
+    "experiment": ("experiments", _read_experiment, _experiment_lines),
+    "simulation": _object("simulation", SimConfig, _SIMULATION),
+    "quadrature": _object("quadrature", QuadratureSpec, _QUADRATURE),
 }
 
 
@@ -435,8 +373,6 @@ class RunInputs:
     omega_grid: Optional[np.ndarray] = None
     experiments: list = field(default_factory=list)   # (record, rc_grid)
     simulation: Optional[SimConfig] = None
-    sim_mode: str = "oscillator"
-    sim_nperseg: Optional[int] = None
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     conversions: list = field(default_factory=list)
 
@@ -464,7 +400,11 @@ def parse_inputs(text):
                        else name)
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]")
-            _SECTIONS[section][0](sec, inputs)
+            attr, read, _ = _SECTIONS[section]
+            if attr == "experiments":   # the one section that repeats
+                inputs.experiments.append(read(sec))
+            else:
+                setattr(inputs, attr, read(sec))
             sec.reject_unknown()
     except ConfigError:
         raise
@@ -480,7 +420,10 @@ def config_hash(text):
 def serialize_inputs(inputs):
     """Canonical text of inputs: SI units, every section in table order.
     parse -> serialize -> parse is the identity on all fields."""
-    return "\n\n".join(
-        f"[{name}{suffix}]\n" + "\n".join(lines)
-        for name, (_, write) in _SECTIONS.items()
-        for suffix, lines in write(inputs)) + "\n"
+    blocks = []
+    for name, (attr, _, lines) in _SECTIONS.items():
+        value = getattr(inputs, attr)
+        if value is not None:
+            blocks += [f"[{name}{suffix}]\n" + "\n".join(body)
+                       for suffix, body in lines(value)]
+    return "\n\n".join(blocks) + "\n"

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 CHANNELS = ("force", "force_two_body", "torque", "temperature_shift")
+RC_POINTS_PER_DECADE = 50   # the density of default_rc_grid
 
 
 class DegenerateBound(RuntimeError):
@@ -117,13 +118,13 @@ class ExclusionCurve:
         object.__setattr__(self, "status", tuple(self.status))
 
 
-def default_rc_grid(rc_min=1e-9, rc_max=1e-3, per_decade=50):
+def default_rc_grid(rc_min=1e-9, rc_max=1e-3):
     """Log-spaced rC grid bracketing the conventional rC = 1e-7 m."""
     if not 0 < rc_min < rc_max < np.inf:
         raise ValueError("need 0 < rc_min < rc_max < inf, got "
                          f"{rc_min!r} and {rc_max!r}")
     decades = np.log10(rc_max / rc_min)
-    n = max(2, int(round(decades * per_decade)) + 1)
+    n = max(2, int(round(decades * RC_POINTS_PER_DECADE)) + 1)
     return np.logspace(np.log10(rc_min), np.log10(rc_max), n)
 
 

@@ -190,6 +190,8 @@ class PointLattice(MassGeometry):
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
         if pos.shape != (m.size, 3):
             raise ValueError("positions must be (N, 3) matching N masses")
+        if m.size == 0:
+            raise ValueError("a point lattice needs at least one point")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(m))):
             raise ValueError("positions and masses must be finite")
         if np.any(m <= 0):

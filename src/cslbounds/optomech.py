@@ -22,6 +22,7 @@ import hashlib
 import operator
 import struct
 from dataclasses import astuple, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -97,15 +98,23 @@ class NoiseSpectrum:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Settings of a Langevin run: time step dt [s], steps per trajectory,
+    trajectory count and seed.  mode "free_particle" drops the restoring
+    force and damping (the free-expansion configuration); nperseg is the
+    Welch segment length, None for min(steps, 4096)."""
+
     dt: float
     steps: int
     trajectories: int = 1
     seed: int = 0
+    mode: str = "oscillator"
+    nperseg: Optional[int] = None
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        for name in ("steps", "trajectories", "seed"):
+        for name in ("steps", "trajectories", "seed") + (
+                () if self.nperseg is None else ("nperseg",)):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -116,15 +125,16 @@ class SimConfig:
             raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.steps < 2 or self.trajectories < 1:
             raise ValueError("need steps >= 2 and trajectories >= 1")
+        if self.mode not in ("oscillator", "free_particle"):
+            raise ValueError("mode must be oscillator or free_particle, got "
+                             f"{self.mode!r}")
+        if self.nperseg is not None and not 2 <= self.nperseg <= self.steps:
+            raise ValueError(f"nperseg must lie in [2, steps = {self.steps}]"
+                             f", got {self.nperseg}")
 
     def validate_resolution(self, omega_m):
         if self.dt * omega_m >= 0.1:
             raise ValueError("dt * omega_m must stay below 0.1")
-
-    def validate_nperseg(self, nperseg):
-        if not 2 <= nperseg <= self.steps:
-            raise ValueError(f"nperseg must lie in [2, steps = {self.steps}]"
-                             f", got {nperseg}")
 
 
 def _ucothu(u):
@@ -346,24 +356,21 @@ def _propagate(noise, m, k_spring, gamma, dt):
     return xs, ps
 
 
-def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
-                      free_particle=False, nperseg=None):
+def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS):
     """Semi-implicit Euler integration of the mechanical-only Langevin
-    system, from rest.
+    system, from rest, with the settings of the SimConfig sim.
 
     dx = (p/m) dt
     dp = (-m w_m^2 x - g_m p) dt + dW,   S_W = 2 m g_m kB T + S_FF (white)
 
-    free_particle=True drops the restoring force and damping (the
+    sim.mode "free_particle" drops the restoring force and damping (the
     free-expansion configuration).  Returns trajectories and the
-    Welch-averaged displacement spectrum in the double-sided convention
-    of displacement_dns.
+    Welch-averaged displacement spectrum, over segments of sim.nperseg
+    steps, in the double-sided convention of displacement_dns.
     """
     if p.colored is not None and p.colored.family != "white":
         raise ValueError("the Monte Carlo validator supports white CSL only")
-    if nperseg is None:
-        nperseg = min(sim.steps, 4096)
-    sim.validate_nperseg(nperseg)
+    free_particle = sim.mode == "free_particle"
     if not free_particle:
         sim.validate_resolution(cfg.omega_m)
 
@@ -399,6 +406,7 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS,
 
     # one trajectory at a time, so the windowed segments and their
     # transforms never exist for all trajectories at once
+    nperseg = min(sim.steps, 4096) if sim.nperseg is None else sim.nperseg
     psd = 0.0
     for x in xs:
         freqs, one = welch(x, 1.0 / dt, nperseg)

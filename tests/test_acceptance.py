@@ -77,9 +77,9 @@ def test_03_free_expansion_and_monte_carlo():
     ref_ok = ref_rel < 2.5e-3
 
     cfg = OptomechConfig(m=CONSTANTS.m0, omega_m=1.0, gamma_m=0.0, T=0.0)
-    sim = SimConfig(dt=1.0 / 4096, steps=4096, trajectories=1500, seed=42)
-    res = simulate_langevin(cfg, GRW, Point(CONSTANTS.m0), sim,
-                            free_particle=True)
+    sim = SimConfig(dt=1.0 / 4096, steps=4096, trajectories=1500, seed=42,
+                    mode="free_particle")
+    res = simulate_langevin(cfg, GRW, Point(CONSTANTS.m0), sim)
     t = res.times[res.times.size // 2:]
     msd = np.mean(res.xs[:, res.times.size // 2:] ** 2, axis=0)
     coef = float(np.sum(msd * t ** 3) / np.sum(t ** 6))

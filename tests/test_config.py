@@ -309,7 +309,7 @@ def test_roundtrip_is_identity(text):
     again = parse_inputs(canonical)
     assert serialize_inputs(again) == canonical
     for name in ("geometry", "collapse", "optomech", "simulation",
-                 "sim_mode", "sim_nperseg", "quadrature"):
+                 "quadrature"):
         assert getattr(again, name) == getattr(inputs, name), name
     if inputs.omega_grid is None:
         assert again.omega_grid is None
@@ -322,8 +322,101 @@ def test_roundtrip_is_identity(text):
         assert np.array_equal(grid, grid0)
 
 
+CANONICAL = Path(__file__).resolve().parent / "canonical"
+
+# each config's conversions, in the order parse_inputs echoes them
+CONVERSIONS = {
+    "every_section": [
+        "[geometry] radius_nm = 100 -> 1.0000000000000001e-07 (SI)",
+        "[geometry] length_um = 1 -> 1e-06 (SI)",
+        "[collapse] omega_c_khz = 5 -> 31415.92653589793 (SI)",
+        "[optomech] omega_m_khz = 3.0 -> 18849.55592153876 (SI)",
+        "[optomech] gamma_m_hz = 10 -> 62.83185307179586 (SI)",
+        "[optomech] temperature_uk = 300 -> 0.0003 (SI)",
+        "[grid] omega_max_khz = 40 -> 251327.41228718343 (SI)",
+        "[experiment:point:geometry_*] mass_mg = 1e-6 -> 1e-12 (SI)",
+        "[experiment:point] band_lo_hz = 100 -> 628.3185307179587 (SI)",
+        "[experiment:point] band_hi_hz = 200 -> 1256.6370614359173 (SI)",
+        "[experiment:sphere:geometry_*] mass_g = 1e-9 -> "
+        "1.0000000000000002e-12 (SI)",
+        "[experiment:sphere:geometry_*] radius_um = 0.5 -> 5e-07 (SI)",
+        "[experiment:sphere] band_lo_khz = 2.9 -> 18221.2373908208 (SI)",
+        "[experiment:sphere] band_hi_khz = 3.1 -> 19477.874452256718 (SI)",
+        "[experiment:sphere] omega_c_hz = 50 -> 314.1592653589793 (SI)",
+        "[experiment:sphere] rc_min_nm = 1 -> 1e-09 (SI)",
+        "[experiment:sphere] rc_max_um = 100 -> 9.999999999999999e-05 (SI)",
+        "[experiment:cuboid:geometry_*] lx_um = 1 -> 1e-06 (SI)",
+        "[experiment:cuboid:geometry_*] ly_um = 2 -> 2e-06 (SI)",
+        "[experiment:cuboid:geometry_*] lz_nm = 500 -> "
+        "5.000000000000001e-07 (SI)",
+        "[experiment:cuboid] budget_mk = 1 -> 0.001 (SI)",
+        "[experiment:cylinder:geometry_*] radius_nm = 100 -> "
+        "1.0000000000000001e-07 (SI)",
+        "[experiment:cylinder:geometry_*] length_nm = 1000 -> "
+        "1.0000000000000002e-06 (SI)",
+        "[experiment:cylinder] budget_uk = 100 -> 9.999999999999999e-05 (SI)",
+        "[experiment:cylinder] band_lo_khz = 10 -> 62831.85307179586 (SI)",
+        "[experiment:cylinder] band_hi_khz = 30 -> 188495.55921538756 (SI)",
+        "[experiment:cylinder] d_phi_hz = 1e-3 -> 0.006283185307179587 (SI)",
+        "[experiment:multilayer:geometry_*] d1_nm = 100 -> "
+        "1.0000000000000001e-07 (SI)",
+        "[experiment:multilayer:geometry_*] d2_nm = 50 -> "
+        "5.0000000000000004e-08 (SI)",
+        "[experiment:multilayer:geometry_*] rho1_g_cm3 = 19.3 -> "
+        "19300.0 (SI)",
+        "[experiment:multilayer:geometry_*] lx_um = 2 -> 2e-06 (SI)",
+        "[experiment:multilayer:geometry_*] ly_um = 3 -> 3e-06 (SI)",
+        "[experiment:multilayer] band_lo_hz = 1 -> 6.283185307179586 (SI)",
+        "[experiment:multilayer] band_hi_hz = 2 -> 12.566370614359172 (SI)",
+        "[experiment:two_body:geometry_*] separation_mm = 3 -> 0.003 (SI)",
+        "[experiment:two_body:geometry_*:unit_*] d1_um = 1 -> 1e-06 (SI)",
+        "[experiment:two_body:geometry_*:unit_*] d2_um = 2 -> 2e-06 (SI)",
+        "[experiment:two_body:geometry_*:unit_*] lx_mm = 1 -> 0.001 (SI)",
+        "[experiment:two_body:geometry_*:unit_*] ly_mm = 1 -> 0.001 (SI)",
+        "[simulation] dt_ms = 0.005 -> 5e-06 (SI)",
+    ],
+    "free_particle": [
+        "[geometry] radius_um = 0.5 -> 5e-07 (SI)",
+        "[simulation] dt_us = 5 -> 4.9999999999999996e-06 (SI)",
+    ],
+    "cantilever_sphere": [
+        "[geometry] radius_um = 0.5 -> 5e-07 (SI)",
+        "[optomech] omega_m_khz = 3.0 -> 18849.55592153876 (SI)",
+        "[optomech] temperature_mk = 100 -> 0.1 (SI)",
+        "[experiment:geometry_*] radius_um = 0.5 -> 5e-07 (SI)",
+        "[experiment] band_lo_khz = 2.9 -> 18221.2373908208 (SI)",
+        "[experiment] band_hi_khz = 3.1 -> 19477.874452256718 (SI)",
+        "[simulation] dt_us = 5 -> 4.9999999999999996e-06 (SI)",
+    ],
+    "cylinder_rotational": [
+        "[experiment:geometry_*] radius_nm = 100 -> "
+        "1.0000000000000001e-07 (SI)",
+        "[experiment:geometry_*] length_nm = 1000 -> "
+        "1.0000000000000002e-06 (SI)",
+        "[experiment] budget_mk = 1.0 -> 0.001 (SI)",
+        "[experiment] band_lo_khz = 10 -> 62831.85307179586 (SI)",
+        "[experiment] band_hi_khz = 30 -> 188495.55921538756 (SI)",
+    ],
+    "space_two_body": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSIONS))
+def test_canonical_text_and_conversions_are_pinned(name):
+    """The serialized text is the file under tests/canonical/, and the
+    conversions are echoed word for word."""
+    text = {"every_section": EVERY_SECTION,
+            "free_particle": FREE_PARTICLE}.get(name)
+    if text is None:
+        text = (CONFIGS / f"{name}.ini").read_text()
+    inputs = parse_inputs(text)
+    assert serialize_inputs(inputs) == \
+        (CANONICAL / f"{name}.ini").read_text()
+    assert inputs.conversions == CONVERSIONS[name]
+
+
 def test_simulation_mode_is_parsed():
-    assert parse_inputs(FREE_PARTICLE).sim_mode == "free_particle"
+    assert parse_inputs(FREE_PARTICLE).simulation.mode == "free_particle"
 
 
 @pytest.mark.parametrize("axis", [
@@ -361,7 +454,8 @@ def test_config_hash_is_text_stable():
 
 def test_nperseg_out_of_range_is_a_config_error():
     text = BASIC + "\n[simulation]\ndt_us = 1.5\nsteps = 4096\n"
-    assert parse_inputs(text + "nperseg = 4096\n").sim_nperseg == 4096
+    assert parse_inputs(text + "nperseg = 4096\n").simulation.nperseg \
+        == 4096
     for bad in (0, 1, 4097):
         with pytest.raises(ConfigError, match=r"\[simulation\] nperseg"):
             parse_inputs(text + f"nperseg = {bad}\n")
@@ -380,44 +474,66 @@ geometry_radius_um = 0.5
 """
 
 
-@pytest.mark.parametrize("text, section", [
+@pytest.mark.parametrize("text, section, message", [
     ("[optomech]\nmass_kg = inf\nomega_m_khz = 3\ngamma_m_hz = 10\n"
-     "temperature_mk = 100\n", "optomech"),
+     "temperature_mk = 100\n", "optomech",
+     "optomech parameters must be finite: OptomechConfig(m=inf, "
+     "omega_m=18849.55592153876, gamma_m=62.83185307179586, T=0.1, "
+     "kappa=1.0, Delta=0.0, chi=0.0, alpha_sq=0.0)"),
     ("[optomech]\nmass_kg = 1e-12\nomega_m_khz = 3\ngamma_m_hz = nan\n"
-     "temperature_mk = 100\n", "optomech"),
-    ("[simulation]\ndt_us = nan\nsteps = 4096\n", "simulation"),
-    ("[simulation]\ndt_us = inf\nsteps = 4096\n", "simulation"),
-    ("[simulation]\ndt_us = 1.5\nsteps = 4096\nseed = -3\n", "simulation"),
+     "temperature_mk = 100\n", "optomech",
+     "optomech parameters must be finite: OptomechConfig(m=1e-12, "
+     "omega_m=18849.55592153876, gamma_m=nan, T=0.1, kappa=1.0, "
+     "Delta=0.0, chi=0.0, alpha_sq=0.0)"),
+    ("[simulation]\ndt_us = nan\nsteps = 4096\n", "simulation",
+     "dt must be finite and positive, got nan"),
+    ("[simulation]\ndt_us = inf\nsteps = 4096\n", "simulation",
+     "dt must be finite and positive, got inf"),
+    ("[simulation]\ndt_us = 1.5\nsteps = 4096\nseed = -3\n", "simulation",
+     "seed must lie in [0, 2**63), got -3"),
     ("[simulation]\ndt_us = 1.5\nsteps = 4096\nseed = 18446744073709551616\n",
-     "simulation"),
+     "simulation",
+     "seed must lie in [0, 2**63), got 18446744073709551616"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
-                       band_hi="inf", extra=""), "experiment"),
+                       band_hi="inf", extra=""), "experiment",
+     "band must satisfy 0 <= lo <= hi < inf, got (6283.185307179586, inf)"),
     (EXPERIMENT.format(channel="temperature_shift", budget="budget_mk = 1",
                        band_hi="2", extra="mass_kg = 1e-12\n"
-                       "gamma_per_s = nan"), "experiment"),
+                       "gamma_per_s = nan"), "experiment",
+     "m, gamma and d_phi must be finite and positive"),
     (EXPERIMENT.format(channel="temperature_shift", budget="budget_mk = 1",
                        band_hi="2", extra="d_phi_per_s = -1e-3"),
-     "experiment"),
+     "experiment", "m, gamma and d_phi must be finite and positive"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
-                       band_hi="2", extra="rc_min_m = 0"), "experiment"),
+                       band_hi="2", extra="rc_min_m = 0"), "experiment",
+     "rc_min: need 0 < rc_min < rc_max < inf, got 0.0 and 0.001"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
-                       band_hi="2", extra="rc_max_m = inf"), "experiment"),
+                       band_hi="2", extra="rc_max_m = inf"), "experiment",
+     "rc_min: need 0 < rc_min < rc_max < inf, got 1e-09 and inf"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
-                       band_hi="2", extra="rc_min_m = -1e-9"), "experiment"),
+                       band_hi="2", extra="rc_min_m = -1e-9"), "experiment",
+     "rc_min: need 0 < rc_min < rc_max < inf, got -1e-09 and 0.001"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
                        band_hi="2", extra="rc_min_m = 1e-6\nrc_max_m = 1e-7"),
-     "experiment"),
+     "experiment",
+     "rc_min: need 0 < rc_min < rc_max < inf, got 1e-06 and 1e-07"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
-                       band_hi="2", extra="rc_points = 0"), "experiment"),
+                       band_hi="2", extra="rc_points = 0"), "experiment",
+     "rc_points: need at least 2 points, got 0"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
-                       band_hi="2", extra="rc_points = 1"), "experiment"),
+                       band_hi="2", extra="rc_points = 1"), "experiment",
+     "rc_points: need at least 2 points, got 1"),
     ("[grid]\nomega_min_rad_s = 1\nomega_max_rad_s = inf\npoints = 2\n",
-     "grid"),
-    ("[quadrature]\ncutoff_factor = inf\n", "quadrature"),
-    ("[quadrature]\nabs_tol = -1\n", "quadrature"),
+     "grid", "need 0 <= omega_min < omega_max < inf and points >= 2"),
+    ("[quadrature]\ncutoff_factor = inf\n", "quadrature",
+     "cutoff_factor must be finite and at least 5; below 5 truncates the "
+     "Gaussian tail too aggressively"),
+    ("[quadrature]\nabs_tol = -1\n", "quadrature",
+     "rel_tol and abs_tol must be finite and nonnegative"),
     (EXPERIMENT.format(channel="force", budget="budget_n2_s = 1e-37",
                        band_hi="2", extra="colored = lorentzian_cutoff\n"
-                       "omega_c_rad_s = inf"), "experiment"),
+                       "omega_c_rad_s = inf"), "experiment",
+     "lorentzian_cutoff requires a finite omega_c > 0"),
 ], ids=["optomech_inf_mass", "optomech_nan_gamma", "simulation_nan_dt",
         "simulation_inf_dt", "simulation_negative_seed",
         "simulation_seed_2_64", "experiment_inf_band",
@@ -427,6 +543,45 @@ geometry_radius_um = 0.5
         "experiment_zero_rc_points", "experiment_one_rc_point",
         "grid_inf_omega_max", "quadrature_inf_cutoff",
         "quadrature_negative_abs_tol", "experiment_inf_omega_c"])
-def test_rejected_value_is_a_config_error_naming_the_section(text, section):
-    with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
+def test_rejected_value_is_a_config_error_naming_the_section(text, section,
+                                                           message):
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] ") as exc:
         parse_inputs(BASIC + text)
+    assert str(exc.value) == f"[{section}] {message}"
+
+
+SIMULATION = BASIC + "\n[simulation]\ndt_us = 1.5\nsteps = 4096\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[geometry]\ntype = sphere\nmass_kg = 1e-12\n",
+     "[geometry] radius: missing; expected one of: radius_m, radius_mm, "
+     "radius_um, radius_nm"),
+    (BASIC.replace("radius_um = 0.5", "radius_um = 0.5\nradius_m = 5e-7"),
+     "[geometry] radius: given in multiple units: radius_m, radius_um"),
+    ("[collapse]\nlambda_per_s = fast\nrc_m = 1e-7\n",
+     "[collapse] lambda_per_s: not a number: 'fast'"),
+    (SIMULATION.replace("steps = 4096", "steps = 4096.5"),
+     "[simulation] steps: not an integer: '4096.5'"),
+    (BASIC.replace("radius_um = 0.5",
+                   "radius_um = 0.5\nradius_lightyears = 1"),
+     "[geometry] radius_lightyears: unknown key"),
+    ("[velocity]\nv = 1\n", "unknown section [velocity]"),
+    ("[geometry]\ntype = two_body\nseparation_m = 1\nunit_type = point\n"
+     "unit_mass_kg = 1\n",
+     "[geometry] type: two_body is valid only as an [experiment] "
+     "geometry_type"),
+    (SIMULATION + "nperseg = 0\n",
+     "[simulation] nperseg must lie in [2, steps = 4096], got 0"),
+    (SIMULATION + "nperseg = 4097\n",
+     "[simulation] nperseg must lie in [2, steps = 4096], got 4097"),
+    (SIMULATION + "mode = ballistic\n",
+     "[simulation] mode: must be one of ['free_particle', 'oscillator'], "
+     "got 'ballistic'"),
+], ids=["missing_key", "multiple_units", "not_a_number", "not_an_integer",
+        "unknown_key", "unknown_section", "two_body_geometry",
+        "nperseg_zero", "nperseg_above_steps", "unknown_mode"])
+def test_config_error_message_is_pinned(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_inputs(text)
+    assert str(exc.value) == message

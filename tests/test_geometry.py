@@ -192,6 +192,13 @@ def test_point_lattice_rejects_non_finite(pos, m):
         PointLattice(np.array(pos), np.array(m))
 
 
+def test_point_lattice_rejects_no_points():
+    # an empty lattice would otherwise fail inside the force spectrum's
+    # tile ordering with a numpy reduction error
+    with pytest.raises(ValueError, match="at least one point"):
+        PointLattice(np.empty((0, 3)), np.empty(0))
+
+
 @pytest.mark.parametrize("make", [
     lambda: Sphere(np.inf, 1e-7),
     lambda: Sphere(1e-12, np.nan),

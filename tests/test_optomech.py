@@ -124,8 +124,9 @@ def test_monte_carlo_matches_analytic_spectrum():
     compared on log-spaced smoothed sub-bands."""
     cfg = lorentzian_cfg(T=0.1)
     p0 = CollapseParams(0.0, GRW_RC)
-    sim = SimConfig(dt=1.5e-6, steps=65536, trajectories=200, seed=7)
-    res = simulate_langevin(cfg, p0, SPHERE, sim, nperseg=32768)
+    sim = SimConfig(dt=1.5e-6, steps=65536, trajectories=200, seed=7,
+                    nperseg=32768)
+    res = simulate_langevin(cfg, p0, SPHERE, sim)
     om = res.spectrum.omegas
     got = res.spectrum.values
     want = displacement_dns(cfg, p0, SPHERE, om).values
@@ -144,9 +145,9 @@ def test_spectrum_variance_normalization():
     """Integral of the estimated spectrum over omega/2pi must reproduce
     the time-domain variance (double-sided convention)."""
     cfg = lorentzian_cfg(T=0.1)
-    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=16, seed=3)
-    res = simulate_langevin(cfg, CollapseParams(0.0, GRW_RC), SPHERE, sim,
-                            nperseg=16384)
+    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=16, seed=3,
+                    nperseg=16384)
+    res = simulate_langevin(cfg, CollapseParams(0.0, GRW_RC), SPHERE, sim)
     var_t = np.mean(res.xs[:, res.xs.shape[1] // 3:] ** 2)
     # double-sided: <x^2> = 2 * int_0^inf S dw / 2pi
     var_f = 2.0 * np.trapezoid(res.spectrum.values,
@@ -206,9 +207,10 @@ def test_block_integrator_matches_per_step_recursion(regime, zeta,
     cfg = OptomechConfig(m=m, omega_m=omega_m, gamma_m=gamma,
                          T=10.0 ** rng.uniform(-3.0, 2.0))
     sim = SimConfig(dt=dt, steps=steps, trajectories=trajectories,
-                    seed=int(rng.integers(2 ** 63)))
+                    seed=int(rng.integers(2 ** 63)),
+                    mode="free_particle" if free else "oscillator")
     p = GRW if free else CollapseParams(0.0, GRW_RC)
-    res = simulate_langevin(cfg, p, SPHERE, sim, free_particle=free)
+    res = simulate_langevin(cfg, p, SPHERE, sim)
     noise = _trajectory_noise(sim) * np.sqrt(res.force_psd_total * dt)
     k_spring = 0.0 if free else m * omega_m ** 2
     want = per_step_oracle(noise, m, k_spring, gamma, dt)
@@ -222,11 +224,12 @@ def test_spectrum_estimate_memory_is_per_trajectory():
     """With the Welch estimate, the peak stays within 3.5 x one
     trajectory-sized array: the estimate works one trajectory at a
     time, so it adds little to the integrator's noise and outputs."""
-    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=24, seed=42)
+    sim = SimConfig(dt=1.5e-6, steps=131072, trajectories=24, seed=42,
+                    nperseg=4096)
     tracemalloc.start()
     try:
         res = simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
-                                SPHERE, sim, nperseg=4096)
+                                SPHERE, sim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,9 +238,10 @@ def test_spectrum_estimate_memory_is_per_trajectory():
 
 
 def test_spectrum_estimate_is_the_mean_of_per_trajectory_welch():
-    sim = SimConfig(dt=1.5e-6, steps=8192, trajectories=3, seed=7)
+    sim = SimConfig(dt=1.5e-6, steps=8192, trajectories=3, seed=7,
+                    nperseg=1024)
     res = simulate_langevin(lorentzian_cfg(), CollapseParams(0.0, GRW_RC),
-                            SPHERE, sim, nperseg=1024)
+                            SPHERE, sim)
     freqs, psd = welch(res.xs, 1.0 / sim.dt, 1024)
     np.testing.assert_allclose(res.spectrum.values,
                                psd.mean(axis=0)[1:] / 2.0, rtol=1e-12)
@@ -311,6 +315,7 @@ def test_sim_config_rejects_non_finite_dt(dt):
     ("seed", -3, "seed"), ("seed", 2 ** 63, "seed"), ("seed", 2 ** 64, "seed"),
     ("seed", 1.0, "integer"), ("steps", 100.5, "integer"),
     ("trajectories", 2.0, "integer"), ("steps", "100", "integer"),
+    ("nperseg", 64.0, "integer"), ("mode", "ballistic", "mode"),
 ])
 def test_sim_config_rejects_bad_seeds_and_counts(field, value, match):
     with pytest.raises(ValueError, match=match):
@@ -371,7 +376,6 @@ def test_welch_matches_scipy(trajectories, steps, nperseg):
 
 @pytest.mark.parametrize("nperseg", [-1, 0, 1, 4097])
 def test_nperseg_out_of_range_rejected(nperseg):
-    sim = SimConfig(dt=1.5e-6, steps=4096, trajectories=1, seed=1)
     with pytest.raises(ValueError, match="nperseg"):
-        simulate_langevin(lorentzian_cfg(), GRW, SPHERE, sim,
-                          nperseg=nperseg)
+        SimConfig(dt=1.5e-6, steps=4096, trajectories=1, seed=1,
+                  nperseg=nperseg)
