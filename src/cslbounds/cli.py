@@ -248,12 +248,11 @@ def _cmd_pointcheck(args, text, inputs):
     if args.rc is not None:
         p = replace(p, rC=args.rc)
     spec = inputs.quadrature if inputs is not None else None
-    consts = CONSTANTS
     checks = []
 
     # 1. point-mass force PSD: adaptive quadrature vs the closed form
-    g = Point(consts.m0)
-    closed = consts.hbar ** 2 * p.lam / (2.0 * p.rC ** 2)
+    g = Point(CONSTANTS.m0)
+    closed = CONSTANTS.hbar ** 2 * p.lam / (2.0 * p.rC ** 2)
     if p.lam == 0.0:
         quad = float(csl_force_spectrum(g, p, spec=spec))
         ok = quad == 0.0 and closed == 0.0
@@ -267,19 +266,19 @@ def _cmd_pointcheck(args, text, inputs):
     checks.append(("point-mass force PSD quadrature vs closed form",
                    ok, detail))
 
-    # 2. free-expansion spread: returned value minus the quantum term must
-    # equal lambda hbar^2 t^3 / (2 m0^2 rC^2)
+    # 2. free-expansion spread: the collapse term must equal
+    # lambda hbar^2 t^3 / (2 m0^2 rC^2)
     t = 1.0
-    got = free_expansion_spread(p, t, qm_term=0.0)
-    want = p.lam * consts.hbar ** 2 * t ** 3 / (2.0 * consts.m0 ** 2
-                                                * p.rC ** 2)
+    got = free_expansion_spread(p, t)
+    want = p.lam * CONSTANTS.hbar ** 2 * t ** 3 / (2.0 * CONSTANTS.m0 ** 2
+                                                   * p.rC ** 2)
     ok = got == want if want == 0.0 else abs(got - want) / want < 1e-12
     checks.append(("free-expansion cubic spread coefficient", ok,
                    f"{got:.6e} m^2 at t = 1 s"))
 
     # 3. hydrogen-scale heating rate at the conventional reference values
     ref = CollapseParams(GRW_LAMBDA, GRW_RC)
-    rate = heating_rate(Point(consts.m0), ref, spec=spec)
+    rate = heating_rate(Point(CONSTANTS.m0), ref, spec=spec)
     ok = 1e-15 <= rate <= 1e-13
     checks.append(("hydrogen-scale heating rate order of magnitude", ok,
                    f"{rate:.3e} K/yr"))

@@ -1,8 +1,10 @@
 """Physical constants used throughout the package.
 
-All values are SI.  They live in a single frozen dataclass so that every
-formula draws from the same numbers; nothing else in the package hardcodes
-hbar, kB or the nucleon mass.
+All values are SI.  They live in one frozen instance, CONSTANTS, which
+every formula reads from this module: no function takes the constants as
+a parameter, and nothing else in the package hardcodes hbar, kB or the
+nucleon mass.  Spectra scale as 1/m0^2 and lambda bounds as m0^2, which
+is how to restate a result for another reference mass.
 """
 
 from dataclasses import dataclass

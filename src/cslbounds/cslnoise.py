@@ -106,9 +106,9 @@ class SpectralValue(float):
         return obj
 
 
-def _prefactor(p, consts):
-    return consts.hbar ** 2 * p.lam * p.rC ** 3 / (
-        math.pi ** 1.5 * consts.m0 ** 2)
+def _prefactor(p):
+    return CONSTANTS.hbar ** 2 * p.lam * p.rC ** 3 / (
+        math.pi ** 1.5 * CONSTANTS.m0 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +917,7 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     return bracket(replace(spec, rel_tol=tight))[:2]
 
 
-def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
-                        a=0.0):
+def _separable_spectrum(sep, channel, p, spec, closed_form=True, a=0.0):
     """Spectrum of a body with mu_tilde = scale Px Py Pz (see
     geometry.separable_profiles) as a product of 1D profile moments:
 
@@ -937,7 +936,7 @@ def _separable_spectrum(sep, channel, p, spec, consts, closed_form=True,
             + [_profile_moment(prof, "M0", rC, spec, closed_form)
                for prof in (py, pz)]
     val, err, _ = _sum_of_products([(1.0, factors)])
-    pref = _prefactor(p, consts)
+    pref = _prefactor(p)
     return SpectralValue(pref * scale * scale * val,
                          pref * scale * scale * err)
 
@@ -970,7 +969,7 @@ def _saturation_separation(extent, rC):
         8.0 * (math.log(6.0 * math.sqrt(math.pi) / 1e-12) + 3.0 * log_m))
 
 
-def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
+def _cylinder_spectrum(g, p, spec, a=None, closed_form=True):
     """Spectrum of a cylinder at any tilt, F = jinc(k_perp R) sinc(k_par
     L/2): force (a None) or two-body (separation a), each a sum of
     products of moments Mn of its slab profile and Qn of its disc
@@ -1016,32 +1015,32 @@ def _cylinder_spectrum(g, p, spec, consts, a=None, closed_form=True):
                           target / math.sqrt(2.0 * m2[0] * p0m[0]))
             terms.append((2.0 * c * s, (p1s, q1j1)))
     val, err, _ = _sum_of_products(terms)
-    scale = _prefactor(p, consts) * g.m * g.m * np.pi
+    scale = _prefactor(p) * g.m * g.m * np.pi
     return SpectralValue(scale * val, scale * err)
 
 
 # ---------------------------------------------------------------------------
 # routes: one per geometry type and channel
 #
-# A route is called as route(body, channel, p, spec, consts, closed_form,
-# a): body is the geometry, or a TwoBody's unit on the two_body channel,
-# and a the separation (0 on the other channels).  closed_form is unset
+# A route is called as route(body, channel, p, spec, closed_form, a):
+# body is the geometry, or a TwoBody's unit on the two_body channel, and
+# a the separation (0 on the other channels).  closed_form is unset
 # under method="quadrature", which runs the same route with every moment
 # by 1D quadrature.  The first line of each route's docstring is its
 # legend in README.md.  Routes reach the pair sums, integrate_k3 and
 # csl_force_spectrum through this module's globals, never through
 # _ROUTES, so that a wrapper set on those names sees every call.
 
-def _point_force(body, channel, p, spec, consts, closed_form, a):
+def _point_force(body, channel, p, spec, closed_form, a):
     """hbar^2 lam m^2 / 2 m0^2 rC^2; under quadrature the radial
     integral of a point, which checks it."""
     if not closed_form:
-        return _radial_force(body, channel, p, spec, consts, closed_form, a)
-    return SpectralValue(consts.hbar ** 2 * p.lam * body.m ** 2 / (
-        2.0 * consts.m0 ** 2 * p.rC * p.rC))
+        return _radial_force(body, channel, p, spec, closed_form, a)
+    return SpectralValue(CONSTANTS.hbar ** 2 * p.lam * body.m ** 2 / (
+        2.0 * CONSTANTS.m0 ** 2 * p.rC * p.rC))
 
 
-def _radial_force(body, channel, p, spec, consts, closed_form, a):
+def _radial_force(body, channel, p, spec, closed_form, a):
     """One radial integral of the sphere kernel times k^2 / 3, the
     angular average of k_x^2 (integrate_k3, symmetry "isotropic").
 
@@ -1058,11 +1057,11 @@ def _radial_force(body, channel, p, spec, consts, closed_form, a):
 
     val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
                             oscillation_scale=2.0 * R or None)
-    pref = _prefactor(p, consts)
+    pref = _prefactor(p)
     return SpectralValue(pref * val, pref * err)
 
 
-def _pair_kernel(body, channel, p, spec, consts, closed_form, a):
+def _pair_kernel(body, channel, p, spec, closed_form, a):
     """Gaussian pair sums over the points (a Point two-body's unit is one
     point), with far tile pairs skipped and their bound, at most 1e-16 of
     the sum's scale, as the error; no quadrature variant."""
@@ -1075,16 +1074,16 @@ def _pair_kernel(body, channel, p, spec, consts, closed_form, a):
     else:
         ksum = two_body_pair_kernel_sum(body.positions, body.masses, p.rC,
                                         a)
-    f = consts.hbar ** 2 * p.lam / consts.m0 ** 2
+    f = CONSTANTS.hbar ** 2 * p.lam / CONSTANTS.m0 ** 2
     return SpectralValue(f * ksum, f * ksum.error)
 
 
-def _zero(body, channel, p, spec, consts, closed_form, a):
+def _zero(body, channel, p, spec, closed_form, a):
     """Exactly 0: the transform depends on |k| only, so no torque."""
     return SpectralValue(0.0)
 
 
-def _ball_moment(body, channel, p, spec, consts, closed_form, a):
+def _ball_moment(body, channel, p, spec, closed_form, a):
     """(2 pi / 3) m^2 times one ball moment M2 times the direction
     average of 1 - cos(a k_x), a 1D quadrature.
 
@@ -1096,33 +1095,33 @@ def _ball_moment(body, channel, p, spec, consts, closed_form, a):
     saturated = a >= _saturation_separation(ball.length, p.rC)
     h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
     val, err = _profile_moment(ball, "M2", p.rC, spec, closed_form, h, s)
-    scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p, consts)
+    scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p)
     return SpectralValue(scale * val, scale * err)
 
 
-def _separable(body, channel, p, spec, consts, closed_form, a):
+def _separable(body, channel, p, spec, closed_form, a):
     """A product of closed-form 1D moments of the three axis profiles
     (_separable_spectrum); a saturated two-body is the unit's force."""
     sep = separable_profiles(body)
     if a >= _saturation_separation(sep[1][0].length, p.rC):
-        return csl_force_spectrum(body, p, spec=spec, consts=consts)
-    return _separable_spectrum(sep, channel, p, spec, consts, closed_form, a)
+        return csl_force_spectrum(body, p, spec=spec)
+    return _separable_spectrum(sep, channel, p, spec, closed_form, a)
 
 
-def _cylinder(body, channel, p, spec, consts, closed_form, a):
+def _cylinder(body, channel, p, spec, closed_form, a):
     """Sums of products of slab and disc moments at any tilt
     (_cylinder_spectrum): closed forms, but for a two-body's disc kernels;
     a saturated two-body is the unit's force."""
     extent = abs(body.axis[0]) * body.L \
         + 2.0 * body.R * math.hypot(body.axis[1], body.axis[2])
     if a >= _saturation_separation(extent, p.rC):
-        return csl_force_spectrum(body, p, spec=spec, consts=consts)
-    return _cylinder_spectrum(body, p, spec, consts,
+        return csl_force_spectrum(body, p, spec=spec)
+    return _cylinder_spectrum(body, p, spec,
                               a if channel == "two_body" else None,
                               closed_form)
 
 
-def _cylinder_torque(body, channel, p, spec, consts, closed_form, a):
+def _cylinder_torque(body, channel, p, spec, closed_form, a):
     """sin^2 of the tilt times the torque bracket of the disc and slab
     profiles, 1D quadratures under either method.
 
@@ -1137,7 +1136,7 @@ def _cylinder_torque(body, channel, p, spec, consts, closed_form, a):
     sin2 = body.axis[1] ** 2 + body.axis[2] ** 2   # 0 spinning about it
     total, err = _torque_bracket(DiscProfile(body.R), AxisProfile(body.L),
                                  p.rC, spec, closed_form=False)
-    scale = _prefactor(p, consts) * body.m * body.m * np.pi
+    scale = _prefactor(p) * body.m * body.m * np.pi
     return SpectralValue(sin2 * (scale * (0.5 * total)),
                          sin2 * (scale * (0.5 * err)))
 
@@ -1160,7 +1159,7 @@ _ROUTES = {(cls, channel): route for cls, row in {
 }.items() for channel, route in zip(_CHANNELS, row)}
 
 
-def _spectrum(g, channel, p, spec, consts, method):
+def _spectrum(g, channel, p, spec, method):
     """Check g and method, look up the route of g's type on channel in
     _ROUTES and call it.
 
@@ -1186,10 +1185,10 @@ def _spectrum(g, channel, p, spec, consts, method):
     if p.lam == 0.0 or pair and a == 0.0:
         return SpectralValue(0.0)
     return route(body, channel, p, QuadratureSpec() if spec is None else spec,
-                 consts, method == "auto", a)
+                 method == "auto", a)
 
 
-def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
+def csl_force_spectrum(g, p, spec=None, method="auto"):
     """White CSL force spectral density along x, in N^2 s.
 
     method: "auto" takes the route _ROUTES names for the type of g;
@@ -1199,10 +1198,10 @@ def csl_force_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
     ValueError, as does any other method.  A TwoBody or a type with no
     route raises TypeError.
     """
-    return _spectrum(g, "force", p, spec, consts, method)
+    return _spectrum(g, "force", p, spec, method)
 
 
-def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
+def csl_force_spectrum_two_body(g, p, spec=None):
     """Differential CSL force spectrum of two units separated by a along x.
 
     Evaluates (hbar^2 lam rC^3 / 2 pi^{3/2} m0^2) *
@@ -1210,17 +1209,17 @@ def csl_force_spectrum_two_body(g, p, spec=None, consts=CONSTANTS):
     squared phase factor makes the spectrum vanish at a = 0 and reduce to
     the single-unit value for a >> rC.  g must be a TwoBody (TypeError).
     """
-    return _spectrum(g, "two_body", p, spec, consts, "auto")
+    return _spectrum(g, "two_body", p, spec, "auto")
 
 
-def csl_torque_spectrum(g, p, spec=None, consts=CONSTANTS, method="auto"):
+def csl_torque_spectrum(g, p, spec=None, method="auto"):
     """CSL torque spectral density about the x axis, in N^2 m^2 s.
 
     Vanishes identically for spherically symmetric bodies and for
     cylinders spinning about their own symmetry axis.  method is as for
     csl_force_spectrum; a Point or Sphere torque is exactly 0 under both.
     """
-    return _spectrum(g, "torque", p, spec, consts, method)
+    return _spectrum(g, "torque", p, spec, method)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,7 +1236,7 @@ def apply_colored_filter(S, model, omega):
     return S * model.filter(omega)
 
 
-def csl_temperature_shift(S_FF, m, gamma, consts=CONSTANTS):
+def csl_temperature_shift(S_FF, m, gamma):
     """Equilibrium temperature increase S_FF / (2 m gamma kB), in K.
 
     gamma = 0 is rejected: the shift diverges without dissipation.
@@ -1247,31 +1246,31 @@ def csl_temperature_shift(S_FF, m, gamma, consts=CONSTANTS):
     if not gamma > 0:
         raise ValueError("temperature shift diverges as gamma -> 0; "
                          "gamma must be positive")
-    return S_FF / (2.0 * m * gamma * consts.kB)
+    return S_FF / (2.0 * m * gamma * CONSTANTS.kB)
 
 
-def csl_temperature_shift_rot(S_rot, D_phi, consts=CONSTANTS):
+def csl_temperature_shift_rot(S_rot, D_phi):
     """Rotational analogue: S_rot / (2 kB D_phi), D_phi the rotational
     damping rate."""
     if not D_phi > 0:
         raise ValueError("D_phi must be positive")
-    return S_rot / (2.0 * consts.kB * D_phi)
+    return S_rot / (2.0 * CONSTANTS.kB * D_phi)
 
 
-def free_expansion_spread(p, t, qm_term=0.0, consts=CONSTANTS):
-    """3D position spread <r^2>(t) of a free point particle, in m^2.
+def free_expansion_spread(p, t):
+    """Collapse contribution lam hbar^2 t^3 / (2 m0^2 rC^2) to the 3D
+    position spread <r^2>(t) of a free point particle, in m^2.
 
-    qm_term is the quantum-mechanical contribution; the collapse noise
-    adds lam hbar^2 t^3 / (2 m0^2 rC^2).  The per-axis collapse share is
-    one third of the added term.
+    The quantum-mechanical spread is the caller's to add.  The per-axis
+    collapse share is one third of this term.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return qm_term + p.lam * consts.hbar ** 2 * t ** 3 / (
-        2.0 * consts.m0 ** 2 * p.rC ** 2)
+    return p.lam * CONSTANTS.hbar ** 2 * t ** 3 / (
+        2.0 * CONSTANTS.m0 ** 2 * p.rC ** 2)
 
 
-def heating_rate(g, p, spec=None, consts=CONSTANTS):
+def heating_rate(g, p, spec=None):
     """Secular temperature drift of a free body, in K/year.
 
     Each axis gains energy at S_FF / 2m; with <E> = (3/2) kB T the three
@@ -1279,6 +1278,6 @@ def heating_rate(g, p, spec=None, consts=CONSTANTS):
     """
     if isinstance(g, TwoBody):
         raise TypeError("heating rate of a TwoBody pair is not defined")
-    S = csl_force_spectrum(g, p, spec=spec, consts=consts)
-    rate_per_s = S / (g.total_mass * consts.kB)
-    return rate_per_s * consts.seconds_per_year
+    S = csl_force_spectrum(g, p, spec=spec)
+    rate_per_s = S / (g.total_mass * CONSTANTS.kB)
+    return rate_per_s * CONSTANTS.seconds_per_year

@@ -16,13 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONSTANTS
 from .cslnoise import (CollapseParams, ColoredNoiseModel, apply_colored_filter,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_temperature_shift, csl_temperature_shift_rot,
                        csl_torque_spectrum)
 from .geometry import MassGeometry, TwoBody
-from .quadrature import NonConvergence, QuadratureSpec
+from .quadrature import NonConvergence
 
 __all__ = [
     "ExperimentRecord", "ExclusionCurve", "DegenerateBound",
@@ -128,33 +127,31 @@ def default_rc_grid(rc_min=1e-9, rc_max=1e-3):
     return np.logspace(np.log10(rc_min), np.log10(rc_max), n)
 
 
-def _unit_spectrum(rec, rC, spec, consts):
+def _unit_spectrum(rec, rC, spec):
     """Channel spectral quantity at lambda = 1, colored filter applied at
     the band midpoint.  Returns (value, quadrature error)."""
     p = CollapseParams(1.0, rC)
     if rec.channel == "force_two_body":
-        s = csl_force_spectrum_two_body(rec.geometry, p, spec, consts)
+        s = csl_force_spectrum_two_body(rec.geometry, p, spec)
     elif rec.channel == "torque" or (
             rec.channel == "temperature_shift" and rec.d_phi is not None):
-        s = csl_torque_spectrum(rec.geometry, p, spec, consts)
+        s = csl_torque_spectrum(rec.geometry, p, spec)
     else:
-        s = csl_force_spectrum(rec.geometry, p, spec, consts)
+        s = csl_force_spectrum(rec.geometry, p, spec)
     if rec.colored is not None:
         f = float(rec.colored.filter(rec.band_midpoint))
         return float(s) * f, s.error * f
     return float(s), s.error
 
 
-def lambda_upper_bound(rec, rC, spec=None, consts=CONSTANTS):
+def lambda_upper_bound(rec, rC, spec=None):
     """Largest collapse rate compatible with the budget at this rC.
 
     Returns (lambda_ub, relative quadrature error).  Raises
     DegenerateBound when the unit-rate response underflows (for example
     the torque channel on a sphere).
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    s_unit, err = _unit_spectrum(rec, rC, spec, consts)
+    s_unit, err = _unit_spectrum(rec, rC, spec)
     if not np.isfinite(s_unit) or s_unit <= 0 or (err > 0 and err >= s_unit):
         raise DegenerateBound(
             f"{rec.name}: no resolvable CSL response at rC = {rC:g} m")
@@ -162,9 +159,9 @@ def lambda_upper_bound(rec, rC, spec=None, consts=CONSTANTS):
     if rec.channel != "temperature_shift":
         response = s_unit
     elif rec.d_phi is not None:
-        response = csl_temperature_shift_rot(s_unit, rec.d_phi, consts)
+        response = csl_temperature_shift_rot(s_unit, rec.d_phi)
     else:
-        response = csl_temperature_shift(s_unit, rec.m, rec.gamma, consts)
+        response = csl_temperature_shift(s_unit, rec.m, rec.gamma)
     lam = rec.budget / response if response > 0 else np.inf
     if not np.isfinite(lam) or lam <= 0:
         raise DegenerateBound(
@@ -174,9 +171,9 @@ def lambda_upper_bound(rec, rC, spec=None, consts=CONSTANTS):
 
 def _scan_point(args):
     """(lambda_ub, relative error, status); NaN and NaN without a bound."""
-    rec, rC, spec, consts = args
+    rec, rC, spec = args
     try:
-        lam, rel_err = lambda_upper_bound(rec, rC, spec, consts)
+        lam, rel_err = lambda_upper_bound(rec, rC, spec)
         return lam, rel_err, "ok"
     except DegenerateBound:
         return np.nan, np.nan, "degenerate"
@@ -184,7 +181,7 @@ def _scan_point(args):
         return np.nan, np.nan, "nonconvergent"
 
 
-def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):
+def exclusion_scan(rec, rCs=None, spec=None, workers=1):
     """Map lambda_upper_bound over an rC grid.
 
     Per-point failures are recorded in the curve status and the scan
@@ -202,10 +199,8 @@ def exclusion_scan(rec, rCs=None, spec=None, consts=CONSTANTS, workers=1):
         raise ValueError("grid needs at least 2 points")
     if np.any(np.diff(rCs) <= 0):
         raise ValueError("grid must be increasing")
-    if spec is None:
-        spec = QuadratureSpec()
 
-    jobs = [(rec, rC, spec, consts) for rC in rCs]
+    jobs = [(rec, rC, spec) for rC in rCs]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_scan_point, jobs))

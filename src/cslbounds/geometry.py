@@ -42,11 +42,12 @@ def _unit(v):
     if v.shape != (3,) or not np.all(np.isfinite(v)):
         raise ValueError(f"axis vector must have three finite components, "
                          f"got {v.tolist()}")
-    with np.errstate(over="ignore"):   # an overflowing norm is rejected
-        n = np.linalg.norm(v)
-    if not 0 < n < np.inf:
-        raise ValueError("axis vector must be nonzero, with a finite norm")
-    return v / n
+    big = np.max(np.abs(v))
+    if big == 0.0:
+        raise ValueError("axis vector must be nonzero")
+    if not 1e-150 < big < 1e150:   # its squares would underflow or overflow
+        v = v / big
+    return v / np.linalg.norm(v)
 
 
 def _check_positive(**kwargs):

@@ -20,6 +20,7 @@ Welch periodogram normalized to the same double-sided convention:
 
 import hashlib
 import operator
+import os
 import struct
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -149,17 +150,17 @@ def _ucothu(u):
     return np.where(small, series, full)
 
 
-def thermal_force_term(cfg, omega, consts=CONSTANTS):
+def thermal_force_term(cfg, omega):
     """hbar m gamma_m w coth(hbar w / 2 kB T); continuous at w = 0 and
     valid at T = 0, where it degenerates to hbar m gamma_m |w|."""
     omega = np.asarray(omega, dtype=float)
     if cfg.T == 0.0:
-        return consts.hbar * cfg.m * cfg.gamma_m * np.abs(omega)
-    u = consts.hbar * omega / (2.0 * consts.kB * cfg.T)
-    return 2.0 * cfg.m * cfg.gamma_m * consts.kB * cfg.T * _ucothu(u)
+        return CONSTANTS.hbar * cfg.m * cfg.gamma_m * np.abs(omega)
+    u = CONSTANTS.hbar * omega / (2.0 * CONSTANTS.kB * cfg.T)
+    return 2.0 * cfg.m * cfg.gamma_m * CONSTANTS.kB * cfg.T * _ucothu(u)
 
 
-def default_effective_model(cfg, omega, consts=CONSTANTS):
+def default_effective_model(cfg, omega):
     """Standard linearized-optomechanics effective frequency and damping.
 
     With D(w) = [k^2+(w-D)^2][k^2+(w+D)^2]:
@@ -173,22 +174,22 @@ def default_effective_model(cfg, omega, consts=CONSTANTS):
                 np.full_like(omega, cfg.gamma_m))
     k2 = cfg.kappa ** 2
     D = (k2 + (omega - cfg.Delta) ** 2) * (k2 + (omega + cfg.Delta) ** 2)
-    coupling = consts.hbar * cfg.chi ** 2 * cfg.alpha_sq * cfg.Delta / cfg.m
+    coupling = CONSTANTS.hbar * cfg.chi ** 2 * cfg.alpha_sq * cfg.Delta \
+        / cfg.m
     omega_eff_sq = cfg.omega_m ** 2 \
         - 2.0 * coupling * (k2 + cfg.Delta ** 2 - omega ** 2) / D
     gamma_eff = cfg.gamma_m + 4.0 * coupling * cfg.kappa / D
     return omega_eff_sq, gamma_eff
 
 
-def susceptibility_denominator(cfg, omega, consts=CONSTANTS):
+def susceptibility_denominator(cfg, omega):
     """|d(w)|^2 = (w_eff^2 - w^2)^2 + g_eff^2 w^2, with (w_eff, g_eff)
     from default_effective_model.
 
     Raises NonPositiveDamping if the effective damping is nonpositive
     anywhere on the grid.
     """
-    omega_eff_sq, gamma_eff = default_effective_model(cfg, omega,
-                                                      consts=consts)
+    omega_eff_sq, gamma_eff = default_effective_model(cfg, omega)
     if np.any(gamma_eff <= 0):
         raise NonPositiveDamping(
             "effective damping nonpositive on the grid; the configuration "
@@ -197,8 +198,7 @@ def susceptibility_denominator(cfg, omega, consts=CONSTANTS):
     return (omega_eff_sq - omega ** 2) ** 2 + gamma_eff ** 2 * omega ** 2
 
 
-def displacement_dns(cfg, p, g, omegas, spec=None, consts=CONSTANTS,
-                     components=False):
+def displacement_dns(cfg, p, g, omegas, spec=None, components=False):
     """Analytic displacement noise spectrum on the given grid (m^2 s).
 
     The CSL force spectrum is evaluated once for (g, p) and reused across
@@ -207,21 +207,21 @@ def displacement_dns(cfg, p, g, omegas, spec=None, consts=CONSTANTS,
     "csl"} additive parts.
     """
     omegas = np.asarray(omegas, dtype=float)
-    d2 = susceptibility_denominator(cfg, omegas, consts)
+    d2 = susceptibility_denominator(cfg, omegas)
     m2 = cfg.m ** 2
 
     backaction = np.zeros_like(omegas)
     if cfg.chi != 0.0 and cfg.alpha_sq != 0.0:
-        backaction = (2.0 * consts.hbar ** 2 * cfg.alpha_sq * cfg.kappa
+        backaction = (2.0 * CONSTANTS.hbar ** 2 * cfg.alpha_sq * cfg.kappa
                       * cfg.chi ** 2
                       / (m2 * (cfg.kappa ** 2 + (cfg.Delta - omegas) ** 2)
                          * d2))
 
     s_ff = apply_colored_filter(
-        float(csl_force_spectrum(g, p, spec=spec, consts=consts)),
+        float(csl_force_spectrum(g, p, spec=spec)),
         p.colored, omegas) * np.ones_like(omegas)
 
-    thermal = thermal_force_term(cfg, omegas, consts) / (m2 * d2)
+    thermal = thermal_force_term(cfg, omegas) / (m2 * d2)
     csl = s_ff / (m2 * d2)
     values = backaction + thermal + csl
     spectrum = NoiseSpectrum(omegas, values, "displacement")
@@ -231,20 +231,19 @@ def displacement_dns(cfg, p, g, omegas, spec=None, consts=CONSTANTS,
     return spectrum
 
 
-def high_temperature_limit_check(cfg, p, g, omega, spec=None,
-                                 consts=CONSTANTS):
+def high_temperature_limit_check(cfg, p, g, omega, spec=None):
     """Force-noise numerator: exact coth form vs its high-T limit
     2 m gamma_m kB (T + dT_CSL).  Valid for hbar w / 2 kB T < 1e-3."""
     if cfg.T <= 0:
         raise ValueError("high-T check needs T > 0")
-    u = consts.hbar * omega / (2.0 * consts.kB * cfg.T)
+    u = CONSTANTS.hbar * omega / (2.0 * CONSTANTS.kB * cfg.T)
     if not u < 1e-3:
         raise ValueError("outside the high-temperature regime")
-    s_ff = float(csl_force_spectrum(g, p, spec=spec, consts=consts))
-    exact = float(thermal_force_term(cfg, omega, consts)) + s_ff
-    dT = csl_temperature_shift(s_ff, cfg.m, cfg.gamma_m, consts) \
+    s_ff = float(csl_force_spectrum(g, p, spec=spec))
+    exact = float(thermal_force_term(cfg, omega)) + s_ff
+    dT = csl_temperature_shift(s_ff, cfg.m, cfg.gamma_m) \
         if cfg.gamma_m > 0 else 0.0
-    limit = 2.0 * cfg.m * cfg.gamma_m * consts.kB * (cfg.T + dT)
+    limit = 2.0 * cfg.m * cfg.gamma_m * CONSTANTS.kB * (cfg.T + dT)
     return exact, limit
 
 
@@ -356,7 +355,7 @@ def _propagate(noise, m, k_spring, gamma, dt):
     return xs, ps
 
 
-def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS):
+def simulate_langevin(cfg, p, g, sim, spec=None):
     """Semi-implicit Euler integration of the mechanical-only Langevin
     system, from rest, with the settings of the SimConfig sim.
 
@@ -379,8 +378,8 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS):
     gamma = 0.0 if free_particle else cfg.gamma_m
     T = 0.0 if free_particle else cfg.T
 
-    s_csl = float(csl_force_spectrum(g, p, spec=spec, consts=consts))
-    s_total = 2.0 * m * gamma * consts.kB * T + s_csl
+    s_csl = float(csl_force_spectrum(g, p, spec=spec))
+    s_total = 2.0 * m * gamma * CONSTANTS.kB * T + s_csl
 
     dt = sim.dt
     noise = _trajectory_noise(sim)
@@ -388,8 +387,8 @@ def simulate_langevin(cfg, p, g, sim, spec=None, consts=CONSTANTS):
 
     guard = None
     if omega_m > 0 and s_total > 0 and gamma > 0:
-        t_eff = T + csl_temperature_shift(s_csl, m, gamma, consts)
-        guard = 1e6 * np.sqrt(consts.kB * t_eff / (m * omega_m ** 2))
+        t_eff = T + csl_temperature_shift(s_csl, m, gamma)
+        guard = 1e6 * np.sqrt(CONSTANTS.kB * t_eff / (m * omega_m ** 2))
 
     # a divergent run overflows; it is reported as UnstableStep below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -450,13 +449,28 @@ def write_trajectories(path, result, config_text=""):
 
 
 def read_trajectories(path):
-    """Returns (times, xs, ps, meta dict)."""
+    """Returns (times, xs, ps, meta dict).
+
+    Raises ValueError, naming path and the defect, for a file that is not
+    a whole version-1 dump: a short header, another magic or version, or
+    a size other than the header's counts give.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: header of {len(header)} bytes, "
+                             f"needs {_HEADER.size}")
         magic, version, ntraj, steps, seed, dt, conf_hash = \
             _HEADER.unpack(header)
         if magic != _MAGIC:
-            raise ValueError("not a trajectory dump")
+            raise ValueError(f"{path}: not a trajectory dump")
+        if version != 1:
+            raise ValueError(f"{path}: version {version}, only 1 is read")
+        size = _HEADER.size + 8 * steps * (1 + 2 * ntraj)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != size:
+            raise ValueError(f"{path}: {actual} bytes, but {ntraj} "
+                             f"trajectories of {steps} steps take {size}")
         times = np.frombuffer(fh.read(8 * steps), dtype="<f8")
         xs = np.empty((ntraj, steps))
         ps = np.empty((ntraj, steps))

@@ -108,8 +108,11 @@ def _panel_rule(row, half):
     on its own (panels, 15) block: a matmul's bits depend on the layout
     of its batch, and each row of a stack, its own array, sums as alone."""
     vals = np.asarray(row, dtype=float).reshape(-1, 15)
-    k15 = half * (vals @ _WGK)
-    return k15, np.abs(k15 - half * (vals[:, _GAUSS_IDX] @ _WG))
+    # an overflow or inf - inf makes an error inf or NaN: integrate_1d
+    # raises NonConvergence for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        k15 = half * (vals @ _WGK)
+        return k15, np.abs(k15 - half * (vals[:, _GAUSS_IDX] @ _WG))
 
 
 def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
@@ -126,7 +129,8 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     panels (taking its row of f) and spends max_evals as if alone, bit
     for bit.  Returns (value, error_estimate), or a list of them for a
     stack; raises NonConvergence with the estimate and error of the
-    first row that runs out of evaluations.
+    first row that runs out of evaluations or meets a NaN or infinite
+    value.
     """
     span = b - a
     if span <= 0:   # no panels: every row integrates to 0
@@ -146,8 +150,16 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
         vals, errs = _panel_rule(row, first_half)
         evals = np.size(row)
         while True:
-            total = math.fsum(vals.tolist())
+            # a NaN or infinite node value makes its panel's error NaN or
+            # inf, which no split can reduce
             tot_err = math.fsum(errs.tolist())
+            if not math.isfinite(tot_err):
+                total = sum(vals.tolist())   # inf - inf is NaN, no error
+                raise NonConvergence(
+                    f"panel value or error not finite on [{a!r}, {b!r}] "
+                    f"(estimate {total!r}, error {tot_err!r})", total,
+                    tot_err)
+            total = math.fsum(vals.tolist())
             target = max(abs_tol, rel_tol * abs(total))
             if tot_err <= target or target == 0.0 and tot_err == 0.0:
                 results.append((total, tot_err))

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from cslbounds import (CONSTANTS, Cuboid, Cylinder, Multilayer, PointLattice,
+from cslbounds import (Cuboid, Cylinder, Multilayer, PointLattice,
                        QuadratureSpec, Sphere, cslnoise)
 from cslbounds.geometry import form_factor, form_factor_angular_derivative
 from cslbounds.quadrature import NonConvergence, integrate_1d
@@ -112,7 +112,7 @@ def size(g):
 
 def _spectrum(f3, p, spec, scale):
     val, err = integrate_ball(f3, p.rC, spec, scale or None)
-    pref = cslnoise._prefactor(p, CONSTANTS)
+    pref = cslnoise._prefactor(p)
     return cslnoise.SpectralValue(pref * val, pref * err)
 
 

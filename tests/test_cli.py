@@ -102,7 +102,7 @@ def test_pointcheck_flags_win_over_config(tmp_path, capsys, flags, lam, rc):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     spread = cslbounds.free_expansion_spread(
-        cslbounds.CollapseParams(lam, rc), 1.0, qm_term=0.0)
+        cslbounds.CollapseParams(lam, rc), 1.0)
     assert f"({spread:.6e} m^2 at t = 1 s)" in out
     assert ("both zero at lambda = 0" in out) == (lam == 0.0)
 

@@ -252,11 +252,10 @@ def test_temperature_shift_value_and_validation():
 
 
 def test_free_expansion_spread():
-    qm = 3e-18
-    got = free_expansion_spread(GRW, 1.0, qm_term=qm)
-    extra = GRW_LAMBDA * CONSTANTS.hbar ** 2 \
+    got = free_expansion_spread(GRW, 1.0)
+    want = GRW_LAMBDA * CONSTANTS.hbar ** 2 \
         / (2.0 * CONSTANTS.m0 ** 2 * GRW_RC ** 2)
-    assert got == pytest.approx(qm + extra, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
     # cubic in time
     r = free_expansion_spread(GRW, 2.0) / free_expansion_spread(GRW, 1.0)
     assert r == pytest.approx(8.0, rel=1e-14, abs=0.0)

@@ -210,15 +210,39 @@ def test_shapes_reject_non_finite(make):
 
 
 @pytest.mark.parametrize("axis", [
-    (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (1e308, 1e308, 0.0), (1.0, 2.0),
-    (1.0, 0.0, 0.0, 0.0),
-], ids=["nan_axis", "inf_axis", "overflowing_norm", "two_components",
-        "four_components"])
+    (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (1.0, 2.0), (1.0, 0.0, 0.0, 0.0),
+], ids=["nan_axis", "inf_axis", "two_components", "four_components"])
 def test_cylinder_rejects_bad_axis(axis):
-    # a NaN, infinite or overflowing axis used to give a NaN or zero axis,
-    # and a short one an IndexError in the first form factor
+    # a NaN or infinite axis used to give a NaN or zero axis, and a short
+    # one an IndexError in the first form factor
     with pytest.raises(ValueError, match="axis"):
         Cylinder(1e-14, 1e-7, 1e-6, axis)
+
+
+DIAGONAL = tuple(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("axis, unit", [
+    ((1e-320, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((0.0, 0.0, -1e-310), (0.0, 0.0, -1.0)),
+    ((1e-160, 1e-160, 0.0), DIAGONAL),
+    ((1e308, 1e308, 0.0), DIAGONAL),
+], ids=["subnormal", "subnormal_negative", "underflowing_squares",
+        "overflowing_norm"])
+def test_cylinder_normalizes_extreme_axes(axis, unit):
+    # squares that underflow or overflow used to reject the first, second
+    # and fourth axes and put the third 5.6e-6 off the diagonal
+    assert Cylinder(1e-14, 1e-7, 1e-6, axis).axis == unit
+
+
+@pytest.mark.parametrize("axis", [
+    (0.3, -0.4, 1.2), (3e-150, 3e-150, 0.0), (3e149, 3e149, 0.0),
+    (1e-100, 0.0, -2e-100),
+])
+def test_cylinder_axis_in_range_keeps_its_bits(axis):
+    v = np.array(axis)
+    assert Cylinder(1e-14, 1e-7, 1e-6, axis).axis \
+        == tuple(v / np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("count", [2.5, np.inf, np.nan, "3"],

@@ -1,10 +1,12 @@
 """Analytic displacement spectrum limits and the Langevin Monte Carlo."""
 
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,6 +348,57 @@ def test_trajectory_roundtrip(tmp_path):
     bad.write_bytes(b"\x00" * 100)
     with pytest.raises(ValueError):
         read_trajectories(bad)
+
+
+def small_dump(path, ntraj):
+    """A dump of ntraj trajectories of 4 steps; returns its bytes."""
+    times = 0.5 * np.arange(4.0)
+    xs = np.arange(4.0 * ntraj).reshape(ntraj, 4)
+    write_trajectories(path, SimpleNamespace(times=times, xs=xs, ps=-xs,
+                                             seed=9))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("ntraj", [0, 2])
+def test_small_dump_roundtrip(tmp_path, ntraj):
+    path = tmp_path / "traj.bin"
+    small_dump(path, ntraj)
+    times, xs, ps, meta = read_trajectories(path)
+    assert times.tolist() == [0.0, 0.5, 1.0, 1.5]
+    assert xs.shape == ps.shape == (ntraj, 4)
+    assert np.array_equal(xs, np.arange(4.0 * ntraj).reshape(ntraj, 4))
+    assert np.array_equal(ps, -xs)
+    assert (meta["version"], meta["seed"], meta["dt"]) == (1, 9, 0.5)
+
+
+# (trajectories written, edit of the file's bytes, message); without the
+# header and size checks the first four raised struct.error, read
+# version 7 as 1, raised numpy's broadcast error and returned a short
+# times array
+BAD_DUMPS = {
+    "short_header": (2, lambda b: b[:20], "header of 20 bytes, needs 72"),
+    "version_7": (2, lambda b: b[:8] + struct.pack("<I", 7) + b[12:],
+                  "version 7, only 1 is read"),
+    "truncated_x_block": (2, lambda b: b[:72 + 32 + 12],
+                          "116 bytes, but 2 trajectories of 4 steps take "
+                          "232"),
+    "no_trajectories_truncated": (0, lambda b: b[:-8],
+                                  "96 bytes, but 0 trajectories of 4 steps "
+                                  "take 104"),
+    "trailing_bytes": (2, lambda b: b + bytes(8),
+                       "240 bytes, but 2 trajectories of 4 steps take 232"),
+    "bad_magic": (2, lambda b: b"CSLTRJ02" + b[8:], "not a trajectory dump"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DUMPS))
+def test_read_trajectories_rejects_bad_files(tmp_path, case):
+    ntraj, edit, message = BAD_DUMPS[case]
+    path = tmp_path / "traj.bin"
+    path.write_bytes(edit(small_dump(path, ntraj)))
+    with pytest.raises(ValueError) as err:
+        read_trajectories(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("trajectories, steps, nperseg", [

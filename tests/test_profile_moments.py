@@ -274,15 +274,13 @@ def test_spectra_match_the_quadrature_route():
             oracle_route = cslnoise._separable_spectrum
             pairs += [
                 (csl_force_spectrum_two_body(TwoBody(g, a), p, spec),
-                 oracle_route(sep, "two_body", p, spec, cslnoise.CONSTANTS,
-                              False, a)),
+                 oracle_route(sep, "two_body", p, spec, False, a)),
                 (csl_torque_spectrum(g, p, spec),
                  csl_torque_spectrum(g, p, spec, method="quadrature"))]
         else:
             pairs.append((
                 csl_force_spectrum_two_body(TwoBody(g, a), p, spec),
-                cslnoise._cylinder_spectrum(g, p, spec, cslnoise.CONSTANTS,
-                                            a, False)))
+                cslnoise._cylinder_spectrum(g, p, spec, a, False)))
         for got, want in pairs:
             assert abs(float(got) - float(want)) <= got.error + want.error \
                 + 1e-12 * abs(float(want)), (g, rC, a, got, want)

@@ -1,10 +1,15 @@
 """Adaptive Gauss-Kronrod integrator against known integrals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cslbounds
 from cslbounds.quadrature import (NonConvergence, QuadratureSpec,
                                   integrate_1d, integrate_k3)
 from oracles import angular_average, integrate_ball
@@ -208,3 +213,36 @@ def test_empty_interval_integrates_every_row_to_zero():
     assert integrate_1d(np.sin, 1.0, 1.0) == (0.0, 0.0)
     assert integrate_1d(lambda x: [x, x * x], 2.0, 1.0) \
         == [(0.0, 0.0), (0.0, 0.0)]
+
+
+NON_FINITE = """
+import numpy as np
+from cslbounds.quadrature import NonConvergence, integrate_1d
+nan = lambda k: np.where(k > 0.5, np.nan, 1.0)
+inf = lambda k: np.where(k > 0.5, np.inf, 1.0)
+mixed = lambda k: np.where(k > 0.6, np.inf, np.where(k < 0.3, -np.inf, 1.0))
+cases = [nan, inf, mixed,
+         lambda k: [np.exp(-k), nan(k), inf(k)],
+         lambda k: [np.exp(-k), inf(k), nan(k)]]
+for f in cases:
+    try:
+        integrate_1d(f, 0.0, 1.0, max_evals=10000)
+        print("returned")
+    except NonConvergence as exc:
+        print(repr(exc.estimate), repr(exc.error))
+"""
+
+
+def test_non_finite_integrand_raises_nonconvergence():
+    """A NaN or infinite node value raises NonConvergence at once, with
+    the row's estimate and error, for NaN, +inf and mixed +-inf alike; a
+    stack raises for its first such row.  Run apart, with numpy warnings
+    as errors, so that a loop that never ends fails on the timeout."""
+    src = str(Path(cslbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NON_FINITE],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split("\n")[:-1] == [
+        "nan nan", "inf nan", "nan nan", "nan nan", "inf nan"]
