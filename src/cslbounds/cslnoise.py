@@ -198,7 +198,31 @@ def _tile_pairs(lat, c, weights, shifts):
             most > -_EXP_FLOOR)
 
 
-def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),)):
+def _difference_operands(coords):
+    """Rows [u_i, 1], shape (k, n, 2), and columns [1, -u_j], shape
+    (k, 2, n), of each of the k rows u of coords: the matmul of a slice
+    of rows with a slice of columns is u_i - u_j bit for bit.  Each entry
+    is two exact products and one rounded sum, so no BLAS kernel, with
+    or without FMA, at any thread count, can round it otherwise."""
+    left = np.ones(coords.shape + (2,))
+    left[..., 0] = coords
+    right = np.ones((len(coords), 2, coords.shape[1]))
+    np.negative(coords, out=right[:, 1])
+    return left, right
+
+
+def _product_operands(coords):
+    """Rows [u_i, 0] and columns [u_j, 0], shaped as _difference_operands
+    shapes them: their matmul is u_i u_j bit for bit, one rounded
+    product plus an exact 0."""
+    left = np.zeros(coords.shape + (2,))
+    left[..., 0] = coords
+    right = np.zeros((len(coords), 2, coords.shape[1]))
+    right[:, 0] = coords
+    return left, right
+
+
+def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),), rows=()):
     """c sum_ij m_i m_j K_ij over all ordered pairs of points of lat, as a
     SpectralValue whose error bounds the terms of the skipped tile pairs.
 
@@ -206,12 +230,16 @@ def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),)):
     tile order.  Every kernel is symmetric under i <-> j, so only tiles
     on or above the block diagonal are evaluated and those off the
     diagonal count twice: at most N^2/2 kernel evaluations in a fixed
-    workspace of seven tile-sized arrays, whatever N is.  Each tile's
-    differences x_i - x_j etc. are taken in physical coordinates, exact
-    for nearby points however far the lattice sits from the origin, and
-    rho2 = dy^2 + dz^2 is formed once.  Each tile is reduced by two
-    einsum matrix-vector products, which use no BLAS, so the value does
-    not depend on the BLAS thread count.
+    workspace of seven tile-sized arrays (plus the planes below),
+    whatever N is.  Each tile's differences x_i - x_j etc. are taken in
+    physical coordinates, exact for nearby points however far the
+    lattice sits from the origin, and rho2 = dy^2 + dz^2 is formed once.
+    One stacked BLAS product (_difference_operands) gives all three,
+    equal to np.subtract's differences bit for bit, and every other
+    operation in the tile acts elementwise on tile-shaped arrays, with no
+    broadcasting.  Each tile is then reduced by two einsum matrix-vector
+    products, which use no BLAS and so fix the summation order: the value
+    depends neither on the BLAS kernel nor on its thread count.
 
     _tile_pairs decides from the tiles' bounding boxes, with the
     kernel's x shifts and their weights (shifts) and the per-point
@@ -219,21 +247,26 @@ def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),)):
     torque), which tile pairs are so far apart that every exponent is
     at least _SKIP_EXP.  Those are skipped and their bounds summed into
     the error.  kernel(i, j, tile, keep) receives the row and column
-    slices, tile = (dx, dy, dz, rho2, w0, w1, w2) (the last three
+    slices, tile = (dx, dy, dz, rho2, w0, w1, w2, *planes) (w0-w2
     scratch; dy and dz may be overwritten once read) and keep, a boolean
     scratch array for _gaussian, or None where no exponent of the tile
     pair can fall below _EXP_FLOOR; it returns the tile's kernel matrix.
+    The planes, one per per-point array in rows, hold that array's value
+    for the tile's row point in every column; they are filled once per
+    row of tiles, and the kernel must not write them.
     """
-    x, y, z = (np.ascontiguousarray(col) for col in lat.positions.T)
     masses = lat.masses
     n = masses.size
+    left, right = _difference_operands(lat.positions.T)
     skip, bound, floor = _tile_pairs(lat, c, weights, shifts)
-    work = np.empty((7, _TILE, _TILE))
+    work = np.empty((7 + len(rows), _TILE, _TILE))
     keep = np.empty((_TILE, _TILE), dtype=bool)
     total = skipped = 0.0
     for ti, i0 in enumerate(range(0, n, _TILE)):
         i = slice(i0, i0 + _TILE)
         ni = min(_TILE, n - i0)
+        for plane, r in zip(work[7:], rows):
+            plane[:ni] = r[i, None]
         for tj, j0 in enumerate(range(i0, n, _TILE), start=ti):
             if skip[ti, tj]:
                 skipped += 2.0 * bound[ti, tj]
@@ -242,9 +275,7 @@ def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),)):
             nj = min(_TILE, n - j0)
             tile = work[:, :ni, :nj]
             dx, dy, dz, rho2, w0 = tile[:5]
-            np.subtract(x[i, None], x[None, j], out=dx)
-            np.subtract(y[i, None], y[None, j], out=dy)
-            np.subtract(z[i, None], z[None, j], out=dz)
+            np.matmul(left[:, i], right[:, :, j], out=tile[:3])
             np.square(dy, out=rho2)
             np.square(dz, out=w0)
             rho2 += w0
@@ -354,33 +385,37 @@ def torque_pair_kernel_sum(positions, masses, rC):
     with h = 1/2rC^2 and q = 1/4rC^4 is evaluated as
     h (y_i y_j + z_i z_j) - q (z_i dy - y_i dz)^2, whose last term uses the
     exact differences and so does not cancel at large offsets as
-    y_i z_j - z_i y_j would.  Returns a SpectralValue whose error bounds
+    y_i z_j - z_i y_j would.  The row factors z_i and y_i come as tile
+    planes built once per row of tiles (_pair_sum's rows), and y_i y_j
+    and z_i z_j from one stacked BLAS product (_product_operands), equal
+    to np.multiply's products bit for bit; they overwrite dy and dz once
+    those are read.  Returns a SpectralValue whose error bounds
     the skipped far tile pairs, at most 1e-16 of c R_max^2 (sum m)^2.
     Raises ValueError as force_pair_kernel_sum does.
     """
     lat = _as_lattice(positions, masses, rC)
     c = 1.0 / (2.0 * rC * rC)
-    y = np.ascontiguousarray(lat.positions[:, 1])
-    z = np.ascontiguousarray(lat.positions[:, 2])
+    y, z = lat.positions[:, 1], lat.positions[:, 2]
+    left, right = _product_operands(lat.positions.T[1:])
 
     def kernel(i, j, tile, keep):
-        dx, dy, dz, rho2, g, w, p = tile
+        dx, dy, dz, rho2, g, w, p, zi, yi = tile
         np.square(dx, out=g)
         g += rho2
         _gaussian(g, 0.5 * c, keep)
-        np.multiply(dy, z[i, None], out=w)
-        np.multiply(dz, y[i, None], out=p)
+        np.multiply(dy, zi, out=w)
+        np.multiply(dz, yi, out=p)
         w -= p
         w *= w
         w *= c
-        np.multiply(y[i, None], y[None, j], out=p)
-        np.multiply(z[i, None], z[None, j], out=dy)
-        p += dy
+        np.matmul(left[:, i], right[:, :, j], out=tile[1:3])
+        np.add(dy, dz, out=p)
         p -= w
         p *= g
         return p
 
-    return _pair_sum(lat, kernel, c, lat.masses * np.hypot(y, z))
+    return _pair_sum(lat, kernel, c, lat.masses * np.hypot(y, z),
+                     rows=(z, y))
 
 
 # ---------------------------------------------------------------------------
@@ -758,23 +793,30 @@ _DISC_SERIES = tuple(
     for n in range(25))
 
 
+def _ive(n, x):
+    """e^{-x} I_n(x) for n = 0 or 1: scipy's ive, or i0e and i1e where
+    ive is not finite (it returns NaN above x = 2^30, about 1.07e9)."""
+    from scipy.special import i0e, i1e, ive
+    v = float(ive(n, x))
+    return v if math.isfinite(v) else float((i0e, i1e)[n](x))
+
+
 def _disc_moment(R, kind, rC):
     """Closed forms of a disc's Q0 and Q2 (the k-plane moments of
     jinc(kR), without the factor pi): with x = R^2 / 2rC^2,
     Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
     (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
     terms fall by at least 5x each.  Returns (value, error)."""
-    from scipy.special import ive
     x = R * R / (2.0 * rC * rC)
     if kind == "M2":
-        val = 4.0 / (R * R * rC * rC) * float(ive(1, x))
+        val = 4.0 / (R * R * rC * rC) * _ive(1, x)
         return val, _ROUNDING * abs(val)
     if x < 0.1:
         terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
         core = math.fsum(terms)
         mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
     else:
-        i0, i1 = float(ive(0, x)), float(ive(1, x))
+        i0, i1 = _ive(0, x), _ive(1, x)
         core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
     return 4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag
 

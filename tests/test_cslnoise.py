@@ -508,30 +508,65 @@ def test_two_body_point_matches_broadcast_formula():
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0, 1e150])
+@pytest.mark.parametrize("n", [1, 127, 129, 256])
+def test_tile_products_are_exact(n, offset):
+    """The BLAS products that fill _pair_sum's tiles equal
+    np.subtract.outer and np.multiply.outer bit for bit, on full and edge
+    tiles written into a strided tile workspace as _pair_sum writes
+    them, for mixed-sign coordinates near +-offset."""
+    rng = np.random.default_rng([n, 5])
+    spread = max(offset, 1e-6) * 10.0 ** rng.uniform(-12.0, 0.0, (3, n))
+    coords = (offset * rng.choice([-1.0, 1.0], (3, 1))
+              + rng.uniform(-1.0, 1.0, (3, n)) * spread)
+    work = np.empty((3, cslnoise._TILE, cslnoise._TILE))
+    for operands, outer in ((cslnoise._difference_operands, np.subtract),
+                            (cslnoise._product_operands, np.multiply)):
+        left, right = operands(coords)
+        for i0 in range(0, n, cslnoise._TILE):
+            i = slice(i0, i0 + cslnoise._TILE)
+            for j0 in range(0, n, cslnoise._TILE):
+                j = slice(j0, j0 + cslnoise._TILE)
+                want = np.stack([outer.outer(u[i], u[j]) for u in coords])
+                tile = work[:, :want.shape[1], :want.shape[2]]
+                np.matmul(left[:, i], right[:, :, j], out=tile)
+                assert np.array_equal(tile, want), (outer, i0, j0)
+
+
 def test_pair_sum_independent_of_blas_threads():
-    """2000-point force, torque and two-body sums are bit-identical with
-    one and two BLAS threads."""
+    """2000-point force, torque and two-body sums, and the same lattice
+    moved 1 m off the origin, where an inexact tile difference would
+    show, are bit-identical at one and two BLAS threads and under
+    OpenBLAS's Haswell (FMA) and Sandybridge (no FMA) kernels.  A BLAS
+    that does not read OPENBLAS_CORETYPE runs its own kernel four times,
+    and the sums must still agree."""
     code = ("import numpy as np\n"
             "from cslbounds.cslnoise import (force_pair_kernel_sum,\n"
             "    torque_pair_kernel_sum, two_body_pair_kernel_sum)\n"
             "rng = np.random.default_rng(11)\n"
             "pos = rng.uniform(-5e-7, 5e-7, (2000, 3))\n"
             "m = 1e-20 * rng.uniform(0.5, 1.5, 2000)\n"
-            "print(repr(force_pair_kernel_sum(pos, m, 1e-7)))\n"
-            "print(repr(torque_pair_kernel_sum(pos, m, 1e-7)))\n"
-            "print(repr(two_body_pair_kernel_sum(pos, m, 1e-7, 3e-7)))\n")
+            "for p in (pos, pos + np.array([1.0, -0.6, 0.8])):\n"
+            "    for s in (force_pair_kernel_sum(p, m, 1e-7),\n"
+            "              torque_pair_kernel_sum(p, m, 1e-7),\n"
+            "              two_body_pair_kernel_sum(p, m, 1e-7, 3e-7)):\n"
+            "        print(repr(float(s)), repr(s.error))\n")
     src = str(Path(cslbounds.__file__).resolve().parents[1])
     out = []
-    for threads in ("1", "2"):
+    for threads, core in (("1", None), ("2", None), ("2", "Haswell"),
+                          ("2", "Sandybridge")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120,
                               check=True)
         out.append(proc.stdout)
-    assert out[0] == out[1]
-    assert all(float(v) > 0.0 for v in out[0].split())
+    assert all(o == out[0] for o in out), out
+    values = [float(line.split()[0]) for line in out[0].splitlines()]
+    assert len(values) == 6 and all(v > 0.0 for v in values)
 
 
 @pytest.mark.parametrize("lam, rC", [

@@ -50,6 +50,20 @@ def test_point_bound_scales_as_rc_squared():
     assert l2 == pytest.approx(4.0 * l1, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("rC", [1e-9, 3.2e-9, 1e-8])
+def test_large_cylinder_force_is_finite_and_bounded(rC):
+    """A 1 mm x 1 cm cylinder at rC where R^2 / 2rC^2 exceeds 2^30: a
+    finite force with a finite error, and a bound."""
+    g = Cylinder(0.1, 1e-3, 1e-2)
+    s = csl_force_spectrum(g, CollapseParams(1.0, rC))
+    assert np.isfinite(float(s)) and float(s) > 0.0
+    assert np.isfinite(s.error) and s.error < 1e-12 * float(s)
+    rec = ExperimentRecord(name="cyl", geometry=g, channel="force",
+                           budget=1e-30, band=(1e3, 1e4))
+    lam, rel_err = lambda_upper_bound(rec, rC)
+    assert np.isfinite(lam) and lam > 0.0 and rel_err < 1e-12
+
+
 def test_degenerate_torque_on_sphere():
     rec = ExperimentRecord(name="s", geometry=Sphere(1e-12, 5e-7),
                            channel="torque", budget=1e-50, band=(1e3, 1e4))

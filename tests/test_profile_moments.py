@@ -203,6 +203,20 @@ def test_disc_moments_match_mpmath():
                           (R, rC, kind))
 
 
+def test_disc_moments_past_ive_range_match_mpmath():
+    """x = R^2 / 2rC^2 from 1e8 to 1e12, across the 2^30 above which
+    scipy's ive returns NaN: Q0 and Q2 stay within their reported error
+    of the 50-digit value."""
+    R = 1e-3
+    for x in np.geomspace(1e8, 1e12, 17):
+        rC = R / np.sqrt(2.0 * x)
+        for kind in ("M0", "M2"):
+            value, error = cslnoise._disc_moment(R, kind, rC)
+            assert np.isfinite(value) and np.isfinite(error)
+            assert_within(value, error, disc_oracle(R, kind, rC),
+                          (R, rC, kind))
+
+
 def quadrature(prof, kind, rC, spec, h=None, s=0.0):
     """The 1D quadrature oracle's value and error; where it stops short
     of its tolerance (C1 and D0 at rC far above the body, where sinc'
