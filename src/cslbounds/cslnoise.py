@@ -491,15 +491,6 @@ _HERMITE_0 = [(-1) ** (k // 2) * math.factorial(k) / math.factorial(k // 2)
               if k % 2 == 0 else 0.0 for k in range(2 * _SERIES_ORDER + 9)]
 
 
-def _layers_of(prof):
-    """(thickness, density, centre) arrays of an AxisProfile; a slab is
-    one layer of density 1/L at 0, so that P(0) = 1."""
-    if prof.layers is None:
-        return (np.array([prof.length]), np.array([1.0 / prof.length]),
-                np.zeros(1))
-    return tuple(np.asarray(a, dtype=float) for a in prof.layers)
-
-
 def _hermite_shifted(v, kmax):
     """e^{-v^2} (H_k(v) - H_k(0)) for k = 0..kmax (physicists' Hermite
     polynomials; H_k(0) = 0 for odd k), by the three-term recurrence
@@ -517,34 +508,43 @@ def _hermite_shifted(v, kmax):
         np.array(h0[:kmax + 1])
 
 
-def _series_coefficients(kind, h, v, rC):
-    """(scale, c_n, |rounding| size of c_n) of a moment's 1/rC^2 series
-    sum_n c_n A_n.  A separation kernel shifts G to G(u -+ s): its
-    Taylor coefficients in u are G's derivatives at s, Hermite
-    polynomials at v = s / 2rC times e^{-v^2}, and the difference from
-    those at 0 is taken with e^{-v^2} - 1 and _hermite_shifted."""
+# G's Taylor coefficients as the plain kernels' series coefficients
+# (their scale aside), which are exact
+_PLAIN_SERIES = {"M0": _SIGNED_INV_FACT, "D0": _SIGNED_INV_FACT,
+                 "M2": _SIGNED_INV_FACT * 2.0 * (2 * _N + 1),
+                 "C1": np.concatenate([[0.0], -_SIGNED_INV_FACT[:-1]])}
+_EXACT = np.zeros(_N.size)
+
+
+def _series_coefficients(kinds, h, v, rC):
+    """(scale, c_n, |rounding| size of c_n) per kind of its moment's
+    1/rC^2 series sum_n c_n A_n.  A separation kernel shifts G to
+    G(u -+ s): its Taylor coefficients in u are G's derivatives at s,
+    Hermite polynomials at v = s / 2rC times e^{-v^2}, and the
+    difference from those at 0 is taken with e^{-v^2} - 1 and
+    _hermite_shifted, which all the kinds share."""
     scale = math.sqrt(math.pi) / rC
-    n = _N
     if h is None:
-        coef = _SIGNED_INV_FACT
-        exact = np.zeros(n.size)
-        if kind == "M2":
-            return scale / (4.0 * rC * rC), coef * 2.0 * (2 * n + 1), exact
-        if kind == "C1":
-            return scale, np.concatenate([[0.0], -coef[:-1]]), exact
-        return scale, coef, exact
+        return [(scale / (4.0 * rC * rC) if kind == "M2" else scale,
+                 _PLAIN_SERIES[kind], _EXACT) for kind in kinds]
+    n = _N
     t, size, h0 = _hermite_shifted(v, 2 * n[-1] + 2)
     e = math.expm1(-v * v)
-    if kind == "M1":   # K(u) = -G'(u + s); odd powers of u drop out
-        return (scale / (2.0 * rC), t[2 * n + 1] * _INV_FACT_2N,
-                size[2 * n + 1] * _INV_FACT_2N)
-    if kind == "M0":   # K(u) = G(u) - [G(u + s) + G(u - s)] / 2
-        return (scale, -(e * _SIGNED_INV_FACT + t[2 * n] * _INV_FACT_2N),
-                size[2 * n] * _INV_FACT_2N)
-    # M2: K(u) = -G''(u) + [G''(u + s) + G''(u - s)] / 2
-    k = 2 * n + 2
-    return (scale / (4.0 * rC * rC), (t[k] + h0[k] * e) * _INV_FACT_2N,
-            size[k] * _INV_FACT_2N)
+    out = []
+    for kind in kinds:
+        if kind == "M1":   # K(u) = -G'(u + s); odd powers of u drop out
+            out.append((scale / (2.0 * rC), t[2 * n + 1] * _INV_FACT_2N,
+                        size[2 * n + 1] * _INV_FACT_2N))
+        elif kind == "M0":   # K(u) = G(u) - [G(u + s) + G(u - s)] / 2
+            out.append((scale,
+                        -(e * _SIGNED_INV_FACT + t[2 * n] * _INV_FACT_2N),
+                        size[2 * n] * _INV_FACT_2N))
+        else:   # M2: K(u) = -G''(u) + [G''(u + s) + G''(u - s)] / 2
+            k = 2 * n + 2
+            out.append((scale / (4.0 * rC * rC),
+                        (t[k] + h0[k] * e) * _INV_FACT_2N,
+                        size[k] * _INV_FACT_2N))
+    return out
 
 
 def _egf_moments(half, rho, gamma, sr, count):
@@ -570,8 +570,10 @@ def _egf_moments(half, rho, gamma, sr, count):
     return sr * (rho @ per_layer), sr * (np.abs(rho) @ size)
 
 
-def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
-    """A moment of an AxisProfile as its series in 1/rC^2 (extent <= rC).
+def _axis_series(kinds, h, s, data, rC):
+    """The kinds of moment of an AxisProfile with LayerData data as
+    their series in 1/rC^2 (extent <= rC), all from one set of central
+    moments and pair sums.
 
     With nu_p the central moments of rho scaled by (2rC)^-p and
     A_n = int int rho rho' u^{2n} / (2rC)^{2n} (u = x - x'), the series
@@ -585,6 +587,7 @@ def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
     first n whose bound on the omitted tail is below 1e-17 of the
     leading term's scale, at most _SERIES_ORDER.
     """
+    half, rho, gamma, cbar, mass, extent = data
     sr = 2.0 * rC
     zmax = extent / sr
     z2 = zmax * zmax
@@ -604,28 +607,32 @@ def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
             + np.convolve(left_size, np.abs(right))[:2 * m:2]
         return val * _FACT_2N[:m], err * _FACT_2N[:m]
 
-    scale, coef, coef_err = _series_coefficients(kind, h, s / sr, rC)
-    bound = 1.0
-    if kind == "D0":
-        c = cbar / sr
-        up, up_size = lift * egf[1:], lift * egf_size[1:]
-        sums = ((c * c, pair_sums(egf, egf, egf_size, egf_size)),
-                (2.0 * c, pair_sums(up, egf, up_size, egf_size)),
-                (1.0, pair_sums(up, up, up_size, up_size)))
-        val = sum(w * v for w, (v, _) in sums)
-        mag = sum(abs(w) * e for w, (_, e) in sums)
-        scale *= sr * sr
-        bound = (abs(c) + zmax) ** 2   # |x x'| / (2rC)^2 over the profile
-    else:
-        val, mag = pair_sums(egf, egf, egf_size, egf_size)
+    plain = pair_sums(egf, egf, egf_size, egf_size)
     # every |u| / 2rC is at most zmax <= 1/2, so |A_n| <= mass^2 zmax^2n:
     # the tail is bounded by three more terms, doubled
-    tail = 2.0 * mass * mass * bound * float(
-        np.abs(coef[m:m + 3]) @ z2 ** _N[m:m + 3])
-    value = scale * float(coef[:m] @ val)
-    err = abs(scale) * (_ROUNDING * float(
-        np.abs(coef[:m]) @ mag + coef_err[:m] @ np.abs(val)) + tail)
-    return value, err
+    tail_powers = z2 ** _N[m:m + 3]
+    out = []
+    for kind, (scale, coef, coef_err) in zip(
+            kinds, _series_coefficients(kinds, h, s / sr, rC)):
+        val, mag = plain
+        bound = 1.0
+        if kind == "D0":
+            c = cbar / sr
+            up, up_size = lift * egf[1:], lift * egf_size[1:]
+            sums = ((c * c, plain),
+                    (2.0 * c, pair_sums(up, egf, up_size, egf_size)),
+                    (1.0, pair_sums(up, up, up_size, up_size)))
+            val = sum(w * v for w, (v, _) in sums)
+            mag = sum(abs(w) * e for w, (_, e) in sums)
+            scale *= sr * sr
+            bound = (abs(c) + zmax) ** 2   # |x x'| / (2rC)^2 over the profile
+        tail = 2.0 * mass * mass * bound * float(
+            np.abs(coef[m:m + 3]) @ tail_powers)
+        value = scale * float(coef[:m] @ val)
+        err = abs(scale) * (_ROUNDING * float(
+            np.abs(coef[:m]) @ mag + coef_err[:m] @ np.abs(val)) + tail)
+        out.append((value, err))
+    return out
 
 
 def _phi0(z):
@@ -637,28 +644,24 @@ def _phi0(z):
     return a + b, a - b
 
 
-def _edge_pairs(half, rho, gamma, rC):
-    """The layer edges xi relative to the centre of mass, the products
-    W = w_i w_j of the density steps w there (+rho at a layer's lower
-    edge, -rho at its upper) and (xi_i - xi_j) / 2rC, over all ordered
-    pairs of edges."""
-    xi = np.concatenate([gamma - half, gamma + half])
-    w = np.concatenate([rho, -rho])
-    return xi, w[:, None] * w[None, :], (xi[:, None] - xi[None, :]) / (
-        2.0 * rC)
-
-
-def _edge_sum(W, parts, const=0.0):
-    """const + sum over parts (c, t, m) of c sum W t, with _ROUNDING
-    times the same sum over the term magnitudes m as its error."""
-    value = const + sum(c * float(np.sum(W * t)) for c, t, _ in parts)
-    mag = abs(const) + sum(abs(c) * float(np.sum(np.abs(W) * m))
+def _edge_sum(edges, parts, const=0.0):
+    """const + sum over parts (c, t, m) of c sum W t over the edge pairs
+    of EdgeData edges, with _ROUNDING times the same sum over the term
+    magnitudes m, weighted by |W|, as its error.  Each sum is
+    np.add.reduce over the whole array, the reduction np.sum makes,
+    without np.sum's Python-level dispatch."""
+    total = np.add.reduce
+    value = const + sum(c * float(total(edges.W * t, None))
+                        for c, t, _ in parts)
+    mag = abs(const) + sum(abs(c) * float(total(edges.abs_W * m, None))
                            for c, _, m in parts)
     return value, _ROUNDING * mag
 
 
-def _axis_edges(kind, half, rho, gamma, cbar, mass, rC, h=None, s=0.0):
-    """kind of an AxisProfile as its sum over pairs of layer edges.
+def _axis_edges(kinds, data, edges, rC, h=None, s=0.0):
+    """The kinds of moment of an AxisProfile with LayerData data and
+    EdgeData edges as sums over pairs of layer edges, which share z,
+    e^{-z^2} - 1, erf z and phi0(z).
 
     Edge positions xi relative to the centre of mass cbar, steps w, and
     W = w_i w_j, z = |xi_i - xi_j| / 2rC over all ordered pairs:
@@ -677,27 +680,13 @@ def _axis_edges(kind, half, rho, gamma, cbar, mass, rC, h=None, s=0.0):
            + phi0(|z - v|)] / 2);
       M1 sin sk = pi sum W (erf(v + z) - erf v) over signed z, taken as
            a difference of erfc when both arguments have one sign.
+    Returns one (value, error) per kind.
     """
     from scipy.special import erf, erfc
     sqrt_pi = math.sqrt(math.pi)
-    xi, W, u = _edge_pairs(half, rho, gamma, rC)
-    z = np.abs(u)
-    const = 0.0
-    if h is _one_minus_cos and kind == "M2":
-        v = s / (2.0 * rC)
-        near = 0.5 * np.exp(-(z - v) ** 2) * np.expm1(-2.0 * z * v) ** 2
-        t = np.expm1(-v * v) * np.expm1(-z * z) + near
-        # e^{-(z - v)^2} inherits the rounding of z - v times 2 |z - v|
-        parts = [(-sqrt_pi / rC, t,
-                  t + near * 2.0 * np.abs(z - v) * (z + v))]
-    elif h is _one_minus_cos:   # M0
-        v = s / (2.0 * rC)
-        (f0, m0), (fp, mp), (fm, mm) = (_phi0(z), _phi0(np.abs(z + v)),
-                                        _phi0(np.abs(z - v)))
-        parts = [(-2.0 * sqrt_pi * rC, f0 - 0.5 * (fp + fm),
-                  m0 + 0.5 * (mp + mm))]
-    elif h is np.sin:   # M1
-        v = s / (2.0 * rC)
+    u = edges.diff / (2.0 * rC)
+    v = s / (2.0 * rC)
+    if h is np.sin:   # M1
         a, b = v + u, np.full_like(u, v)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         pos, neg = lo > 0.0, hi < 0.0
@@ -708,57 +697,82 @@ def _axis_edges(kind, half, rho, gamma, cbar, mass, rC, h=None, s=0.0):
                                 np.abs(erf(a)) + np.abs(erf(b))))
         # erf(a) moves by 2 e^{-a^2} / sqrt(pi) times the rounding of a,
         # which is that of v and of the edge positions
-        spread = v + (np.abs(xi[:, None]) + np.abs(xi[None, :])) / (2.0 * rC)
-        mag += 2.0 / sqrt_pi * (np.exp(-a * a) + np.exp(-b * b)) * spread
-        parts = [(math.pi, d, mag)]
-    elif kind == "M2":
-        e = np.expm1(-z * z)
-        parts = [(sqrt_pi / rC, e, np.abs(e))]
-    elif kind == "C1":
-        e = np.expm1(-z * z)
-        a = sqrt_pi * z * erf(z)
-        parts = [(sqrt_pi * rC, 2.0 * e + a, 2.0 * np.abs(e) + a)]
-    else:
-        f, m = _phi0(z)
-        parts = [(-2.0 * sqrt_pi * rC, f, m)]
-        if kind == "D0":
-            e = np.exp(-z * z)
-            cube = 2.0 * sqrt_pi * z ** 3 * erf(z)
-            hz = np.expm1(-z * z) - 2.0 * z * z * e - cube
-            hm = np.abs(np.expm1(-z * z)) + 2.0 * z * z * e + cube
-            mid = 0.5 * (xi[:, None] + xi[None, :])
-            prod = xi[:, None] * xi[None, :]
-            parts = [(-2.0 * sqrt_pi * rC * cbar * cbar, f, m),
-                     (-4.0 * sqrt_pi * rC * cbar, mid * f, np.abs(mid) * m),
+        mag += 2.0 / sqrt_pi * (np.exp(-a * a) + np.exp(-b * b)) \
+            * (v + edges.spread / (2.0 * rC))
+        return [_edge_sum(edges, [(math.pi, d, mag)]) for _ in kinds]
+    z = np.abs(u)
+    e = np.expm1(-z * z)
+    if set(kinds) != {"M2"}:   # every other kind takes erf z
+        erf_z = erf(z)
+        a = sqrt_pi * z * erf_z
+        phi, phi_mag = a + e, a - e   # _phi0(z)
+    out = []
+    for kind in kinds:
+        const = 0.0
+        if h is _one_minus_cos and kind == "M2":
+            near = 0.5 * np.exp(-(z - v) ** 2) * np.expm1(-2.0 * z * v) ** 2
+            t = np.expm1(-v * v) * e + near
+            # e^{-(z - v)^2} inherits the rounding of z - v times 2 |z - v|
+            parts = [(-sqrt_pi / rC, t,
+                      t + near * 2.0 * np.abs(z - v) * (z + v))]
+        elif h is _one_minus_cos:   # M0
+            (fp, mp), (fm, mm) = _phi0(np.abs(z + v)), _phi0(np.abs(z - v))
+            parts = [(-2.0 * sqrt_pi * rC, phi - 0.5 * (fp + fm),
+                      phi_mag + 0.5 * (mp + mm))]
+        elif kind == "M2":
+            parts = [(sqrt_pi / rC, e, np.abs(e))]
+        elif kind == "C1":
+            parts = [(sqrt_pi * rC, 2.0 * e + a, 2.0 * np.abs(e) + a)]
+        elif kind == "M0":
+            parts = [(-2.0 * sqrt_pi * rC, phi, phi_mag)]
+        else:   # D0
+            g = np.exp(-z * z)
+            cube = 2.0 * sqrt_pi * z ** 3 * erf_z
+            hz = e - 2.0 * z * z * g - cube
+            hm = np.abs(e) + 2.0 * z * z * g + cube
+            cbar = data.cbar
+            parts = [(-2.0 * sqrt_pi * rC * cbar * cbar, phi, phi_mag),
+                     (-4.0 * sqrt_pi * rC * cbar, edges.mid * phi,
+                      edges.abs_mid * phi_mag),
                      (4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
-                     (-2.0 * sqrt_pi * rC, prod * f, np.abs(prod) * m)]
-            const = -2.0 * sqrt_pi * rC * mass * mass
-    return _edge_sum(W, parts, const)
+                     (-2.0 * sqrt_pi * rC, edges.prod * phi,
+                      edges.abs_prod * phi_mag)]
+            const = -2.0 * sqrt_pi * rC * data.mass * data.mass
+        out.append(_edge_sum(edges, parts, const))
+    return out
 
 
-def _shifted_part(kind, half, rho, gamma, rC, v):
+def _shifted_part(kinds, edges, rC, v):
     """The separation-shifted part S of M0 or M2 times 1 - cos, for a
     profile whose |e_i - e_j| / 2rC = z stay below v: M0 (1 - cos sk) =
     M0 - S with S = -2 pi rC sum W [ierfc(v + z) + ierfc(v - z)] / 2
     (the erf/exp edge term minus its part linear in v +- z, which sums
     to zero), M2 (1 - cos sk) = M2 - S with S = (sqrt(pi)/rC) sum W
-    [e^{-(v + z)^2} + e^{-(v - z)^2}] / 2.  Returns (S, error)."""
+    [e^{-(v + z)^2} + e^{-(v - z)^2}] / 2.  The kinds share the
+    Gaussians.  Returns one (S, error) per kind."""
     from scipy.special import erfc
-    _, W, u = _edge_pairs(half, rho, gamma, rC)
-    val = mag = 0.0
-    for x in (v + np.abs(u), v - np.abs(u)):
-        g = np.exp(-x * x)
-        if kind == "M0":
-            g /= math.sqrt(math.pi)
-            val, mag = val + g - x * erfc(x), mag + g + x * erfc(x)
-        else:
-            val, mag = val + g, mag + g * (1.0 + 2.0 * x * x)
-    scale = -math.pi * rC if kind == "M0" else 0.5 * math.sqrt(math.pi) / rC
-    return _edge_sum(W, [(scale, val, mag)])
+    z = np.abs(edges.diff / (2.0 * rC))
+    xs = (v + z, v - z)
+    gauss = [np.exp(-x * x) for x in xs]
+    out = []
+    for kind in kinds:
+        val = mag = 0.0
+        for x, g in zip(xs, gauss):
+            if kind == "M0":
+                g = g / math.sqrt(math.pi)
+                val, mag = val + g - x * erfc(x), mag + g + x * erfc(x)
+            else:
+                val, mag = val + g, mag + g * (1.0 + 2.0 * x * x)
+        scale = -math.pi * rC if kind == "M0" \
+            else 0.5 * math.sqrt(math.pi) / rC
+        out.append(_edge_sum(edges, [(scale, val, mag)]))
+    return out
 
 
-def _axis_moment(prof, kind, rC, h=None, s=0.0):
-    """Closed form of an AxisProfile moment.  Returns (value, error).
+def _axis_moment(prof, kinds, rC, h=None, s=0.0):
+    """Closed forms of the kinds of moment of an AxisProfile, from one
+    pass over its layer or edge data.  Returns one (value, error) per
+    kind.
 
     A profile no longer than rC takes the 1/rC^2 series, which with a
     separation kernel converges fast only while s times the extent is
@@ -767,22 +781,18 @@ def _axis_moment(prof, kind, rC, h=None, s=0.0):
     series of the plain moment (M1 times sin has no plain part and is
     all edge sum).  A longer profile takes the edge-pair sum.
     """
-    d, rho, centre = _layers_of(prof)
-    half = 0.5 * d
-    mass = float(rho @ d)
-    cbar = float((rho * d) @ centre) / mass
-    gamma = centre - cbar
-    extent = float(np.max(gamma + half) - np.min(gamma - half))
-    args = (half, rho, gamma, cbar, mass)
+    data = prof.layer_data
+    extent = data.extent
     if extent <= rC:
         if h is None or s * extent <= rC * rC:
-            return _axis_series(kind, h, s, *args, extent, rC)
-        if kind != "M1":
-            plain, e1 = _axis_series(kind, None, 0.0, *args, extent, rC)
-            shifted, e2 = _shifted_part(kind, half, rho, gamma, rC,
-                                        s / (2.0 * rC))
-            return plain - shifted, e1 + e2
-    return _axis_edges(kind, *args, rC, h, s)
+            return _axis_series(kinds, h, s, data, rC)
+        if h is not np.sin:
+            plain = _axis_series(kinds, None, 0.0, data, rC)
+            shifted = _shifted_part(kinds, prof.edge_data, rC,
+                                    s / (2.0 * rC))
+            return [(p - q, e1 + e2)
+                    for (p, e1), (q, e2) in zip(plain, shifted)]
+    return _axis_edges(kinds, data, prof.edge_data, rC, h, s)
 
 
 # (-1)^n (3/2)_n 2^n / ((3)_n n! (n + 1)) / 2 for n = 0..24: the series of
@@ -801,24 +811,34 @@ def _ive(n, x):
     return v if math.isfinite(v) else float((i0e, i1e)[n](x))
 
 
-def _disc_moment(R, kind, rC):
+def _disc_moment(R, kinds, rC):
     """Closed forms of a disc's Q0 and Q2 (the k-plane moments of
     jinc(kR), without the factor pi): with x = R^2 / 2rC^2,
     Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
     (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
-    terms fall by at least 5x each.  Returns (value, error)."""
+    terms fall by at least 5x each.  Both share one e^{-x} I1(x).
+    Returns one (value, error) per kind, None for a kind other than M0
+    and M2."""
     x = R * R / (2.0 * rC * rC)
-    if kind == "M2":
-        val = 4.0 / (R * R * rC * rC) * _ive(1, x)
-        return val, _ROUNDING * abs(val)
-    if x < 0.1:
-        terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
-        core = math.fsum(terms)
-        mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
-    else:
-        i0, i1 = _ive(0, x), _ive(1, x)
-        core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
-    return 4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag
+    i1 = _ive(1, x) if "M2" in kinds or x >= 0.1 else None
+    out = []
+    for kind in kinds:
+        if kind == "M2":
+            val = 4.0 / (R * R * rC * rC) * i1
+            out.append((val, _ROUNDING * abs(val)))
+            continue
+        if kind != "M0":
+            out.append(None)
+            continue
+        if x < 0.1:
+            terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
+            core = math.fsum(terms)
+            mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
+        else:
+            i0 = _ive(0, x)
+            core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
+        out.append((4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag))
+    return out
 
 
 def _sum_of_products(terms):
@@ -846,19 +866,37 @@ def _one_minus_cos(x):
     return 2.0 * np.sin(x / 2.0) ** 2
 
 
-def _closed_moment(prof, kind, rC, h, s):
-    """The closed form of one moment (see _profile_moment), or None."""
-    if isinstance(prof, AxisProfile):
-        if prof.layers is None and kind in ("M0", "M2") and h is None:
-            return _sinc_sq_gauss(prof.length, rC,
-                                  weight_power=2 if kind == "M2" else 0)
-        if (h is None and kind != "M1") or (h, kind) in (
-                (_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
-                (np.sin, "M1")):
-            return _axis_moment(prof, kind, rC, h, s)
-    if isinstance(prof, DiscProfile) and h is None and kind in ("M0", "M2"):
-        return _disc_moment(prof.R, kind, rC)
-    return None
+# the kinds of moment of an AxisProfile with a closed form, per
+# separation kernel h
+_CLOSED_KINDS = {None: ("M0", "M2", "C1", "D0"),
+                 _one_minus_cos: ("M0", "M2"), np.sin: ("M1",)}
+
+
+def _closed_moment(prof, kinds, rC, h, s):
+    """The closed forms of the kinds of moment (see _profile_moment),
+    None for each kind that has none.  A slab's plain M0 and M2 keep
+    their one-slab formula; the other kinds of one profile come from one
+    pass (_axis_moment, _disc_moment)."""
+    if isinstance(prof, DiscProfile) and h is None:
+        return _disc_moment(prof.R, kinds, rC)
+    if not isinstance(prof, AxisProfile):
+        return [None] * len(kinds)
+    closed = _CLOSED_KINDS.get(h, ())
+    slab = prof.layers is None and h is None
+    out, shared = [], []
+    for kind in kinds:
+        if kind not in closed:
+            out.append(None)
+        elif slab and kind in ("M0", "M2"):   # the one-slab formula
+            out.append(_sinc_sq_gauss(prof.length, rC,
+                                      weight_power=2 if kind == "M2" else 0))
+        else:   # its index in the one pass
+            out.append(len(shared))
+            shared.append(kind)
+    if shared:
+        moments = _axis_moment(prof, shared, rC, h, s)
+        out = [moments[m] if isinstance(m, int) else m for m in out]
+    return out
 
 
 def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
@@ -889,13 +927,15 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
     whole moment's estimate and error.  The quadrature moments of one
     call share one integrate_1d pass: at each node the transform, its
     derivative, h and the Gaussian weight are evaluated once for all of
-    them.  Returns (value, error), or a list of them for a tuple.
+    them.  The closed forms of one call share one pass as well
+    (_closed_moment): their erf/exp edge terms, central moments and pair
+    sums are evaluated once per (profile, rC, h, s), from the layer and
+    edge data the profile builds once.  Returns (value, error), or a
+    list of them for a tuple.
     """
     kinds = (kind,) if isinstance(kind, str) else kind
-    out = []
-    for name in kinds:
-        out.append(_closed_moment(prof, name, rC, h, s) if closed_form
-                   else None)
+    out = _closed_moment(prof, kinds, rC, h, s) if closed_form \
+        else [None] * len(kinds)
     if None in out:
         rest = [name for name, moment in zip(kinds, out) if moment is None]
         line = prof.dims == 1

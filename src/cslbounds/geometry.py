@@ -8,15 +8,18 @@ so that mu_tilde(0) equals the total mass.  The angular-derivative
 combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
 rotational noise about the x axis, is analytic for every shape.
 Cuboid and Multilayer are separable: their transform is a product of
-three 1D axis profiles (separable_profiles).  A cylinder's is the
-product of a slab profile along its axis and a disc profile across it,
-and a sphere's is its mass times a ball profile of |k|.
+three 1D axis profiles (separable_profiles), built once per body.  A
+cylinder's is the product of a slab profile along its axis and a disc
+profile across it, and a sphere's is its mass times a ball profile of
+|k|.
 
 All evaluators are pure and accept vectorized k components.
 """
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +51,14 @@ def _unit(v):
     if not 1e-150 < big < 1e150:   # its squares would underflow or overflow
         v = v / big
     return v / np.linalg.norm(v)
+
+
+def _read_only(*arrays):
+    """The arrays, made read-only: they are built once and shared by
+    every caller of a frozen body."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _check_positive(**kwargs):
@@ -104,6 +115,11 @@ class Cuboid(MassGeometry):
     def total_mass(self):
         return self.m
 
+    @cached_property
+    def _profiles(self):
+        return self.m, (AxisProfile(self.Lx), AxisProfile(self.Ly),
+                        AxisProfile(self.Lz))
+
 
 @dataclass(frozen=True)
 class Cylinder(MassGeometry):
@@ -157,16 +173,20 @@ class Multilayer(MassGeometry):
 
     def layers(self):
         """(thickness, density, center-offset along stack) per slab,
-        with the stack shifted so the center of mass sits at 0."""
-        ds = np.array([self.d1 if i % 2 == 0 else self.d2
-                       for i in range(self.layer_count)])
-        rhos = np.array([self.rho1 if i % 2 == 0 else self.rho2
-                         for i in range(self.layer_count)])
+        with the stack shifted so the center of mass sits at 0: read-only
+        arrays, built once per body."""
+        return self._stack
+
+    @cached_property
+    def _stack(self):
+        first = np.arange(self.layer_count) % 2 == 0   # material 1
+        ds = np.where(first, self.d1, self.d2)
+        rhos = np.where(first, self.rho1, self.rho2)
         edges = np.concatenate([[0.0], np.cumsum(ds)])
         centers = 0.5 * (edges[:-1] + edges[1:])
         masses = rhos * ds   # per unit cross-section
         com = np.sum(masses * centers) / np.sum(masses)
-        return ds, rhos, centers - com
+        return _read_only(ds, rhos, centers - com)
 
     @property
     def total_mass(self):
@@ -177,6 +197,14 @@ class Multilayer(MassGeometry):
     def stack_thickness(self):
         ds, _, _ = self.layers()
         return float(np.sum(ds))
+
+    @cached_property
+    def _profiles(self):
+        cross = iter((self.Lx, self.Ly))
+        return self.Lx * self.Ly, tuple(
+            AxisProfile(self.stack_thickness, self.layers())
+            if axis == self.stacking_axis else AxisProfile(next(cross))
+            for axis in "xyz")
 
 
 @dataclass(frozen=True)
@@ -233,6 +261,39 @@ def _cylinder_components(g, kx, ky, kz):
     return kpar, kperp
 
 
+class LayerData(NamedTuple):
+    """A profile as layers of constant density: per layer its
+    half-thickness, density and centre offset gamma from the centre of
+    mass cbar; the mass (per unit cross-section) and the extent."""
+
+    half: np.ndarray
+    rho: np.ndarray
+    gamma: np.ndarray
+    cbar: float
+    mass: float
+    extent: float
+
+
+class EdgeData(NamedTuple):
+    """Products over the ordered pairs (i, j) of a profile's layer edges.
+
+    With xi the edge positions relative to the centre of mass and w the
+    density steps there (+rho at a layer's lower edge, -rho at its
+    upper): W = w_i w_j and |W|, diff = xi_i - xi_j, mid = (xi_i + xi_j)
+    / 2 and |mid|, prod = xi_i xi_j and |prod|, and spread = |xi_i| +
+    |xi_j|.
+    """
+
+    W: np.ndarray
+    abs_W: np.ndarray
+    diff: np.ndarray
+    mid: np.ndarray
+    abs_mid: np.ndarray
+    prod: np.ndarray
+    abs_prod: np.ndarray
+    spread: np.ndarray
+
+
 @dataclass(frozen=True)
 class AxisProfile:
     """1D transform P(k) of one axis of a separable mass density.
@@ -241,11 +302,45 @@ class AxisProfile:
     A layer stack has P(k) = sum_l rho_l d_l sinc(k d_l/2) e^{i k c_l},
     the mass per unit cross-section at k = 0.  length is the extent along
     the axis, the scale on which P oscillates, over the k line (dims = 1).
+    layer_data and edge_data, which the closed-form moments read, are
+    built on first use and kept: they do not depend on rC.
     """
 
     dims = 1
     length: float
     layers: tuple = None   # (thicknesses, densities, centers) of a stack
+
+    @cached_property
+    def layer_data(self):
+        """LayerData, read-only; a slab is one layer of density 1/L at 0,
+        so that P(0) = 1."""
+        if self.layers is None:
+            d, rho, centre = (np.array([self.length]),
+                              np.array([1.0 / self.length]), np.zeros(1))
+        else:
+            d, rho, centre = (np.asarray(a, dtype=float)
+                              for a in self.layers)
+        half = 0.5 * d
+        mass = float(rho @ d)
+        cbar = float((rho * d) @ centre) / mass
+        gamma = centre - cbar
+        extent = float(np.max(gamma + half) - np.min(gamma - half))
+        # rho is copied: the caller's own array stays writable
+        half, rho, gamma = _read_only(half, np.array(rho), gamma)
+        return LayerData(half, rho, gamma, cbar, mass, extent)
+
+    @cached_property
+    def edge_data(self):
+        """EdgeData, read-only."""
+        half, rho, gamma = self.layer_data[:3]
+        xi = np.concatenate([gamma - half, gamma + half])
+        w = np.concatenate([rho, -rho])
+        W = w[:, None] * w[None, :]
+        mid = 0.5 * (xi[:, None] + xi[None, :])
+        prod = xi[:, None] * xi[None, :]
+        return EdgeData(*_read_only(
+            W, np.abs(W), xi[:, None] - xi[None, :], mid, np.abs(mid),
+            prod, np.abs(prod), np.abs(xi[:, None]) + np.abs(xi[None, :])))
 
     def transform(self, k):
         if self.layers is None:
@@ -321,18 +416,14 @@ def separable_profiles(g):
     """(scale, (Px, Py, Pz)) with mu_tilde(k) = scale Px(kx) Py(ky) Pz(kz)
     for a Cuboid or Multilayer; None for any other shape.
 
-    This is the one place that maps a Multilayer's stacking axis and its
-    cross-section Lx x Ly onto x, y and z: Lx and Ly go, in that order,
-    to the two axes other than the stacking axis.
+    The profiles are built once per body (Cuboid._profiles and
+    Multilayer._profiles), so the closed-form data each caches is too.
+    Multilayer._profiles is the one place that maps a Multilayer's
+    stacking axis and its cross-section Lx x Ly onto x, y and z: Lx and
+    Ly go, in that order, to the two axes other than the stacking axis.
     """
-    if isinstance(g, Cuboid):
-        return g.m, (AxisProfile(g.Lx), AxisProfile(g.Ly), AxisProfile(g.Lz))
-    if isinstance(g, Multilayer):
-        cross = iter((g.Lx, g.Ly))
-        return g.Lx * g.Ly, tuple(
-            AxisProfile(g.stack_thickness, g.layers())
-            if axis == g.stacking_axis else AxisProfile(next(cross))
-            for axis in "xyz")
+    if isinstance(g, (Cuboid, Multilayer)):
+        return g._profiles
     return None
 
 

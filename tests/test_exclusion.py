@@ -10,10 +10,11 @@ import pytest
 
 import cslbounds
 from cslbounds import exclusion
-from cslbounds import (CollapseParams, ColoredNoiseModel, Cylinder,
-                       DegenerateBound, ExperimentRecord, Point, Sphere,
-                       TwoBody, combine_exclusions, csl_force_spectrum,
-                       default_rc_grid, exclusion_scan, lambda_upper_bound)
+from cslbounds import (CollapseParams, ColoredNoiseModel, Cuboid, Cylinder,
+                       DegenerateBound, ExperimentRecord, Multilayer, Point,
+                       Sphere, TwoBody, combine_exclusions,
+                       csl_force_spectrum, default_rc_grid, exclusion_scan,
+                       lambda_upper_bound)
 
 
 def sphere_record(budget=1e-37, **overrides):
@@ -207,6 +208,43 @@ def test_threaded_scan_under_frequent_switching():
     assert np.array_equal(serial.lambda_ub, threaded.lambda_ub)
     assert np.array_equal(serial.errors, threaded.errors)
     assert serial.status == threaded.status
+
+
+def fresh_profile_records():
+    """Records on the closed-form profile routes, each body built anew, so
+    that its profiles and their layer and edge data are not built yet."""
+    def stack(axis):
+        return Multilayer(6, 2e-7, 3e-7, 19300.0, 2330.0, 1e-5, 1e-5, axis)
+    band = (1e3, 1e4)
+    return [
+        ExperimentRecord("ml_force", stack("z"), "force", 1e-30, band),
+        ExperimentRecord("ml_two_body", TwoBody(stack("x"), 5e-6),
+                         "force_two_body", 1e-30, band),
+        ExperimentRecord("ml_torque", stack("y"), "torque", 1e-40, band),
+        ExperimentRecord("cuboid_torque", Cuboid(1e-12, 1e-6, 2e-6, 3e-6),
+                         "torque", 1e-40, band)]
+
+
+def test_threaded_first_use_of_fresh_bodies():
+    """Fresh Multilayer and Cuboid bodies scanned first by 4 threads
+    switching every microsecond, so that several points race to build
+    the same profile data (functools.cached_property takes no lock from
+    Python 3.12 on): every point equals a serial scan of an equal,
+    separately built body bit for bit."""
+    grid = np.logspace(-9, -4, 24)   # both sides of the bodies' extents
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [exclusion_scan(rec, grid, workers=4)
+                    for rec in fresh_profile_records()]
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [exclusion_scan(rec, grid) for rec in fresh_profile_records()]
+    for one, four in zip(serial, threaded, strict=True):
+        assert set(one.status) == {"ok"}, one.name
+        assert np.array_equal(one.lambda_ub, four.lambda_ub), one.name
+        assert np.array_equal(one.errors, four.errors), one.name
+        assert one.status == four.status
 
 
 def test_parallel_scan_imports_into_the_caller():

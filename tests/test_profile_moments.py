@@ -7,6 +7,11 @@ body, exercise both closed-form regimes (the 1/rC^2 series for bodies
 shorter than rC, the edge-pair sums otherwise) and the separation
 kernels at separations from 1e-2 to 30 times the body.
 
+The kinds asked of one profile at one rC come from one pass; those
+results must equal, bit for bit, the same moments computed one kind at
+a time (tests/per_kind_moments.py), and the profile data they read is
+built once per body, never per rC.
+
 The mpmath oracle is written independently of the library's formulas:
 it sums over pairs of layers the four corner values of a mixed second
 antiderivative, in 50-digit arithmetic where no cancellation matters,
@@ -15,13 +20,19 @@ moments from their Bessel-function forms; the antiderivatives are
 themselves checked by numerical differentiation.
 """
 
+import collections
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
-from cslbounds import (CollapseParams, Cuboid, Cylinder, Multilayer,
-                       QuadratureSpec, TwoBody, csl_force_spectrum,
-                       csl_force_spectrum_two_body, csl_torque_spectrum)
+import per_kind_moments
+from cslbounds import (CollapseParams, Cuboid, Cylinder, ExperimentRecord,
+                       Multilayer, QuadratureSpec, TwoBody,
+                       csl_force_spectrum, csl_force_spectrum_two_body,
+                       csl_torque_spectrum, exclusion_scan)
 from cslbounds import cslnoise
 from cslbounds.geometry import AxisProfile, DiscProfile, separable_profiles
 from cslbounds.quadrature import NonConvergence
@@ -31,6 +42,9 @@ mp.mp.dps = 50
 KERNELS = [("M0", None), ("M2", None), ("C1", None), ("D0", None),
            ("M0", cslnoise._one_minus_cos), ("M2", cslnoise._one_minus_cos),
            ("M1", np.sin)]
+# the same kernels grouped as one closed-form pass each takes
+PASSES = [(("M0", "M2", "C1", "D0"), None),
+          (("M0", "M2"), cslnoise._one_minus_cos), (("M1",), np.sin)]
 # a result below the smallest normal double, times the moment's scale,
 # may read 0 with error 0
 UNDERFLOW = 1e-290
@@ -101,6 +115,14 @@ def _d0_potential(rC):
     return phi
 
 
+def layer_stack(prof):
+    """(thickness, density, centre) per layer of an AxisProfile; a slab
+    is one layer of density 1/L at 0."""
+    if prof.layers is None:
+        return [prof.length], [1.0 / prof.length], [0.0]
+    return prof.layers
+
+
 def _tag(h):
     return {None: None, cslnoise._one_minus_cos: "cos", np.sin: "sin"}[h]
 
@@ -124,7 +146,7 @@ def oracle(prof, kind, rC, h=None, s=0.0):
             if abs(u) not in even:
                 even[abs(u)] = k2(abs(u))
             return -even[abs(u)]
-    d, rho, c = cslnoise._layers_of(prof)
+    d, rho, c = layer_stack(prof)
     layers = [(mp.mpf(ci) - mp.mpf(di) / 2, mp.mpf(ci) + mp.mpf(di) / 2,
                mp.mpf(ri)) for di, ri, ci in zip(d, rho, c)]
     total = mp.mpf(0)
@@ -184,21 +206,23 @@ def assert_within(value, error, exact, what):
 
 
 def test_axis_moments_match_mpmath():
-    """150 slabs and stacks, every kind of moment: the closed form lies
-    within its reported error of the 50-digit value."""
+    """150 slabs and stacks, every kind of moment, each kernel's kinds
+    from one pass: the closed form lies within its reported error of the
+    50-digit value."""
     for prof, rC, s in random_profiles(11, 150):
-        for kind, h in KERNELS:
-            value, error = cslnoise._axis_moment(prof, kind, rC, h, s)
-            assert_within(value, error, oracle(prof, kind, rC, h, s),
-                          (prof, rC, s, kind, _tag(h)))
+        for kinds, h in PASSES:
+            moments = cslnoise._axis_moment(prof, kinds, rC, h, s)
+            for kind, (value, error) in zip(kinds, moments, strict=True):
+                assert_within(value, error, oracle(prof, kind, rC, h, s),
+                              (prof, rC, s, kind, _tag(h)))
 
 
 def test_disc_moments_match_mpmath():
     rng = np.random.default_rng(12)
     for R in 10.0 ** rng.uniform(-7, -5, 100):
         rC = R * 10.0 ** rng.uniform(-3, 3)
-        for kind in ("M0", "M2"):
-            value, error = cslnoise._disc_moment(R, kind, rC)
+        moments = cslnoise._disc_moment(R, ("M0", "M2"), rC)
+        for kind, (value, error) in zip(("M0", "M2"), moments, strict=True):
             assert_within(value, error, disc_oracle(R, kind, rC),
                           (R, rC, kind))
 
@@ -210,8 +234,8 @@ def test_disc_moments_past_ive_range_match_mpmath():
     R = 1e-3
     for x in np.geomspace(1e8, 1e12, 17):
         rC = R / np.sqrt(2.0 * x)
-        for kind in ("M0", "M2"):
-            value, error = cslnoise._disc_moment(R, kind, rC)
+        moments = cslnoise._disc_moment(R, ("M0", "M2"), rC)
+        for kind, (value, error) in zip(("M0", "M2"), moments, strict=True):
             assert np.isfinite(value) and np.isfinite(error)
             assert_within(value, error, disc_oracle(R, kind, rC),
                           (R, rC, kind))
@@ -330,10 +354,151 @@ def test_nonconvergence_carries_the_whole_moment():
     below rC, where sinc' rounds and rel_tol 1e-12 is out of reach, lies
     within its error of the closed form."""
     prof, rC = AxisProfile(4.59e-6), 1.13e-3
-    exact, exact_err = cslnoise._axis_moment(prof, "C1", rC)
+    [(exact, exact_err)] = cslnoise._axis_moment(prof, ("C1",), rC)
     spec = QuadratureSpec(rel_tol=1e-12, max_evals=100_000)
     with pytest.raises(NonConvergence) as info:
         cslnoise._profile_moment(prof, "C1", rC, spec, closed_form=False)
     exc = info.value
     assert abs(exc.estimate - exact) <= exc.error + exact_err
     assert exc.error < 1e-9 * abs(exact)
+
+
+def hexed(moments):
+    """Each (value, error) as the exact hex of its floats; None stays."""
+    return [None if m is None else tuple(float(x).hex() for x in m)
+            for m in moments]
+
+
+# the kinds with a closed form per separation kernel
+CLOSED = {None: ("M0", "M2", "C1", "D0"),
+          cslnoise._one_minus_cos: ("M0", "M2"), np.sin: ("M1",)}
+# and one kind more for each, which has none and must read None
+ASKED = {None: CLOSED[None] + ("M1",),
+         cslnoise._one_minus_cos: ("M0", "C1", "M2"), np.sin: ("M0", "M1")}
+
+
+def switch_cases(seed, count):
+    """(profile, rC, s) over slabs, centred and off-centre stacks of 1 to
+    6 layers: rC below, at and above the extent (the edge-sum/series
+    switch), each with s below, near and above rC^2 / extent (where a
+    separation kernel's series gives way to its shifted edge part)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            prof = AxisProfile(10.0 ** rng.uniform(-7, -5))
+        else:
+            prof = random_stack(rng, int(rng.integers(1, 7)), i % 3 == 2)
+        extent = prof.layer_data.extent
+        for rC in (extent * 10.0 ** rng.uniform(-3, 0), extent,
+                   extent * 10.0 ** rng.uniform(0, 1.5)):
+            knee = rC * rC / extent
+            for s in (knee * 10.0 ** rng.uniform(-2, 0), knee,
+                      knee * 10.0 ** rng.uniform(0, 2)):
+                out.append((prof, rC, s))
+    return out
+
+
+def test_one_pass_equals_the_per_kind_moments():
+    """Every kernel's kinds asked of one profile together, in either
+    order, and each alone, equal the per-kind closed forms bit for bit,
+    value and error, through _closed_moment (where a slab's plain M0 and
+    M2 keep their one-slab formula) and _axis_moment alike."""
+    cases = switch_cases(21, 30)
+    routes = collections.Counter()
+    for prof, rC, s in cases:
+        extent = prof.layer_data.extent
+        routes[extent <= rC, s * extent <= rC * rC] += 1
+        for h, asked in ASKED.items():
+            for kinds in (asked, asked[::-1]) + tuple((k,) for k in asked):
+                want = [per_kind_moments._closed_moment(prof, k, rC, h, s)
+                        for k in kinds]
+                got = cslnoise._closed_moment(prof, kinds, rC, h, s)
+                assert hexed(got) == hexed(want), (prof, rC, s, kinds, h)
+            kinds = CLOSED[h]
+            want = [per_kind_moments._axis_moment(prof, k, rC, h, s)
+                    for k in kinds]
+            got = cslnoise._axis_moment(prof, kinds, rC, h, s)
+            assert hexed(got) == hexed(want), (prof, rC, s, kinds, h)
+    assert len(routes) == 4, routes   # every side of both switches
+
+
+def test_one_pass_disc_equals_the_per_kind_moments():
+    """Disc Q0 and Q2 together, in either order, and each alone, at
+    x = R^2 / 2rC^2 below and above the Q0 series' 0.1 and past the 2^30
+    where ive gives way to i0e and i1e: bit for bit the per-kind ones.
+    A kernel leaves every disc moment to quadrature (None)."""
+    rng = np.random.default_rng(22)
+    R = 1e-6
+    xs = np.concatenate([10.0 ** rng.uniform(-4, -1, 6), [0.1],
+                         10.0 ** rng.uniform(-1, 3, 6), [2.0 ** 30],
+                         10.0 ** rng.uniform(9.5, 12, 4)])
+    for x in xs:
+        rC = R / math.sqrt(2.0 * x)
+        for kinds in (("M0", "M2"), ("M2", "M0"), ("M0",), ("M2",)):
+            want = [per_kind_moments._disc_moment(R, k, rC) for k in kinds]
+            assert hexed(cslnoise._disc_moment(R, kinds, rC)) \
+                == hexed(want), (x, kinds)
+        for h in (None, cslnoise._one_minus_cos):
+            kinds = ("M2", "M1", "M0")
+            want = [per_kind_moments._closed_moment(DiscProfile(R), k, rC,
+                                                    h, 0.0) for k in kinds]
+            got = cslnoise._closed_moment(DiscProfile(R), kinds, rC, h, 0.0)
+            assert hexed(got) == hexed(want), (x, h)
+
+
+def counting(func, key, counts):
+    def spy(*args, **kwargs):
+        counts[key] += 1
+        return func(*args, **kwargs)
+    return spy
+
+
+def test_profile_data_built_once_per_body(monkeypatch):
+    """41-point force, two-body and torque scans of one fresh Multilayer,
+    on both closed-form routes, build its layer stack and profiles once
+    and each profile's layer and edge data once: none of them is built
+    per point.  The moments are not memoized: a second spectrum at the
+    same rC evaluates its erf terms (edge sums) or central moments
+    (series) again.  The stack's arrays are read-only."""
+    builds = collections.Counter()
+    for owner, name in ((Multilayer, "_stack"), (Multilayer, "_profiles"),
+                        (AxisProfile, "layer_data"),
+                        (AxisProfile, "edge_data")):
+        prop = owner.__dict__[name]
+
+        def spy(obj, func=prop.func, name=name):
+            builds[name, id(obj)] += 1
+            return func(obj)
+        monkeypatch.setattr(prop, "func", spy)
+    g = Multilayer(6, 2e-7, 3e-7, 19300.0, 2330.0, 1e-5, 1e-5, "z")
+    stack = separable_profiles(g)[1][2]
+    grid = np.logspace(-9, -4, 41)   # the stack is 1.5e-6 long
+    band = (1e3, 1e4)
+    for rec in (ExperimentRecord("force", g, "force", 1e-30, band),
+                ExperimentRecord("two_body", TwoBody(g, 5e-6),
+                                 "force_two_body", 1e-30, band),
+                ExperimentRecord("torque", g, "torque", 1e-40, band)):
+        assert set(exclusion_scan(rec, grid).status) == {"ok"}
+    assert set(builds.values()) == {1}, builds
+    assert sum(name == "_stack" for name, _ in builds) == 1
+    assert ("edge_data", id(stack)) in builds
+    assert sum(name == "layer_data" for name, _ in builds) == 3
+
+    calls = collections.Counter()
+    monkeypatch.setattr(scipy.special, "erf",
+                        counting(scipy.special.erf, "erf", calls))
+    monkeypatch.setattr(cslnoise, "_egf_moments",
+                        counting(cslnoise._egf_moments, "series", calls))
+    for rC, key in ((1e-7, "erf"), (1e-5, "series")):
+        p = CollapseParams(1.0, rC)
+        first = csl_force_spectrum(g, p)
+        once = calls[key]
+        second = csl_force_spectrum(g, p)
+        assert once > 0 and calls[key] == 2 * once, (rC, calls)
+        assert float(first) == float(second)
+
+    for array in g.layers() + tuple(stack.layer_data[:3]) \
+            + tuple(stack.edge_data):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
