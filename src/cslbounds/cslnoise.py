@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .constants import CONSTANTS
-from .geometry import (AxisProfile, BallProfile, Cuboid, Cylinder,
-                       DiscProfile, Multilayer, Point, PointLattice, Sphere,
-                       TwoBody, _check_positive, separable_profiles)
+from .geometry import (AxisProfile, Cuboid, Cylinder, DiscProfile,
+                       Multilayer, Point, PointLattice, Sphere, TwoBody,
+                       _check_positive)
 from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
 from .special import (bessel_j1, one_minus_j0, ring_cos2_kernel,
                       shell_cos2_kernel, sphere_kernel)
@@ -999,30 +999,6 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     return bracket(replace(spec, rel_tol=tight))[:2]
 
 
-def _separable_spectrum(sep, channel, p, spec, closed_form=True, a=0.0):
-    """Spectrum of a body with mu_tilde = scale Px Py Pz (see
-    geometry.separable_profiles) as a product of 1D profile moments:
-
-        force     M2_x M0_y M0_z
-        two_body  T_x M0_y M0_z, T = M2 with h = 1 - cos(a k)
-        torque    M0_x (M2_y D0_z + D0_y M2_z - 2 C1_y C1_z)
-    """
-    scale, (px, py, pz) = sep
-    rC = p.rC
-    if channel == "torque":
-        factors = [_profile_moment(px, "M0", rC, spec, closed_form),
-                   _torque_bracket(py, pz, rC, spec, closed_form)]
-    else:
-        h = _one_minus_cos if channel == "two_body" else None
-        factors = [_profile_moment(px, "M2", rC, spec, closed_form, h, a)] \
-            + [_profile_moment(prof, "M0", rC, spec, closed_form)
-               for prof in (py, pz)]
-    val, err, _ = _sum_of_products([(1.0, factors)])
-    pref = _prefactor(p)
-    return SpectralValue(pref * scale * scale * val,
-                         pref * scale * scale * err)
-
-
 def _saturation_separation(extent, rC):
     """Separation from which a two-body spectrum equals the single-unit
     force spectrum to 1e-12 of its value: X + c rC, with X (extent) the
@@ -1051,56 +1027,6 @@ def _saturation_separation(extent, rC):
         8.0 * (math.log(6.0 * math.sqrt(math.pi) / 1e-12) + 3.0 * log_m))
 
 
-def _cylinder_spectrum(g, p, spec, a=None, closed_form=True):
-    """Spectrum of a cylinder at any tilt, F = jinc(k_perp R) sinc(k_par
-    L/2): force (a None) or two-body (separation a), each a sum of
-    products of moments Mn of its slab profile and Qn of its disc
-    profile (_profile_moment).  With c, s the cosine and sine of the
-    tilt to x, the phi average (README.md) gives c^2 M2 Q0 + s^2 M0 Q2 / 2
-    for the force and c^2 [T Q0 + (M2 - T) Q0m] + s^2 [P0m Q2 / 2 +
-    (M0 - P0m) Q2h] + 2 c s P1s Q1J1 for the two-body, where T, P0m, P1s
-    are M2, M0 times 1 - cos(a c k) and M1 times sin(a c k), and Q0m,
-    Q2h, Q1J1 are Q0 times 1 - J0(a s k), Q2 times the ring kernel
-    1/2 - J0 + J1/x and Q1 times J1(a s k).  With closed_form the slab
-    moments and Q0, Q2 are closed forms and Q0m, Q2h, Q1J1 are 1D
-    quadratures.  P1s and Q1J1 alone change sign; bounded by
-    Cauchy-Schwarz (sin^2 <= 2 (1 - cos), J1^2 <= 1 - J0), each gets an
-    absolute target set by the other terms where it is integrated.
-    """
-    rC = p.rC
-    c, s = abs(g.axis[0]), math.hypot(g.axis[1], g.axis[2])
-    ac, as_ = (a or 0.0) * c, (a or 0.0) * s
-    slab, disc = AxisProfile(g.L), DiscProfile(g.R)
-
-    def moment(prof, kind, h=None, abs_tol=0.0):
-        return _profile_moment(prof, kind, rC, spec, closed_form, h,
-                               ac if prof is slab else as_, abs_tol)
-
-    (m0, m2), (q0, q2) = moment(slab, ("M0", "M2")), \
-        moment(disc, ("M0", "M2"))
-    if a is None:
-        terms = [(c * c, (m2, q0)), (s * s / 2.0, (m0, q2))]
-    else:
-        t, p0m = moment(slab, ("M2", "M0"), _one_minus_cos)
-        q0m, q2h = moment(disc, "M0", one_minus_j0), \
-            moment(disc, "M2", ring_cos2_kernel)
-        terms = [(c * c, (t, q0)),
-                 (c * c, ((m2[0] - t[0], m2[1] + t[1]), q0m)),
-                 (s * s / 2.0, (p0m, q2)),
-                 (s * s, ((m0[0] - p0m[0], m0[1] + p0m[1]), q2h))]
-        if c * s > 0.0:
-            nonneg = max(_sum_of_products(terms)[0], 0.0)
-            target = spec.rel_tol * nonneg / (8.0 * c * s)
-            p1s = moment(slab, "M1", np.sin,
-                         target / math.sqrt(q2[0] * q0m[0]))
-            q1j1 = moment(disc, "M1", bessel_j1,
-                          target / math.sqrt(2.0 * m2[0] * p0m[0]))
-            terms.append((2.0 * c * s, (p1s, q1j1)))
-    val, err, _ = _sum_of_products(terms)
-    scale = _prefactor(p) * g.m * g.m * np.pi
-    return SpectralValue(scale * val, scale * err)
-
-
 # ---------------------------------------------------------------------------
 # routes: one per geometry type and channel
 #
@@ -1109,9 +1035,10 @@ def _cylinder_spectrum(g, p, spec, a=None, closed_form=True):
 # a the separation (0 on the other channels).  closed_form is unset
 # under method="quadrature", which runs the same route with every moment
 # by 1D quadrature.  The first line of each route's docstring is its
-# legend in README.md.  Routes reach the pair sums, integrate_k3 and
-# csl_force_spectrum through this module's globals, never through
-# _ROUTES, so that a wrapper set on those names sees every call.
+# legend in README.md.  Routes read the profiles each body builds once,
+# and reach the pair sums and integrate_k3 through this module's globals,
+# never through _ROUTES, so that a wrapper set on those names sees every
+# call.
 
 def _point_force(body, channel, p, spec, closed_form, a):
     """hbar^2 lam m^2 / 2 m0^2 rC^2; under quadrature the radial
@@ -1173,7 +1100,7 @@ def _ball_moment(body, channel, p, spec, closed_form, a):
     2 j2(ak)) / 3; saturated, the kernel is 1 and the moment the
     single-sphere force.
     """
-    ball = BallProfile(body.R)
+    ball = body.profiles
     saturated = a >= _saturation_separation(ball.length, p.rC)
     h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
     val, err = _profile_moment(ball, "M2", p.rC, spec, closed_form, h, s)
@@ -1182,25 +1109,85 @@ def _ball_moment(body, channel, p, spec, closed_form, a):
 
 
 def _separable(body, channel, p, spec, closed_form, a):
-    """A product of closed-form 1D moments of the three axis profiles
-    (_separable_spectrum); a saturated two-body is the unit's force."""
-    sep = separable_profiles(body)
-    if a >= _saturation_separation(sep[1][0].length, p.rC):
-        return csl_force_spectrum(body, p, spec=spec)
-    return _separable_spectrum(sep, channel, p, spec, closed_form, a)
+    """A product of closed-form 1D moments of the three axis profiles; a
+    saturated two-body is the unit's force.
+
+    With mu_tilde = scale Px Py Pz (the body's profiles), the spectra are
+        force     M2_x M0_y M0_z
+        two_body  T_x M0_y M0_z, T = M2 with h = 1 - cos(a k)
+        torque    M0_x (M2_y D0_z + D0_y M2_z - 2 C1_y C1_z)
+    """
+    scale, (px, py, pz) = body.profiles
+    rC = p.rC
+    if a >= _saturation_separation(px.length, rC):
+        channel, a = "force", 0.0
+    if channel == "torque":
+        factors = [_profile_moment(px, "M0", rC, spec, closed_form),
+                   _torque_bracket(py, pz, rC, spec, closed_form)]
+    else:
+        h = _one_minus_cos if channel == "two_body" else None
+        factors = [_profile_moment(px, "M2", rC, spec, closed_form, h, a)] \
+            + [_profile_moment(prof, "M0", rC, spec, closed_form)
+               for prof in (py, pz)]
+    val, err, _ = _sum_of_products([(1.0, factors)])
+    pref = _prefactor(p)
+    return SpectralValue(pref * scale * scale * val,
+                         pref * scale * scale * err)
 
 
 def _cylinder(body, channel, p, spec, closed_form, a):
-    """Sums of products of slab and disc moments at any tilt
-    (_cylinder_spectrum): closed forms, but for a two-body's disc kernels;
-    a saturated two-body is the unit's force."""
-    extent = abs(body.axis[0]) * body.L \
-        + 2.0 * body.R * math.hypot(body.axis[1], body.axis[2])
-    if a >= _saturation_separation(extent, p.rC):
-        return csl_force_spectrum(body, p, spec=spec)
-    return _cylinder_spectrum(body, p, spec,
-                              a if channel == "two_body" else None,
-                              closed_form)
+    """Sums of products of slab and disc moments at any tilt: closed
+    forms, but for a two-body's disc kernels; a saturated two-body is the
+    unit's force.
+
+    F = jinc(k_perp R) sinc(k_par L/2), and each spectrum is a sum of
+    products of moments Mn of its slab profile and Qn of its disc profile
+    (_profile_moment).  With c, s the cosine and sine of the tilt to x,
+    the phi average (README.md) gives c^2 M2 Q0 + s^2 M0 Q2 / 2 for the
+    force and c^2 [T Q0 + (M2 - T) Q0m] + s^2 [P0m Q2 / 2 + (M0 - P0m)
+    Q2h] + 2 c s P1s Q1J1 for the two-body, where T, P0m, P1s are M2, M0
+    times 1 - cos(a c k) and M1 times sin(a c k), and Q0m, Q2h, Q1J1 are
+    Q0 times 1 - J0(a s k), Q2 times the ring kernel 1/2 - J0 + J1/x and
+    Q1 times J1(a s k).  With closed_form the slab moments and Q0, Q2 are
+    closed forms and Q0m, Q2h, Q1J1 are 1D quadratures.  P1s and Q1J1
+    alone change sign; bounded by Cauchy-Schwarz (sin^2 <= 2 (1 - cos),
+    J1^2 <= 1 - J0), each gets an absolute target set by the other terms
+    where it is integrated.
+    """
+    slab, disc = body.profiles
+    rC = p.rC
+    c, s = abs(body.axis[0]), math.hypot(body.axis[1], body.axis[2])
+    if a >= _saturation_separation(c * slab.length + s * disc.length, rC):
+        channel, a = "force", 0.0
+    ac, as_ = a * c, a * s
+
+    def moment(prof, kind, h=None, abs_tol=0.0):
+        return _profile_moment(prof, kind, rC, spec, closed_form, h,
+                               ac if prof is slab else as_, abs_tol)
+
+    (m0, m2), (q0, q2) = moment(slab, ("M0", "M2")), \
+        moment(disc, ("M0", "M2"))
+    if channel == "force":
+        terms = [(c * c, (m2, q0)), (s * s / 2.0, (m0, q2))]
+    else:
+        t, p0m = moment(slab, ("M2", "M0"), _one_minus_cos)
+        q0m, q2h = moment(disc, "M0", one_minus_j0), \
+            moment(disc, "M2", ring_cos2_kernel)
+        terms = [(c * c, (t, q0)),
+                 (c * c, ((m2[0] - t[0], m2[1] + t[1]), q0m)),
+                 (s * s / 2.0, (p0m, q2)),
+                 (s * s, ((m0[0] - p0m[0], m0[1] + p0m[1]), q2h))]
+        if c * s > 0.0:
+            nonneg = max(_sum_of_products(terms)[0], 0.0)
+            target = spec.rel_tol * nonneg / (8.0 * c * s)
+            p1s = moment(slab, "M1", np.sin,
+                         target / math.sqrt(q2[0] * q0m[0]))
+            q1j1 = moment(disc, "M1", bessel_j1,
+                          target / math.sqrt(2.0 * m2[0] * p0m[0]))
+            terms.append((2.0 * c * s, (p1s, q1j1)))
+    val, err, _ = _sum_of_products(terms)
+    scale = _prefactor(p) * body.m * body.m * np.pi
+    return SpectralValue(scale * val, scale * err)
 
 
 def _cylinder_torque(body, channel, p, spec, closed_form, a):
@@ -1215,9 +1202,9 @@ def _cylinder_torque(body, channel, p, spec, closed_form, a):
     reports this quadrature's error estimate bit for bit, and the
     benchmark's cli gate compares it at 1e-6 relative (ROADMAP item 1).
     """
+    slab, disc = body.profiles
     sin2 = body.axis[1] ** 2 + body.axis[2] ** 2   # 0 spinning about it
-    total, err = _torque_bracket(DiscProfile(body.R), AxisProfile(body.L),
-                                 p.rC, spec, closed_form=False)
+    total, err = _torque_bracket(disc, slab, p.rC, spec, closed_form=False)
     scale = _prefactor(p) * body.m * body.m * np.pi
     return SpectralValue(sin2 * (scale * (0.5 * total)),
                          sin2 * (scale * (0.5 * err)))

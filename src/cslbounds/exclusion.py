@@ -10,6 +10,7 @@ budgets.  Scanning rC on a log grid yields the exclusion curve; the
 pointwise minimum over experiments is the combined bound.
 """
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -190,6 +191,11 @@ def exclusion_scan(rec, rCs=None, spec=None, workers=1):
     release the GIL in their array kernels); results are merged in grid
     order, so the output does not depend on the worker count.
     """
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers must be an integer, got "
+                         f"{workers!r}") from None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if rCs is None:

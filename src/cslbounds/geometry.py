@@ -7,11 +7,12 @@ Every geometry is centered at its center of mass and evaluates
 so that mu_tilde(0) equals the total mass.  The angular-derivative
 combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
 rotational noise about the x axis, is analytic for every shape.
-Cuboid and Multilayer are separable: their transform is a product of
-three 1D axis profiles (separable_profiles), built once per body.  A
-cylinder's is the product of a slab profile along its axis and a disc
-profile across it, and a sphere's is its mass times a ball profile of
-|k|.
+Each Cuboid, Multilayer, Cylinder and Sphere builds its k-space profiles
+once, as its cached property `profiles`, which its form factor and its
+noise route read.  Cuboid and Multilayer are separable: their transform
+is a product of three 1D axis profiles.  A cylinder's is the product of
+a slab profile along its axis and a disc profile across it, and a
+sphere's is its mass times a ball profile of |k|.
 
 All evaluators are pure and accept vectorized k components.
 """
@@ -50,6 +51,8 @@ def _unit(v):
         raise ValueError("axis vector must be nonzero")
     if not 1e-150 < big < 1e150:   # its squares would underflow or overflow
         v = v / big
+    elif abs(np.linalg.norm(v) - 1.0) <= 2.0 * np.finfo(float).eps:
+        return v   # a unit axis is kept, so that replace(cylinder) is equal
     return v / np.linalg.norm(v)
 
 
@@ -100,6 +103,11 @@ class Sphere(MassGeometry):
     def total_mass(self):
         return self.m
 
+    @cached_property
+    def profiles(self):
+        """Its BallProfile: mu_tilde(k) = m P(|k|)."""
+        return BallProfile(self.R)
+
 
 @dataclass(frozen=True)
 class Cuboid(MassGeometry):
@@ -116,7 +124,8 @@ class Cuboid(MassGeometry):
         return self.m
 
     @cached_property
-    def _profiles(self):
+    def profiles(self):
+        """(m, (Px, Py, Pz)): mu_tilde(k) = m Px(kx) Py(ky) Pz(kz)."""
         return self.m, (AxisProfile(self.Lx), AxisProfile(self.Ly),
                         AxisProfile(self.Lz))
 
@@ -137,6 +146,11 @@ class Cylinder(MassGeometry):
     @property
     def total_mass(self):
         return self.m
+
+    @cached_property
+    def profiles(self):
+        """(slab along the axis, disc across it)."""
+        return AxisProfile(self.L), DiscProfile(self.R)
 
 
 @dataclass(frozen=True)
@@ -199,7 +213,9 @@ class Multilayer(MassGeometry):
         return float(np.sum(ds))
 
     @cached_property
-    def _profiles(self):
+    def profiles(self):
+        """(Lx Ly, (Px, Py, Pz)) as for a Cuboid: the layer stack along
+        the stacking axis, Lx and Ly, in that order, along the others."""
         cross = iter((self.Lx, self.Ly))
         return self.Lx * self.Ly, tuple(
             AxisProfile(self.stack_thickness, self.layers())
@@ -412,21 +428,6 @@ class BallProfile:
         return sphere_kernel(k * self.R)
 
 
-def separable_profiles(g):
-    """(scale, (Px, Py, Pz)) with mu_tilde(k) = scale Px(kx) Py(ky) Pz(kz)
-    for a Cuboid or Multilayer; None for any other shape.
-
-    The profiles are built once per body (Cuboid._profiles and
-    Multilayer._profiles), so the closed-form data each caches is too.
-    Multilayer._profiles is the one place that maps a Multilayer's
-    stacking axis and its cross-section Lx x Ly onto x, y and z: Lx and
-    Ly go, in that order, to the two axes other than the stacking axis.
-    """
-    if isinstance(g, (Cuboid, Multilayer)):
-        return g._profiles
-    return None
-
-
 def form_factor(g, k):
     """Fourier transform of the mass density at wavevector k.
 
@@ -444,15 +445,14 @@ def form_factor(g, k):
         return np.full(kx.shape, g.m, dtype=complex)
     if isinstance(g, Sphere):
         k_abs = np.sqrt(kx * kx + ky * ky + kz * kz)
-        return (g.m * BallProfile(g.R).transform(k_abs)).astype(complex)
-    sep = separable_profiles(g)
-    if sep is not None:
-        scale, (px, py, pz) = sep
+        return (g.m * g.profiles.transform(k_abs)).astype(complex)
+    if isinstance(g, (Cuboid, Multilayer)):
+        scale, (px, py, pz) = g.profiles
         val = scale * px.transform(kx) * py.transform(ky) * pz.transform(kz)
         return val.astype(complex)
     if isinstance(g, Cylinder):
         kpar, kperp = _cylinder_components(g, kx, ky, kz)
-        slab, disc = AxisProfile(g.L), DiscProfile(g.R)
+        slab, disc = g.profiles
         val = g.m * disc.transform(kperp) * slab.transform(kpar)
         return val.astype(complex)
     if isinstance(g, PointLattice):
@@ -471,9 +471,8 @@ def _angular_derivative_analytic(g, kx, ky, kz):
     if isinstance(g, (Point, Sphere)):
         # mu_tilde depends on |k| only; the angular derivative vanishes
         return np.zeros(np.broadcast(kx, ky, kz).shape, dtype=complex)
-    sep = separable_profiles(g)
-    if sep is not None:
-        scale, (px, py, pz) = sep
+    if isinstance(g, (Cuboid, Multilayer)):
+        scale, (px, py, pz) = g.profiles
         (vy, dy), (vz, dz) = (py.transform_and_derivative(ky),
                               pz.transform_and_derivative(kz))
         val = scale * px.transform(kx) * (ky * vy * dz - kz * dy * vz)
@@ -483,7 +482,7 @@ def _angular_derivative_analytic(g, kx, ky, kz):
         # F = P_disc(k_perp) P_slab(k_par); P_disc'(k_perp) / k_perp
         # tends to -R^2/4 as k_perp -> 0
         kpar, kperp = _cylinder_components(g, kx, ky, kz)
-        slab, disc = AxisProfile(g.L), DiscProfile(g.R)
+        slab, disc = g.profiles
         kw = ky * g.axis[2] - kz * g.axis[1]
         safe = np.where(kperp > 0, kperp, 1.0)
         (fd, dfd), (fs, dfs) = (disc.transform_and_derivative(kperp),

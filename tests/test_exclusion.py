@@ -215,6 +215,9 @@ def fresh_profile_records():
     that its profiles and their layer and edge data are not built yet."""
     def stack(axis):
         return Multilayer(6, 2e-7, 3e-7, 19300.0, 2330.0, 1e-5, 1e-5, axis)
+
+    def cylinder():
+        return Cylinder(1e-14, 1e-7, 1e-6, (0.3, 0.4, 0.8))
     band = (1e3, 1e4)
     return [
         ExperimentRecord("ml_force", stack("z"), "force", 1e-30, band),
@@ -222,15 +225,19 @@ def fresh_profile_records():
                          "force_two_body", 1e-30, band),
         ExperimentRecord("ml_torque", stack("y"), "torque", 1e-40, band),
         ExperimentRecord("cuboid_torque", Cuboid(1e-12, 1e-6, 2e-6, 3e-6),
-                         "torque", 1e-40, band)]
+                         "torque", 1e-40, band),
+        ExperimentRecord("cyl_force", cylinder(), "force", 1e-30, band),
+        ExperimentRecord("cyl_two_body", TwoBody(cylinder(), 1e-6),
+                         "force_two_body", 1e-30, band),
+        ExperimentRecord("cyl_torque", cylinder(), "torque", 1e-40, band)]
 
 
 def test_threaded_first_use_of_fresh_bodies():
-    """Fresh Multilayer and Cuboid bodies scanned first by 4 threads
-    switching every microsecond, so that several points race to build
-    the same profile data (functools.cached_property takes no lock from
-    Python 3.12 on): every point equals a serial scan of an equal,
-    separately built body bit for bit."""
+    """Fresh Multilayer, Cuboid and tilted Cylinder bodies scanned first
+    by 4 threads switching every microsecond, so that several points race
+    to build the same profile data (functools.cached_property takes no
+    lock from Python 3.12 on): every point equals a serial scan of an
+    equal, separately built body bit for bit."""
     grid = np.logspace(-9, -4, 24)   # both sides of the bodies' extents
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -304,6 +311,22 @@ def test_scan_rejects_workers_below_one(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         exclusion_scan(sphere_record(), np.logspace(-8, -6, 3),
                        workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", None])
+def test_scan_rejects_workers_that_are_not_integers(workers):
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        exclusion_scan(sphere_record(), np.logspace(-8, -6, 3),
+                       workers=workers)
+
+
+def test_scan_takes_a_numpy_integer_for_workers():
+    rec, grid = sphere_record(), np.logspace(-8, -6, 3)
+    two = exclusion_scan(rec, grid, workers=np.int64(2))
+    one = exclusion_scan(rec, grid)
+    assert np.array_equal(two.lambda_ub, one.lambda_ub)
+    assert np.array_equal(two.errors, one.errors)
+    assert two.status == one.status
 
 
 def test_default_grid_brackets_conventional_value():

@@ -34,7 +34,7 @@ from cslbounds import (CollapseParams, Cuboid, Cylinder, ExperimentRecord,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum, exclusion_scan)
 from cslbounds import cslnoise
-from cslbounds.geometry import AxisProfile, DiscProfile, separable_profiles
+from cslbounds.geometry import AxisProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence
 from oracles import size
 
@@ -307,18 +307,16 @@ def test_spectra_match_the_quadrature_route():
         p = CollapseParams(1.0, rC)
         pairs = [(csl_force_spectrum(g, p, spec),
                   csl_force_spectrum(g, p, spec, method="quadrature"))]
-        sep = separable_profiles(g)
-        if sep is not None:
-            oracle_route = cslnoise._separable_spectrum
+        two_body = csl_force_spectrum_two_body(TwoBody(g, a), p, spec)
+        if isinstance(g, Cylinder):
+            pairs.append((two_body, cslnoise._cylinder(
+                g, "two_body", p, spec, False, a)))
+        else:
             pairs += [
-                (csl_force_spectrum_two_body(TwoBody(g, a), p, spec),
-                 oracle_route(sep, "two_body", p, spec, False, a)),
+                (two_body,
+                 cslnoise._separable(g, "two_body", p, spec, False, a)),
                 (csl_torque_spectrum(g, p, spec),
                  csl_torque_spectrum(g, p, spec, method="quadrature"))]
-        else:
-            pairs.append((
-                csl_force_spectrum_two_body(TwoBody(g, a), p, spec),
-                cslnoise._cylinder_spectrum(g, p, spec, a, False)))
         for got, want in pairs:
             assert abs(float(got) - float(want)) <= got.error + want.error \
                 + 1e-12 * abs(float(want)), (g, rC, a, got, want)
@@ -458,11 +456,14 @@ def test_profile_data_built_once_per_body(monkeypatch):
     """41-point force, two-body and torque scans of one fresh Multilayer,
     on both closed-form routes, build its layer stack and profiles once
     and each profile's layer and edge data once: none of them is built
-    per point.  The moments are not memoized: a second spectrum at the
-    same rC evaluates its erf terms (edge sums) or central moments
-    (series) again.  The stack's arrays are read-only."""
+    per point.  So do 12-point scans of one fresh tilted Cylinder, whose
+    slab's layer and edge data only its two-body reads.  The moments are
+    not memoized: a second spectrum at the same rC evaluates its erf
+    terms (edge sums) or central moments (series) again.  The stack's
+    arrays are read-only."""
     builds = collections.Counter()
-    for owner, name in ((Multilayer, "_stack"), (Multilayer, "_profiles"),
+    for owner, name in ((Multilayer, "_stack"), (Multilayer, "profiles"),
+                        (Cylinder, "profiles"),
                         (AxisProfile, "layer_data"),
                         (AxisProfile, "edge_data")):
         prop = owner.__dict__[name]
@@ -472,18 +473,24 @@ def test_profile_data_built_once_per_body(monkeypatch):
             return func(obj)
         monkeypatch.setattr(prop, "func", spy)
     g = Multilayer(6, 2e-7, 3e-7, 19300.0, 2330.0, 1e-5, 1e-5, "z")
-    stack = separable_profiles(g)[1][2]
-    grid = np.logspace(-9, -4, 41)   # the stack is 1.5e-6 long
+    cyl = Cylinder(1e-14, 1e-7, 1e-6, (0.3, 0.4, 0.8))
+    stack, (slab, _) = g.profiles[1][2], cyl.profiles
     band = (1e3, 1e4)
-    for rec in (ExperimentRecord("force", g, "force", 1e-30, band),
-                ExperimentRecord("two_body", TwoBody(g, 5e-6),
-                                 "force_two_body", 1e-30, band),
-                ExperimentRecord("torque", g, "torque", 1e-40, band)):
-        assert set(exclusion_scan(rec, grid).status) == {"ok"}
+    for body, points, a in ((g, 41, 5e-6),   # the stack is 1.5e-6 long
+                            (cyl, 12, 1e-6)):
+        grid = np.logspace(-9, -4, points)
+        for rec in (ExperimentRecord("force", body, "force", 1e-30, band),
+                    ExperimentRecord("two_body", TwoBody(body, a),
+                                     "force_two_body", 1e-30, band),
+                    ExperimentRecord("torque", body, "torque", 1e-40, band)):
+            assert set(exclusion_scan(rec, grid).status) == {"ok"}, rec
     assert set(builds.values()) == {1}, builds
     assert sum(name == "_stack" for name, _ in builds) == 1
+    assert sum(name == "profiles" for name, _ in builds) == 2
     assert ("edge_data", id(stack)) in builds
-    assert sum(name == "layer_data" for name, _ in builds) == 3
+    assert ("layer_data", id(slab)) in builds
+    assert ("edge_data", id(slab)) in builds
+    assert sum(name == "layer_data" for name, _ in builds) == 4
 
     calls = collections.Counter()
     monkeypatch.setattr(scipy.special, "erf",

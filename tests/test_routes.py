@@ -52,34 +52,48 @@ EXPECTED = {
 # the functions a route calls first, through cslnoise's globals
 SPIES = ("force_pair_kernel_sum", "two_body_pair_kernel_sum",
          "torque_pair_kernel_sum", "integrate_k3", "_profile_moment",
-         "_separable_spectrum", "_cylinder_spectrum", "_torque_bracket")
+         "_torque_bracket")
 
 
 def first_calls(route, channel, method):
-    """The spied calls each route makes outside any other spied call."""
-    return {"closed form": ["integrate_k3"] if method == "quadrature" else [],
-            "pair kernel": [f"{channel}_pair_kernel_sum"],
-            "zero": [],
-            "radial": ["integrate_k3"],
-            "ball moment": ["_profile_moment"],
-            "1D moments": ["_separable_spectrum"],
-            "disc and slab moments": ["_cylinder_spectrum"],
-            "disc and slab torque": ["_torque_bracket"]}[route]
+    """The route function each route's cell calls, then, each once in
+    order of first call, the spied functions it calls itself."""
+    return {"closed form": ["_point_force"] + (
+                ["integrate_k3"] if method == "quadrature" else []),
+            "pair kernel": ["_pair_kernel", f"{channel}_pair_kernel_sum"],
+            "zero": ["_zero"],
+            "radial": ["_radial_force", "integrate_k3"],
+            "ball moment": ["_ball_moment", "_profile_moment"],
+            "1D moments": ["_separable", "_profile_moment"] + (
+                ["_torque_bracket"] if channel == "torque" else []),
+            "disc and slab moments": ["_cylinder", "_profile_moment"],
+            "disc and slab torque": ["_cylinder_torque",
+                                     "_torque_bracket"]}[route]
 
 
 def spy_on_routes(monkeypatch):
-    """Wrap SPIES in cslnoise; returns the list of outermost calls."""
+    """Wrap every route in _ROUTES, and SPIES in cslnoise; returns the
+    list of the routes called and of the spied calls made directly
+    inside a route, each once."""
     calls, depth = [], [0]
-    for name in SPIES:
-        def spy(*args, _name=name, _orig=getattr(cslnoise, name), **kwargs):
-            if depth[0] == 0:
-                calls.append(_name)
+
+    def spying(name, orig):
+        def spy(*args, **kwargs):
+            if depth[0] < 2 and name not in calls:
+                calls.append(name)
             depth[0] += 1
             try:
-                return _orig(*args, **kwargs)
+                return orig(*args, **kwargs)
             finally:
                 depth[0] -= 1
-        monkeypatch.setattr(cslnoise, name, spy)
+        return spy
+
+    for cell, (route_name, route) in cslnoise._ROUTES.items():
+        monkeypatch.setitem(cslnoise._ROUTES, cell,
+                            (route_name, spying(route.__name__, route)))
+    for name in SPIES:
+        monkeypatch.setattr(cslnoise, name,
+                            spying(name, getattr(cslnoise, name)))
     return calls
 
 

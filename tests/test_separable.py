@@ -378,13 +378,9 @@ def test_two_body_saturation_threshold(unit, extent, rC, monkeypatch):
         1e-12 * float(saturated) + full.error + saturated.error
 
 
-def test_saturation_separation_extents(monkeypatch):
-    """Each two-body route switches to the single-unit force at X + c rC,
-    X the unit's extent along x and c at least 15.5: just below it some
-    moment carries a separation kernel, just above it none does."""
-    rC = 1e-6
-    c_min = np.sqrt(8.0 * np.log(6.0 * np.sqrt(np.pi) / 1e-12))
-    assert c_min == pytest.approx(15.49, abs=0.01)
+def spy_on_kernels(monkeypatch):
+    """Spy on cslnoise._profile_moment; returns the list of the
+    separation kernels h its calls carry, None for none."""
     kernels, moment = [], cslnoise._profile_moment
 
     def spy(prof, kind, rC, spec, closed_form=True, h=None, *args):
@@ -392,6 +388,17 @@ def test_saturation_separation_extents(monkeypatch):
         return moment(prof, kind, rC, spec, closed_form, h, *args)
 
     monkeypatch.setattr(cslnoise, "_profile_moment", spy)
+    return kernels
+
+
+def test_saturation_separation_extents(monkeypatch):
+    """Each two-body route switches to the single-unit force at X + c rC,
+    X the unit's extent along x and c at least 15.5: just below it some
+    moment carries a separation kernel, just above it none does."""
+    rC = 1e-6
+    c_min = np.sqrt(8.0 * np.log(6.0 * np.sqrt(np.pi) / 1e-12))
+    assert c_min == pytest.approx(15.49, abs=0.01)
+    kernels = spy_on_kernels(monkeypatch)
     cases = [(Cuboid(1.0, 1e-7, 2.0, 3.0), 1e-7),
              (Multilayer(3, 1e-7, 2e-7, 1.0, 2.0, 5.0, 6.0, "x"), 4e-7),
              (Multilayer(3, 1e-7, 2e-7, 1.0, 2.0, 1e-7, 6.0, "y"), 1e-7),
@@ -416,16 +423,12 @@ def test_space_two_body_config_saturates(monkeypatch):
     from cslbounds.config import load_config
     from cslbounds.exclusion import exclusion_scan
 
-    separable = cslnoise._separable_spectrum
-
-    def force_only(sep, channel, *args, **kwargs):
-        assert channel == "force", "two-body route taken"
-        return separable(sep, channel, *args, **kwargs)
-
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     _, inputs = load_config(os.path.join(root, "configs",
                                          "space_two_body.ini"))
     (rec, grid), = inputs.experiments
-    monkeypatch.setattr(cslnoise, "_separable_spectrum", force_only)
+    kernels = spy_on_kernels(monkeypatch)
     curve = exclusion_scan(rec, grid[::10], inputs.quadrature)
     assert set(curve.status) == {"ok"}
+    assert kernels and all(h is None for h in kernels), \
+        "two-body route taken"
