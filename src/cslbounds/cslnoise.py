@@ -947,20 +947,36 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
             p, dp = prof.transform_and_derivative(k) if slope \
                 else (prof.transform(k), None)
             hk = None if h is None else h(s * k)
-            weight = 2.0 * np.exp(-np.square(k * rC))
+            weight = np.multiply(k, rC)   # 2 e^{-k^2 rC^2}, in place
+            np.square(weight, out=weight)
+            np.negative(weight, out=weight)
+            np.exp(weight, out=weight)
+            weight *= 2.0
+            # the same bits as |p|^2, |dp|^2 and Re(p dp*) of a real
+            # transform; a layer stack's is complex
+            real = not np.iscomplexobj(p)
+            k_powers = {}
             rows = []
             for name, power in zip(rest, powers):
                 if name == "D0":
-                    val = np.square(np.abs(dp))
+                    val = dp * dp if real else np.square(np.abs(dp))
                 elif name == "C1":   # on a line k multiplies in the product
-                    val = np.real((k if line else 1.0) * p * np.conj(dp))
+                    if real:
+                        val = (k * p if line else p) * dp
+                    else:   # contiguous: on a strided row _panel_rule's
+                        # matmul would take another path, with other bits
+                        val = np.ascontiguousarray(np.real(
+                            (k if line else 1.0) * p * np.conj(dp)))
                 else:
-                    val = np.square(np.abs(p))
+                    val = p * p if real else np.square(np.abs(p))
                 if hk is not None:
-                    val = val * hk
+                    val *= hk
                 if power:
-                    val = val * k ** power
-                rows.append(weight * val)
+                    if power not in k_powers:
+                        k_powers[power] = k ** power
+                    val *= k_powers[power]
+                val *= weight
+                rows.append(val)
             return rows
 
         rows = iter(integrate_1d(

@@ -13,7 +13,11 @@ All integrands must accept numpy arrays and evaluate elementwise.  Panel
 results are combined with math.fsum, so the accumulated value does not
 depend on evaluation order.  A 1D integrand may return a list of rows,
 several integrands that share their work at each node (the moments of
-one profile); each row is integrated bit for bit as if alone.
+one profile).  The rows refine in lockstep: in each round every row
+still refining picks the panels it would split alone, and one integrand
+call over all their children serves every row, so a stack costs as many
+calls as its slowest row.  Each row is integrated bit for bit as if
+alone.
 """
 
 import math
@@ -43,18 +47,24 @@ class QuadratureSpec:
     cutoff_factor: float = 8.0
 
     def __post_init__(self):
-        if not all(0 <= t < math.inf for t in (self.rel_tol, self.abs_tol)):
-            raise ValueError("rel_tol and abs_tol must be finite and "
-                             "nonnegative")
-        if not (self.rel_tol > 0 or self.abs_tol > 0):
-            raise ValueError("need rel_tol > 0 or abs_tol > 0")
+        _check_budget(self.rel_tol, self.abs_tol, self.max_evals)
         if not 5 <= self.cutoff_factor < math.inf:
             raise ValueError("cutoff_factor must be finite and at least 5; "
                              "below 5 truncates the Gaussian tail too "
                              "aggressively")
-        if not 15 <= self.max_evals < math.inf:
-            raise ValueError("max_evals must be finite and at least 15, "
-                             "one panel")
+
+
+def _check_budget(rel_tol, abs_tol, max_evals):
+    """Raise ValueError unless both tolerances are finite and nonnegative,
+    one of them positive, and max_evals is finite and at least 15."""
+    if not all(0 <= t < math.inf for t in (rel_tol, abs_tol)):
+        raise ValueError("rel_tol and abs_tol must be finite and "
+                         "nonnegative")
+    if not (rel_tol > 0 or abs_tol > 0):
+        raise ValueError("need rel_tol > 0 or abs_tol > 0")
+    if not 15 <= max_evals < math.inf:
+        raise ValueError("max_evals must be finite and at least 15, "
+                         "one panel")
 
 
 class NonConvergence(RuntimeError):
@@ -106,13 +116,62 @@ def _panel_values(f, lo, hi):
 def _panel_rule(row, half):
     """K15 and the embedded G7 error of one integrand's node values, summed
     on its own (panels, 15) block: a matmul's bits depend on the layout
-    of its batch, and each row of a stack, its own array, sums as alone."""
+    of its batch, and each row of a stack, its own array, sums as alone.
+    Run under integrate_1d's np.errstate, which lets an overflow or
+    inf - inf make an error inf or NaN."""
     vals = np.asarray(row, dtype=float).reshape(-1, 15)
-    # an overflow or inf - inf makes an error inf or NaN: integrate_1d
-    # raises NonConvergence for it
-    with np.errstate(over="ignore", invalid="ignore"):
-        k15 = half * (vals @ _WGK)
-        return k15, np.abs(k15 - half * (vals[:, _GAUSS_IDX] @ _WG))
+    k15 = half * (vals @ _WGK)
+    return k15, np.abs(k15 - half * (vals[:, _GAUSS_IDX] @ _WG))
+
+
+def _refine(row, half, lo, hi, a, b, rel_tol, abs_tol, max_evals):
+    """One row's adaptive bisection of its panels [lo, hi], given its node
+    values there and their half widths, as a generator: it yields the
+    (lo, hi) of the children of the panels it splits next, left children
+    first, and is sent back its node values on them and their half
+    widths.  Returns (value, error) once it meets its tolerance; raises
+    NonConvergence when it runs out of evaluations or meets a NaN or
+    infinite value."""
+    vals, errs = _panel_rule(row, half)
+    evals = np.size(row)
+    while True:
+        # a NaN or infinite node value makes its panel's error NaN or
+        # inf, which no split can reduce
+        tot_err = math.fsum(errs.tolist())
+        if not math.isfinite(tot_err):
+            total = sum(vals.tolist())   # inf - inf is NaN, no error
+            raise NonConvergence(
+                f"panel value or error not finite on [{a!r}, {b!r}] "
+                f"(estimate {total!r}, error {tot_err!r})", total, tot_err)
+        total = math.fsum(vals.tolist())
+        target = max(abs_tol, rel_tol * abs(total))
+        if tot_err <= target or target == 0.0 and tot_err == 0.0:
+            return total, tot_err
+        if evals >= max_evals:
+            raise NonConvergence(
+                f"quadrature used {evals} evaluations without reaching "
+                f"tolerance (error {tot_err:.3e}, target {target:.3e})",
+                total, tot_err)
+        # split every panel carrying more than its per-panel error share
+        thresh = 0.5 * target / len(vals)
+        split = errs > thresh
+        if not split.any():
+            split = errs == errs.max()
+        keep = ~split
+        s_lo, s_hi = lo[split], hi[split]
+        s_mid = 0.5 * (s_lo + s_hi)
+        new, half = yield (np.concatenate([s_lo, s_mid]),
+                           np.concatenate([s_mid, s_hi]))
+        new_vals, new_errs = _panel_rule(new, half)
+        evals += np.size(new)
+        lo = np.concatenate([lo[keep], s_lo, s_mid])
+        hi = np.concatenate([hi[keep], s_mid, s_hi])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
+        # canonical ordering keeps fsum input deterministic
+        order = lo.argsort(kind="stable")
+        lo, hi = lo[order], hi[order]
+        vals, errs = vals[order], errs[order]
 
 
 def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
@@ -125,70 +184,74 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
 
     f maps an array of n nodes to n values, or to a list of such arrays,
     a stack of integrands sharing their work per node.  The stack is
-    evaluated once on the first panels; each row then refines on its own
-    panels (taking its row of f) and spends max_evals as if alone, bit
-    for bit.  Returns (value, error_estimate), or a list of them for a
-    stack; raises NonConvergence with the estimate and error of the
-    first row that runs out of evaluations or meets a NaN or infinite
-    value.
+    evaluated once on the first panels, then refines in lockstep rounds:
+    each row still refining picks the panels it would split alone, one
+    call of f on all their children serves every row, and each row
+    takes its own block of its own values.  A row spends max_evals as if
+    alone and its result is the lone one, bit for bit; a stack makes as
+    many calls of f as its row with the most rounds.  Returns
+    (value, error_estimate), or a list of them for a stack; raises
+    NonConvergence with the estimate and error of the first row (in
+    stack order) that runs out of evaluations or meets a NaN or infinite
+    value, once every row before it has converged.
+
+    The bounds must be finite, and an empty or reversed interval
+    integrates to 0; bad bounds, tolerances (the rule of QuadratureSpec),
+    max_evals or a max_panel_width that is not positive raise
+    ValueError.
     """
+    _check_budget(rel_tol, abs_tol, max_evals)
+    if not all(math.isfinite(x) for x in (a, b, b - a)):
+        raise ValueError("bounds and b - a must be finite, got "
+                         f"[{a!r}, {b!r}]")
+    if max_panel_width is not None and not max_panel_width > 0:
+        raise ValueError("max_panel_width must be positive")
     span = b - a
     if span <= 0:   # no panels: every row integrates to 0
         lo = hi = np.empty(0)
     elif max_panel_width is not None and max_panel_width < span:
-        n0 = min(int(np.ceil(span / max_panel_width)), 4096)
+        n0 = int(min(np.ceil(span / max_panel_width), 4096))
         edges = np.linspace(a, b, n0 + 1)
         lo, hi = edges[:-1], edges[1:]
     else:
         lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
 
     first_half, first = _panel_values(f, lo, hi)
-    results = []
     stacked = isinstance(first, list)
-    for r, row in enumerate(first if stacked else [first]):
-        lo_r, hi_r = lo, hi
-        vals, errs = _panel_rule(row, first_half)
-        evals = np.size(row)
-        while True:
-            # a NaN or infinite node value makes its panel's error NaN or
-            # inf, which no split can reduce
-            tot_err = math.fsum(errs.tolist())
-            if not math.isfinite(tot_err):
-                total = sum(vals.tolist())   # inf - inf is NaN, no error
-                raise NonConvergence(
-                    f"panel value or error not finite on [{a!r}, {b!r}] "
-                    f"(estimate {total!r}, error {tot_err!r})", total,
-                    tot_err)
-            total = math.fsum(vals.tolist())
-            target = max(abs_tol, rel_tol * abs(total))
-            if tot_err <= target or target == 0.0 and tot_err == 0.0:
-                results.append((total, tot_err))
-                break
-            if evals >= max_evals:
-                raise NonConvergence(
-                    f"quadrature used {evals} evaluations without reaching "
-                    f"tolerance (error {tot_err:.3e}, target {target:.3e})",
-                    total, tot_err)
-            # split every panel carrying more than its per-panel error share
-            thresh = 0.5 * target / len(vals)
-            split = errs > thresh
-            if not np.any(split):
-                split = errs == errs.max()
-            s_lo, s_hi = lo_r[split], hi_r[split]
-            s_mid = 0.5 * (s_lo + s_hi)
-            half, new = _panel_values(f, np.concatenate([s_lo, s_mid]),
-                                      np.concatenate([s_mid, s_hi]))
-            new = new[r] if stacked else new
-            new_vals, new_errs = _panel_rule(new, half)
-            evals += np.size(new)
-            lo_r = np.concatenate([lo_r[~split], s_lo, s_mid])
-            hi_r = np.concatenate([hi_r[~split], s_mid, s_hi])
-            vals = np.concatenate([vals[~split], new_vals])
-            errs = np.concatenate([errs[~split], new_errs])
-            # canonical ordering keeps fsum input deterministic
-            order = np.argsort(lo_r, kind="stable")
-            lo_r, hi_r = lo_r[order], hi_r[order]
-            vals, errs = vals[order], errs[order]
+    live = [(r, _refine(row, first_half, lo, hi, a, b, rel_tol, abs_tol,
+                        max_evals))
+            for r, row in enumerate(first if stacked else [first])]
+    results = [None] * len(live)
+    sent = [None] * len(live)   # what each row is sent next
+    failure = None
+    while live:
+        asks = []   # (row index, row, its children's lo, their hi)
+        # an overflow or inf - inf in a row's _panel_rule makes an error
+        # inf or NaN, for which the row raises NonConvergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, row in live:
+                try:
+                    asks.append((r, row, *row.send(sent[r])))
+                except StopIteration as done:
+                    results[r] = done.value
+                except NonConvergence as exc:
+                    # the rows after it cannot change which row raises
+                    failure = exc
+                    break
+        live = [ask[:2] for ask in asks]
+        if not live:
+            break
+        half, new = _panel_values(f, np.concatenate([ask[2] for ask in asks]),
+                                  np.concatenate([ask[3] for ask in asks]))
+        new = new if stacked else [new]
+        start = 0
+        for r, _, c_lo, _ in asks:
+            stop = start + len(c_lo)
+            sent[r] = (np.asarray(new[r], dtype=float)[15 * start:15 * stop],
+                       half[start:stop])
+            start = stop
+    if failure is not None:
+        raise failure
     return results if stacked else results[0]
 
 
@@ -200,7 +263,9 @@ def integrate_k3(f, rC, spec=None, symmetry="isotropic",
     ValueError.
 
     oscillation_scale: largest body dimension L; radial panels are then
-    started at half the period of the fastest sin(kL/2)^2 factor.
+    started at half the period of the fastest sin(kL/2)^2 factor (none
+    for 0).  An rC that is not positive and finite, or an
+    oscillation_scale that is negative or not finite, raises ValueError.
 
     Returns (value, error_estimate).
     """
@@ -208,11 +273,15 @@ def integrate_k3(f, rC, spec=None, symmetry="isotropic",
         raise ValueError(f"unknown symmetry tag {symmetry!r}")
     if spec is None:
         spec = QuadratureSpec()
-    if rC <= 0:
-        raise ValueError("rC must be positive")
+    if not 0 < rC < math.inf:
+        raise ValueError(f"rC must be positive and finite, got {rC!r}")
     width = None
-    if oscillation_scale is not None and oscillation_scale > 0:
-        width = np.pi / oscillation_scale
+    if oscillation_scale is not None:
+        if not 0 <= oscillation_scale < math.inf:
+            raise ValueError("oscillation_scale must be finite and "
+                             f"nonnegative, got {oscillation_scale!r}")
+        if oscillation_scale > 0:
+            width = np.pi / oscillation_scale
 
     def radial(k):
         return 4.0 * np.pi * k * k * np.asarray(f(k), dtype=float)

@@ -27,16 +27,22 @@ def bessel_j1(x):
     return scipy.special.j1(np.asarray(x, dtype=float))
 
 
-def _patch(out, x, limit, series):
-    """Overwrite the entries of out where |x| < limit by series(x) there.
+def _small(x, limit):
+    """The mask |x| < limit, or None where no entry is that small."""
+    small = np.abs(x) < limit
+    return small if small.any() else None
+
+
+def _patch(out, x, small, series):
+    """Overwrite the entries of out where the mask small (from _small) is
+    set by series(x) there.
 
     The generic formulas below are evaluated over the whole array, in
     place into out, with their 0/0 at x = 0 silenced; each element then
     gets the same operations as in a masked np.where evaluation, so the
     results are bit-identical to it.
     """
-    small = np.abs(x) < limit
-    if small.any():
+    if small is not None:
         out[small] = series(x[small])
     return out
 
@@ -56,7 +62,7 @@ def sinc(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sin(x, out=np.empty_like(x))
         out /= x
-    return _patch(out, x, 1e-4, _sinc_series)
+    return _patch(out, x, _small(x, 1e-4), _sinc_series)
 
 
 def _sinc_prime_series(x):
@@ -73,8 +79,9 @@ def sinc_pair(x):
         slope = np.cos(x, out=np.empty_like(x))
         slope -= value
         slope /= x
-    return (_patch(value, x, 1e-4, _sinc_series),
-            _patch(slope, x, 1e-4, _sinc_prime_series))
+    small = _small(x, 1e-4)
+    return (_patch(value, x, small, _sinc_series),
+            _patch(slope, x, small, _sinc_prime_series))
 
 
 def sinc_prime(x):
@@ -97,7 +104,7 @@ def jinc(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         out *= 2.0
         out /= x
-    return _patch(out, x, 1e-4, _jinc_series)
+    return _patch(out, x, _small(x, 1e-4), _jinc_series)
 
 
 def _jinc_prime_series(x):
@@ -119,8 +126,9 @@ def jinc_pair(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         slope /= np.multiply(x, x)
         value /= x
-    return (_patch(value, x, 1e-4, _jinc_series),
-            _patch(slope, x, 1e-4, _jinc_prime_series))
+    small = _small(x, 1e-4)
+    return (_patch(value, x, small, _jinc_series),
+            _patch(slope, x, small, _jinc_prime_series))
 
 
 def jinc_prime(x):
@@ -146,7 +154,7 @@ def sphere_kernel(u):
     out *= 3.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= np.power(u, 3, out=tmp)
-    return _patch(out, u, 1e-3, _sphere_series)
+    return _patch(out, u, _small(u, 1e-3), _sphere_series)
 
 
 def _series_below_1(x, coef, t_scale, full):
@@ -163,7 +171,7 @@ def _series_below_1(x, coef, t_scale, full):
             total *= t
         return total
 
-    return _patch(out, x, 1.0, series)
+    return _patch(out, x, _small(x, 1.0), series)
 
 
 def one_minus_j0(x):

@@ -172,24 +172,103 @@ STACK = (lambda x: np.sin(50.0 * x) ** 2,
          lambda x: np.exp(-x) * np.cos(3.0 * x))
 
 
+def lockstep_schedule(lone_points):
+    """The node counts of a stack's integrand calls, given the node counts
+    of each row's calls alone: the first panels once, then in round t
+    one call whose size is the sum of the lone round-t sizes of the rows
+    still refining."""
+    rounds = max(len(p) for p in lone_points)
+    return [lone_points[0][0]] + [sum(p[t] for p in lone_points if t < len(p))
+                                  for t in range(1, rounds)]
+
+
+def lone_and_stacked(rows, a, b, **kwargs):
+    """(lone results, stacked results, node counts of each row's calls
+    alone, node counts of the stack's calls)."""
+    lone, lone_points = [], []
+    for g in rows:
+        points = []
+        lone.append(integrate_1d(counted(g, points), a, b, **kwargs))
+        lone_points.append(points)
+    points = []
+    stacked = integrate_1d(counted(lambda x: [g(x) for g in rows], points),
+                           a, b, **kwargs)
+    return lone, stacked, lone_points, points
+
+
 def test_stacked_rows_equal_lone_integrals():
     """Each row of a stacked integrand gives the value and error of its
     integrand alone, bit for bit, after refinement rounds of different
-    counts; the first panels are evaluated once for the whole stack and
-    every later round for the one row refining."""
-    kwargs = dict(rel_tol=1e-11, max_panel_width=2.0)
-    lone, lone_points = [], []
-    for g in STACK:
-        points = []
-        lone.append(integrate_1d(counted(g, points), 0.0, 6.0, **kwargs))
-        lone_points.append(points)
-    points = []
-    rows = integrate_1d(counted(lambda x: [g(x) for g in STACK], points),
-                        0.0, 6.0, **kwargs)
+    counts; the first panels are evaluated once for the whole stack, and
+    each later round once for every row still refining."""
+    lone, rows, lone_points, points = lone_and_stacked(
+        STACK, 0.0, 6.0, rel_tol=1e-11, max_panel_width=2.0)
     assert rows == lone
-    assert all(len(p) > 1 for p in lone_points)
-    first = lone_points[0][0]
-    assert points == [first] + [n for p in lone_points for n in p[1:]]
+    assert len({len(p) for p in lone_points}) == len(STACK)
+    assert points == lockstep_schedule(lone_points)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_stacks_equal_lone_integrals(seed):
+    """Stacks of 2 to 4 random damped oscillations at a random tolerance:
+    every row equals its lone integral bit for bit, and the stack makes
+    the lockstep schedule of integrand calls, as many as its row with
+    the most rounds."""
+    rng = np.random.default_rng(seed)
+    params = rng.uniform([0.5, 0.1, 1.0], [3.0, 2.0, 40.0],
+                         size=(rng.integers(2, 5), 3))
+    rows = [lambda x, a=a, b=b, c=c: a * np.exp(-b * x) * np.cos(c * x) ** 2
+            for a, b, c in params]
+    lone, stacked, lone_points, points = lone_and_stacked(
+        rows, 0.0, 6.0, rel_tol=10.0 ** rng.uniform(-12.0, -8.0),
+        max_panel_width=2.0)
+    assert [(v.hex(), e.hex()) for v, e in stacked] \
+        == [(v.hex(), e.hex()) for v, e in lone]
+    assert len({len(p) for p in lone_points}) > 1
+    assert points == lockstep_schedule(lone_points)
+    assert len(points) == max(len(p) for p in lone_points)
+
+
+# converges after 23 calls of one-panel rounds; runs out of 3000
+# evaluations after 7 calls of doubling rounds; after 36 calls; raises at
+# its first call
+KINK = lambda x: np.sqrt(np.abs(x - 0.3))
+FAST_FAIL = lambda x: np.sin(2000.0 * x) ** 2
+SLOW_FAIL = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-300)
+NAN_ROW = lambda x: np.where(x > 0.5, np.nan, 1.0)
+
+
+def outcome(g, points, **kwargs):
+    """integrate_1d's value and error, or the estimate, error and message
+    of the NonConvergence it raises, floats as float.hex (NaN included);
+    adds the node counts of its calls to points."""
+    try:
+        return tuple(x.hex() for x in integrate_1d(counted(g, points), 0.0,
+                                                   6.0, **kwargs))
+    except NonConvergence as exc:
+        return exc.estimate.hex(), exc.error.hex(), str(exc)
+
+
+@pytest.mark.parametrize("rows, raising", [
+    ((KINK, FAST_FAIL), 1), ((KINK, NAN_ROW), 1), ((SLOW_FAIL, FAST_FAIL), 0),
+    ((KINK, SLOW_FAIL, FAST_FAIL), 1)])
+def test_lockstep_raises_the_first_failing_rows_own_nonconvergence(
+        rows, raising):
+    """Rows fail while an earlier row still refines, by running out of
+    max_evals or meeting a NaN: the stack raises the NonConvergence of
+    its first failing row, with the estimate, error and message of that
+    row alone, after every row before it is done."""
+    kwargs = dict(rel_tol=1e-12, max_evals=3000, max_panel_width=2.0)
+    lone_points = [[] for _ in rows]
+    lone = [outcome(g, p, **kwargs) for g, p in zip(rows, lone_points)]
+    assert all(len(r) == 2 for r in lone[:raising])
+    assert len(lone[raising]) == 3
+    # a later row fails in an earlier round than an earlier row finishes
+    assert min(len(p) for p in lone_points[1:]) < len(lone_points[0])
+    points = []
+    stacked = outcome(lambda x: [g(x) for g in rows], points, **kwargs)
+    assert stacked == lone[raising]
+    assert len(points) == max(len(p) for p in lone_points[:raising + 1])
 
 
 def test_stacked_row_out_of_budget_raises_its_own_estimate():
@@ -213,6 +292,64 @@ def test_empty_interval_integrates_every_row_to_zero():
     assert integrate_1d(np.sin, 1.0, 1.0) == (0.0, 0.0)
     assert integrate_1d(lambda x: [x, x * x], 2.0, 1.0) \
         == [(0.0, 0.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0),
+    (-1e308, 1e308)])
+@pytest.mark.parametrize("width", [None, 0.5])
+def test_integrate_1d_rejects_non_finite_bounds(a, b, width):
+    """An infinite or NaN bound, or a span b - a that overflows, is a
+    ValueError, not an OverflowError or a numpy warning."""
+    with pytest.raises(ValueError, match="bounds"):
+        integrate_1d(np.sin, a, b, max_panel_width=width)
+
+
+@pytest.mark.parametrize("tols", [
+    {"rel_tol": -1.0}, {"rel_tol": math.nan}, {"abs_tol": -1.0},
+    {"abs_tol": math.nan}, {"rel_tol": 0.0, "abs_tol": 0.0},
+    {"rel_tol": math.inf}])
+def test_integrate_1d_rejects_tolerances_quadrature_spec_rejects(tols):
+    """Negative, NaN or infinite tolerances, or both zero, are a
+    ValueError at once, before any evaluation, as in QuadratureSpec."""
+    with pytest.raises(ValueError, match="tol"):
+        integrate_1d(np.sin, 0.0, 1.0, **tols)
+    with pytest.raises(ValueError, match="tol"):
+        QuadratureSpec(**tols)
+
+
+@pytest.mark.parametrize("max_evals", [14, 0, -1, math.nan, math.inf])
+def test_integrate_1d_rejects_max_evals_below_one_panel(max_evals):
+    with pytest.raises(ValueError, match="max_evals"):
+        integrate_1d(np.sin, 0.0, 1.0, max_evals=max_evals)
+
+
+@pytest.mark.parametrize("width", [-1.0, 0.0, -math.inf, math.nan])
+def test_integrate_1d_rejects_panel_width_not_positive(width):
+    """A max_panel_width that is not positive is a ValueError, not zeros
+    or a ZeroDivisionError; an infinite width is one panel."""
+    with pytest.raises(ValueError, match="max_panel_width"):
+        integrate_1d(np.sin, 0.0, 1.0, max_panel_width=width)
+    val, _ = integrate_1d(np.sin, 0.0, 1.0, max_panel_width=math.inf)
+    assert val == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("rC", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_k3_rejects_rC_not_positive_and_finite(rC):
+    """An rC that is not positive and finite is a ValueError; an infinite
+    rC would otherwise integrate over an empty ball, to (0, 0)."""
+    with pytest.raises(ValueError, match="rC"):
+        integrate_k3(lambda k: np.exp(-k * k), rC)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, -1e-6])
+def test_k3_rejects_oscillation_scale_negative_or_not_finite(scale):
+    """A negative or non-finite oscillation_scale is a ValueError; 0, like
+    None, starts from one panel."""
+    f = lambda k: np.exp(-k * k)
+    with pytest.raises(ValueError, match="oscillation_scale"):
+        integrate_k3(f, 1.0, oscillation_scale=scale)
+    assert integrate_k3(f, 1.0, oscillation_scale=0.0) == integrate_k3(f, 1.0)
 
 
 NON_FINITE = """

@@ -19,8 +19,8 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        csl_torque_spectrum)
 from cslbounds import cslnoise
 from cslbounds.cslnoise import torque_pair_kernel_sum
-from cslbounds.geometry import AxisProfile, DiscProfile
-from cslbounds.quadrature import NonConvergence
+from cslbounds.geometry import AxisProfile, BallProfile, DiscProfile
+from cslbounds.quadrature import NonConvergence, integrate_1d
 from cslbounds.special import one_minus_j0
 from lattices import multilayer_lattice
 from oracles import size, torque as oracle_torque, two_body as oracle_two_body
@@ -318,6 +318,58 @@ def test_grouped_moments_equal_lone_moments_bit_for_bit(case):
     assert grouped == (failed[0] if failed else lone)
 
 
+def elementwise_integrand(prof, kinds, rC, h, s):
+    """_profile_moment's integrand written as complex elementwise
+    expressions, |P|^2, |P'|^2 and Re(k P P'*) times each factor in a
+    new array, for every profile alike."""
+    line = prof.dims == 1
+    powers = [{"M1": 1, "M2": 2, "C1": not line}.get(name, 0)
+              + prof.dims - 1 for name in kinds]
+    slope = "D0" in kinds or "C1" in kinds
+
+    def integrand(k):
+        p, dp = prof.transform_and_derivative(k) if slope \
+            else (prof.transform(k), None)
+        weight = 2.0 * np.exp(-np.square(k * rC))
+        rows = []
+        for name, power in zip(kinds, powers):
+            if name == "D0":
+                val = np.square(np.abs(dp))
+            elif name == "C1":
+                val = np.real((k if line else 1.0) * p * np.conj(dp))
+            else:
+                val = np.square(np.abs(p))
+            if h is not None:
+                val = val * h(s * k)
+            if power:
+                val = val * k ** power
+            rows.append(weight * val)
+        return rows
+    return integrand
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grouped_moments())
+def test_quadrature_moments_equal_the_elementwise_integrand(case):
+    """The quadrature moments of a slab, a layer stack (complex
+    transform) or a disc, and of a ball, equal bit for bit the integrals
+    of the same integrand written elementwise: the in-place weight and
+    scaling, the real products of a real transform and the shared powers
+    of k change no bit, value, error or NonConvergence."""
+    prof, _, rC, spec, _, h, s = case
+    for prof, kinds in ((prof, ("M0", "M1", "M2", "D0", "C1")),
+                        (BallProfile(prof.length / 2.0), ("M0", "M1", "M2"))):
+        try:
+            want = integrate_1d(
+                elementwise_integrand(prof, kinds, rC, h, s), 0.0,
+                spec.cutoff_factor / rC, spec.rel_tol, spec.abs_tol,
+                spec.max_evals, max_panel_width=np.pi / max(prof.length, s))
+        except NonConvergence as exc:
+            want = "NonConvergence", exc.estimate, exc.error
+        got = moment_or_failure(prof, kinds, rC, spec, False, h, s)
+        assert repr(got) == repr(want)
+
+
 def test_cylinder_torque_point_makes_two_integrate_1d_calls(monkeypatch):
     """The torque of a cylinder across x integrates M2, D0 and C1 of its
     disc in one integrate_1d call and of its slab in another."""
@@ -332,6 +384,37 @@ def test_cylinder_torque_point_makes_two_integrate_1d_calls(monkeypatch):
     g = Cylinder(1e-14, 1e-7, 1e-6, (0.0, 1.0, 0.0))
     assert float(csl_torque_spectrum(g, CollapseParams(1.0, 1e-7))) > 0.0
     assert calls == [3, 3]
+
+
+def test_cylinder_torque_calls_as_often_as_its_slowest_row(monkeypatch):
+    """At rC = 1e-6, where the moments refine for several rounds, each of
+    a cylinder torque point's two integrate_1d calls evaluates its
+    integrand as many times as its row with the most rounds needs alone,
+    1 + its rounds, and not once per round of every row."""
+    calls, lone, original = [], [], cslnoise.integrate_1d
+
+    def counting(f, *args, **kwargs):
+        def count(points, g):
+            def wrapper(x):
+                points.append(x.size)
+                return g(x)
+            return wrapper
+        points = []
+        rows = original(count(points, f), *args, **kwargs)
+        calls.append(len(points))
+        lone.append([])
+        for r in range(len(rows)):
+            alone = []
+            original(count(alone, lambda x, r=r: f(x)[r]), *args, **kwargs)
+            lone[-1].append(len(alone))
+        return rows
+
+    monkeypatch.setattr(cslnoise, "integrate_1d", counting)
+    g = Cylinder(1e-14, 1e-7, 1e-6, (0.0, 1.0, 0.0))
+    assert float(csl_torque_spectrum(g, CollapseParams(1.0, 1e-6))) > 0.0
+    assert len(calls) == 2
+    assert calls == [max(n) for n in lone]
+    assert all(sum(n) - len(n) + 1 > max(n) > 1 for n in lone)
 
 
 FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
