@@ -16,10 +16,11 @@ products of the moments of a slab and a disc profile for cylinders at
 any tilt; one moment of a ball profile for the sphere two-body, and one
 radial integral (integrate_k3) for the sphere force.  Every profile
 moment comes from _profile_moment.  Every moment of a slab or layer
-stack, and a disc's M0 and M2, is a closed form (erf/exp sums over
-pairs of layer edges, or their series in 1/rC^2; e^{-x} I_n(x) for the
-disc); the cylinder torque, the disc kernels of a two-body cylinder and
-the sphere two-body stay 1D quadratures.  method="quadrature" runs the
+stack, a disc's M0 and M2, and up to R = 3.5 rC its kernel moments, is a
+closed form (erf/exp sums over pairs of layer edges, or their series in
+1/rC^2; e^{-x} I_n(x) and a Laguerre series for the disc); the cylinder
+torque, the disc kernels of a two-body cylinder past that and the
+sphere two-body stay 1D quadratures.  method="quadrature" runs the
 same route with every moment by 1D quadrature, as a cross-check of the
 closed forms.  No route integrates in more than one dimension; the
 generic 3D quadrature is a test oracle (tests/oracles.py).  README.md
@@ -841,6 +842,176 @@ def _disc_moment(R, kinds, rC):
     return out
 
 
+# A disc's separation-kernel moments as a Laguerre series.
+#
+# |jinc(kR)|^2 = sum_j c_j (kR)^2j with c_j = (-1)^j (2j+2)! / (4^j j!
+# (j+2)! ((j+1)!)^2), and each power times e^{-k^2 rC^2} and a Bessel
+# kernel of s k is a Gaussian-Hankel integral: e^{-u} times a Laguerre
+# polynomial L_j^(a) in u = s^2 / 4rC^2.  With x = R^2 / rC^2 and
+# E_j^(a) = e^{-u} L_j^(a)(u),
+#   Q0m  = rC^-2 sum c_j x^j j! (1 - E_j),
+#   Q2h  = rC^-4 sum c_j x^j [(j+1)! (1/2 - E_{j+1}) + (j!/2) E_j^(1)],
+#   Q1J1 = s rC^-4 sum c_j x^j (j!/2) E_j^(1).
+# Its terms alternate and peak near j = x, so the sum cancels: by up to
+# 4.5e6 at R = 3.5 rC, which still leaves about 2e-8 relative; past that
+# reach the moments stay quadratures.  Where (j + 1) u <= 1 a term's
+# bracket, which vanishes at u = 0, is summed as its own series in u
+# (Kummer: E_j = 1F1(j+1; 1; -u), E_j^(1) = (j+1) 1F1(j+2; 2; -u)).
+_DISC_KERNEL_REACH = 3.5
+_LAGUERRE_TERMS = 72        # terms j < 72 at most; R = 3.5 rC takes 57
+_KUMMER_TERMS = 20          # terms m <= 20 of each bracket's series in u
+_LJ = np.arange(_LAGUERRE_TERMS + 1)
+_LJ1 = _LJ + 1.0
+# c_j j!, exact integers divided once, and c_j (j+1)!
+_LAGUERRE_C0 = np.array([(-1) ** j * math.comb(2 * j + 2, j + 1)
+                         / (4 ** j * math.factorial(j + 2))
+                         for j in range(_LAGUERRE_TERMS + 1)])
+_LAGUERRE_C2 = _LAGUERRE_C0 * _LJ1
+_LAGUERRE_ABS = np.abs(_LAGUERRE_C0)
+_LAGUERRE_STOP = 2.0 ** 60 * (_LJ[1:] + 2.0) ** 2
+# times x, the ratio of consecutive term bounds is at most this, for
+# every kind
+_LAGUERRE_RATIO = (2 * _LJ + 3) / (2.0 * (_LJ + 1) * (_LJ + 2))
+
+
+def _kummer_tables():
+    """Per j (rows) the coefficients of u^m (columns) of 1 - E_j, of
+    [(1/2 - E_{j+1}) + E_j^(1) / 2 (j+1)] and of E_j^(1) / (j+1):
+    (-1)^{m+1} C(j+m, m) / m! for m >= 1, (-1)^{m+1} C(j+m+1, m) (2m+1) /
+    2 (m+1)! for m >= 1 and (-1)^m C(j+m+1, m) / (m+1)! for m >= 0, up
+    to m = _KUMMER_TERMS, each built by a running product within m
+    ulps."""
+    j = _LJ[:, None]
+    m = np.arange(1, _KUMMER_TERMS + 1)
+    sign = np.where(m % 2 == 1, 1.0, -1.0)
+    one = np.cumprod((j + m) / (m * m), axis=1) * sign
+    lifted = np.cumprod((j + 1 + m) / (m * (m + 1.0)), axis=1)
+    half = lifted * (2 * m + 1) / 2.0 * sign
+    first = np.hstack([np.ones((j.size, 1)), -lifted * sign])
+    return one, half, first
+
+
+# With (j + 1) u <= 1 the terms in u of every bracket fall at least as
+# fast as (2m + 1) / 3 m! times the first, so those past _KUMMER_TERMS
+# sum to at most this share of the summed magnitudes
+_KUMMER_TAIL = 2.0 * (2 * _KUMMER_TERMS + 3) / (
+    3.0 * math.factorial(_KUMMER_TERMS + 1))
+# each table stacked with its magnitudes, which one product sums alike
+_KUMMER = {kind: np.stack([table, np.abs(table)]) for kind, table in
+           zip(("M0", "M2", "M1"), _kummer_tables())}
+
+
+def _laguerre_scaled(u, g, n):
+    """e^{-u} L_j(u) and e^{-u} L_j^(1)(u) for j <= n, two arrays, by
+    the three-term recurrences on g L_j^(a), g = e^{-u/2}, which stay
+    within C(j+a, j) (Szego), then scaled by g: nothing under- or
+    overflows before g does, past u = 1490, where every value is 0."""
+    if g == 0.0:
+        return np.zeros(n + 1), np.zeros(n + 1)
+    f0, f1 = [g, g * (1.0 - u)], [g, g * (2.0 - u)]
+    for k in range(1, n):
+        f0.append(((2 * k + 1 - u) * f0[k] - k * f0[k - 1]) / (k + 1))
+        f1.append(((2 * k + 2 - u) * f1[k] - (k + 1) * f1[k - 1]) / (k + 1))
+    return np.array(f0) * g, np.array(f1) * g
+
+
+def _disc_kernel_moment(R, kinds, rC, s):
+    """Closed forms of a disc's Q0m, Q2h and Q1J1 (kinds M0, M2 and M1;
+    see _cylinder), as the Laguerre series above, for R <= 3.5 rC.
+    Returns one (value, error) per kind, None for any other kind, or
+    None for every kind where the series would need more than
+    _LAGUERRE_TERMS terms.
+
+    Bounds.  |E_j^(a)| <= C(j+a, j) e^{-u/2} (Szego), and integrating
+    d/du E_j = -E_j^(1) and the like from u = 0 gives |1 - E_j| <=
+    min(1 + e^{-u/2}, 2 (j+1)(1 - e^{-u/2})) and a Q2h bracket at most
+    (j+1)! min(1/2 + 3 e^{-u/2} / 2, 5 (j+2)(1 - e^{-u/2}) / 2).  These
+    term bounds fall by at least (2j+3) x / 2 (j+1)(j+2) per term.
+
+    The number of terms n depends on x alone, not on u or the kinds
+    asked, so that each kind is the same alone or in company: the first
+    n at which that ratio is at most 1/2 and (n+2)^2 |c_n n!| x^n, which
+    exceeds every kind's next bound relative to its sum, is below 2^-60
+    of sum_{j<n} |c_j j!| x^j.  The terms with (j + 1) u <= 1 sum their
+    brackets as series in u (_KUMMER), which do not cancel there; the
+    others take E_j and E_j^(1) from their three-term recurrences
+    (_laguerre_scaled), where the bracket cancels by less than the
+    (j + 1) that the recurrences' rounding grows by.
+
+    Error.  _ROUNDING times the sum of the magnitudes of the parts each
+    term adds, each E_j^(a) counted at (j + 1) times its bound, which
+    covers the recurrences' rounding (at most 4.4 (j + 1) ulps of the
+    bound up to j = 72, against 50-digit recurrences), plus twice the
+    first omitted term's bound, which bounds the whole tail.  Q1J1's
+    error is absolute: at large u its value is far below the bound
+    C(j+1, j) e^{-u/2} its error is made of, as the Cauchy-Schwarz target
+    in _cylinder allows.
+    """
+    x = R * R / (rC * rC)
+    u = (s / (2.0 * rC)) ** 2
+    # the first n whose ratio x (2n+3) / 2 (n+1)(n+2) is at most 1/2
+    n0 = max(1, math.ceil(x - 1.5 + math.sqrt(x * x + 0.25)))
+    n0 += x * _LAGUERRE_RATIO[min(n0, _LAGUERRE_TERMS)] > 0.5
+    if n0 > _LAGUERRE_TERMS:
+        return [None] * len(kinds)
+    xp = x ** _LJ
+    weights = _LAGUERRE_ABS * xp
+    sums = np.cumsum(weights)
+    ok = _LAGUERRE_STOP[n0 - 1:] * weights[n0:] <= sums[n0 - 1:-1]
+    first = int(np.argmax(ok))
+    if not ok[first]:
+        return [None] * len(kinds)
+    n = n0 + first
+    g, h = math.exp(-0.5 * u), -math.expm1(-0.5 * u)
+    head = 2.0 * float(weights[n])   # twice |c_n n!| x^n
+    tails = {"M0": head * min(1.0 + g, 2.0 * (n + 1) * h),
+             "M2": head * (n + 1) * min(0.5 + 1.5 * g, 2.5 * (n + 2) * h),
+             "M1": head * (n + 1) / 2.0 * g}
+    scales = {"M0": 1.0 / (rC * rC)}
+    scales["M2"] = scales["M0"] * scales["M0"]
+    scales["M1"] = s * scales["M2"]
+    a0 = _LAGUERRE_C0[:n] * xp[:n]   # c_j j! x^j
+    a2 = _LAGUERRE_C2[:n] * xp[:n]   # c_j (j+1)! x^j
+    # terms j < m, whose (j + 1) u <= 1, sum their brackets as series in u
+    m = n if n * u <= 1.0 else int(1.0 / u)
+    if m:
+        powers = u ** np.arange(_KUMMER_TERMS + 1)
+    if m < n:
+        e0, e1 = _laguerre_scaled(u, g, n)
+        e0, e1 = e0[m:], e1[m:n]
+    j1 = _LJ1[m:n]   # j + 1
+    out = []
+    for kind in kinds:
+        if kind not in tails:
+            out.append(None)
+            continue
+        val = size = 0.0
+        if m:
+            coef = (a2[:m] / 2.0 if kind == "M1" else a2[:m] if kind == "M2"
+                    else a0[:m])
+            brackets = _KUMMER[kind][:, :m] @ (
+                powers if kind == "M1" else powers[1:])
+            val = float(coef @ brackets[0])
+            size = (_ROUNDING + _KUMMER_TAIL) * float(
+                np.abs(coef) @ brackets[1])
+        if m < n:   # each E_j^(a) taken at (j+1) times its bound
+            b0, b2 = a0[m:], a2[m:]
+            if kind == "M0":
+                part = float(b0 @ (1.0 - e0[:-1]))
+                mag = float(np.abs(b0) @ (1.0 + g * j1))
+            else:
+                part = float(b0 @ e1) / 2.0
+                mag = g / 2.0 * float(np.abs(b0) @ (j1 * j1))
+                if kind == "M2":
+                    part += float(b2 @ (0.5 - e0[1:]))
+                    mag += float(np.abs(b2) @ (0.5 + g * (j1 + 1.0)))
+            val += part
+            size += _ROUNDING * mag
+        scale = scales[kind]
+        out.append((scale * val, scale * (size + tails[kind])))
+    return out
+
+
 def _sum_of_products(terms):
     """sum w prod_i v_i over terms (w, factors), each factor a (value,
     error) pair, with first-order error propagation.
@@ -866,8 +1037,29 @@ def _one_minus_cos(x):
     return 2.0 * np.sin(x / 2.0) ** 2
 
 
+def _no_kernel(x):
+    """0: the average of a separation kernel that is odd in cos phi."""
+    return np.zeros_like(x)
+
+
+def _disc_kernel(kind, h):
+    """The separation kernel of a disc's moment of this kind: h(x cos
+    phi) cos^n phi averaged over the directions phi in its plane, n = 1
+    for M1, 2 for M2 and 0 otherwise (with a kernel a disc's Mn weighs
+    k_x^n, not k^n).  That is 1 - J0, the ring kernel 1/2 - J0 + J1/x
+    and 0 for h = 1 - cos, and 0, J1 and 0 for h = sin.  The Bessel
+    kernels are read from this module's globals at each call, so that a
+    wrapper set on those names sees every call.  Raises ValueError for
+    any other h."""
+    kernels = {_one_minus_cos: (one_minus_j0, _no_kernel, ring_cos2_kernel),
+               np.sin: (_no_kernel, bessel_j1, _no_kernel)}
+    if h not in kernels:
+        raise ValueError("a disc's separation kernel is 1 - cos or sin")
+    return kernels[h][{"M1": 1, "M2": 2}.get(kind, 0)]
+
+
 # the kinds of moment of an AxisProfile with a closed form, per
-# separation kernel h
+# separation kernel h; with h those of a DiscProfile too
 _CLOSED_KINDS = {None: ("M0", "M2", "C1", "D0"),
                  _one_minus_cos: ("M0", "M2"), np.sin: ("M1",)}
 
@@ -876,12 +1068,17 @@ def _closed_moment(prof, kinds, rC, h, s):
     """The closed forms of the kinds of moment (see _profile_moment),
     None for each kind that has none.  A slab's plain M0 and M2 keep
     their one-slab formula; the other kinds of one profile come from one
-    pass (_axis_moment, _disc_moment)."""
-    if isinstance(prof, DiscProfile) and h is None:
-        return _disc_moment(prof.R, kinds, rC)
+    pass (_axis_moment, _disc_moment, _disc_kernel_moment)."""
+    closed = _CLOSED_KINDS.get(h, ())
+    if isinstance(prof, DiscProfile):
+        if h is None:
+            return _disc_moment(prof.R, kinds, rC)
+        if prof.R > _DISC_KERNEL_REACH * rC:
+            return [None] * len(kinds)
+        return _disc_kernel_moment(
+            prof.R, [k if k in closed else None for k in kinds], rC, s)
     if not isinstance(prof, AxisProfile):
         return [None] * len(kinds)
-    closed = _CLOSED_KINDS.get(h, ())
     slab = prof.layers is None and h is None
     out, shared = [], []
     for kind in kinds:
@@ -912,26 +1109,30 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
     factor pi) and a BallProfile over all of k space (int 4 pi k^2 dk,
     without the factor 2 pi): the weight gains prof.dims - 1 powers of
     k.  The density is real, so every integrand is even and the
-    imaginary part of P P'* integrates to 0.
+    imaginary part of P P'* integrates to 0.  A disc's kernel is h
+    averaged over the directions in its plane (_disc_kernel), which
+    takes h = 1 - cos or sin; a ball's h is already its direction
+    average.
 
     When closed_form is set these moments are closed forms: every M0,
     M2, D0 and C1 of a slab or layer stack, its M0 and M2 times
-    h = 1 - cos and its M1 times h = sin (_axis_moment), and a disc's M0
-    and M2 (_disc_moment).  A slab's plain M0 and M2 keep their older
-    one-slab formula (_sinc_sq_gauss), whose values and error estimates
-    the shipped space_two_body exclusion reports bit for bit (ROADMAP
-    item 1).  Every other moment, and every moment when closed_form is
-    unset (the oracle route), is a 1D quadrature over k >= 0 of twice
-    the integrand, with an absolute target of at least abs_tol for
-    moments that change sign; a NonConvergence it raises carries the
-    whole moment's estimate and error.  The quadrature moments of one
-    call share one integrate_1d pass: at each node the transform, its
-    derivative, h and the Gaussian weight are evaluated once for all of
-    them.  The closed forms of one call share one pass as well
-    (_closed_moment): their erf/exp edge terms, central moments and pair
-    sums are evaluated once per (profile, rC, h, s), from the layer and
-    edge data the profile builds once.  Returns (value, error), or a
-    list of them for a tuple.
+    h = 1 - cos and its M1 times h = sin (_axis_moment), a disc's M0
+    and M2 (_disc_moment) and, for R <= 3.5 rC, the disc's same three
+    kernel moments (_disc_kernel_moment).  A slab's plain M0 and M2 keep
+    their older one-slab formula (_sinc_sq_gauss), whose values and error
+    estimates the shipped space_two_body exclusion reports bit for bit
+    (ROADMAP item 1).  Every other moment, and every moment when
+    closed_form is unset (the oracle route), is a 1D quadrature over
+    k >= 0 of twice the integrand, with an absolute target of at least
+    abs_tol for moments that change sign; a NonConvergence it raises
+    carries the whole moment's estimate and error.  The quadrature
+    moments of one call share one integrate_1d pass: at each node the
+    transform, its derivative, each kernel and the Gaussian weight are
+    evaluated once for all of them.  The closed forms of one call share
+    one pass as well (_closed_moment): their erf/exp edge terms, central
+    moments and pair sums are evaluated once per (profile, rC, h, s),
+    from the layer and edge data the profile builds once.  Returns
+    (value, error), or a list of them for a tuple.
     """
     kinds = (kind,) if isinstance(kind, str) else kind
     out = _closed_moment(prof, kinds, rC, h, s) if closed_form \
@@ -943,10 +1144,13 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
                   + prof.dims - 1 for name in rest]
         slope = "D0" in rest or "C1" in rest
 
+        kernels = [h] * len(rest) if h is None or prof.dims != 2 \
+            else [_disc_kernel(name, h) for name in rest]
+
         def integrand(k):
             p, dp = prof.transform_and_derivative(k) if slope \
                 else (prof.transform(k), None)
-            hk = None if h is None else h(s * k)
+            hk = {}   # each kernel once per node
             weight = np.multiply(k, rC)   # 2 e^{-k^2 rC^2}, in place
             np.square(weight, out=weight)
             np.negative(weight, out=weight)
@@ -957,7 +1161,7 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
             real = not np.iscomplexobj(p)
             k_powers = {}
             rows = []
-            for name, power in zip(rest, powers):
+            for name, power, kernel in zip(rest, powers, kernels):
                 if name == "D0":
                     val = dp * dp if real else np.square(np.abs(dp))
                 elif name == "C1":   # on a line k multiplies in the product
@@ -969,8 +1173,10 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
                             (k if line else 1.0) * p * np.conj(dp)))
                 else:
                     val = p * p if real else np.square(np.abs(p))
-                if hk is not None:
-                    val *= hk
+                if kernel is not None:
+                    if kernel not in hk:
+                        hk[kernel] = kernel(s * k)
+                    val *= hk[kernel]
                 if power:
                     if power not in k_powers:
                         k_powers[power] = k ** power
@@ -1153,8 +1359,8 @@ def _separable(body, channel, p, spec, closed_form, a):
 
 def _cylinder(body, channel, p, spec, closed_form, a):
     """Sums of products of slab and disc moments at any tilt: closed
-    forms, but for a two-body's disc kernels; a saturated two-body is the
-    unit's force.
+    forms, but for a two-body's disc kernels past R = 3.5 rC; a saturated
+    two-body is the unit's force.
 
     F = jinc(k_perp R) sinc(k_par L/2), and each spectrum is a sum of
     products of moments Mn of its slab profile and Qn of its disc profile
@@ -1162,13 +1368,16 @@ def _cylinder(body, channel, p, spec, closed_form, a):
     the phi average (README.md) gives c^2 M2 Q0 + s^2 M0 Q2 / 2 for the
     force and c^2 [T Q0 + (M2 - T) Q0m] + s^2 [P0m Q2 / 2 + (M0 - P0m)
     Q2h] + 2 c s P1s Q1J1 for the two-body, where T, P0m, P1s are M2, M0
-    times 1 - cos(a c k) and M1 times sin(a c k), and Q0m, Q2h, Q1J1 are
-    Q0 times 1 - J0(a s k), Q2 times the ring kernel 1/2 - J0 + J1/x and
-    Q1 times J1(a s k).  With closed_form the slab moments and Q0, Q2 are
-    closed forms and Q0m, Q2h, Q1J1 are 1D quadratures.  P1s and Q1J1
-    alone change sign; bounded by Cauchy-Schwarz (sin^2 <= 2 (1 - cos),
-    J1^2 <= 1 - J0), each gets an absolute target set by the other terms
-    where it is integrated.
+    times 1 - cos(a c k) and M1 times sin(a c k), and Q0m, Q2h, Q1J1 the
+    disc's M0, M2 times 1 - cos and M1 times sin of a s k_x: Q0 times
+    1 - J0(a s k), Q2 times the ring kernel 1/2 - J0 + J1/x and Q1 times
+    J1(a s k) (_disc_kernel).  With closed_form the slab moments and Q0,
+    Q2 are closed forms, and so are Q0m, Q2h, Q1J1 for R <= 3.5 rC (a
+    Laguerre series, _disc_kernel_moment); past that they are 1D
+    quadratures.  P1s and Q1J1 alone change sign; bounded by
+    Cauchy-Schwarz (sin^2 <= 2 (1 - cos), J1^2 <= 1 - J0), each gets an
+    absolute target set by the other terms where it is integrated, and
+    the cross term is 0 where either bound is.
     """
     slab, disc = body.profiles
     rC = p.rC
@@ -1187,19 +1396,21 @@ def _cylinder(body, channel, p, spec, closed_form, a):
         terms = [(c * c, (m2, q0)), (s * s / 2.0, (m0, q2))]
     else:
         t, p0m = moment(slab, ("M2", "M0"), _one_minus_cos)
-        q0m, q2h = moment(disc, "M0", one_minus_j0), \
-            moment(disc, "M2", ring_cos2_kernel)
+        q0m, q2h = moment(disc, ("M0", "M2"), _one_minus_cos)
         terms = [(c * c, (t, q0)),
                  (c * c, ((m2[0] - t[0], m2[1] + t[1]), q0m)),
                  (s * s / 2.0, (p0m, q2)),
                  (s * s, ((m0[0] - p0m[0], m0[1] + p0m[1]), q2h))]
-        if c * s > 0.0:
-            nonneg = max(_sum_of_products(terms)[0], 0.0)
-            target = spec.rel_tol * nonneg / (8.0 * c * s)
-            p1s = moment(slab, "M1", np.sin,
-                         target / math.sqrt(q2[0] * q0m[0]))
-            q1j1 = moment(disc, "M1", bessel_j1,
-                          target / math.sqrt(2.0 * m2[0] * p0m[0]))
+        if c * s > 0.0:   # |P1s| <= sqrt(2 M2 P0m), |Q1J1| <= sqrt(Q2 Q0m)
+            bound_p = math.sqrt(2.0 * m2[0] * p0m[0])
+            bound_q = math.sqrt(q2[0] * q0m[0])
+        if c * s > 0.0 and bound_p > 0.0 and bound_q > 0.0:
+            target = 0.0   # only a moment still integrated takes one
+            if not closed_form or disc.R > _DISC_KERNEL_REACH * rC:
+                nonneg = max(_sum_of_products(terms)[0], 0.0)
+                target = spec.rel_tol * nonneg / (8.0 * c * s)
+            p1s = moment(slab, "M1", np.sin, target / bound_q)
+            q1j1 = moment(disc, "M1", np.sin, target / bound_p)
             terms.append((2.0 * c * s, (p1s, q1j1)))
     val, err, _ = _sum_of_products(terms)
     scale = _prefactor(p) * body.m * body.m * np.pi

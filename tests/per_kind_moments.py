@@ -4,7 +4,8 @@ computed them before every kind asked of a profile came from one pass
 and edge pairs and evaluates its own erf/exp terms, central moments and
 pair sums.  The one-pass closed forms must equal these bit for bit
 (tests/test_profile_moments.py).  The helpers that pass left unchanged
-are imported from cslnoise.
+are imported from cslnoise, and so is the disc kernels' Laguerre series,
+which came later and is asked here for one kind at a time.
 """
 
 import math
@@ -12,9 +13,9 @@ import math
 import numpy as np
 
 from cslbounds.cslnoise import (
-    _DISC_SERIES, _FACT_2N, _INV_FACT_2N, _N, _ROUNDING, _SERIES_ORDER,
-    _SIGNED_INV_FACT, _egf_moments, _hermite_shifted, _ive, _one_minus_cos,
-    _sinc_sq_gauss)
+    _DISC_KERNEL_REACH, _DISC_SERIES, _FACT_2N, _INV_FACT_2N, _N, _ROUNDING,
+    _SERIES_ORDER, _SIGNED_INV_FACT, _disc_kernel_moment, _egf_moments,
+    _hermite_shifted, _ive, _one_minus_cos, _sinc_sq_gauss)
 from cslbounds.geometry import AxisProfile, DiscProfile
 
 
@@ -304,4 +305,8 @@ def _closed_moment(prof, kind, rC, h, s):
             return _axis_moment(prof, kind, rC, h, s)
     if isinstance(prof, DiscProfile) and h is None and kind in ("M0", "M2"):
         return _disc_moment(prof.R, kind, rC)
+    if isinstance(prof, DiscProfile) and prof.R <= _DISC_KERNEL_REACH * rC \
+            and (h, kind) in ((_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
+                              (np.sin, "M1")):
+        return _disc_kernel_moment(prof.R, (kind,), rC, s)[0]
     return None

@@ -17,7 +17,9 @@ it sums over pairs of layers the four corner values of a mixed second
 antiderivative, in 50-digit arithmetic where no cancellation matters,
 takes C1 from the k-space identity C1 = rC^2 M2 - M0 / 2, and the disc
 moments from their Bessel-function forms; the antiderivatives are
-themselves checked by numerical differentiation.
+themselves checked by numerical differentiation.  The disc's kernel
+moments (Q0m, Q2h, Q1J1) are checked against their Laguerre series in
+50-digit arithmetic, itself checked against the k-plane integral.
 """
 
 import collections
@@ -241,6 +243,100 @@ def test_disc_moments_past_ive_range_match_mpmath():
                           (R, rC, kind))
 
 
+def disc_kernel_oracle(R, kind, rC, s):
+    """A disc's M0 or M2 times 1 - cos, or M1 times sin, averaged over
+    its plane (Q0m, Q2h, Q1J1), as their Laguerre series in 50-digit
+    arithmetic.  With x = R^2 / rC^2, u = s^2 / 4rC^2, E_j^(a) = e^{-u}
+    L_j^(a)(u) and c_j = (-1)^j (2j+2)! / (4^j j! (j+2)! ((j+1)!)^2) the
+    coefficients of jinc^2, the sum over j of c_j x^j times j! (1 - E_j),
+    (j+1)! (1/2 - E_{j+1}) + j! E_j^(1) / 2 or j! E_j^(1) / 2, times
+    rC^-2, rC^-4 or s rC^-4, summed until the terms fall below 1e-45 of
+    the largest."""
+    R, rC, s = mp.mpf(R), mp.mpf(rC), mp.mpf(s)
+    x, u = (R / rC) ** 2, (s / (2 * rC)) ** 2
+    decay = mp.exp(-u)
+    lag0, lag1 = [mp.mpf(1), 1 - u], [mp.mpf(1), 2 - u]
+    total = largest = mp.mpf(0)
+    j = 0
+    while True:
+        k = len(lag0) - 1   # L_{j+1} and L_{j+1}^(1) by their recurrences
+        lag0.append(((2 * k + 1 - u) * lag0[k] - k * lag0[k - 1]) / (k + 1))
+        lag1.append(((2 * k + 2 - u) * lag1[k] - (k + 1) * lag1[k - 1])
+                    / (k + 1))
+        fact = mp.factorial(j)
+        c = (-1) ** j * mp.factorial(2 * j + 2) / (
+            4 ** j * fact * mp.factorial(j + 2) * mp.factorial(j + 1) ** 2)
+        if kind == "M0":
+            bracket = fact * (1 - decay * lag0[j])
+        elif kind == "M2":
+            bracket = fact * (j + 1) * (mp.mpf(1) / 2 - decay * lag0[j + 1]) \
+                + fact / 2 * decay * lag1[j]
+        else:
+            bracket = fact / 2 * decay * lag1[j]
+        term = c * x ** j * bracket
+        total += term
+        largest = max(largest, abs(term))
+        if j > 3 * x + 10 and abs(term) <= mp.mpf(10) ** -45 * largest:
+            break
+        j += 1
+    return total * {"M0": rC ** -2, "M2": rC ** -4, "M1": s * rC ** -4}[kind]
+
+
+def test_disc_kernel_oracle_is_the_k_plane_integral():
+    """At R = 3.3 rC and s = 4 rC the oracle's series equals 2 int k^p
+    jinc^2(kR) K(sk) e^{-k^2 rC^2} dk with the kernels K of _cylinder:
+    1 - J0 (p = 1), the ring kernel 1/2 - J0 + J1/x (p = 3) and J1
+    (p = 2)."""
+    R, rC, s = mp.mpf("3.3"), mp.mpf(1), mp.mpf(4)
+    kernels = {
+        "M0": (1, lambda z: 1 - mp.besselj(0, z)),
+        "M2": (3, lambda z: mp.mpf(1) / 2 - mp.besselj(0, z)
+               + mp.besselj(1, z) / z),
+        "M1": (2, lambda z: mp.besselj(1, z)),
+    }
+    for kind, (p, kernel) in kernels.items():
+        with mp.workdps(20):
+            want = 2 * mp.quad(lambda k: k ** p * kernel(s * k) * (
+                2 * mp.besselj(1, k * R) / (k * R)) ** 2
+                * mp.exp(-(k * rC) ** 2), mp.linspace(0, 12 / rC, 60))
+        assert mp.almosteq(disc_kernel_oracle(R, kind, rC, s), want,
+                           rel_eps=mp.mpf(10) ** -18), kind
+
+
+def test_disc_kernel_moments_match_mpmath():
+    """240 random discs with R/rC from 1e-3 to the series' reach of 3.5
+    and s/rC from 1e-4 to 60, on both sides of the small-u switch (every
+    bracket summed as its series in u, some of each, all by the Laguerre
+    recurrence): Q0m, Q2h and Q1J1 lie within their reported error of
+    the 50-digit series.  Q0m and Q2h report at most 2e-7 of their
+    value, and Q1J1, whose error is absolute, at most 1e-8 of its
+    Cauchy-Schwarz bound sqrt(Q2 Q0m)."""
+    rng = np.random.default_rng(23)
+    sides = collections.Counter()
+    for R in 10.0 ** rng.uniform(-7, -5, 240):
+        rC = R / 10.0 ** rng.uniform(-3, math.log10(3.5))
+        s = rC * 10.0 ** rng.uniform(-4, math.log10(60))
+        u = (s / (2.0 * rC)) ** 2   # terms j with (j + 1) u <= 1 are series
+        sides["series" if u <= 1 / 73 else "recurrence" if u > 1 else
+              "both"] += 1
+        disc = DiscProfile(R)
+        moments = cslnoise._closed_moment(
+            disc, ("M0", "M2"), rC, cslnoise._one_minus_cos, s) \
+            + cslnoise._closed_moment(disc, ("M1",), rC, np.sin, s)
+        exact = {kind: disc_kernel_oracle(R, kind, rC, s)
+                 for kind in ("M0", "M2", "M1")}
+        q2 = cslnoise._disc_moment(R, ("M2",), rC)[0][0]
+        for kind, (value, error) in zip(exact, moments, strict=True):
+            what = (R, rC, s, kind, value, error, float(exact[kind]))
+            assert abs(mp.mpf(value) - exact[kind]) <= error, what
+            if kind == "M1":
+                assert error <= 1e-8 * math.sqrt(q2 * float(exact["M0"])), \
+                    what
+            else:
+                assert error <= 2e-7 * float(exact[kind]), what
+    assert len(sides) == 3, sides
+
+
 def quadrature(prof, kind, rC, spec, h=None, s=0.0):
     """The 1D quadrature oracle's value and error; where it stops short
     of its tolerance (C1 and D0 at rC far above the body, where sinc'
@@ -292,16 +388,21 @@ def random_bodies(seed, count):
             g = Cylinder(1e-14, 10.0 ** rng.uniform(-7, -6),
                          10.0 ** rng.uniform(-6.7, -5.7),
                          tuple(rng.normal(size=3)))
-        bodies.append((g, size(g) * 10.0 ** rng.uniform(-1, 2),
-                       size(g) * 10.0 ** rng.uniform(-1, 1)))
+        t = rng.uniform(-1, 2)
+        rC = size(g) * 10.0 ** t
+        if isinstance(g, Cylinder):   # R / rC on alternate sides of 3.5
+            beyond = i // 3 % 2 == 1
+            rC = g.R / 3.5 * 10.0 ** ((-t - 1) / 6 if beyond else t + 1)
+        bodies.append((g, rC, size(g) * 10.0 ** rng.uniform(-1, 1)))
     return bodies
 
 
 def test_spectra_match_the_quadrature_route():
     """Force, two-body and torque spectra of random Cuboids and
-    Multilayers, and force and two-body spectra of random Cylinders,
-    agree with the same products of 1D moments by quadrature within the
-    sum of their reported errors."""
+    Multilayers, and force and two-body spectra of random Cylinders (R
+    from 3.5e-3 to 10 times rC, on both sides of the disc kernels'
+    R = 3.5 rC switch), agree with the same products of 1D moments by
+    quadrature within the sum of their reported errors."""
     spec = QuadratureSpec(rel_tol=1e-10)
     for g, rC, a in random_bodies(15, 18):
         p = CollapseParams(1.0, rC)
@@ -325,8 +426,11 @@ def test_spectra_match_the_quadrature_route():
 @pytest.mark.parametrize("rC", [1e-9, 1e-7, 1e-6, 1e-5, 1e-3])
 def test_auto_routes_make_no_1d_quadrature(rC, monkeypatch):
     """Under method="auto", the force, two-body and torque spectra of
-    Cuboids and Multilayers stacked along x, y and z, and the force
-    spectrum of a Cylinder at any tilt, are closed forms throughout."""
+    Cuboids and Multilayers stacked along x, y and z, the force spectrum
+    of a Cylinder at any tilt, and the two-body spectrum of a Cylinder
+    along x, along y or tilted with R up to 3.5 rC (the disc kernels'
+    Laguerre series; at rC = 1e-9 R is exactly 3.5 rC), are closed forms
+    throughout."""
     def forbidden(*args, **kwargs):
         raise AssertionError("integrate_1d called")
 
@@ -344,6 +448,39 @@ def test_auto_routes_make_no_1d_quadrature(rC, monkeypatch):
                  (0.0, 0.6, 0.8)):
         assert float(csl_force_spectrum(Cylinder(1e-14, 1e-7, 1e-6, axis),
                                         p)) > 0
+    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.3, 0.4, 0.866)):
+        unit = Cylinder(1e-14, min(1e-7, 3.5 * rC), 1e-6, axis)
+        for a in (3e-7, 3e-6, 1.0):
+            assert float(csl_force_spectrum_two_body(TwoBody(unit, a), p)) > 0
+
+
+def test_disc_kernels_are_not_keyed_on_the_bessel_functions(monkeypatch):
+    """Pass-through wrappers on cslnoise's bessel_j1, one_minus_j0 and
+    ring_cos2_kernel, set as perfbench's tracer sets its wrappers, leave
+    a tilted cylinder two-body bit for bit as it was, value and error.
+    At R = rC and 3.3 rC the closed forms call none of them; at 5 rC,
+    past the series' reach, the quadrature calls each of them through
+    its wrapper."""
+    g = TwoBody(Cylinder(1e-14, 1e-7, 1e-6, (0.3, 0.4, 0.866)), 3e-7)
+    names = ("bessel_j1", "one_minus_j0", "ring_cos2_kernel")
+
+    def spectrum(rC):
+        s = csl_force_spectrum_two_body(g, CollapseParams(1.0, rC))
+        return float(s).hex(), s.error.hex()
+
+    points = {1e-7: False, 1e-7 / 3.3: False, 2e-8: True}
+    before = {rC: spectrum(rC) for rC in points}
+    calls = collections.Counter()
+    for name in names:
+        def wrapper(x, orig=getattr(cslnoise, name), name=name):
+            calls[name] += 1
+            return orig(x)
+        monkeypatch.setattr(cslnoise, name, wrapper)
+    for rC, integrated in points.items():
+        calls.clear()
+        assert spectrum(rC) == before[rC], rC
+        assert set(calls) == (set(names) if integrated else set()), \
+            (rC, calls)
 
 
 def test_nonconvergence_carries_the_whole_moment():
@@ -425,7 +562,10 @@ def test_one_pass_disc_equals_the_per_kind_moments():
     """Disc Q0 and Q2 together, in either order, and each alone, at
     x = R^2 / 2rC^2 below and above the Q0 series' 0.1 and past the 2^30
     where ive gives way to i0e and i1e: bit for bit the per-kind ones.
-    A kernel leaves every disc moment to quadrature (None)."""
+    With a kernel, at separations 0 and 3R, M0 and M2 times 1 - cos and
+    M1 times sin are closed forms up to R = 3.5 rC (x = 6.125), each the
+    same alone or asked together, and every other moment is left to
+    quadrature (None)."""
     rng = np.random.default_rng(22)
     R = 1e-6
     xs = np.concatenate([10.0 ** rng.uniform(-4, -1, 6), [0.1],
@@ -437,12 +577,16 @@ def test_one_pass_disc_equals_the_per_kind_moments():
             want = [per_kind_moments._disc_moment(R, k, rC) for k in kinds]
             assert hexed(cslnoise._disc_moment(R, kinds, rC)) \
                 == hexed(want), (x, kinds)
-        for h in (None, cslnoise._one_minus_cos):
+        for h, s in ((None, 0.0), (cslnoise._one_minus_cos, 0.0),
+                     (cslnoise._one_minus_cos, 3.0 * R), (np.sin, 3.0 * R)):
             kinds = ("M2", "M1", "M0")
             want = [per_kind_moments._closed_moment(DiscProfile(R), k, rC,
-                                                    h, 0.0) for k in kinds]
-            got = cslnoise._closed_moment(DiscProfile(R), kinds, rC, h, 0.0)
-            assert hexed(got) == hexed(want), (x, h)
+                                                    h, s) for k in kinds]
+            got = cslnoise._closed_moment(DiscProfile(R), kinds, rC, h, s)
+            assert hexed(got) == hexed(want), (x, h, s)
+            closed = 2 if h is None else 0 if x > 6.125 \
+                else 1 if h is np.sin else 2
+            assert sum(m is not None for m in got) == closed, (x, h)
 
 
 def counting(func, key, counts):

@@ -6,6 +6,7 @@ integral, each checked against an independent route."""
 
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cslbounds import cslnoise
 from cslbounds.cslnoise import torque_pair_kernel_sum
 from cslbounds.geometry import AxisProfile, BallProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence, integrate_1d
-from cslbounds.special import one_minus_j0
+from cslbounds.special import bessel_j1, one_minus_j0, ring_cos2_kernel
 from lattices import multilayer_lattice
 from oracles import size, torque as oracle_torque, two_body as oracle_two_body
 
@@ -222,8 +223,10 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     Cuboid, a Multilayer and a Cylinder (along x, along y, tilted), and
     of the sphere two-body spectrum, saturated or not, is a profile
     moment: integrate_1d is only ever called from inside
-    _profile_moment.  More than 100 moments are integrated, counting each
-    row of a call that integrates several moments of one profile."""
+    _profile_moment, past R = 3.5 rC too, where a cylinder two-body's
+    disc kernels are integrated.  More than 100 moments are integrated,
+    counting each row of a call that integrates several moments of one
+    profile."""
     from cslbounds import quadrature
     moments = []
 
@@ -259,6 +262,9 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
             csl_torque_spectrum(g, p)
         for a in (3e-6, 1.0):
             csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, 5e-7), a), p)
+    for g in bodies[3:]:   # R = 5 rC: the disc kernels are integrated
+        csl_force_spectrum_two_body(TwoBody(g, 3e-7),
+                                    CollapseParams(1.0, 2e-8))
     assert len(moments) > 100
 
 
@@ -288,7 +294,7 @@ def grouped_moments(draw):
                           max_evals=draw(st.sampled_from([3_000, 300_000])))
     h, s = None, 0.0
     if draw(st.booleans()):
-        h = cslnoise._one_minus_cos if shape != "disc" else one_minus_j0
+        h = cslnoise._one_minus_cos   # on a disc averaged over its plane
         s = prof.length * 10.0 ** draw(st.floats(-2.0, 1.5))
     return prof, kinds, rC, spec, draw(st.booleans()), h, s
 
@@ -318,10 +324,20 @@ def test_grouped_moments_equal_lone_moments_bit_for_bit(case):
     assert grouped == (failed[0] if failed else lone)
 
 
+def disc_kernel(kind, h):
+    """A disc's average of h(x cos phi) cos^n phi over its plane, n the
+    power of k_x in kind, for h = 1 - cos and sin."""
+    zero = np.zeros_like
+    if h is cslnoise._one_minus_cos:
+        return {"M1": zero, "M2": ring_cos2_kernel}.get(kind, one_minus_j0)
+    return bessel_j1 if kind == "M1" else zero
+
+
 def elementwise_integrand(prof, kinds, rC, h, s):
     """_profile_moment's integrand written as complex elementwise
     expressions, |P|^2, |P'|^2 and Re(k P P'*) times each factor in a
-    new array, for every profile alike."""
+    new array, for every profile alike; a disc's kernel is h averaged
+    over its plane (disc_kernel)."""
     line = prof.dims == 1
     powers = [{"M1": 1, "M2": 2, "C1": not line}.get(name, 0)
               + prof.dims - 1 for name in kinds]
@@ -340,7 +356,8 @@ def elementwise_integrand(prof, kinds, rC, h, s):
             else:
                 val = np.square(np.abs(p))
             if h is not None:
-                val = val * h(s * k)
+                kernel = disc_kernel(name, h) if prof.dims == 2 else h
+                val = val * kernel(s * k)
             if power:
                 val = val * k ** power
             rows.append(weight * val)
@@ -415,6 +432,21 @@ def test_cylinder_torque_calls_as_often_as_its_slowest_row(monkeypatch):
     assert len(calls) == 2
     assert calls == [max(n) for n in lone]
     assert all(sum(n) - len(n) + 1 > max(n) > 1 for n in lone)
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_cylinder_two_body_at_vanishing_separation(closed_form):
+    """At a <= 1e-200 a tilted cylinder's P0m and Q0m underflow to 0,
+    and with them a Cauchy-Schwarz bound of the P1s Q1J1 cross term: the
+    term is 0 and skipped, with no 0/0 (a RuntimeWarning) in its
+    quadrature target, under either method."""
+    g = Cylinder(1e-14, 1e-7, 1e-6, axis=(0.3, 0.4, 0.866))
+    p = CollapseParams(1.0, 1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (1e-200, 1e-250, 5e-324):
+            s = cslnoise._cylinder(g, "two_body", p, SPEC, closed_form, a)
+            assert 0.0 <= float(s) < np.inf and 0.0 <= s.error < np.inf, a
 
 
 FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
