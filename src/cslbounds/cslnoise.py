@@ -14,17 +14,17 @@ Multilayer (any stacking axis) a product of Gaussian moments of their
 three 1D axis profiles, in force, two-body and torque alike; sums of
 products of the moments of a slab and a disc profile for cylinders at
 any tilt; one moment of a ball profile for the sphere two-body, and one
-radial integral (integrate_k3) for the sphere force.  Every profile
-moment comes from _profile_moment.  Every moment of a slab or layer
-stack, a disc's M0 and M2, and up to R = 3.5 rC its kernel moments, is a
-closed form (erf/exp sums over pairs of layer edges, or their series in
-1/rC^2; e^{-x} I_n(x) and a Laguerre series for the disc); the cylinder
-torque, the disc kernels of a two-body cylinder past that and the
-sphere two-body stay 1D quadratures.  method="quadrature" runs the
-same route with every moment by 1D quadrature, as a cross-check of the
-closed forms.  No route integrates in more than one dimension; the
-generic 3D quadrature is a test oracle (tests/oracles.py).  README.md
-tabulates the routes.
+radial integral (integrate_k3) for the sphere force.  A route asks each
+profile for every moment it needs in one request to _profile_moment.
+Every moment of a slab or layer stack, a disc's M0 and M2, and up to
+R = 3.5 rC its kernel moments, is a closed form (erf/exp sums over
+pairs of layer edges, or their series in 1/rC^2; e^{-x} I_n(x) and a
+Laguerre series for the disc); the cylinder torque, the disc kernels of
+a two-body cylinder past that and the sphere two-body stay 1D
+quadratures.  method="quadrature" runs the same route with every moment
+by 1D quadrature, as a cross-check of the closed forms.  No route
+integrates in more than one dimension; the generic 3D quadrature is a
+test oracle (tests/oracles.py).  README.md tabulates the routes.
 """
 
 import math
@@ -448,7 +448,7 @@ def _sinc_sq_gauss(L, rC, weight_power=0):
     sqrt_pi = math.sqrt(math.pi)
     if weight_power == 2:
         val = (4.0 / L ** 2) * (sqrt_pi / (2.0 * rC)) * -math.expm1(-x * x)
-    elif weight_power == 0:
+    else:
         if x < 1.0:
             core = 0.0
             for c in _M0_SERIES:
@@ -457,8 +457,6 @@ def _sinc_sq_gauss(L, rC, weight_power=0):
         else:
             core = sqrt_pi * x * math.erf(x) + math.exp(-x * x) - 1.0
         val = (4.0 / L ** 2) * (math.pi / 2.0) * (2.0 * rC / sqrt_pi) * core
-    else:
-        raise ValueError("weight_power must be 0 or 2")
     return val, abs(val) * 1e-14
 
 
@@ -517,23 +515,24 @@ _PLAIN_SERIES = {"M0": _SIGNED_INV_FACT, "D0": _SIGNED_INV_FACT,
 _EXACT = np.zeros(_N.size)
 
 
-def _series_coefficients(kinds, h, v, rC):
-    """(scale, c_n, |rounding| size of c_n) per kind of its moment's
-    1/rC^2 series sum_n c_n A_n.  A separation kernel shifts G to
-    G(u -+ s): its Taylor coefficients in u are G's derivatives at s,
+def _series_coefficients(rows, v, rC):
+    """(scale, c_n, |rounding| size of c_n) per row (kind, h) of its
+    moment's 1/rC^2 series sum_n c_n A_n.  A separation kernel shifts G
+    to G(u -+ s): its Taylor coefficients in u are G's derivatives at s,
     Hermite polynomials at v = s / 2rC times e^{-v^2}, and the
     difference from those at 0 is taken with e^{-v^2} - 1 and
-    _hermite_shifted, which all the kinds share."""
+    _hermite_shifted, built once for every row with a kernel."""
     scale = math.sqrt(math.pi) / rC
-    if h is None:
-        return [(scale / (4.0 * rC * rC) if kind == "M2" else scale,
-                 _PLAIN_SERIES[kind], _EXACT) for kind in kinds]
     n = _N
-    t, size, h0 = _hermite_shifted(v, 2 * n[-1] + 2)
-    e = math.expm1(-v * v)
+    if any(h is not None for _, h in rows):
+        t, size, h0 = _hermite_shifted(v, 2 * n[-1] + 2)
+        e = math.expm1(-v * v)
     out = []
-    for kind in kinds:
-        if kind == "M1":   # K(u) = -G'(u + s); odd powers of u drop out
+    for kind, h in rows:
+        if h is None:
+            out.append((scale / (4.0 * rC * rC) if kind == "M2" else scale,
+                        _PLAIN_SERIES[kind], _EXACT))
+        elif kind == "M1":   # K(u) = -G'(u + s); odd powers of u drop out
             out.append((scale / (2.0 * rC), t[2 * n + 1] * _INV_FACT_2N,
                         size[2 * n + 1] * _INV_FACT_2N))
         elif kind == "M0":   # K(u) = G(u) - [G(u + s) + G(u - s)] / 2
@@ -571,10 +570,10 @@ def _egf_moments(half, rho, gamma, sr, count):
     return sr * (rho @ per_layer), sr * (np.abs(rho) @ size)
 
 
-def _axis_series(kinds, h, s, data, rC):
-    """The kinds of moment of an AxisProfile with LayerData data as
-    their series in 1/rC^2 (extent <= rC), all from one set of central
-    moments and pair sums.
+def _axis_series(rows, s, data, rC):
+    """The rows (kind, h) of an AxisProfile with LayerData data as their
+    series in 1/rC^2 (extent <= rC), all from one set of central
+    moments and pair sums, whatever kernel each row carries.
 
     With nu_p the central moments of rho scaled by (2rC)^-p and
     A_n = int int rho rho' u^{2n} / (2rC)^{2n} (u = x - x'), the series
@@ -613,8 +612,8 @@ def _axis_series(kinds, h, s, data, rC):
     # the tail is bounded by three more terms, doubled
     tail_powers = z2 ** _N[m:m + 3]
     out = []
-    for kind, (scale, coef, coef_err) in zip(
-            kinds, _series_coefficients(kinds, h, s / sr, rC)):
+    for (kind, _), (scale, coef, coef_err) in zip(
+            rows, _series_coefficients(rows, s / sr, rC)):
         val, mag = plain
         bound = 1.0
         if kind == "D0":
@@ -659,10 +658,10 @@ def _edge_sum(edges, parts, const=0.0):
     return value, _ROUNDING * mag
 
 
-def _axis_edges(kinds, data, edges, rC, h=None, s=0.0):
-    """The kinds of moment of an AxisProfile with LayerData data and
+def _axis_edges(rows, data, edges, rC, s):
+    """The rows (kind, h) of an AxisProfile with LayerData data and
     EdgeData edges as sums over pairs of layer edges, which share z,
-    e^{-z^2} - 1, erf z and phi0(z).
+    e^{-z^2} - 1, erf z and phi0(z) whatever kernel each row carries.
 
     Edge positions xi relative to the centre of mass cbar, steps w, and
     W = w_i w_j, z = |xi_i - xi_j| / 2rC over all ordered pairs:
@@ -681,13 +680,13 @@ def _axis_edges(kinds, data, edges, rC, h=None, s=0.0):
            + phi0(|z - v|)] / 2);
       M1 sin sk = pi sum W (erf(v + z) - erf v) over signed z, taken as
            a difference of erfc when both arguments have one sign.
-    Returns one (value, error) per kind.
+    Returns one (value, error) per row.
     """
     from scipy.special import erf, erfc
     sqrt_pi = math.sqrt(math.pi)
     u = edges.diff / (2.0 * rC)
     v = s / (2.0 * rC)
-    if h is np.sin:   # M1
+    if any(h is np.sin for _, h in rows):   # M1
         a, b = v + u, np.full_like(u, v)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         pos, neg = lo > 0.0, hi < 0.0
@@ -700,17 +699,18 @@ def _axis_edges(kinds, data, edges, rC, h=None, s=0.0):
         # which is that of v and of the edge positions
         mag += 2.0 / sqrt_pi * (np.exp(-a * a) + np.exp(-b * b)) \
             * (v + edges.spread / (2.0 * rC))
-        return [_edge_sum(edges, [(math.pi, d, mag)]) for _ in kinds]
     z = np.abs(u)
     e = np.expm1(-z * z)
-    if set(kinds) != {"M2"}:   # every other kind takes erf z
-        erf_z = erf(z)
+    if any(kind != "M2" and h is not np.sin for kind, h in rows):
+        erf_z = erf(z)   # every other kind takes it
         a = sqrt_pi * z * erf_z
         phi, phi_mag = a + e, a - e   # _phi0(z)
     out = []
-    for kind in kinds:
+    for kind, h in rows:
         const = 0.0
-        if h is _one_minus_cos and kind == "M2":
+        if h is np.sin:
+            parts = [(math.pi, d, mag)]
+        elif h is _one_minus_cos and kind == "M2":
             near = 0.5 * np.exp(-(z - v) ** 2) * np.expm1(-2.0 * z * v) ** 2
             t = np.expm1(-v * v) * e + near
             # e^{-(z - v)^2} inherits the rounding of z - v times 2 |z - v|
@@ -770,32 +770,6 @@ def _shifted_part(kinds, edges, rC, v):
     return out
 
 
-def _axis_moment(prof, kinds, rC, h=None, s=0.0):
-    """Closed forms of the kinds of moment of an AxisProfile, from one
-    pass over its layer or edge data.  Returns one (value, error) per
-    kind.
-
-    A profile no longer than rC takes the 1/rC^2 series, which with a
-    separation kernel converges fast only while s times the extent is
-    at most rC^2; past that the kernel's shifted part is summed over
-    edge pairs, where it no longer cancels, and subtracted from the
-    series of the plain moment (M1 times sin has no plain part and is
-    all edge sum).  A longer profile takes the edge-pair sum.
-    """
-    data = prof.layer_data
-    extent = data.extent
-    if extent <= rC:
-        if h is None or s * extent <= rC * rC:
-            return _axis_series(kinds, h, s, data, rC)
-        if h is not np.sin:
-            plain = _axis_series(kinds, None, 0.0, data, rC)
-            shifted = _shifted_part(kinds, prof.edge_data, rC,
-                                    s / (2.0 * rC))
-            return [(p - q, e1 + e2)
-                    for (p, e1), (q, e2) in zip(plain, shifted)]
-    return _axis_edges(kinds, data, prof.edge_data, rC, h, s)
-
-
 # (-1)^n (3/2)_n 2^n / ((3)_n n! (n + 1)) / 2 for n = 0..24: the series of
 # 1 - e^{-x} (I0(x) + I1(x)) = int_0^x e^{-t} I1(t) / t dt in x^{n+1}
 _DISC_SERIES = tuple(
@@ -818,8 +792,7 @@ def _disc_moment(R, kinds, rC):
     Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
     (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
     terms fall by at least 5x each.  Both share one e^{-x} I1(x).
-    Returns one (value, error) per kind, None for a kind other than M0
-    and M2."""
+    Returns one (value, error) per kind."""
     x = R * R / (2.0 * rC * rC)
     i1 = _ive(1, x) if "M2" in kinds or x >= 0.1 else None
     out = []
@@ -827,9 +800,6 @@ def _disc_moment(R, kinds, rC):
         if kind == "M2":
             val = 4.0 / (R * R * rC * rC) * i1
             out.append((val, _ROUNDING * abs(val)))
-            continue
-        if kind != "M0":
-            out.append(None)
             continue
         if x < 0.1:
             terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
@@ -918,9 +888,8 @@ def _laguerre_scaled(u, g, n):
 def _disc_kernel_moment(R, kinds, rC, s):
     """Closed forms of a disc's Q0m, Q2h and Q1J1 (kinds M0, M2 and M1;
     see _cylinder), as the Laguerre series above, for R <= 3.5 rC.
-    Returns one (value, error) per kind, None for any other kind, or
-    None for every kind where the series would need more than
-    _LAGUERRE_TERMS terms.
+    Returns one (value, error) per kind, or None for every kind where
+    the series would need more than _LAGUERRE_TERMS terms.
 
     Bounds.  |E_j^(a)| <= C(j+a, j) e^{-u/2} (Szego), and integrating
     d/du E_j = -E_j^(1) and the like from u = 0 gives |1 - E_j| <=
@@ -982,9 +951,6 @@ def _disc_kernel_moment(R, kinds, rC, s):
     j1 = _LJ1[m:n]   # j + 1
     out = []
     for kind in kinds:
-        if kind not in tails:
-            out.append(None)
-            continue
         val = size = 0.0
         if m:
             coef = (a2[:m] / 2.0 if kind == "M1" else a2[:m] if kind == "M2"
@@ -1064,88 +1030,111 @@ _CLOSED_KINDS = {None: ("M0", "M2", "C1", "D0"),
                  _one_minus_cos: ("M0", "M2"), np.sin: ("M1",)}
 
 
-def _closed_moment(prof, kinds, rC, h, s):
-    """The closed forms of the kinds of moment (see _profile_moment),
-    None for each kind that has none.  A slab's plain M0 and M2 keep
-    their one-slab formula; the other kinds of one profile come from one
-    pass (_axis_moment, _disc_moment, _disc_kernel_moment)."""
-    closed = _CLOSED_KINDS.get(h, ())
+def _closed_pass(prof, kind, h, rC, s):
+    """The closed-form pass of a row (see _closed_moment), or None."""
+    if kind not in _CLOSED_KINDS.get(h, ()) \
+            or not isinstance(prof, (AxisProfile, DiscProfile)):
+        return None
     if isinstance(prof, DiscProfile):
         if h is None:
-            return _disc_moment(prof.R, kinds, rC)
-        if prof.R > _DISC_KERNEL_REACH * rC:
-            return [None] * len(kinds)
-        return _disc_kernel_moment(
-            prof.R, [k if k in closed else None for k in kinds], rC, s)
-    if not isinstance(prof, AxisProfile):
-        return [None] * len(kinds)
-    slab = prof.layers is None and h is None
-    out, shared = [], []
-    for kind in kinds:
-        if kind not in closed:
-            out.append(None)
-        elif slab and kind in ("M0", "M2"):   # the one-slab formula
-            out.append(_sinc_sq_gauss(prof.length, rC,
-                                      weight_power=2 if kind == "M2" else 0))
-        else:   # its index in the one pass
-            out.append(len(shared))
-            shared.append(kind)
-    if shared:
-        moments = _axis_moment(prof, shared, rC, h, s)
-        out = [moments[m] if isinstance(m, int) else m for m in out]
+            return "disc" if kind in ("M0", "M2") else None
+        return "disc kernel" if prof.R <= _DISC_KERNEL_REACH * rC else None
+    if h is None and prof.layers is None and kind in ("M0", "M2"):
+        return "one slab"
+    extent = prof.layer_data.extent
+    if extent > rC or h is np.sin and s * extent > rC * rC:
+        return "edges"
+    return "series" if h is None or s * extent <= rC * rC else "shifted"
+
+
+def _closed_moment(prof, rows, rC, s):
+    """The closed forms of a request's rows, None for each row without
+    one.  Each row goes to its pass (_closed_pass), which every row on
+    it shares, whatever its kernel.  A slab's plain M0 and M2 keep their
+    one-slab formula (_sinc_sq_gauss).  The other rows of an AxisProfile
+    no longer than rC take its 1/rC^2 series (_axis_series), which with
+    a separation kernel converges fast only while s times the extent is
+    at most rC^2; past that a 1 - cos row is the series of its plain
+    moment minus its shifted part (_shifted_part).  The rows of a longer
+    profile, and a sin row past that, take the edge-pair sums
+    (_axis_edges).  A disc's plain rows take _disc_moment, and its
+    kernel rows up to R = 3.5 rC _disc_kernel_moment."""
+    out = [None] * len(rows)
+    passes = {}   # each shared pass's row indices, in request order
+    for i, (kind, h) in enumerate(rows):
+        name = _closed_pass(prof, kind, h, rC, s)
+        if name == "one slab":   # a formula per row, sharing nothing
+            out[i] = _sinc_sq_gauss(prof.length, rC, 2 if kind == "M2" else 0)
+        elif name is not None:
+            passes.setdefault(name, []).append(i)
+    for name, index in passes.items():
+        asked = [rows[i] for i in index]
+        kinds = [kind for kind, _ in asked]
+        if name == "series":
+            moments = _axis_series(asked, s, prof.layer_data, rC)
+        elif name == "shifted":
+            moments = [(p - q, e1 + e2) for (p, e1), (q, e2) in zip(
+                _axis_series([(k, None) for k in kinds], s, prof.layer_data,
+                             rC),
+                _shifted_part(kinds, prof.edge_data, rC, s / (2.0 * rC)))]
+        elif name == "edges":
+            moments = _axis_edges(asked, prof.layer_data, prof.edge_data,
+                                  rC, s)
+        elif name == "disc":
+            moments = _disc_moment(prof.R, kinds, rC)
+        else:
+            moments = _disc_kernel_moment(prof.R, kinds, rC, s)
+        for i, moment in zip(index, moments):
+            out[i] = moment
     return out
 
 
-def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
+def _profile_moment(prof, rows, rC, spec, closed_form=True, s=0.0,
                     abs_tol=0.0):
-    """Gaussian moment of a profile P, optionally times a separation
-    kernel h(s k).
+    """Gaussian moments of a profile P, asked as one request: a tuple of
+    rows (kind, h) at one separation s, h a separation kernel h(s k) or
+    None.  Returns one (value, error) per row, each bit for bit the same
+    row asked alone.
 
     kind: "M0", "M1", "M2" int k^n |P|^2, "D0" int |P'|^2 and "C1"
-    int k Re(P P'*), each weighted by e^{-k^2 rC^2}; or a tuple of these
-    kinds, which returns a list of moments, each bit for bit the moment
-    of that kind alone.  An AxisProfile is integrated over the whole k
-    line, a DiscProfile over its k plane (int 2 pi k dk, without the
-    factor pi) and a BallProfile over all of k space (int 4 pi k^2 dk,
-    without the factor 2 pi): the weight gains prof.dims - 1 powers of
-    k.  The density is real, so every integrand is even and the
-    imaginary part of P P'* integrates to 0.  A disc's kernel is h
-    averaged over the directions in its plane (_disc_kernel), which
-    takes h = 1 - cos or sin; a ball's h is already its direction
-    average.
+    int k Re(P P'*), each weighted by e^{-k^2 rC^2}.  An AxisProfile is
+    integrated over the whole k line, a DiscProfile over its k plane
+    (int 2 pi k dk, without the factor pi) and a BallProfile over all of
+    k space (int 4 pi k^2 dk, without the factor 2 pi): the weight gains
+    prof.dims - 1 powers of k.  The density is real, so every integrand
+    is even and the imaginary part of P P'* integrates to 0.  A disc's
+    kernel is h averaged over the directions in its plane
+    (_disc_kernel), which takes h = 1 - cos or sin; a ball's h is
+    already its direction average.
 
-    When closed_form is set these moments are closed forms: every M0,
-    M2, D0 and C1 of a slab or layer stack, its M0 and M2 times
-    h = 1 - cos and its M1 times h = sin (_axis_moment), a disc's M0
-    and M2 (_disc_moment) and, for R <= 3.5 rC, the disc's same three
-    kernel moments (_disc_kernel_moment).  A slab's plain M0 and M2 keep
-    their older one-slab formula (_sinc_sq_gauss), whose values and error
-    estimates the shipped space_two_body exclusion reports bit for bit
-    (ROADMAP item 1).  Every other moment, and every moment when
+    When closed_form is set these moments are closed forms
+    (_closed_moment): every M0, M2, D0 and C1 of a slab or layer stack,
+    its M0 and M2 times h = 1 - cos and its M1 times h = sin, a disc's
+    M0 and M2 and, for R <= 3.5 rC, the disc's same three kernel
+    moments.  Their edge terms, central moments and pair sums, Hermite
+    table and Laguerre set-up are evaluated once per request.  A slab's
+    plain M0 and M2 keep their older one-slab formula, whose values and
+    error estimates the shipped space_two_body exclusion reports bit for
+    bit (ROADMAP item 1).  Every other row, and every row when
     closed_form is unset (the oracle route), is a 1D quadrature over
     k >= 0 of twice the integrand, with an absolute target of at least
     abs_tol for moments that change sign; a NonConvergence it raises
-    carries the whole moment's estimate and error.  The quadrature
-    moments of one call share one integrate_1d pass: at each node the
-    transform, its derivative, each kernel and the Gaussian weight are
-    evaluated once for all of them.  The closed forms of one call share
-    one pass as well (_closed_moment): their erf/exp edge terms, central
-    moments and pair sums are evaluated once per (profile, rC, h, s),
-    from the layer and edge data the profile builds once.  Returns
-    (value, error), or a list of them for a tuple.
+    carries the whole moment's estimate and error.  The quadrature rows
+    of a request are one stacked integrate_1d call, in request order: at
+    each node the transform, its derivative, each kernel and the
+    Gaussian weight are evaluated once for all of them.
     """
-    kinds = (kind,) if isinstance(kind, str) else kind
-    out = _closed_moment(prof, kinds, rC, h, s) if closed_form \
-        else [None] * len(kinds)
+    out = _closed_moment(prof, rows, rC, s) if closed_form \
+        else [None] * len(rows)
     if None in out:
-        rest = [name for name, moment in zip(kinds, out) if moment is None]
+        rest = [i for i, moment in enumerate(out) if moment is None]
+        names = [rows[i][0] for i in rest]
         line = prof.dims == 1
         powers = [{"M1": 1, "M2": 2, "C1": not line}.get(name, 0)
-                  + prof.dims - 1 for name in rest]
-        slope = "D0" in rest or "C1" in rest
-
-        kernels = [h] * len(rest) if h is None or prof.dims != 2 \
-            else [_disc_kernel(name, h) for name in rest]
+                  + prof.dims - 1 for name in names]
+        slope = "D0" in names or "C1" in names
+        kernels = [_disc_kernel(name, h) if prof.dims == 2 and h is not None
+                   else h for name, h in (rows[i] for i in rest)]
 
         def integrand(k):
             p, dp = prof.transform_and_derivative(k) if slope \
@@ -1160,8 +1149,8 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
             # transform; a layer stack's is complex
             real = not np.iscomplexobj(p)
             k_powers = {}
-            rows = []
-            for name, power, kernel in zip(rest, powers, kernels):
+            vals = []
+            for name, power, kernel in zip(names, powers, kernels):
                 if name == "D0":
                     val = dp * dp if real else np.square(np.abs(dp))
                 elif name == "C1":   # on a line k multiplies in the product
@@ -1182,15 +1171,15 @@ def _profile_moment(prof, kind, rC, spec, closed_form=True, h=None, s=0.0,
                         k_powers[power] = k ** power
                     val *= k_powers[power]
                 val *= weight
-                rows.append(val)
-            return rows
+                vals.append(val)
+            return vals
 
-        rows = iter(integrate_1d(
-            integrand, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
-            max(spec.abs_tol, abs_tol), spec.max_evals,
-            max_panel_width=np.pi / max(prof.length, s)))
-        out = [next(rows) if moment is None else moment for moment in out]
-    return out[0] if isinstance(kind, str) else out
+        for i, moment in zip(rest, integrate_1d(
+                integrand, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
+                max(spec.abs_tol, abs_tol), spec.max_evals,
+                max_panel_width=np.pi / max(prof.length, s))):
+            out[i] = moment
+    return out
 
 
 def _torque_bracket(py, pz, rC, spec, closed_form=True):
@@ -1206,8 +1195,10 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     tolerance and are not evaluated again.  Returns (value, error).
     """
     def bracket(s):
-        y = _profile_moment(py, ("M2", "D0", "C1"), rC, s, closed_form)
-        z = _profile_moment(pz, ("D0", "M2", "C1"), rC, s, closed_form)
+        y = _profile_moment(py, (("M2", None), ("D0", None), ("C1", None)),
+                            rC, s, closed_form)
+        z = _profile_moment(pz, (("D0", None), ("M2", None), ("C1", None)),
+                            rC, s, closed_form)
         return _sum_of_products(zip((1.0, 1.0, -2.0), zip(y, z)))
 
     value, err, size = bracket(spec)
@@ -1325,7 +1316,8 @@ def _ball_moment(body, channel, p, spec, closed_form, a):
     ball = body.profiles
     saturated = a >= _saturation_separation(ball.length, p.rC)
     h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
-    val, err = _profile_moment(ball, "M2", p.rC, spec, closed_form, h, s)
+    [(val, err)] = _profile_moment(ball, (("M2", h),), p.rC, spec,
+                                   closed_form, s)
     scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p)
     return SpectralValue(scale * val, scale * err)
 
@@ -1343,14 +1335,15 @@ def _separable(body, channel, p, spec, closed_form, a):
     rC = p.rC
     if a >= _saturation_separation(px.length, rC):
         channel, a = "force", 0.0
+    kind = "M0" if channel == "torque" else "M2"
+    h = _one_minus_cos if channel == "two_body" else None
+    factors = _profile_moment(px, ((kind, h),), rC, spec, closed_form, a)
     if channel == "torque":
-        factors = [_profile_moment(px, "M0", rC, spec, closed_form),
-                   _torque_bracket(py, pz, rC, spec, closed_form)]
+        factors.append(_torque_bracket(py, pz, rC, spec, closed_form))
     else:
-        h = _one_minus_cos if channel == "two_body" else None
-        factors = [_profile_moment(px, "M2", rC, spec, closed_form, h, a)] \
-            + [_profile_moment(prof, "M0", rC, spec, closed_form)
-               for prof in (py, pz)]
+        for prof in (py, pz):
+            factors += _profile_moment(prof, (("M0", None),), rC, spec,
+                                       closed_form)
     val, err, _ = _sum_of_products([(1.0, factors)])
     pref = _prefactor(p)
     return SpectralValue(pref * scale * scale * val,
@@ -1374,44 +1367,51 @@ def _cylinder(body, channel, p, spec, closed_form, a):
     J1(a s k) (_disc_kernel).  With closed_form the slab moments and Q0,
     Q2 are closed forms, and so are Q0m, Q2h, Q1J1 for R <= 3.5 rC (a
     Laguerre series, _disc_kernel_moment); past that they are 1D
-    quadratures.  P1s and Q1J1 alone change sign; bounded by
-    Cauchy-Schwarz (sin^2 <= 2 (1 - cos), J1^2 <= 1 - J0), each gets an
-    absolute target set by the other terms where it is integrated, and
-    the cross term is 0 where either bound is.
+    quadratures.  Each profile is asked once, but where integrated
+    (Q1J1 past the reach, both under quadrature) P1s and Q1J1, which
+    change sign, follow in a second request with an absolute target set
+    by the other terms and by Cauchy-Schwarz, sin^2 <= 2 (1 - cos) and
+    J1^2 <= 1 - J0; the cross term is 0 where either bound is.
     """
     slab, disc = body.profiles
     rC = p.rC
     c, s = abs(body.axis[0]), math.hypot(body.axis[1], body.axis[2])
     if a >= _saturation_separation(c * slab.length + s * disc.length, rC):
         channel, a = "force", 0.0
-    ac, as_ = a * c, a * s
-
-    def moment(prof, kind, h=None, abs_tol=0.0):
-        return _profile_moment(prof, kind, rC, spec, closed_form, h,
-                               ac if prof is slab else as_, abs_tol)
-
-    (m0, m2), (q0, q2) = moment(slab, ("M0", "M2")), \
-        moment(disc, ("M0", "M2"))
+    cross = channel == "two_body" and c * s > 0.0
+    sine = (("M1", np.sin),)
+    slab_rows = disc_rows = (("M0", None), ("M2", None))
+    if channel == "two_body":
+        slab_rows += (("M2", _one_minus_cos), ("M0", _one_minus_cos))
+        disc_rows += (("M0", _one_minus_cos), ("M2", _one_minus_cos))
+    if cross:   # the sine rows still integrated, asked late with a target
+        late_p = () if closed_form else sine
+        late_q = late_p if disc.R <= _DISC_KERNEL_REACH * rC else sine
+        slab_rows += () if late_p else sine
+        disc_rows += () if late_q else sine
+    (m0, m2, *slab_k), (q0, q2, *disc_k) = (
+        _profile_moment(slab, slab_rows, rC, spec, closed_form, a * c),
+        _profile_moment(disc, disc_rows, rC, spec, closed_form, a * s))
     if channel == "force":
         terms = [(c * c, (m2, q0)), (s * s / 2.0, (m0, q2))]
     else:
-        t, p0m = moment(slab, ("M2", "M0"), _one_minus_cos)
-        q0m, q2h = moment(disc, ("M0", "M2"), _one_minus_cos)
+        (t, p0m, *p1s), (q0m, q2h, *q1j1) = slab_k, disc_k
         terms = [(c * c, (t, q0)),
                  (c * c, ((m2[0] - t[0], m2[1] + t[1]), q0m)),
                  (s * s / 2.0, (p0m, q2)),
                  (s * s, ((m0[0] - p0m[0], m0[1] + p0m[1]), q2h))]
-        if c * s > 0.0:   # |P1s| <= sqrt(2 M2 P0m), |Q1J1| <= sqrt(Q2 Q0m)
+        if cross:   # |P1s| <= sqrt(2 M2 P0m), |Q1J1| <= sqrt(Q2 Q0m)
             bound_p = math.sqrt(2.0 * m2[0] * p0m[0])
             bound_q = math.sqrt(q2[0] * q0m[0])
-        if c * s > 0.0 and bound_p > 0.0 and bound_q > 0.0:
-            target = 0.0   # only a moment still integrated takes one
-            if not closed_form or disc.R > _DISC_KERNEL_REACH * rC:
-                nonneg = max(_sum_of_products(terms)[0], 0.0)
-                target = spec.rel_tol * nonneg / (8.0 * c * s)
-            p1s = moment(slab, "M1", np.sin, target / bound_q)
-            q1j1 = moment(disc, "M1", np.sin, target / bound_p)
-            terms.append((2.0 * c * s, (p1s, q1j1)))
+            if bound_p > 0.0 and bound_q > 0.0:
+                if late_q:   # and late_p under quadrature
+                    nonneg = max(_sum_of_products(terms)[0], 0.0)
+                    tol = spec.rel_tol * nonneg / (8.0 * c * s)
+                    p1s += _profile_moment(slab, late_p, rC, spec, closed_form,
+                                           a * c, tol / bound_q)
+                    q1j1 += _profile_moment(disc, late_q, rC, spec,
+                                            closed_form, a * s, tol / bound_p)
+                terms.append((2.0 * c * s, (p1s[0], q1j1[0])))
     val, err, _ = _sum_of_products(terms)
     scale = _prefactor(p) * body.m * body.m * np.pi
     return SpectralValue(scale * val, scale * err)

@@ -71,6 +71,13 @@ def _check_positive(**kwargs):
                 f"{name} must be strictly positive and finite, got {value}")
 
 
+def _check_mass(m):
+    """Every spectrum scales with a body's mass squared, so m * m must be
+    finite too (Python floats: an overflow gives inf, not a warning)."""
+    if not float(m) * float(m) < np.inf:
+        raise ValueError(f"mass must have a finite square, got {m}")
+
+
 class MassGeometry:
     """Base class; concrete shapes are the dataclasses below."""
 
@@ -85,6 +92,7 @@ class Point(MassGeometry):
 
     def __post_init__(self):
         _check_positive(m=self.m)
+        _check_mass(self.m)
 
     @property
     def total_mass(self):
@@ -98,6 +106,7 @@ class Sphere(MassGeometry):
 
     def __post_init__(self):
         _check_positive(m=self.m, R=self.R)
+        _check_mass(self.m)
 
     @property
     def total_mass(self):
@@ -118,6 +127,7 @@ class Cuboid(MassGeometry):
 
     def __post_init__(self):
         _check_positive(m=self.m, Lx=self.Lx, Ly=self.Ly, Lz=self.Lz)
+        _check_mass(self.m)
 
     @property
     def total_mass(self):
@@ -141,6 +151,7 @@ class Cylinder(MassGeometry):
 
     def __post_init__(self):
         _check_positive(m=self.m, R=self.R, L=self.L)
+        _check_mass(self.m)
         object.__setattr__(self, "axis", tuple(_unit(self.axis)))
 
     @property
@@ -184,6 +195,13 @@ class Multilayer(MassGeometry):
                         rho2=self.rho2, Lx=self.Lx, Ly=self.Ly)
         if self.stacking_axis not in ("x", "y", "z"):
             raise ValueError("stacking_axis must be one of 'x', 'y', 'z'")
+        # layer masses or offsets that overflow, or a centre of mass
+        # they make NaN, are refused here, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_mass(self.total_mass)
+            if not np.all(np.isfinite(self.layers()[2])):
+                raise ValueError("layer offsets from the centre of mass "
+                                 "must be finite")
 
     def layers(self):
         """(thickness, density, center-offset along stack) per slab,
@@ -243,6 +261,8 @@ class PointLattice(MassGeometry):
             raise ValueError("masses must be strictly positive")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
+        with np.errstate(over="ignore"):   # a sum that overflows is refused
+            _check_mass(self.total_mass)
 
     @property
     def total_mass(self):

@@ -205,8 +205,25 @@ def test_point_lattice_rejects_no_points():
     lambda: Sphere(np.inf, 1e-7),
     lambda: Sphere(1e-12, np.nan),
     lambda: Cuboid(1e-12, np.inf, 1e-6, 1e-6),
-], ids=["sphere_inf_mass", "sphere_nan_radius", "cuboid_inf_lx"])
+    lambda: Point(1e200),
+    lambda: Sphere(1e200, 1e-6),
+    lambda: Cuboid(1e200, 1e-6, 1e-6, 1e-6),
+    lambda: Cylinder(1e200, 1e-7, 1e-6),
+    lambda: Multilayer(3, 1e-7, 1e-7, 1e300, 1e300, 1e10, 1e10),
+    lambda: Multilayer(2, 1e100, 1e100, 1e100, 1e100, 1.0, 1.0),
+    lambda: Multilayer(2, 1e10, 1e10, 1e290, 1e290, 1e-200, 1e-200),
+    lambda: Multilayer(2, 1e-200, 1e-200, 1e-200, 1e-200, 1.0, 1.0),
+    lambda: PointLattice(np.zeros((2, 3)), np.array([1e200, 1e200])),
+    lambda: PointLattice(np.zeros((2, 3)), np.array([1e308, 1e308])),
+], ids=["sphere_inf_mass", "sphere_nan_radius", "cuboid_inf_lx",
+        "point_mass_square_overflows", "sphere_mass_square_overflows",
+        "cuboid_mass_square_overflows", "cylinder_mass_square_overflows",
+        "multilayer_mass_overflows", "multilayer_mass_square_overflows",
+        "multilayer_offsets_overflow", "multilayer_masses_underflow",
+        "lattice_mass_square_overflows", "lattice_mass_overflows"])
 def test_shapes_reject_non_finite(make):
+    # a mass whose square overflows gave an infinite force and a
+    # "degenerate" bound, or an overflow warning, not a ValueError
     with pytest.raises(ValueError, match="finite"):
         make()
 

@@ -7,10 +7,11 @@ body, exercise both closed-form regimes (the 1/rC^2 series for bodies
 shorter than rC, the edge-pair sums otherwise) and the separation
 kernels at separations from 1e-2 to 30 times the body.
 
-The kinds asked of one profile at one rC come from one pass; those
-results must equal, bit for bit, the same moments computed one kind at
-a time (tests/per_kind_moments.py), and the profile data they read is
-built once per body, never per rC.
+The rows (kind, kernel) asked of one profile at one rC and separation
+come as one request, whose closed forms share their passes whatever
+kernels the rows mix; each must equal, bit for bit, the same moment
+computed one kind at a time (tests/per_kind_moments.py), and the
+profile data they read is built once per body, never per rC.
 
 The mpmath oracle is written independently of the library's formulas:
 it sums over pairs of layers the four corner values of a mixed second
@@ -44,9 +45,6 @@ mp.mp.dps = 50
 KERNELS = [("M0", None), ("M2", None), ("C1", None), ("D0", None),
            ("M0", cslnoise._one_minus_cos), ("M2", cslnoise._one_minus_cos),
            ("M1", np.sin)]
-# the same kernels grouped as one closed-form pass each takes
-PASSES = [(("M0", "M2", "C1", "D0"), None),
-          (("M0", "M2"), cslnoise._one_minus_cos), (("M1",), np.sin)]
 # a result below the smallest normal double, times the moment's scale,
 # may read 0 with error 0
 UNDERFLOW = 1e-290
@@ -208,15 +206,14 @@ def assert_within(value, error, exact, what):
 
 
 def test_axis_moments_match_mpmath():
-    """150 slabs and stacks, every kind of moment, each kernel's kinds
-    from one pass: the closed form lies within its reported error of the
-    50-digit value."""
+    """150 slabs and stacks, every kind of moment with every kernel, all
+    in one request: each closed form lies within its reported error of
+    the 50-digit value."""
     for prof, rC, s in random_profiles(11, 150):
-        for kinds, h in PASSES:
-            moments = cslnoise._axis_moment(prof, kinds, rC, h, s)
-            for kind, (value, error) in zip(kinds, moments, strict=True):
-                assert_within(value, error, oracle(prof, kind, rC, h, s),
-                              (prof, rC, s, kind, _tag(h)))
+        moments = cslnoise._closed_moment(prof, KERNELS, rC, s)
+        for (kind, h), (value, error) in zip(KERNELS, moments, strict=True):
+            assert_within(value, error, oracle(prof, kind, rC, h, s),
+                          (prof, rC, s, kind, _tag(h)))
 
 
 def test_disc_moments_match_mpmath():
@@ -319,10 +316,7 @@ def test_disc_kernel_moments_match_mpmath():
         u = (s / (2.0 * rC)) ** 2   # terms j with (j + 1) u <= 1 are series
         sides["series" if u <= 1 / 73 else "recurrence" if u > 1 else
               "both"] += 1
-        disc = DiscProfile(R)
-        moments = cslnoise._closed_moment(
-            disc, ("M0", "M2"), rC, cslnoise._one_minus_cos, s) \
-            + cslnoise._closed_moment(disc, ("M1",), rC, np.sin, s)
+        moments = cslnoise._closed_moment(DiscProfile(R), KERNELS[4:], rC, s)
         exact = {kind: disc_kernel_oracle(R, kind, rC, s)
                  for kind in ("M0", "M2", "M1")}
         q2 = cslnoise._disc_moment(R, ("M2",), rC)[0][0]
@@ -343,7 +337,9 @@ def quadrature(prof, kind, rC, spec, h=None, s=0.0):
     rounds, and M1 times sin at separations far beyond rC, where the
     moment is a tiny remainder) its last estimate and error bound."""
     try:
-        return cslnoise._profile_moment(prof, kind, rC, spec, False, h, s)
+        [moment] = cslnoise._profile_moment(prof, ((kind, h),), rC, spec,
+                                            False, s)
+        return moment
     except NonConvergence as exc:
         return exc.estimate, exc.error
 
@@ -359,14 +355,16 @@ def test_closed_forms_match_quadrature():
              for p, _, s in random_profiles(14, 18)]
     for prof, rC, s in cases:
         for kind, h in KERNELS:
-            got = cslnoise._profile_moment(prof, kind, rC, spec, True, h, s)
+            [got] = cslnoise._profile_moment(prof, ((kind, h),), rC, spec,
+                                             True, s)
             want = quadrature(prof, kind, rC, spec, h, s)
             assert abs(got[0] - want[0]) <= got[1] + want[1], \
                 (prof, rC, s, kind, _tag(h), got, want)
     for R in 10.0 ** rng.uniform(-7, -5, 12):
         rC = R * 10.0 ** rng.uniform(-1.5, 3)
         for kind in ("M0", "M2"):
-            got = cslnoise._profile_moment(DiscProfile(R), kind, rC, spec)
+            [got] = cslnoise._profile_moment(DiscProfile(R),
+                                             ((kind, None),), rC, spec)
             want = quadrature(DiscProfile(R), kind, rC, spec)
             assert abs(got[0] - want[0]) <= got[1] + want[1], \
                 (R, rC, kind, got, want)
@@ -489,10 +487,12 @@ def test_nonconvergence_carries_the_whole_moment():
     below rC, where sinc' rounds and rel_tol 1e-12 is out of reach, lies
     within its error of the closed form."""
     prof, rC = AxisProfile(4.59e-6), 1.13e-3
-    [(exact, exact_err)] = cslnoise._axis_moment(prof, ("C1",), rC)
+    [(exact, exact_err)] = cslnoise._closed_moment(prof, (("C1", None),),
+                                                   rC, 0.0)
     spec = QuadratureSpec(rel_tol=1e-12, max_evals=100_000)
     with pytest.raises(NonConvergence) as info:
-        cslnoise._profile_moment(prof, "C1", rC, spec, closed_form=False)
+        cslnoise._profile_moment(prof, (("C1", None),), rC, spec,
+                                 closed_form=False)
     exc = info.value
     assert abs(exc.estimate - exact) <= exc.error + exact_err
     assert exc.error < 1e-9 * abs(exact)
@@ -510,6 +510,20 @@ CLOSED = {None: ("M0", "M2", "C1", "D0"),
 # and one kind more for each, which has none and must read None
 ASKED = {None: CLOSED[None] + ("M1",),
          cslnoise._one_minus_cos: ("M0", "C1", "M2"), np.sin: ("M0", "M1")}
+# every row of ASKED, in one request that mixes the kernels
+ROWS = tuple((kind, h) for h, kinds in ASKED.items() for kind in kinds)
+# the rows a cylinder two-body asks of its slab and of its disc
+ROUTE_ROWS = ((("M0", None), ("M2", None), ("M2", cslnoise._one_minus_cos),
+               ("M0", cslnoise._one_minus_cos), ("M1", np.sin)),
+              (("M0", None), ("M2", None), ("M0", cslnoise._one_minus_cos),
+               ("M2", cslnoise._one_minus_cos), ("M1", np.sin)))
+
+
+def requests(rng):
+    """Requests that mix kernels: every row of ROWS, the routes'
+    requests, five random rows in random order, and each row alone."""
+    shuffled = tuple(ROWS[i] for i in rng.permutation(len(ROWS))[:5])
+    return [ROWS, *ROUTE_ROWS, shuffled] + [(row,) for row in ROWS]
 
 
 def switch_cases(seed, count):
@@ -535,26 +549,20 @@ def switch_cases(seed, count):
 
 
 def test_one_pass_equals_the_per_kind_moments():
-    """Every kernel's kinds asked of one profile together, in either
-    order, and each alone, equal the per-kind closed forms bit for bit,
-    value and error, through _closed_moment (where a slab's plain M0 and
-    M2 keep their one-slab formula) and _axis_moment alike."""
-    cases = switch_cases(21, 30)
+    """Every row of a request that mixes kinds and kernels, in any order,
+    equals the per-kind closed form bit for bit, value and error,
+    through _closed_moment, where a slab's plain M0 and M2 keep their
+    one-slab formula, and a row with no closed form reads None."""
+    rng = np.random.default_rng(24)
     routes = collections.Counter()
-    for prof, rC, s in cases:
+    for prof, rC, s in switch_cases(21, 30):
         extent = prof.layer_data.extent
         routes[extent <= rC, s * extent <= rC * rC] += 1
-        for h, asked in ASKED.items():
-            for kinds in (asked, asked[::-1]) + tuple((k,) for k in asked):
-                want = [per_kind_moments._closed_moment(prof, k, rC, h, s)
-                        for k in kinds]
-                got = cslnoise._closed_moment(prof, kinds, rC, h, s)
-                assert hexed(got) == hexed(want), (prof, rC, s, kinds, h)
-            kinds = CLOSED[h]
-            want = [per_kind_moments._axis_moment(prof, k, rC, h, s)
-                    for k in kinds]
-            got = cslnoise._axis_moment(prof, kinds, rC, h, s)
-            assert hexed(got) == hexed(want), (prof, rC, s, kinds, h)
+        for rows in requests(rng):
+            want = [per_kind_moments._closed_moment(prof, k, rC, h, s)
+                    for k, h in rows]
+            got = cslnoise._closed_moment(prof, rows, rC, s)
+            assert hexed(got) == hexed(want), (prof, rC, s, rows)
     assert len(routes) == 4, routes   # every side of both switches
 
 
@@ -562,10 +570,11 @@ def test_one_pass_disc_equals_the_per_kind_moments():
     """Disc Q0 and Q2 together, in either order, and each alone, at
     x = R^2 / 2rC^2 below and above the Q0 series' 0.1 and past the 2^30
     where ive gives way to i0e and i1e: bit for bit the per-kind ones.
-    With a kernel, at separations 0 and 3R, M0 and M2 times 1 - cos and
-    M1 times sin are closed forms up to R = 3.5 rC (x = 6.125), each the
-    same alone or asked together, and every other moment is left to
-    quadrature (None)."""
+    In requests that mix kernels, at separations 0 and 3R, the plain M0
+    and M2 are closed forms everywhere, and M0 and M2 times 1 - cos and
+    M1 times sin up to R = 3.5 rC (x = 6.125), each the same alone or
+    asked with the others; every other moment is left to quadrature
+    (None)."""
     rng = np.random.default_rng(22)
     R = 1e-6
     xs = np.concatenate([10.0 ** rng.uniform(-4, -1, 6), [0.1],
@@ -577,16 +586,16 @@ def test_one_pass_disc_equals_the_per_kind_moments():
             want = [per_kind_moments._disc_moment(R, k, rC) for k in kinds]
             assert hexed(cslnoise._disc_moment(R, kinds, rC)) \
                 == hexed(want), (x, kinds)
-        for h, s in ((None, 0.0), (cslnoise._one_minus_cos, 0.0),
-                     (cslnoise._one_minus_cos, 3.0 * R), (np.sin, 3.0 * R)):
-            kinds = ("M2", "M1", "M0")
-            want = [per_kind_moments._closed_moment(DiscProfile(R), k, rC,
-                                                    h, s) for k in kinds]
-            got = cslnoise._closed_moment(DiscProfile(R), kinds, rC, h, s)
-            assert hexed(got) == hexed(want), (x, h, s)
-            closed = 2 if h is None else 0 if x > 6.125 \
-                else 1 if h is np.sin else 2
-            assert sum(m is not None for m in got) == closed, (x, h)
+        for s in (0.0, 3.0 * R):
+            for rows in requests(rng):
+                want = [per_kind_moments._closed_moment(DiscProfile(R), k,
+                                                        rC, h, s)
+                        for k, h in rows]
+                got = cslnoise._closed_moment(DiscProfile(R), rows, rC, s)
+                assert hexed(got) == hexed(want), (x, s, rows)
+                closed = sum(k in ("M0", "M2") if h is None else
+                             x <= 6.125 and k in CLOSED[h] for k, h in rows)
+                assert sum(m is not None for m in got) == closed, (x, rows)
 
 
 def counting(func, key, counts):

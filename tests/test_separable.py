@@ -4,6 +4,7 @@ profile moments, cylinder two-body and torque at any tilt as sums of
 products of 1D moments, and the sphere two-body spectrum as one radial
 integral, each checked against an independent route."""
 
+import collections
 import os
 import sys
 import warnings
@@ -18,7 +19,7 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        TwoBody,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum)
-from cslbounds import cslnoise
+from cslbounds import cslnoise, geometry
 from cslbounds.cslnoise import torque_pair_kernel_sum
 from cslbounds.geometry import AxisProfile, BallProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence, integrate_1d
@@ -268,13 +269,20 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     assert len(moments) > 100
 
 
+# a request's kernels: none, 1 - cos and sin (on a disc averaged over
+# its plane)
+KERNELS = (None, cslnoise._one_minus_cos, np.sin)
+KINDS = ("M0", "M1", "M2", "D0", "C1")
+
+
 @st.composite
 def grouped_moments(draw):
-    """(profile, kinds, rC, spec, closed_form, h, s): a slab, a layer
-    stack of 1 to 6 layers or a disc, with rC from 1e-3 to 1e3 times the
-    body, rel_tol down to 1e-11 (so that rows refine) and budgets small
-    enough that some rows run out; half carry a separation kernel, and
-    half allow closed forms, which mix with quadrature rows."""
+    """(profile, rows, rC, spec, closed_form, s): a slab, a layer stack
+    of 1 to 6 layers or a disc, with rC from 1e-3 to 1e3 times the body,
+    rel_tol down to 1e-11 (so that rows refine) and budgets small enough
+    that some rows run out.  The request mixes kernels, as the routes'
+    do: its rows are drawn from every kind times none, 1 - cos and sin,
+    and half allow closed forms, which mix with quadrature rows."""
     shape = draw(st.sampled_from(["slab", "stack", "disc"]))
     if shape == "slab":
         prof = AxisProfile(10.0 ** draw(st.floats(-7.0, -5.0)))
@@ -286,17 +294,16 @@ def grouped_moments(draw):
         prof = AxisProfile(g.stack_thickness, g.layers())
     else:
         prof = DiscProfile(10.0 ** draw(st.floats(-7.5, -5.5)))
-    kinds = tuple(draw(st.lists(st.sampled_from(["M0", "M1", "M2", "D0",
-                                                  "C1"]),
-                                min_size=1, max_size=5, unique=True)))
+    rows = tuple(draw(st.lists(st.tuples(st.sampled_from(KINDS),
+                                         st.sampled_from(KERNELS)),
+                               min_size=1, max_size=6, unique=True)))
     rC = prof.length * 10.0 ** draw(st.floats(-3.0, 3.0))
     spec = QuadratureSpec(rel_tol=10.0 ** draw(st.floats(-11.0, -5.0)),
                           max_evals=draw(st.sampled_from([3_000, 300_000])))
-    h, s = None, 0.0
-    if draw(st.booleans()):
-        h = cslnoise._one_minus_cos   # on a disc averaged over its plane
+    s = 0.0
+    if any(h is not None for _, h in rows):
         s = prof.length * 10.0 ** draw(st.floats(-2.0, 1.5))
-    return prof, kinds, rC, spec, draw(st.booleans()), h, s
+    return prof, rows, rC, spec, draw(st.booleans()), s
 
 
 def moment_or_failure(*args, **kwargs):
@@ -311,17 +318,17 @@ def moment_or_failure(*args, **kwargs):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(grouped_moments())
 def test_grouped_moments_equal_lone_moments_bit_for_bit(case):
-    """Every row of a grouped moment, closed form or quadrature, equals
-    the moment of its kind alone, value and error, compared with == on
-    the floats; the group raises the NonConvergence of its first
-    quadrature row that raises one, with that row's estimate and
-    error."""
-    prof, kinds, rC, spec, closed_form, h, s = case
-    lone = [moment_or_failure(prof, kind, rC, spec, closed_form, h, s)
-            for kind in kinds]
+    """Every row of a request that mixes kinds and kernels, closed form
+    or quadrature, equals the same row asked alone, value and error,
+    compared with == on the floats; the request raises the
+    NonConvergence of its first row that raises one alone, with that
+    row's estimate and error."""
+    prof, rows, rC, spec, closed_form, s = case
+    lone = [moment_or_failure(prof, (row,), rC, spec, closed_form, s)
+            for row in rows]
     failed = [row for row in lone if row[0] == "NonConvergence"]
-    grouped = moment_or_failure(prof, kinds, rC, spec, closed_form, h, s)
-    assert grouped == (failed[0] if failed else lone)
+    grouped = moment_or_failure(prof, rows, rC, spec, closed_form, s)
+    assert grouped == (failed[0] if failed else [row for row, in lone])
 
 
 def disc_kernel(kind, h):
@@ -333,22 +340,22 @@ def disc_kernel(kind, h):
     return bessel_j1 if kind == "M1" else zero
 
 
-def elementwise_integrand(prof, kinds, rC, h, s):
+def elementwise_integrand(prof, rows, rC, s):
     """_profile_moment's integrand written as complex elementwise
     expressions, |P|^2, |P'|^2 and Re(k P P'*) times each factor in a
     new array, for every profile alike; a disc's kernel is h averaged
     over its plane (disc_kernel)."""
     line = prof.dims == 1
     powers = [{"M1": 1, "M2": 2, "C1": not line}.get(name, 0)
-              + prof.dims - 1 for name in kinds]
-    slope = "D0" in kinds or "C1" in kinds
+              + prof.dims - 1 for name, _ in rows]
+    slope = any(name in ("D0", "C1") for name, _ in rows)
 
     def integrand(k):
         p, dp = prof.transform_and_derivative(k) if slope \
             else (prof.transform(k), None)
         weight = 2.0 * np.exp(-np.square(k * rC))
-        rows = []
-        for name, power in zip(kinds, powers):
+        vals = []
+        for (name, h), power in zip(rows, powers):
             if name == "D0":
                 val = np.square(np.abs(dp))
             elif name == "C1":
@@ -360,8 +367,8 @@ def elementwise_integrand(prof, kinds, rC, h, s):
                 val = val * kernel(s * k)
             if power:
                 val = val * k ** power
-            rows.append(weight * val)
-        return rows
+            vals.append(weight * val)
+        return vals
     return integrand
 
 
@@ -371,19 +378,23 @@ def test_quadrature_moments_equal_the_elementwise_integrand(case):
     """The quadrature moments of a slab, a layer stack (complex
     transform) or a disc, and of a ball, equal bit for bit the integrals
     of the same integrand written elementwise: the in-place weight and
-    scaling, the real products of a real transform and the shared powers
-    of k change no bit, value, error or NonConvergence."""
-    prof, _, rC, spec, _, h, s = case
-    for prof, kinds in ((prof, ("M0", "M1", "M2", "D0", "C1")),
-                        (BallProfile(prof.length / 2.0), ("M0", "M1", "M2"))):
+    scaling, the real products of a real transform, the shared powers of
+    k and kernels change no bit, value, error or NonConvergence.  Every
+    kind is asked, each with a kernel of the drawn request in turn."""
+    prof, rows, rC, spec, _, s = case
+    kernels = [h for _, h in rows]
+    for prof, kinds in ((prof, KINDS),
+                        (BallProfile(prof.length / 2.0), KINDS[:3])):
+        asked = tuple((kind, kernels[i % len(kernels)])
+                      for i, kind in enumerate(kinds))
         try:
             want = integrate_1d(
-                elementwise_integrand(prof, kinds, rC, h, s), 0.0,
+                elementwise_integrand(prof, asked, rC, s), 0.0,
                 spec.cutoff_factor / rC, spec.rel_tol, spec.abs_tol,
                 spec.max_evals, max_panel_width=np.pi / max(prof.length, s))
         except NonConvergence as exc:
             want = "NonConvergence", exc.estimate, exc.error
-        got = moment_or_failure(prof, kinds, rC, spec, False, h, s)
+        got = moment_or_failure(prof, asked, rC, spec, False, s)
         assert repr(got) == repr(want)
 
 
@@ -449,6 +460,67 @@ def test_cylinder_two_body_at_vanishing_separation(closed_form):
             assert 0.0 <= float(s) < np.inf and 0.0 <= s.error < np.inf, a
 
 
+@pytest.mark.parametrize("rC, a, auto_calls", [
+    (1e-6, 1e-6, {"_hermite_shifted": 1, "_egf_moments": 1,
+                  "_disc_kernel_moment": 1}),
+    (2e-8, 3e-7, {"_axis_edges": 1, "integrate_1d": 2})],
+    ids=["R_0.1rC", "R_5rC"])
+def test_cylinder_two_body_asks_each_profile_once(rC, a, auto_calls,
+                                                  monkeypatch):
+    """A tilted cylinder two-body point asks each profile for all its
+    moments in one request.  Under auto at rC = a = 1e-6 the slab's
+    1 - cos and sin series share one Hermite table and one set of
+    central moments, and the disc's three kernel moments one Laguerre
+    set-up, each built once.  At R = 5 rC (a = 3e-7) the slab's kernel
+    rows, sin included, share one edge-pair pass, and the disc's Q0m and
+    Q2h are one integrate_1d call before Q1J1, whose Cauchy-Schwarz
+    target comes from the other rows.  Under quadrature the point makes
+    four integrate_1d calls: one per profile, then P1s and Q1J1."""
+    calls = collections.Counter()
+    for name in ("_hermite_shifted", "_egf_moments", "_disc_kernel_moment",
+                 "_axis_edges", "integrate_1d"):
+        def spy(*args, orig=getattr(cslnoise, name), name=name, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(cslnoise, name, spy)
+    g = TwoBody(Cylinder(1e-14, 1e-7, 1e-6, axis=(0.3, 0.4, 0.866)), a)
+    p = CollapseParams(1.0, rC)
+    auto = csl_force_spectrum_two_body(g, p)
+    assert calls == auto_calls
+    calls.clear()
+    quad = cslnoise._cylinder(g.unit, "two_body", p, SPEC, False, g.a)
+    assert calls == {"integrate_1d": 4}
+    assert_agree(auto, quad, SPEC.rel_tol)
+
+
+def test_cylinder_two_body_raises_in_request_order(monkeypatch):
+    """Under quadrature the slab's request is integrated before the
+    disc's, and a point raises the NonConvergence of the first failing
+    row of the first failing request: with the slab's 1 - cos rows and
+    every disc row NaN, the slab's request raises and the disc is never
+    asked, although its plain rows would fail too."""
+    def nan(x):
+        return np.full_like(x, np.nan)
+    monkeypatch.setattr(cslnoise, "_one_minus_cos", nan)
+    monkeypatch.setattr(geometry, "jinc", nan)
+    outcomes = []
+
+    def spy(*args, orig=cslnoise.integrate_1d, **kwargs):
+        try:
+            result = orig(*args, **kwargs)
+        except NonConvergence:
+            outcomes.append("raised")
+            raise
+        outcomes.append(len(result))
+        return result
+    monkeypatch.setattr(cslnoise, "integrate_1d", spy)
+    g = TwoBody(Cylinder(1e-14, 1e-7, 1e-6, axis=(0.3, 0.4, 0.866)), 1e-6)
+    with pytest.raises(NonConvergence, match="not finite"):
+        cslnoise._cylinder(g.unit, "two_body", CollapseParams(1.0, 1e-6),
+                           SPEC, False, g.a)
+    assert outcomes == ["raised"]
+
+
 FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
 
 
@@ -495,12 +567,12 @@ def test_two_body_saturation_threshold(unit, extent, rC, monkeypatch):
 
 def spy_on_kernels(monkeypatch):
     """Spy on cslnoise._profile_moment; returns the list of the
-    separation kernels h its calls carry, None for none."""
+    separation kernels h its requests' rows carry, None for none."""
     kernels, moment = [], cslnoise._profile_moment
 
-    def spy(prof, kind, rC, spec, closed_form=True, h=None, *args):
-        kernels.append(h)
-        return moment(prof, kind, rC, spec, closed_form, h, *args)
+    def spy(prof, rows, *args):
+        kernels.extend(h for _, h in rows)
+        return moment(prof, rows, *args)
 
     monkeypatch.setattr(cslnoise, "_profile_moment", spy)
     return kernels
