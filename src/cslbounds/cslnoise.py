@@ -17,14 +17,17 @@ any tilt; one moment of a ball profile for the sphere two-body, and one
 radial integral (integrate_k3) for the sphere force.  A route asks each
 profile for every moment it needs in one request to _profile_moment.
 Every moment of a slab or layer stack, a disc's M0 and M2, and up to
-R = 3.5 rC its kernel moments, is a closed form (erf/exp sums over
-pairs of layer edges, or their series in 1/rC^2; e^{-x} I_n(x) and a
-Laguerre series for the disc); the cylinder torque, the disc kernels of
-a two-body cylinder past that and the sphere two-body stay 1D
-quadratures.  method="quadrature" runs the same route with every moment
-by 1D quadrature, as a cross-check of the closed forms.  No route
-integrates in more than one dimension; the generic 3D quadrature is a
-test oracle (tests/oracles.py).  README.md tabulates the routes.
+R = 3.5 rC its kernel moments, is a closed form, computed by the pass
+function that _closed_pass alone picks: erf/exp sums over pairs of
+layer edges (_axis_edges), their series in 1/rC^2 (_axis_series,
+_shifted_part) or the one-slab formula (_sinc_sq_gauss); e^{-x} I_n(x)
+(_disc_moment) and a Laguerre series (_disc_kernel_moment) for the disc.
+The cylinder torque, the disc kernels of a two-body cylinder past that
+and the sphere two-body stay 1D quadratures.  method="quadrature" runs
+the same route with every moment by 1D quadrature, as a cross-check of
+the closed forms.  No route integrates in more than one dimension; the
+generic 3D quadrature is a test oracle (tests/oracles.py).  README.md
+tabulates the routes.
 """
 
 import math
@@ -429,35 +432,39 @@ _M0_SERIES = tuple((-1) ** (n + 1) / (math.factorial(n) * (2 * n - 1))
 
 
 # This one-slab closed form predates the general layer-edge sums
-# (_axis_moment), which subsume it; it stays, bit for bit with its fixed
-# 1e-14 error estimate, because the shipped space_two_body exclusion
-# reports its values and errors and the benchmark's cli gate compares
-# those at 1e-6 relative (ROADMAP item 1).
+# (_axis_edges, _axis_series), which subsume it; it stays, bit for bit
+# with its fixed 1e-14 error estimate, because the shipped space_two_body
+# exclusion reports its values and errors and the benchmark's cli gate
+# compares those at 1e-6 relative (ROADMAP item 1).
 
-def _sinc_sq_gauss(L, rC, weight_power=0):
-    """Closed form of 2 int_0^inf k^w sinc^2(kL/2) e^{-k^2 rC^2} dk.
+def _sinc_sq_gauss(prof, rows, rC, s):
+    """The plain M0 and M2 rows of a slab of length L: closed forms of
+    2 int_0^inf k^w sinc^2(kL/2) e^{-k^2 rC^2} dk, w = 0 and 2.
 
     Writing sinc^2(kL/2) = 2 (1 - cos kL) / (k L)^2 reduces both moments
-    (w = 0, 2) to Gaussian cosine integrals.  With x = L / 2rC the w = 2
-    core is 1 - e^{-x^2} and the w = 0 core sqrt(pi) x erf(x) + e^{-x^2}
-    - 1, which below x = 1 is summed as its alternating series
-    (_M0_SERIES) to avoid cancellation.
-    Returns (value, error).
+    to Gaussian cosine integrals.  With x = L / 2rC the w = 2 core is
+    1 - e^{-x^2} and the w = 0 core sqrt(pi) x erf(x) + e^{-x^2} - 1,
+    which below x = 1 is summed as its alternating series (_M0_SERIES)
+    to avoid cancellation.  Returns one (value, error) per row.
     """
-    x = L / (2.0 * rC)
+    x = prof.length / (2.0 * rC)
+    scale = 4.0 / prof.length ** 2
     sqrt_pi = math.sqrt(math.pi)
-    if weight_power == 2:
-        val = (4.0 / L ** 2) * (sqrt_pi / (2.0 * rC)) * -math.expm1(-x * x)
-    else:
-        if x < 1.0:
-            core = 0.0
-            for c in _M0_SERIES:
-                core = core * x * x + c
-            core *= x * x
+    out = []
+    for kind, _ in rows:
+        if kind == "M2":
+            val = scale * (sqrt_pi / (2.0 * rC)) * -math.expm1(-x * x)
         else:
-            core = sqrt_pi * x * math.erf(x) + math.exp(-x * x) - 1.0
-        val = (4.0 / L ** 2) * (math.pi / 2.0) * (2.0 * rC / sqrt_pi) * core
-    return val, abs(val) * 1e-14
+            if x < 1.0:
+                core = 0.0
+                for c in _M0_SERIES:
+                    core = core * x * x + c
+                core *= x * x
+            else:
+                core = sqrt_pi * x * math.erf(x) + math.exp(-x * x) - 1.0
+            val = scale * (math.pi / 2.0) * (2.0 * rC / sqrt_pi) * core
+        out.append((val, abs(val) * 1e-14))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,35 +522,35 @@ _PLAIN_SERIES = {"M0": _SIGNED_INV_FACT, "D0": _SIGNED_INV_FACT,
 _EXACT = np.zeros(_N.size)
 
 
-def _series_coefficients(rows, v, rC):
-    """(scale, c_n, |rounding| size of c_n) per row (kind, h) of its
-    moment's 1/rC^2 series sum_n c_n A_n.  A separation kernel shifts G
-    to G(u -+ s): its Taylor coefficients in u are G's derivatives at s,
-    Hermite polynomials at v = s / 2rC times e^{-v^2}, and the
-    difference from those at 0 is taken with e^{-v^2} - 1 and
+def _series_coefficients(rows, v, rC, m):
+    """(scale, c_n, |rounding| size of c_n) for n < m + 3 per row
+    (kind, h) of its moment's 1/rC^2 series sum_n c_n A_n.  A separation
+    kernel shifts G to G(u -+ s): its Taylor coefficients in u are G's
+    derivatives at s, Hermite polynomials at v = s / 2rC times e^{-v^2},
+    and the difference from those at 0 is taken with e^{-v^2} - 1 and
     _hermite_shifted, built once for every row with a kernel."""
     scale = math.sqrt(math.pi) / rC
-    n = _N
+    n = _N[:m + 3]
     if any(h is not None for _, h in rows):
         t, size, h0 = _hermite_shifted(v, 2 * n[-1] + 2)
         e = math.expm1(-v * v)
+        inv = _INV_FACT_2N[:m + 3]
     out = []
     for kind, h in rows:
         if h is None:
             out.append((scale / (4.0 * rC * rC) if kind == "M2" else scale,
                         _PLAIN_SERIES[kind], _EXACT))
         elif kind == "M1":   # K(u) = -G'(u + s); odd powers of u drop out
-            out.append((scale / (2.0 * rC), t[2 * n + 1] * _INV_FACT_2N,
-                        size[2 * n + 1] * _INV_FACT_2N))
+            out.append((scale / (2.0 * rC), t[2 * n + 1] * inv,
+                        size[2 * n + 1] * inv))
         elif kind == "M0":   # K(u) = G(u) - [G(u + s) + G(u - s)] / 2
             out.append((scale,
-                        -(e * _SIGNED_INV_FACT + t[2 * n] * _INV_FACT_2N),
-                        size[2 * n] * _INV_FACT_2N))
+                        -(e * _SIGNED_INV_FACT[:m + 3] + t[2 * n] * inv),
+                        size[2 * n] * inv))
         else:   # M2: K(u) = -G''(u) + [G''(u + s) + G''(u - s)] / 2
             k = 2 * n + 2
-            out.append((scale / (4.0 * rC * rC),
-                        (t[k] + h0[k] * e) * _INV_FACT_2N,
-                        size[k] * _INV_FACT_2N))
+            out.append((scale / (4.0 * rC * rC), (t[k] + h0[k] * e) * inv,
+                        size[k] * inv))
     return out
 
 
@@ -570,10 +577,10 @@ def _egf_moments(half, rho, gamma, sr, count):
     return sr * (rho @ per_layer), sr * (np.abs(rho) @ size)
 
 
-def _axis_series(rows, s, data, rC):
-    """The rows (kind, h) of an AxisProfile with LayerData data as their
-    series in 1/rC^2 (extent <= rC), all from one set of central
-    moments and pair sums, whatever kernel each row carries.
+def _axis_series(prof, rows, rC, s):
+    """The rows (kind, h) of an AxisProfile as their series in 1/rC^2
+    (extent <= rC), all from one set of central moments and pair sums,
+    whatever kernel each row carries.
 
     With nu_p the central moments of rho scaled by (2rC)^-p and
     A_n = int int rho rho' u^{2n} / (2rC)^{2n} (u = x - x'), the series
@@ -587,7 +594,7 @@ def _axis_series(rows, s, data, rC):
     first n whose bound on the omitted tail is below 1e-17 of the
     leading term's scale, at most _SERIES_ORDER.
     """
-    half, rho, gamma, cbar, mass, extent = data
+    half, rho, gamma, cbar, mass, extent = prof.layer_data
     sr = 2.0 * rC
     zmax = extent / sr
     z2 = zmax * zmax
@@ -613,7 +620,7 @@ def _axis_series(rows, s, data, rC):
     tail_powers = z2 ** _N[m:m + 3]
     out = []
     for (kind, _), (scale, coef, coef_err) in zip(
-            rows, _series_coefficients(rows, s / sr, rC)):
+            rows, _series_coefficients(rows, s / sr, rC, m)):
         val, mag = plain
         bound = 1.0
         if kind == "D0":
@@ -658,10 +665,10 @@ def _edge_sum(edges, parts, const=0.0):
     return value, _ROUNDING * mag
 
 
-def _axis_edges(rows, data, edges, rC, s):
-    """The rows (kind, h) of an AxisProfile with LayerData data and
-    EdgeData edges as sums over pairs of layer edges, which share z,
-    e^{-z^2} - 1, erf z and phi0(z) whatever kernel each row carries.
+def _axis_edges(prof, rows, rC, s):
+    """The rows (kind, h) of an AxisProfile as sums over the pairs of
+    its layer edges (EdgeData), which share z, e^{-z^2} - 1, erf z and
+    phi0(z) whatever kernel each row carries.
 
     Edge positions xi relative to the centre of mass cbar, steps w, and
     W = w_i w_j, z = |xi_i - xi_j| / 2rC over all ordered pairs:
@@ -684,6 +691,7 @@ def _axis_edges(rows, data, edges, rC, s):
     """
     from scipy.special import erf, erfc
     sqrt_pi = math.sqrt(math.pi)
+    edges = prof.edge_data
     u = edges.diff / (2.0 * rC)
     v = s / (2.0 * rC)
     if any(h is np.sin for _, h in rows):   # M1
@@ -731,32 +739,36 @@ def _axis_edges(rows, data, edges, rC, s):
             cube = 2.0 * sqrt_pi * z ** 3 * erf_z
             hz = e - 2.0 * z * z * g - cube
             hm = np.abs(e) + 2.0 * z * z * g + cube
-            cbar = data.cbar
+            cbar, mass = prof.layer_data[3:5]
             parts = [(-2.0 * sqrt_pi * rC * cbar * cbar, phi, phi_mag),
                      (-4.0 * sqrt_pi * rC * cbar, edges.mid * phi,
                       edges.abs_mid * phi_mag),
                      (4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
                      (-2.0 * sqrt_pi * rC, edges.prod * phi,
                       edges.abs_prod * phi_mag)]
-            const = -2.0 * sqrt_pi * rC * data.mass * data.mass
+            const = -2.0 * sqrt_pi * rC * mass * mass
         out.append(_edge_sum(edges, parts, const))
     return out
 
 
-def _shifted_part(kinds, edges, rC, v):
-    """The separation-shifted part S of M0 or M2 times 1 - cos, for a
-    profile whose |e_i - e_j| / 2rC = z stay below v: M0 (1 - cos sk) =
-    M0 - S with S = -2 pi rC sum W [ierfc(v + z) + ierfc(v - z)] / 2
-    (the erf/exp edge term minus its part linear in v +- z, which sums
-    to zero), M2 (1 - cos sk) = M2 - S with S = (sqrt(pi)/rC) sum W
-    [e^{-(v + z)^2} + e^{-(v - z)^2}] / 2.  The kinds share the
-    Gaussians.  Returns one (S, error) per kind."""
+def _shifted_part(prof, rows, rC, s):
+    """The M0 and M2 rows times 1 - cos of an AxisProfile no longer than
+    rC whose |e_i - e_j| / 2rC = z stay below v = s / 2rC: the series of
+    the plain moment (_axis_series) minus its separation-shifted part S,
+    M0 (1 - cos sk) = M0 - S with S = -2 pi rC sum W [ierfc(v + z) +
+    ierfc(v - z)] / 2 (the erf/exp edge term minus its part linear in
+    v +- z, which sums to zero), M2 (1 - cos sk) = M2 - S with
+    S = (sqrt(pi)/rC) sum W [e^{-(v + z)^2} + e^{-(v - z)^2}] / 2.  The
+    rows share the Gaussians.  Returns one (value, error) per row."""
     from scipy.special import erfc
+    edges = prof.edge_data
     z = np.abs(edges.diff / (2.0 * rC))
+    v = s / (2.0 * rC)
     xs = (v + z, v - z)
     gauss = [np.exp(-x * x) for x in xs]
+    plain = _axis_series(prof, [(kind, None) for kind, _ in rows], rC, s)
     out = []
-    for kind in kinds:
+    for (kind, _), (moment, moment_err) in zip(rows, plain):
         val = mag = 0.0
         for x, g in zip(xs, gauss):
             if kind == "M0":
@@ -766,7 +778,8 @@ def _shifted_part(kinds, edges, rC, v):
                 val, mag = val + g, mag + g * (1.0 + 2.0 * x * x)
         scale = -math.pi * rC if kind == "M0" \
             else 0.5 * math.sqrt(math.pi) / rC
-        out.append(_edge_sum(edges, [(scale, val, mag)]))
+        shifted, err = _edge_sum(edges, [(scale, val, mag)])
+        out.append((moment - shifted, moment_err + err))
     return out
 
 
@@ -786,17 +799,18 @@ def _ive(n, x):
     return v if math.isfinite(v) else float((i0e, i1e)[n](x))
 
 
-def _disc_moment(R, kinds, rC):
-    """Closed forms of a disc's Q0 and Q2 (the k-plane moments of
-    jinc(kR), without the factor pi): with x = R^2 / 2rC^2,
-    Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
-    (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
-    terms fall by at least 5x each.  Both share one e^{-x} I1(x).
-    Returns one (value, error) per kind."""
+def _disc_moment(prof, rows, rC, s):
+    """Closed forms of a disc's plain rows Q0 and Q2 (the k-plane
+    moments M0 and M2 of jinc(kR), without the factor pi): with
+    x = R^2 / 2rC^2, Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)
+    (1 - e^{-x} (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its
+    series, whose terms fall by at least 5x each.  Both share one
+    e^{-x} I1(x).  Returns one (value, error) per row."""
+    R = prof.R
     x = R * R / (2.0 * rC * rC)
-    i1 = _ive(1, x) if "M2" in kinds or x >= 0.1 else None
+    i1 = _ive(1, x) if ("M2", None) in rows or x >= 0.1 else None
     out = []
-    for kind in kinds:
+    for kind, _ in rows:
         if kind == "M2":
             val = 4.0 / (R * R * rC * rC) * i1
             out.append((val, _ROUNDING * abs(val)))
@@ -828,7 +842,7 @@ def _disc_moment(R, kinds, rC):
 # bracket, which vanishes at u = 0, is summed as its own series in u
 # (Kummer: E_j = 1F1(j+1; 1; -u), E_j^(1) = (j+1) 1F1(j+2; 2; -u)).
 _DISC_KERNEL_REACH = 3.5
-_LAGUERRE_TERMS = 72        # terms j < 72 at most; R = 3.5 rC takes 57
+_LAGUERRE_TERMS = 72        # terms j < 72 at most; R = 3.5 rC takes 57-58
 _KUMMER_TERMS = 20          # terms m <= 20 of each bracket's series in u
 _LJ = np.arange(_LAGUERRE_TERMS + 1)
 _LJ1 = _LJ + 1.0
@@ -885,11 +899,11 @@ def _laguerre_scaled(u, g, n):
     return np.array(f0) * g, np.array(f1) * g
 
 
-def _disc_kernel_moment(R, kinds, rC, s):
-    """Closed forms of a disc's Q0m, Q2h and Q1J1 (kinds M0, M2 and M1;
-    see _cylinder), as the Laguerre series above, for R <= 3.5 rC.
-    Returns one (value, error) per kind, or None for every kind where
-    the series would need more than _LAGUERRE_TERMS terms.
+def _disc_kernel_moment(prof, rows, rC, s):
+    """Closed forms of a disc's kernel rows Q0m, Q2h and Q1J1 (M0 and M2
+    times 1 - cos, M1 times sin; see _cylinder), as the Laguerre series
+    above, for R <= 3.5 rC, where it takes at most 58 of its
+    _LAGUERRE_TERMS terms.  Returns one (value, error) per row.
 
     Bounds.  |E_j^(a)| <= C(j+a, j) e^{-u/2} (Szego), and integrating
     d/du E_j = -E_j^(1) and the like from u = 0 gives |1 - E_j| <=
@@ -916,21 +930,16 @@ def _disc_kernel_moment(R, kinds, rC, s):
     C(j+1, j) e^{-u/2} its error is made of, as the Cauchy-Schwarz target
     in _cylinder allows.
     """
-    x = R * R / (rC * rC)
+    x = prof.R * prof.R / (rC * rC)
     u = (s / (2.0 * rC)) ** 2
     # the first n whose ratio x (2n+3) / 2 (n+1)(n+2) is at most 1/2
     n0 = max(1, math.ceil(x - 1.5 + math.sqrt(x * x + 0.25)))
     n0 += x * _LAGUERRE_RATIO[min(n0, _LAGUERRE_TERMS)] > 0.5
-    if n0 > _LAGUERRE_TERMS:
-        return [None] * len(kinds)
     xp = x ** _LJ
     weights = _LAGUERRE_ABS * xp
     sums = np.cumsum(weights)
     ok = _LAGUERRE_STOP[n0 - 1:] * weights[n0:] <= sums[n0 - 1:-1]
-    first = int(np.argmax(ok))
-    if not ok[first]:
-        return [None] * len(kinds)
-    n = n0 + first
+    n = n0 + int(np.argmax(ok))
     g, h = math.exp(-0.5 * u), -math.expm1(-0.5 * u)
     head = 2.0 * float(weights[n])   # twice |c_n n!| x^n
     tails = {"M0": head * min(1.0 + g, 2.0 * (n + 1) * h),
@@ -950,7 +959,7 @@ def _disc_kernel_moment(R, kinds, rC, s):
         e0, e1 = e0[m:], e1[m:n]
     j1 = _LJ1[m:n]   # j + 1
     out = []
-    for kind in kinds:
+    for kind, _ in rows:
         val = size = 0.0
         if m:
             coef = (a2[:m] / 2.0 if kind == "M1" else a2[:m] if kind == "M2"
@@ -1031,60 +1040,49 @@ _CLOSED_KINDS = {None: ("M0", "M2", "C1", "D0"),
 
 
 def _closed_pass(prof, kind, h, rC, s):
-    """The closed-form pass of a row (see _closed_moment), or None."""
+    """The pass function that serves the row (kind, h) of prof in closed
+    form (see _closed_moment), or None where the row is integrated."""
     if kind not in _CLOSED_KINDS.get(h, ()) \
             or not isinstance(prof, (AxisProfile, DiscProfile)):
         return None
     if isinstance(prof, DiscProfile):
         if h is None:
-            return "disc" if kind in ("M0", "M2") else None
-        return "disc kernel" if prof.R <= _DISC_KERNEL_REACH * rC else None
+            return _disc_moment if kind in ("M0", "M2") else None
+        return _disc_kernel_moment if prof.R <= _DISC_KERNEL_REACH * rC \
+            else None
     if h is None and prof.layers is None and kind in ("M0", "M2"):
-        return "one slab"
+        return _sinc_sq_gauss
     extent = prof.layer_data.extent
     if extent > rC or h is np.sin and s * extent > rC * rC:
-        return "edges"
-    return "series" if h is None or s * extent <= rC * rC else "shifted"
+        return _axis_edges
+    return _axis_series if h is None or s * extent <= rC * rC \
+        else _shifted_part
 
 
 def _closed_moment(prof, rows, rC, s):
     """The closed forms of a request's rows, None for each row without
-    one.  Each row goes to its pass (_closed_pass), which every row on
-    it shares, whatever its kernel.  A slab's plain M0 and M2 keep their
-    one-slab formula (_sinc_sq_gauss).  The other rows of an AxisProfile
-    no longer than rC take its 1/rC^2 series (_axis_series), which with
-    a separation kernel converges fast only while s times the extent is
-    at most rC^2; past that a 1 - cos row is the series of its plain
-    moment minus its shifted part (_shifted_part).  The rows of a longer
-    profile, and a sin row past that, take the edge-pair sums
-    (_axis_edges).  A disc's plain rows take _disc_moment, and its
-    kernel rows up to R = 3.5 rC _disc_kernel_moment."""
+    one.  Each pass function that _closed_pass picks is called once, as
+    pass(prof, rows, rC, s), on all the rows it serves, whatever their
+    kernels, and returns one (value, error) per row.  A slab's plain M0
+    and M2 take their one-slab formula (_sinc_sq_gauss), and the other
+    rows of an AxisProfile no longer than rC its 1/rC^2 series
+    (_axis_series), but for a 1 - cos row past s times the extent = rC^2,
+    where that series converges slowly: it is the series of its plain
+    moment minus its shifted part (_shifted_part).  A longer profile's
+    rows, and a sin row past that, take the edge-pair sums (_axis_edges);
+    a disc's plain M0 and M2 _disc_moment, and up to R = 3.5 rC its
+    kernel rows (M0, M2 times 1 - cos, M1 times sin) _disc_kernel_moment."""
+    passes = [_closed_pass(prof, kind, h, rC, s) for kind, h in rows]
+    if passes[0] is not None and passes.count(passes[0]) == len(passes):
+        return passes[0](prof, rows, rC, s)   # one pass serves every row
     out = [None] * len(rows)
-    passes = {}   # each shared pass's row indices, in request order
-    for i, (kind, h) in enumerate(rows):
-        name = _closed_pass(prof, kind, h, rC, s)
-        if name == "one slab":   # a formula per row, sharing nothing
-            out[i] = _sinc_sq_gauss(prof.length, rC, 2 if kind == "M2" else 0)
-        elif name is not None:
-            passes.setdefault(name, []).append(i)
-    for name, index in passes.items():
-        asked = [rows[i] for i in index]
-        kinds = [kind for kind, _ in asked]
-        if name == "series":
-            moments = _axis_series(asked, s, prof.layer_data, rC)
-        elif name == "shifted":
-            moments = [(p - q, e1 + e2) for (p, e1), (q, e2) in zip(
-                _axis_series([(k, None) for k in kinds], s, prof.layer_data,
-                             rC),
-                _shifted_part(kinds, prof.edge_data, rC, s / (2.0 * rC)))]
-        elif name == "edges":
-            moments = _axis_edges(asked, prof.layer_data, prof.edge_data,
-                                  rC, s)
-        elif name == "disc":
-            moments = _disc_moment(prof.R, kinds, rC)
-        else:
-            moments = _disc_kernel_moment(prof.R, kinds, rC, s)
-        for i, moment in zip(index, moments):
+    groups = {}   # each pass's row indices, in request order
+    for i, closed in enumerate(passes):
+        if closed is not None:
+            groups.setdefault(closed, []).append(i)
+    for closed, index in groups.items():
+        for i, moment in zip(index, closed(
+                prof, [rows[i] for i in index], rC, s)):
             out[i] = moment
     return out
 
@@ -1092,9 +1090,9 @@ def _closed_moment(prof, rows, rC, s):
 def _profile_moment(prof, rows, rC, spec, closed_form=True, s=0.0,
                     abs_tol=0.0):
     """Gaussian moments of a profile P, asked as one request: a tuple of
-    rows (kind, h) at one separation s, h a separation kernel h(s k) or
-    None.  Returns one (value, error) per row, each bit for bit the same
-    row asked alone.
+    one or more rows (kind, h) at one separation s, h a separation
+    kernel h(s k) or None.  Returns one (value, error) per row, each bit
+    for bit the same row asked alone.
 
     kind: "M0", "M1", "M2" int k^n |P|^2, "D0" int |P'|^2 and "C1"
     int k Re(P P'*), each weighted by e^{-k^2 rC^2}.  An AxisProfile is
@@ -1107,18 +1105,15 @@ def _profile_moment(prof, rows, rC, spec, closed_form=True, s=0.0,
     (_disc_kernel), which takes h = 1 - cos or sin; a ball's h is
     already its direction average.
 
-    When closed_form is set these moments are closed forms
-    (_closed_moment): every M0, M2, D0 and C1 of a slab or layer stack,
-    its M0 and M2 times h = 1 - cos and its M1 times h = sin, a disc's
-    M0 and M2 and, for R <= 3.5 rC, the disc's same three kernel
-    moments.  Their edge terms, central moments and pair sums, Hermite
-    table and Laguerre set-up are evaluated once per request.  A slab's
-    plain M0 and M2 keep their older one-slab formula, whose values and
-    error estimates the shipped space_two_body exclusion reports bit for
-    bit (ROADMAP item 1).  Every other row, and every row when
-    closed_form is unset (the oracle route), is a 1D quadrature over
-    k >= 0 of twice the integrand, with an absolute target of at least
-    abs_tol for moments that change sign; a NonConvergence it raises
+    When closed_form is set, a row to which _closed_pass gives a pass
+    is that closed form (_closed_moment lists them: _sinc_sq_gauss,
+    _axis_series, _shifted_part, _axis_edges, _disc_moment and
+    _disc_kernel_moment), each pass evaluating its edge terms, central
+    moments and pair sums, Hermite table or Laguerre set-up once per
+    request.  Every other row, and every row when closed_form is unset
+    (the oracle route), is a 1D quadrature over k >= 0 of twice the
+    integrand, with an absolute target of at least abs_tol for moments
+    that change sign; a NonConvergence it raises
     carries the whole moment's estimate and error.  The quadrature rows
     of a request are one stacked integrate_1d call, in request order: at
     each node the transform, its derivative, each kernel and the
@@ -1191,7 +1186,8 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
     large.  When that leaves an error above spec.rel_tol of the result,
     the moments are evaluated once more with every 1D tolerance
     tightened by the cancellation, provided that asks for no less than
-    1e-11; closed-form moments of two axis profiles do not depend on the
+    1e-11.  closed_form is set only for two axis profiles, whose
+    moments are then all closed forms: they do not depend on the
     tolerance and are not evaluated again.  Returns (value, error).
     """
     def bracket(s):
@@ -1202,9 +1198,7 @@ def _torque_bracket(py, pz, rC, spec, closed_form=True):
         return _sum_of_products(zip((1.0, 1.0, -2.0), zip(y, z)))
 
     value, err, size = bracket(spec)
-    exact = closed_form and isinstance(py, AxisProfile) \
-        and isinstance(pz, AxisProfile)
-    if exact or err <= spec.rel_tol * abs(value):
+    if closed_form or err <= spec.rel_tol * abs(value):
         return value, err
     tight = spec.rel_tol * abs(value) / size if size else 0.0
     if tight < 1e-11:
@@ -1364,13 +1358,15 @@ def _cylinder(body, channel, p, spec, closed_form, a):
     times 1 - cos(a c k) and M1 times sin(a c k), and Q0m, Q2h, Q1J1 the
     disc's M0, M2 times 1 - cos and M1 times sin of a s k_x: Q0 times
     1 - J0(a s k), Q2 times the ring kernel 1/2 - J0 + J1/x and Q1 times
-    J1(a s k) (_disc_kernel).  With closed_form the slab moments and Q0,
-    Q2 are closed forms, and so are Q0m, Q2h, Q1J1 for R <= 3.5 rC (a
-    Laguerre series, _disc_kernel_moment); past that they are 1D
-    quadratures.  Each profile is asked once, but where integrated
-    (Q1J1 past the reach, both under quadrature) P1s and Q1J1, which
-    change sign, follow in a second request with an absolute target set
-    by the other terms and by Cauchy-Schwarz, sin^2 <= 2 (1 - cos) and
+    J1(a s k) (_disc_kernel).  With closed_form the slab moments are
+    closed forms (_sinc_sq_gauss, _axis_series, _shifted_part,
+    _axis_edges), Q0 and Q2 too (_disc_moment), and so are Q0m, Q2h,
+    Q1J1 for R <= 3.5 rC (a Laguerre series, _disc_kernel_moment); past
+    that they are 1D quadratures.  Each profile is asked once, but a
+    sine row, P1s or Q1J1, which change sign, follows in a second
+    request where _closed_pass gives it no closed form (Q1J1 past the
+    reach, both under quadrature), with an absolute target set by the
+    other terms and by Cauchy-Schwarz, sin^2 <= 2 (1 - cos) and
     J1^2 <= 1 - J0; the cross term is 0 where either bound is.
     """
     slab, disc = body.profiles
@@ -1384,9 +1380,10 @@ def _cylinder(body, channel, p, spec, closed_form, a):
     if channel == "two_body":
         slab_rows += (("M2", _one_minus_cos), ("M0", _one_minus_cos))
         disc_rows += (("M0", _one_minus_cos), ("M2", _one_minus_cos))
-    if cross:   # the sine rows still integrated, asked late with a target
-        late_p = () if closed_form else sine
-        late_q = late_p if disc.R <= _DISC_KERNEL_REACH * rC else sine
+    if cross:   # a sine row with no closed pass is asked late, with a target
+        late_p, late_q = (
+            () if closed_form and _closed_pass(prof, "M1", np.sin, rC, sep)
+            else sine for prof, sep in ((slab, a * c), (disc, a * s)))
         slab_rows += () if late_p else sine
         disc_rows += () if late_q else sine
     (m0, m2, *slab_k), (q0, q2, *disc_k) = (
@@ -1404,11 +1401,13 @@ def _cylinder(body, channel, p, spec, closed_form, a):
             bound_p = math.sqrt(2.0 * m2[0] * p0m[0])
             bound_q = math.sqrt(q2[0] * q0m[0])
             if bound_p > 0.0 and bound_q > 0.0:
-                if late_q:   # and late_p under quadrature
+                if late_p or late_q:
                     nonneg = max(_sum_of_products(terms)[0], 0.0)
                     tol = spec.rel_tol * nonneg / (8.0 * c * s)
+                if late_p:
                     p1s += _profile_moment(slab, late_p, rC, spec, closed_form,
                                            a * c, tol / bound_q)
+                if late_q:
                     q1j1 += _profile_moment(disc, late_q, rC, spec,
                                             closed_form, a * s, tol / bound_p)
                 terms.append((2.0 * c * s, (p1s[0], q1j1[0])))

@@ -297,8 +297,7 @@ def _closed_moment(prof, kind, rC, h, s):
     """The closed form of one moment (see _profile_moment), or None."""
     if isinstance(prof, AxisProfile):
         if prof.layers is None and kind in ("M0", "M2") and h is None:
-            return _sinc_sq_gauss(prof.length, rC,
-                                  weight_power=2 if kind == "M2" else 0)
+            return _sinc_sq_gauss(prof, ((kind, h),), rC, s)[0]
         if (h is None and kind != "M1") or (h, kind) in (
                 (_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
                 (np.sin, "M1")):
@@ -308,5 +307,5 @@ def _closed_moment(prof, kind, rC, h, s):
     if isinstance(prof, DiscProfile) and prof.R <= _DISC_KERNEL_REACH * rC \
             and (h, kind) in ((_one_minus_cos, "M0"), (_one_minus_cos, "M2"),
                               (np.sin, "M1")):
-        return _disc_kernel_moment(prof.R, (kind,), rC, s)[0]
+        return _disc_kernel_moment(prof, ((kind, h),), rC, s)[0]
     return None

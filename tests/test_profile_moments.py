@@ -220,7 +220,7 @@ def test_disc_moments_match_mpmath():
     rng = np.random.default_rng(12)
     for R in 10.0 ** rng.uniform(-7, -5, 100):
         rC = R * 10.0 ** rng.uniform(-3, 3)
-        moments = cslnoise._disc_moment(R, ("M0", "M2"), rC)
+        moments = cslnoise._disc_moment(DiscProfile(R), KERNELS[:2], rC, 0.0)
         for kind, (value, error) in zip(("M0", "M2"), moments, strict=True):
             assert_within(value, error, disc_oracle(R, kind, rC),
                           (R, rC, kind))
@@ -233,7 +233,7 @@ def test_disc_moments_past_ive_range_match_mpmath():
     R = 1e-3
     for x in np.geomspace(1e8, 1e12, 17):
         rC = R / np.sqrt(2.0 * x)
-        moments = cslnoise._disc_moment(R, ("M0", "M2"), rC)
+        moments = cslnoise._disc_moment(DiscProfile(R), KERNELS[:2], rC, 0.0)
         for kind, (value, error) in zip(("M0", "M2"), moments, strict=True):
             assert np.isfinite(value) and np.isfinite(error)
             assert_within(value, error, disc_oracle(R, kind, rC),
@@ -319,7 +319,8 @@ def test_disc_kernel_moments_match_mpmath():
         moments = cslnoise._closed_moment(DiscProfile(R), KERNELS[4:], rC, s)
         exact = {kind: disc_kernel_oracle(R, kind, rC, s)
                  for kind in ("M0", "M2", "M1")}
-        q2 = cslnoise._disc_moment(R, ("M2",), rC)[0][0]
+        q2 = cslnoise._disc_moment(DiscProfile(R), KERNELS[1:2], rC,
+                                   0.0)[0][0]
         for kind, (value, error) in zip(exact, moments, strict=True):
             what = (R, rC, s, kind, value, error, float(exact[kind]))
             assert abs(mp.mpf(value) - exact[kind]) <= error, what
@@ -329,6 +330,51 @@ def test_disc_kernel_moments_match_mpmath():
             else:
                 assert error <= 2e-7 * float(exact[kind]), what
     assert len(sides) == 3, sides
+
+
+def laguerre_terms(x):
+    """The number of terms n the disc kernels' Laguerre series sums at
+    x = R^2 / rC^2, by its stopping rule (_disc_kernel_moment) run on
+    terms computed here as far as it asks, not on the module's tables:
+    the first n >= 1 at which the term ratio x (2n + 3) / 2 (n + 1)
+    (n + 2) is at most 1/2 and 2^60 (n + 2)^2 |c_n n!| x^n is at most
+    sum_{j<n} |c_j j!| x^j."""
+    total, n = 0.0, 0
+    while True:
+        weight = math.comb(2 * n + 2, n + 1) / (
+            4 ** n * math.factorial(n + 2)) * x ** n
+        if n and x * (2 * n + 3) <= (n + 1) * (n + 2) \
+                and 2.0 ** 60 * (n + 2) ** 2 * weight <= total:
+            return n
+        total += weight
+        n += 1
+
+
+def test_disc_kernel_series_fits_its_tables_at_the_reach(monkeypatch):
+    """At the largest R to which _closed_pass gives the disc kernels'
+    series, R = 3.5 rC as the floats compare, for 300 random rC, the
+    series sums as many terms as its stopping rule asks (laguerre_terms,
+    57 or 58), and that is at most the _LAGUERRE_TERMS its tables hold:
+    a reach past them fails here."""
+    terms = []
+
+    def spy(u, g, n, orig=cslnoise._laguerre_scaled):
+        terms.append(n)
+        return orig(u, g, n)
+
+    monkeypatch.setattr(cslnoise, "_laguerre_scaled", spy)
+    rng = np.random.default_rng(25)
+    for rC in 10.0 ** rng.uniform(-9, -3, 300):
+        R = cslnoise._DISC_KERNEL_REACH * rC
+        assert [cslnoise._closed_pass(DiscProfile(r), "M0",
+                                      cslnoise._one_minus_cos, rC, 0.0)
+                for r in (R, np.nextafter(R, np.inf))] \
+            == [cslnoise._disc_kernel_moment, None]
+        # at s = 10 rC every term takes the recurrences, to term n
+        cslnoise._closed_moment(DiscProfile(R), KERNELS[4:], rC, 10.0 * rC)
+        want = laguerre_terms(R * R / (rC * rC))
+        assert terms[-1] == want <= cslnoise._LAGUERRE_TERMS, (rC, want)
+    assert set(terms) <= {57, 58}, collections.Counter(terms)
 
 
 def quadrature(prof, kind, rC, spec, h=None, s=0.0):
@@ -584,7 +630,8 @@ def test_one_pass_disc_equals_the_per_kind_moments():
         rC = R / math.sqrt(2.0 * x)
         for kinds in (("M0", "M2"), ("M2", "M0"), ("M0",), ("M2",)):
             want = [per_kind_moments._disc_moment(R, k, rC) for k in kinds]
-            assert hexed(cslnoise._disc_moment(R, kinds, rC)) \
+            assert hexed(cslnoise._disc_moment(
+                DiscProfile(R), [(k, None) for k in kinds], rC, 0.0)) \
                 == hexed(want), (x, kinds)
         for s in (0.0, 3.0 * R):
             for rows in requests(rng):

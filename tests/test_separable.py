@@ -227,9 +227,13 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     _profile_moment, past R = 3.5 rC too, where a cylinder two-body's
     disc kernels are integrated.  More than 100 moments are integrated,
     counting each row of a call that integrates several moments of one
-    profile."""
+    profile, and no route sends _profile_moment an empty request."""
     from cslbounds import quadrature
-    moments = []
+    moments, requests = [], []
+
+    def spy(prof, rows, *args, orig=cslnoise._profile_moment):
+        requests.append(len(rows))
+        return orig(prof, rows, *args)
 
     def checked(orig):
         def integrate_1d(*args, **kwargs):
@@ -248,6 +252,7 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
                         checked(cslnoise.integrate_1d))
     monkeypatch.setattr(quadrature, "integrate_1d",
                         checked(quadrature.integrate_1d))
+    monkeypatch.setattr(cslnoise, "_profile_moment", spy)
     bodies = [Cuboid(1e-12, 1e-6, 2e-6, 3e-6),
               Multilayer(4, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 2e-6, "x"),
               Multilayer(4, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 2e-6, "z")]
@@ -267,6 +272,7 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
         csl_force_spectrum_two_body(TwoBody(g, 3e-7),
                                     CollapseParams(1.0, 2e-8))
     assert len(moments) > 100
+    assert requests and min(requests) > 0
 
 
 # a request's kernels: none, 1 - cos and sin (on a disc averaged over
@@ -519,6 +525,41 @@ def test_cylinder_two_body_raises_in_request_order(monkeypatch):
         cslnoise._cylinder(g.unit, "two_body", CollapseParams(1.0, 1e-6),
                            SPEC, False, g.a)
     assert outcomes == ["raised"]
+
+
+def test_closed_pass_alone_decides_the_late_sine_rows(monkeypatch):
+    """_closed_pass alone decides which sine rows a cylinder two-body
+    integrates: with it made to give the disc's M1 times sin no closed
+    form at R = 0.1 rC, where the series would serve it, Q1J1 leaves the
+    disc's first request and is integrated alone in a second one, with a
+    positive Cauchy-Schwarz target."""
+    def no_disc_sine(prof, kind, h, rC, s, orig=cslnoise._closed_pass):
+        if isinstance(prof, DiscProfile) and kind == "M1" and h is np.sin:
+            return None
+        return orig(prof, kind, h, rC, s)
+
+    requests, stacks = [], []
+
+    def spy(prof, rows, rC, spec, closed_form, s, abs_tol=0.0,
+            orig=cslnoise._profile_moment):
+        requests.append((type(prof), rows, abs_tol))
+        return orig(prof, rows, rC, spec, closed_form, s, abs_tol)
+
+    def integrate(*args, orig=cslnoise.integrate_1d, **kwargs):
+        rows = orig(*args, **kwargs)
+        stacks.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cslnoise, "_closed_pass", no_disc_sine)
+    monkeypatch.setattr(cslnoise, "_profile_moment", spy)
+    monkeypatch.setattr(cslnoise, "integrate_1d", integrate)
+    g = TwoBody(Cylinder(1e-14, 1e-7, 1e-6, axis=(0.3, 0.4, 0.866)), 1e-6)
+    csl_force_spectrum_two_body(g, CollapseParams(1.0, 1e-6))
+    assert [(cls, len(rows)) for cls, rows, _ in requests] == [
+        (AxisProfile, 5), (DiscProfile, 4), (DiscProfile, 1)]
+    assert requests[2][1] == (("M1", np.sin),)
+    assert [tol > 0.0 for _, _, tol in requests] == [False, False, True]
+    assert stacks == [1]
 
 
 FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
