@@ -8,7 +8,7 @@
 Data files (CSV, trajectory dumps) are byte-identical for identical
 (config, seed); run metadata including timestamps lives in a separate
 manifest.json.  Exit codes: 0 success, 1 failed pointcheck, 2 config
-error, 3 quadrature non-convergence, 4 unstable simulation step.
+error, 3 numerical failure, 4 unstable simulation step.
 """
 
 import argparse
@@ -355,6 +355,9 @@ def main(argv=None):
         return 2
     except NonConvergence as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except UnstableStep as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -568,7 +568,7 @@ def _egf_moments(half, rho, gamma, sr, count):
     h_egf = 2.0 * np.cumprod((half / sr)[:, None] / np.arange(1, count + 1),
                              axis=1)
     h_egf[:, 1::2] = 0.0
-    if not gamma.any():   # layers centred on cbar, a slab among them
+    if not gamma.any():   # every layer on the centre of mass, a slab too
         return sr * (rho @ h_egf), sr * (np.abs(rho) @ h_egf)
     per_layer = np.array([np.convolve(a, b)[:count]
                           for a, b in zip(g_egf, h_egf)])
@@ -588,13 +588,13 @@ def _axis_series(prof, rows, rC, s):
     M2 = (sqrt(pi)/4rC^3) sum (-1)^n 2 (2n + 1) A_n / n! and
     C1 = (sqrt(pi)/rC) sum_{n>=1} (-1)^n A_n / (n - 1)!; a separation
     kernel changes only the coefficients (_series_coefficients).  D0,
-    whose kernel x x' G is not translation invariant, is the M0 series
-    over x x' u^{2n} = (cbar + xi)(cbar + xi') u^{2n}, which adds pair
-    sums over xi u^{2n} and xi xi' u^{2n}.  The series stops at the
-    first n whose bound on the omitted tail is below 1e-17 of the
-    leading term's scale, at most _SERIES_ORDER.
+    whose kernel x x' G is not translation invariant, is taken about the
+    centre of mass: the M0 series over xi xi' u^{2n}, one pair sum of
+    the moments lifted by xi.  The series stops at the first n whose
+    bound on the omitted tail is below 1e-17 of the leading term's
+    scale, at most _SERIES_ORDER.
     """
-    half, rho, gamma, cbar, mass, extent = prof.layer_data
+    half, rho, gamma, mass, extent = prof.layer_data
     sr = 2.0 * rC
     zmax = extent / sr
     z2 = zmax * zmax
@@ -624,15 +624,10 @@ def _axis_series(prof, rows, rC, s):
         val, mag = plain
         bound = 1.0
         if kind == "D0":
-            c = cbar / sr
             up, up_size = lift * egf[1:], lift * egf_size[1:]
-            sums = ((c * c, plain),
-                    (2.0 * c, pair_sums(up, egf, up_size, egf_size)),
-                    (1.0, pair_sums(up, up, up_size, up_size)))
-            val = sum(w * v for w, (v, _) in sums)
-            mag = sum(abs(w) * e for w, (_, e) in sums)
+            val, mag = pair_sums(up, up, up_size, up_size)
             scale *= sr * sr
-            bound = (abs(c) + zmax) ** 2   # |x x'| / (2rC)^2 over the profile
+            bound = z2   # |xi xi'| / (2rC)^2 over the profile
         tail = 2.0 * mass * mass * bound * float(
             np.abs(coef[m:m + 3]) @ tail_powers)
         value = scale * float(coef[:m] @ val)
@@ -670,16 +665,15 @@ def _axis_edges(prof, rows, rC, s):
     its layer edges (EdgeData), which share z, e^{-z^2} - 1, erf z and
     phi0(z) whatever kernel each row carries.
 
-    Edge positions xi relative to the centre of mass cbar, steps w, and
+    Edge positions xi relative to the centre of mass, steps w, and
     W = w_i w_j, z = |xi_i - xi_j| / 2rC over all ordered pairs:
       M0 = -2 sqrt(pi) rC sum W phi0(z),  phi0 = sqrt(pi) z erf z
            + e^{-z^2} - 1;
       M2 = (sqrt(pi)/rC) sum W (e^{-z^2} - 1);
       C1 = sqrt(pi) rC sum W (2 (e^{-z^2} - 1) + sqrt(pi) z erf z);
-      D0 = cbar^2 M0 + 2 cbar N + W0 with N = -2 sqrt(pi) rC
-           sum W (xi_i + xi_j)/2 phi0 and W0 = (4 sqrt(pi) rC^3/3)
-           sum W (e^{-z^2} (1 - 2z^2) - 1 - 2 sqrt(pi) z^3 erf z)
-           - 2 sqrt(pi) rC (sum W xi_i xi_j phi0 + mass^2);
+      D0 = (4 sqrt(pi) rC^3/3) sum W (e^{-z^2} (1 - 2z^2) - 1
+           - 2 sqrt(pi) z^3 erf z) - 2 sqrt(pi) rC (sum W xi_i xi_j phi0
+           + mass^2), about the centre of mass;
     and, with v = s/2rC, the separation kernels
       M2 (1 - cos sk) = -(sqrt(pi)/rC) sum W tau,  tau = (e^{-v^2} - 1)
            (e^{-z^2} - 1) + e^{-(z - v)^2} (1 - e^{-2zv})^2 / 2 >= 0;
@@ -739,13 +733,10 @@ def _axis_edges(prof, rows, rC, s):
             cube = 2.0 * sqrt_pi * z ** 3 * erf_z
             hz = e - 2.0 * z * z * g - cube
             hm = np.abs(e) + 2.0 * z * z * g + cube
-            cbar, mass = prof.layer_data[3:5]
-            parts = [(-2.0 * sqrt_pi * rC * cbar * cbar, phi, phi_mag),
-                     (-4.0 * sqrt_pi * rC * cbar, edges.mid * phi,
-                      edges.abs_mid * phi_mag),
-                     (4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
+            parts = [(4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
                      (-2.0 * sqrt_pi * rC, edges.prod * phi,
                       edges.abs_prod * phi_mag)]
+            mass = prof.layer_data.mass
             const = -2.0 * sqrt_pi * rC * mass * mass
         out.append(_edge_sum(edges, parts, const))
     return out
@@ -783,14 +774,6 @@ def _shifted_part(prof, rows, rC, s):
     return out
 
 
-# (-1)^n (3/2)_n 2^n / ((3)_n n! (n + 1)) / 2 for n = 0..24: the series of
-# 1 - e^{-x} (I0(x) + I1(x)) = int_0^x e^{-t} I1(t) / t dt in x^{n+1}
-_DISC_SERIES = tuple(
-    0.5 * (-2.0) ** n * math.prod((1.5 + i) / ((3 + i) * (i + 1))
-                                  for i in range(n)) / (n + 1)
-    for n in range(25))
-
-
 def _ive(n, x):
     """e^{-x} I_n(x) for n = 0 or 1: scipy's ive, or i0e and i1e where
     ive is not finite (it returns NaN above x = 2^30, about 1.07e9)."""
@@ -803,9 +786,9 @@ def _disc_moment(prof, rows, rC, s):
     """Closed forms of a disc's plain rows Q0 and Q2 (the k-plane
     moments M0 and M2 of jinc(kR), without the factor pi): with
     x = R^2 / 2rC^2, Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)
-    (1 - e^{-x} (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its
-    series, whose terms fall by at least 5x each.  Both share one
-    e^{-x} I1(x).  Returns one (value, error) per row."""
+    (1 - e^{-x} (I0(x) + I1(x))); below x = 0.1 rC^2 Q0 is the series
+    sum_j c_j j! (2x)^j of jinc^2 (_LAGUERRE_C0), terms falling 5x each.
+    Both share one e^{-x} I1(x).  Returns one (value, error) per row."""
     R = prof.R
     x = R * R / (2.0 * rC * rC)
     i1 = _ive(1, x) if ("M2", None) in rows or x >= 0.1 else None
@@ -816,7 +799,9 @@ def _disc_moment(prof, rows, rC, s):
             out.append((val, _ROUNDING * abs(val)))
             continue
         if x < 0.1:
-            terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
+            # (4 / R^2) (x / 2) = rC^-2
+            terms = [0.5 * x * c * (2.0 * x) ** j
+                     for j, c in enumerate(_LAGUERRE_C0[:25])]
             core = math.fsum(terms)
             mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
         else:
@@ -1460,8 +1445,9 @@ def _spectrum(g, channel, p, spec, method):
 
     A TwoBody has only the two_body channel, and is looked up by its
     unit's type.  Raises ValueError for an unknown method and for
-    method="quadrature" on a pair-kernel route, whose sums are exact, and
-    TypeError for a (type, channel) that _ROUTES does not hold.
+    method="quadrature" on a pair-kernel route, whose sums are exact,
+    TypeError for a (type, channel) that _ROUTES does not hold, and
+    FloatingPointError, naming the route, if it returns a NaN or inf.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -1479,8 +1465,13 @@ def _spectrum(g, channel, p, spec, method):
                          "quadrature route")
     if p.lam == 0.0 or pair and a == 0.0:
         return SpectralValue(0.0)
-    return route(body, channel, p, QuadratureSpec() if spec is None else spec,
-                 method == "auto", a)
+    spec = QuadratureSpec() if spec is None else spec
+    value = route(body, channel, p, spec, method == "auto", a)
+    if not (math.isfinite(value) and math.isfinite(value.error)):
+        raise FloatingPointError(f"{name} route gave {float(value)} +- "
+                                 f"{value.error} for {type(body).__name__} "
+                                 f"{channel} at rC = {p.rC!r} m")
+    return value
 
 
 def csl_force_spectrum(g, p, spec=None, method="auto"):

@@ -150,10 +150,11 @@ def lambda_upper_bound(rec, rC, spec=None):
 
     Returns (lambda_ub, relative quadrature error).  Raises
     DegenerateBound when the unit-rate response underflows (for example
-    the torque channel on a sphere).
+    the torque channel on a sphere) or its error does not resolve it; a
+    route's FloatingPointError (a spectrum not finite) passes through.
     """
     s_unit, err = _unit_spectrum(rec, rC, spec)
-    if not np.isfinite(s_unit) or s_unit <= 0 or (err > 0 and err >= s_unit):
+    if s_unit <= 0 or (err > 0 and err >= s_unit):
         raise DegenerateBound(
             f"{rec.name}: no resolvable CSL response at rC = {rC:g} m")
 

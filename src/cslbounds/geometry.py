@@ -300,12 +300,11 @@ def _cylinder_components(g, kx, ky, kz):
 class LayerData(NamedTuple):
     """A profile as layers of constant density: per layer its
     half-thickness, density and centre offset gamma from the centre of
-    mass cbar; the mass (per unit cross-section) and the extent."""
+    mass, its frame; the mass (per unit cross-section) and the extent."""
 
     half: np.ndarray
     rho: np.ndarray
     gamma: np.ndarray
-    cbar: float
     mass: float
     extent: float
 
@@ -315,16 +314,13 @@ class EdgeData(NamedTuple):
 
     With xi the edge positions relative to the centre of mass and w the
     density steps there (+rho at a layer's lower edge, -rho at its
-    upper): W = w_i w_j and |W|, diff = xi_i - xi_j, mid = (xi_i + xi_j)
-    / 2 and |mid|, prod = xi_i xi_j and |prod|, and spread = |xi_i| +
-    |xi_j|.
+    upper): W = w_i w_j and |W|, diff = xi_i - xi_j, prod = xi_i xi_j
+    and |prod|, and spread = |xi_i| + |xi_j|.
     """
 
     W: np.ndarray
     abs_W: np.ndarray
     diff: np.ndarray
-    mid: np.ndarray
-    abs_mid: np.ndarray
     prod: np.ndarray
     abs_prod: np.ndarray
     spread: np.ndarray
@@ -335,11 +331,13 @@ class AxisProfile:
     """1D transform P(k) of one axis of a separable mass density.
 
     A slab (layers None) of length L has P(k) = sinc(kL/2), so P(0) = 1.
-    A layer stack has P(k) = sum_l rho_l d_l sinc(k d_l/2) e^{i k c_l},
-    the mass per unit cross-section at k = 0.  length is the extent along
-    the axis, the scale on which P oscillates, over the k line (dims = 1).
-    layer_data and edge_data, which the closed-form moments read, are
-    built on first use and kept: they do not depend on rC.
+    A layer stack has P(k) = sum_l rho_l d_l sinc(k d_l/2) e^{i k g_l},
+    the mass per unit cross-section at k = 0, with g_l = gamma the layer
+    centres about their centre of mass, the profile's only frame: a stack
+    given off centre is the same profile as its centred copy.  length is
+    the extent along the axis, the scale on which P oscillates, over the
+    k line (dims = 1).  layer_data and edge_data are built on first use
+    and kept: they do not depend on rC.
     """
 
     dims = 1
@@ -363,7 +361,7 @@ class AxisProfile:
         extent = float(np.max(gamma + half) - np.min(gamma - half))
         # rho is copied: the caller's own array stays writable
         half, rho, gamma = _read_only(half, np.array(rho), gamma)
-        return LayerData(half, rho, gamma, cbar, mass, extent)
+        return LayerData(half, rho, gamma, mass, extent)
 
     @cached_property
     def edge_data(self):
@@ -372,18 +370,18 @@ class AxisProfile:
         xi = np.concatenate([gamma - half, gamma + half])
         w = np.concatenate([rho, -rho])
         W = w[:, None] * w[None, :]
-        mid = 0.5 * (xi[:, None] + xi[None, :])
         prod = xi[:, None] * xi[None, :]
         return EdgeData(*_read_only(
-            W, np.abs(W), xi[:, None] - xi[None, :], mid, np.abs(mid),
-            prod, np.abs(prod), np.abs(xi[:, None]) + np.abs(xi[None, :])))
+            W, np.abs(W), xi[:, None] - xi[None, :], prod, np.abs(prod),
+            np.abs(xi[:, None]) + np.abs(xi[None, :])))
 
     def transform(self, k):
         if self.layers is None:
             return sinc(k * self.length / 2.0)
+        half, rhos, gammas = self.layer_data[:3]
         sincs = {}   # a stack alternates two thicknesses
         out = np.zeros(np.shape(k), dtype=complex)
-        for d, rho, c in zip(*self.layers):
+        for d, rho, c in zip(2.0 * half, rhos, gammas):
             if d not in sincs:
                 sincs[d] = sinc(k * d / 2.0)
             out += rho * d * sincs[d] * np.exp(1j * k * c)
@@ -391,14 +389,15 @@ class AxisProfile:
 
     def transform_and_derivative(self, k):
         """(P, dP/dk), sharing each thickness's sin and cos and each
-        layer's phase e^{i k c}."""
+        layer's phase e^{i k g}."""
         if self.layers is None:
             value, slope = sinc_pair(k * self.length / 2.0)
             return value, (self.length / 2.0) * slope
+        half, rhos, gammas = self.layer_data[:3]
         parts = {}   # sinc(k d/2) and (d/2) sinc'(k d/2) per thickness
         p = np.zeros(np.shape(k), dtype=complex)
         dp = np.zeros(np.shape(k), dtype=complex)
-        for d, rho, c in zip(*self.layers):
+        for d, rho, c in zip(2.0 * half, rhos, gammas):
             if d not in parts:
                 value, slope = sinc_pair(k * d / 2.0)
                 parts[d] = value, (d / 2.0) * slope

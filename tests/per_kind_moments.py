@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from cslbounds.cslnoise import (
-    _DISC_KERNEL_REACH, _DISC_SERIES, _FACT_2N, _INV_FACT_2N, _N, _ROUNDING,
+    _DISC_KERNEL_REACH, _FACT_2N, _INV_FACT_2N, _LAGUERRE_C0, _N, _ROUNDING,
     _SERIES_ORDER, _SIGNED_INV_FACT, _disc_kernel_moment, _egf_moments,
     _hermite_shifted, _ive, _one_minus_cos, _sinc_sq_gauss)
 from cslbounds.geometry import AxisProfile, DiscProfile
@@ -58,7 +58,7 @@ def _series_coefficients(kind, h, v, rC):
             size[k] * _INV_FACT_2N)
 
 
-def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
+def _axis_series(kind, h, s, half, rho, gamma, mass, extent, rC):
     """A moment of an AxisProfile as its series in 1/rC^2 (extent <= rC).
 
     With nu_p the central moments of rho scaled by (2rC)^-p and
@@ -67,11 +67,11 @@ def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
     M2 = (sqrt(pi)/4rC^3) sum (-1)^n 2 (2n + 1) A_n / n! and
     C1 = (sqrt(pi)/rC) sum_{n>=1} (-1)^n A_n / (n - 1)!; a separation
     kernel changes only the coefficients (_series_coefficients).  D0,
-    whose kernel x x' G is not translation invariant, is the M0 series
-    over x x' u^{2n} = (cbar + xi)(cbar + xi') u^{2n}, which adds pair
-    sums over xi u^{2n} and xi xi' u^{2n}.  The series stops at the
-    first n whose bound on the omitted tail is below 1e-17 of the
-    leading term's scale, at most _SERIES_ORDER.
+    whose kernel x x' G is not translation invariant, is taken about the
+    centre of mass: the M0 series over xi xi' u^{2n}, one pair sum of
+    the moments lifted by xi.  The series stops at the first n whose
+    bound on the omitted tail is below 1e-17 of the leading term's
+    scale, at most _SERIES_ORDER.
     """
     sr = 2.0 * rC
     zmax = extent / sr
@@ -95,15 +95,10 @@ def _axis_series(kind, h, s, half, rho, gamma, cbar, mass, extent, rC):
     scale, coef, coef_err = _series_coefficients(kind, h, s / sr, rC)
     bound = 1.0
     if kind == "D0":
-        c = cbar / sr
         up, up_size = lift * egf[1:], lift * egf_size[1:]
-        sums = ((c * c, pair_sums(egf, egf, egf_size, egf_size)),
-                (2.0 * c, pair_sums(up, egf, up_size, egf_size)),
-                (1.0, pair_sums(up, up, up_size, up_size)))
-        val = sum(w * v for w, (v, _) in sums)
-        mag = sum(abs(w) * e for w, (_, e) in sums)
+        val, mag = pair_sums(up, up, up_size, up_size)
         scale *= sr * sr
-        bound = (abs(c) + zmax) ** 2   # |x x'| / (2rC)^2 over the profile
+        bound = z2   # |xi xi'| / (2rC)^2 over the profile
     else:
         val, mag = pair_sums(egf, egf, egf_size, egf_size)
     # every |u| / 2rC is at most zmax <= 1/2, so |A_n| <= mass^2 zmax^2n:
@@ -145,19 +140,18 @@ def _edge_sum(W, parts, const=0.0):
     return value, _ROUNDING * mag
 
 
-def _axis_edges(kind, half, rho, gamma, cbar, mass, rC, h=None, s=0.0):
+def _axis_edges(kind, half, rho, gamma, mass, rC, h=None, s=0.0):
     """kind of an AxisProfile as its sum over pairs of layer edges.
 
-    Edge positions xi relative to the centre of mass cbar, steps w, and
+    Edge positions xi relative to the centre of mass, steps w, and
     W = w_i w_j, z = |xi_i - xi_j| / 2rC over all ordered pairs:
       M0 = -2 sqrt(pi) rC sum W phi0(z),  phi0 = sqrt(pi) z erf z
            + e^{-z^2} - 1;
       M2 = (sqrt(pi)/rC) sum W (e^{-z^2} - 1);
       C1 = sqrt(pi) rC sum W (2 (e^{-z^2} - 1) + sqrt(pi) z erf z);
-      D0 = cbar^2 M0 + 2 cbar N + W0 with N = -2 sqrt(pi) rC
-           sum W (xi_i + xi_j)/2 phi0 and W0 = (4 sqrt(pi) rC^3/3)
-           sum W (e^{-z^2} (1 - 2z^2) - 1 - 2 sqrt(pi) z^3 erf z)
-           - 2 sqrt(pi) rC (sum W xi_i xi_j phi0 + mass^2);
+      D0 = (4 sqrt(pi) rC^3/3) sum W (e^{-z^2} (1 - 2z^2) - 1
+           - 2 sqrt(pi) z^3 erf z) - 2 sqrt(pi) rC (sum W xi_i xi_j phi0
+           + mass^2), about the centre of mass;
     and, with v = s/2rC, the separation kernels
       M2 (1 - cos sk) = -(sqrt(pi)/rC) sum W tau,  tau = (e^{-v^2} - 1)
            (e^{-z^2} - 1) + e^{-(z - v)^2} (1 - e^{-2zv})^2 / 2 >= 0;
@@ -214,11 +208,8 @@ def _axis_edges(kind, half, rho, gamma, cbar, mass, rC, h=None, s=0.0):
             cube = 2.0 * sqrt_pi * z ** 3 * erf(z)
             hz = np.expm1(-z * z) - 2.0 * z * z * e - cube
             hm = np.abs(np.expm1(-z * z)) + 2.0 * z * z * e + cube
-            mid = 0.5 * (xi[:, None] + xi[None, :])
             prod = xi[:, None] * xi[None, :]
-            parts = [(-2.0 * sqrt_pi * rC * cbar * cbar, f, m),
-                     (-4.0 * sqrt_pi * rC * cbar, mid * f, np.abs(mid) * m),
-                     (4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
+            parts = [(4.0 * sqrt_pi * rC ** 3 / 3.0, hz, hm),
                      (-2.0 * sqrt_pi * rC, prod * f, np.abs(prod) * m)]
             const = -2.0 * sqrt_pi * rC * mass * mass
     return _edge_sum(W, parts, const)
@@ -261,7 +252,7 @@ def _axis_moment(prof, kind, rC, h=None, s=0.0):
     cbar = float((rho * d) @ centre) / mass
     gamma = centre - cbar
     extent = float(np.max(gamma + half) - np.min(gamma - half))
-    args = (half, rho, gamma, cbar, mass)
+    args = (half, rho, gamma, mass)
     if extent <= rC:
         if h is None or s * extent <= rC * rC:
             return _axis_series(kind, h, s, *args, extent, rC)
@@ -278,13 +269,16 @@ def _disc_moment(R, kind, rC):
     jinc(kR), without the factor pi): with x = R^2 / 2rC^2,
     Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
     (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
-    terms fall by at least 5x each.  Returns (value, error)."""
+    terms fall by at least 5x each: rC^2 Q0 = sum_j c_j j! (2x)^j, the
+    series of jinc^2 (_LAGUERRE_C0), and (4 / R^2) (x / 2) = rC^-2.
+    Returns (value, error)."""
     x = R * R / (2.0 * rC * rC)
     if kind == "M2":
         val = 4.0 / (R * R * rC * rC) * _ive(1, x)
         return val, _ROUNDING * abs(val)
     if x < 0.1:
-        terms = [c * x ** (n + 1) for n, c in enumerate(_DISC_SERIES)]
+        terms = [0.5 * x * c * (2.0 * x) ** j
+                 for j, c in enumerate(_LAGUERRE_C0[:25])]
         core = math.fsum(terms)
         mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
     else:

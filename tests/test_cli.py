@@ -258,6 +258,22 @@ def test_unstable_simulation_exit_code(tmp_path):
                      "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("value, error", [(np.nan, 0.0), (1e-30, np.nan)])
+def test_non_finite_spectrum_exit_code(tmp_path, capsys, monkeypatch,
+                                       value, error):
+    """An exclusion scan whose route returns a value or error that is
+    not finite exits with code 3, a numerical failure, and names the
+    route."""
+    from cslbounds import cslnoise
+    monkeypatch.setitem(cslnoise._ROUTES, (cslbounds.Sphere, "force"),
+                        ("radial", lambda *args: cslnoise.SpectralValue(
+                            value, error)))
+    conf = write(tmp_path, "c.ini", EXCLUSION_CONF)
+    assert main(["exclusion", "--config", conf,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "error: radial route" in capsys.readouterr().err
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "cslbounds.cli",
                            "pointcheck"], capture_output=True, text=True)

@@ -408,3 +408,24 @@ def test_nonconvergent_point_has_no_relative_error(monkeypatch):
     assert curve.status == ("nonconvergent", "nonconvergent")
     assert np.all(np.isnan(curve.errors))
     assert np.all(np.isnan(curve.lambda_ub))
+
+
+@pytest.mark.parametrize("value, error", [(np.nan, 0.0), (1e-30, np.nan)])
+def test_non_finite_spectrum_names_its_route(monkeypatch, value, error):
+    """A route that returns a NaN value, or a finite value with a NaN
+    error, is a defect: lambda_upper_bound and exclusion_scan raise a
+    FloatingPointError that names the route, the geometry type, the
+    channel and rC, instead of a degenerate or an ok point."""
+    from cslbounds import cslnoise
+
+    def broken(*args):
+        return cslnoise.SpectralValue(value, error)
+
+    monkeypatch.setitem(cslnoise._ROUTES, (Sphere, "force"),
+                        ("radial", broken))
+    rec = sphere_record()
+    want = r"radial route .* Sphere force at rC = 2e-07"
+    with pytest.raises(FloatingPointError, match=want):
+        lambda_upper_bound(rec, 2e-7)
+    with pytest.raises(FloatingPointError, match="radial route"):
+        exclusion_scan(rec, np.array([1e-7, 2e-7]), workers=2)

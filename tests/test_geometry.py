@@ -342,15 +342,18 @@ def per_layer_derivative(layers, k):
 @pytest.mark.parametrize("d2", [1e-7, 2.3e-7])
 def test_layer_stack_transform_matches_per_layer_loop(n, d2):
     """One sinc and sinc' per distinct thickness gives the per-layer sums
-    bit for bit, with equal (d1 = d2) and alternating thicknesses; the
-    transform shared with the derivative equals the transform alone."""
+    over the layers centred on their centre of mass (layer_data) bit for
+    bit, with equal (d1 = d2) and alternating thicknesses; the transform
+    shared with the derivative equals the transform alone."""
     g = Multilayer(n, 1e-7, d2, 19300.0, 2330.0, 1e-6, 1e-6, "x")
     prof = AxisProfile(g.stack_thickness, g.layers())
+    half, rho, gamma = prof.layer_data[:3]
+    layers = (2.0 * half, rho, gamma)
     k = np.concatenate([[0.0, 1e-3], np.linspace(-8e8, 8e8, 1001)])
     for kk in (k, k[:1000].reshape(40, 25)):
         value, slope = prof.transform_and_derivative(kk)
-        want = per_layer_transform(g.layers(), kk)
+        want = per_layer_transform(layers, kk)
         for got, want in ((prof.transform(kk), want), (value, want),
-                          (slope, per_layer_derivative(g.layers(), kk))):
+                          (slope, per_layer_derivative(layers, kk))):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
