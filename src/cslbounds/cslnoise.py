@@ -774,24 +774,17 @@ def _shifted_part(prof, rows, rC, s):
     return out
 
 
-def _ive(n, x):
-    """e^{-x} I_n(x) for n = 0 or 1: scipy's ive, or i0e and i1e where
-    ive is not finite (it returns NaN above x = 2^30, about 1.07e9)."""
-    from scipy.special import i0e, i1e, ive
-    v = float(ive(n, x))
-    return v if math.isfinite(v) else float((i0e, i1e)[n](x))
-
-
 def _disc_moment(prof, rows, rC, s):
     """Closed forms of a disc's plain rows Q0 and Q2 (the k-plane
     moments M0 and M2 of jinc(kR), without the factor pi): with
     x = R^2 / 2rC^2, Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)
     (1 - e^{-x} (I0(x) + I1(x))); below x = 0.1 rC^2 Q0 is the series
     sum_j c_j j! (2x)^j of jinc^2 (_LAGUERRE_C0), terms falling 5x each.
-    Both share one e^{-x} I1(x).  Returns one (value, error) per row."""
+    e^{-x} I_n is scipy's i0e or i1e.  Returns one (value, error) per row."""
+    from scipy.special import i0e, i1e
     R = prof.R
     x = R * R / (2.0 * rC * rC)
-    i1 = _ive(1, x) if ("M2", None) in rows or x >= 0.1 else None
+    i1 = float(i1e(x))
     out = []
     for kind, _ in rows:
         if kind == "M2":
@@ -805,7 +798,7 @@ def _disc_moment(prof, rows, rC, s):
             core = math.fsum(terms)
             mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
         else:
-            i0 = _ive(0, x)
+            i0 = float(i0e(x))
             core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
         out.append((4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag))
     return out

@@ -1,10 +1,11 @@
 """Special functions needed by the form factors.
 
-J0 and J1 come from scipy.special (Cephes-based ufuncs); bessel_j1 is a
-thin wrapper that keeps the scalar-in / scalar-out behavior of the rest
-of this module.  scipy.special is imported by the Bessel helpers on
-their first call, not here: it takes longer to import than the rest of
-the package, and commands that evaluate no Bessel function never load it.
+J0 and J1 come from scipy.special (Cephes-based ufuncs), J1 always
+through bessel_j1, a wrapper that keeps the scalar-in / scalar-out
+behavior of this module; the spherical j0 and j2 are sinc and
+sphere_kernel - sinc.  scipy.special is imported by the Bessel helpers
+on their first call, not here: it takes longer to import than the rest
+of the package, and commands that evaluate no Bessel function skip it.
 
 sinc-style helpers and the two-body averages of 1 - cos carry series
 fallbacks near zero to avoid cancellation.  Each computes its generic
@@ -160,7 +161,8 @@ def sphere_kernel(u):
 def _series_below_1(x, coef, t_scale, full):
     """sum_{k=1}^{10} coef(k) (t_scale x^2)^k below |x| < 1, full(x) above."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # 0/0 at x = 0, and sphere_kernel's u^3 overflow past |u| = 5.6e102
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.asarray(full(x))
 
     def series(xs):
@@ -187,15 +189,15 @@ def ring_cos2_kernel(x):
     return _series_below_1(
         x, lambda k: (-1) ** (k + 1) * (k + 0.5)
         / (factorial(k) * factorial(k + 1)), 0.25,
-        lambda xs: 0.5 - scipy.special.j0(xs) + scipy.special.j1(xs) / xs)
+        lambda xs: 0.5 - scipy.special.j0(xs) + bessel_j1(xs) / xs)
 
 
 def shell_cos2_kernel(x):
     """1 - j0(x) + 2 j2(x) = 3 <u^2 (1 - cos(x u))> over the unit sphere,
-    u the cosine to a fixed axis; 3 x^2 / 10 - x^4 / 56 + ... ."""
-    import scipy.special
+    u the cosine to a fixed axis; 3 x^2 / 10 - x^4 / 56 + ... .  Above
+    |x| >= 1, 1 - 3 sinc(x) + 2 sphere_kernel(|x|): |x| since
+    sphere_kernel is even only to rounding."""
     return _series_below_1(
         x, lambda k: (-1) ** (k + 1) * 6 * (k + 1) * (2 * k + 1)
         / factorial(2 * k + 3), 1.0,
-        lambda xs: 1.0 - scipy.special.spherical_jn(0, xs)
-        + 2.0 * scipy.special.spherical_jn(2, xs))
+        lambda xs: 1.0 - 3.0 * sinc(xs) + 2.0 * sphere_kernel(np.abs(xs)))

@@ -10,6 +10,7 @@ import math
 _WIDTH, _HEIGHT = 720, 520
 _ML, _MR, _MT, _MB = 80, 30, 40, 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _finite_log_pairs(xs, ys):
@@ -64,6 +65,9 @@ class LogLogPlot:
         def py(y):
             return _MT + (ly1 - math.log10(y)) / (ly1 - ly0) * ph
 
+        def text(attrs, body):   # body may hold any config word
+            out.append(f"<text {attrs}>{body.translate(_XML_ESCAPES)}</text>")
+
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{_WIDTH}" height="{_HEIGHT}" '
@@ -107,21 +111,20 @@ class LogLogPlot:
             out.append(f'<polyline points="{pts}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')
             if label:
-                out.append(f'<text x="{_ML + 10}" y="{_MT + 16 + 14 * i}" '
-                           f'font-size="12" fill="{color}">{label}</text>')
+                text(f'x="{_ML + 10}" y="{_MT + 16 + 14 * i}" font-size="12" '
+                     f'fill="{color}"', label)
 
         # labels
         if self.title:
-            out.append(f'<text x="{_WIDTH / 2}" y="24" font-size="14" '
-                       f'text-anchor="middle">{self.title}</text>')
+            text(f'x="{_WIDTH / 2}" y="24" font-size="14" '
+                 'text-anchor="middle"', self.title)
         if self.xlabel:
-            out.append(f'<text x="{_ML + pw / 2}" y="{_HEIGHT - 16}" '
-                       f'font-size="12" text-anchor="middle">'
-                       f'{self.xlabel}</text>')
+            text(f'x="{_ML + pw / 2}" y="{_HEIGHT - 16}" font-size="12" '
+                 'text-anchor="middle"', self.xlabel)
         if self.ylabel:
-            out.append(f'<text x="18" y="{_MT + ph / 2}" font-size="12" '
-                       f'text-anchor="middle" transform="rotate(-90 18 '
-                       f'{_MT + ph / 2})">{self.ylabel}</text>')
+            text(f'x="18" y="{_MT + ph / 2}" font-size="12" '
+                 f'text-anchor="middle" transform="rotate(-90 18 '
+                 f'{_MT + ph / 2})"', self.ylabel)
 
         out.append("</svg>")
         return "\n".join(out) + "\n"

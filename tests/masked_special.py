@@ -83,8 +83,7 @@ def shell_cos2_kernel(x):
     return _series_below_1(
         x, lambda k: (-1) ** (k + 1) * 6 * (k + 1) * (2 * k + 1)
         / factorial(2 * k + 3), 1.0,
-        lambda xs: 1.0 - scipy.special.spherical_jn(0, xs)
-        + 2.0 * scipy.special.spherical_jn(2, xs))
+        lambda xs: 1.0 - 3.0 * sinc(xs) + 2.0 * sphere_kernel(np.abs(xs)))
 
 
 KERNELS = ("sinc", "sinc_prime", "jinc", "jinc_prime", "sphere_kernel",

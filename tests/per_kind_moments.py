@@ -15,7 +15,7 @@ import numpy as np
 from cslbounds.cslnoise import (
     _DISC_KERNEL_REACH, _FACT_2N, _INV_FACT_2N, _LAGUERRE_C0, _N, _ROUNDING,
     _SERIES_ORDER, _SIGNED_INV_FACT, _disc_kernel_moment, _egf_moments,
-    _hermite_shifted, _ive, _one_minus_cos, _sinc_sq_gauss)
+    _hermite_shifted, _one_minus_cos, _sinc_sq_gauss)
 from cslbounds.geometry import AxisProfile, DiscProfile
 
 
@@ -271,10 +271,11 @@ def _disc_moment(R, kind, rC):
     (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
     terms fall by at least 5x each: rC^2 Q0 = sum_j c_j j! (2x)^j, the
     series of jinc^2 (_LAGUERRE_C0), and (4 / R^2) (x / 2) = rC^-2.
-    Returns (value, error)."""
+    e^{-x} I_n(x) is scipy's i0e or i1e.  Returns (value, error)."""
+    from scipy.special import i0e, i1e
     x = R * R / (2.0 * rC * rC)
     if kind == "M2":
-        val = 4.0 / (R * R * rC * rC) * _ive(1, x)
+        val = 4.0 / (R * R * rC * rC) * float(i1e(x))
         return val, _ROUNDING * abs(val)
     if x < 0.1:
         terms = [0.5 * x * c * (2.0 * x) ** j
@@ -282,7 +283,7 @@ def _disc_moment(R, kind, rC):
         core = math.fsum(terms)
         mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
     else:
-        i0, i1 = _ive(0, x), _ive(1, x)
+        i0, i1 = float(i0e(x)), float(i1e(x))
         core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
     return 4.0 / (R * R) * core, 4.0 / (R * R) * _ROUNDING * mag
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,23 @@ def test_exclusion_degenerate_rows_are_sentinels(tmp_path):
     assert "nan" not in (out / "exclusion.csv").read_text().lower()
 
 
+def test_exclusion_svg_escapes_its_text(tmp_path):
+    """An experiment name is any config word; one with & and < must still
+    give well-formed XML, with the shaded excluded region drawn and the
+    label text as written."""
+    conf = write(tmp_path, "c.ini",
+                 EXCLUSION_CONF.replace("name = demo", "name = a & <b>"))
+    out = tmp_path / "out"
+    assert main(["exclusion", "--config", conf, "--svg",
+                 "--out", str(out)]) == 0
+    assert all(r["status"] == "ok"
+               for r in read_rows(out / "exclusion.csv"))
+    root = ET.parse(out / "exclusion.svg").getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}polygon")) == 1
+    assert "a & <b>" in [t.text for t in root.iter(f"{ns}text")]
+
+
 def test_exclusion_combined_curve(tmp_path):
     two = EXCLUSION_CONF.replace("[experiment]", "[experiment:a]") + \
         EXCLUSION_CONF.replace("[experiment]", "[experiment:b]").replace(
@@ -233,6 +251,26 @@ def test_simulate_outputs(tmp_path):
     assert summary["mode"] == "oscillator"
     assert summary["force_psd_total_n2_s"] > 0
     assert (a / "spectrum_estimate.csv").exists()
+
+
+def test_simulate_free_particle_summary(tmp_path):
+    """A free particle under white force noise S has <x^2>(t) = S t^3 /
+    3 m^2: the summary's expected cubic coefficient is that, and its fit
+    on the second half of 64 trajectories lands within a factor of 2 of
+    it at this seed (0.63 to 1.28 of it over seeds 0-19)."""
+    conf = write(tmp_path, "c.ini", SIM_CONF.replace(
+        "mode = oscillator", "mode = free_particle").replace(
+        "trajectories = 2", "trajectories = 64").replace(
+        "steps = 8192", "steps = 1024"))
+    assert main(["simulate", "--config", conf,
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["mode"] == "free_particle"
+    expected = summary["cubic_coefficient_expected_m2_s3"]
+    assert expected == summary["force_psd_total_n2_s"] / (3.0 * 1e-12 ** 2)
+    fit = summary["cubic_coefficient_fit_m2_s3"]
+    assert np.isfinite(fit) and fit > 0
+    assert 0.5 < fit / expected < 2.0
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Dual-route checks of the small special-function kernels."""
 
+import ast
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,9 +199,57 @@ def test_kernels_warn_nothing_at_zero(name):
         assert np.all(np.isfinite(kernel(x)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_shell_kernel_quiet_past_sphere_kernel_overflow():
+    """Past |x| = 5.6e102 sphere_kernel's u^3 overflows; the shell kernel
+    built on it stays 1 to double precision and warns nothing, as it did
+    when it came from scipy's spherical_jn."""
+    x = np.array([1e103, -1e200, 1e300])
+    assert np.array_equal(shell_cos2_kernel(x), np.ones(3))
+
+
 def test_kernels_leave_their_argument_alone():
     x = _probe_arguments(99)
     before = x.copy()
     for name in masked.KERNELS:
         getattr(special, name)(x)
     assert masked.same_bits(x, before)
+
+
+# ---------------------------------------------------------------------------
+# what the library asks of scipy.special
+
+def test_library_takes_six_functions_from_scipy_special():
+    """The library's scipy.special names, as `from scipy.special import`
+    or `scipy.special.<name>`, are exactly these six: the spherical
+    Bessel functions are sinc and sphere_kernel, e^{-x} I_n is i0e or
+    i1e, and no _ive wraps scipy's ive."""
+    names, defined = set(), set()
+    for path in Path(special.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "scipy.special":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) \
+                    and ast.unparse(node.value) == "scipy.special":
+                names.add(node.attr)
+            elif isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+    assert names == {"j0", "j1", "erf", "erfc", "i0e", "i1e"}
+    assert "_ive" not in defined
+
+
+def test_sphere_two_body_leaves_scipy_special_unloaded():
+    """An unsaturated sphere two-body spectrum, whose integrand is the
+    shell kernel, loads no scipy.special: j0 and j2 are sinc and
+    sphere_kernel - sinc."""
+    code = (
+        "import sys\n"
+        "from cslbounds import (CollapseParams, Sphere, TwoBody,\n"
+        "                       csl_force_spectrum_two_body)\n"
+        "s = csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, 5e-7), 1e-6),"
+        " CollapseParams(1e-16, 1e-7))\n"
+        "print(float(s) > 0, 'scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "True False\n"
