@@ -110,9 +110,13 @@ class SpectralValue(float):
         return obj
 
 
+# the constant factors of _prefactor, hbar^2 and pi^{3/2} m0^2
+_HBAR_SQ = CONSTANTS.hbar ** 2
+_PI_M0_SQ = math.pi ** 1.5 * CONSTANTS.m0 ** 2
+
+
 def _prefactor(p):
-    return CONSTANTS.hbar ** 2 * p.lam * p.rC ** 3 / (
-        math.pi ** 1.5 * CONSTANTS.m0 ** 2)
+    return _HBAR_SQ * p.lam * p.rC ** 3 / _PI_M0_SQ
 
 
 # ---------------------------------------------------------------------------
@@ -792,11 +796,12 @@ def _disc_moment(prof, rows, rC, s):
             out.append((val, _ROUNDING * abs(val)))
             continue
         if x < 0.1:
-            # (4 / R^2) (x / 2) = rC^-2
+            # (4 / R^2) (x / 2) = rC^-2; the coefficients as Python
+            # floats, whose arithmetic gives numpy scalars' bits faster
             terms = [0.5 * x * c * (2.0 * x) ** j
-                     for j, c in enumerate(_LAGUERRE_C0[:25])]
+                     for j, c in enumerate(_LAGUERRE_C0[:25].tolist())]
             core = math.fsum(terms)
-            mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
+            mag = math.fsum(map(abs, terms)) + abs(terms[-1])
         else:
             i0 = float(i0e(x))
             core, mag = 1.0 - i0 - i1, 1.0 + i0 + i1
@@ -971,17 +976,26 @@ def _sum_of_products(terms):
 
     Returns (value, error, size): the sum, sum |w| sum_i |e_i|
     prod_{j != i} |v_j|, and sum |w prod_i v_i|, the scale against which
-    the terms cancel.
+    the terms cancel.  Each product is taken left to right from 1, as
+    math.prod takes it, and each error's terms are added by sum, so that
+    the result is bit for bit that of math.prod and sum on any Python.
     """
     value = err = size = 0.0
     for w, factors in terms:
-        values = [v for v, _ in factors]
-        term = w * math.prod(values)
+        product = 1.0
+        for v, _ in factors:
+            product *= v
+        term = w * product
         value += term
         size += abs(term)
-        err += abs(w) * sum(
-            abs(e) * math.prod(abs(u) for u in values[:i] + values[i + 1:])
-            for i, (_, e) in enumerate(factors))
+        parts = []
+        for i, (_, e) in enumerate(factors):
+            rest = 1.0
+            for j, (v, _) in enumerate(factors):
+                if j != i:
+                    rest *= abs(v)
+            parts.append(abs(e) * rest)
+        err += abs(w) * sum(parts)
     return value, err, size
 
 
@@ -1050,15 +1064,15 @@ def _closed_moment(prof, rows, rC, s):
     rows, and a sin row past that, take the edge-pair sums (_axis_edges);
     a disc's plain M0 and M2 _disc_moment, and up to R = 3.5 rC its
     kernel rows (M0, M2 times 1 - cos, M1 times sin) _disc_kernel_moment."""
-    passes = [_closed_pass(prof, kind, h, rC, s) for kind, h in rows]
-    if passes[0] is not None and passes.count(passes[0]) == len(passes):
-        return passes[0](prof, rows, rC, s)   # one pass serves every row
-    out = [None] * len(rows)
     groups = {}   # each pass's row indices, in request order
-    for i, closed in enumerate(passes):
+    for i, (kind, h) in enumerate(rows):
+        closed = _closed_pass(prof, kind, h, rC, s)
         if closed is not None:
             groups.setdefault(closed, []).append(i)
+    out = [None] * len(rows)
     for closed, index in groups.items():
+        if len(index) == len(rows):   # one pass serves every row
+            return closed(prof, rows, rC, s)
         for i, moment in zip(index, closed(
                 prof, [rows[i] for i in index], rC, s)):
             out[i] = moment

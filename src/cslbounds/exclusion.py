@@ -10,6 +10,7 @@ budgets.  Scanning rC on a log grid yields the exclusion curve; the
 pointwise minimum over experiments is the combined bound.
 """
 
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -165,7 +166,7 @@ def lambda_upper_bound(rec, rC, spec=None):
     else:
         response = csl_temperature_shift(s_unit, rec.m, rec.gamma)
     lam = rec.budget / response if response > 0 else np.inf
-    if not np.isfinite(lam) or lam <= 0:
+    if not math.isfinite(lam) or lam <= 0:
         raise DegenerateBound(
             f"{rec.name}: bound not finite at rC = {rC:g} m")
     return lam, err / s_unit
@@ -207,7 +208,9 @@ def exclusion_scan(rec, rCs=None, spec=None, workers=1):
     if np.any(np.diff(rCs) <= 0):
         raise ValueError("grid must be increasing")
 
-    jobs = [(rec, rC, spec) for rC in rCs]
+    # each point gets its rC as a Python float, so that its whole
+    # spectrum is plain float arithmetic, not numpy scalars'
+    jobs = [(rec, rC, spec) for rC in rCs.tolist()]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_scan_point, jobs))

@@ -152,7 +152,9 @@ class Cylinder(MassGeometry):
     def __post_init__(self):
         _check_positive(m=self.m, R=self.R, L=self.L)
         _check_mass(self.m)
-        object.__setattr__(self, "axis", tuple(_unit(self.axis)))
+        # Python floats, so that the tilt weights of every spectrum are
+        # plain float arithmetic and the repr shows plain numbers
+        object.__setattr__(self, "axis", tuple(_unit(self.axis).tolist()))
 
     @property
     def total_mass(self):

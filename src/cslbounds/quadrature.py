@@ -155,7 +155,7 @@ def _refine(row, half, lo, hi, a, b, rel_tol, abs_tol, max_evals):
         # split every panel carrying more than its per-panel error share
         thresh = 0.5 * target / len(vals)
         split = errs > thresh
-        if not split.any():
+        if not np.count_nonzero(split):
             split = errs == errs.max()
         keep = ~split
         s_lo, s_hi = lo[split], hi[split]

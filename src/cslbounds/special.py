@@ -31,7 +31,7 @@ def bessel_j1(x):
 def _small(x, limit):
     """The mask |x| < limit, or None where no entry is that small."""
     small = np.abs(x) < limit
-    return small if small.any() else None
+    return small if np.count_nonzero(small) else None
 
 
 def _patch(out, x, small, series):

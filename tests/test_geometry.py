@@ -8,7 +8,8 @@ import pytest
 from cslbounds.geometry import (AxisProfile, Cuboid, Cylinder, Multilayer,
                                 Point, PointLattice, Sphere, TwoBody,
                                 TwoBodyFormFactorError,
-                                _angular_derivative_analytic, form_factor,
+                                _angular_derivative_analytic, _unit,
+                                form_factor,
                                 form_factor_angular_derivative)
 from cslbounds.special import sinc, sinc_prime
 
@@ -266,11 +267,20 @@ def test_cylinder_axis_in_range_keeps_its_bits(axis):
 
 def test_cylinder_axis_is_a_fixed_point_of_its_normalization():
     # the unit axis used to be divided again by its norm, which reads
-    # 1 +- 1 ulp, so that replace(c) != c for about a third of all axes
+    # 1 +- 1 ulp, so that replace(c) != c for about a third of all axes;
+    # its entries are Python floats (they were np.float64, which numpy 2
+    # prints as np.float64(...) in the repr), of the same values
     rng = np.random.default_rng(1)
     for axis in rng.normal(size=(2000, 3)):
         c = Cylinder(1e-14, 1e-7, 1e-6, tuple(axis))
         assert replace(c) == c, axis
+        assert [type(n) for n in c.axis] == [float] * 3
+        assert c.axis == tuple(_unit(axis)), axis
+        assert hash(c.axis) == hash(tuple(_unit(axis)))
+    c = Cylinder(1e-14, 1e-7, 1e-6, axis=(1, 1, 1))
+    assert repr(c) == ("Cylinder(m=1e-14, R=1e-07, L=1e-06, axis=("
+                       "0.5773502691896258, 0.5773502691896258, "
+                       "0.5773502691896258))")
 
 
 @pytest.mark.parametrize("count", [2.5, np.inf, np.nan, "3"],

@@ -35,7 +35,8 @@ import scipy.special
 
 import per_kind_moments
 from cslbounds import (CollapseParams, Cuboid, Cylinder, ExperimentRecord,
-                       Multilayer, QuadratureSpec, TwoBody,
+                       Multilayer, Point, PointLattice, QuadratureSpec,
+                       Sphere, TwoBody,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum, exclusion_scan)
 from cslbounds import cslnoise
@@ -458,15 +459,23 @@ def test_moments_do_not_depend_on_the_frame():
             assert abs(a[0] - b[0]) <= a[1] + b[1], (prof, shifted, rC, a, b)
 
 
+# an 8-point lattice of unequal masses, off the origin, for the sweeps
+SWEEP_LATTICE = PointLattice(
+    np.random.default_rng(30).uniform(-1e-6, 2e-6, (8, 3)),
+    np.random.default_rng(31).uniform(1e-16, 1e-15, 8))
+
+
 def test_torque_scale_sweep_is_finite():
-    """The torque rows of item 10's scale sweep: a Cuboid, a cube and
-    Multilayers stacked along y and along z, at size / rC from 1e-6 to
-    1e9, one point per decade, each return a finite value with a finite
-    error, the whole sweep within 1 s.  How far the cube's torque
-    cancels at large rC (item 3) is not asserted."""
+    """The torque rows of item 10's scale sweep: a Cuboid, a cube,
+    Multilayers stacked along y and along z, an 8-point PointLattice and
+    a Sphere (exactly 0), at size / rC from 1e-6 to 1e9, one point per
+    decade, each return a finite value with a finite error, the whole
+    sweep within 1 s.  How far the cube's torque cancels at large rC
+    (item 3) is not asserted."""
     bodies = [Cuboid(1e-12, 1e-6, 2e-6, 3e-6), Cuboid(1e-12, 1e-6, 1e-6, 1e-6)]
     bodies += [Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 2e-6, axis)
                for axis in "yz"]
+    bodies += [SWEEP_LATTICE, Sphere(1e-12, 1e-6)]
     start = time.perf_counter()
     for g in bodies:
         for t in range(-6, 10):
@@ -479,11 +488,12 @@ def test_torque_scale_sweep_is_finite():
 
 def test_force_and_two_body_scale_sweep_is_finite():
     """The force and two-body rows of item 10's scale sweep that finish
-    fast: a Cuboid, Multilayers stacked along x, y and z, and Cylinders
-    along x, along y and tilted, at size / rC from 1e-6 to 1e9, one point
-    per decade, with the two-body at a = 3 size (unsaturated, then
-    saturated along the sweep) and at a = size / 2, each return a finite
-    value with a finite error, the whole sweep within 1 s.  The
+    fast: a Cuboid, Multilayers stacked along x, y and z, Cylinders
+    along x, along y and tilted, a Point and an 8-point PointLattice, at
+    size / rC from 1e-6 to 1e9, one point per decade, with the two-body
+    at a = 3 size (unsaturated, then saturated along the sweep) and at
+    a = size / 2, each return a finite value with a finite error, the
+    whole sweep within 1 s.  A point has no size: it takes 1 um.  The
     cylinders along y and tilted take a = size / 2 only up to size / rC
     = 1e3: past the disc kernels' reach (R = 3.5 rC) those are
     quadratures.
@@ -502,17 +512,19 @@ def test_force_and_two_body_scale_sweep_is_finite():
                for axis in "xyz"]
     bodies += [Cylinder(1e-14, 5e-7, 2e-6, axis)
                for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0))]
+    bodies += [Point(1e-15), SWEEP_LATTICE]
     start = time.perf_counter()
     for g in bodies:
         transverse = isinstance(g, Cylinder) and g.axis[0] != 1.0
+        scale = size(g) or 1e-6
         for t in range(-6, 10):
-            rC = size(g) / 10.0 ** t
+            rC = scale / 10.0 ** t
             p = CollapseParams(1.0, rC)
             spectra = [csl_force_spectrum(g, p), csl_force_spectrum_two_body(
-                TwoBody(g, 3.0 * size(g)), p)]
+                TwoBody(g, 3.0 * scale), p)]
             if not (transverse and t > 3):
                 spectra.append(csl_force_spectrum_two_body(
-                    TwoBody(g, size(g) / 2.0), p))
+                    TwoBody(g, scale / 2.0), p))
             for value in spectra:
                 assert math.isfinite(value) and math.isfinite(value.error), \
                     (g, rC, value, value.error)
