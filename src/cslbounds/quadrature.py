@@ -22,6 +22,8 @@ alone.
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import gt
 
 import numpy as np
 
@@ -121,57 +123,10 @@ def _panel_rule(row, half):
     inf - inf make an error inf or NaN."""
     vals = np.asarray(row, dtype=float).reshape(-1, 15)
     k15 = half * (vals @ _WGK)
+    # the fancy index makes the G7 block a copy in Fortran order, and that
+    # layout picks the BLAS path of its matmul: a C-ordered copy of the
+    # same nodes (vals[:, 1::2].copy()) sums to other bits
     return k15, np.abs(k15 - half * (vals[:, _GAUSS_IDX] @ _WG))
-
-
-def _refine(row, half, lo, hi, a, b, rel_tol, abs_tol, max_evals):
-    """One row's adaptive bisection of its panels [lo, hi], given its node
-    values there and their half widths, as a generator: it yields the
-    (lo, hi) of the children of the panels it splits next, left children
-    first, and is sent back its node values on them and their half
-    widths.  Returns (value, error) once it meets its tolerance; raises
-    NonConvergence when it runs out of evaluations or meets a NaN or
-    infinite value."""
-    vals, errs = _panel_rule(row, half)
-    evals = np.size(row)
-    while True:
-        # a NaN or infinite node value makes its panel's error NaN or
-        # inf, which no split can reduce
-        tot_err = math.fsum(errs.tolist())
-        if not math.isfinite(tot_err):
-            total = sum(vals.tolist())   # inf - inf is NaN, no error
-            raise NonConvergence(
-                f"panel value or error not finite on [{a!r}, {b!r}] "
-                f"(estimate {total!r}, error {tot_err!r})", total, tot_err)
-        total = math.fsum(vals.tolist())
-        target = max(abs_tol, rel_tol * abs(total))
-        if tot_err <= target or target == 0.0 and tot_err == 0.0:
-            return total, tot_err
-        if evals >= max_evals:
-            raise NonConvergence(
-                f"quadrature used {evals} evaluations without reaching "
-                f"tolerance (error {tot_err:.3e}, target {target:.3e})",
-                total, tot_err)
-        # split every panel carrying more than its per-panel error share
-        thresh = 0.5 * target / len(vals)
-        split = errs > thresh
-        if not np.count_nonzero(split):
-            split = errs == errs.max()
-        keep = ~split
-        s_lo, s_hi = lo[split], hi[split]
-        s_mid = 0.5 * (s_lo + s_hi)
-        new, half = yield (np.concatenate([s_lo, s_mid]),
-                           np.concatenate([s_mid, s_hi]))
-        new_vals, new_errs = _panel_rule(new, half)
-        evals += np.size(new)
-        lo = np.concatenate([lo[keep], s_lo, s_mid])
-        hi = np.concatenate([hi[keep], s_mid, s_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        # canonical ordering keeps fsum input deterministic
-        order = lo.argsort(kind="stable")
-        lo, hi = lo[order], hi[order]
-        vals, errs = vals[order], errs[order]
 
 
 def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
@@ -216,40 +171,97 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     else:
         lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
 
-    first_half, first = _panel_values(f, lo, hi)
-    stacked = isinstance(first, list)
-    live = [(r, _refine(row, first_half, lo, hi, a, b, rel_tol, abs_tol,
-                        max_evals))
-            for r, row in enumerate(first if stacked else [first])]
-    results = [None] * len(live)
-    sent = [None] * len(live)   # what each row is sent next
+    half, new = _panel_values(f, lo, hi)
+    stacked = isinstance(new, list)
+    new = new if stacked else [new]
+    results = [None] * len(new)
     failure = None
-    while live:
-        asks = []   # (row index, row, its children's lo, their hi)
+    # Each row still refining keeps its panels' lo, hi, value and error
+    # as Python float lists, in no order: fsum is exact.  A split panel's
+    # left child takes its place and its right child is appended.  A
+    # row's children are its block of the round's panels, its left
+    # children in lo order, then its right ones, as the row alone would
+    # have them.  The first round takes the first panels as they are; a
+    # row makes lists of their lo and hi only once it splits.
+    whole = slice(None)
+    asks = [(r, 0, lo, hi, None, None, (), None, None, whole, whole)
+            for r in range(len(new))]
+    while True:
+        live, c_lo, c_hi = [], [], []
         # an overflow or inf - inf in a row's _panel_rule makes an error
         # inf or NaN, for which the row raises NonConvergence
         with np.errstate(over="ignore", invalid="ignore"):
-            for r, row in live:
-                try:
-                    asks.append((r, row, *row.send(sent[r])))
-                except StopIteration as done:
-                    results[r] = done.value
-                except NonConvergence as exc:
+            for (r, evals, p_lo, p_hi, vals, errs, split, mids, s_hi, panels,
+                 nodes) in asks:
+                row = np.asarray(new[r], dtype=float)[nodes]
+                k15, err = _panel_rule(row, half[panels])
+                k15, err = k15.tolist(), err.tolist()
+                evals += row.size
+                if split:
+                    for i, mid, v, e in zip(split, mids, k15, err):
+                        p_hi[i] = mid
+                        vals[i] = v
+                        errs[i] = e
+                    n = len(split)
+                    p_lo += mids
+                    p_hi += s_hi
+                    vals += k15[n:]
+                    errs += err[n:]
+                else:
+                    vals, errs = k15, err
+                # a NaN or infinite node value makes its panel's error NaN
+                # or inf, which no split can reduce
+                tot_err = math.fsum(errs)
+                if not math.isfinite(tot_err):
+                    # inf - inf is NaN, no error; in lo order, ties in
+                    # list order: of panels sharing a lo all but one have
+                    # zero width, values 0 or NaN, so no tie moves the sum
+                    total = sum(map(vals.__getitem__, sorted(
+                        range(len(vals)), key=p_lo.__getitem__)))
                     # the rows after it cannot change which row raises
-                    failure = exc
+                    failure = NonConvergence(
+                        f"panel value or error not finite on [{a!r}, "
+                        f"{b!r}] (estimate {total!r}, error {tot_err!r})",
+                        total, tot_err)
                     break
-        live = [ask[:2] for ask in asks]
+                total = math.fsum(vals)
+                target = max(abs_tol, rel_tol * abs(total))
+                if tot_err <= target or target == 0.0 and tot_err == 0.0:
+                    results[r] = total, tot_err
+                    continue
+                if evals >= max_evals:
+                    failure = NonConvergence(
+                        f"quadrature used {evals} evaluations without "
+                        f"reaching tolerance (error {tot_err:.3e}, target "
+                        f"{target:.3e})", total, tot_err)
+                    break
+                if p_lo is lo:
+                    p_lo, p_hi = lo.tolist(), hi.tolist()
+                # split every panel carrying more than its per-panel error
+                # share, in lo order
+                thresh = 0.5 * target / len(vals)
+                split = list(compress(count(), map(gt, errs, repeat(thresh))))
+                if not split:
+                    split = list(compress(count(),
+                                          map(max(errs).__eq__, errs)))
+                split.sort(key=p_lo.__getitem__)
+                s_lo = list(map(p_lo.__getitem__, split))
+                s_hi = list(map(p_hi.__getitem__, split))
+                mids = [0.5 * (x + y) for x, y in zip(s_lo, s_hi)]
+                start, stop = len(c_lo), len(c_lo) + 2 * len(split)
+                c_lo += s_lo
+                c_lo += mids
+                c_hi += mids
+                c_hi += s_hi
+                live.append((r, evals, p_lo, p_hi, vals, errs, split, mids,
+                             s_hi, slice(start, stop),
+                             slice(15 * start, 15 * stop)))
         if not live:
             break
-        half, new = _panel_values(f, np.concatenate([ask[2] for ask in asks]),
-                                  np.concatenate([ask[3] for ask in asks]))
+        asks = live
+        half, new = _panel_values(f, np.fromiter(c_lo, float, len(c_lo)),
+                                  np.fromiter(c_hi, float, len(c_hi)))
         new = new if stacked else [new]
-        start = 0
-        for r, _, c_lo, _ in asks:
-            stop = start + len(c_lo)
-            sent[r] = (np.asarray(new[r], dtype=float)[15 * start:15 * stop],
-                       half[start:stop])
-            start = stop
     if failure is not None:
         raise failure
     return results if stacked else results[0]

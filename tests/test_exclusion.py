@@ -306,6 +306,33 @@ def test_thread_pool_capped_at_the_grid(monkeypatch, workers, points):
                           exclusion_scan(rec, grid).lambda_ub)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_calls_the_module_global_scan_point(monkeypatch, workers):
+    """exclusion_scan looks _scan_point up in the module at each call, so a
+    wrapper set there (the benchmark's per-point timer) sees every grid
+    point once: at 1 worker in grid order, and at 2 in the pool's
+    threads, whose curve is the serial one in grid order.  Which of two
+    running threads enters the wrapper first is not fixed, so at 2 only
+    the set of points is checked."""
+    seen = []
+    scan_point = exclusion._scan_point
+
+    def wrapper(job):
+        seen.append(job[1])
+        return scan_point(job)
+
+    rec = sphere_record()
+    grid = np.logspace(-8, -6, 5)
+    serial = exclusion_scan(rec, grid)
+    monkeypatch.setattr(exclusion, "_scan_point", wrapper)
+    curve = exclusion_scan(rec, grid, workers=workers)
+    want = grid.tolist()
+    assert (seen if workers == 1 else sorted(seen)) == want
+    assert all(type(rC) is float for rC in seen)
+    assert np.array_equal(curve.lambda_ub, serial.lambda_ub)
+    assert curve.status == serial.status
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_scan_rejects_workers_below_one(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):

@@ -12,6 +12,7 @@ import pytest
 import cslbounds
 from cslbounds.quadrature import (NonConvergence, QuadratureSpec,
                                   integrate_1d, integrate_k3)
+import lockstep_reference
 from oracles import angular_average, integrate_ball
 
 
@@ -208,20 +209,25 @@ def test_stacked_rows_equal_lone_integrals():
     assert points == lockstep_schedule(lone_points)
 
 
+def seeded_stack(seed):
+    """2 to 4 random damped oscillations and a random tolerance."""
+    rng = np.random.default_rng(seed)
+    params = rng.uniform([0.5, 0.1, 1.0], [3.0, 2.0, 40.0],
+                         size=(rng.integers(2, 5), 3))
+    rows = [lambda x, a=a, b=b, c=c: a * np.exp(-b * x) * np.cos(c * x) ** 2
+            for a, b, c in params]
+    return rows, 10.0 ** rng.uniform(-12.0, -8.0)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_seeded_stacks_equal_lone_integrals(seed):
     """Stacks of 2 to 4 random damped oscillations at a random tolerance:
     every row equals its lone integral bit for bit, and the stack makes
     the lockstep schedule of integrand calls, as many as its row with
     the most rounds."""
-    rng = np.random.default_rng(seed)
-    params = rng.uniform([0.5, 0.1, 1.0], [3.0, 2.0, 40.0],
-                         size=(rng.integers(2, 5), 3))
-    rows = [lambda x, a=a, b=b, c=c: a * np.exp(-b * x) * np.cos(c * x) ** 2
-            for a, b, c in params]
+    rows, rel_tol = seeded_stack(seed)
     lone, stacked, lone_points, points = lone_and_stacked(
-        rows, 0.0, 6.0, rel_tol=10.0 ** rng.uniform(-12.0, -8.0),
-        max_panel_width=2.0)
+        rows, 0.0, 6.0, rel_tol=rel_tol, max_panel_width=2.0)
     assert [(v.hex(), e.hex()) for v, e in stacked] \
         == [(v.hex(), e.hex()) for v, e in lone]
     assert len({len(p) for p in lone_points}) > 1
@@ -286,6 +292,85 @@ def test_stacked_row_out_of_budget_raises_its_own_estimate():
                      **kwargs)
     assert stacked.value.estimate == alone.value.estimate
     assert stacked.value.error == alone.value.error
+
+
+def hexed(integrate, f, a, b, **kwargs):
+    """integrate's values and errors as float.hex, one pair per row, or
+    the estimate, error and message of the NonConvergence it raises."""
+    try:
+        out = integrate(f, a, b, **kwargs)
+    except NonConvergence as exc:
+        return exc.estimate.hex(), exc.error.hex(), str(exc)
+    return [(v.hex(), e.hex()) for v, e in
+            (out if isinstance(out, list) else [out])]
+
+
+def assert_as_lockstep_reference(rows, a, b, **kwargs):
+    """Each row alone and the stack of them give the bits, and raise the
+    NonConvergence bits and messages, of the generator-per-row lockstep
+    (tests/lockstep_reference.py), and make the same integrand calls."""
+    cases = [(g,) for g in rows] + [tuple(rows)]
+    for stack in cases:
+        f = stack[0] if len(stack) == 1 else \
+            lambda x, stack=stack: [g(x) for g in stack]
+        got, want = [], []
+        assert hexed(integrate_1d, counted(f, got), a, b, **kwargs) \
+            == hexed(lockstep_reference.integrate_1d, counted(f, want), a,
+                     b, **kwargs)
+        assert got == want
+
+
+def test_stack_matches_lockstep_reference():
+    assert_as_lockstep_reference(STACK, 0.0, 6.0, rel_tol=1e-11,
+                                 max_panel_width=2.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_stacks_match_lockstep_reference(seed):
+    rows, rel_tol = seeded_stack(seed)
+    assert_as_lockstep_reference(rows, 0.0, 6.0, rel_tol=rel_tol,
+                                 max_panel_width=2.0)
+
+
+@pytest.mark.parametrize("rows", [
+    (KINK, FAST_FAIL), (KINK, NAN_ROW), (SLOW_FAIL, FAST_FAIL),
+    (KINK, SLOW_FAIL, FAST_FAIL), (NAN_ROW, KINK)])
+def test_failing_stacks_match_lockstep_reference(rows):
+    assert_as_lockstep_reference(rows, 0.0, 6.0, rel_tol=1e-12,
+                                 max_evals=3000, max_panel_width=2.0)
+
+
+def test_step_into_one_ulp_panels_matches_lockstep_reference():
+    """A step at 0.3 on [0.3 - 8 ulp, 0.3 + 8 ulp], alone and stacked,
+    refines into max_evals: its 1-ulp panels split again and again, with
+    midpoints that round onto an end and make zero-width panels whose
+    lo ties with a neighbour's."""
+    c = 0.3
+    ulp = float(np.spacing(c))
+    step = lambda x: np.where(x < c, 0.0, 1.0)
+    rows = (step, lambda x: np.exp(-x), lambda x: 2.0 - step(x))
+    assert_as_lockstep_reference(rows, c - 8 * ulp, c + 8 * ulp,
+                                 rel_tol=1e-300, max_evals=20000)
+    nodes = []
+    with pytest.raises(NonConvergence, match="20025 evaluations"):
+        integrate_1d(lambda x: nodes.append(x) or step(x), c - 8 * ulp,
+                     c + 8 * ulp, rel_tol=1e-300, max_evals=20000)
+    assert np.ptp(nodes[-1].reshape(-1, 15), axis=1).min() == 0.0
+
+
+@pytest.mark.parametrize("a, b, width", [
+    (0.0, 6.0, 6.0), (0.0, 6.0, 2.5), (0.0, 6.0, 0.7), (0.0, 6.0, 6.0 / 4096),
+    (0.0, 6.0, 1e-9), (1.0, 1.0 + 4 * 2.0 ** -52, 1e-300)])
+def test_panel_width_partitions_match_lockstep_reference(a, b, width):
+    """1 to 4096 first panels, the last at the cap; on a 4-ulp span the
+    4096 first panels are mostly zero-width, their lo tied."""
+    assert_as_lockstep_reference(STACK, a, b, rel_tol=1e-12,
+                                 max_panel_width=width)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
+def test_empty_interval_matches_lockstep_reference(a, b):
+    assert_as_lockstep_reference(STACK, a, b)
 
 
 def test_empty_interval_integrates_every_row_to_zero():
