@@ -12,6 +12,7 @@ error, 3 numerical failure, 4 unstable simulation step.
 """
 
 import argparse
+import csv
 import datetime
 import json
 import os
@@ -68,12 +69,13 @@ def _write_manifest(out_dir, text, extra):
 
 def _write_csv(path, header, rows):
     """A header line, then one line per row; a cell that is not a string
-    is a float, written as its repr, which round-trips exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    is a float, written as its repr, which round-trips exactly, and a
+    cell that holds a comma or a quote is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else repr(float(c))
-                              for c in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            [c if isinstance(c, str) else repr(float(c)) for c in row]
+            for row in rows)
 
 
 def _write_curves(path, curves, named):

@@ -490,7 +490,7 @@ def _sinc_sq_gauss(prof, rows, rC, s):
 # with _ROUNDING times the sum of the magnitudes of the terms it adds,
 # plus the series truncation bound.
 
-_ROUNDING = 16.0 * np.finfo(float).eps
+_ROUNDING = 16.0 * 2.0 ** -52   # 16 eps as a float, so errors are floats
 _SERIES_ORDER = 13          # terms n = 0..13 of the 1/rC^2 series at most
 _N = np.arange(_SERIES_ORDER + 4)   # the summed terms and three of the tail
 _SIGNED_INV_FACT = np.array([(-1.0) ** n / math.factorial(n) for n in _N])
@@ -783,7 +783,9 @@ def _disc_moment(prof, rows, rC, s):
     moments M0 and M2 of jinc(kR), without the factor pi): with
     x = R^2 / 2rC^2, Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)
     (1 - e^{-x} (I0(x) + I1(x))); below x = 0.1 rC^2 Q0 is the series
-    sum_j c_j j! (2x)^j of jinc^2 (_LAGUERRE_C0), terms falling 5x each.
+    sum_j c_j j! (2x)^j of jinc^2 (_LAGUERRE_C0) to j = 11: each term is
+    at most 0.05 of the one before, so the rest is below 3.1e-20 of the
+    sum, far inside its rounding error.
     e^{-x} I_n is scipy's i0e or i1e.  Returns one (value, error) per row."""
     from scipy.special import i0e, i1e
     R = prof.R
@@ -799,7 +801,7 @@ def _disc_moment(prof, rows, rC, s):
             # (4 / R^2) (x / 2) = rC^-2; the coefficients as Python
             # floats, whose arithmetic gives numpy scalars' bits faster
             terms = [0.5 * x * c * (2.0 * x) ** j
-                     for j, c in enumerate(_LAGUERRE_C0[:25].tolist())]
+                     for j, c in enumerate(_LAGUERRE_C0[:12].tolist())]
             core = math.fsum(terms)
             mag = math.fsum(map(abs, terms)) + abs(terms[-1])
         else:
@@ -977,8 +979,9 @@ def _sum_of_products(terms):
     Returns (value, error, size): the sum, sum |w| sum_i |e_i|
     prod_{j != i} |v_j|, and sum |w prod_i v_i|, the scale against which
     the terms cancel.  Each product is taken left to right from 1, as
-    math.prod takes it, and each error's terms are added by sum, so that
-    the result is bit for bit that of math.prod and sum on any Python.
+    math.prod takes it, and each error's terms are added by math.fsum,
+    which is correctly rounded on every Python; where finite terms
+    overflow it raises, and the error is inf, as sum gives.
     """
     value = err = size = 0.0
     for w, factors in terms:
@@ -995,7 +998,10 @@ def _sum_of_products(terms):
                 if j != i:
                     rest *= abs(v)
             parts.append(abs(e) * rest)
-        err += abs(w) * sum(parts)
+        try:
+            err += abs(w) * math.fsum(parts)
+        except OverflowError:
+            err += abs(w) * math.inf
     return value, err, size
 
 

@@ -268,9 +268,10 @@ def _disc_moment(R, kind, rC):
     """Closed forms of a disc's Q0 and Q2 (the k-plane moments of
     jinc(kR), without the factor pi): with x = R^2 / 2rC^2,
     Q2 = (4 / R^2 rC^2) e^{-x} I1(x) and Q0 = (4 / R^2)(1 - e^{-x}
-    (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series, whose
-    terms fall by at least 5x each: rC^2 Q0 = sum_j c_j j! (2x)^j, the
-    series of jinc^2 (_LAGUERRE_C0), and (4 / R^2) (x / 2) = rC^-2.
+    (I0(x) + I1(x))); below x = 0.1 Q0 is summed as its series to
+    j = 11, whose terms fall by at least 20x each: rC^2 Q0 = sum_j c_j j!
+    (2x)^j, the series of jinc^2 (_LAGUERRE_C0), and (4 / R^2) (x / 2) =
+    rC^-2.
     e^{-x} I_n(x) is scipy's i0e or i1e.  Returns (value, error)."""
     from scipy.special import i0e, i1e
     x = R * R / (2.0 * rC * rC)
@@ -279,7 +280,7 @@ def _disc_moment(R, kind, rC):
         return val, _ROUNDING * abs(val)
     if x < 0.1:
         terms = [0.5 * x * c * (2.0 * x) ** j
-                 for j, c in enumerate(_LAGUERRE_C0[:25])]
+                 for j, c in enumerate(_LAGUERRE_C0[:12])]
         core = math.fsum(terms)
         mag = math.fsum(abs(t) for t in terms) + abs(terms[-1])
     else:

@@ -206,6 +206,21 @@ def test_exclusion_svg_escapes_its_text(tmp_path):
     assert "a & <b>" in [t.text for t in root.iter(f"{ns}text")]
 
 
+def test_exclusion_csv_quotes_a_name_with_a_comma_or_a_quote(tmp_path):
+    """An experiment name holding a comma and quotes is one quoted cell:
+    a CSV reader reads every row back as five fields and the name as
+    written."""
+    name = 'sphere, 1 um "test"'
+    conf = write(tmp_path, "c.ini",
+                 EXCLUSION_CONF.replace("name = demo", "name = " + name))
+    out = tmp_path / "out"
+    assert main(["exclusion", "--config", conf, "--out", str(out)]) == 0
+    with open(out / "exclusion.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 5 and len(rows) == 12
+    assert all(len(row) == 5 and row[0] == name for row in rows)
+
+
 def test_exclusion_combined_curve(tmp_path):
     two = EXCLUSION_CONF.replace("[experiment]", "[experiment:a]") + \
         EXCLUSION_CONF.replace("[experiment]", "[experiment:b]").replace(

@@ -613,39 +613,50 @@ def test_sum_of_products_scales_a_zero_factors_error():
 
 def _sum_of_products_by_definition(terms):
     """_sum_of_products as its docstring defines it, with math.prod and
-    sum, the reference it must equal bit for bit."""
+    math.fsum (inf where finite parts overflow), the reference it must
+    equal bit for bit."""
     value = err = size = 0.0
     for w, factors in terms:
         values = [v for v, _ in factors]
         term = w * math.prod(values)
         value += term
         size += abs(term)
-        err += abs(w) * sum(
-            abs(e) * math.prod(abs(u) for u in values[:i] + values[i + 1:])
-            for i, (_, e) in enumerate(factors))
+        parts = [abs(e) * math.prod(abs(u) for u in values[:i]
+                                    + values[i + 1:])
+                 for i, (_, e) in enumerate(factors)]
+        try:
+            err += abs(w) * math.fsum(parts)
+        except OverflowError:
+            err += abs(w) * math.inf
     return value, err, size
 
 
 def test_sum_of_products_equals_its_definition_bit_for_bit():
     """On seeded random terms of 1 to 4 factors, signed weights and
     values, zero factors and errors, magnitudes from 1e-300 to 1e300
-    (products that overflow or underflow included) and some np.float64
-    entries, as the closed passes give: value, error and size are the
-    definition's, sign of zero, inf and NaN included.  Both call the
-    same sum on the same items, whose float path differs between Python
-    3.10-3.11 and 3.12."""
+    (products that overflow or underflow included) or within one decade
+    (whose error parts a plain left-to-right sum rounds differently from
+    fsum), some np.float64 entries, as the closed passes give, and error
+    parts that overflow only when added: value, error and size are the
+    definition's, sign of zero, inf and NaN included.  The error is
+    correctly rounded, so it is the same on every Python, whose sum adds
+    floats with compensation from 3.12 only."""
     rng = np.random.default_rng(30)
 
-    def number(signed):
+    def number(signed, decades):
         if rng.uniform() < 0.15:
             return 0.0
-        x = 10.0 ** rng.uniform(-300, 300)
+        x = 10.0 ** rng.uniform(-decades, decades)
         x = -x if signed and rng.uniform() < 0.5 else x
         return np.float64(x) if rng.uniform() < 0.25 else x
 
-    for _ in range(1500):
-        terms = [(number(True), [(number(True), number(False))
-                                 for _ in range(rng.integers(1, 5))])
+    overflow = [(1.0, [(1.0, 1e308), (1.0, 1e308)])]
+    assert cslnoise._sum_of_products(overflow) == (1.0, math.inf, 1.0)
+    for n in range(3000):
+        decades = 300 if n % 2 else 0.5
+        terms = [(number(True, decades),
+                  [(number(True, decades), number(False, decades))
+                   for _ in range(rng.integers(1, 5))])
                  for _ in range(rng.integers(1, 5))]
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             got = cslnoise._sum_of_products(terms)
