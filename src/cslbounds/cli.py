@@ -35,23 +35,6 @@ from .quadrature import NonConvergence
 from .svgplot import LogLogPlot
 
 
-def _resolve_threads(args):
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("CSLBOUNDS_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"CSLBOUNDS_THREADS not an integer: {env!r}")
-        if n < 1:
-            raise ConfigError("CSLBOUNDS_THREADS must be >= 1")
-        return n
-    return 1
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -139,12 +122,14 @@ def _cmd_spectrum(args, text, inputs):
 def _cmd_exclusion(args, text, inputs):
     if not inputs.experiments:
         raise ConfigError("missing required section [experiment]")
-    workers = _resolve_threads(args)
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     spec = inputs.quadrature
 
     curves = []
     for rec, grid in inputs.experiments:
-        curves.append(exclusion_scan(rec, grid, spec=spec, workers=workers))
+        curves.append(exclusion_scan(rec, grid, spec=spec,
+                                     workers=args.threads))
 
     _write_curves(os.path.join(args.out, "exclusion.csv"), curves,
                   named=True)
@@ -186,7 +171,7 @@ def _cmd_exclusion(args, text, inputs):
         })
     _write_manifest(args.out, text, {
         "command": "exclusion",
-        "workers": workers,
+        "workers": args.threads,
         "curves": per_curve,
         "conversions": inputs.conversions,
     })
@@ -314,9 +299,8 @@ def build_parser():
     sp = sub.add_parser("exclusion", help="lambda upper bound vs rC")
     common(sp)
     sp.add_argument("--svg", action="store_true", help="also write an SVG")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: CSLBOUNDS_THREADS "
-                         "or 1)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads (default: 1)")
 
     sp = sub.add_parser("simulate", help="Langevin Monte Carlo")
     common(sp)

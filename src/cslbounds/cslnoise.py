@@ -231,8 +231,8 @@ def _product_operands(coords):
 
 
 def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),), rows=()):
-    """c sum_ij m_i m_j K_ij over all ordered pairs of points of lat, as a
-    SpectralValue whose error bounds the terms of the skipped tile pairs.
+    """c sum_ij m_i m_j K_ij over all ordered pairs of points of lat, and
+    an error that bounds the terms of the skipped tile pairs.
 
     The sum runs over square tiles of at most _TILE x _TILE pairs, in
     tile order.  Every kernel is symmetric under i <-> j, so only tiles
@@ -292,7 +292,7 @@ def _pair_sum(lat, kernel, c, weights, shifts=((0.0, 1.0),), rows=()):
             s = float(np.einsum("i,i->", masses[i],
                                 np.einsum("ij,j->i", k, masses[j])))
             total += s if j0 == i0 else 2.0 * s
-    return SpectralValue(c * total, c * skipped)
+    return c * total, c * skipped
 
 
 def _force_kernel(dx, rho2, c, keep, out, u):
@@ -352,7 +352,7 @@ def force_pair_kernel_sum(positions, masses, rC):
         dx, _, _, rho2, w0, w1, _ = tile
         return _force_kernel(dx, rho2, c, keep, w0, w1)
 
-    return _pair_sum(lat, kernel, c, lat.masses)
+    return SpectralValue(*_pair_sum(lat, kernel, c, lat.masses))
 
 
 def two_body_pair_kernel_sum(positions, masses, rC, a):
@@ -380,8 +380,8 @@ def two_body_pair_kernel_sum(positions, masses, rC, a):
         k0 -= kpm
         return k0
 
-    return _pair_sum(lat, kernel, c, lat.masses,
-                     ((0.0, 1.0), (a, 0.5), (-a, 0.5)))
+    shifts = ((0.0, 1.0), (a, 0.5), (-a, 0.5))
+    return SpectralValue(*_pair_sum(lat, kernel, c, lat.masses, shifts))
 
 
 def torque_pair_kernel_sum(positions, masses, rC):
@@ -422,8 +422,8 @@ def torque_pair_kernel_sum(positions, masses, rC):
         p *= g
         return p
 
-    return _pair_sum(lat, kernel, c, lat.masses * np.hypot(y, z),
-                     rows=(z, y))
+    weights = lat.masses * np.hypot(y, z)
+    return SpectralValue(*_pair_sum(lat, kernel, c, weights, rows=(z, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -1239,7 +1239,9 @@ def _saturation_separation(extent, rC):
 # body is the geometry, or a TwoBody's unit on the two_body channel, and
 # a the separation (0 on the other channels).  closed_form is unset
 # under method="quadrature", which runs the same route with every moment
-# by 1D quadrature.  The first line of each route's docstring is its
+# by 1D quadrature.  A route returns the spectrum and its error estimate
+# as a tuple of two Python floats; _spectrum alone checks them and makes
+# the SpectralValue.  The first line of each route's docstring is its
 # legend in README.md.  Routes read the profiles each body builds once,
 # and reach the pair sums and integrate_k3 through this module's globals,
 # never through _ROUTES, so that a wrapper set on those names sees every
@@ -1250,8 +1252,8 @@ def _point_force(body, channel, p, spec, closed_form, a):
     integral of a point, which checks it."""
     if not closed_form:
         return _radial_force(body, channel, p, spec, closed_form, a)
-    return SpectralValue(CONSTANTS.hbar ** 2 * p.lam * body.m ** 2 / (
-        2.0 * CONSTANTS.m0 ** 2 * p.rC * p.rC))
+    return CONSTANTS.hbar ** 2 * p.lam * body.m ** 2 / (
+        2.0 * CONSTANTS.m0 ** 2 * p.rC * p.rC), 0.0
 
 
 def _radial_force(body, channel, p, spec, closed_form, a):
@@ -1272,7 +1274,7 @@ def _radial_force(body, channel, p, spec, closed_form, a):
     val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
                             oscillation_scale=2.0 * R or None)
     pref = _prefactor(p)
-    return SpectralValue(pref * val, pref * err)
+    return pref * val, pref * err
 
 
 def _pair_kernel(body, channel, p, spec, closed_form, a):
@@ -1289,12 +1291,12 @@ def _pair_kernel(body, channel, p, spec, closed_form, a):
         ksum = two_body_pair_kernel_sum(body.positions, body.masses, p.rC,
                                         a)
     f = CONSTANTS.hbar ** 2 * p.lam / CONSTANTS.m0 ** 2
-    return SpectralValue(f * ksum, f * ksum.error)
+    return f * ksum, f * ksum.error
 
 
 def _zero(body, channel, p, spec, closed_form, a):
     """Exactly 0: the transform depends on |k| only, so no torque."""
-    return SpectralValue(0.0)
+    return 0.0, 0.0
 
 
 def _ball_moment(body, channel, p, spec, closed_form, a):
@@ -1311,7 +1313,7 @@ def _ball_moment(body, channel, p, spec, closed_form, a):
     [(val, err)] = _profile_moment(ball, (("M2", h),), p.rC, spec,
                                    closed_form, s)
     scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p)
-    return SpectralValue(scale * val, scale * err)
+    return scale * val, scale * err
 
 
 def _separable(body, channel, p, spec, closed_form, a):
@@ -1338,8 +1340,7 @@ def _separable(body, channel, p, spec, closed_form, a):
                                        closed_form)
     val, err, _ = _sum_of_products([(1.0, factors)])
     pref = _prefactor(p)
-    return SpectralValue(pref * scale * scale * val,
-                         pref * scale * scale * err)
+    return pref * scale * scale * val, pref * scale * scale * err
 
 
 def _cylinder(body, channel, p, spec, closed_form, a):
@@ -1411,7 +1412,7 @@ def _cylinder(body, channel, p, spec, closed_form, a):
                 terms.append((2.0 * c * s, (p1s[0], q1j1[0])))
     val, err, _ = _sum_of_products(terms)
     scale = _prefactor(p) * body.m * body.m * np.pi
-    return SpectralValue(scale * val, scale * err)
+    return scale * val, scale * err
 
 
 def _cylinder_torque(body, channel, p, spec, closed_form, a):
@@ -1430,8 +1431,7 @@ def _cylinder_torque(body, channel, p, spec, closed_form, a):
     sin2 = body.axis[1] ** 2 + body.axis[2] ** 2   # 0 spinning about it
     total, err = _torque_bracket(disc, slab, p.rC, spec, closed_form=False)
     scale = _prefactor(p) * body.m * body.m * np.pi
-    return SpectralValue(sin2 * (scale * (0.5 * total)),
-                         sin2 * (scale * (0.5 * err)))
+    return sin2 * (scale * (0.5 * total)), sin2 * (scale * (0.5 * err))
 
 
 _CHANNELS = ("force", "two_body", "torque")
@@ -1454,7 +1454,7 @@ _ROUTES = {(cls, channel): route for cls, row in {
 
 def _spectrum(g, channel, p, spec, method):
     """Check g and method, look up the route of g's type on channel in
-    _ROUTES and call it.
+    _ROUTES, call it and return its (value, error) as a SpectralValue.
 
     A TwoBody has only the two_body channel, and is looked up by its
     unit's type.  Raises ValueError for an unknown method and for
@@ -1479,12 +1479,12 @@ def _spectrum(g, channel, p, spec, method):
     if p.lam == 0.0 or pair and a == 0.0:
         return SpectralValue(0.0)
     spec = QuadratureSpec() if spec is None else spec
-    value = route(body, channel, p, spec, method == "auto", a)
-    if not (math.isfinite(value) and math.isfinite(value.error)):
-        raise FloatingPointError(f"{name} route gave {float(value)} +- "
-                                 f"{value.error} for {type(body).__name__} "
-                                 f"{channel} at rC = {p.rC!r} m")
-    return value
+    value, error = route(body, channel, p, spec, method == "auto", a)
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise FloatingPointError(f"{name} route gave {value} +- {error} for "
+                                 f"{type(body).__name__} {channel} at "
+                                 f"rC = {p.rC!r} m")
+    return SpectralValue(value, error)
 
 
 def csl_force_spectrum(g, p, spec=None, method="auto"):

@@ -189,9 +189,9 @@ def exclusion_scan(rec, rCs=None, spec=None, workers=1):
 
     Per-point failures are recorded in the curve status and the scan
     continues; partial curves are valid outputs.  workers > 1 evaluates
-    grid points in a pool of at most that many threads (numpy and scipy
-    release the GIL in their array kernels); results are merged in grid
-    order, so the output does not depend on the worker count.
+    grid points in a pool of at most that many threads; results are
+    merged in grid order, so the output does not depend on the worker
+    count.
     """
     try:
         workers = operator.index(workers)

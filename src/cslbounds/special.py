@@ -142,27 +142,34 @@ def _sphere_series(u):
     return 1.0 - u2 / 10.0 + u2 * u2 / 280.0
 
 
+def _sphere_far(u):
+    return 3.0 * (np.sin(u) / u - np.cos(u)) / u / u
+
+
 def sphere_kernel(u):
     """3 (sin u - u cos u) / u^3, the homogeneous-sphere kernel; 1 at u = 0.
 
-    Series below |u| < 1e-3: 1 - u^2/10 + u^4/280.
+    Series below |u| < 1e-3: 1 - u^2/10 + u^4/280.  From |u| >= 1e100,
+    short of u^3's overflow at 5.6e102, 3 (sin u / u - cos u) / u / u,
+    which underflows to 0 where the formula would give inf/inf.
     """
     u = np.asarray(u, dtype=float)
-    out = np.cos(u, out=np.empty_like(u))
-    out *= u
-    tmp = np.sin(u, out=np.empty_like(u))
-    np.subtract(tmp, out, out=out)
-    out *= 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.cos(u, out=np.empty_like(u))
+        out *= u
+        tmp = np.sin(u, out=np.empty_like(u))
+        np.subtract(tmp, out, out=out)
+        out *= 3.0
         out /= np.power(u, 3, out=tmp)
+    far = np.abs(u) >= 1e100
+    _patch(out, u, far if np.count_nonzero(far) else None, _sphere_far)
     return _patch(out, u, _small(u, 1e-3), _sphere_series)
 
 
 def _series_below_1(x, coef, t_scale, full):
     """sum_{k=1}^{10} coef(k) (t_scale x^2)^k below |x| < 1, full(x) above."""
     x = np.asarray(x, dtype=float)
-    # 0/0 at x = 0, and sphere_kernel's u^3 overflow past |u| = 5.6e102
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 at x = 0
         out = np.asarray(full(x))
 
     def series(xs):

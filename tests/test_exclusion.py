@@ -446,7 +446,7 @@ def test_non_finite_spectrum_names_its_route(monkeypatch, value, error):
     from cslbounds import cslnoise
 
     def broken(*args):
-        return cslnoise.SpectralValue(value, error)
+        return value, error
 
     monkeypatch.setitem(cslnoise._ROUTES, (Sphere, "force"),
                         ("radial", broken))

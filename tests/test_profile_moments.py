@@ -40,6 +40,7 @@ from cslbounds import (CollapseParams, Cuboid, Cylinder, ExperimentRecord,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum, exclusion_scan)
 from cslbounds import cslnoise
+from cslbounds.cslnoise import SpectralValue
 from cslbounds.geometry import AxisProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence
 from oracles import size
@@ -571,12 +572,12 @@ def test_spectra_match_the_quadrature_route():
                   csl_force_spectrum(g, p, spec, method="quadrature"))]
         two_body = csl_force_spectrum_two_body(TwoBody(g, a), p, spec)
         if isinstance(g, Cylinder):
-            pairs.append((two_body, cslnoise._cylinder(
-                g, "two_body", p, spec, False, a)))
+            pairs.append((two_body, SpectralValue(*cslnoise._cylinder(
+                g, "two_body", p, spec, False, a))))
         else:
             pairs += [
-                (two_body,
-                 cslnoise._separable(g, "two_body", p, spec, False, a)),
+                (two_body, SpectralValue(*cslnoise._separable(
+                    g, "two_body", p, spec, False, a))),
                 (csl_torque_spectrum(g, p, spec),
                  csl_torque_spectrum(g, p, spec, method="quadrature"))]
         for got, want in pairs:

@@ -4,6 +4,8 @@ before it, and the README table rendered from it.
 Run as a script, this file prints the README Routes table and legend.
 """
 
+import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from cslbounds import (CollapseParams, Cuboid, Cylinder, Multilayer, Point,
                        csl_force_spectrum_two_body, csl_torque_spectrum,
                        cslnoise)
 from cslbounds.geometry import MassGeometry
+from cslbounds.quadrature import QuadratureSpec
 
 P = CollapseParams(1.0, 1e-6)
 A = 3e-6   # below every body's saturation separation at rC = 1e-6
@@ -120,6 +123,43 @@ def test_each_cell_takes_the_route_the_table_names(cell, monkeypatch):
             s = SPECTRA[channel](BODIES[cls], P, method=method)
         assert calls == first_calls(route, channel, method), method
         assert float(s) == 0.0 if route == "zero" else float(s) > 0.0
+
+
+@pytest.mark.parametrize("cell", EXPECTED,
+                         ids=[f"{cls.__name__}-{ch}" for cls, ch in EXPECTED])
+def test_each_route_returns_two_python_floats(cell):
+    """A route returns (value, error) as two Python floats, not numpy
+    scalars or a SpectralValue, under both methods where the channel has
+    them."""
+    cls, channel = cell
+    name, route = cslnoise._ROUTES[cell]
+    a = A if channel == "two_body" else 0.0
+    methods = [True] if channel == "two_body" or name == "pair kernel" \
+        else [True, False]
+    for closed_form in methods:
+        result = route(BODIES[cls], channel, P, QuadratureSpec(),
+                       closed_form, a)
+        assert type(result) is tuple and len(result) == 2, closed_form
+        assert all(type(x) is float for x in result), (closed_form, result)
+
+
+def test_spectral_value_made_only_where_a_spectrum_leaves():
+    """SpectralValue(...) is called in _spectrum, at its lam = 0 return
+    and its route's, and in the three public pair sums, nowhere else in
+    the library."""
+    made = Counter()
+    for path in Path(cslnoise.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "SpectralValue" in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None)):
+                        made[fn.name] += 1
+    assert made == {"_spectrum": 2, "force_pair_kernel_sum": 1,
+                    "two_body_pair_kernel_sum": 1,
+                    "torque_pair_kernel_sum": 1}
 
 
 @pytest.mark.parametrize("cls", [Cuboid, Multilayer, Cylinder],

@@ -20,7 +20,7 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        csl_force_spectrum, csl_force_spectrum_two_body,
                        csl_torque_spectrum)
 from cslbounds import cslnoise, geometry
-from cslbounds.cslnoise import torque_pair_kernel_sum
+from cslbounds.cslnoise import SpectralValue, torque_pair_kernel_sum
 from cslbounds.geometry import AxisProfile, BallProfile, DiscProfile
 from cslbounds.quadrature import NonConvergence, integrate_1d
 from cslbounds.special import bessel_j1, one_minus_j0, ring_cos2_kernel
@@ -462,8 +462,9 @@ def test_cylinder_two_body_at_vanishing_separation(closed_form):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in (1e-200, 1e-250, 5e-324):
-            s = cslnoise._cylinder(g, "two_body", p, SPEC, closed_form, a)
-            assert 0.0 <= float(s) < np.inf and 0.0 <= s.error < np.inf, a
+            value, error = cslnoise._cylinder(g, "two_body", p, SPEC,
+                                              closed_form, a)
+            assert 0.0 <= value < np.inf and 0.0 <= error < np.inf, a
 
 
 @pytest.mark.parametrize("rC, a, auto_calls", [
@@ -494,7 +495,8 @@ def test_cylinder_two_body_asks_each_profile_once(rC, a, auto_calls,
     auto = csl_force_spectrum_two_body(g, p)
     assert calls == auto_calls
     calls.clear()
-    quad = cslnoise._cylinder(g.unit, "two_body", p, SPEC, False, g.a)
+    quad = SpectralValue(*cslnoise._cylinder(g.unit, "two_body", p, SPEC,
+                                             False, g.a))
     assert calls == {"integrate_1d": 4}
     assert_agree(auto, quad, SPEC.rel_tol)
 

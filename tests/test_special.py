@@ -111,6 +111,28 @@ def test_sphere_kernel_is_even_and_bounded():
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_sphere_kernel_finite_and_quiet_at_huge_arguments():
+    """Where u^3 overflows, from |u| = 5.6e102 to the largest float, the
+    kernel is finite, within its envelope 3 / u^2, and warns nothing."""
+    us = np.array([6e102, -6e102, 1e200, -1e200, 7e307, -7e307,
+                   np.finfo(float).max, -np.finfo(float).max])
+    for got in (sphere_kernel(us), [sphere_kernel(u) for u in us]):
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got) <= 3.0 / us / us)
+
+
+def test_sphere_kernel_bits_unchanged_below_1e100():
+    """On 10^5 log-spaced u in [1e-8, 1e12], past every argument the
+    library reaches, and just below 1e100, where the large-argument form
+    takes over, the kernel is its masked series-and-formula form bit for
+    bit."""
+    u = np.append(np.logspace(-8.0, 12.0, 100_000), np.nextafter(1e100, 0.0))
+    with np.errstate(over="ignore"):   # the masked form's series at 1e100
+        want = masked.sphere_kernel(u)
+    assert masked.same_bits(sphere_kernel(u), want)
+
+
 def _mp_kernels():
     import mpmath as mp
     half = mp.mpf(1) / 2
