@@ -324,8 +324,6 @@ def main(argv=None):
         text, inputs = (None, None)
         if args.config is not None:
             text, inputs = load_config(args.config)
-        elif args.command != "pointcheck":
-            parser.error("--config is required")
         if args.out != "." and not os.path.isdir(args.out):
             os.makedirs(args.out, exist_ok=True)
 

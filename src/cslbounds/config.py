@@ -17,8 +17,7 @@ echoed into the run manifest.  Unknown keys in a known section are
 rejected, which catches most unit typos.
 
 The field tables below declare the keys, and `_SECTIONS` maps each section
-to its RunInputs field: parsing reads the rows, and `serialize_inputs`
-writes the same rows back in canonical SI form.
+to its RunInputs field and the reader that parses it.
 """
 
 import hashlib
@@ -37,15 +36,14 @@ from .optomech import OptomechConfig, SimConfig
 from .quadrature import QuadratureSpec
 
 __all__ = ["ConfigError", "RunInputs", "load_config", "parse_inputs",
-           "serialize_inputs", "config_hash"]
+           "config_hash"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries section and key."""
 
 
-# unit-suffix tables: suffix -> factor to SI; the factor-1 suffix is the
-# one serialize_inputs writes
+# unit-suffix tables: suffix -> factor to SI
 _LENGTH = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _MASS = {"kg": 1.0, "g": 1e-3, "mg": 1e-6}
 _DENSITY = {"kg_m3": 1.0, "g_cm3": 1e3}
@@ -127,8 +125,8 @@ class _Section:
 # kind is a unit table (a float quantity), int, or the allowed words (None:
 # any word).  A row without a default is required.  A kind or default
 # that is a function is called with the values read before it; such a
-# default returns _REQUIRED to make its key required.  Rows are parsed and
-# written in table order.
+# default returns _REQUIRED to make its key required.  Rows are parsed in
+# table order.
 
 def _read(sec, rows):
     """Parse the rows' keys from sec; returns {attribute: value}."""
@@ -141,23 +139,6 @@ def _read(sec, rows):
             default = default(values)
         values[attr] = sec.value(base, kind, default)
     return values
-
-
-def _write(rows, values, prefix=""):
-    """Canonical lines of the rows whose value is given and not None."""
-    lines = []
-    for attr, base, kind, *_ in rows:
-        value = values.get(attr)
-        if value is None:
-            continue
-        if isinstance(kind, FunctionType):
-            kind = kind(values)
-        if isinstance(kind, dict):
-            si = next(s for s, factor in kind.items() if factor == 1.0)
-            lines.append(f"{prefix}{_key(base, si)} = {value!r}")
-        else:
-            lines.append(f"{prefix}{base} = {value}")
-    return lines
 
 
 _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -245,18 +226,6 @@ def _colored(values):
     return values
 
 
-def _with_colored(obj):
-    """vars(obj) plus the _COLORED values of any colored model: the
-    inverse of _colored."""
-    colored = getattr(obj, "colored", None)
-    return dict(vars(obj), **({} if colored is None else vars(colored)))
-
-
-def _span(grid):
-    """The lo, hi and n values of a grid's rows."""
-    return {"lo": float(grid[0]), "hi": float(grid[-1]), "n": grid.size}
-
-
 def _parse_geometry(sec):
     cls, rows = _GEOMETRIES[_read(sec, _TYPE)["type"]]
     values = _read(sec, rows)
@@ -267,28 +236,8 @@ def _parse_geometry(sec):
     return cls(**values)
 
 
-def _geometry_lines(g, prefix=""):
-    kind = next((kind for kind, (cls, _) in _GEOMETRIES.items()
-                 if isinstance(g, cls)), None)
-    if kind is None:
-        raise ConfigError(f"geometry {type(g).__name__} has no config form")
-    cls, rows = _GEOMETRIES[kind]
-    values = dict(vars(g), type=kind)
-    if cls is Cylinder:   # an axis and its negation are one cylinder
-        axis = tuple(abs(c) for c in g.axis)
-        values["axis"] = next(
-            (word for word, a in _AXES.items() if a == axis), None)
-        if values["axis"] is None:
-            raise ConfigError("only principal-axis cylinders serialize")
-    lines = _write(_TYPE + rows, values, prefix)
-    if cls is TwoBody:
-        lines += _geometry_lines(g.unit, prefix + _UNIT_PREFIX)
-    return lines
-
-
 # ---------------------------------------------------------------------------
-# sections: read parses one _Section to its RunInputs value; lines gives
-# (header suffix, lines) for each block a RunInputs value serializes to
+# sections: read parses one _Section to its RunInputs value
 
 def _read_geometry(sec):
     g = _parse_geometry(sec)
@@ -308,13 +257,6 @@ def _read_grid(sec):
     if lo <= 0:
         raise ConfigError("[grid] log spacing needs omega_min > 0")
     return np.logspace(np.log10(lo), np.log10(hi), n)
-
-
-def _grid_lines(om):
-    ratios = np.diff(np.log(om)) if om[0] > 0 else None
-    spacing = "log" if ratios is not None and np.allclose(
-        ratios, ratios[0]) else "linear"
-    return [("", _write(_GRID, dict(_span(om), spacing=spacing)))]
 
 
 def _read_experiment(sec):
@@ -337,29 +279,19 @@ def _read_experiment(sec):
     return rec, np.logspace(np.log10(rc_min), np.log10(rc_max), n)
 
 
-def _experiment_lines(experiments):
-    return [(f":{i}", _write(_EXPERIMENT, dict(
-        _with_colored(rec), band_lo=rec.band[0], band_hi=rec.band[1]))
-        + _geometry_lines(rec.geometry, _GEOMETRY_PREFIX)
-        + _write(_RC_GRID, {} if grid is None else _span(grid)))
-        for i, (rec, grid) in enumerate(experiments)]
-
-
 def _object(attr, cls, rows):
     """The _SECTIONS entry of a section that is one cls, in rows."""
-    return (attr, lambda sec: cls(**_colored(_read(sec, rows))),
-            lambda obj: [("", _write(rows, _with_colored(obj)))])
+    return attr, lambda sec: cls(**_colored(_read(sec, rows)))
 
 
-# section name -> (RunInputs field, read, lines), in serialization order;
-# a section named experiment:<tag> is an experiment, appended to the list
+# section name -> (RunInputs field, read); a section named
+# experiment:<tag> is an experiment, appended to the list
 _SECTIONS = {
-    "geometry": ("geometry", _read_geometry,
-                 lambda g: [("", _geometry_lines(g))]),
+    "geometry": ("geometry", _read_geometry),
     "collapse": _object("collapse", CollapseParams, _COLLAPSE),
     "optomech": _object("optomech", OptomechConfig, _OPTOMECH),
-    "grid": ("omega_grid", _read_grid, _grid_lines),
-    "experiment": ("experiments", _read_experiment, _experiment_lines),
+    "grid": ("omega_grid", _read_grid),
+    "experiment": ("experiments", _read_experiment),
     "simulation": _object("simulation", SimConfig, _SIMULATION),
     "quadrature": _object("quadrature", QuadratureSpec, _QUADRATURE),
 }
@@ -400,7 +332,7 @@ def parse_inputs(text):
                        else name)
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]")
-            attr, read, _ = _SECTIONS[section]
+            attr, read = _SECTIONS[section]
             if attr == "experiments":   # the one section that repeats
                 inputs.experiments.append(read(sec))
             else:
@@ -415,15 +347,3 @@ def parse_inputs(text):
 
 def config_hash(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def serialize_inputs(inputs):
-    """Canonical text of inputs: SI units, every section in table order.
-    parse -> serialize -> parse is the identity on all fields."""
-    blocks = []
-    for name, (attr, _, lines) in _SECTIONS.items():
-        value = getattr(inputs, attr)
-        if value is not None:
-            blocks += [f"[{name}{suffix}]\n" + "\n".join(body)
-                       for suffix, body in lines(value)]
-    return "\n\n".join(blocks) + "\n"

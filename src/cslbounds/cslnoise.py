@@ -99,6 +99,12 @@ class CollapseParams:
                              f"got {self.lam}")
         if not 0 < self.rC < np.inf:
             raise ValueError(f"rC must be finite and positive, got {self.rC}")
+        # Python floats, so that every route runs on plain float
+        # arithmetic whatever scalars it was given
+        if type(self.lam) is not float:
+            object.__setattr__(self, "lam", float(self.lam))
+        if type(self.rC) is not float:
+            object.__setattr__(self, "rC", float(self.rC))
 
 
 class SpectralValue(float):

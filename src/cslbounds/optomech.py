@@ -76,11 +76,11 @@ class OptomechConfig:
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
-    """Frequency grid with double-sided spectral density values."""
+    """Frequency grid with double-sided displacement spectral density
+    values (m^2 s)."""
 
     omegas: np.ndarray
     values: np.ndarray
-    kind: str   # "displacement" (m^2 s), "force" (N^2 s), "torque" (N^2 m^2 s)
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
@@ -91,8 +91,6 @@ class NoiseSpectrum:
             raise ValueError("omegas must be strictly increasing")
         if np.any(values < 0):
             raise ValueError("spectral densities must be nonnegative")
-        if self.kind not in ("displacement", "force", "torque"):
-            raise ValueError(f"unknown spectrum kind {self.kind!r}")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 
@@ -224,7 +222,7 @@ def displacement_dns(cfg, p, g, omegas, spec=None, components=False):
     thermal = thermal_force_term(cfg, omegas) / (m2 * d2)
     csl = s_ff / (m2 * d2)
     values = backaction + thermal + csl
-    spectrum = NoiseSpectrum(omegas, values, "displacement")
+    spectrum = NoiseSpectrum(omegas, values)
     if components:
         return spectrum, {"backaction": backaction, "thermal": thermal,
                           "csl": csl}
@@ -413,7 +411,7 @@ def simulate_langevin(cfg, p, g, sim, spec=None):
     psd /= len(xs)
     # one-sided per-Hz -> double-sided per (rad/s via dw/2pi measure)
     omegas = 2.0 * np.pi * freqs[1:]
-    spectrum = NoiseSpectrum(omegas, psd[1:] / 2.0, "displacement")
+    spectrum = NoiseSpectrum(omegas, psd[1:] / 2.0)
 
     return SimulationResult(times, xs, ps, spectrum, sim.seed, s_total)
 

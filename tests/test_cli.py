@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface and its contracts."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -294,6 +296,15 @@ def test_config_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["spectrum", "exclusion", "simulate"])
+def test_config_is_required_but_for_pointcheck(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in \
+        capsys.readouterr().err
+
+
 def test_missing_section_exit_code(tmp_path):
     conf = write(tmp_path, "c.ini", "[collapse]\nlambda_per_s = 1e-16\n"
                  "rc_m = 1e-7\n")
@@ -328,6 +339,19 @@ def test_console_script_installed():
                            "pointcheck"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+MODULES = ["cslbounds"] + sorted(
+    f"cslbounds.{m.name}" for m in pkgutil.iter_modules(cslbounds.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    """A public name that is removed cannot stay listed in __all__."""
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(mod, name)] == []
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):

@@ -1,4 +1,4 @@
-"""Config parsing: unit suffixes, diagnostics and round-tripping."""
+"""Config parsing: unit suffixes, diagnostics and pinned parsed values."""
 
 import math
 from pathlib import Path
@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cslbounds import (Cylinder, Multilayer, Sphere, TwoBody,
+from cslbounds import (CollapseParams, ColoredNoiseModel, Cuboid, Cylinder,
+                       ExperimentRecord, Multilayer, OptomechConfig, Point,
+                       QuadratureSpec, SimConfig, Sphere, TwoBody,
                        csl_force_spectrum, csl_torque_spectrum)
 from cslbounds.config import (ConfigError, config_hash, load_config,
-                              parse_inputs, serialize_inputs)
+                              parse_inputs)
 
 BASIC = """
 [geometry]
@@ -298,31 +300,111 @@ rel_tol = 1e-7
 """
 
 
-@pytest.mark.parametrize("text", [
-    FREE_PARTICLE, EVERY_SECTION,
-    *(path.read_text() for path in sorted(CONFIGS.glob("*.ini")))],
-    ids=["free_particle", "every_section",
-         *(path.stem for path in sorted(CONFIGS.glob("*.ini")))])
-def test_roundtrip_is_identity(text):
-    inputs = parse_inputs(text)
-    canonical = serialize_inputs(inputs)
-    again = parse_inputs(canonical)
-    assert serialize_inputs(again) == canonical
-    for name in ("geometry", "collapse", "optomech", "simulation",
-                 "quadrature"):
-        assert getattr(again, name) == getattr(inputs, name), name
-    if inputs.omega_grid is None:
-        assert again.omega_grid is None
-    else:
-        assert np.array_equal(again.omega_grid, inputs.omega_grid)
-    assert len(again.experiments) == len(inputs.experiments)
-    for (rec, grid), (rec0, grid0) in zip(again.experiments,
-                                          inputs.experiments):
-        assert rec == rec0
-        assert np.array_equal(grid, grid0)
+def _log(lo, hi, n):
+    """n points from lo to hi, log spaced: a grid's spacing = log and
+    every experiment's rC grid."""
+    return np.logspace(np.log10(lo), np.log10(hi), n).tolist()
 
 
-CANONICAL = Path(__file__).resolve().parent / "canonical"
+# QuadratureSpec's defaults, as the shipped configs give them
+DEFAULT_QUADRATURE = QuadratureSpec(1e-06, 0.0, 50000000, 8.0)
+CANTILEVER_SPHERE = Sphere(1e-12, 5e-07)
+COLLAPSE = CollapseParams(1e-16, 1e-07)
+
+# each config's parsed inputs, in SI units, with its grids as lists
+PARSED = {
+    "every_section": dict(
+        geometry=Cylinder(1e-14, 1.0000000000000001e-07, 1e-06,
+                          axis=(1.0, 0.0, 0.0)),
+        collapse=CollapseParams(1e-16, 1e-07, ColoredNoiseModel(
+            "lorentzian_cutoff", 31415.92653589793)),
+        optomech=OptomechConfig(1e-14, 18849.55592153876, 62.83185307179586,
+                                0.0003, 1000000.0, -200000.0, 1000.0, 5.0),
+        omega_grid=np.linspace(0.0, 251327.41228718343, 9).tolist(),
+        experiments=[
+            (ExperimentRecord(
+                "point_force", Point(1e-12), "force", 1e-37,
+                (628.3185307179587, 1256.6370614359173),
+                colored=ColoredNoiseModel("white")),
+             _log(1e-09, 0.001, 301)),
+            (ExperimentRecord(
+                "experiment:sphere", Sphere(1.0000000000000002e-12, 5e-07),
+                "force", 1e-37, (18221.2373908208, 19477.874452256718),
+                colored=ColoredNoiseModel("lorentzian_cutoff",
+                                          314.1592653589793)),
+             _log(1e-09, 0.0001, 251)),
+            (ExperimentRecord(
+                "cuboid_heating",
+                Cuboid(1e-12, 1e-06, 2e-06, 5.000000000000001e-07),
+                "temperature_shift", 0.001, (0.0, 1.0), m=1e-12,
+                gamma=0.001),
+             _log(1e-09, 0.001, 7)),
+            (ExperimentRecord(
+                "rotor", Cylinder(1e-14, 1.0000000000000001e-07,
+                                  1.0000000000000002e-06,
+                                  axis=(0.0, 1.0, 0.0)),
+                "temperature_shift", 9.999999999999999e-05,
+                (62831.85307179586, 188495.55921538756),
+                d_phi=0.006283185307179587),
+             _log(1e-09, 9.999999999999999e-06, 12)),
+            (ExperimentRecord(
+                "stack_torque",
+                Multilayer(5, 1.0000000000000001e-07, 5.0000000000000004e-08,
+                           19300.0, 2200.0, 2e-06, 3e-06, "x"),
+                "torque", 1e-50, (6.283185307179586, 12.566370614359172)),
+             _log(1e-09, 0.001, 5)),
+            (ExperimentRecord(
+                "stack_pair",
+                TwoBody(Multilayer(2, 1e-06, 2e-06, 8000.0, 2000.0, 0.001,
+                                   0.001, "z"), 0.003),
+                "force_two_body", 1e-29, (0.001, 0.1)),
+             _log(1e-08, 0.0001, 4)),
+        ],
+        simulation=SimConfig(5e-06, 4096, 3, 7, "oscillator", 512),
+        quadrature=QuadratureSpec(1e-08, 1e-60, 100000, 9.0)),
+    "free_particle": dict(
+        geometry=CANTILEVER_SPHERE, collapse=COLLAPSE, optomech=None,
+        omega_grid=None, experiments=[],
+        simulation=SimConfig(4.9999999999999996e-06, 1024, 4, 9,
+                             "free_particle"),
+        quadrature=QuadratureSpec(1e-07, 0.0, 50000000, 8.0)),
+    "cantilever_sphere": dict(
+        geometry=CANTILEVER_SPHERE, collapse=COLLAPSE,
+        optomech=OptomechConfig(1e-12, 18849.55592153876, 100.0, 0.1,
+                                1000000.0, 0.0, 0.0, 0.0),
+        omega_grid=_log(100.0, 1000000.0, 200),
+        experiments=[
+            (ExperimentRecord("cantilever_sphere", CANTILEVER_SPHERE,
+                              "force", 1e-37,
+                              (18221.2373908208, 19477.874452256718)),
+             _log(1e-09, 0.0001, 100)),
+        ],
+        simulation=SimConfig(4.9999999999999996e-06, 65536, 8, 12345,
+                             "oscillator"),
+        quadrature=DEFAULT_QUADRATURE),
+    "cylinder_rotational": dict(
+        geometry=None, collapse=None, optomech=None, omega_grid=None,
+        experiments=[
+            (ExperimentRecord(
+                "cylinder_rotational",
+                Cylinder(1e-14, 1.0000000000000001e-07,
+                         1.0000000000000002e-06, axis=(0.0, 0.0, 1.0)),
+                "temperature_shift", 0.001,
+                (62831.85307179586, 188495.55921538756), d_phi=0.001),
+             _log(1e-09, 9.999999999999999e-06, 100)),
+        ],
+        simulation=None, quadrature=DEFAULT_QUADRATURE),
+    "space_two_body": dict(
+        geometry=None, collapse=None, optomech=None, omega_grid=None,
+        experiments=[
+            (ExperimentRecord(
+                "space_two_body",
+                TwoBody(Cuboid(1.96, 0.046, 0.046, 0.046), 2500000000.0),
+                "force_two_body", 1e-29, (0.001, 0.1)),
+             _log(1e-09, 0.001, 120)),
+        ],
+        simulation=None, quadrature=DEFAULT_QUADRATURE),
+}
 
 # each config's conversions, in the order parse_inputs echoes them
 CONVERSIONS = {
@@ -401,17 +483,25 @@ CONVERSIONS = {
 }
 
 
+def _grid(grid):
+    return None if grid is None else grid.tolist()
+
+
 @pytest.mark.parametrize("name", sorted(CONVERSIONS))
 def test_canonical_text_and_conversions_are_pinned(name):
-    """The serialized text is the file under tests/canonical/, and the
+    """Each config text parses to its PARSED values, bit for bit, and its
     conversions are echoed word for word."""
     text = {"every_section": EVERY_SECTION,
             "free_particle": FREE_PARTICLE}.get(name)
     if text is None:
         text = (CONFIGS / f"{name}.ini").read_text()
     inputs = parse_inputs(text)
-    assert serialize_inputs(inputs) == \
-        (CANONICAL / f"{name}.ini").read_text()
+    assert dict(
+        geometry=inputs.geometry, collapse=inputs.collapse,
+        optomech=inputs.optomech, omega_grid=_grid(inputs.omega_grid),
+        experiments=[(rec, _grid(grid)) for rec, grid in inputs.experiments],
+        simulation=inputs.simulation, quadrature=inputs.quadrature,
+    ) == PARSED[name]
     assert inputs.conversions == CONVERSIONS[name]
 
 
@@ -419,32 +509,39 @@ def test_simulation_mode_is_parsed():
     assert parse_inputs(FREE_PARTICLE).simulation.mode == "free_particle"
 
 
-@pytest.mark.parametrize("axis", [
-    (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
-    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)],
+CYLINDER = """
+[geometry]
+type = cylinder
+mass_kg = 1e-14
+radius_m = 1e-7
+length_m = 1e-6
+axis = {word}
+
+[collapse]
+lambda_per_s = 1e-16
+rc_m = 1e-7
+"""
+
+
+@pytest.mark.parametrize("word, axis", [
+    ("x", (1.0, 0.0, 0.0)), ("x", (-1.0, 0.0, 0.0)),
+    ("y", (0.0, 1.0, 0.0)), ("y", (0.0, -1.0, 0.0)),
+    ("z", (0.0, 0.0, 1.0)), ("z", (0.0, 0.0, -1.0))],
     ids=["x", "-x", "y", "-y", "z", "-z"])
-def test_principal_axis_cylinder_roundtrips(axis, tmp_path):
-    """A cylinder along any of the six +- principal axes serializes as its
-    principal axis; the loaded body has the same force and torque
-    spectra, bit for bit."""
-    inputs = parse_inputs(BASIC)
-    g = Cylinder(1e-14, 1e-7, 1e-6, axis=axis)
-    inputs.geometry = g
+def test_principal_axis_cylinder_roundtrips(word, axis, tmp_path):
+    """A config's axis = x, y or z loads as that principal axis, and a
+    cylinder along either sign of it has the loaded body's force and
+    torque spectra, bit for bit."""
     path = tmp_path / "cylinder.ini"
-    path.write_text(serialize_inputs(inputs))
+    path.write_text(CYLINDER.format(word=word))
     _, loaded = load_config(path)
-    assert loaded.geometry.axis == tuple(abs(c) for c in axis)
+    principal = tuple(abs(c) for c in axis)
+    assert loaded.geometry == Cylinder(1e-14, 1e-7, 1e-6, axis=principal)
+    g = Cylinder(1e-14, 1e-7, 1e-6, axis=axis)
     for spectrum in (csl_force_spectrum, csl_torque_spectrum):
         got = spectrum(loaded.geometry, loaded.collapse)
-        want = spectrum(g, inputs.collapse)
+        want = spectrum(g, CollapseParams(1e-16, 1e-7))
         assert (float(got), got.error) == (float(want), want.error)
-
-
-def test_tilted_cylinder_does_not_serialize():
-    inputs = parse_inputs(BASIC)
-    inputs.geometry = Cylinder(1e-14, 1e-7, 1e-6, axis=(1.0, 1.0, 0.0))
-    with pytest.raises(ConfigError, match="principal-axis"):
-        serialize_inputs(inputs)
 
 
 def test_config_hash_is_text_stable():

@@ -8,6 +8,7 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cslbounds import (CollapseParams, Cuboid, Cylinder, Multilayer, Point,
@@ -130,17 +131,19 @@ def test_each_cell_takes_the_route_the_table_names(cell, monkeypatch):
 def test_each_route_returns_two_python_floats(cell):
     """A route returns (value, error) as two Python floats, not numpy
     scalars or a SpectralValue, under both methods where the channel has
-    them."""
+    them, also for parameters given as numpy scalars."""
     cls, channel = cell
     name, route = cslnoise._ROUTES[cell]
     a = A if channel == "two_body" else 0.0
     methods = [True] if channel == "two_body" or name == "pair kernel" \
         else [True, False]
-    for closed_form in methods:
-        result = route(BODIES[cls], channel, P, QuadratureSpec(),
-                       closed_form, a)
-        assert type(result) is tuple and len(result) == 2, closed_form
-        assert all(type(x) is float for x in result), (closed_form, result)
+    for p in (P, CollapseParams(np.float64(1.0), np.float64(1e-6))):
+        for closed_form in methods:
+            result = route(BODIES[cls], channel, p, QuadratureSpec(),
+                           closed_form, a)
+            assert type(result) is tuple and len(result) == 2, closed_form
+            assert all(type(x) is float for x in result), \
+                (p, closed_form, result)
 
 
 def test_spectral_value_made_only_where_a_spectrum_leaves():
