@@ -1534,8 +1534,8 @@ def apply_colored_filter(S, model, omega):
     """Scale a white spectral density by the colored-noise filter."""
     if omega is None:
         raise ValueError("omega required")
-    if np.any(np.asarray(omega) < 0):
-        raise ValueError("omega must be nonnegative")
+    if not np.all(np.asarray(omega) >= 0):   # NaN fails too
+        raise ValueError("omega must be nonnegative and not NaN")
     if model is None:
         return S
     return S * model.filter(omega)
@@ -1546,19 +1546,19 @@ def csl_temperature_shift(S_FF, m, gamma):
 
     gamma = 0 is rejected: the shift diverges without dissipation.
     """
-    if not m > 0:
-        raise ValueError("m must be positive")
-    if not gamma > 0:
+    if not 0 < m < math.inf:
+        raise ValueError(f"m must be finite and positive, got {m!r}")
+    if not 0 < gamma < math.inf:
         raise ValueError("temperature shift diverges as gamma -> 0; "
-                         "gamma must be positive")
+                         f"gamma must be finite and positive, got {gamma!r}")
     return S_FF / (2.0 * m * gamma * CONSTANTS.kB)
 
 
 def csl_temperature_shift_rot(S_rot, D_phi):
     """Rotational analogue: S_rot / (2 kB D_phi), D_phi the rotational
     damping rate."""
-    if not D_phi > 0:
-        raise ValueError("D_phi must be positive")
+    if not 0 < D_phi < math.inf:
+        raise ValueError(f"D_phi must be finite and positive, got {D_phi!r}")
     return S_rot / (2.0 * CONSTANTS.kB * D_phi)
 
 
@@ -1569,8 +1569,8 @@ def free_expansion_spread(p, t):
     The quantum-mechanical spread is the caller's to add.  The per-axis
     collapse share is one third of this term.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     return p.lam * CONSTANTS.hbar ** 2 * t ** 3 / (
         2.0 * CONSTANTS.m0 ** 2 * p.rC ** 2)
 

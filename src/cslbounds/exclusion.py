@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 CHANNELS = ("force", "force_two_body", "torque", "temperature_shift")
+STATUSES = ("ok", "degenerate", "nonconvergent")
 RC_POINTS_PER_DECADE = 50   # the density of default_rc_grid
 
 
@@ -95,7 +96,8 @@ class ExclusionCurve:
     """lambda upper bound per rC grid point.
 
     Points without a bound carry NaN in lambda_ub and errors; the status
-    list says why ("ok", "degenerate", "nonconvergent").
+    list, one word per point, says why ("ok", "degenerate",
+    "nonconvergent").
     """
 
     rCs: np.ndarray
@@ -110,6 +112,13 @@ class ExclusionCurve:
         err = np.asarray(self.errors, dtype=float)
         if not (rCs.shape == lam.shape == err.shape) or rCs.ndim != 1:
             raise ValueError("grid arrays must be equal-length 1D")
+        if len(self.status) != rCs.size:
+            raise ValueError(f"status has {len(self.status)} entries for "
+                             f"{rCs.size} grid points")
+        bad = [s for s in self.status if s not in STATUSES]
+        if bad:
+            raise ValueError(f"status words are {', '.join(STATUSES)}; "
+                             f"got {bad[0]!r}")
         ok = np.array([s == "ok" for s in self.status])
         if np.any(~np.isfinite(lam[ok])) or np.any(lam[ok] <= 0):
             raise ValueError("valid bounds must be positive and finite")

@@ -10,7 +10,8 @@ of the package, and commands that evaluate no Bessel function skip it.
 sinc-style helpers and the two-body averages of 1 - cos carry series
 fallbacks near zero to avoid cancellation.  Each computes its generic
 formula over the whole array in place, then overwrites the small
-arguments with the series (_patch).
+arguments with the series (_patch).  An array of any layout gives, for
+each element, the bits of that element evaluated alone.
 """
 
 from math import factorial
@@ -40,8 +41,8 @@ def _patch(out, x, small, series):
 
     The generic formulas below are evaluated over the whole array, in
     place into out, with their 0/0 at x = 0 silenced; each element then
-    gets the same operations as in a masked np.where evaluation, so the
-    results are bit-identical to it.
+    holds the branch its own mask picks, with the bits it has when
+    evaluated alone as a Python float.
     """
     if small is not None:
         out[small] = series(x[small])

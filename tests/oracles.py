@@ -14,6 +14,10 @@ broadcast_sums evaluates a point lattice's three pair sums by the
 kernels' textbook formulas over full rows of pairs, every ordered pair
 once, and pair_scales gives the scales their errors are measured in:
 the reference for cslnoise's tiled pair sums, which skip far tile pairs.
+
+one_by_one evaluates a special-function kernel at each element of an
+array alone, as a Python float: the reference for the kernel on the
+whole array, whatever its layout.
 """
 
 import functools
@@ -207,3 +211,26 @@ def pair_scales(pos, m, rC):
     r_max = float(np.max(np.hypot(pos[:, 1], pos[:, 2])))
     return {"force": force, "torque": force * r_max * r_max,
             "two_body": force}
+
+
+# ---------------------------------------------------------------------------
+# the special-function kernels, element by element
+
+KERNELS = ("sinc", "sinc_prime", "jinc", "jinc_prime", "sphere_kernel",
+           "one_minus_j0", "ring_cos2_kernel", "shell_cos2_kernel")
+
+
+def one_by_one(kernel, x):
+    """kernel at each element of x alone, as a Python float, in x's
+    shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array([float(kernel(v)) for v in x.ravel().tolist()],
+                    dtype=float).reshape(x.shape)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 != 0.0 and a
+    NaN equals only the same NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype == np.float64 \
+        and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -261,6 +261,27 @@ def test_free_expansion_spread():
     assert r == pytest.approx(8.0, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_derived_quantities_reject_non_finite_inputs(bad):
+    """A NaN or infinite time, mass, damping rate or frequency is
+    rejected, not turned into a NaN or a zero shift."""
+    with pytest.raises(ValueError, match="t must be finite"):
+        free_expansion_spread(GRW, bad)
+    with pytest.raises(ValueError, match="m must be finite"):
+        csl_temperature_shift(1e-40, bad, 0.1)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        csl_temperature_shift(1e-40, 1e-12, bad)
+    with pytest.raises(ValueError, match="D_phi must be finite"):
+        csl_temperature_shift_rot(1e-50, bad)
+    lor = ColoredNoiseModel("lorentzian_cutoff", omega_c=1e4)
+    if bad != np.inf:   # an infinite frequency is filtered to 0
+        for model in (lor, None):
+            with pytest.raises(ValueError, match="omega must be"):
+                apply_colored_filter(2.0, model, np.array([1e3, bad]))
+    else:
+        assert apply_colored_filter(2.0, lor, bad) == 0.0
+
+
 def test_heating_rate_hydrogen_scale():
     rate = heating_rate(Point(CONSTANTS.m0), GRW)
     assert rate == pytest.approx(7.598812437525786e-14, rel=1e-10, abs=0.0)

@@ -112,6 +112,18 @@ def _curve(rCs, lam, status, name="c"):
                                     status, name)
 
 
+@pytest.mark.parametrize("status, match", [
+    (("ok",), "1 entries for 3 grid points"),
+    (("ok",) * 4, "4 entries for 3 grid points"),
+    (("ok", "ok", "maybe"), "got 'maybe'"),
+    (("ok", None, "ok"), "got None")])
+def test_curve_rejects_a_status_that_does_not_fit_its_grid(status, match):
+    """A status of another length than the grid, or with a word other
+    than ok, degenerate and nonconvergent, is rejected at construction."""
+    with pytest.raises(ValueError, match=match):
+        _curve([1e-9, 1e-8, 1e-7], [1.0, 2.0, 3.0], status)
+
+
 def test_combine_rejects_grids_below_the_default_atol():
     """Grids that differ by half their spacing at rC ~ 1e-9 m are
     different grids, although np.allclose's default atol of 1e-8 would

@@ -10,9 +10,9 @@ separations from 1e-2 to 30 times the body.
 
 The rows (kind, kernel) asked of one profile at one rC and separation
 come as one request, whose closed forms share their passes whatever
-kernels the rows mix; each must equal, bit for bit, the same moment
-computed one kind at a time (tests/per_kind_moments.py), and the
-profile data they read is built once per body, never per rC.
+kernels the rows mix; each must equal, bit for bit, the same row asked
+alone (the promise of _profile_moment), and the profile data they read
+is built once per body, never per rC.
 
 The mpmath oracle is written independently of the library's formulas:
 it sums over pairs of layers the four corner values of a mixed second
@@ -33,7 +33,6 @@ import numpy as np
 import pytest
 import scipy.special
 
-import per_kind_moments
 from cslbounds import (CollapseParams, Cuboid, Cylinder, ExperimentRecord,
                        Multilayer, Point, PointLattice, QuadratureSpec,
                        Sphere, TwoBody,
@@ -712,52 +711,56 @@ def switch_cases(seed, count):
     return out
 
 
-def test_one_pass_equals_the_per_kind_moments():
+def lone(prof, rC, s):
+    """Each row of ROWS asked alone, by row."""
+    return {row: cslnoise._closed_moment(prof, (row,), rC, s)[0]
+            for row in ROWS}
+
+
+def test_one_pass_equals_the_lone_rows():
     """Every row of a request that mixes kinds and kernels, in any order,
-    equals the per-kind closed form bit for bit, value and error,
-    through _closed_moment, where a slab's plain M0 and M2 keep their
-    one-slab formula, and a row with no closed form reads None."""
+    equals the same row asked alone bit for bit, value and error,
+    through _closed_moment, and a row with no closed form reads None."""
     rng = np.random.default_rng(24)
     routes = collections.Counter()
     for prof, rC, s in switch_cases(21, 30):
         extent = prof.layer_data.extent
         routes[extent <= rC, s * extent <= rC * rC] += 1
+        alone = lone(prof, rC, s)
         for rows in requests(rng):
-            want = [per_kind_moments._closed_moment(prof, k, rC, h, s)
-                    for k, h in rows]
             got = cslnoise._closed_moment(prof, rows, rC, s)
-            assert hexed(got) == hexed(want), (prof, rC, s, rows)
+            assert hexed(got) == hexed(map(alone.get, rows)), \
+                (prof, rC, s, rows)
     assert len(routes) == 4, routes   # every side of both switches
 
 
-def test_one_pass_disc_equals_the_per_kind_moments():
+def test_one_pass_disc_equals_the_lone_rows():
     """Disc Q0 and Q2 together, in either order, and each alone, at
     x = R^2 / 2rC^2 below and above the Q0 series' 0.1 and past the 2^30
-    where ive gives way to i0e and i1e: bit for bit the per-kind ones.
+    where ive gives way to i0e and i1e: bit for bit each asked alone.
     In requests that mix kernels, at separations 0 and 3R, the plain M0
     and M2 are closed forms everywhere, and M0 and M2 times 1 - cos and
     M1 times sin up to R = 3.5 rC (x = 6.125), each the same alone or
     asked with the others; every other moment is left to quadrature
     (None)."""
     rng = np.random.default_rng(22)
-    R = 1e-6
+    disc = DiscProfile(1e-6)
     xs = np.concatenate([10.0 ** rng.uniform(-4, -1, 6), [0.1],
                          10.0 ** rng.uniform(-1, 3, 6), [2.0 ** 30],
                          10.0 ** rng.uniform(9.5, 12, 4)])
     for x in xs:
-        rC = R / math.sqrt(2.0 * x)
-        for kinds in (("M0", "M2"), ("M2", "M0"), ("M0",), ("M2",)):
-            want = [per_kind_moments._disc_moment(R, k, rC) for k in kinds]
-            assert hexed(cslnoise._disc_moment(
-                DiscProfile(R), [(k, None) for k in kinds], rC, 0.0)) \
-                == hexed(want), (x, kinds)
-        for s in (0.0, 3.0 * R):
+        rC = disc.R / math.sqrt(2.0 * x)
+        for s in (0.0, 3.0 * disc.R):
+            alone = lone(disc, rC, s)
+            if s == 0.0:
+                for kinds in (("M0", "M2"), ("M2", "M0"), ("M0",), ("M2",)):
+                    rows = [(k, None) for k in kinds]
+                    assert hexed(cslnoise._disc_moment(disc, rows, rC, s)) \
+                        == hexed(map(alone.get, rows)), (x, kinds)
             for rows in requests(rng):
-                want = [per_kind_moments._closed_moment(DiscProfile(R), k,
-                                                        rC, h, s)
-                        for k, h in rows]
-                got = cslnoise._closed_moment(DiscProfile(R), rows, rC, s)
-                assert hexed(got) == hexed(want), (x, s, rows)
+                got = cslnoise._closed_moment(disc, rows, rC, s)
+                assert hexed(got) == hexed(map(alone.get, rows)), \
+                    (x, s, rows)
                 closed = sum(k in ("M0", "M2") if h is None else
                              x <= 6.125 and k in CLOSED[h] for k, h in rows)
                 assert sum(m is not None for m in got) == closed, (x, rows)

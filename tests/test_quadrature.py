@@ -12,7 +12,6 @@ import pytest
 import cslbounds
 from cslbounds.quadrature import (NonConvergence, QuadratureSpec,
                                   integrate_1d, integrate_k3)
-import lockstep_reference
 from oracles import angular_average, integrate_ball
 
 
@@ -294,50 +293,56 @@ def test_stacked_row_out_of_budget_raises_its_own_estimate():
     assert stacked.value.error == alone.value.error
 
 
-def hexed(integrate, f, a, b, **kwargs):
-    """integrate's values and errors as float.hex, one pair per row, or
+def hexed(f, a, b, **kwargs):
+    """integrate_1d's values and errors as float.hex, one pair per row, or
     the estimate, error and message of the NonConvergence it raises."""
     try:
-        out = integrate(f, a, b, **kwargs)
+        out = integrate_1d(f, a, b, **kwargs)
     except NonConvergence as exc:
         return exc.estimate.hex(), exc.error.hex(), str(exc)
     return [(v.hex(), e.hex()) for v, e in
             (out if isinstance(out, list) else [out])]
 
 
-def assert_as_lockstep_reference(rows, a, b, **kwargs):
-    """Each row alone and the stack of them give the bits, and raise the
-    NonConvergence bits and messages, of the generator-per-row lockstep
-    (tests/lockstep_reference.py), and make the same integrand calls."""
-    cases = [(g,) for g in rows] + [tuple(rows)]
-    for stack in cases:
-        f = stack[0] if len(stack) == 1 else \
-            lambda x, stack=stack: [g(x) for g in stack]
-        got, want = [], []
-        assert hexed(integrate_1d, counted(f, got), a, b, **kwargs) \
-            == hexed(lockstep_reference.integrate_1d, counted(f, want), a,
-                     b, **kwargs)
-        assert got == want
+def assert_as_lone_rows(rows, a, b, **kwargs):
+    """A stack's lockstep reference is its rows integrated alone: it
+    gives each row's lone bits, or raises the NonConvergence (estimate,
+    error and message) of the first row, in stack order, that fails
+    alone, and makes as many integrand calls as the row with the most
+    calls among the rows up to that one."""
+    lone, calls = [], []
+    for g in rows:
+        points = []
+        lone.append(hexed(counted(g, points), a, b, **kwargs))
+        calls.append(len(points))
+    failing = [r for r, got in enumerate(lone) if isinstance(got, tuple)]
+    last = failing[0] if failing else len(rows) - 1
+    points = []
+    stacked = hexed(counted(lambda x: [g(x) for g in rows], points), a, b,
+                    **kwargs)
+    assert stacked == (lone[last] if failing else
+                       [pair for got in lone for pair in got])
+    assert len(points) == max(calls[:last + 1])
 
 
 def test_stack_matches_lockstep_reference():
-    assert_as_lockstep_reference(STACK, 0.0, 6.0, rel_tol=1e-11,
-                                 max_panel_width=2.0)
+    assert_as_lone_rows(STACK, 0.0, 6.0, rel_tol=1e-11,
+                        max_panel_width=2.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_seeded_stacks_match_lockstep_reference(seed):
     rows, rel_tol = seeded_stack(seed)
-    assert_as_lockstep_reference(rows, 0.0, 6.0, rel_tol=rel_tol,
-                                 max_panel_width=2.0)
+    assert_as_lone_rows(rows, 0.0, 6.0, rel_tol=rel_tol,
+                        max_panel_width=2.0)
 
 
 @pytest.mark.parametrize("rows", [
     (KINK, FAST_FAIL), (KINK, NAN_ROW), (SLOW_FAIL, FAST_FAIL),
     (KINK, SLOW_FAIL, FAST_FAIL), (NAN_ROW, KINK)])
 def test_failing_stacks_match_lockstep_reference(rows):
-    assert_as_lockstep_reference(rows, 0.0, 6.0, rel_tol=1e-12,
-                                 max_evals=3000, max_panel_width=2.0)
+    assert_as_lone_rows(rows, 0.0, 6.0, rel_tol=1e-12,
+                        max_evals=3000, max_panel_width=2.0)
 
 
 def test_step_into_one_ulp_panels_matches_lockstep_reference():
@@ -349,8 +354,8 @@ def test_step_into_one_ulp_panels_matches_lockstep_reference():
     ulp = float(np.spacing(c))
     step = lambda x: np.where(x < c, 0.0, 1.0)
     rows = (step, lambda x: np.exp(-x), lambda x: 2.0 - step(x))
-    assert_as_lockstep_reference(rows, c - 8 * ulp, c + 8 * ulp,
-                                 rel_tol=1e-300, max_evals=20000)
+    assert_as_lone_rows(rows, c - 8 * ulp, c + 8 * ulp,
+                        rel_tol=1e-300, max_evals=20000)
     nodes = []
     with pytest.raises(NonConvergence, match="20025 evaluations"):
         integrate_1d(lambda x: nodes.append(x) or step(x), c - 8 * ulp,
@@ -364,13 +369,13 @@ def test_step_into_one_ulp_panels_matches_lockstep_reference():
 def test_panel_width_partitions_match_lockstep_reference(a, b, width):
     """1 to 4096 first panels, the last at the cap; on a 4-ulp span the
     4096 first panels are mostly zero-width, their lo tied."""
-    assert_as_lockstep_reference(STACK, a, b, rel_tol=1e-12,
-                                 max_panel_width=width)
+    assert_as_lone_rows(STACK, a, b, rel_tol=1e-12,
+                        max_panel_width=width)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
 def test_empty_interval_matches_lockstep_reference(a, b):
-    assert_as_lockstep_reference(STACK, a, b)
+    assert_as_lone_rows(STACK, a, b)
 
 
 def test_empty_interval_integrates_every_row_to_zero():

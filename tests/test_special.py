@@ -1,6 +1,7 @@
 """Dual-route checks of the small special-function kernels."""
 
 import ast
+import functools
 import math
 import subprocess
 import sys
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-import masked_special as masked
 from cslbounds import special
 from cslbounds.special import (bessel_j1, jinc, jinc_prime, one_minus_j0,
                                ring_cos2_kernel, shell_cos2_kernel, sinc,
                                sinc_prime, sphere_kernel)
+from oracles import KERNELS, one_by_one, same_bits
 
 
 def j1_series(x, terms=40):
@@ -122,38 +123,29 @@ def test_sphere_kernel_finite_and_quiet_at_huge_arguments():
         assert np.all(np.abs(got) <= 3.0 / us / us)
 
 
-def test_sphere_kernel_bits_unchanged_below_1e100():
-    """On 10^5 log-spaced u in [1e-8, 1e12], past every argument the
-    library reaches, and just below 1e100, where the large-argument form
-    takes over, the kernel is its masked series-and-formula form bit for
-    bit."""
-    u = np.append(np.logspace(-8.0, 12.0, 100_000), np.nextafter(1e100, 0.0))
-    with np.errstate(over="ignore"):   # the masked form's series at 1e100
-        want = masked.sphere_kernel(u)
-    assert masked.same_bits(sphere_kernel(u), want)
-
-
-def _mp_kernels():
+@functools.lru_cache(maxsize=None)
+def _mp_kernels_at(a):
+    """Each kernel at x = a > 0 from its defining formula in mpmath, at
+    50 digits plus four per decade of a below 1: the shell kernel, with
+    j0 = sinc and j2 = sphere_kernel - sinc, cancels x^2 twice."""
     import mpmath as mp
-    half = mp.mpf(1) / 2
-    return mp, {
-        one_minus_j0: lambda x: 1 - mp.besselj(0, x),
-        ring_cos2_kernel: lambda x: half - mp.besselj(0, x)
-        + mp.besselj(1, x) / x,
-        # j0 = sin x / x, j2 = sqrt(pi / 2x) J_{5/2}(x)
-        shell_cos2_kernel: lambda x: 1 - mp.sin(x) / x
-        + 2 * mp.sqrt(mp.pi / (2 * x)) * mp.besselj(mp.mpf(5) / 2, x),
-    }
+    with mp.workdps(50 + int(max(0.0, -4.0 * math.log10(a)))):
+        x = mp.mpf(a)
+        sin, cos, j0, j1 = mp.sin(x), mp.cos(x), mp.besselj(0, x), \
+            mp.besselj(1, x)
+        sinc, sphere = sin / x, 3 * (sin - x * cos) / x ** 3
+        return dict(zip(KERNELS, map(float, (
+            sinc, (cos - sinc) / x, 2 * j1 / x, 2 * (x * j0 - 2 * j1) / x / x,
+            sphere, 1 - j0, 1 / mp.mpf(2) - j0 + j1 / x,
+            1 - 3 * sinc + 2 * sphere))))
 
 
 @pytest.mark.parametrize("name", ["one_minus_j0", "ring_cos2_kernel",
                                   "shell_cos2_kernel"])
 def test_small_argument_kernels_match_mpmath(name):
     """Each kernel against 50-digit mpmath on both sides of its series
-    switch at |x| = 1, from deep in the series range to large x.  The
-    oracle's working precision grows with the cancellation, x^-2."""
-    mp, oracles = _mp_kernels()
-    kernel = {f.__name__: f for f in oracles}[name]
+    switch at |x| = 1, from deep in the series range to large x."""
+    kernel = getattr(special, name)
     rng = np.random.default_rng(["one_minus_j0", "ring_cos2_kernel",
                                  "shell_cos2_kernel"].index(name))
     xs = np.concatenate([
@@ -161,16 +153,15 @@ def test_small_argument_kernels_match_mpmath(name):
         1.0 + rng.uniform(-0.05, 0.05, 100),
         [1.0, np.nextafter(1.0, 0.0), 1e-150, 0.5, 2.0]])
     got = kernel(xs)
-    for x, g in zip(xs, got):
-        with mp.workdps(50 + int(max(0.0, -2.0 * math.log10(x)))):
-            want = oracles[kernel](mp.mpf(float(x)))
+    for x, g in zip(xs.tolist(), got):
+        want = _mp_kernels_at(x)[name]
         assert abs(g - want) <= 1e-14 * abs(want), (x, g, want)
     assert np.array_equal(kernel(-xs), got)
     assert kernel(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# in-place kernels against their masked np.where form (masked_special.py)
+# the kernels on arrays: their masked form, bit for bit, and truth
 
 def _probe_arguments(seed):
     """Exact zeros, both sides of every series switch (1e-4, 1e-3, 1),
@@ -189,30 +180,95 @@ def _probe_arguments(seed):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", masked.KERNELS)
+@pytest.mark.parametrize("name", KERNELS)
 def test_kernels_bit_identical_to_masked_form(name):
-    new, masked_form = getattr(special, name), getattr(masked, name)
-
-    def old(x):
-        # the masked form also sums its series at large x, where x^4
-        # overflows; the in-place kernels warn about nothing here
-        with np.errstate(over="ignore"):
-            return masked_form(x)
-
-    x = _probe_arguments(masked.KERNELS.index(name))
-    assert masked.same_bits(new(x), old(x))
+    """A kernel's masked form is each element evaluated alone, as a
+    Python float, on the branch its own mask picks (the series below the
+    switch, the formula above): an array of 0 to 2 dimensions, C-ordered
+    or transposed, gives those bits, and so do numpy scalars."""
+    kernel = getattr(special, name)
+    x = _probe_arguments(KERNELS.index(name))
     grid = x[:600].reshape(20, 30)
-    assert masked.same_bits(new(grid), old(grid))
-    assert masked.same_bits(new(grid.T), old(grid.T))   # strided
+    for arr in (x, grid, grid.T):   # the transpose is strided
+        assert same_bits(kernel(arr), one_by_one(kernel, arr))
     for v in (0.0, -0.0, 1e-4, np.nextafter(1e-4, 0.0), 1e-3, 1.0, -2.5,
               1e6):
-        assert masked.same_bits(new(v), old(v)), v
-        assert masked.same_bits(new(np.float64(v)), old(np.float64(v))), v
-        assert masked.same_bits(new(np.array(v)), old(np.array(v))), v
+        for arg in (np.float64(v), np.array(v)):
+            assert same_bits(kernel(arg), one_by_one(kernel, v)), v
+
+
+# (switch, {power: coefficient}) of each kernel's series below |x| < switch
+SERIES = {
+    "sinc": (1e-4, {0: 1.0, 2: 1 / 6, 4: 1 / 120}),
+    "sinc_prime": (1e-4, {1: 1 / 3, 3: 1 / 30}),
+    "jinc": (1e-4, {0: 1.0, 2: 1 / 8, 4: 1 / 192}),
+    "jinc_prime": (1e-4, {1: 1 / 4, 3: 1 / 48}),
+    "sphere_kernel": (1e-3, {0: 1.0, 2: 1 / 10, 4: 1 / 280}),
+    "one_minus_j0": (1.0, {2 * k: 1 / (math.factorial(k) ** 2 * 4 ** k)
+                           for k in range(1, 11)}),
+    "ring_cos2_kernel": (1.0, {2 * k: (k + 0.5) / (
+        math.factorial(k) * math.factorial(k + 1) * 4 ** k)
+        for k in range(1, 11)}),
+    "shell_cos2_kernel": (1.0, {2 * k: 6 * (k + 1) * (2 * k + 1)
+                                / math.factorial(2 * k + 3)
+                                for k in range(1, 11)}),
+}
+# c of each kernel's bound, c eps times its summed term magnitudes:
+# twice the largest ratio on the probe arguments, 1.0 (sphere_kernel 2.0)
+ACCURACY = {"sinc": 2, "sinc_prime": 2, "jinc": 2, "jinc_prime": 2,
+            "sphere_kernel": 4, "one_minus_j0": 2, "ring_cos2_kernel": 2,
+            "shell_cos2_kernel": 2}
+
+
+def _kernel_terms(name, a):
+    """The summed magnitudes of the terms of the kernel's formula at
+    |x| = a: its series below the switch, else its generic formula
+    (sphere_kernel's from 1e100 on).  scipy's J0 and J1 count 1 up to 5,
+    where they are rational forms, and above sqrt(2 / pi a) (1 + a): the
+    asymptotic form's amplitude, and its phase a - (2n + 1) pi / 4,
+    whose rounding grows with a."""
+    s, c = np.abs(np.sin(a)), np.abs(np.cos(a))
+    b = np.where(a <= 5.0, 1.0, np.sqrt(2.0 / (np.pi * a)) * (1.0 + a))
+    sphere = np.where(a < 1e100, 3 * (s + a * c) / a ** 3,
+                      3 * (s / a + c) / a / a)
+    formula = {"sinc": s / a, "sinc_prime": (c + s / a) / a,
+               "jinc": 2 * b / a, "jinc_prime": 2 * (a + 2) * b / (a * a),
+               "sphere_kernel": sphere, "one_minus_j0": 1 + b,
+               "ring_cos2_kernel": 0.5 + b + b / a,
+               "shell_cos2_kernel": 1 + 3 * s / a + 2 * sphere}[name]
+    switch, series = SERIES[name]
+    return np.where(a < switch, sum(c * a ** p for p, c in series.items()),
+                    formula)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernels_match_mpmath(name):
+    """Each kernel within c eps of 50-digit mpmath on the probe arguments,
+    eps times the summed magnitudes of its formula's terms (ACCURACY);
+    the sphere kernel also on log-spaced u up to 1e12, past every
+    argument the library reaches, and just below 1e100, where its
+    large-argument form takes over.  At x = 0 each is its limit."""
+    x = _probe_arguments(0)
+    if name == "sphere_kernel":
+        x = np.concatenate([x, np.logspace(-8.0, 12.0, 401),
+                            [np.nextafter(1e100, 0.0)]])
+    got = getattr(special, name)(x)
+    odd = name in ("sinc_prime", "jinc_prime")
+    want = np.array([_mp_kernels_at(abs(v))[name] * (-1.0 if odd and v < 0
+                                                     else 1.0)
+                     if v else float(name in ("sinc", "jinc",
+                                              "sphere_kernel"))
+                     for v in x.tolist()])
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = ACCURACY[name] * 2.0 ** -52 * _kernel_terms(name, a)
+    bound[a == 0.0] = 0.0
+    assert np.all(np.abs(got - want) <= bound), \
+        np.max(np.abs(got - want) / bound)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", masked.KERNELS)
+@pytest.mark.parametrize("name", KERNELS)
 def test_kernels_warn_nothing_at_zero(name):
     """The generic formulas divide 0 by 0 at x = 0 before the series
     replaces them; that stays silent even when warnings are errors."""
@@ -233,9 +289,9 @@ def test_shell_kernel_quiet_past_sphere_kernel_overflow():
 def test_kernels_leave_their_argument_alone():
     x = _probe_arguments(99)
     before = x.copy()
-    for name in masked.KERNELS:
+    for name in KERNELS:
         getattr(special, name)(x)
-    assert masked.same_bits(x, before)
+    assert same_bits(x, before)
 
 
 # ---------------------------------------------------------------------------
