@@ -253,15 +253,15 @@ def _cmd_pointcheck(args, text, inputs):
     checks.append(("point-mass force PSD quadrature vs closed form",
                    ok, detail))
 
-    # 2. free-expansion spread: the collapse term must equal
-    # lambda hbar^2 t^3 / (2 m0^2 rC^2)
-    t = 1.0
-    got = free_expansion_spread(p, t)
-    want = p.lam * CONSTANTS.hbar ** 2 * t ** 3 / (2.0 * CONSTANTS.m0 ** 2
-                                                   * p.rC ** 2)
-    ok = got == want if want == 0.0 else abs(got - want) / want < 1e-12
+    # 2. free-expansion spread: S t^3 / m0^2 for a free point under the
+    # force PSD S, at t = 1 s and at 10 s, where the power of t shows
+    S = float(csl_force_spectrum(g, p))
+    got = [free_expansion_spread(p, t) for t in (1.0, 10.0)]
+    want = [S * t ** 3 / CONSTANTS.m0 ** 2 for t in (1.0, 10.0)]
+    ok = all(x == y if y == 0.0 else abs(x - y) / y < 1e-12
+             for x, y in zip(got, want))
     checks.append(("free-expansion cubic spread coefficient", ok,
-                   f"{got:.6e} m^2 at t = 1 s"))
+                   f"{got[0]:.6e} m^2 at t = 1 s"))
 
     # 3. hydrogen-scale heating rate at the conventional reference values
     ref = CollapseParams(GRW_LAMBDA, GRW_RC)

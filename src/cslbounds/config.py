@@ -211,9 +211,7 @@ _SIMULATION = (("dt", "dt", _TIME),
                 "oscillator"),
                ("nperseg", "nperseg", int, None))
 _QUADRATURE = (("rel_tol", "rel_tol", _NONE, 1e-6),
-               ("abs_tol", "abs_tol", _NONE, 0.0),
-               ("max_evals", "max_evals", int, 50_000_000),
-               ("cutoff_factor", "cutoff_factor", _NONE, 8.0))
+               ("max_evals", "max_evals", int, 50_000_000))
 
 
 def _colored(values):

@@ -40,7 +40,7 @@ from .constants import CONSTANTS
 from .geometry import (AxisProfile, Cuboid, Cylinder, DiscProfile,
                        Multilayer, Point, PointLattice, Sphere, TwoBody,
                        _check_positive)
-from .quadrature import QuadratureSpec, integrate_1d, integrate_k3
+from .quadrature import K_CUTOFF, QuadratureSpec, integrate_1d, integrate_k3
 from .special import (bessel_j1, one_minus_j0, ring_cos2_kernel,
                       shell_cos2_kernel, sphere_kernel)
 from .special import sinc  # noqa: F401  perfbench's tracer test wraps it here
@@ -1115,13 +1115,14 @@ def _profile_moment(prof, rows, rC, spec, closed_form=True, s=0.0,
     _disc_kernel_moment), each pass evaluating its edge terms, central
     moments and pair sums, Hermite table or Laguerre set-up once per
     request.  Every other row, and every row when closed_form is unset
-    (the oracle route), is a 1D quadrature over k >= 0 of twice the
-    integrand, with an absolute target of at least abs_tol for moments
-    that change sign; a NonConvergence it raises
-    carries the whole moment's estimate and error.  The quadrature rows
-    of a request are one stacked integrate_1d call, in request order: at
-    each node the transform, its derivative, each kernel and the
-    Gaussian weight are evaluated once for all of them.
+    (the oracle route), is a 1D quadrature of twice the integrand over
+    0 <= k <= K_CUTOFF / rC to spec's rel_tol, with the absolute target
+    abs_tol, which only a sine row of a tilted cylinder two-body sets;
+    a NonConvergence it raises carries the whole moment's estimate and
+    error.  The quadrature rows of a request are one stacked
+    integrate_1d call, in request order: at each node the transform,
+    its derivative, each kernel and the Gaussian weight are evaluated
+    once for all of them.
     """
     out = _closed_moment(prof, rows, rC, s) if closed_form \
         else [None] * len(rows)
@@ -1174,9 +1175,8 @@ def _profile_moment(prof, rows, rC, spec, closed_form=True, s=0.0,
             return vals
 
         for i, moment in zip(rest, integrate_1d(
-                integrand, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
-                max(spec.abs_tol, abs_tol), spec.max_evals,
-                max_panel_width=np.pi / max(prof.length, s))):
+                integrand, 0.0, K_CUTOFF / rC, spec.rel_tol, abs_tol,
+                spec.max_evals, max_panel_width=np.pi / max(prof.length, s))):
             out[i] = moment
     return out
 
@@ -1274,11 +1274,11 @@ def _radial_force(body, channel, p, spec, closed_form, a):
     rC = p.rC
 
     def f3(k):
-        mu = body.m * sphere_kernel(k * R) if R else np.full_like(k, body.m)
+        mu = body.m * sphere_kernel(k * R)
         return mu * mu * k * k / 3.0 * np.exp(-(k * rC) ** 2)
 
     val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
-                            oscillation_scale=2.0 * R or None)
+                            oscillation_scale=2.0 * R)
     pref = _prefactor(p)
     return pref * val, pref * err
 

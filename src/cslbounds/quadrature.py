@@ -35,35 +35,31 @@ __all__ = [
 ]
 
 
+# The k integrals stop at |k| = K_CUTOFF / rC: every integrand carries the
+# weight e^{-k^2 rC^2}, so the dropped Gaussian tail is below e^{-64}.
+K_CUTOFF = 8.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation for the k-space integrals.
-
-    cutoff_factor sets the radial truncation |k| <= cutoff_factor / rC;
-    at the default 8 the discarded Gaussian tail is below e^{-64}.
+    """Relative target and evaluation budget of every 1D quadrature: a
+    sphere's force and two-body, the cylinder torque, a cylinder
+    two-body's disc kernels past R = 3.5 rC and every moment under
+    method="quadrature".  Closed forms ignore it.  rel_tol must be
+    positive and finite and max_evals at least 15, one panel.
     """
 
     rel_tol: float = 1e-6
-    abs_tol: float = 0.0
     max_evals: int = 50_000_000
-    cutoff_factor: float = 8.0
 
     def __post_init__(self):
-        _check_budget(self.rel_tol, self.abs_tol, self.max_evals)
-        if not 5 <= self.cutoff_factor < math.inf:
-            raise ValueError("cutoff_factor must be finite and at least 5; "
-                             "below 5 truncates the Gaussian tail too "
-                             "aggressively")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite, got "
+                             f"{self.rel_tol!r}")
+        _check_evals(self.max_evals)
 
 
-def _check_budget(rel_tol, abs_tol, max_evals):
-    """Raise ValueError unless both tolerances are finite and nonnegative,
-    one of them positive, and max_evals is finite and at least 15."""
-    if not all(0 <= t < math.inf for t in (rel_tol, abs_tol)):
-        raise ValueError("rel_tol and abs_tol must be finite and "
-                         "nonnegative")
-    if not (rel_tol > 0 or abs_tol > 0):
-        raise ValueError("need rel_tol > 0 or abs_tol > 0")
+def _check_evals(max_evals):
     if not 15 <= max_evals < math.inf:
         raise ValueError("max_evals must be finite and at least 15, "
                          "one panel")
@@ -151,11 +147,17 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     value, once every row before it has converged.
 
     The bounds must be finite, and an empty or reversed interval
-    integrates to 0; bad bounds, tolerances (the rule of QuadratureSpec),
-    max_evals or a max_panel_width that is not positive raise
-    ValueError.
+    integrates to 0; bad bounds, a tolerance that is negative or not
+    finite, both tolerances 0, a max_evals that QuadratureSpec rejects
+    or a max_panel_width that is not positive raise ValueError.  A row's
+    target is the larger of abs_tol and rel_tol times its value.
     """
-    _check_budget(rel_tol, abs_tol, max_evals)
+    if not all(0 <= t < math.inf for t in (rel_tol, abs_tol)):
+        raise ValueError("rel_tol and abs_tol must be finite and "
+                         "nonnegative")
+    if not (rel_tol > 0 or abs_tol > 0):
+        raise ValueError("need rel_tol > 0 or abs_tol > 0")
+    _check_evals(max_evals)
     if not all(math.isfinite(x) for x in (a, b, b - a)):
         raise ValueError("bounds and b - a must be finite, got "
                          f"[{a!r}, {b!r}]")
@@ -240,10 +242,9 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
                 # split every panel carrying more than its per-panel error
                 # share, in lo order
                 thresh = 0.5 * target / len(vals)
+                # never empty: unconverged, the largest error is over
+                # tot_err / n > thresh, or over 0 = thresh when target is 0
                 split = list(compress(count(), map(gt, errs, repeat(thresh))))
-                if not split:
-                    split = list(compress(count(),
-                                          map(max(errs).__eq__, errs)))
                 split.sort(key=p_lo.__getitem__)
                 s_lo = list(map(p_lo.__getitem__, split))
                 s_hi = list(map(p_hi.__getitem__, split))
@@ -269,10 +270,10 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
 
 def integrate_k3(f, rC, spec=None, symmetry="isotropic",
                  oscillation_scale=None):
-    """Integrate an isotropic integrand over the ball |k| <= cutoff_factor
-    / rC: 4 pi int k^2 f(k) dk, with f(k) its full angular average at
-    radius k.  "isotropic" is the only symmetry; any other tag is a
-    ValueError.
+    """Integrate an isotropic integrand over the ball |k| <= K_CUTOFF / rC:
+    4 pi int k^2 f(k) dk, with f(k) its full angular average at radius
+    k, to spec's rel_tol within its max_evals (no absolute target).
+    "isotropic" is the only symmetry; any other tag is a ValueError.
 
     oscillation_scale: largest body dimension L; radial panels are then
     started at half the period of the fastest sin(kL/2)^2 factor (none
@@ -298,5 +299,5 @@ def integrate_k3(f, rC, spec=None, symmetry="isotropic",
     def radial(k):
         return 4.0 * np.pi * k * k * np.asarray(f(k), dtype=float)
 
-    return integrate_1d(radial, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
-                        spec.abs_tol, spec.max_evals, max_panel_width=width)
+    return integrate_1d(radial, 0.0, K_CUTOFF / rC, spec.rel_tol,
+                        max_evals=spec.max_evals, max_panel_width=width)

@@ -1,7 +1,7 @@
 """The generic 3D k-space quadrature: an oracle for the reduced routes.
 
 integrate_ball integrates f(kx, ky, kz) over the ball |k| <=
-cutoff_factor / rC, with no symmetry assumed: an adaptive radial
+K_CUTOFF / rC, with no symmetry assumed: an adaptive radial
 integral (cslbounds.quadrature.integrate_1d) of angular averages from a
 Gauss-Legendre x periodic-trapezoid product rule whose order is doubled
 until converged.  force, two_body and torque evaluate the three spectra
@@ -28,7 +28,7 @@ import numpy as np
 from cslbounds import (Cuboid, Cylinder, Multilayer, PointLattice,
                        QuadratureSpec, Sphere, cslnoise)
 from cslbounds.geometry import form_factor, form_factor_angular_derivative
-from cslbounds.quadrature import NonConvergence, integrate_1d
+from cslbounds.quadrature import K_CUTOFF, NonConvergence, integrate_1d
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,7 +77,7 @@ def angular_average(f, r, rel_tol):
 
 
 def integrate_ball(f, rC, spec=None, oscillation_scale=None):
-    """Integrate f(kx, ky, kz) over the ball |k| <= cutoff_factor / rC.
+    """Integrate f(kx, ky, kz) over the ball |k| <= K_CUTOFF / rC.
 
     oscillation_scale: largest body dimension L; radial panels are then
     started at half the period of the fastest sin(kL/2)^2 factor.
@@ -92,8 +92,8 @@ def integrate_ball(f, rC, spec=None, oscillation_scale=None):
     def radial(k):
         return 4.0 * np.pi * k * k * angular_average(f, k, spec.rel_tol)
 
-    return integrate_1d(radial, 0.0, spec.cutoff_factor / rC, spec.rel_tol,
-                        spec.abs_tol, spec.max_evals, max_panel_width=width)
+    return integrate_1d(radial, 0.0, K_CUTOFF / rC, spec.rel_tol,
+                        max_evals=spec.max_evals, max_panel_width=width)
 
 
 def size(g):

@@ -227,13 +227,19 @@ def test_exclusion_combined_curve(tmp_path):
             "name = demo", "name = demo2")
     conf = write(tmp_path, "c.ini", two)
     out = tmp_path / "out"
-    assert main(["exclusion", "--config", conf, "--out", str(out)]) == 0
+    assert main(["exclusion", "--config", conf, "--svg",
+                 "--out", str(out)]) == 0
     combined = read_rows(out / "exclusion_combined.csv")
     strong = [r for r in read_rows(out / "exclusion.csv")
               if r["experiment"] == "demo"]
     for c, s in zip(combined, strong):
         assert float(c["lambda_ub_per_s"]) == pytest.approx(
             float(s["lambda_ub_per_s"]), rel=1e-12, abs=0.0)
+    # the plot shades each experiment and draws the combined curve
+    root = ET.parse(out / "exclusion.svg").getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}polygon")) == 2
+    assert "combined" in [t.text for t in root.iter(f"{ns}text")]
 
 
 def test_exclusion_no_combined_curve_across_grids(tmp_path):
@@ -309,6 +315,27 @@ def test_missing_section_exit_code(tmp_path):
     conf = write(tmp_path, "c.ini", "[collapse]\nlambda_per_s = 1e-16\n"
                  "rc_m = 1e-7\n")
     assert main(["spectrum", "--config", conf, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, text, code, message", [
+    ("exclusion", SPECTRUM_CONF, 2, "missing required section [experiment]"),
+    ("spectrum", SPECTRUM_CONF.replace("rc_m = 1e-7", "rc_m = 1e-5")
+     + "[quadrature]\nmax_evals = 15\n", 3, "quadrature did not converge"),
+    ("spectrum", SPECTRUM_CONF + "[quadrature]\ncutoff_factor = 8.0\n", 2,
+     "[quadrature] cutoff_factor: unknown key"),
+    ("spectrum", SPECTRUM_CONF + "[quadrature]\nabs_tol = 0.0\n", 2,
+     "[quadrature] abs_tol: unknown key"),
+], ids=["exclusion_without_experiment", "nonconvergent_spectrum",
+        "quadrature_cutoff_factor", "quadrature_abs_tol"])
+def test_exit_code_and_message(tmp_path, capsys, command, text, code,
+                               message):
+    """A missing [experiment] and a key [quadrature] does not have exit 2,
+    and a quadrature out of evaluations exits 3, each naming its cause:
+    at rC = 20 R a sphere's radial integral starts as one panel, which
+    max_evals = 15 does not let it split."""
+    conf = write(tmp_path, "c.ini", text)
+    assert main([command, "--config", conf, "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_unstable_simulation_exit_code(tmp_path):

@@ -282,6 +282,17 @@ def test_derived_quantities_reject_non_finite_inputs(bad):
         assert apply_colored_filter(2.0, lor, bad) == 0.0
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: apply_colored_filter(2.0, None, None), ValueError,
+     "omega required"),
+    (lambda: heating_rate(TwoBody(Point(CONSTANTS.m0), 1e-6), GRW),
+     TypeError, "heating rate of a TwoBody pair is not defined"),
+], ids=["filter_without_omega", "heating_rate_of_a_pair"])
+def test_derived_quantities_reject_missing_or_pair_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_heating_rate_hydrogen_scale():
     rate = heating_rate(Point(CONSTANTS.m0), GRW)
     assert rate == pytest.approx(7.598812437525786e-14, rel=1e-10, abs=0.0)

@@ -124,6 +124,22 @@ def test_curve_rejects_a_status_that_does_not_fit_its_grid(status, match):
         _curve([1e-9, 1e-8, 1e-7], [1.0, 2.0, 3.0], status)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: combine_exclusions([]), "need at least one curve"),
+    (lambda: exclusion.ExclusionCurve(np.array([1e-9, 1e-8]), np.ones(1),
+                                      np.ones(2), ("ok", "ok"), "c"),
+     "grid arrays must be equal-length 1D"),
+    (lambda: _curve([1e-9, 1e-8], [1.0, 0.0], ("ok", "ok")),
+     "valid bounds must be positive and finite"),
+    (lambda: _curve([1e-9, 1e-8], [-1.0, 1.0], ("ok", "degenerate")),
+     "valid bounds must be positive and finite"),
+], ids=["combine_no_curves", "unequal_arrays", "zero_ok_bound",
+        "negative_ok_bound"])
+def test_curve_and_combine_reject_bad_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_combine_rejects_grids_below_the_default_atol():
     """Grids that differ by half their spacing at rC ~ 1e-9 m are
     different grids, although np.allclose's default atol of 1e-8 would

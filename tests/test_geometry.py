@@ -297,6 +297,17 @@ def test_multilayer_takes_an_integer_of_any_type():
     assert g.layers()[0].size == 3
 
 
+@pytest.mark.parametrize("axis", ["w", "X", ""])
+def test_multilayer_rejects_an_unknown_stacking_axis(axis):
+    with pytest.raises(ValueError, match="stacking_axis must be one of"):
+        Multilayer(3, 1e-7, 1e-7, 1.0, 1.0, 1e-6, 1e-6, axis)
+
+
+@pytest.mark.parametrize("unit", [Point(1e-15), Sphere(1e-12, 5e-7)])
+def test_two_body_total_mass_is_both_units(unit):
+    assert TwoBody(unit, 1e-6).total_mass == 2.0 * unit.m
+
+
 @pytest.mark.parametrize("a", [np.nan, np.inf], ids=["nan_a", "inf_a"])
 def test_two_body_rejects_non_finite_separation(a):
     # a NaN or infinite separation would otherwise give a NaN spectrum

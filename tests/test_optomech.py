@@ -14,10 +14,11 @@ import pytest
 import cslbounds
 
 from cslbounds import (CONSTANTS, GRW_LAMBDA, GRW_RC, CollapseParams,
-                       NonPositiveDamping, OptomechConfig, Point, SimConfig,
-                       Sphere, UnstableStep, displacement_dns,
-                       high_temperature_limit_check, read_trajectories,
-                       simulate_langevin, write_trajectories)
+                       ColoredNoiseModel, NoiseSpectrum, NonPositiveDamping,
+                       OptomechConfig, Point, SimConfig, Sphere, UnstableStep,
+                       displacement_dns, high_temperature_limit_check,
+                       read_trajectories, simulate_langevin,
+                       write_trajectories)
 from cslbounds.optomech import (BLOCK, _trajectory_noise, thermal_force_term,
                                 welch)
 
@@ -307,6 +308,35 @@ def test_optomech_config_rejects_non_finite(field, value):
         lorentzian_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: lorentzian_cfg(m=0.0), "m, omega_m, kappa must be positive"),
+    (lambda: lorentzian_cfg(omega_m=-1.0), "m, omega_m, kappa"),
+    (lambda: lorentzian_cfg(kappa=0.0), "m, omega_m, kappa"),
+    (lambda: lorentzian_cfg(gamma_m=-1.0),
+     "gamma_m, T, alpha_sq must be nonnegative"),
+    (lambda: lorentzian_cfg(T=-1.0), "gamma_m, T, alpha_sq"),
+    (lambda: lorentzian_cfg(alpha_sq=-1.0), "gamma_m, T, alpha_sq"),
+    (lambda: NoiseSpectrum(np.ones(3), np.ones(2)),
+     "omegas and values must be equal-length 1D"),
+    (lambda: NoiseSpectrum(np.array([1.0, 1.0]), np.ones(2)),
+     "omegas must be strictly increasing"),
+    (lambda: NoiseSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1e-30])),
+     "spectral densities must be nonnegative"),
+    (lambda: high_temperature_limit_check(lorentzian_cfg(T=0.0), GRW, SPHERE,
+                                          1e3), "high-T check needs T > 0"),
+    (lambda: simulate_langevin(
+        lorentzian_cfg(), CollapseParams(GRW_LAMBDA, GRW_RC, ColoredNoiseModel(
+            "lorentzian_cutoff", 1e4)), SPHERE, SimConfig(1e-6, 100)),
+     "the Monte Carlo validator supports white CSL only"),
+], ids=["zero_m", "negative_omega_m", "zero_kappa", "negative_gamma_m",
+        "negative_T", "negative_alpha_sq", "spectrum_unequal_lengths",
+        "spectrum_repeated_omega", "spectrum_negative_value",
+        "high_t_check_at_zero_T", "simulate_lorentzian"])
+def test_documented_rejections(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf], ids=["nan_dt", "inf_dt"])
 def test_sim_config_rejects_non_finite_dt(dt):
     with pytest.raises(ValueError, match="finite"):
@@ -318,6 +348,7 @@ def test_sim_config_rejects_non_finite_dt(dt):
     ("seed", 1.0, "integer"), ("steps", 100.5, "integer"),
     ("trajectories", 2.0, "integer"), ("steps", "100", "integer"),
     ("nperseg", 64.0, "integer"), ("mode", "ballistic", "mode"),
+    ("steps", 1, "steps >= 2"), ("trajectories", 0, "trajectories >= 1"),
 ])
 def test_sim_config_rejects_bad_seeds_and_counts(field, value, match):
     with pytest.raises(ValueError, match=match):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -59,15 +60,21 @@ def test_nonconvergence_raises_with_estimate():
 
 
 def test_spec_validation():
+    """A spec has a relative target and a budget only: the truncation is
+    K_CUTOFF and an absolute target belongs to one integral, so neither
+    is a field."""
+    assert [f.name for f in fields(QuadratureSpec)] == ["rel_tol",
+                                                          "max_evals"]
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=-1e-6)
-    with pytest.raises(ValueError):
-        QuadratureSpec(cutoff_factor=2.0)
+    for removed in ("cutoff_factor", "abs_tol"):
+        with pytest.raises(TypeError, match=removed):
+            QuadratureSpec(**{removed: 8.0})
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"cutoff_factor": math.inf}, {"cutoff_factor": math.nan},
-    {"abs_tol": -1.0}, {"abs_tol": math.inf}, {"rel_tol": math.inf},
+    {"rel_tol": 0.0}, {"rel_tol": -math.inf}, {"max_evals": 0},
+    {"max_evals": -1}, {"rel_tol": math.inf},
     {"rel_tol": math.nan}, {"max_evals": math.inf}, {"max_evals": math.nan},
     {"max_evals": 14}])
 def test_spec_rejects_non_finite_or_negative(kwargs):
@@ -143,13 +150,15 @@ def test_rough_angular_integrand_raises_nonconvergence():
 
 
 def test_k3_cutoff_insensitivity():
+    """integrate_k3 stops at K_CUTOFF / rC = 8 / rC, and going on to
+    16 / rC moves the value by less than 1e-10."""
     rC = 0.5
     f = lambda k: (k * k / 3.0) * np.exp(-(k * rC) ** 2)
-    v8, _ = integrate_k3(f, rC, QuadratureSpec(cutoff_factor=8.0),
-                         symmetry="isotropic")
-    v16, _ = integrate_k3(f, rC, QuadratureSpec(cutoff_factor=16.0),
-                          symmetry="isotropic")
-    assert abs(v16 - v8) / v8 < 1e-10
+    radial = lambda k: 4.0 * np.pi * k * k * f(k)
+    v8 = integrate_1d(radial, 0.0, 8.0 / rC)
+    assert integrate_k3(f, rC) == v8
+    v16 = integrate_1d(radial, 0.0, 16.0 / rC)
+    assert abs(v16[0] - v8[0]) / v8[0] < 1e-10
 
 
 def test_determinism():
@@ -401,11 +410,13 @@ def test_integrate_1d_rejects_non_finite_bounds(a, b, width):
     {"rel_tol": math.inf}])
 def test_integrate_1d_rejects_tolerances_quadrature_spec_rejects(tols):
     """Negative, NaN or infinite tolerances, or both zero, are a
-    ValueError at once, before any evaluation, as in QuadratureSpec."""
+    ValueError at once, before any evaluation; QuadratureSpec, which
+    has no abs_tol, rejects each such rel_tol too."""
     with pytest.raises(ValueError, match="tol"):
         integrate_1d(np.sin, 0.0, 1.0, **tols)
-    with pytest.raises(ValueError, match="tol"):
-        QuadratureSpec(**tols)
+    if "rel_tol" in tols:
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=tols["rel_tol"])
 
 
 @pytest.mark.parametrize("max_evals", [14, 0, -1, math.nan, math.inf])

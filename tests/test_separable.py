@@ -22,7 +22,7 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
 from cslbounds import cslnoise, geometry
 from cslbounds.cslnoise import SpectralValue, torque_pair_kernel_sum
 from cslbounds.geometry import AxisProfile, BallProfile, DiscProfile
-from cslbounds.quadrature import NonConvergence, integrate_1d
+from cslbounds.quadrature import K_CUTOFF, NonConvergence, integrate_1d
 from cslbounds.special import bessel_j1, one_minus_j0, ring_cos2_kernel
 from lattices import multilayer_lattice
 from oracles import size, torque as oracle_torque, two_body as oracle_two_body
@@ -396,8 +396,8 @@ def test_quadrature_moments_equal_the_elementwise_integrand(case):
         try:
             want = integrate_1d(
                 elementwise_integrand(prof, asked, rC, s), 0.0,
-                spec.cutoff_factor / rC, spec.rel_tol, spec.abs_tol,
-                spec.max_evals, max_panel_width=np.pi / max(prof.length, s))
+                K_CUTOFF / rC, spec.rel_tol, max_evals=spec.max_evals,
+                max_panel_width=np.pi / max(prof.length, s))
         except NonConvergence as exc:
             want = "NonConvergence", exc.estimate, exc.error
         got = moment_or_failure(prof, asked, rC, spec, False, s)

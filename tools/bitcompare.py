@@ -14,6 +14,11 @@ this tree's, then prints every entry whose float.hex or bytes differ:
   output, and each line of every file written (manifest.json without
   its timestamp; a binary file by its SHA-256).
 
+Only src/ comes from REV: both interpreters read this tree's configs/,
+tests/test_routes.py and perfbench/workloads.py.  An edit to a shipped
+config therefore never shows as a difference, and a config that REV
+cannot parse shows as REV's cli exit codes and messages.
+
 An exception is an entry too.  Exits 0 when nothing differs, 1 when
 something does, 2 when REV names no commit or a run fails; the worktree
 is removed in every case.
