@@ -13,9 +13,10 @@ Gaussian pair kernels for points and point lattices; for Cuboid and
 Multilayer (any stacking axis) a product of Gaussian moments of their
 three 1D axis profiles, in force, two-body and torque alike; sums of
 products of the moments of a slab and a disc profile for cylinders at
-any tilt; one moment of a ball profile for the sphere two-body, and one
-radial integral (integrate_k3) for the sphere force.  A route asks each
-profile for every moment it needs in one request to _profile_moment.
+any tilt; and one radial integral (integrate_k3) for the sphere, whose
+two-body is its force's integrand times a direction-averaged kernel.  A
+route asks each profile for every moment it needs in one request to
+_profile_moment.
 Every moment of a slab or layer stack, a disc's M0 and M2, and up to
 R = 3.5 rC its kernel moments, is a closed form, computed by the pass
 function that _closed_pass alone picks: erf/exp sums over pairs of
@@ -23,11 +24,11 @@ layer edges (_axis_edges), their series in 1/rC^2 (_axis_series,
 _shifted_part) or the one-slab formula (_sinc_sq_gauss); e^{-x} I_n(x)
 (_disc_moment) and a Laguerre series (_disc_kernel_moment) for the disc.
 The cylinder torque, the disc kernels of a two-body cylinder past that
-and the sphere two-body stay 1D quadratures.  method="quadrature" runs
-the same route with every moment by 1D quadrature, as a cross-check of
-the closed forms.  No route integrates in more than one dimension; the
-generic 3D quadrature is a test oracle (tests/oracles.py).  README.md
-tabulates the routes.
+and the sphere's radial integral stay 1D quadratures.
+method="quadrature" runs the same route with every moment by 1D
+quadrature, as a cross-check of the closed forms.  No route integrates
+in more than one dimension; the generic 3D quadrature is a test oracle
+(tests/oracles.py).  README.md tabulates the routes.
 """
 
 import math
@@ -1100,14 +1101,12 @@ def _profile_moment(prof, rows, rC, spec, closed_form=True, s=0.0,
 
     kind: "M0", "M1", "M2" int k^n |P|^2, "D0" int |P'|^2 and "C1"
     int k Re(P P'*), each weighted by e^{-k^2 rC^2}.  An AxisProfile is
-    integrated over the whole k line, a DiscProfile over its k plane
-    (int 2 pi k dk, without the factor pi) and a BallProfile over all of
-    k space (int 4 pi k^2 dk, without the factor 2 pi): the weight gains
-    prof.dims - 1 powers of k.  The density is real, so every integrand
-    is even and the imaginary part of P P'* integrates to 0.  A disc's
-    kernel is h averaged over the directions in its plane
-    (_disc_kernel), which takes h = 1 - cos or sin; a ball's h is
-    already its direction average.
+    integrated over the whole k line and a DiscProfile over its k plane
+    (int 2 pi k dk, without the factor pi), with one more power of k.
+    The density is real, so every integrand is even and the imaginary
+    part of P P'* integrates to 0.  A disc's kernel is h averaged over
+    the directions in its plane (_disc_kernel), which takes h = 1 - cos
+    or sin.
 
     When closed_form is set, a row to which _closed_pass gives a pass
     is that closed form (_closed_moment lists them: _sinc_sq_gauss,
@@ -1264,21 +1263,29 @@ def _point_force(body, channel, p, spec, closed_form, a):
 
 def _radial_force(body, channel, p, spec, closed_form, a):
     """One radial integral of the sphere kernel times k^2 / 3, the
-    angular average of k_x^2 (integrate_k3, symmetry "isotropic").
+    angular average of k_x^2, and for a two-body times the direction
+    average of 1 - cos(a k_x) (integrate_k3, symmetry "isotropic"); a
+    saturated two-body is the unit's force.
 
-    Kept bit for bit, although the ball's M2 is the same integral: the
-    shipped cantilever_sphere exclusion reports its error estimate, which
-    the benchmark's cli gate compares at 1e-6 relative (ROADMAP item 1).
+    <k_x^2 (1 - cos a k_x)> over directions is k^2 shell_cos2_kernel(ak)
+    / 3, with panels started at half the period of the faster of the
+    sphere's and the kernel's oscillations.  The force integrand is kept
+    bit for bit: the shipped cantilever_sphere exclusion reports its
+    error estimate, which the benchmark's cli gate compares at 1e-6
+    relative (ROADMAP item 1).
     """
     R = getattr(body, "R", 0.0)   # a Point has none
     rC = p.rC
+    if a >= _saturation_separation(2.0 * R, rC):
+        a = 0.0
 
     def f3(k):
         mu = body.m * sphere_kernel(k * R)
-        return mu * mu * k * k / 3.0 * np.exp(-(k * rC) ** 2)
+        f = mu * mu * k * k / 3.0 * np.exp(-(k * rC) ** 2)
+        return f * shell_cos2_kernel(a * k) if a else f
 
     val, err = integrate_k3(f3, rC, spec, symmetry="isotropic",
-                            oscillation_scale=2.0 * R)
+                            oscillation_scale=max(2.0 * R, a))
     pref = _prefactor(p)
     return pref * val, pref * err
 
@@ -1303,23 +1310,6 @@ def _pair_kernel(body, channel, p, spec, closed_form, a):
 def _zero(body, channel, p, spec, closed_form, a):
     """Exactly 0: the transform depends on |k| only, so no torque."""
     return 0.0, 0.0
-
-
-def _ball_moment(body, channel, p, spec, closed_form, a):
-    """(2 pi / 3) m^2 times one ball moment M2 times the direction
-    average of 1 - cos(a k_x), a 1D quadrature.
-
-    <k_x^2 (1 - cos a k_x)> over directions is k^2 (1 - j0(ak) +
-    2 j2(ak)) / 3; saturated, the kernel is 1 and the moment the
-    single-sphere force.
-    """
-    ball = body.profiles
-    saturated = a >= _saturation_separation(ball.length, p.rC)
-    h, s = (None, 0.0) if saturated else (shell_cos2_kernel, a)
-    [(val, err)] = _profile_moment(ball, (("M2", h),), p.rC, spec,
-                                   closed_form, s)
-    scale = 2.0 * np.pi / 3.0 * body.m * body.m * _prefactor(p)
-    return scale * val, scale * err
 
 
 def _separable(body, channel, p, spec, closed_form, a):
@@ -1443,6 +1433,7 @@ def _cylinder_torque(body, channel, p, spec, closed_form, a):
 _CHANNELS = ("force", "two_body", "torque")
 _PAIR = ("pair kernel", _pair_kernel)
 _ZERO = ("zero", _zero)
+_RADIAL = ("radial", _radial_force)
 _SEPARABLE = ("1D moments", _separable)
 _CYLINDER = ("disc and slab moments", _cylinder)
 # (geometry type, channel) -> (route name, route), written as one row of
@@ -1450,7 +1441,7 @@ _CYLINDER = ("disc and slab moments", _cylinder)
 _ROUTES = {(cls, channel): route for cls, row in {
     Point: (("closed form", _point_force), _PAIR, _ZERO),
     PointLattice: (_PAIR, _PAIR, _PAIR),
-    Sphere: (("radial", _radial_force), ("ball moment", _ball_moment), _ZERO),
+    Sphere: (_RADIAL, _RADIAL, _ZERO),
     Cuboid: (_SEPARABLE, _SEPARABLE, _SEPARABLE),
     Multilayer: (_SEPARABLE, _SEPARABLE, _SEPARABLE),
     Cylinder: (_CYLINDER, _CYLINDER,

@@ -7,12 +7,13 @@ Every geometry is centered at its center of mass and evaluates
 so that mu_tilde(0) equals the total mass.  The angular-derivative
 combination k_y d/dk_z - k_z d/dk_y of mu_tilde, which drives the
 rotational noise about the x axis, is analytic for every shape.
-Each Cuboid, Multilayer, Cylinder and Sphere builds its k-space profiles
-once, as its cached property `profiles`, which its form factor and its
-noise route read.  Cuboid and Multilayer are separable: their transform
-is a product of three 1D axis profiles.  A cylinder's is the product of
-a slab profile along its axis and a disc profile across it, and a
-sphere's is its mass times a ball profile of |k|.
+Each Cuboid, Multilayer and Cylinder builds its k-space profiles once,
+as its cached property `profiles`, which its form factor and its noise
+route read.  Cuboid and Multilayer are separable: their transform is a
+product of three 1D axis profiles.  A cylinder's is the product of a
+slab profile along its axis and a disc profile across it.  A sphere's
+is its mass times sphere_kernel(|k| R): it has no profiles, and its
+route integrates that kernel itself.
 
 All evaluators are pure and accept vectorized k components.
 """
@@ -111,11 +112,6 @@ class Sphere(MassGeometry):
     @property
     def total_mass(self):
         return self.m
-
-    @cached_property
-    def profiles(self):
-        """Its BallProfile: mu_tilde(k) = m P(|k|)."""
-        return BallProfile(self.R)
 
 
 @dataclass(frozen=True)
@@ -432,23 +428,6 @@ class DiscProfile:
         return value, self.R * slope
 
 
-@dataclass(frozen=True)
-class BallProfile:
-    """Transform P(k) = sphere_kernel(kR) of a sphere of radius R over
-    all of k space (dims = 3); length is the diameter.  It has no
-    derivative, as a sphere's torque is zero."""
-
-    dims = 3
-    R: float
-
-    @property
-    def length(self):
-        return 2.0 * self.R
-
-    def transform(self, k):
-        return sphere_kernel(k * self.R)
-
-
 def form_factor(g, k):
     """Fourier transform of the mass density at wavevector k.
 
@@ -466,7 +445,7 @@ def form_factor(g, k):
         return np.full(kx.shape, g.m, dtype=complex)
     if isinstance(g, Sphere):
         k_abs = np.sqrt(kx * kx + ky * ky + kz * kz)
-        return (g.m * g.profiles.transform(k_abs)).astype(complex)
+        return (g.m * sphere_kernel(k_abs * g.R)).astype(complex)
     if isinstance(g, (Cuboid, Multilayer)):
         scale, (px, py, pz) = g.profiles
         val = scale * px.transform(kx) * py.transform(ky) * pz.transform(kz)

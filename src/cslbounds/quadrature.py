@@ -43,10 +43,12 @@ K_CUTOFF = 8.0
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Relative target and evaluation budget of every 1D quadrature: a
-    sphere's force and two-body, the cylinder torque, a cylinder
-    two-body's disc kernels past R = 3.5 rC and every moment under
-    method="quadrature".  Closed forms ignore it.  rel_tol must be
-    positive and finite and max_evals at least 15, one panel.
+    sphere's radial integral, for its force and two-body alike, the
+    cylinder torque, a cylinder two-body's disc kernels past R = 3.5 rC
+    and every moment under method="quadrature".  Closed forms ignore
+    it.  Each integral evaluates its integrand at no more than max_evals
+    nodes (integrate_1d).  rel_tol must be positive and finite and
+    max_evals at least 15, one panel.
     """
 
     rel_tol: float = 1e-6
@@ -140,11 +142,13 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     call of f on all their children serves every row, and each row
     takes its own block of its own values.  A row spends max_evals as if
     alone and its result is the lone one, bit for bit; a stack makes as
-    many calls of f as its row with the most rounds.  Returns
-    (value, error_estimate), or a list of them for a stack; raises
-    NonConvergence with the estimate and error of the first row (in
-    stack order) that runs out of evaluations or meets a NaN or infinite
-    value, once every row before it has converged.
+    many calls of f as its row with the most rounds.  No row takes more
+    than max_evals nodes: the first round has at most max_evals // 15
+    panels, and a row whose next round would take it past max_evals
+    stops before it.  Returns (value, error_estimate), or a list of them
+    for a stack; raises NonConvergence with the estimate and error of
+    the first row (in stack order) that stops so or meets a NaN or
+    infinite value, once every row before it has converged.
 
     The bounds must be finite, and an empty or reversed interval
     integrates to 0; bad bounds, a tolerance that is negative or not
@@ -167,7 +171,8 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
     if span <= 0:   # no panels: every row integrates to 0
         lo = hi = np.empty(0)
     elif max_panel_width is not None and max_panel_width < span:
-        n0 = int(min(np.ceil(span / max_panel_width), 4096))
+        n0 = int(min(np.ceil(span / max_panel_width), 4096,
+                     max_evals // 15))
         edges = np.linspace(a, b, n0 + 1)
         lo, hi = edges[:-1], edges[1:]
     else:
@@ -231,20 +236,22 @@ def integrate_1d(f, a, b, rel_tol=1e-6, abs_tol=0.0, max_evals=50_000_000,
                 if tot_err <= target or target == 0.0 and tot_err == 0.0:
                     results[r] = total, tot_err
                     continue
-                if evals >= max_evals:
-                    failure = NonConvergence(
-                        f"quadrature used {evals} evaluations without "
-                        f"reaching tolerance (error {tot_err:.3e}, target "
-                        f"{target:.3e})", total, tot_err)
-                    break
-                if p_lo is lo:
-                    p_lo, p_hi = lo.tolist(), hi.tolist()
                 # split every panel carrying more than its per-panel error
                 # share, in lo order
                 thresh = 0.5 * target / len(vals)
                 # never empty: unconverged, the largest error is over
                 # tot_err / n > thresh, or over 0 = thresh when target is 0
                 split = list(compress(count(), map(gt, errs, repeat(thresh))))
+                if evals + 30 * len(split) > max_evals:
+                    failure = NonConvergence(
+                        f"quadrature used {evals} evaluations without "
+                        f"reaching tolerance (error {tot_err:.3e}, target "
+                        f"{target:.3e}); the next round needs "
+                        f"{30 * len(split)} more, past max_evals "
+                        f"{max_evals}", total, tot_err)
+                    break
+                if p_lo is lo:
+                    p_lo, p_hi = lo.tolist(), hi.tolist()
                 split.sort(key=p_lo.__getitem__)
                 s_lo = list(map(p_lo.__getitem__, split))
                 s_hi = list(map(p_hi.__getitem__, split))
@@ -275,9 +282,10 @@ def integrate_k3(f, rC, spec=None, symmetry="isotropic",
     k, to spec's rel_tol within its max_evals (no absolute target).
     "isotropic" is the only symmetry; any other tag is a ValueError.
 
-    oscillation_scale: largest body dimension L; radial panels are then
-    started at half the period of the fastest sin(kL/2)^2 factor (none
-    for 0).  An rC that is not positive and finite, or an
+    oscillation_scale: the largest length L of the integrand's
+    oscillations, a body's extent or a two-body's separation; radial
+    panels are then started at half the period of the fastest
+    sin(kL/2)^2 or cos(kL) factor (none for 0).  An rC that is not positive and finite, or an
     oscillation_scale that is negative or not finite, raises ValueError.
 
     Returns (value, error_estimate).

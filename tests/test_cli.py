@@ -321,18 +321,22 @@ def test_missing_section_exit_code(tmp_path):
     ("exclusion", SPECTRUM_CONF, 2, "missing required section [experiment]"),
     ("spectrum", SPECTRUM_CONF.replace("rc_m = 1e-7", "rc_m = 1e-5")
      + "[quadrature]\nmax_evals = 15\n", 3, "quadrature did not converge"),
+    ("spectrum", SPECTRUM_CONF + "[quadrature]\nmax_evals = 15\n", 3,
+     "quadrature did not converge"),
     ("spectrum", SPECTRUM_CONF + "[quadrature]\ncutoff_factor = 8.0\n", 2,
      "[quadrature] cutoff_factor: unknown key"),
     ("spectrum", SPECTRUM_CONF + "[quadrature]\nabs_tol = 0.0\n", 2,
      "[quadrature] abs_tol: unknown key"),
 ], ids=["exclusion_without_experiment", "nonconvergent_spectrum",
+        "nonconvergent_spectrum_capped_first_panels",
         "quadrature_cutoff_factor", "quadrature_abs_tol"])
 def test_exit_code_and_message(tmp_path, capsys, command, text, code,
                                message):
     """A missing [experiment] and a key [quadrature] does not have exit 2,
     and a quadrature out of evaluations exits 3, each naming its cause:
     at rC = 20 R a sphere's radial integral starts as one panel, which
-    max_evals = 15 does not let it split."""
+    max_evals = 15 does not let it split, and at rC = R / 5, where it
+    would start as 26 panels, max_evals = 15 allows only one."""
     conf = write(tmp_path, "c.ini", text)
     assert main([command, "--config", conf, "--out", str(tmp_path)]) == code
     assert message in capsys.readouterr().err

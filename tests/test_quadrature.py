@@ -302,6 +302,45 @@ def test_stacked_row_out_of_budget_raises_its_own_estimate():
     assert stacked.value.error == alone.value.error
 
 
+@pytest.mark.parametrize("max_evals", [15, 150, 1500])
+@pytest.mark.parametrize("width", [None, 1e-3], ids=["one_panel", "capped"])
+def test_no_row_evaluates_past_max_evals(max_evals, width):
+    """A row alone, and each row of a stack, evaluates its integrand at
+    no more than max_evals nodes, first panels included (1000 asked by
+    the width cap), and raises NonConvergence with its own estimate
+    when it would need more.  The stack's rows, one integrand times 1, 2
+    and 4, refine alike, so each call after the first, which serves
+    them all, is three of the lone row's blocks."""
+    singular = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-300)
+    kwargs = dict(rel_tol=1e-12, max_evals=max_evals, max_panel_width=width)
+    points, stacked = [], []
+    with pytest.raises(NonConvergence) as alone:
+        integrate_1d(counted(singular, points), 0.0, 1.0, **kwargs)
+    assert sum(points) <= max_evals
+    with pytest.raises(NonConvergence) as stack:
+        integrate_1d(counted(lambda x: [singular(x), 2.0 * singular(x),
+                                        4.0 * singular(x)], stacked),
+                     0.0, 1.0, **kwargs)
+    assert stacked == points[:1] + [3 * n for n in points[1:]]
+    assert (stack.value.estimate, stack.value.error) == \
+        (alone.value.estimate, alone.value.error)
+
+
+def test_sphere_force_keeps_a_budget_of_one_panel(monkeypatch):
+    """At rC = R / 5 a sphere's radial integral would start as 26 panels
+    of half its period; with max_evals = 15 it evaluates one and raises
+    NonConvergence."""
+    from cslbounds import CollapseParams, Sphere, cslnoise
+    nodes, kernel = [], cslnoise.sphere_kernel
+    monkeypatch.setattr(cslnoise, "sphere_kernel",
+                        lambda u: nodes.append(u.size) or kernel(u))
+    with pytest.raises(NonConvergence):
+        cslbounds.csl_force_spectrum(Sphere(1e-12, 5e-7),
+                                     CollapseParams(1e-16, 1e-7),
+                                     spec=QuadratureSpec(max_evals=15))
+    assert nodes == [15]
+
+
 def hexed(f, a, b, **kwargs):
     """integrate_1d's values and errors as float.hex, one pair per row, or
     the estimate, error and message of the NonConvergence it raises."""
@@ -366,7 +405,7 @@ def test_step_into_one_ulp_panels_matches_lockstep_reference():
     assert_as_lone_rows(rows, c - 8 * ulp, c + 8 * ulp,
                         rel_tol=1e-300, max_evals=20000)
     nodes = []
-    with pytest.raises(NonConvergence, match="20025 evaluations"):
+    with pytest.raises(NonConvergence, match="19785 evaluations"):
         integrate_1d(lambda x: nodes.append(x) or step(x), c - 8 * ulp,
                      c + 8 * ulp, rel_tol=1e-300, max_evals=20000)
     assert np.ptp(nodes[-1].reshape(-1, 15), axis=1).min() == 0.0

@@ -40,7 +40,7 @@ EXPECTED = {
     (PointLattice, "two_body"): "pair kernel",
     (PointLattice, "torque"): "pair kernel",
     (Sphere, "force"): "radial",
-    (Sphere, "two_body"): "ball moment",
+    (Sphere, "two_body"): "radial",
     (Sphere, "torque"): "zero",
     (Cuboid, "force"): "1D moments",
     (Cuboid, "two_body"): "1D moments",
@@ -67,7 +67,6 @@ def first_calls(route, channel, method):
             "pair kernel": ["_pair_kernel", f"{channel}_pair_kernel_sum"],
             "zero": ["_zero"],
             "radial": ["_radial_force", "integrate_k3"],
-            "ball moment": ["_ball_moment", "_profile_moment"],
             "1D moments": ["_separable", "_profile_moment"] + (
                 ["_torque_bracket"] if channel == "torque" else []),
             "disc and slab moments": ["_cylinder", "_profile_moment"],

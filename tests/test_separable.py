@@ -9,6 +9,7 @@ import os
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from cslbounds import (CONSTANTS, CollapseParams, Cuboid, Cylinder,
                        csl_torque_spectrum)
 from cslbounds import cslnoise, geometry
 from cslbounds.cslnoise import SpectralValue, torque_pair_kernel_sum
-from cslbounds.geometry import AxisProfile, BallProfile, DiscProfile
+from cslbounds.geometry import AxisProfile, DiscProfile
 from cslbounds.quadrature import K_CUTOFF, NonConvergence, integrate_1d
 from cslbounds.special import bessel_j1, one_minus_j0, ring_cos2_kernel
 from lattices import multilayer_lattice
@@ -194,36 +195,44 @@ def test_tilted_cylinder_two_body_over_random_tilts(seed):
                      oracle_two_body(g, p, a), SPEC.rel_tol)
 
 
-def test_cylinder_and_sphere_channels_avoid_integrate_k3(monkeypatch):
-    """Sphere (saturated too) and cylinder two-body spectra at any axis,
-    and cylinder torque at any tilt, never reach integrate_k3, down to
-    rC = 1e-8, where the generic 3D route ran out of memory."""
-    def no_k3(*args, **kwargs):
-        raise AssertionError("integrate_k3 called")
+def test_sphere_two_body_is_one_radial_integral_and_cylinders_none(
+        monkeypatch):
+    """A sphere two-body spectrum, saturated or not, is one integrate_k3
+    call, its force's, and cylinder two-body spectra at any axis and
+    cylinder torques at any tilt make none, from rC = 1e-8 to 1e-5."""
+    calls, original = [], cslnoise.integrate_k3
 
-    monkeypatch.setattr(cslnoise, "integrate_k3", no_k3)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cslnoise, "integrate_k3", counting)
     cylinders = [Cylinder(1e-14, 1e-7, 1e-6, axis)
                  for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                               (0.3, 0.4, 0.866), (0.0, 0.6, 0.8))]
     for rC in (1e-8, 1e-7, 1e-6, 1e-5):
         p = CollapseParams(1.0, rC)
-        for unit in [Sphere(1e-12, 5e-7)] + cylinders:
+        for a in (3e-6, 1.0):
+            calls.clear()
+            s = csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, 5e-7), a),
+                                            p)
+            assert np.isfinite(float(s)) and float(s) > 0.0
+            assert len(calls) == 1, (rC, a)
+        calls.clear()
+        for unit in cylinders:
             s = csl_force_spectrum_two_body(TwoBody(unit, 3e-6), p)
             assert np.isfinite(float(s)) and float(s) > 0.0
-        saturated = csl_force_spectrum_two_body(
-            TwoBody(Sphere(1e-12, 5e-7), 1.0), p)
-        assert np.isfinite(float(saturated)) and float(saturated) > 0.0
         for g in cylinders[1:]:
             s = csl_torque_spectrum(g, p)
             assert np.isfinite(float(s)) and float(s) > 0.0
         assert float(csl_torque_spectrum(cylinders[0], p)) == 0.0
+        assert not calls, rC
 
 
 def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
     """Every 1D integral of the force, two-body and torque spectra of a
-    Cuboid, a Multilayer and a Cylinder (along x, along y, tilted), and
-    of the sphere two-body spectrum, saturated or not, is a profile
-    moment: integrate_1d is only ever called from inside
+    Cuboid, a Multilayer and a Cylinder (along x, along y, tilted) is a
+    profile moment: integrate_1d is only ever called from inside
     _profile_moment, past R = 3.5 rC too, where a cylinder two-body's
     disc kernels are integrated.  More than 100 moments are integrated,
     counting each row of a call that integrates several moments of one
@@ -266,8 +275,6 @@ def test_product_routes_integrate_only_inside_profile_moment(monkeypatch):
             csl_force_spectrum(g, p, method="quadrature")
             csl_force_spectrum_two_body(TwoBody(g, 3e-6), p)
             csl_torque_spectrum(g, p)
-        for a in (3e-6, 1.0):
-            csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, 5e-7), a), p)
     for g in bodies[3:]:   # R = 5 rC: the disc kernels are integrated
         csl_force_spectrum_two_body(TwoBody(g, 3e-7),
                                     CollapseParams(1.0, 2e-8))
@@ -382,26 +389,24 @@ def elementwise_integrand(prof, rows, rC, s):
 @given(grouped_moments())
 def test_quadrature_moments_equal_the_elementwise_integrand(case):
     """The quadrature moments of a slab, a layer stack (complex
-    transform) or a disc, and of a ball, equal bit for bit the integrals
-    of the same integrand written elementwise: the in-place weight and
-    scaling, the real products of a real transform, the shared powers of
-    k and kernels change no bit, value, error or NonConvergence.  Every
-    kind is asked, each with a kernel of the drawn request in turn."""
+    transform) or a disc equal bit for bit the integrals of the same
+    integrand written elementwise: the in-place weight and scaling, the
+    real products of a real transform, the shared powers of k and
+    kernels change no bit, value, error or NonConvergence.  Every kind
+    is asked, each with a kernel of the drawn request in turn."""
     prof, rows, rC, spec, _, s = case
     kernels = [h for _, h in rows]
-    for prof, kinds in ((prof, KINDS),
-                        (BallProfile(prof.length / 2.0), KINDS[:3])):
-        asked = tuple((kind, kernels[i % len(kernels)])
-                      for i, kind in enumerate(kinds))
-        try:
-            want = integrate_1d(
-                elementwise_integrand(prof, asked, rC, s), 0.0,
-                K_CUTOFF / rC, spec.rel_tol, max_evals=spec.max_evals,
-                max_panel_width=np.pi / max(prof.length, s))
-        except NonConvergence as exc:
-            want = "NonConvergence", exc.estimate, exc.error
-        got = moment_or_failure(prof, asked, rC, spec, False, s)
-        assert repr(got) == repr(want)
+    asked = tuple((kind, kernels[i % len(kernels)])
+                  for i, kind in enumerate(KINDS))
+    try:
+        want = integrate_1d(
+            elementwise_integrand(prof, asked, rC, s), 0.0,
+            K_CUTOFF / rC, spec.rel_tol, max_evals=spec.max_evals,
+            max_panel_width=np.pi / max(prof.length, s))
+    except NonConvergence as exc:
+        want = "NonConvergence", exc.estimate, exc.error
+    got = moment_or_failure(prof, asked, rC, spec, False, s)
+    assert repr(got) == repr(want)
 
 
 def test_cylinder_torque_point_makes_two_integrate_1d_calls(monkeypatch):
@@ -564,6 +569,78 @@ def test_closed_pass_alone_decides_the_late_sine_rows(monkeypatch):
     assert stacks == [1]
 
 
+def sphere_two_body_truth(m, R, rC, a):
+    """pref (4 pi / 3) m^2 int k^4 K(kR)^2 e^{-k^2 rC^2} H(ak) dk to 30
+    digits, with K = 3 (sin u - u cos u) / u^3 the sphere kernel and
+    H(t) = 1 - 3 sin t / t - 6 cos t / t^2 + 6 sin t / t^3 = 3 <u^2 (1 -
+    cos tu)>, u over the unit sphere: Gauss-Legendre at 40 digits in
+    x = k rC up to 10, where the integrand is below 1e-39, on panels of
+    a period of the faster oscillation."""
+    with mp.workdps(40):
+        x_R, x_a = mp.mpf(R) / rC, mp.mpf(a) / rC
+
+        def f(x):
+            u, t = x * x_R, x * x_a
+            K = 3 * (mp.sin(u) - u * mp.cos(u)) / u ** 3
+            H = 1 - 3 * mp.sin(t) / t - 6 * mp.cos(t) / t ** 2 \
+                + 6 * mp.sin(t) / t ** 3
+            return x ** 4 * K * K * mp.exp(-x * x) * H
+
+        panels = int(mp.ceil(10 * max(2 * x_R, x_a) / (2 * mp.pi))) + 1
+        integral = mp.quad(f, mp.linspace(0, 10, panels + 1),
+                           method="gauss-legendre")
+        pref = mp.mpf(CONSTANTS.hbar) ** 2 / (
+            mp.pi ** 1.5 * mp.mpf(CONSTANTS.m0) ** 2 * mp.mpf(rC) ** 2)
+        return pref * mp.mpf(m) ** 2 * 4 * mp.pi / 3 * integral
+
+
+@pytest.mark.parametrize("R_over_rC, a_over_rC", [
+    (0.005, 0.03), (0.005, 20.0), (0.1, 1.0), (0.5, 3.0), (1.0, 0.3),
+    (2.0, 10.0), (5.0, 0.03), (5.0, 30.0)])
+def test_sphere_two_body_within_its_error_of_truth(R_over_rC, a_over_rC):
+    """Over R / rC from 0.005 to 5 and a / rC from 0.03 to 30 (the
+    sphere_two_body_axial scan's range), below the saturation
+    separation and past it (a / rC = 20 and 30), the sphere two-body
+    spectrum lies within its reported error of the 30-digit radial
+    integral (sphere_two_body_truth)."""
+    R = 5e-7
+    rC = R / R_over_rC
+    a = a_over_rC * rC
+    saturated = a >= cslnoise._saturation_separation(2.0 * R, rC)
+    assert saturated == (a_over_rC >= 20.0)
+    s = csl_force_spectrum_two_body(TwoBody(Sphere(1e-12, R), a),
+                                    CollapseParams(1.0, rC))
+    truth = sphere_two_body_truth(1e-12, R, rC, a)
+    with mp.workdps(40):
+        assert abs(mp.mpf(float(s)) - truth) <= s.error, \
+            (float(s), s.error, mp.nstr(truth, 30))
+
+
+SATURATED_UNITS = {
+    "sphere": Sphere(1e-12, 5e-7),
+    "cuboid": Cuboid(1e-12, 1e-6, 2e-6, 3e-6),
+    **{f"multilayer_{axis}": Multilayer(4, 2e-7, 3e-7, 19300.0, 2330.0,
+                                         1e-6, 2e-6, axis)
+       for axis in "xyz"},
+    **{name: Cylinder(1e-14, 1e-7, 1e-6, axis) for name, axis in (
+        ("cylinder_x", (1.0, 0.0, 0.0)), ("cylinder_y", (0.0, 1.0, 0.0)),
+        ("cylinder_tilted", (0.3, 0.4, 0.866)))}}
+
+
+@pytest.mark.parametrize("unit", SATURATED_UNITS.values(),
+                         ids=SATURATED_UNITS.keys())
+def test_saturated_two_body_is_the_force_bit_for_bit(unit):
+    """At a = 1 m, past every saturation separation from rC = 1e-8 to
+    1e-5, a two-body spectrum is its unit's force spectrum bit for bit,
+    value and error: the routes integrate one body once."""
+    for rC in (1e-8, 1e-7, 1e-6, 1e-5):
+        p = CollapseParams(1.0, rC)
+        two = csl_force_spectrum_two_body(TwoBody(unit, 1.0), p)
+        force = csl_force_spectrum(unit, p)
+        assert (float(two).hex(), two.error.hex()) == \
+            (float(force).hex(), force.error.hex()), rC
+
+
 FAR_UNIT = Multilayer(5, 2e-7, 3e-7, 19300.0, 2330.0, 1e-6, 1.5e-6, "x")
 
 
@@ -609,22 +686,36 @@ def test_two_body_saturation_threshold(unit, extent, rC, monkeypatch):
 
 
 def spy_on_kernels(monkeypatch):
-    """Spy on cslnoise._profile_moment; returns the list of the
-    separation kernels h its requests' rows carry, None for none."""
-    kernels, moment = [], cslnoise._profile_moment
+    """Spy on the integrals of cslnoise; returns the list of the
+    separation kernels h they carry, None for none: one entry per row of
+    a _profile_moment request, None per integrate_k3 call and
+    shell_cos2_kernel each time a sphere's radial integrand applies it."""
+    kernels = []
+    moment, k3, shell = (cslnoise._profile_moment, cslnoise.integrate_k3,
+                         cslnoise.shell_cos2_kernel)
 
     def spy(prof, rows, *args):
         kernels.extend(h for _, h in rows)
         return moment(prof, rows, *args)
 
+    def spy_k3(*args, **kwargs):
+        kernels.append(None)
+        return k3(*args, **kwargs)
+
+    def spy_shell(x):
+        kernels.append(shell)
+        return shell(x)
+
     monkeypatch.setattr(cslnoise, "_profile_moment", spy)
+    monkeypatch.setattr(cslnoise, "integrate_k3", spy_k3)
+    monkeypatch.setattr(cslnoise, "shell_cos2_kernel", spy_shell)
     return kernels
 
 
 def test_saturation_separation_extents(monkeypatch):
     """Each two-body route switches to the single-unit force at X + c rC,
     X the unit's extent along x and c at least 15.5: just below it some
-    moment carries a separation kernel, just above it none does."""
+    integral carries a separation kernel, just above it none does."""
     rC = 1e-6
     c_min = np.sqrt(8.0 * np.log(6.0 * np.sqrt(np.pi) / 1e-12))
     assert c_min == pytest.approx(15.49, abs=0.01)

@@ -2,12 +2,15 @@
 
     python tools/bitcompare.py REV
 
-Checks REV out into a temporary git worktree (no network) and runs the
-same inputs in two fresh interpreters, one on REV's src/ and one on
-this tree's, then prints every entry whose float.hex or bytes differ:
+Extracts REV's src/ into a temporary directory (git archive, no
+network) and runs the same inputs in two fresh interpreters, one on
+REV's src/ and one on this tree's, then prints every entry whose
+float.hex or bytes differ:
 
 - every cell of cslnoise._ROUTES under both methods, with float and
-  numpy-scalar parameters, on the bodies of tests/test_routes.py;
+  numpy-scalar parameters, on the bodies of tests/test_routes.py; a
+  two_body cell at its separation A and at a = 1 m, where every unit
+  is saturated;
 - every scan_1d, scan_3d and lattice_pairs op of variants 0-7, built by
   perfbench/workloads.py (scan_3d under its address-space cap);
 - the shipped cli commands of the cli workload on configs/: exit code,
@@ -19,19 +22,25 @@ tests/test_routes.py and perfbench/workloads.py.  An edit to a shipped
 config therefore never shows as a difference, and a config that REV
 cannot parse shows as REV's cli exit codes and messages.
 
-An exception is an entry too.  Exits 0 when nothing differs, 1 when
-something does, 2 when REV names no commit or a run fails; the worktree
-is removed in every case.
+Beside each differing entry that carries a value and its error on both
+sides, |change| / (sum of both errors) is printed: at most 1 when the
+change stays within the reported errors (a scan_1d entry's bound is
+budget / S and its error relative, so this compares the S).  An
+exception is an entry too.  Exits 0 when nothing differs, 1 when
+something does, 2 when REV names no commit or a run fails; the
+temporary directory is removed in every case.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,8 +70,10 @@ def routes():
                         CollapseParams(np.float64(1.0), np.float64(1e-6)))):
             key = f"route {cls.__name__}-{channel} {{}} {kind}"
             if channel == "two_body":   # no quadrature method
-                out[key.format("auto")] = outcome(
-                    csl_force_spectrum_two_body, TwoBody(BODIES[cls], A), p)
+                for name, a in (("auto", A), ("auto a=1m", 1.0)):
+                    out[key.format(name)] = outcome(
+                        csl_force_spectrum_two_body, TwoBody(BODIES[cls], a),
+                        p)
                 continue
             for method in ("auto", "quadrature"):
                 out[key.format(method)] = outcome(
@@ -164,6 +175,20 @@ def git(*args):
                           text=True)
 
 
+def error_ratio(key, old, new):
+    """|change| / (sum of both errors) of an entry that ends in a value
+    and its error as float.hex on both sides, else None."""
+    try:
+        (v0, e0), (v1, e1) = ([float.fromhex(x) for x in entry.split()[-2:]]
+                              for entry in (old, new))
+    except (AttributeError, ValueError):
+        return None
+    if key.startswith("scan_1d"):   # lambda_ub = budget / S, error relative
+        v0, v1 = 1.0 / v0, 1.0 / v1
+        e0, e1 = e0 * v0, e1 * v1
+    return abs(v1 - v0) / (e0 + e1) if e0 + e1 else math.inf
+
+
 def main(argv):
     if len(argv) == 4 and argv[1] == "--dump":
         return dump(argv[2], argv[3])
@@ -176,27 +201,29 @@ def main(argv):
         return 2
     commit = rev.stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bitcompare-") as tmp:
-        worktree = os.path.join(tmp, "rev")
+        archive = os.path.join(tmp, "rev.tar")
+        extracted = git("archive", "--output", archive, commit, "src")
+        if extracted.returncode:
+            print(f"error: {extracted.stderr.strip()}", file=sys.stderr)
+            return 2
+        with tarfile.open(archive) as tar:
+            tar.extractall(os.path.join(tmp, "rev"), filter="data")
         try:
-            added = git("worktree", "add", "--detach", worktree, commit)
-            if added.returncode:
-                print(f"error: {added.stderr.strip()}", file=sys.stderr)
-                return 2
-            old = run_side(os.path.join(worktree, "src"),
+            old = run_side(os.path.join(tmp, "rev", "src"),
                            os.path.join(tmp, "rev-out"))
             new = run_side(os.path.join(ROOT, "src"),
                            os.path.join(tmp, "tree-out"))
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        finally:
-            git("worktree", "remove", "--force", worktree)
-            git("worktree", "prune")
     keys = sorted(old.keys() | new.keys())
     diffs = [k for k in keys if old.get(k) != new.get(k)]
     for k in diffs:
+        ratio = error_ratio(k, old.get(k), new.get(k))
         print(f"{k}\n  {commit[:12]}: {old.get(k, '<none>')}\n"
-              f"  working tree: {new.get(k, '<none>')}")
+              f"  working tree: {new.get(k, '<none>')}" + (
+                  "" if ratio is None
+                  else f"\n  |change| / (sum of errors): {ratio:.3g}"))
     print(f"{commit[:12]} against the working tree: {len(keys)} entries, "
           f"{len(diffs)} differ")
     return 1 if diffs else 0
